@@ -43,7 +43,6 @@ from repro.kernels import (
     resolve_backend,
     resolve_profile,
 )
-from repro.kernels.options import _UNSET
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.shapes import LevelShape
@@ -118,6 +117,9 @@ class DEFAEncoderBatchResult:
 class DEFAEncoderRunner:
     """Execute a deformable encoder with DEFA applied to each attention block.
 
+    One block loop serves batches and single images: a single ``(N_in, D)``
+    image runs as a ``B = 1`` batch (see :meth:`forward`).
+
     Parameters
     ----------
     encoder:
@@ -126,9 +128,7 @@ class DEFAEncoderRunner:
         DEFA algorithm configuration.
     options:
         :class:`~repro.kernels.ExecutionOptions` bundling the execution
-        knobs (PR 8); the legacy ``sparse_mode=`` / ``backend=`` keywords
-        are deprecated shims through
-        :func:`~repro.kernels.normalize_execution_options`.
+        knobs (PR 8).
 
         ``sparse_mode`` is the execution switch forwarded to every
         :class:`DEFAAttention` block (see :data:`repro.core.pipeline.
@@ -169,13 +169,8 @@ class DEFAEncoderRunner:
         config: DEFAConfig,
         options: ExecutionOptions | None = None,
         enable_sparse_ffn: bool = True,
-        *,
-        sparse_mode=_UNSET,
-        backend=_UNSET,
     ) -> None:
-        options = normalize_execution_options(
-            options, owner="DEFAEncoderRunner", sparse_mode=sparse_mode, backend=backend
-        )
+        options = normalize_execution_options(options, owner="DEFAEncoderRunner")
         if options.enable_query_pruning is not None:
             config = config.with_overrides(
                 enable_query_pruning=options.enable_query_pruning
@@ -227,7 +222,7 @@ class DEFAEncoderRunner:
     TraceCache`); a dropped signature simply re-warms on next use."""
 
     def execution_plan(
-        self, spatial_shapes: list[LevelShape], batch_size: int | None
+        self, spatial_shapes: list[LevelShape], batch_size: int
     ) -> ExecutionPlan:
         """The buffer arena for one ``(shape-signature, batch-size)``.
 
@@ -235,8 +230,9 @@ class DEFAEncoderRunner:
         :data:`MAX_EXECUTION_PLANS`): a signature change means a *new* plan
         (the invalidation rule), while repeated forwards — across blocks and
         across BatchRunner work items of the same signature — reuse the warm
-        arena and perform no large allocations.  ``batch_size`` is ``None``
-        for single-image forwards.
+        arena and perform no large allocations.  ``batch_size`` is at least
+        1: a single-image forward runs as a ``B = 1`` batch and shares the
+        ``B = 1`` arena.
         """
         key = (tuple(s.as_tuple() for s in spatial_shapes), batch_size)
         plan = self._plans.get(key)
@@ -272,7 +268,7 @@ class DEFAEncoderRunner:
         }
 
     def query_stage_plan(
-        self, fmap_mask: np.ndarray | None, queries_per_image: int, batched: bool = False
+        self, fmap_mask: np.ndarray | None, queries_per_image: int
     ) -> tuple[np.ndarray | None, bool]:
         """``(keep_mask, compact)`` for the pre-attention ``query = x + pos`` add.
 
@@ -292,12 +288,7 @@ class DEFAEncoderRunner:
         fmap_mask = normalize_mask(fmap_mask)  # boundary: accept int masks
         t = self.machine_profile.thresholds_for(self.resolved_backend().name)
         compact = use_sparse_rows(
-            fmap_mask,
-            queries_per_image,
-            t.query_keep_max,
-            t.min_queries,
-            self.sparse_mode,
-            batched=batched,
+            fmap_mask, queries_per_image, t.query_keep_max, t.min_queries, self.sparse_mode
         )
         return fmap_mask, compact
 
@@ -310,9 +301,9 @@ class DEFAEncoderRunner:
         plan: ExecutionPlan | None,
     ) -> np.ndarray:
         """``query = x + pos`` under the query-pruning mask (see
-        :meth:`query_stage_plan`).  ``x`` is ``(N, D)`` or ``(B, N, D)`` with
-        ``pos`` shared ``(N, D)``; with a ``plan`` the query lives in a
-        reused arena buffer."""
+        :meth:`query_stage_plan`).  ``x`` is ``(B, N, D)`` with ``pos``
+        shared ``(N, D)``; with a ``plan`` the query lives in a reused arena
+        buffer."""
         if keep_mask is None:
             if plan is not None:
                 query = plan.buffer("query", x.shape)
@@ -329,7 +320,7 @@ class DEFAEncoderRunner:
             return query
         flat_x = x.reshape(-1, x.shape[-1])
         kept = np.flatnonzero(keep_mask.reshape(-1))
-        pos_idx = kept if x.ndim == 2 else kept % x.shape[1]
+        pos_idx = kept % x.shape[1]
         if plan is not None:
             query = plan.zeros("query", x.shape)
             if kept.size:
@@ -344,7 +335,7 @@ class DEFAEncoderRunner:
         return query
 
     def ffn_stage_plan(
-        self, fmap_mask: np.ndarray | None, tokens_per_image: int, batched: bool = False
+        self, fmap_mask: np.ndarray | None, tokens_per_image: int
     ) -> tuple[np.ndarray | None, bool]:
         """``(keep_mask, compact)`` for the inter-block FFN/LayerNorm stage.
 
@@ -361,12 +352,7 @@ class DEFAEncoderRunner:
         fmap_mask = normalize_mask(fmap_mask)  # boundary: accept int masks
         t = self.machine_profile.thresholds_for(self.resolved_backend().name)
         compact = self.enable_sparse_ffn and use_sparse_rows(
-            fmap_mask,
-            tokens_per_image,
-            t.ffn_keep_max,
-            t.ffn_min_tokens,
-            self.sparse_mode,
-            batched=batched,
+            fmap_mask, tokens_per_image, t.ffn_keep_max, t.ffn_min_tokens, self.sparse_mode
         )
         return fmap_mask, compact
 
@@ -379,29 +365,35 @@ class DEFAEncoderRunner:
         collect_details: bool | None = None,
         fmap_masks: list[np.ndarray | None] | None = None,
     ) -> DEFAEncoderResult | DEFAEncoderBatchResult:
-        """Run all encoder layers, propagating the FWP mask block to block.
+        """Run all encoder layers, propagating the FWP masks block to block.
 
-        ``src`` may be a single image ``(N_in, D)`` or a batch ``(B, N_in,
-        D)``; batched inputs dispatch to :meth:`forward_batched` and return a
-        :class:`DEFAEncoderBatchResult`.  ``collect_details`` defaults to the
-        runner's :class:`~repro.kernels.ExecutionOptions` value.
+        ``src`` is a batch ``(B, N_in, D)`` or a single image ``(N_in, D)``;
+        ``pos`` and ``reference_points`` are shared across the batch (they
+        only depend on the pyramid shapes).  A batch returns a
+        :class:`DEFAEncoderBatchResult` whose per-image results equal
+        running each image alone; a single image runs as a ``B = 1`` batch
+        and returns that batch's :class:`DEFAEncoderResult`.
+        ``collect_details`` defaults to the runner's
+        :class:`~repro.kernels.ExecutionOptions` value.
 
         ``fmap_masks`` overrides the *incoming* FWP mask of every block
-        (entry ``j`` feeds block ``j``; ``None`` entries mean dense, matching
-        the first-block convention), instead of the mask evolving from block
+        (entry ``j`` feeds block ``j``: ``(N_in,)`` for a single image,
+        ``(B, N_in)`` for a batch; ``None`` entries mean dense, matching the
+        first-block convention), instead of the mask evolving from block
         ``i`` to block ``i+1``.  The masks each block *generates* are still
         recorded in the result.  A :class:`~repro.engine.streaming.
         StreamingEncoderSession` uses this to warm-start a frame from the
         previous frame's prune trajectory intersected with its
-        temporally-dirty set; single-image forwards only.
+        temporally-dirty set.
         """
         x = np.asarray(src, dtype=FLOAT_DTYPE)
-        if x.ndim == 3:
+        single = x.ndim == 2
+        if single:
+            x = x[None]
             if fmap_masks is not None:
-                raise ValueError("fmap_masks overrides support single-image forwards only")
-            return self.forward_batched(
-                x, pos, reference_points, spatial_shapes, collect_details=collect_details
-            )
+                fmap_masks = [None if m is None else np.asarray(m)[None] for m in fmap_masks]
+        if x.ndim != 3:
+            raise ValueError("src must have shape (N_in, D) or (B, N_in, D)")
         if fmap_masks is not None and len(fmap_masks) != len(self.encoder.layers):
             raise ValueError(
                 f"fmap_masks must have one entry per encoder layer "
@@ -409,95 +401,11 @@ class DEFAEncoderRunner:
             )
         if collect_details is None:
             collect_details = self.collect_details_default
+        batch, n_in = x.shape[0], x.shape[1]
         pos = np.asarray(pos, dtype=FLOAT_DTYPE)
         backend = self.resolved_backend()
         # collect_details hands the per-block outputs to the caller, so they
         # must not live in arena buffers that the next block overwrites.
-        plan = (
-            self.execution_plan(spatial_shapes, None)
-            if backend.fused and not collect_details
-            else None
-        )
-        fmap_mask: np.ndarray | None = None
-        layer_stats: list[DEFALayerStats] = []
-        layer_outputs: list[DEFAAttentionOutput] = []
-        generated_masks: list[np.ndarray] = []
-
-        call_options = ExecutionOptions(kernel_backend=backend)
-        for index, (layer, defa_attn) in enumerate(
-            zip(self.encoder.layers, self.defa_layers)
-        ):
-            if fmap_masks is not None:
-                fmap_mask = fmap_masks[index]
-            # Pre-attention query add, skipped for FWP-pruned pixels under
-            # query pruning (their rows never act as queries).
-            q_keep, q_compact = self.query_stage_plan(fmap_mask, x.shape[0])
-            query = self._build_query(x, pos, q_keep, q_compact, plan)
-            attn_out = defa_attn.forward_detailed(
-                query,
-                reference_points,
-                x,
-                spatial_shapes,
-                fmap_mask=fmap_mask,
-                options=call_options,
-                plan=plan,
-            )
-            layer_stats.append(attn_out.stats)
-            if collect_details:
-                layer_outputs.append(attn_out)
-            # The inter-block stage prunes on the mask applied to *this*
-            # block (the rows that did not act as queries), so it must run
-            # before the mask is advanced to the one this block generated.
-            keep_mask, compact = self.ffn_stage_plan(fmap_mask, x.shape[0])
-            stream = None
-            if plan is not None:
-                # Ping-pong stream buffers: the stage writes block i's output
-                # into stream i%2 while reading block i-1's from the other.
-                stream = plan.buffer(f"stream{index % 2}", x.shape)
-            x = layer.forward_ffn_stage(
-                x,
-                attn_out.output,
-                keep_mask=keep_mask,
-                compact=compact,
-                plan=plan,
-                out=stream,
-            )
-            attn_out.stats.sparse_ffn = compact
-            fmap_mask = attn_out.fmap_mask_next
-            generated_masks.append(fmap_mask)
-
-        # The final memory escapes to the caller, so it must not alias the
-        # arena (the next forward would overwrite it) — one copy per forward.
-        return DEFAEncoderResult(
-            memory=x.copy() if plan is not None else x,
-            layer_stats=layer_stats,
-            layer_outputs=layer_outputs,
-            fmap_masks=generated_masks,
-        )
-
-    def forward_batched(
-        self,
-        src: np.ndarray,
-        pos: np.ndarray,
-        reference_points: np.ndarray,
-        spatial_shapes: list[LevelShape],
-        collect_details: bool | None = None,
-    ) -> DEFAEncoderBatchResult:
-        """Run all layers on an image batch, threading per-image FWP masks.
-
-        ``src`` has shape ``(B, N_in, D)``; ``pos`` and ``reference_points``
-        are shared across the batch (they only depend on the pyramid shapes).
-        Per-image results are equivalent to calling :meth:`forward` on each
-        image separately, but the tensor work runs batched.
-        """
-        x = np.asarray(src, dtype=FLOAT_DTYPE)
-        if x.ndim != 3:
-            raise ValueError("src must have shape (B, N_in, D)")
-        if collect_details is None:
-            collect_details = self.collect_details_default
-        batch = x.shape[0]
-        pos = np.asarray(pos, dtype=FLOAT_DTYPE)
-        backend = self.resolved_backend()
         plan = (
             self.execution_plan(spatial_shapes, batch)
             if backend.fused and not collect_details
@@ -512,7 +420,11 @@ class DEFAEncoderRunner:
         for index, (layer, defa_attn) in enumerate(
             zip(self.encoder.layers, self.defa_layers)
         ):
-            q_keep, q_compact = self.query_stage_plan(fmap_mask, x.shape[1], batched=True)
+            if fmap_masks is not None:
+                fmap_mask = fmap_masks[index]
+            # Pre-attention query add, skipped for FWP-pruned pixels under
+            # query pruning (their rows never act as queries).
+            q_keep, q_compact = self.query_stage_plan(fmap_mask, n_in)
             query = self._build_query(x, pos, q_keep, q_compact, plan)
             attn_out: DEFAAttentionBatchOutput = defa_attn.forward_detailed(
                 query,
@@ -523,11 +435,14 @@ class DEFAEncoderRunner:
                 options=call_options,
                 plan=plan,
             )
-            # Inter-block stage on the incoming (per-image) masks — before
-            # the masks advance to the ones this block generated.
-            keep_mask, compact = self.ffn_stage_plan(fmap_mask, x.shape[1], batched=True)
+            # The inter-block stage prunes on the masks applied to *this*
+            # block (the rows that did not act as queries), so it must run
+            # before the masks advance to the ones this block generated.
+            keep_mask, compact = self.ffn_stage_plan(fmap_mask, n_in)
             stream = None
             if plan is not None:
+                # Ping-pong stream buffers: the stage writes block i's output
+                # into stream i%2 while reading block i-1's from the other.
                 stream = plan.buffer(f"stream{index % 2}", x.shape)
             x = layer.forward_ffn_stage(
                 x,
@@ -545,8 +460,10 @@ class DEFAEncoderRunner:
                     per_image_outputs[b].append(image)
             fmap_mask = attn_out.fmap_mask_next
 
+        # The final memory escapes to the caller, so it must not alias the
+        # arena (the next forward would overwrite it) — one copy per forward.
         if plan is not None:
-            x = x.copy()  # the memory escapes; it must not alias the arena
+            x = x.copy()
         images = [
             DEFAEncoderResult(
                 memory=x[b],
@@ -556,6 +473,8 @@ class DEFAEncoderRunner:
             )
             for b in range(batch)
         ]
+        if single:
+            return images[0]
         return DEFAEncoderBatchResult(memory=x, images=images)
 
     __call__ = forward

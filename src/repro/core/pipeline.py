@@ -50,13 +50,7 @@ import numpy as np
 
 from repro.core.config import DEFAConfig
 from repro.core.flops import FlopsBreakdown, msdeform_attn_flops
-from repro.core.fwp import (
-    FWPResult,
-    apply_fmap_mask,
-    compute_fmap_mask,
-    compute_fmap_mask_batched,
-    normalize_mask,
-)
+from repro.core.fwp import FWPResult, compute_fmap_mask_batched, normalize_mask
 from repro.kernels import (
     DispatchThresholds,
     ExecutionOptions,
@@ -65,19 +59,11 @@ from repro.kernels import (
     resolve_backend,
     resolve_profile,
 )
-from repro.kernels.options import _UNSET
-from repro.kernels.fused_ops import (
-    project_batched_into,
-    project_into,
-    project_rows_batched_into,
-    project_rows_into,
-)
+from repro.kernels.fused_ops import project_batched_into, project_rows_batched_into
 from repro.core.pap import PAPResult, compute_point_mask
 from repro.core.range_narrowing import RangeNarrowing
 from repro.core.sampling_stats import (
-    sampled_frequency,
     sampled_frequency_batched,
-    sampled_frequency_compact,
     sampled_frequency_compact_batched,
 )
 from repro.nn.grid_sample import (
@@ -85,11 +71,9 @@ from repro.nn.grid_sample import (
     CompactSamplingTrace,
     SamplingTrace,
     ms_deform_attn_from_compact_trace,
-    ms_deform_attn_from_trace,
     ms_deform_attn_from_trace_batched,
     multi_scale_neighbors,
     multi_scale_neighbors_batched,
-    multi_scale_neighbors_sparse,
     multi_scale_neighbors_sparse_batched,
     use_sparse_gather,
 )
@@ -142,26 +126,23 @@ def use_sparse_rows(
     keep_max: float,
     min_rows: int,
     sparse_mode: str,
-    batched: bool = False,
 ) -> bool:
     """Shared dispatch rule of every row-compacted stage.
 
     No mask ⇒ dense by convention (the first block of an encoder never
     receives one).  ``"dense"``/``"sparse"`` force one path; ``"auto"``
     additionally requires the image to be large enough and the mask to
-    actually prune.  A batch uses the *maximum* per-image keep fraction
-    (compact only when every image alone would go compact) so batched and
-    single-image runs make the same decision wherever possible.
+    actually prune.  ``mask`` is ``(N,)`` for one image or ``(B, N)`` for a
+    batch; a batch uses the *maximum* per-image keep fraction (compact only
+    when every image alone would go compact), so a batch and its images run
+    alone make the same decision wherever possible.
 
     Boundary semantics (pinned by boundary-value tests; must match
     :func:`~repro.nn.grid_sample.use_sparse_gather` so a calibrated profile
-    with equal crossover values cannot flip the batched-vs-single path
-    choice): the minimum size compares with ``<`` — ``rows_per_image ==
-    min_rows`` is sparse-eligible — and the keep ratio with ``<=`` —
-    ``keep_fraction == keep_max`` goes sparse.  The batched keep fraction of
-    a size-one batch equals the single-image fraction exactly (same
-    ``count / rows`` division), so equality at the threshold dispatches
-    identically on both paths.
+    with equal crossover values cannot flip the path choice): the minimum
+    size compares with ``<`` — ``rows_per_image == min_rows`` is
+    sparse-eligible — and the keep ratio with ``<=`` — ``keep_fraction ==
+    keep_max`` goes sparse.
     """
     if mask is None or sparse_mode == "dense":
         return False
@@ -169,11 +150,8 @@ def use_sparse_rows(
         return True
     if rows_per_image < min_rows:
         return False
-    if batched:
-        per_image = np.count_nonzero(mask, axis=1)
-        keep_fraction = float(per_image.max()) / max(rows_per_image, 1)
-    else:
-        keep_fraction = np.count_nonzero(mask) / max(mask.size, 1)
+    per_image = np.count_nonzero(np.atleast_2d(mask), axis=-1)
+    keep_fraction = float(per_image.max()) / max(rows_per_image, 1)
     return keep_fraction <= keep_max
 
 
@@ -380,10 +358,10 @@ class DEFAAttention:
         immediately; the backends are bit-identical, ``"fused"``
         additionally consumes the ``plan`` buffer arena passed into
         :meth:`forward_detailed`); ``enable_query_pruning`` overrides the
-        config's flag at construction.  The legacy ``sparse_mode=`` /
-        ``backend=`` keywords still work via
-        :func:`~repro.kernels.normalize_execution_options` but are
-        deprecated.
+        config's flag at construction.
+
+    The block executes batch-first: a single ``(N_q, D)`` image runs as a
+    ``B = 1`` batch through the same code as any ``(B, N_q, D)`` batch.
     """
 
     def __init__(
@@ -391,13 +369,8 @@ class DEFAAttention:
         attn: MSDeformAttn,
         config: DEFAConfig,
         options: ExecutionOptions | None = None,
-        *,
-        sparse_mode=_UNSET,
-        backend=_UNSET,
     ) -> None:
-        options = normalize_execution_options(
-            options, owner="DEFAAttention", sparse_mode=sparse_mode, backend=backend
-        )
+        options = normalize_execution_options(options, owner="DEFAAttention")
         mode = options.sparse_mode or "auto"
         if mode not in SPARSE_MODES:
             raise ValueError(f"sparse_mode must be one of {SPARSE_MODES}, got {mode!r}")
@@ -458,62 +431,23 @@ class DEFAAttention:
         name = backend.name if backend is not None else None
         return self.machine_profile.thresholds_for(name)
 
-    def _use_sparse_rows(
-        self,
-        mask: np.ndarray | None,
-        rows_per_image: int,
-        keep_max: float,
-        min_rows: int,
-        batched: bool = False,
-    ) -> bool:
-        """The shared :func:`use_sparse_rows` rule under this block's mode."""
-        return use_sparse_rows(
-            mask, rows_per_image, keep_max, min_rows, self.sparse_mode, batched=batched
-        )
-
     def _use_sparse_projection(
-        self,
-        fmap_mask: np.ndarray | None,
-        tokens_per_image: int,
-        batched: bool = False,
-        backend=None,
+        self, fmap_mask: np.ndarray | None, tokens_per_image: int, backend=None
     ) -> bool:
         """Whether the value projection runs on compacted (kept-pixel) rows."""
-        thresholds = self._thresholds(backend)
-        return self._use_sparse_rows(
-            fmap_mask,
-            tokens_per_image,
-            thresholds.pixel_keep_max,
-            thresholds.min_tokens,
-            batched=batched,
+        t = self._thresholds(backend)
+        return use_sparse_rows(
+            fmap_mask, tokens_per_image, t.pixel_keep_max, t.min_tokens, self.sparse_mode
         )
 
     def _use_sparse_query(
-        self,
-        query_keep: np.ndarray | None,
-        queries_per_image: int,
-        batched: bool = False,
-        backend=None,
+        self, query_keep: np.ndarray | None, queries_per_image: int, backend=None
     ) -> bool:
         """Whether the query-side projections run on compacted (kept-query) rows."""
-        thresholds = self._thresholds(backend)
-        return self._use_sparse_rows(
-            query_keep,
-            queries_per_image,
-            thresholds.query_keep_max,
-            thresholds.min_queries,
-            batched=batched,
+        t = self._thresholds(backend)
+        return use_sparse_rows(
+            query_keep, queries_per_image, t.query_keep_max, t.min_queries, self.sparse_mode
         )
-
-    @staticmethod
-    def _project_rows(
-        proj: Linear | QuantizedLinear, x: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        """Project only ``x[rows]``; quantized projections keep the full-array
-        dynamic activation scale so the result matches the dense rows exactly."""
-        if isinstance(proj, QuantizedLinear):
-            return proj.forward_rows(x, rows)
-        return proj(x[rows])
 
     @staticmethod
     def _project_rows_batched(
@@ -589,52 +523,6 @@ class DEFAAttention:
             threshold=row_pap.threshold,
         )
 
-    def _project_values(
-        self,
-        value_input: np.ndarray,
-        fmap_mask: np.ndarray | None,
-        plan: ExecutionPlan | None = None,
-        backend=None,
-    ) -> tuple[np.ndarray, bool]:
-        """Single-image value projection ``V = X W^V`` under the FWP mask.
-
-        Returns the ``(N_in, N_h, D_h)`` value tensor (pruned rows zero) and
-        whether the compacted path ran.  The compacted path gathers the kept
-        rows, projects the ``(N_kept, D)`` compact array only and scatters the
-        result back; quantized projections derive their dynamic activation
-        scale from the *full* input so both paths quantize identically.  With
-        a ``plan`` the projection and the value tensor live in reused arena
-        buffers (bit-identical values).
-        """
-        attn = self.attn
-        n_in = value_input.shape[0]
-        proj = self._value_proj
-        if not self._use_sparse_projection(fmap_mask, n_in, backend=backend):
-            if plan is not None:
-                value = project_into(
-                    proj, value_input, plan, "value_proj", backend=backend
-                ).reshape(n_in, attn.num_heads, attn.d_head)
-                if fmap_mask is not None and not fmap_mask.all():
-                    value[~fmap_mask] = 0  # plan buffer: zero in place, no copy
-                return value, False
-            value = proj(value_input).reshape(n_in, attn.num_heads, attn.d_head)
-            return apply_fmap_mask(value, fmap_mask), False
-        kept = np.flatnonzero(fmap_mask)
-        if plan is not None:
-            value = plan.zeros("value", (n_in, attn.d_model))
-            if kept.size:
-                value[kept] = project_rows_into(
-                    proj, value_input, kept, plan, "value_proj", backend=backend
-                )
-            return value.reshape(n_in, attn.num_heads, attn.d_head), True
-        value = np.zeros((n_in, attn.d_model), dtype=FLOAT_DTYPE)
-        if kept.size:
-            if isinstance(proj, QuantizedLinear):
-                value[kept] = proj.forward_rows(value_input, kept)
-            else:
-                value[kept] = proj(value_input[kept])
-        return value.reshape(n_in, attn.num_heads, attn.d_head), True
-
     def _project_values_batched(
         self,
         value_input: np.ndarray,
@@ -642,20 +530,22 @@ class DEFAAttention:
         plan: ExecutionPlan | None = None,
         backend=None,
     ) -> tuple[np.ndarray, bool]:
-        """Batched value projection under per-image FWP masks.
+        """Value projection ``V = X W^V`` of a ``(B, N_in, D)`` batch under
+        per-image FWP masks.
 
-        The compacted path concatenates the kept rows of every image into one
-        ``(sum_b N_kept_b, D)`` matmul (per-image quantization scales are
-        preserved by :meth:`QuantizedLinear.forward_rows_batched`) and
-        scatters the outputs back into the zero-initialised batch tensor.
-        ``plan`` reuses arena buffers as in :meth:`_project_values`.
+        Returns the ``(B, N_in, N_h, D_h)`` value tensor (pruned rows zero)
+        and whether the compacted path ran.  The compacted path concatenates
+        the kept rows of every image into one ``(sum_b N_kept_b, D)`` matmul
+        (per-image quantization scales are preserved by
+        :meth:`QuantizedLinear.forward_rows_batched`, so both paths quantize
+        identically) and scatters the outputs back into the zero-initialised
+        batch tensor.  With a ``plan`` the projection and the value tensor
+        live in reused arena buffers (bit-identical values).
         """
         attn = self.attn
         batch, n_in = value_input.shape[0], value_input.shape[1]
         proj = self._value_proj
-        if not self._use_sparse_projection(
-            fmap_mask, n_in, batched=True, backend=backend
-        ):
+        if not self._use_sparse_projection(fmap_mask, n_in, backend=backend):
             if plan is not None:
                 value = project_batched_into(
                     proj, value_input, plan, "value_proj", backend=backend
@@ -680,10 +570,7 @@ class DEFAAttention:
             return value.reshape(batch, n_in, attn.num_heads, attn.d_head), True
         value = np.zeros((batch * n_in, attn.d_model), dtype=FLOAT_DTYPE)
         if kept.size:
-            if isinstance(proj, QuantizedLinear):
-                value[kept] = proj.forward_rows_batched(value_input, kept)
-            else:
-                value[kept] = proj(value_input.reshape(batch * n_in, -1)[kept])
+            value[kept] = self._project_rows_batched(proj, value_input, kept)
         return value.reshape(batch, n_in, attn.num_heads, attn.d_head), True
 
     # ---------------------------------------------------------------- forward
@@ -697,8 +584,6 @@ class DEFAAttention:
         fmap_mask: np.ndarray | None = None,
         options: ExecutionOptions | None = None,
         plan: ExecutionPlan | None = None,
-        *,
-        backend=_UNSET,
     ) -> DEFAAttentionOutput | DEFAAttentionBatchOutput:
         """Run one DEFA attention block.
 
@@ -730,8 +615,7 @@ class DEFAAttention:
             process default; the backends are bit-identical) — the other
             knobs are per-block/per-construction properties, so a non-
             ``None`` ``sparse_mode``, ``enable_query_pruning`` or
-            ``machine_profile`` here is an error.  The legacy ``backend=``
-            keyword is a deprecated shim.
+            ``machine_profile`` here is an error.
         plan:
             Optional :class:`~repro.kernels.ExecutionPlan` buffer arena.
             When given (the encoder runner passes one per shape signature),
@@ -742,11 +626,14 @@ class DEFAAttention:
             only valid until the plan's next forward (the runner copies what
             it keeps); callers that retain outputs must pass ``plan=None``.
 
-        Batched inputs return a :class:`DEFAAttentionBatchOutput` whose
-        per-image records match single-image execution.
+        A single ``(N_q, D)`` image runs as a ``B = 1`` batch (its mask, if
+        any, as ``(1, N_in)``) and returns that batch's only per-image record,
+        a :class:`DEFAAttentionOutput`; a ``(B, N_q, D)`` batch returns a
+        :class:`DEFAAttentionBatchOutput` whose per-image records match
+        running each image alone.
         """
         options = normalize_execution_options(
-            options, owner="DEFAAttention.forward_detailed", backend=backend
+            options, owner="DEFAAttention.forward_detailed"
         )
         if options.sparse_mode is not None or options.enable_query_pruning is not None:
             raise ValueError(
@@ -761,302 +648,13 @@ class DEFAAttention:
             )
         query = np.asarray(query, dtype=FLOAT_DTYPE)
         value_input = np.asarray(value_input, dtype=FLOAT_DTYPE)
-        if query.ndim == 3:
-            return self._forward_detailed_batched(
-                query,
-                reference_points,
-                value_input,
-                spatial_shapes,
-                fmap_mask,
-                backend=options.kernel_backend,
-                plan=plan,
-            )
+        single = query.ndim == 2
+        if single:
+            query, value_input = query[None], value_input[None]
+            if fmap_mask is not None:
+                fmap_mask = np.asarray(fmap_mask)[None]
         attn = self.attn
         backend = self._resolve_backend(options.kernel_backend)
-        if plan is not None and not backend.fused:
-            plan = None  # the reference backend runs exactly the PR 4 path
-        n_q = query.shape[0]
-        n_in = value_input.shape[0]
-        if n_in != total_pixels(spatial_shapes):
-            raise ValueError("value_input length does not match spatial_shapes")
-        if fmap_mask is not None:
-            fmap_mask = normalize_mask(fmap_mask)  # once, at the boundary
-            if fmap_mask.shape[0] != n_in:
-                raise ValueError("fmap_mask length must equal the number of tokens")
-
-        # Query pruning (sparse execution v2): when enabled and the query set
-        # is the pixel set (encoder self-attention), pixels pruned by the
-        # incoming FWP mask stop acting as queries — every point of a pruned
-        # query is pruned and its block output is the output-projection bias.
-        # Both paths implement the same semantics: the dense path computes
-        # the projections for every query and zeroes the pruned rows, the
-        # sparse path skips them via row-compacted projections.
-        prune_queries = (
-            self.config.enable_query_pruning and fmap_mask is not None and n_q == n_in
-        )
-        query_keep = fmap_mask if prune_queries else None
-        sparse_query = prune_queries and self._use_sparse_query(
-            query_keep, n_q, backend=backend
-        )
-        kept_q = np.flatnonzero(query_keep) if sparse_query else None
-
-        # Step 1: attention probabilities + PAP point mask (row-compacted to
-        # the kept queries when the sparse query path is active; PAP is
-        # per-(query, head) local, so compact-row PAP equals full-grid PAP
-        # restricted to the kept rows).
-        points_shape = (n_q, attn.num_heads, attn.num_levels, attn.num_points)
-        with kernel_section("query_proj"):
-            if sparse_query:
-                if plan is not None:
-                    logits = project_rows_into(
-                        self._attention_weights,
-                        query,
-                        kept_q,
-                        plan,
-                        "attn_logits",
-                        backend=backend,
-                    )
-                else:
-                    logits = self._project_rows(self._attention_weights, query, kept_q)
-            elif plan is not None:
-                logits = project_into(
-                    self._attention_weights, query, plan, "attn_logits", backend=backend
-                )
-            else:
-                logits = self._attention_weights(query)
-            logits = logits.reshape(-1, attn.num_heads, attn.num_levels * attn.num_points)
-        if plan is not None:
-            # In-place softmax on the logits buffer: the same subtract / exp /
-            # divide chain as below, so the probabilities are bit-identical.
-            np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
-            np.exp(logits, out=logits)
-            probs = plan.buffer("probs", logits.shape)
-            np.divide(logits, logits.sum(axis=-1, keepdims=True), out=probs)
-            probs = probs.reshape(
-                logits.shape[0], attn.num_heads, attn.num_levels, attn.num_points
-            )
-        else:
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            exp = np.exp(shifted)
-            probs = (exp / exp.sum(axis=-1, keepdims=True)).reshape(
-                logits.shape[0], attn.num_heads, attn.num_levels, attn.num_points
-            )
-        if self.config.enable_pap:
-            row_pap = compute_point_mask(
-                probs,
-                threshold=self.config.pap_threshold,
-                keep_top1=self.config.pap_keep_top1,
-                renormalize=self.config.renormalize_after_pap,
-                plan=plan,
-            )
-        else:
-            if plan is not None:
-                all_kept = plan.buffer("pap.mask", probs.shape, bool)
-                all_kept.fill(True)
-            else:
-                all_kept = np.ones_like(probs, dtype=bool)
-            row_pap = PAPResult(
-                point_mask=all_kept,
-                attention_weights=probs,
-                threshold=0.0,
-            )
-        pap = self._fold_query_mask(row_pap, points_shape, query_keep, kept_q, plan=plan)
-
-        # Step 2: sampling offsets of the surviving points + range narrowing.
-        with kernel_section("query_proj"):
-            if sparse_query:
-                if plan is not None:
-                    offsets = plan.zeros("offsets", points_shape + (2,))
-                    if kept_q.size:
-                        offsets[kept_q] = project_rows_into(
-                            self._sampling_offsets,
-                            query,
-                            kept_q,
-                            plan,
-                            "offsets_rows",
-                            backend=backend,
-                        ).reshape((kept_q.size,) + points_shape[1:] + (2,))
-                else:
-                    offsets = np.zeros(points_shape + (2,), dtype=FLOAT_DTYPE)
-                    offsets[kept_q] = self._project_rows(
-                        self._sampling_offsets, query, kept_q
-                    ).reshape((kept_q.size,) + points_shape[1:] + (2,))
-            else:
-                if plan is not None:
-                    offsets = project_into(
-                        self._sampling_offsets, query, plan, "offsets", backend=backend
-                    ).reshape(points_shape + (2,))
-                    if query_keep is not None:
-                        # Dense path under query pruning: zero the pruned rows
-                        # so both paths record identical offsets/locations
-                        # (in place — the offsets live in a plan buffer).
-                        offsets *= query_keep[:, None, None, None, None]
-                else:
-                    offsets = self._sampling_offsets(query).reshape(points_shape + (2,))
-                    if query_keep is not None:
-                        # Dense path under query pruning: zero the pruned rows so
-                        # both paths record identical offsets and locations.
-                        offsets = offsets * query_keep[:, None, None, None, None]
-        clipping_fraction = 0.0
-        if self.range_narrowing is not None:
-            measured = offsets if query_keep is None else offsets[query_keep]
-            clipping_fraction = self.range_narrowing.clipping_fraction(measured)
-            if plan is not None:
-                offsets = self.range_narrowing.clamp_offsets_inplace(offsets)
-            else:
-                offsets = self.range_narrowing.clamp_offsets(offsets)
-        if plan is not None:
-            locations = attn.compute_sampling_locations(
-                reference_points,
-                offsets,
-                spatial_shapes,
-                out=plan.buffer("locations", offsets.shape),
-            )
-        else:
-            locations = attn.compute_sampling_locations(
-                reference_points, offsets, spatial_shapes
-            )
-
-        # Step 3: value projection with the FWP mask from the previous block
-        # (compacted to the kept rows when the sparse path is active).
-        with kernel_section("value_proj"):
-            value, sparse_projection = self._project_values(
-                value_input, fmap_mask, plan, backend=backend
-            )
-
-        # Step 4: fused MSGS + aggregation, with frequency counting for FWP.
-        # The sparse path builds the compacted trace — neighbour indices,
-        # weights and level offsets for kept points only — and feeds both the
-        # kernel and the frequency counter from it, so the `neighbors` cost
-        # scales with the keep ratio instead of the grid size.
-        effective_mask = (
-            pap.point_mask if (self.config.enable_pap or prune_queries) else None
-        )
-        sparse_gather = use_sparse_gather(
-            effective_mask,
-            pap.point_mask.size * 4,
-            self.sparse_mode,
-            thresholds=self._thresholds(backend),
-        )
-        trace: SamplingTrace | CompactSamplingTrace
-        if sparse_gather:
-            with kernel_section("neighbors"):
-                trace = multi_scale_neighbors_sparse(
-                    spatial_shapes, locations, point_mask=effective_mask, plan=plan
-                )
-            head_outputs = ms_deform_attn_from_compact_trace(
-                value, trace, pap.attention_weights, backend=backend, plan=plan
-            )
-        else:
-            with kernel_section("neighbors"):
-                trace = multi_scale_neighbors(spatial_shapes, locations)
-            head_outputs = ms_deform_attn_from_trace(
-                value, trace, pap.attention_weights, point_mask=pap.point_mask
-            )
-        with kernel_section("fwp"):
-            if self.config.enable_fwp:
-                if sparse_gather:
-                    frequency = sampled_frequency_compact(trace)
-                else:
-                    frequency = sampled_frequency(trace, point_mask=pap.point_mask)
-                fwp = compute_fmap_mask(frequency, spatial_shapes, self.config.fwp_k)
-            else:
-                fwp = FWPResult(
-                    fmap_mask=np.ones(n_in, dtype=bool),
-                    thresholds=np.zeros(len(spatial_shapes)),
-                    level_keep_fractions=np.ones(len(spatial_shapes)),
-                )
-
-        # Step 5: output projection (row-compacted under query pruning: the
-        # head outputs of pruned queries are exactly zero, so their output
-        # rows equal the projection bias on both paths).
-        with kernel_section("output_proj"):
-            if sparse_query:
-                if plan is not None:
-                    output = plan.zeros("output", (n_q, attn.d_model))
-                    bias = self._projection_bias(self._output_proj)
-                    if bias is not None:
-                        output += bias
-                    if kept_q.size:
-                        output[kept_q] = project_rows_into(
-                            self._output_proj,
-                            head_outputs,
-                            kept_q,
-                            plan,
-                            "output_rows",
-                            backend=backend,
-                        )
-                else:
-                    output = np.zeros((n_q, attn.d_model), dtype=FLOAT_DTYPE)
-                    bias = self._projection_bias(self._output_proj)
-                    if bias is not None:
-                        output += bias
-                    if kept_q.size:
-                        output[kept_q] = self._project_rows(
-                            self._output_proj, head_outputs, kept_q
-                        )
-                    output = output.astype(FLOAT_DTYPE)
-            elif plan is not None:
-                output = project_into(
-                    self._output_proj, head_outputs, plan, "output", backend=backend
-                )
-            else:
-                output = self._output_proj(head_outputs).astype(FLOAT_DTYPE)
-
-        # First-block convention: with no incoming mask every pixel is kept,
-        # so pixels_kept == n_in even when enable_fwp=True (the mask this
-        # block *generates* is reported in pixels_kept_next).
-        pixels_kept = int(np.count_nonzero(fmap_mask)) if fmap_mask is not None else n_in
-        stats = DEFALayerStats(
-            num_queries=n_q,
-            num_tokens=n_in,
-            points_total=pap.num_points,
-            points_kept=pap.num_kept,
-            pixels_total=n_in,
-            pixels_kept=pixels_kept,
-            pixels_kept_next=fwp.num_kept,
-            offset_clipping_fraction=clipping_fraction,
-            flops=msdeform_attn_flops(
-                d_model=attn.d_model,
-                num_heads=attn.num_heads,
-                num_levels=attn.num_levels,
-                num_points=attn.num_points,
-                num_queries=n_q,
-                num_tokens=n_in,
-                points_kept=pap.num_kept,
-                pixels_kept=pixels_kept,
-            ),
-            mask_applied=fmap_mask is not None,
-            sparse_projection=sparse_projection,
-            sparse_gather=sparse_gather,
-            sparse_neighbors=sparse_gather,
-            sparse_query=sparse_query,
-        )
-        return DEFAAttentionOutput(
-            output=output,
-            stats=stats,
-            fmap_mask_next=fwp.fmap_mask,
-            point_mask=pap.point_mask,
-            attention_weights=pap.attention_weights,
-            sampling_locations=locations,
-            trace_executed=trace,
-            fwp=fwp,
-            pap=pap,
-        )
-
-    def _forward_detailed_batched(
-        self,
-        query: np.ndarray,
-        reference_points: np.ndarray,
-        value_input: np.ndarray,
-        spatial_shapes: list[LevelShape],
-        fmap_mask: np.ndarray | None,
-        backend=None,
-        plan: ExecutionPlan | None = None,
-    ) -> DEFAAttentionBatchOutput:
-        """Batched DEFA block: vectorized tensors, per-image masks and stats."""
-        attn = self.attn
-        backend = self._resolve_backend(backend)
         if plan is not None and not backend.fused:
             plan = None  # the reference backend runs exactly the PR 4 path
         if value_input.ndim != 3 or value_input.shape[0] != query.shape[0]:
@@ -1068,18 +666,22 @@ class DEFAAttention:
         if fmap_mask is not None:
             fmap_mask = normalize_mask(fmap_mask)  # once, at the boundary
             if fmap_mask.shape != (batch, n_in):
-                raise ValueError("batched fmap_mask must have shape (B, N_in)")
+                raise ValueError("fmap_mask must have shape (N_in,), or (B, N_in) for a batch")
 
-        # Query pruning (sparse execution v2), batched: per-image query
-        # keep-masks, one row-compacted projection across the whole batch
-        # (per-image dynamic quantization scales preserved by
-        # QuantizedLinear.forward_rows_batched).
+        # Query pruning (sparse execution v2): when enabled and the query set
+        # is the pixel set (encoder self-attention), pixels pruned by the
+        # incoming FWP mask stop acting as queries — every point of a pruned
+        # query is pruned and its block output is the output-projection bias.
+        # The dense path computes the projections for every query and zeroes
+        # the pruned rows; the sparse path skips them with one row-compacted
+        # projection across the whole batch (per-image dynamic quantization
+        # scales preserved by QuantizedLinear.forward_rows_batched).
         prune_queries = (
             self.config.enable_query_pruning and fmap_mask is not None and n_q == n_in
         )
         query_keep = fmap_mask if prune_queries else None  # (B, N_q)
         sparse_query = prune_queries and self._use_sparse_query(
-            query_keep, n_q, batched=True, backend=backend
+            query_keep, n_q, backend=backend
         )
         kept_q = np.flatnonzero(query_keep.reshape(-1)) if sparse_query else None
 
@@ -1361,6 +963,8 @@ class DEFAAttention:
                     pap=paps[b],
                 )
             )
+        if single:
+            return images[0]
         return DEFAAttentionBatchOutput(output=output, images=images)
 
     def forward(

@@ -96,16 +96,23 @@ def sampled_frequency_compact_batched(trace: CompactSamplingTrace) -> np.ndarray
     """Per-image sampled frequencies from a batched compacted trace, ``(B, N_in)``.
 
     Exactly equal to :func:`sampled_frequency_compact` on every
-    ``trace.image(b)``; computed with one ``np.bincount`` over batch-offset
-    token indices.
+    ``trace.image(b)``.  ``kept`` is sorted, so each image's rows form one
+    contiguous slice (two binary searches per image); one ``np.bincount``
+    per slice then avoids materialising batch-offset index arrays, which
+    keeps a ``B = 1`` batch as cheap as the single-image count.
     """
     n_in = total_pixels(trace.spatial_shapes)
     batch = trace.batch_size
-    image = trace.kept // trace.points_per_image  # (K,) image id of each kept point
-    offsets = np.broadcast_to((image * n_in)[:, None], trace.valid.shape)
-    indices = (trace.flat_indices + offsets)[trace.valid]
-    counts = np.bincount(indices, minlength=batch * n_in)
-    return counts.reshape(batch, n_in).astype(np.int64)
+    bounds = np.searchsorted(
+        trace.kept, np.arange(batch + 1, dtype=np.int64) * trace.points_per_image
+    )
+    counts = np.empty((batch, n_in), dtype=np.int64)
+    for b in range(batch):
+        rows = slice(bounds[b], bounds[b + 1])
+        counts[b] = np.bincount(
+            trace.flat_indices[rows][trace.valid[rows]], minlength=n_in
+        )
+    return counts
 
 
 def split_frequency_by_level(

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from repro.kernels import ExecutionOptions, ExecutionPlan, normalize_execution_options
-from repro.kernels.options import _UNSET
 from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.shapes import LevelShape
 
@@ -233,9 +232,6 @@ def encoder_forward_fn(encoder) -> BatchForward:
 def defa_forward_fn(
     runner,
     options: ExecutionOptions | None = None,
-    *,
-    sparse_mode=_UNSET,
-    backend=_UNSET,
 ) -> BatchForward:
     """Adapt a :class:`~repro.core.encoder_runner.DEFAEncoderRunner`.
 
@@ -254,12 +250,9 @@ def defa_forward_fn(
     stream of same-shape items executes with zero large allocations.
     ``options.enable_query_pruning`` and ``options.collect_details`` are
     rejected — the pruning projections are baked into the runner at
-    construction, and the adapter only ever returns the batched memory.  The
-    legacy ``sparse_mode=`` / ``backend=`` keywords are deprecated shims.
+    construction, and the adapter only ever returns the batched memory.
     """
-    options = normalize_execution_options(
-        options, owner="defa_forward_fn", sparse_mode=sparse_mode, backend=backend
-    )
+    options = normalize_execution_options(options, owner="defa_forward_fn")
     if options.enable_query_pruning is not None:
         raise ValueError(
             "enable_query_pruning cannot be set per adapter: the pruning "
@@ -288,9 +281,7 @@ def defa_forward_fn(
             if key not in cache:
                 cache[key] = _positional_inputs(spatial_shapes, runner.encoder.d_model)
             pos, reference_points = cache[key]
-            return runner.forward_batched(
-                features, pos, reference_points, spatial_shapes
-            ).memory
+            return runner.forward(features, pos, reference_points, spatial_shapes).memory
         finally:
             if sparse_mode is not None:
                 runner.sparse_mode = saved_mode

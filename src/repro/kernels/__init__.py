@@ -20,7 +20,7 @@ Public surface:
   frozen object bundling the execution knobs (``sparse_mode``, kernel
   backend, detail collection, query-pruning enablement, machine profile)
   threaded through the whole stack since PR 8, and its single
-  legacy-keyword normalization point (see :mod:`repro.kernels.options`).
+  normalization point (see :mod:`repro.kernels.options`).
 * :class:`MachineProfile` / :class:`DispatchThresholds` /
   :func:`get_active_profile` / :func:`set_active_profile` /
   :func:`resolve_profile` / :func:`use_profile` / :func:`calibrate` —
@@ -56,11 +56,7 @@ from repro.kernels.calibration import (
     set_active_profile,
     use_profile,
 )
-from repro.kernels.options import (
-    ExecutionOptions,
-    normalize_execution_options,
-    reset_deprecation_warnings,
-)
+from repro.kernels.options import ExecutionOptions, normalize_execution_options
 from repro.kernels.plan import ExecutionPlan
 from repro.kernels.compiled_backend import COMPILED_AVAILABLE
 
@@ -79,7 +75,6 @@ __all__ = [
     "get_backend",
     "normalize_execution_options",
     "reference_profile",
-    "reset_deprecation_warnings",
     "resolve_backend",
     "resolve_profile",
     "set_backend",

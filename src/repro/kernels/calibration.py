@@ -461,16 +461,18 @@ def _sweep_row_projection(
 ) -> dict[int, dict[float, tuple[float, float]]]:
     """``{tokens: {keep_ratio: (dense_s, sparse_s)}}`` for the row-compacted
     projection — the machinery shared by the value / query-side / FFN stages,
-    so one measured crossover serves all three row thresholds."""
+    so one measured crossover serves all three row thresholds.  Times the
+    batched helpers on a ``(1, tokens, D)`` input: a single image runs as a
+    ``B = 1`` batch in the pipeline."""
     from repro.kernels.plan import ExecutionPlan
-    from repro.kernels.fused_ops import project_into, project_rows_into
+    from repro.kernels.fused_ops import project_batched_into, project_rows_batched_into
     from repro.nn.modules import Linear
 
     rng = np.random.default_rng(grid.rng_seed)
     results: dict[int, dict[float, tuple[float, float]]] = {}
     for tokens in grid.token_counts:
         proj = Linear(grid.d_model, grid.d_model, rng=rng)
-        x = rng.standard_normal((tokens, grid.d_model)).astype(np.float32)
+        x = rng.standard_normal((1, tokens, grid.d_model)).astype(np.float32)
         plan = ExecutionPlan()
         results[tokens] = {}
         for keep_ratio in grid.keep_ratios:
@@ -478,12 +480,12 @@ def _sweep_row_projection(
             kept = np.flatnonzero(mask)
 
             def dense() -> None:
-                out = project_into(proj, x, plan, "cal.dense", backend=backend)
-                out[~mask] = 0
+                out = project_batched_into(proj, x, plan, "cal.dense", backend=backend)
+                out[0, ~mask] = 0
 
             def sparse() -> None:
                 out = plan.zeros("cal.sparse", (tokens, grid.d_model))
-                out[kept] = project_rows_into(
+                out[kept] = project_rows_batched_into(
                     proj, x, kept, plan, "cal.rows", backend=backend
                 )
 

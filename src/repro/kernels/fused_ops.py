@@ -1,8 +1,8 @@
 """Plan-aware fused projection helpers for the DEFA pipeline.
 
 The quantized projections dominate the non-gather wall clock of the sparse
-encoder: every :meth:`~repro.quant.qmodules.QuantizedLinear.forward_rows`
-call makes ~8 full passes over its activation block (float64 upcast, divide,
+encoder: every :meth:`~repro.quant.qmodules.QuantizedLinear.
+forward_rows_batched` call makes ~8 full passes over its activation block (float64 upcast, divide,
 round, clip, int32 round-trip, rescale, matmul, bias), each allocating a
 fresh temporary.  The helpers here execute the same projections through an
 :class:`~repro.kernels.plan.ExecutionPlan` arena: row gathers via
@@ -44,8 +44,6 @@ FLOAT_DTYPE = np.float32
 
 __all__ = [
     "max_abs",
-    "project_into",
-    "project_rows_into",
     "project_batched_into",
     "project_rows_batched_into",
 ]
@@ -104,52 +102,6 @@ def _full_array_scale(proj: QuantizedLinear, x: np.ndarray):
     if proj.activation_spec.per_channel:
         return None
     return max_abs(x)
-
-
-def project_into(
-    proj: Linear | QuantizedLinear,
-    x: np.ndarray,
-    plan: ExecutionPlan,
-    name: str,
-    backend=None,
-) -> np.ndarray:
-    """``proj(x)`` into a plan buffer — the full-array (dense) projection."""
-    out = plan.buffer(f"{name}.out", x.shape[:-1] + (proj.out_features,), FLOAT_DTYPE)
-    if isinstance(proj, QuantizedLinear):
-        scale = _full_array_scale(proj, x)
-        if scale is None:  # per-channel activations: defer to the module
-            out[...] = proj.forward(x)
-            return out
-        x_q = _quantize_into(proj, x, scale, plan, name, backend=backend)
-        return _matmul_bias_into(proj.quantized_weight, proj.inner.bias, x_q, out)
-    return _matmul_bias_into(proj.weight, proj.bias, x, out)
-
-
-def project_rows_into(
-    proj: Linear | QuantizedLinear,
-    x: np.ndarray,
-    rows: np.ndarray,
-    plan: ExecutionPlan,
-    name: str,
-    backend=None,
-) -> np.ndarray:
-    """``proj.forward_rows(x, rows)`` into a plan buffer (single image).
-
-    Quantized projections keep the *full-array* dynamic activation scale, as
-    in :meth:`QuantizedLinear.forward_rows`, so the returned rows equal the
-    dense projection's rows exactly.
-    """
-    out = plan.buffer(f"{name}.out", (rows.shape[0], proj.out_features), FLOAT_DTYPE)
-    if isinstance(proj, QuantizedLinear):
-        scale = _full_array_scale(proj, x)
-        if scale is None:  # per-channel fallback gathers internally
-            out[...] = proj.forward_rows(x, rows)
-            return out
-        x_rows = plan.take(f"{name}.rows", x, rows, axis=0)
-        x_q = _quantize_into(proj, x_rows, scale, plan, name, backend=backend)
-        return _matmul_bias_into(proj.quantized_weight, proj.inner.bias, x_q, out)
-    x_rows = plan.take(f"{name}.rows", x, rows, axis=0)
-    return _matmul_bias_into(proj.weight, proj.bias, x_rows, out)
 
 
 def project_batched_into(

@@ -8,22 +8,17 @@ runner, ``enable_query_pruning`` on the config.  :class:`ExecutionOptions`
 bundles them into one frozen object that travels the whole stack —
 ``DEFAAttention`` / ``MSDeformAttn.forward_detailed`` /
 ``DEFAEncoderRunner`` / ``defa_forward_fn`` / ``ModelBankSpec`` — and
-:func:`normalize_execution_options` is the *single* point where the legacy
-keywords are accepted, warned about and converted (the PR 5
-``normalize_mask`` precedent: coerce once at the boundary, everything
-downstream sees one type).
+:func:`normalize_execution_options` is the *single* point where it is
+checked (the PR 5 ``normalize_mask`` precedent: coerce once at the boundary,
+everything downstream sees one type).  The loose keywords are gone: every
+surface takes ``options=`` only.
 
 The one-object rule for future knobs: a new execution switch is a new
-``ExecutionOptions`` field, never a new loose keyword.  Internal code under
-``src/repro/`` must pass ``options=`` only — ``tools/check_deprecated_kwargs.py``
-(run in CI and by the tier-1 tests) fails on any internal use of the
-deprecated keywords, keeping the old surface external-only.
+``ExecutionOptions`` field, never a new loose keyword.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass, replace
 
 from repro.kernels.calibration import MachineProfile
@@ -33,16 +28,6 @@ from repro.kernels.registry import KERNEL_BACKENDS
 #: duplicated here as plain data so the options module stays import-cycle-free
 #: below the pipeline).
 _SPARSE_MODES = ("auto", "dense", "sparse")
-
-
-class _Unset:
-    """Sentinel distinguishing "keyword not passed" from an explicit ``None``."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -88,9 +73,7 @@ class ExecutionOptions:
         layer via :func:`~repro.kernels.resolve_profile`; per-call surfaces
         reject it.  Profiles move *dispatch decisions* (which
         equivalence-tested dense/sparse path runs), never the numerics of a
-        chosen path.  A new field, not a legacy keyword — there is no
-        ``machine_profile=`` shim, and ``tools/check_deprecated_kwargs.py``
-        keeps it that way.
+        chosen path.
     """
 
     sparse_mode: str | None = None
@@ -126,81 +109,19 @@ class ExecutionOptions:
         return replace(self, **kwargs)
 
 
-#: Call sites already warned about, keyed ``(filename, lineno, owner)`` — the
-#: deprecation fires exactly once per site so a shim inside a hot loop does
-#: not flood the log.  :func:`reset_deprecation_warnings` clears it (tests).
-_WARNED_CALL_SITES: set[tuple[str, int, str]] = set()
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which call sites were warned (test helper)."""
-    _WARNED_CALL_SITES.clear()
-
-
-def _warn_deprecated(owner: str, keywords: list[str], stacklevel: int) -> None:
-    frame = sys._getframe(stacklevel - 1)
-    site = (frame.f_code.co_filename, frame.f_lineno, owner)
-    if site in _WARNED_CALL_SITES:
-        return
-    _WARNED_CALL_SITES.add(site)
-    warnings.warn(
-        f"passing {', '.join(sorted(keywords))} to {owner} is deprecated; "
-        f"pass options=ExecutionOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
 def normalize_execution_options(
-    options: ExecutionOptions | str | None = None,
-    *,
-    owner: str,
-    sparse_mode=_UNSET,
-    backend=_UNSET,
-    collect_details=_UNSET,
-    stacklevel: int = 3,
+    options: ExecutionOptions | None = None, *, owner: str
 ) -> ExecutionOptions:
-    """Coerce the (options, legacy keywords) surface into one object.
+    """Coerce the ``options=`` argument of a surface into one object.
 
-    The single normalization point of the execution-options API (the
-    ``normalize_mask`` precedent): every shimmed signature calls this first
-    and only ever sees an :class:`ExecutionOptions` afterwards.
-
-    * ``options`` may be an :class:`ExecutionOptions` (the supported path),
-      ``None`` (all defaults), or — for backward compatibility with the old
-      positional signatures — a bare ``sparse_mode`` string.
-    * The legacy keywords (``sparse_mode=``, ``backend=``, and where the old
-      signature had it, ``collect_details=``) still work but emit a
-      :class:`DeprecationWarning` once per call site, and cannot be combined
-      with an explicit ``options`` object.
+    ``None`` means all defaults; anything other than an
+    :class:`ExecutionOptions` is a :class:`TypeError` naming ``owner``.
     """
-    legacy = {}
-    if isinstance(options, str):
-        legacy["sparse_mode"] = options
-        options = None
-    if sparse_mode is not _UNSET:
-        legacy["sparse_mode"] = sparse_mode
-    if backend is not _UNSET:
-        legacy["backend"] = backend
-    if collect_details is not _UNSET:
-        legacy["collect_details"] = collect_details
-    if options is not None:
-        if legacy:
-            raise TypeError(
-                f"{owner}: cannot combine options= with the deprecated "
-                f"keyword(s) {sorted(legacy)}"
-            )
-        if not isinstance(options, ExecutionOptions):
-            raise TypeError(
-                f"{owner}: options must be an ExecutionOptions, "
-                f"got {type(options).__name__}"
-            )
-        return options
-    if not legacy:
+    if options is None:
         return ExecutionOptions()
-    _warn_deprecated(owner, list(legacy), stacklevel + 1)
-    return ExecutionOptions(
-        sparse_mode=legacy.get("sparse_mode"),
-        kernel_backend=legacy.get("backend"),
-        collect_details=bool(legacy.get("collect_details", False)),
-    )
+    if not isinstance(options, ExecutionOptions):
+        raise TypeError(
+            f"{owner}: options must be an ExecutionOptions, "
+            f"got {type(options).__name__}"
+        )
+    return options

@@ -130,9 +130,9 @@ class DeformableEncoderLayer(Module):
         compact:
             With a mask: ``True`` gathers the kept rows and runs the stage
             row-compacted (the wall-clock savings; the residual adds run on
-            the gathered rows, then :class:`LayerNorm`/:class:`FeedForward`
-            row-local forwards — the hoisted-gather form of their
-            ``forward_rows`` entry points); ``False`` computes the stage
+            the gathered rows, then the row-local :class:`LayerNorm` /
+            :class:`FeedForward` forwards, so ``forward(x[rows])`` matches
+            ``forward(x)[rows]``); ``False`` computes the stage
             densely and masks, which implements identical semantics (kept
             rows agree to float32 matmul precision, frozen rows exactly).
         plan:

@@ -138,34 +138,6 @@ class LayerNorm(Module):
         """
         return layer_norm(x, self.weight, self.bias, self.eps, out=out)
 
-    def forward_rows(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Normalize only ``x[rows]`` of a ``(N, D)`` input.
-
-        The row-compacted entry point of the block-sparse encoder (mirroring
-        :meth:`repro.quant.qmodules.QuantizedLinear.forward_rows`): layer norm
-        is a per-row operation, so the returned ``(N_kept, D)`` rows are
-        *bit-identical* to ``forward(x)[rows]`` while the normalization work
-        only runs on the surviving rows.
-        """
-        x = np.asarray(x, dtype=FLOAT_DTYPE)
-        if x.ndim != 2:
-            raise ValueError("forward_rows expects a (N, D) input")
-        return layer_norm(x[rows], self.weight, self.bias, self.eps)
-
-    def forward_rows_batched(self, x: np.ndarray, flat_rows: np.ndarray) -> np.ndarray:
-        """Normalize selected rows of a ``(B, N, D)`` batch.
-
-        ``flat_rows`` indexes the flattened ``(B * N)`` row axis.  Layer norm
-        carries no cross-row or cross-image state, so the result is
-        bit-identical to ``forward(x).reshape(B * N, D)[flat_rows]``.
-        """
-        x = np.asarray(x, dtype=FLOAT_DTYPE)
-        if x.ndim != 3:
-            raise ValueError("forward_rows_batched expects a (B, N, D) input")
-        return layer_norm(
-            x.reshape(-1, x.shape[-1])[flat_rows], self.weight, self.bias, self.eps
-        )
-
 
 class ReLU(Module):
     """Rectified linear unit activation module."""
@@ -237,35 +209,6 @@ class FeedForward(Module):
         else:
             hidden = self.activation(hidden)
         return self.linear2.forward_into(hidden, out)
-
-    def forward_rows(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Run the FFN only on ``x[rows]`` of a ``(N, D)`` input.
-
-        Row-compacted entry point of the block-sparse encoder: both linears
-        and the activation are per-row, so the returned ``(N_kept, D)`` rows
-        are bit-identical to ``forward(x[rows])`` and agree with
-        ``forward(x)[rows]`` to float32 matmul precision (BLAS may pick a
-        different kernel for the compacted row count, which can move the last
-        ulp of the matmul accumulations — the dense/sparse encoder paths are
-        therefore held to the repo-standard 1e-5, not bit-equality).
-        """
-        x = np.asarray(x, dtype=FLOAT_DTYPE)
-        if x.ndim != 2:
-            raise ValueError("forward_rows expects a (N, D) input")
-        return self.forward(x[rows])
-
-    def forward_rows_batched(self, x: np.ndarray, flat_rows: np.ndarray) -> np.ndarray:
-        """Run the FFN on selected rows of a ``(B, N, D)`` batch.
-
-        ``flat_rows`` indexes the flattened ``(B * N)`` row axis; the kept
-        rows of every image share one compacted matmul.  The FFN is unquantized
-        and per-row, so no per-image state needs preserving (contrast
-        :meth:`repro.quant.qmodules.QuantizedLinear.forward_rows_batched`).
-        """
-        x = np.asarray(x, dtype=FLOAT_DTYPE)
-        if x.ndim != 3:
-            raise ValueError("forward_rows_batched expects a (B, N, D) input")
-        return self.forward(x.reshape(-1, x.shape[-1])[flat_rows])
 
     def flops(self, num_rows: int) -> int:
         """FLOPs of both projections for *num_rows* tokens."""

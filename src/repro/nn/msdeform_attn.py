@@ -42,7 +42,6 @@ from repro.nn.grid_sample import (
     use_sparse_gather,
 )
 from repro.kernels import ExecutionOptions, normalize_execution_options
-from repro.kernels.options import _UNSET
 from repro.nn.modules import Linear, Module
 from repro.nn.tensor_utils import FLOAT_DTYPE, softmax
 from repro.utils.rng import as_rng
@@ -234,9 +233,6 @@ class MSDeformAttn(Module):
         point_mask: np.ndarray | None = None,
         query_mask: np.ndarray | None = None,
         options: ExecutionOptions | None = None,
-        *,
-        sparse_mode=_UNSET,
-        backend=_UNSET,
     ) -> MSDeformAttnOutput:
         """Full forward pass returning intermediates.
 
@@ -283,19 +279,13 @@ class MSDeformAttn(Module):
             the process default; the backends are bit-identical, so this
             only affects wall clock.  ``collect_details=True`` implies
             ``with_trace``.  ``enable_query_pruning`` is rejected — this
-            module has no DEFA config to apply it to.  The legacy
-            ``sparse_mode=`` / ``backend=`` keywords are deprecated shims.
+            module has no DEFA config to apply it to.
 
         Batched inputs take the fully vectorized kernels (no per-image Python
         loop); every field of the result gains a leading batch axis and the
         trace becomes a :class:`~repro.nn.grid_sample.BatchedSamplingTrace`.
         """
-        options = normalize_execution_options(
-            options,
-            owner="MSDeformAttn.forward_detailed",
-            sparse_mode=sparse_mode,
-            backend=backend,
-        )
+        options = normalize_execution_options(options, owner="MSDeformAttn.forward_detailed")
         if options.enable_query_pruning is not None:
             raise ValueError(
                 "enable_query_pruning does not apply to a bare MSDeformAttn; "

@@ -76,25 +76,6 @@ class QuantizedLinear(Module):
             return np.max(np.abs(x.reshape(-1, x.shape[-1])), axis=0)
         return float(np.max(np.abs(x))) if x.size else 0.0
 
-    def forward_rows(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Project only ``x[rows]``, quantized with the *full-array* scale.
-
-        The compacted value projection of the sparse execution path: the
-        dynamic activation scale is derived from all of ``x`` (one cheap
-        max-abs pass), so the returned ``(N_kept, D_out)`` rows are exactly
-        the corresponding rows of ``forward(x)`` — but the matmul only runs
-        on the surviving rows.
-        """
-        x = np.asarray(x, dtype=FLOAT_DTYPE)
-        if x.ndim != 2:
-            raise ValueError("forward_rows expects a (N, D) input")
-        max_abs = self.activation_scale_max_abs(x)
-        x_q = fake_quantize(x[rows], self.activation_spec, max_abs=max_abs).astype(FLOAT_DTYPE)
-        out = x_q @ self.quantized_weight
-        if self.inner.bias is not None:
-            out = out + self.inner.bias
-        return out
-
     def forward_batched(self, x: np.ndarray) -> np.ndarray:
         """Forward a batch ``(B, ..., D)`` with *per-image* activation scales.
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import DEFAConfig
-from repro.core.encoder_runner import DEFAEncoderRunner
-from repro.core.pipeline import DEFAAttention
+from repro.core.encoder_runner import DEFAEncoderResult, DEFAEncoderRunner
+from repro.core.pipeline import DEFAAttention, DEFAAttentionOutput
+from repro.kernels import ExecutionOptions
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.grid_sample import (
     BatchedSamplingTrace,
@@ -235,12 +236,8 @@ class TestBatchedEncoderRunner:
         runner = DEFAEncoderRunner(encoder, config)
         _, value, reference = _batch_inputs(3, seed=9)
         pos = sine_positional_encoding(SHAPES, D_MODEL)
-        batched = runner.forward_batched(value, pos, reference, SHAPES, collect_details=True)
+        batched = runner.forward(value, pos, reference, SHAPES, collect_details=True)
         assert batched.batch_size == 3
-        # forward() dispatches batched inputs to the same path.
-        dispatched = runner.forward(value, pos, reference, SHAPES)
-        np.testing.assert_allclose(dispatched.memory, batched.memory, atol=TOL)
-        assert dispatched.batch_size == 3
         for b in range(3):
             single = runner.forward(value[b], pos, reference, SHAPES, collect_details=True)
             np.testing.assert_allclose(batched.images[b].memory, single.memory, atol=TOL)
@@ -251,3 +248,92 @@ class TestBatchedEncoderRunner:
                 assert stats_b.pixels_kept == stats_s.pixels_kept
                 assert stats_b.pixels_kept_next == stats_s.pixels_kept_next
                 assert stats_b.mask_applied == stats_s.mask_applied
+
+
+def _assert_same_result(got, want):
+    """Bit-for-bit equality of two per-image encoder results."""
+    np.testing.assert_array_equal(got.memory, want.memory)
+    assert len(got.fmap_masks) == len(want.fmap_masks)
+    for a, b in zip(got.fmap_masks, want.fmap_masks):
+        np.testing.assert_array_equal(a, b)
+    assert got.layer_stats == want.layer_stats
+
+
+class TestSingleImageIsB1Batch:
+    """A single image runs as a B=1 batch: ``forward(x)`` and
+    ``forward(x[None]).images[0]`` take the same code and agree bit for bit."""
+
+    CONFIGS = {
+        "fp32": DEFAConfig(quant_bits=None, fwp_k=1.0, enable_query_pruning=True),
+        "int12": DEFAConfig(quant_bits=12, fwp_k=1.0, enable_query_pruning=True),
+    }
+
+    def _runner(self, config_name, backend, sparse_mode="auto"):
+        encoder = DeformableEncoder(
+            num_layers=3,
+            d_model=D_MODEL,
+            num_heads=NUM_HEADS,
+            num_levels=len(SHAPES),
+            num_points=NUM_POINTS,
+            ffn_dim=64,
+            rng=4,
+        )
+        options = ExecutionOptions(sparse_mode=sparse_mode, kernel_backend=backend)
+        return DEFAEncoderRunner(encoder, self.CONFIGS[config_name], options)
+
+    @pytest.mark.parametrize("sparse_mode", ["dense", "sparse"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @pytest.mark.parametrize("config_name", ["fp32", "int12"])
+    def test_single_equals_b1_batch(self, config_name, backend, sparse_mode):
+        runner = self._runner(config_name, backend, sparse_mode)
+        _, value, reference = _batch_inputs(1, seed=11)
+        pos = sine_positional_encoding(SHAPES, D_MODEL)
+        single = runner.forward(value[0], pos, reference, SHAPES)
+        assert isinstance(single, DEFAEncoderResult)
+        assert single.memory.shape == (N_IN, D_MODEL)
+        _assert_same_result(single, runner.forward(value, pos, reference, SHAPES).images[0])
+
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    def test_single_fmap_masks_override_equals_b1_batch(self, backend):
+        runner = self._runner("int12", backend)
+        _, value, reference = _batch_inputs(1, seed=12)
+        pos = sine_positional_encoding(SHAPES, D_MODEL)
+        cold = runner.forward(value[0], pos, reference, SHAPES)
+        # A streaming-style override: the cold trajectory intersected with a
+        # dirty set, one (N_in,) entry per block.
+        dirty = np.random.default_rng(13).random(N_IN) < 0.6
+        masks = [None] + [m & dirty for m in cold.fmap_masks[:-1]]
+        single = runner.forward(value[0], pos, reference, SHAPES, fmap_masks=masks)
+        batch_masks = [None if m is None else m[None] for m in masks]
+        batched = runner.forward(value, pos, reference, SHAPES, fmap_masks=batch_masks)
+        _assert_same_result(single, batched.images[0])
+        assert [s.pixels_kept for s in single.layer_stats[1:]] == [
+            int(m.sum()) for m in masks[1:]
+        ]
+
+    def test_batched_fmap_masks_override_matches_per_image(self):
+        runner = self._runner("fp32", "fused")
+        _, value, reference = _batch_inputs(2, seed=14)
+        pos = sine_positional_encoding(SHAPES, D_MODEL)
+        rng = np.random.default_rng(15)
+        masks = [None] + [rng.random((2, N_IN)) < 0.5 for _ in range(2)]
+        batched = runner.forward(value, pos, reference, SHAPES, fmap_masks=masks)
+        for b in range(2):
+            per_image = [None if m is None else m[b] for m in masks]
+            single = runner.forward(value[b], pos, reference, SHAPES, fmap_masks=per_image)
+            _assert_same_result(single, batched.images[b])
+
+    def test_attention_block_returns_single_image_record(self, attn):
+        defa = DEFAAttention(attn, DEFAConfig(fwp_k=1.0, enable_query_pruning=True))
+        query, value, reference = _batch_inputs(1, seed=16)
+        mask = np.random.default_rng(17).random(N_IN) < 0.5
+        single = defa.forward_detailed(query[0], reference, value[0], SHAPES, fmap_mask=mask)
+        batched = defa.forward_detailed(query, reference, value, SHAPES, fmap_mask=mask[None])
+        assert isinstance(single, DEFAAttentionOutput)
+        assert single.output.shape == (N_IN, D_MODEL)
+        assert type(single.trace_executed) is type(batched.images[0].trace_executed)
+        np.testing.assert_array_equal(single.output, batched.output[0])
+        np.testing.assert_array_equal(single.fmap_mask_next, batched.images[0].fmap_mask_next)
+        assert single.stats == batched.images[0].stats
+        with pytest.raises(ValueError, match="fmap_mask"):
+            defa.forward_detailed(query[0], reference, value[0], SHAPES, fmap_mask=mask[:-1])

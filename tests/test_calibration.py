@@ -249,8 +249,8 @@ class TestBoundarySemantics:
         batched_at = np.stack([single_at, single_at[::-1].copy()])
         assert use_sparse_rows(
             single_at, rows, keep_max, 512, "auto"
-        ) == use_sparse_rows(batched_at, rows, keep_max, 512, "auto", batched=True)
-        assert use_sparse_rows(batched_at, rows, keep_max, 512, "auto", batched=True)
+        ) == use_sparse_rows(batched_at, rows, keep_max, 512, "auto")
+        assert use_sparse_rows(batched_at, rows, keep_max, 512, "auto")
 
         t = DispatchThresholds(min_slots=1, point_keep_max=keep_max)
         point_single = single_at.reshape(rows, 1, 1, 1)
@@ -266,7 +266,7 @@ class TestBoundarySemantics:
         # the strictest image decides.
         above = _exact_keep_mask(rows, rows // 2 + 1)
         mixed = np.stack([single_at, above])
-        assert not use_sparse_rows(mixed, rows, keep_max, 512, "auto", batched=True)
+        assert not use_sparse_rows(mixed, rows, keep_max, 512, "auto")
         assert not use_sparse_gather(
             mixed.reshape(2, rows, 1, 1, 1), rows * 4, "auto", batched=True, thresholds=t
         )

@@ -9,13 +9,11 @@ bounds, float32 or float64 input) and any point mask, including the
 degenerate all-pruned and single-survivor masks.  Hypothesis drives the
 geometry/mask space; a few deterministic tests pin the named edge cases.
 
-The same contract holds for ``LayerNorm.forward_rows[_batched]``: layer norm
-is per-row, so the compacted output is bit-identical to the dense output
-restricted to the kept rows.  ``FeedForward.forward_rows[_batched]`` is
-bit-identical to forwarding the gathered rows (the compaction itself adds no
-rounding); against the dense output restricted to the kept rows it is held
-to 1e-5, because BLAS may pick a different matmul kernel for the compacted
-row count and move the last ulp of the accumulations.
+The compact FFN stage relies on row locality: ``LayerNorm.forward`` of the
+gathered rows ``x[rows]`` is bit-identical to the dense output restricted to
+the kept rows, and ``FeedForward.forward(x[rows])`` agrees with the dense
+restriction to 1e-5, because BLAS may pick a different matmul kernel for the
+compacted row count and move the last ulp of the accumulations.
 """
 
 from __future__ import annotations
@@ -226,7 +224,7 @@ def _make_ffn(d: int, seed: int) -> "FeedForward":
 
 
 class TestRowCompactedModules:
-    """Property tests for the block-sparse encoder's forward_rows paths."""
+    """Row locality of the modules the compact FFN stage runs on gathered rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(row_cases())
@@ -234,7 +232,7 @@ class TestRowCompactedModules:
         x, mask, seed = case
         ln = _make_layer_norm(x.shape[-1], seed)
         rows = np.flatnonzero(mask)
-        compact = ln.forward_rows(x, rows)
+        compact = ln.forward(x[rows])
         np.testing.assert_array_equal(compact, ln.forward(x)[rows])
         assert compact.shape == (rows.size, x.shape[-1])
 
@@ -244,7 +242,7 @@ class TestRowCompactedModules:
         x, mask, seed = case
         ln = _make_layer_norm(x.shape[-1], seed)
         flat_rows = np.flatnonzero(mask.reshape(-1))
-        compact = ln.forward_rows_batched(x, flat_rows)
+        compact = ln.forward(x.reshape(-1, x.shape[-1])[flat_rows])
         dense = ln.forward(x).reshape(-1, x.shape[-1])[flat_rows]
         np.testing.assert_array_equal(compact, dense)
 
@@ -254,15 +252,9 @@ class TestRowCompactedModules:
         x, mask, seed = case
         ffn = _make_ffn(x.shape[-1], seed)
         rows = np.flatnonzero(mask)
-        compact = ffn.forward_rows(x, rows)
-        # Bit-identical to forwarding the gathered rows: the compaction adds
-        # no arithmetic of its own ...
-        np.testing.assert_array_equal(
-            compact, ffn.forward(np.asarray(x, dtype=np.float32)[rows])
-        )
-        # ... and within float32 matmul precision of the dense restriction
-        # (BLAS kernel choice varies with the row count).
-        np.testing.assert_allclose(compact, ffn.forward(x)[rows], atol=1e-5)
+        # Within float32 matmul precision of the dense restriction (BLAS
+        # kernel choice varies with the row count).
+        np.testing.assert_allclose(ffn.forward(x[rows]), ffn.forward(x)[rows], atol=1e-5)
 
     @settings(max_examples=40, deadline=None)
     @given(row_cases(batched=True))
@@ -270,43 +262,20 @@ class TestRowCompactedModules:
         x, mask, seed = case
         ffn = _make_ffn(x.shape[-1], seed)
         flat_rows = np.flatnonzero(mask.reshape(-1))
-        compact = ffn.forward_rows_batched(x, flat_rows)
+        compact = ffn.forward(x.reshape(-1, x.shape[-1])[flat_rows])
         dense = ffn.forward(x).reshape(-1, x.shape[-1])[flat_rows]
         np.testing.assert_allclose(compact, dense, atol=1e-5)
-        # Batched compaction concatenates rows across images; it must equal
-        # single-image compaction on each image's own rows exactly.
-        x32 = np.asarray(x, dtype=np.float32)
-        np.testing.assert_array_equal(
-            compact, ffn.forward(x32.reshape(-1, x.shape[-1])[flat_rows])
-        )
 
     def test_all_pruned_mask_yields_empty_output(self):
         ln = _make_layer_norm(8, 0)
         ffn = _make_ffn(8, 1)
         x = np.random.default_rng(2).standard_normal((12, 8)).astype(np.float32)
         empty = np.array([], dtype=np.int64)
-        assert ln.forward_rows(x, empty).shape == (0, 8)
-        assert ffn.forward_rows(x, empty).shape == (0, 8)
+        assert ln.forward(x[empty]).shape == (0, 8)
+        assert ffn.forward(x[empty]).shape == (0, 8)
         xb = np.random.default_rng(3).standard_normal((2, 12, 8)).astype(np.float32)
-        assert ln.forward_rows_batched(xb, empty).shape == (0, 8)
-        assert ffn.forward_rows_batched(xb, empty).shape == (0, 8)
-
-    def test_wrong_ndim_rejected(self):
-        import pytest
-
-        ln = _make_layer_norm(8, 0)
-        ffn = _make_ffn(8, 1)
-        x3 = np.zeros((2, 12, 8), dtype=np.float32)
-        x2 = np.zeros((12, 8), dtype=np.float32)
-        rows = np.array([0, 1])
-        with pytest.raises(ValueError):
-            ln.forward_rows(x3, rows)
-        with pytest.raises(ValueError):
-            ffn.forward_rows(x3, rows)
-        with pytest.raises(ValueError):
-            ln.forward_rows_batched(x2, rows)
-        with pytest.raises(ValueError):
-            ffn.forward_rows_batched(x2, rows)
+        assert ln.forward(xb.reshape(-1, 8)[empty]).shape == (0, 8)
+        assert ffn.forward(xb.reshape(-1, 8)[empty]).shape == (0, 8)
 
 
 class TestCompactTraceEdgeCases:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
+from repro.kernels import ExecutionOptions
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.utils.shapes import LevelShape
@@ -70,8 +71,8 @@ class TestBlockSparseEncoderEquivalence:
         """Masks evolve block to block; the two paths stay equivalent."""
         encoder = _make_encoder(seed=0)
         features, pos, reference = _inputs(seed=1)
-        dense = DEFAEncoderRunner(encoder, config, sparse_mode="dense")
-        sparse = DEFAEncoderRunner(encoder, config, sparse_mode="sparse")
+        dense = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="dense"))
+        sparse = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="sparse"))
         out_dense = dense.forward(features, pos, reference, SHAPES, collect_details=True)
         out_sparse = sparse.forward(features, pos, reference, SHAPES, collect_details=True)
         np.testing.assert_allclose(out_sparse.memory, out_dense.memory, atol=tol)
@@ -105,7 +106,7 @@ class TestBlockSparseEncoderEquivalence:
         batch = 3
         encoder = _make_encoder(seed=2)
         features, pos, reference = _inputs(seed=3, batch=batch)
-        sparse = DEFAEncoderRunner(encoder, QP_FP32, sparse_mode="sparse")
+        sparse = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"))
         out_batched = sparse.forward(features, pos, reference, SHAPES)
         for b in range(batch):
             single = sparse.forward(features[b], pos, reference, SHAPES)
@@ -125,8 +126,8 @@ class TestBlockSparseEncoderEquivalence:
     def test_batched_sparse_matches_batched_dense(self, config, tol):
         encoder = _make_encoder(seed=4)
         features, pos, reference = _inputs(seed=5, batch=2)
-        dense = DEFAEncoderRunner(encoder, config, sparse_mode="dense")
-        sparse = DEFAEncoderRunner(encoder, config, sparse_mode="sparse")
+        dense = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="dense"))
+        sparse = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="sparse"))
         out_dense = dense.forward(features, pos, reference, SHAPES)
         out_sparse = sparse.forward(features, pos, reference, SHAPES)
         np.testing.assert_allclose(out_sparse.memory, out_dense.memory, atol=tol)
@@ -141,7 +142,7 @@ class TestBlockSparseEncoderEquivalence:
         """
         encoder = _make_encoder(seed=6)
         features, pos, reference = _inputs(seed=7)
-        runner = DEFAEncoderRunner(encoder, QP_FP32, sparse_mode=sparse_mode)
+        runner = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode=sparse_mode))
         result = runner.forward(features, pos, reference, SHAPES, collect_details=True)
         # Block 0 runs fully dense (no incoming mask): its stage output is
         # the ordinary norm2(z + ffn(z)), z = norm1(src + attn).
@@ -171,9 +172,9 @@ class TestBlockSparseEncoderEquivalence:
         *and* FFN stage — even in forced sparse mode with query pruning on."""
         encoder = _make_encoder(seed=8, num_layers=1)
         features, pos, reference = _inputs(seed=9)
-        with_qp = DEFAEncoderRunner(encoder, QP_FP32, sparse_mode="sparse")
+        with_qp = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"))
         without_qp = DEFAEncoderRunner(
-            encoder, DEFAConfig(quant_bits=None), sparse_mode="sparse"
+            encoder, DEFAConfig(quant_bits=None), ExecutionOptions(sparse_mode="sparse")
         )
         out_qp = with_qp.forward(features, pos, reference, SHAPES)
         out_plain = without_qp.forward(features, pos, reference, SHAPES)
@@ -191,7 +192,7 @@ class TestBlockSparseEncoderEquivalence:
         encoder = _make_encoder(seed=10)
         features, pos, reference = _inputs(seed=11)
         runner = DEFAEncoderRunner(
-            encoder, DEFAConfig(quant_bits=None), sparse_mode="sparse"
+            encoder, DEFAConfig(quant_bits=None), ExecutionOptions(sparse_mode="sparse")
         )
         out = runner.forward(features, pos, reference, SHAPES)
         assert all(not s.sparse_ffn for s in out.layer_stats)
@@ -203,8 +204,8 @@ class TestFfnStageDispatch:
         geometry has N_IN < 512), with unchanged numerics."""
         encoder = _make_encoder(seed=12)
         features, pos, reference = _inputs(seed=13)
-        auto = DEFAEncoderRunner(encoder, QP_FP32, sparse_mode="auto")
-        forced = DEFAEncoderRunner(encoder, QP_FP32, sparse_mode="sparse")
+        auto = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="auto"))
+        forced = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"))
         out_auto = auto.forward(features, pos, reference, SHAPES)
         out_forced = forced.forward(features, pos, reference, SHAPES)
         assert all(not s.sparse_ffn for s in out_auto.layer_stats)
@@ -217,9 +218,9 @@ class TestFfnStageDispatch:
         encoder = _make_encoder(seed=14)
         features, pos, reference = _inputs(seed=15)
         pr3 = DEFAEncoderRunner(
-            encoder, QP_FP32, sparse_mode="sparse", enable_sparse_ffn=False
+            encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"), enable_sparse_ffn=False
         )
-        full = DEFAEncoderRunner(encoder, QP_FP32, sparse_mode="sparse")
+        full = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"))
         out_pr3 = pr3.forward(features, pos, reference, SHAPES)
         out_full = full.forward(features, pos, reference, SHAPES)
         assert all(not s.sparse_ffn for s in out_pr3.layer_stats)
@@ -294,7 +295,7 @@ class TestQueryAddStage:
     def test_skipped_query_add_matches_pr4_full_add(self, sparse_mode):
         encoder = _make_encoder(seed=21)
         features, pos, reference = _inputs(seed=22)
-        runner = DEFAEncoderRunner(encoder, QP_FP32, sparse_mode=sparse_mode)
+        runner = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode=sparse_mode))
         result = runner.forward(features, pos, reference, SHAPES)
         pr4_memory, pr4_masks = self._pr4_forward(runner, features, pos, reference)
         # Zeroing / skipping the pruned rows' adds changes nothing observable:
@@ -308,7 +309,7 @@ class TestQueryAddStage:
         """Pruned rows stay frozen at the block input with the add skipped."""
         encoder = _make_encoder(seed=23, num_layers=2)
         features, pos, reference = _inputs(seed=24)
-        runner = DEFAEncoderRunner(encoder, QP_FP32, sparse_mode=sparse_mode)
+        runner = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode=sparse_mode))
         result = runner.forward(features, pos, reference, SHAPES, collect_details=True)
         mask_into_block2 = result.fmap_masks[0]
         assert 0 < mask_into_block2.sum() < N_IN
@@ -335,16 +336,18 @@ class TestQueryAddStage:
         mask = np.zeros(N_IN, dtype=bool)
         mask[: N_IN // 3] = True
         # No query pruning => no mask, regardless of sparse_mode.
-        off = DEFAEncoderRunner(encoder, DEFAConfig(quant_bits=None), sparse_mode="sparse")
+        off = DEFAEncoderRunner(
+            encoder, DEFAConfig(quant_bits=None), ExecutionOptions(sparse_mode="sparse")
+        )
         assert off.query_stage_plan(mask, N_IN) == (None, False)
         # Query pruning + forced sparse => compact path.
-        on = DEFAEncoderRunner(encoder, QP_FP32, sparse_mode="sparse")
+        on = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"))
         keep, compact = on.query_stage_plan(mask, N_IN)
         assert compact and keep is not None
         # First block (no mask) always runs the plain add.
         assert on.query_stage_plan(None, N_IN) == (None, False)
         # auto mode keeps tiny inputs dense (N_IN < SPARSE_AUTO_MIN_QUERIES).
-        auto = DEFAEncoderRunner(encoder, QP_FP32, sparse_mode="auto")
+        auto = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="auto"))
         keep, compact = auto.query_stage_plan(mask, N_IN)
         assert keep is not None and not compact
 
@@ -357,28 +360,29 @@ class TestIntegerMaskNormalization:
     def test_integer_masks_through_full_encoder(self, dtype):
         encoder = _make_encoder(seed=26)
         features, pos, reference = _inputs(seed=27)
-        runner = DEFAEncoderRunner(encoder, QP_INT12, sparse_mode="sparse")
+        runner = DEFAEncoderRunner(encoder, QP_INT12, ExecutionOptions(sparse_mode="sparse"))
         want = runner.forward(features, pos, reference, SHAPES)
 
-        # The same loop, but every block boundary receives an integer mask.
-        x = np.asarray(features, dtype=np.float32)
+        # The same loop (on the B=1 batch the runner executes), but every
+        # block boundary receives an integer mask.
+        x = np.asarray(features, dtype=np.float32)[None]
         fmap_mask = None
         masks = []
         for layer, defa in zip(runner.encoder.layers, runner.defa_layers):
             int_mask = None if fmap_mask is None else fmap_mask.astype(dtype)
-            q_keep, q_compact = runner.query_stage_plan(int_mask, x.shape[0])
+            q_keep, q_compact = runner.query_stage_plan(int_mask, x.shape[1])
             query = runner._build_query(x, pos, q_keep, q_compact, None)
             attn_out = defa.forward_detailed(
                 query, reference, x, SHAPES, fmap_mask=int_mask
             )
-            keep_mask, compact = runner.ffn_stage_plan(int_mask, x.shape[0])
+            keep_mask, compact = runner.ffn_stage_plan(int_mask, x.shape[1])
             x = layer.forward_ffn_stage(
                 x, attn_out.output, keep_mask=keep_mask, compact=compact
             )
             fmap_mask = attn_out.fmap_mask_next
-            masks.append(fmap_mask)
+            masks.append(fmap_mask[0])
 
-        np.testing.assert_array_equal(x, want.memory)
+        np.testing.assert_array_equal(x[0], want.memory)
         for got, ref_mask in zip(masks, want.fmap_masks):
             np.testing.assert_array_equal(got, ref_mask)
 

@@ -16,6 +16,7 @@ from repro.engine import (
 )
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
+from repro.kernels import ExecutionOptions
 from repro.experiments.runner import run_experiments
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.positional import make_reference_points, sine_positional_encoding
@@ -321,8 +322,12 @@ class TestDefaForwardFnStateRestore:
     def test_adapter_restores_runner_mode_and_backend(self):
         runner = DEFAEncoderRunner(_encoder(), DEFAConfig())
         assert runner.sparse_mode == "auto" and runner.kernel_backend is None
-        dense_fn = defa_forward_fn(runner, sparse_mode="dense", backend="reference")
-        sparse_fn = defa_forward_fn(runner, sparse_mode="sparse", backend="fused")
+        dense_fn = defa_forward_fn(
+            runner, ExecutionOptions(sparse_mode="dense", kernel_backend="reference")
+        )
+        sparse_fn = defa_forward_fn(
+            runner, ExecutionOptions(sparse_mode="sparse", kernel_backend="fused")
+        )
         batch = _item(0, SHAPES_A, 0).features[None]
         shapes = list(SHAPES_A)
         dense_first = dense_fn(batch, shapes)
@@ -339,19 +344,21 @@ class TestDefaForwardFnStateRestore:
         shared = DEFAEncoderRunner(_encoder(), DEFAConfig())
         dedicated = DEFAEncoderRunner(_encoder(), DEFAConfig())
         dedicated.sparse_mode = "sparse"
-        sparse_fn = defa_forward_fn(shared, sparse_mode="sparse")
-        other_fn = defa_forward_fn(shared, sparse_mode="dense")
+        sparse_fn = defa_forward_fn(shared, ExecutionOptions(sparse_mode="sparse"))
+        other_fn = defa_forward_fn(shared, ExecutionOptions(sparse_mode="dense"))
         batch = _item(0, SHAPES_A, 3).features[None]
         shapes = list(SHAPES_A)
         other_fn(batch, shapes)  # perturb the shared runner first
         pos = sine_positional_encoding(shapes, D_MODEL)
         reference = make_reference_points(shapes)
-        expected = dedicated.forward_batched(batch, pos, reference, shapes).memory
+        expected = dedicated.forward(batch, pos, reference, shapes).memory
         np.testing.assert_array_equal(sparse_fn(batch, shapes), expected)
 
     def test_mode_restored_when_forward_raises(self):
         runner = DEFAEncoderRunner(_encoder(), DEFAConfig())
-        adapter = defa_forward_fn(runner, sparse_mode="dense", backend="reference")
+        adapter = defa_forward_fn(
+            runner, ExecutionOptions(sparse_mode="dense", kernel_backend="reference")
+        )
         bad_batch = np.zeros((1, 3, D_MODEL), dtype=np.float32)  # token mismatch
         with pytest.raises(Exception):
             adapter(bad_batch, list(SHAPES_A))

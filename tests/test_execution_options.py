@@ -1,16 +1,13 @@
 """Tests for the one-object execution-knob surface (PR 8).
 
 ``ExecutionOptions`` bundles ``sparse_mode`` / ``kernel_backend`` /
-``collect_details`` / ``enable_query_pruning``; the shimmed constructors and
-per-call surfaces accept the legacy loose keywords only through
-``normalize_execution_options``, which must (a) produce byte-identical
-behavior to the options object on both the fp32 and INT12 paths, and (b)
-emit exactly one ``DeprecationWarning`` per call *site*, not per call.
+``collect_details`` / ``enable_query_pruning`` / ``machine_profile``; every
+surface takes it as ``options=`` only, normalized by
+``normalize_execution_options`` (``None`` means defaults, anything else that
+is not an ``ExecutionOptions`` is a ``TypeError``).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +15,7 @@ import pytest
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
 from repro.engine.batching import defa_forward_fn
-from repro.kernels import (
-    ExecutionOptions,
-    normalize_execution_options,
-    reset_deprecation_warnings,
-)
+from repro.kernels import ExecutionOptions, normalize_execution_options
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.utils.shapes import LevelShape
@@ -30,14 +23,6 @@ from repro.utils.shapes import LevelShape
 SHAPES = [LevelShape(8, 12), LevelShape(4, 6)]
 N_IN = sum(s.num_pixels for s in SHAPES)
 D_MODEL = 32
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_registry():
-    """Per-site dedup is process-global; isolate it per test."""
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 def _encoder(seed: int = 0) -> DeformableEncoder:
@@ -50,14 +35,6 @@ def _encoder(seed: int = 0) -> DeformableEncoder:
         ffn_dim=64,
         rng=seed,
     )
-
-
-def _forward(runner: DEFAEncoderRunner) -> np.ndarray:
-    rng = np.random.default_rng(3)
-    src = rng.standard_normal((N_IN, D_MODEL)).astype(np.float32)
-    pos = sine_positional_encoding(SHAPES, D_MODEL)
-    reference_points = make_reference_points(SHAPES)
-    return runner.forward(src, pos, reference_points, SHAPES).memory
 
 
 class TestExecutionOptions:
@@ -109,24 +86,12 @@ class TestExecutionOptions:
 
 
 class TestNormalization:
-    def test_options_plus_legacy_keyword_rejected(self):
-        with pytest.raises(TypeError, match="cannot combine"):
-            DEFAEncoderRunner(
-                _encoder(),
-                DEFAConfig(),
-                ExecutionOptions(sparse_mode="dense"),
-                sparse_mode="sparse",
-            )
+    def test_none_means_defaults(self):
+        assert normalize_execution_options(None, owner="X") == ExecutionOptions()
 
-    def test_positional_string_coerced_as_sparse_mode(self):
-        # The legacy positional-string convention still works — and warns,
-        # because it is itself the deprecated surface.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            runner = DEFAEncoderRunner(_encoder(), DEFAConfig(), "dense")
-        assert runner.sparse_mode == "dense"
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
+    def test_positional_string_rejected(self):
+        with pytest.raises(TypeError, match="DEFAEncoderRunner.*ExecutionOptions"):
+            DEFAEncoderRunner(_encoder(), DEFAConfig(), "dense")
 
     def test_non_options_object_rejected(self):
         with pytest.raises(TypeError, match="ExecutionOptions"):
@@ -151,78 +116,3 @@ class TestNormalization:
             )
         with pytest.raises(ValueError, match="batched memory"):
             defa_forward_fn(runner, ExecutionOptions(collect_details=True))
-
-
-class TestShimEquivalence:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            DEFAConfig(quant_bits=None, enable_query_pruning=True),
-            DEFAConfig(quant_bits=12, enable_query_pruning=True),
-        ],
-        ids=["fp32", "int12"],
-    )
-    def test_legacy_kwargs_bit_identical_to_options(self, config):
-        encoder = _encoder()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = DEFAEncoderRunner(
-                encoder, config, sparse_mode="sparse", backend="fused"
-            )
-        modern = DEFAEncoderRunner(
-            encoder,
-            config,
-            ExecutionOptions(sparse_mode="sparse", kernel_backend="fused"),
-        )
-        np.testing.assert_array_equal(_forward(legacy), _forward(modern))
-
-    def test_legacy_forward_fn_bit_identical(self):
-        encoder = _encoder()
-        runner = DEFAEncoderRunner(encoder, DEFAConfig(enable_query_pruning=True))
-        rng = np.random.default_rng(5)
-        batch = rng.standard_normal((2, N_IN, D_MODEL)).astype(np.float32)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_fn = defa_forward_fn(runner, sparse_mode="sparse")
-        modern_fn = defa_forward_fn(runner, ExecutionOptions(sparse_mode="sparse"))
-        np.testing.assert_array_equal(
-            legacy_fn(batch, SHAPES), modern_fn(batch, SHAPES)
-        )
-
-
-class TestDeprecationWarnings:
-    def test_shim_warns_once_per_call_site(self):
-        encoder = _encoder()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):  # same site, repeated: one warning
-                DEFAEncoderRunner(encoder, DEFAConfig(), sparse_mode="dense")
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "ExecutionOptions" in str(caught[0].message)
-
-    def test_distinct_call_sites_each_warn(self):
-        encoder = _encoder()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            DEFAEncoderRunner(encoder, DEFAConfig(), sparse_mode="dense")
-            DEFAEncoderRunner(encoder, DEFAConfig(), sparse_mode="dense")
-        assert len(caught) == 2
-
-    def test_options_path_never_warns(self):
-        encoder = _encoder()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            DEFAEncoderRunner(encoder, DEFAConfig(), ExecutionOptions())
-            defa_forward_fn(
-                DEFAEncoderRunner(encoder, DEFAConfig()), ExecutionOptions()
-            )
-
-    def test_normalize_reports_owner_and_keyword(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            normalize_execution_options(owner="MySurface", backend="fused")
-        assert len(caught) == 1
-        message = str(caught[0].message)
-        assert "MySurface" in message
-        assert "backend" in message

@@ -23,6 +23,7 @@ from repro.core.encoder_runner import DEFAEncoderRunner
 from repro.kernels import (
     COMPILED_AVAILABLE,
     KERNEL_BACKENDS,
+    ExecutionOptions,
     ExecutionPlan,
     compiled_backend,
     get_backend,
@@ -38,6 +39,9 @@ from repro.nn.grid_sample import (
 )
 from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.utils.shapes import LevelShape, make_level_shapes
+
+SPARSE_FUSED = ExecutionOptions(sparse_mode="sparse", kernel_backend="fused")
+SPARSE_REFERENCE = ExecutionOptions(sparse_mode="sparse", kernel_backend="reference")
 
 SHAPES = [LevelShape(8, 12), LevelShape(4, 6), LevelShape(2, 3)]
 N_IN = sum(s.num_pixels for s in SHAPES)
@@ -177,10 +181,12 @@ class TestFusedBitIdentity:
         shapes, encoder, features, pos, reference_points = _encoder_fixture()
         config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
         ref_runner = DEFAEncoderRunner(
-            encoder, config, sparse_mode=sparse_mode, backend="reference"
+            encoder,
+            config,
+            ExecutionOptions(sparse_mode=sparse_mode, kernel_backend="reference"),
         )
         fast_runner = DEFAEncoderRunner(
-            encoder, config, sparse_mode=sparse_mode, backend=backend
+            encoder, config, ExecutionOptions(sparse_mode=sparse_mode, kernel_backend=backend)
         )
         ref = ref_runner.forward(features, pos, reference_points, shapes)
         fast = fast_runner.forward(features, pos, reference_points, shapes)
@@ -193,10 +199,12 @@ class TestFusedBitIdentity:
         shapes, encoder, features, pos, reference_points = _encoder_fixture()
         batch = np.stack([features, features * 0.5, features + 0.1])
         config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
-        ref = DEFAEncoderRunner(encoder, config, sparse_mode="sparse", backend="reference")
-        fast = DEFAEncoderRunner(encoder, config, sparse_mode="sparse", backend=backend)
-        a = ref.forward_batched(batch, pos, reference_points, shapes)
-        b = fast.forward_batched(batch, pos, reference_points, shapes)
+        ref = DEFAEncoderRunner(encoder, config, SPARSE_REFERENCE)
+        fast = DEFAEncoderRunner(
+            encoder, config, ExecutionOptions(sparse_mode="sparse", kernel_backend=backend)
+        )
+        a = ref.forward(batch, pos, reference_points, shapes)
+        b = fast.forward(batch, pos, reference_points, shapes)
         assert np.array_equal(a.memory, b.memory)
 
 
@@ -210,7 +218,7 @@ class TestPlanReuseAcrossForwards:
         """
         shapes, encoder, features, pos, reference_points = _encoder_fixture()
         config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
-        runner = DEFAEncoderRunner(encoder, config, sparse_mode="sparse", backend="fused")
+        runner = DEFAEncoderRunner(encoder, config, SPARSE_FUSED)
         first = runner.forward(features, pos, reference_points, shapes)
         memory_snapshot = first.memory.copy()
         mask_snapshots = [m.copy() for m in first.fmap_masks]
@@ -225,35 +233,45 @@ class TestPlanReuseAcrossForwards:
             np.testing.assert_array_equal(kept, snap)
         assert [(s.pixels_kept, s.points_kept) for s in first.layer_stats] == stats_snapshot
         # and the second result is the same as a fresh runner would produce
-        fresh = DEFAEncoderRunner(encoder, config, sparse_mode="sparse", backend="fused")
+        fresh = DEFAEncoderRunner(encoder, config, SPARSE_FUSED)
         again = fresh.forward(other, pos, reference_points, shapes)
         np.testing.assert_array_equal(second.memory, again.memory)
 
     def test_plans_keyed_by_shape_signature_and_batch(self):
         shapes, encoder, features, pos, reference_points = _encoder_fixture()
         config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
-        runner = DEFAEncoderRunner(encoder, config, sparse_mode="sparse", backend="fused")
+        runner = DEFAEncoderRunner(encoder, config, SPARSE_FUSED)
         runner.forward(features, pos, reference_points, shapes)
-        runner.forward_batched(
+        runner.forward(
             np.stack([features, features]), pos, reference_points, shapes
         )
         keys = set(runner._plans)
-        assert len(keys) == 2  # (signature, None) and (signature, 2)
+        assert len(keys) == 2  # (signature, 1) and (signature, 2)
         batch_sizes = {key[1] for key in keys}
-        assert batch_sizes == {None, 2}
+        assert batch_sizes == {1, 2}
+
+    def test_single_image_and_b1_batch_share_one_arena(self):
+        shapes, encoder, features, pos, reference_points = _encoder_fixture()
+        config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
+        runner = DEFAEncoderRunner(encoder, config, SPARSE_FUSED)
+        runner.forward(features, pos, reference_points, shapes)
+        grows = runner.plan_stats()["grows"]
+        runner.forward(features[None], pos, reference_points, shapes)
+        assert list(runner._plans) == [(tuple(s.as_tuple() for s in shapes), 1)]
+        assert runner.plan_stats()["grows"] == grows  # warm: nothing reallocated
 
     def test_plan_cache_is_lru_bounded(self):
         shapes, encoder, features, pos, reference_points = _encoder_fixture()
         config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
-        runner = DEFAEncoderRunner(encoder, config, sparse_mode="sparse", backend="fused")
-        first_key = (tuple(s.as_tuple() for s in shapes), None)
+        runner = DEFAEncoderRunner(encoder, config, SPARSE_FUSED)
+        first_key = (tuple(s.as_tuple() for s in shapes), 1)
         runner.forward(features, pos, reference_points, shapes)
         # Synthetic distinct signatures fill the cache past the bound; the
         # real signature is refreshed (LRU) halfway, so it must survive.
         for i in range(runner.MAX_EXECUTION_PLANS - 1):
             runner.execution_plan(shapes, batch_size=100 + i)
             if i == runner.MAX_EXECUTION_PLANS // 2:
-                runner.execution_plan(shapes, batch_size=None)  # refresh
+                runner.execution_plan(shapes, batch_size=1)  # refresh
         assert first_key in runner._plans
         for i in range(runner.MAX_EXECUTION_PLANS + 1):
             runner.execution_plan(shapes, batch_size=200 + i)
@@ -268,7 +286,7 @@ class TestPlanReuseAcrossForwards:
         in arena buffers; the runner falls back to fresh allocation."""
         shapes, encoder, features, pos, reference_points = _encoder_fixture()
         config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
-        runner = DEFAEncoderRunner(encoder, config, sparse_mode="sparse", backend="fused")
+        runner = DEFAEncoderRunner(encoder, config, SPARSE_FUSED)
         detailed = runner.forward(
             features, pos, reference_points, shapes, collect_details=True
         )
@@ -303,10 +321,10 @@ class TestAllocationBudget:
             return peak
 
         fused_peak = peak_bytes(
-            DEFAEncoderRunner(encoder, config, sparse_mode="sparse", backend="fused")
+            DEFAEncoderRunner(encoder, config, SPARSE_FUSED)
         )
         reference_peak = peak_bytes(
-            DEFAEncoderRunner(encoder, config, sparse_mode="sparse", backend="reference")
+            DEFAEncoderRunner(encoder, config, SPARSE_REFERENCE)
         )
         # Fixed budget: with the PAP/fold records in arena buffers (PR 9) the
         # only escaping arrays are the final memory copy and the per-block FWP
@@ -352,7 +370,7 @@ class TestCompiledFallback:
         shapes, encoder, features, pos, reference_points = _encoder_fixture(
             num_layers=1
         )
-        runner = DEFAEncoderRunner(encoder, config, sparse_mode="sparse")
+        runner = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="sparse"))
         with pytest.warns(RuntimeWarning, match="falling back to 'fused'"):
             assert runner.resolved_backend().name == "fused"
             assert runner.plan_stats()["backend"] == "fused"
@@ -365,7 +383,7 @@ class TestCompiledFallback:
             num_layers=1
         )
         runner = DEFAEncoderRunner(
-            encoder, DEFAConfig(kernel_backend="compiled"), sparse_mode="sparse"
+            encoder, DEFAConfig(kernel_backend="compiled"), ExecutionOptions(sparse_mode="sparse")
         )
         assert runner.plan_stats()["backend"] == "compiled"
         runner.forward(features, pos, reference_points, shapes)

@@ -24,7 +24,7 @@ from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
 from repro.core.fwp import apply_fmap_mask
 from repro.core.pipeline import SPARSE_MODES, DEFAAttention
-from repro.kernels import COMPILED_AVAILABLE
+from repro.kernels import COMPILED_AVAILABLE, ExecutionOptions
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.grid_sample import (
     ms_deform_attn_core,
@@ -217,7 +217,7 @@ def _make_defa(config, sparse_mode, seed=0):
     attn = MSDeformAttn(
         d_model=N_H * D_H, num_heads=N_H, num_levels=N_L, num_points=N_P, rng=seed
     )
-    return DEFAAttention(attn, config, sparse_mode=sparse_mode)
+    return DEFAAttention(attn, config, ExecutionOptions(sparse_mode=sparse_mode))
 
 
 FP32_CONFIG = DEFAConfig(quant_bits=None)
@@ -324,8 +324,10 @@ class TestQuantizedRows:
         qlinear = quantize_linear(linear, 12)
         x = rng.standard_normal((50, 16)).astype(np.float32)
         rows = np.array([0, 3, 17, 49])
+        # A single image is a B=1 batch: its one per-image scale is the
+        # full-array scale of forward().
         np.testing.assert_allclose(
-            qlinear.forward_rows(x, rows), qlinear.forward(x)[rows], atol=1e-6
+            qlinear.forward_rows_batched(x[None], rows), qlinear.forward(x)[rows], atol=1e-6
         )
 
     def test_forward_rows_batched_matches_forward_batched(self):
@@ -351,8 +353,12 @@ class TestSparseEncoderRunner:
         )
         features, _, reference = _defa_inputs(seed=14)
         pos = sine_positional_encoding(SHAPES, N_H * D_H)
-        dense_runner = DEFAEncoderRunner(encoder, FP32_CONFIG, sparse_mode="dense")
-        sparse_runner = DEFAEncoderRunner(encoder, FP32_CONFIG, sparse_mode="sparse")
+        dense_runner = DEFAEncoderRunner(
+            encoder, FP32_CONFIG, ExecutionOptions(sparse_mode="dense")
+        )
+        sparse_runner = DEFAEncoderRunner(
+            encoder, FP32_CONFIG, ExecutionOptions(sparse_mode="sparse")
+        )
         out_dense = dense_runner.forward(features, pos, reference, SHAPES)
         out_sparse = sparse_runner.forward(features, pos, reference, SHAPES)
         np.testing.assert_allclose(out_sparse.memory, out_dense.memory, atol=TOL)
@@ -467,7 +473,7 @@ class TestQueryPruning:
         attn.output_proj.bias = (
             np.random.default_rng(0).standard_normal(N_H * D_H).astype(np.float32)
         )
-        defa = DEFAAttention(attn, QP_FP32, sparse_mode="sparse")
+        defa = DEFAAttention(attn, QP_FP32, ExecutionOptions(sparse_mode="sparse"))
         features, query, reference = _defa_inputs(seed=21)
         fmap_mask = np.zeros(N_IN, dtype=bool)
         fmap_mask[::2] = True
@@ -476,7 +482,7 @@ class TestQueryPruning:
         expected = np.broadcast_to(bias, out.output[~fmap_mask].shape)
         np.testing.assert_allclose(out.output[~fmap_mask], expected, atol=1e-6)
         # The dense path produces the same rows (zero head outputs + bias).
-        dense = DEFAAttention(attn, QP_FP32, sparse_mode="dense")
+        dense = DEFAAttention(attn, QP_FP32, ExecutionOptions(sparse_mode="dense"))
         out_dense = dense.forward_detailed(
             query, reference, features, SHAPES, fmap_mask=fmap_mask
         )
