@@ -324,8 +324,10 @@ class DEFAEncoderRunner:
         if plan is not None:
             query = plan.zeros("query", x.shape)
             if kept.size:
-                rows = plan.take("query.x_rows", flat_x, kept)
-                rows_pos = plan.take("query.pos_rows", pos, pos_idx)
+                # The projections' transient row buffers: both are dead
+                # until the attention block gathers its query rows.
+                rows = plan.take("proj.rows", flat_x, kept)
+                rows_pos = plan.take("proj.xq", pos, pos_idx)
                 np.add(rows, rows_pos, out=rows)
                 query.reshape(-1, x.shape[-1])[kept] = rows
             return query

@@ -59,7 +59,7 @@ from repro.kernels import (
     resolve_backend,
     resolve_profile,
 )
-from repro.kernels.fused_ops import project_batched_into, project_rows_batched_into
+from repro.kernels.fused_ops import project_into
 from repro.core.pap import PAPResult, compute_point_mask
 from repro.core.range_narrowing import RangeNarrowing
 from repro.core.sampling_stats import (
@@ -547,9 +547,9 @@ class DEFAAttention:
         proj = self._value_proj
         if not self._use_sparse_projection(fmap_mask, n_in, backend=backend):
             if plan is not None:
-                value = project_batched_into(
-                    proj, value_input, plan, "value_proj", backend=backend
-                ).reshape(batch, n_in, attn.num_heads, attn.d_head)
+                value = project_into(
+                    (proj,), value_input, plan, ("value_proj",), backend=backend
+                )[0].reshape(batch, n_in, attn.num_heads, attn.d_head)
                 if fmap_mask is not None and not fmap_mask.all():
                     value[~fmap_mask] = 0  # plan buffer: zero in place, no copy
                 return value, False
@@ -564,9 +564,9 @@ class DEFAAttention:
         if plan is not None:
             value = plan.zeros("value", (batch * n_in, attn.d_model))
             if kept.size:
-                value[kept] = project_rows_batched_into(
-                    proj, value_input, kept, plan, "value_proj", backend=backend
-                )
+                value[kept] = project_into(
+                    (proj,), value_input, plan, ("value_proj",), rows=kept, backend=backend
+                )[0]
             return value.reshape(batch, n_in, attn.num_heads, attn.d_head), True
         value = np.zeros((batch * n_in, attn.d_model), dtype=FLOAT_DTYPE)
         if kept.size:
@@ -692,35 +692,29 @@ class DEFAAttention:
         # same way).
         grid_shape = (batch * n_q, attn.num_heads, attn.num_levels, attn.num_points)
         with kernel_section("query_proj"):
-            if sparse_query:
-                if plan is not None:
-                    logits = project_rows_batched_into(
-                        self._attention_weights,
-                        query,
-                        kept_q,
-                        plan,
-                        "attn_logits",
-                        backend=backend,
-                    )
-                else:
-                    logits = self._project_rows_batched(
-                        self._attention_weights, query, kept_q
-                    )
-            elif plan is not None:
-                logits = project_batched_into(
-                    self._attention_weights, query, plan, "attn_logits", backend=backend
+            # Both query-side heads (the sampling offsets are used in step 2)
+            # read the same query rows; on the plan path they share one
+            # gather and one quantization.
+            heads = (self._attention_weights, self._sampling_offsets)
+            if plan is not None:
+                logits, offsets_proj = project_into(
+                    heads, query, plan, ("attn_logits", "offsets"), rows=kept_q, backend=backend
+                )
+            elif sparse_query:
+                logits, offsets_proj = (
+                    self._project_rows_batched(head, query, kept_q) for head in heads
                 )
             else:
-                logits = self._project_batched(self._attention_weights, query)
+                logits, offsets_proj = (self._project_batched(head, query) for head in heads)
             logits = logits.reshape(-1, attn.num_heads, attn.num_levels * attn.num_points)
         if plan is not None:
             # In-place softmax on the logits buffer — the same subtract / exp /
-            # divide chain as repro.nn.tensor_utils.softmax, bit-identically.
+            # divide chain as repro.nn.tensor_utils.softmax, bit-identically
+            # (the row sums are reduced before the divide overwrites them).
             np.subtract(logits, np.max(logits, axis=-1, keepdims=True), out=logits)
             np.exp(logits, out=logits)
-            probs = plan.buffer("probs", logits.shape)
-            np.divide(logits, np.sum(logits, axis=-1, keepdims=True), out=probs)
-            probs = probs.reshape(
+            np.divide(logits, np.sum(logits, axis=-1, keepdims=True), out=logits)
+            probs = logits.reshape(
                 logits.shape[0], attn.num_heads, attn.num_levels, attn.num_points
             )
         else:
@@ -766,41 +760,22 @@ class DEFAAttention:
 
         # Step 2: sampling offsets + range narrowing (batched clamp,
         # per-image clipping fractions over the kept queries).
+        offsets_shape = (batch, n_q) + grid_shape[1:] + (2,)
         with kernel_section("query_proj"):
             if sparse_query:
                 if plan is not None:
-                    offsets_flat = plan.zeros("offsets", grid_shape + (2,))
-                    if kept_q.size:
-                        offsets_flat[kept_q] = project_rows_batched_into(
-                            self._sampling_offsets,
-                            query,
-                            kept_q,
-                            plan,
-                            "offsets_rows",
-                            backend=backend,
-                        ).reshape((kept_q.size,) + grid_shape[1:] + (2,))
+                    offsets = plan.zeros("offsets", grid_shape + (2,))
                 else:
-                    offsets_flat = np.zeros(grid_shape + (2,), dtype=FLOAT_DTYPE)
-                    offsets_flat[kept_q] = self._project_rows_batched(
-                        self._sampling_offsets, query, kept_q
-                    ).reshape((kept_q.size,) + grid_shape[1:] + (2,))
-                offsets = offsets_flat.reshape((batch, n_q) + grid_shape[1:] + (2,))
+                    offsets = np.zeros(grid_shape + (2,), dtype=FLOAT_DTYPE)
+                offsets[kept_q] = offsets_proj.reshape((kept_q.size,) + grid_shape[1:] + (2,))
+                offsets = offsets.reshape(offsets_shape)
             else:
-                if plan is not None:
-                    offsets = project_batched_into(
-                        self._sampling_offsets, query, plan, "offsets", backend=backend
-                    ).reshape((batch, n_q) + grid_shape[1:] + (2,))
-                    if query_keep is not None:
-                        # In place — the offsets live in a plan buffer.
-                        offsets *= query_keep[:, :, None, None, None, None]
-                else:
-                    offsets = self._project_batched(self._sampling_offsets, query).reshape(
-                        (batch, n_q) + grid_shape[1:] + (2,)
-                    )
-                    if query_keep is not None:
-                        # Dense path under query pruning: zero the pruned rows so
-                        # both paths record identical offsets and locations.
-                        offsets = offsets * query_keep[:, :, None, None, None, None]
+                offsets = offsets_proj.reshape(offsets_shape)
+                if query_keep is not None:
+                    # Dense path under query pruning: zero the pruned rows (in
+                    # place — the projection is a fresh array or a plan
+                    # buffer) so both paths record identical offsets.
+                    offsets *= query_keep[:, :, None, None, None, None]
         clipping_fractions = [0.0] * batch
         if self.range_narrowing is not None:
             clipping_fractions = [
@@ -814,11 +789,9 @@ class DEFAAttention:
             else:
                 offsets = self.range_narrowing.clamp_offsets(offsets)
         if plan is not None:
+            # The offsets are dead once the locations exist: in place.
             locations = attn.compute_sampling_locations(
-                reference_points,
-                offsets,
-                spatial_shapes,
-                out=plan.buffer("locations", offsets.shape),
+                reference_points, offsets, spatial_shapes, out=offsets
             )
         else:
             locations = attn.compute_sampling_locations(
@@ -882,44 +855,25 @@ class DEFAAttention:
         # Step 5: output projection (batched; row-compacted under query
         # pruning — pruned queries' rows equal the projection bias).
         with kernel_section("output_proj"):
+            heads_in = head_outputs.reshape(batch, n_q, attn.d_model)
+            if plan is not None:
+                (output,) = project_into(
+                    (self._output_proj,), heads_in, plan, ("output",), rows=kept_q, backend=backend
+                )
+            elif sparse_query:
+                output = self._project_rows_batched(self._output_proj, heads_in, kept_q)
+            else:
+                output = self._project_batched(self._output_proj, heads_in)
             if sparse_query:
                 if plan is not None:
                     out_flat = plan.zeros("output", (batch * n_q, attn.d_model))
-                    bias = self._projection_bias(self._output_proj)
-                    if bias is not None:
-                        out_flat += bias
-                    if kept_q.size:
-                        out_flat[kept_q] = project_rows_batched_into(
-                            self._output_proj,
-                            head_outputs.reshape(batch, n_q, attn.d_model),
-                            kept_q,
-                            plan,
-                            "output_rows",
-                            backend=backend,
-                        )
-                    output = out_flat.reshape(batch, n_q, attn.d_model)
                 else:
                     out_flat = np.zeros((batch * n_q, attn.d_model), dtype=FLOAT_DTYPE)
-                    bias = self._projection_bias(self._output_proj)
-                    if bias is not None:
-                        out_flat += bias
-                    if kept_q.size:
-                        out_flat[kept_q] = self._project_rows_batched(
-                            self._output_proj, head_outputs, kept_q
-                        )
-                    output = out_flat.reshape(batch, n_q, attn.d_model).astype(FLOAT_DTYPE)
-            elif plan is not None:
-                output = project_batched_into(
-                    self._output_proj,
-                    head_outputs.reshape(batch, n_q, attn.d_model),
-                    plan,
-                    "output",
-                    backend=backend,
-                )
-            else:
-                output = self._project_batched(self._output_proj, head_outputs).astype(
-                    FLOAT_DTYPE
-                )
+                bias = self._projection_bias(self._output_proj)
+                if bias is not None:
+                    out_flat += bias
+                out_flat[kept_q] = output
+                output = out_flat.reshape(batch, n_q, attn.d_model)
 
         images: list[DEFAAttentionOutput] = []
         for b in range(batch):

@@ -69,7 +69,10 @@ class RangeNarrowing:
                 f"offsets must have shape (..., N_q, N_h, {self.num_levels}, N_p, 2), "
                 f"got {offsets.shape}"
             )
+        # The bounds as contiguous (N_h, N_l, N_p, 2) blocks matching the
+        # offsets' trailing axes: one long inner loop instead of length-2 ones.
         ranges = np.asarray(self.level_ranges, dtype=FLOAT_DTYPE)[:, None, None]
+        ranges = np.ascontiguousarray(np.broadcast_to(ranges, offsets.shape[-4:]))
         return np.clip(offsets, -ranges, ranges, out=out)
 
     def clamp_offsets_inplace(self, sampling_offsets: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.plan import ExecutionPlan
+from repro.kernels.plan import ExecutionPlan, take_into
 from repro.utils.timing import kernel_section
 
 FLOAT_DTYPE = np.float32
@@ -185,7 +185,7 @@ class FusedBackend:
             n = hi - lo
             sl = slice(lo, hi)
             with kernel_section("gather"):
-                np.take(value_flat, gidx[sl], axis=0, out=gathered[:n])
+                take_into(value_flat, gidx[sl], gathered[:n])
             with kernel_section("aggregate"):
                 # Same order as the reference: (weights * valid) * attn.
                 np.multiply(trace.weights[sl], trace.valid[sl], out=w4[:n])

@@ -465,7 +465,7 @@ def _sweep_row_projection(
     batched helpers on a ``(1, tokens, D)`` input: a single image runs as a
     ``B = 1`` batch in the pipeline."""
     from repro.kernels.plan import ExecutionPlan
-    from repro.kernels.fused_ops import project_batched_into, project_rows_batched_into
+    from repro.kernels.fused_ops import project_into
     from repro.nn.modules import Linear
 
     rng = np.random.default_rng(grid.rng_seed)
@@ -480,14 +480,14 @@ def _sweep_row_projection(
             kept = np.flatnonzero(mask)
 
             def dense() -> None:
-                out = project_batched_into(proj, x, plan, "cal.dense", backend=backend)
+                (out,) = project_into((proj,), x, plan, ("cal.dense",), backend=backend)
                 out[0, ~mask] = 0
 
             def sparse() -> None:
                 out = plan.zeros("cal.sparse", (tokens, grid.d_model))
-                out[kept] = project_rows_batched_into(
-                    proj, x, kept, plan, "cal.rows", backend=backend
-                )
+                out[kept] = project_into(
+                    (proj,), x, plan, ("cal.rows",), rows=kept, backend=backend
+                )[0]
 
             dense()  # warm the arena outside the timed region
             sparse()

@@ -2,13 +2,23 @@
 
 The quantized projections dominate the non-gather wall clock of the sparse
 encoder: every :meth:`~repro.quant.qmodules.QuantizedLinear.
-forward_rows_batched` call makes ~8 full passes over its activation block (float64 upcast, divide,
-round, clip, int32 round-trip, rescale, matmul, bias), each allocating a
-fresh temporary.  The helpers here execute the same projections through an
-:class:`~repro.kernels.plan.ExecutionPlan` arena: row gathers via
-``np.take(out=...)``, fake quantization through a reused float64 scratch
-(see :func:`repro.quant.quantizer.fake_quantize`), matmul + bias in-place
-into a reused output buffer.
+forward_rows_batched` call makes ~8 full passes over its activation block
+(float64 upcast, divide, round, clip, int32 round-trip, rescale, matmul,
+bias), each allocating a fresh temporary.  :func:`project_into` executes the
+same projections through an :class:`~repro.kernels.plan.ExecutionPlan`
+arena, holding only the data that is live at one time:
+
+* the row gather writes the shared ``proj.rows`` buffer and the quantized
+  activations the shared ``proj.xq`` buffer — both are dead once the matmul
+  returns, so every projection of the block reuses the same two buffers;
+* fake quantization runs in row blocks through one float64 scratch of about
+  :data:`QUANT_SCRATCH_BYTES` (``quant.q64``) instead of a float64 copy of
+  the whole activation — small enough to stay in cache;
+* projections that read the same input with the same activation spec (the
+  attention-weight and sampling-offset heads both read the query) share one
+  gather and one quantization;
+* matmul + bias run in place into the ``{name}.out`` buffer of each
+  projection, the only buffer that outlives the call.
 
 Every helper is **bit-identical** to the module method it replaces:
 
@@ -16,37 +26,40 @@ Every helper is **bit-identical** to the module method it replaces:
   ``np.max(np.abs(x))`` exactly (float negation and abs are exact) without
   materialising ``|x|``;
 * the in-place quantize chain preserves the float64 op order (the int32
-  round-trip it skips maps integral in-range float64 values to themselves);
+  round-trip it skips maps integral in-range float64 values to themselves),
+  and every step is elementwise, so splitting it into row blocks changes no
+  bits;
 * ``np.matmul(out=...)`` issues the same BLAS call for the same row count.
 
-Per-channel activation specs fall back to the module's own scale computation
+Per-channel dynamic activation specs fall back to the module's own method
 (no configuration in this repo uses them for activations, but correctness
 must not depend on that).
 
 Every helper accepts ``backend=None``: a backend exposing
 ``fake_quantize_into`` (the ``"compiled"`` backend's single-pass C chain)
 takes over the quantize step when it supports the input, bit-identically;
-otherwise — unsupported layout, numpy-only backend — the in-place numpy
-chain runs as before, and the float64 scratch is only allocated on that
-path.
+otherwise — unsupported layout, numpy-only backend — the blocked numpy
+chain runs, and the float64 scratch is only allocated on that path.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.kernels.plan import ExecutionPlan
 from repro.nn.modules import Linear
 from repro.quant.qmodules import QuantizedLinear
-from repro.quant.quantizer import fake_quantize
+from repro.quant.quantizer import QuantSpec, compute_scale
 
 FLOAT_DTYPE = np.float32
 
-__all__ = [
-    "max_abs",
-    "project_batched_into",
-    "project_rows_batched_into",
-]
+QUANT_SCRATCH_BYTES = 1 << 20
+"""Size of the float64 scratch the quantize chain runs through: one row block
+(512 rows at ``D = 256``)."""
+
+__all__ = ["QUANT_SCRATCH_BYTES", "max_abs", "project_into"]
 
 
 def max_abs(x: np.ndarray, axis=None, keepdims: bool = False):
@@ -63,22 +76,46 @@ def max_abs(x: np.ndarray, axis=None, keepdims: bool = False):
 
 
 def _quantize_into(
-    proj: QuantizedLinear,
+    spec: QuantSpec,
     x: np.ndarray,
     scale_max_abs,
     plan: ExecutionPlan,
-    name: str,
     backend=None,
 ) -> np.ndarray:
-    """Fake-quantized activations of *x* in a reused float32 buffer."""
-    x_q = plan.buffer(f"{name}.xq", x.shape, FLOAT_DTYPE)
+    """Fake-quantized activations of *x* in the shared ``proj.xq`` buffer.
+
+    ``scale_max_abs`` is a scalar, or broadcasts against ``x`` with a
+    trailing axis of one (per-image ``(B, 1, 1)``, per-row ``(rows, 1)``).
+    The divide → round → clip → rescale chain runs in row blocks through
+    the ``quant.q64`` scratch; every step is elementwise, so the result is
+    bit-identical to the one-shot chain of
+    :func:`repro.quant.quantizer.fake_quantize`.
+    """
+    x_q = plan.buffer("proj.xq", x.shape, FLOAT_DTYPE)
     fq_into = getattr(backend, "fake_quantize_into", None)
     if fq_into is not None:
-        result = fq_into(x, proj.activation_spec, scale_max_abs, x_q)
+        result = fq_into(x, spec, scale_max_abs, x_q)
         if result is not None:
             return result
-    scratch = plan.buffer(f"{name}.q64", x.shape, np.float64)
-    fake_quantize(x, proj.activation_spec, max_abs=scale_max_abs, out=x_q, scratch=scratch)
+    scale = compute_scale(x, spec, max_abs=scale_max_abs)
+    # A 0-d scale stays the exact operand of the one-shot chain; any other
+    # layout becomes one scale per row.
+    scalar = np.ndim(scale) == 0
+    if not scalar:
+        scale = np.broadcast_to(scale, x.shape[:-1] + (1,)).reshape(-1, 1)
+    width = x.shape[-1]
+    rows = x.reshape(-1, width)
+    out = x_q.reshape(-1, width)
+    step = max(1, QUANT_SCRATCH_BYTES // (8 * width))
+    scratch = plan.buffer("quant.q64", (min(step, rows.shape[0]), width), np.float64)
+    for lo in range(0, rows.shape[0], step):
+        hi = min(lo + step, rows.shape[0])
+        s = scratch[: hi - lo]
+        block_scale = scale if scalar else scale[lo:hi]
+        np.divide(rows[lo:hi], block_scale, out=s)
+        np.round(s, out=s)
+        np.clip(s, spec.qmin, spec.qmax, out=s)
+        np.multiply(s, block_scale, out=out[lo:hi], casting="unsafe")
     return x_q
 
 
@@ -91,74 +128,77 @@ def _matmul_bias_into(
     return out
 
 
-def _full_array_scale(proj: QuantizedLinear, x: np.ndarray):
-    """The dynamic activation scale :meth:`QuantizedLinear.forward` derives.
-
-    ``None`` signals an unsupported (per-channel) configuration — the caller
-    falls back to the module method.
-    """
-    if proj.activation_max_abs is not None:
-        return proj.activation_max_abs
-    if proj.activation_spec.per_channel:
+def _input_key(proj: Linear | QuantizedLinear):
+    """What a projection's matmul input depends on besides ``x``: two
+    projections with equal keys read the identical (gathered, quantized)
+    input.  ``None`` marks a per-channel dynamic spec, which runs through
+    the module's own method."""
+    if not isinstance(proj, QuantizedLinear):
+        return ("float",)
+    if proj.activation_spec.per_channel and proj.activation_max_abs is None:
         return None
-    return max_abs(x)
+    return ("quantized", proj.activation_spec, proj.activation_max_abs)
 
 
-def project_batched_into(
+def _matmul_input(
     proj: Linear | QuantizedLinear,
     x: np.ndarray,
+    rows: np.ndarray | None,
     plan: ExecutionPlan,
-    name: str,
     backend=None,
 ) -> np.ndarray:
-    """``proj.forward_batched(x)`` / ``proj(x)`` into a plan buffer.
-
-    Dynamic activation quantization stays *per image* (one scale per batch
-    element, exactly the scales :meth:`QuantizedLinear.forward_batched`
-    derives).
-    """
-    out = plan.buffer(f"{name}.out", x.shape[:-1] + (proj.out_features,), FLOAT_DTYPE)
-    if isinstance(proj, QuantizedLinear):
-        if proj.activation_spec.per_channel and proj.activation_max_abs is None:
-            out[...] = proj.forward_batched(x)
-            return out
-        scale = proj.activation_max_abs
-        if scale is None:
-            reduce_axes = tuple(range(1, x.ndim))
-            scale = max_abs(x, axis=reduce_axes, keepdims=True)
-        x_q = _quantize_into(proj, x, scale, plan, name, backend=backend)
-        return _matmul_bias_into(proj.quantized_weight, proj.inner.bias, x_q, out)
-    return _matmul_bias_into(proj.weight, proj.bias, x, out)
+    """The (gathered, fake-quantized) matmul input of *proj* for ``x``."""
+    x_in = x if rows is None else plan.take("proj.rows", x.reshape(-1, x.shape[-1]), rows)
+    if not isinstance(proj, QuantizedLinear):
+        return x_in
+    scale = proj.activation_max_abs
+    if scale is None:  # dynamic: one scale per image, as forward_batched
+        if rows is None:
+            scale = max_abs(x, axis=tuple(range(1, x.ndim)), keepdims=True)
+        else:
+            image = np.asarray(rows, dtype=np.int64) // x.shape[1]
+            scale = max_abs(x, axis=(1, 2))[image][:, None]
+    return _quantize_into(proj.activation_spec, x_in, scale, plan, backend=backend)
 
 
-def project_rows_batched_into(
-    proj: Linear | QuantizedLinear,
+def project_into(
+    projs: Sequence[Linear | QuantizedLinear],
     x: np.ndarray,
-    flat_rows: np.ndarray,
     plan: ExecutionPlan,
-    name: str,
+    names: Sequence[str],
+    rows: np.ndarray | None = None,
     backend=None,
-) -> np.ndarray:
-    """``proj.forward_rows_batched(x, flat_rows)`` into a plan buffer.
+) -> list[np.ndarray]:
+    """Each ``proj.forward_batched(x)`` (``proj(x)`` unquantized), into the
+    plan buffer ``{name}.out``.
 
-    ``x`` has shape ``(B, N, D)`` and ``flat_rows`` indexes the flattened
-    ``(B * N)`` row axis; each selected row is quantized with the dynamic
-    scale of its own image, exactly as the module method does.
+    ``x`` has shape ``(B, N, D)``.  With ``rows`` — indices into the
+    flattened ``(B * N)`` row axis — only those rows are projected, as
+    ``proj.forward_rows_batched(x, rows)``: each selected row is quantized
+    with the dynamic scale of its own image.  Dynamic activation
+    quantization always stays per image (one scale per batch element,
+    exactly the scales :meth:`QuantizedLinear.forward_batched` derives).
+
+    Consecutive projections whose matmul input is the same — unquantized,
+    or quantized with the same activation spec and calibrated range — share
+    one gather and one quantization.
     """
-    batch, n_rows = x.shape[0], x.shape[1]
-    flat = x.reshape(batch * n_rows, x.shape[-1])
-    out = plan.buffer(f"{name}.out", (flat_rows.shape[0], proj.out_features), FLOAT_DTYPE)
-    if isinstance(proj, QuantizedLinear):
-        if proj.activation_spec.per_channel and proj.activation_max_abs is None:
-            out[...] = proj.forward_rows_batched(x, flat_rows)  # gathers internally
-            return out
-        scale = proj.activation_max_abs
-        if scale is None:
-            image = np.asarray(flat_rows, dtype=np.int64) // n_rows
-            per_image = max_abs(x, axis=(1, 2))  # (B,)
-            scale = per_image[image][:, None]
-        x_rows = plan.take(f"{name}.rows", flat, flat_rows, axis=0)
-        x_q = _quantize_into(proj, x_rows, scale, plan, name, backend=backend)
-        return _matmul_bias_into(proj.quantized_weight, proj.inner.bias, x_q, out)
-    x_rows = plan.take(f"{name}.rows", flat, flat_rows, axis=0)
-    return _matmul_bias_into(proj.weight, proj.bias, x_rows, out)
+    lead = x.shape[:-1] if rows is None else (rows.shape[0],)
+    outs = []
+    shared_key, shared = None, None
+    for proj, name in zip(projs, names, strict=True):
+        out = plan.buffer(f"{name}.out", lead + (proj.out_features,), FLOAT_DTYPE)
+        key = _input_key(proj)
+        if key is None:
+            out[...] = (
+                proj.forward_batched(x) if rows is None else proj.forward_rows_batched(x, rows)
+            )
+        else:
+            if shared is None or key != shared_key:
+                shared, shared_key = _matmul_input(proj, x, rows, plan, backend), key
+            if isinstance(proj, QuantizedLinear):
+                _matmul_bias_into(proj.quantized_weight, proj.inner.bias, shared, out)
+            else:
+                _matmul_bias_into(proj.weight, proj.bias, shared, out)
+        outs.append(out)
+    return outs

@@ -16,6 +16,19 @@ Usage and lifetime rules
   ``shape``.  The *content* of a named buffer stays valid only until the next
   ``buffer()`` request with the same name — a name identifies one logical
   intermediate of the execution, not a storage slot to hold on to.
+* A name is either **one logical intermediate** (``value``, ``offsets``,
+  ``stream0``: its content is read after the helper that wrote it returns)
+  or **one transient scratch role** (``proj.rows``, ``proj.xq``,
+  ``quant.q64``, ``ffn.hidden``: its content is dead when the requesting
+  helper returns).  Every call site of a transient role shares the one
+  name, so the arena holds each role once, at its largest live size — not
+  once per call site.  Two arrays that are live at the same time must
+  never share a name.
+* A transient role that a loop can serve in pieces is sized to one piece:
+  the float64 quantize scratch holds one row block of
+  :data:`~repro.kernels.fused_ops.QUANT_SCRATCH_BYTES`, the FFN hidden
+  buffer one row block of :data:`~repro.nn.modules.FFN_BLOCK_ROWS`.  The
+  arena then grows with the live working set, not with the image.
 * Buffers grow monotonically: a request larger than the cached capacity
   reallocates (counted in :attr:`grows`), a smaller one reuses the prefix.
   After one warm forward per shape signature the plan is at its high-water
@@ -34,7 +47,27 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ExecutionPlan"]
+__all__ = ["ExecutionPlan", "take_into"]
+
+
+def take_into(
+    source: np.ndarray, indices: np.ndarray, out: np.ndarray, axis: int = 0
+) -> np.ndarray:
+    """``np.take(source, indices, axis, out=out)`` with no hidden copy.
+
+    In its default ``mode="raise"`` NumPy gathers into a temporary and
+    copies it into ``out`` (so a raised error cannot leave ``out`` half
+    written), which costs a full-size allocation on every call.  This
+    checks the bounds first and then gathers with ``mode="clip"``, which
+    writes ``out`` directly.  Every index must lie in ``[0, n)`` for the
+    ``n`` entries along *axis*; anything else — negative indices included —
+    raises :class:`IndexError`.
+    """
+    indices = np.asarray(indices)
+    n = source.shape[axis]
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise IndexError(f"take_into: index out of range [0, {n}) along axis {axis}")
+    return np.take(source, indices, axis=axis, out=out, mode="clip")
 
 
 class ExecutionPlan:
@@ -90,13 +123,13 @@ class ExecutionPlan:
     def take(
         self, name: str, source: np.ndarray, indices: np.ndarray, axis: int = 0
     ) -> np.ndarray:
-        """``np.take(source, indices, axis)`` gathered into a plan buffer."""
+        """``np.take(source, indices, axis)`` gathered into a plan buffer
+        (bounds-checked, no hidden temporary: see :func:`take_into`)."""
         shape = (
             source.shape[:axis] + np.asarray(indices).shape + source.shape[axis + 1 :]
         )
         out = self.buffer(name, shape, source.dtype)
-        np.take(source, indices, axis=axis, out=out)
-        return out
+        return take_into(source, indices, out, axis=axis)
 
     @property
     def num_buffers(self) -> int:

@@ -137,10 +137,11 @@ class DeformableEncoderLayer(Module):
             rows agree to float32 matmul precision, frozen rows exactly).
         plan:
             Optional :class:`~repro.kernels.ExecutionPlan`.  When given,
-            every stage intermediate (residual adds, the FFN hidden buffer —
-            the largest temporary of the whole block — and the norm outputs)
-            lives in reused arena buffers, bit-identically to the allocating
-            path.
+            every stage intermediate (residual adds, the FFN hidden buffer of
+            one row block, and the norm outputs) lives in reused arena
+            buffers, bit-identically to the allocating path.  The dense and
+            the compact stage use the same buffer names (``ffn.mixed``,
+            ``ffn.src2``, ``ffn.hidden``).
         out:
             Optional destination for the stage output (same shape as ``src``,
             must not alias it) — the encoder runner passes alternating stream
@@ -157,7 +158,8 @@ class DeformableEncoderLayer(Module):
             if plan is not None:
                 mixed = plan.buffer("ffn.mixed", src.shape)
                 src2 = plan.buffer("ffn.src2", src.shape)
-                hidden = plan.buffer("ffn.hidden", src.shape[:-1] + (self.ffn.d_ffn,))
+                hidden_rows = self.ffn.hidden_rows(src.size // src.shape[-1])
+                hidden = plan.buffer("ffn.hidden", (hidden_rows, self.ffn.d_ffn))
                 with kernel_section("norm"):
                     np.add(src, attn_output, out=mixed)
                     self.norm1.forward_into(mixed, src2)
@@ -197,13 +199,15 @@ class DeformableEncoderLayer(Module):
             np.copyto(result, src)
             if kept.size:
                 with kernel_section("norm"):
-                    mixed = plan.take("ffn.rows_mixed", flat_src, kept)
-                    rows_attn = plan.take("ffn.rows_attn", flat_attn, kept)
-                    np.add(mixed, rows_attn, out=mixed)
-                    src2 = plan.buffer("ffn.rows_src2", mixed.shape)
+                    # The dense stage's names, so the first (dense) block's
+                    # buffers serve the compact blocks after it.
+                    mixed = plan.take("ffn.mixed", flat_src, kept)
+                    src2 = plan.take("ffn.src2", flat_attn, kept)  # attn rows
+                    np.add(mixed, src2, out=mixed)
                     self.norm1.forward_into(mixed, src2)
                 with kernel_section("ffn"):
-                    hidden = plan.buffer("ffn.hidden", (kept.size, self.ffn.d_ffn))
+                    hidden_rows = self.ffn.hidden_rows(kept.size)
+                    hidden = plan.buffer("ffn.hidden", (hidden_rows, self.ffn.d_ffn))
                     self.ffn.forward_into(src2, mixed, hidden)  # mixed = ffn_out
                 with kernel_section("norm"):
                     np.add(src2, mixed, out=mixed)

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.kernels.backends import _SPARSE_CONTRIB_BUDGET_BYTES, segment_sum_into
 from repro.kernels.calibration import DispatchThresholds, get_active_profile
-from repro.kernels.plan import ExecutionPlan
+from repro.kernels.plan import ExecutionPlan, take_into
 from repro.kernels.registry import resolve_backend
 from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.shapes import LevelShape, level_start_indices
@@ -938,7 +938,7 @@ def _compact_trace_arrays_fused(
     x = plan.buffer("trace.x", (k,), FLOAT_DTYPE)
     np.multiply(loc[:, 0], size_l, out=x)
     np.subtract(x, 0.5, out=x)
-    np.take(heights, lvl, out=size_l)
+    take_into(heights, lvl, size_l)
     y = plan.buffer("trace.y", (k,), FLOAT_DTYPE)
     np.multiply(loc[:, 1], size_l, out=y)
     np.subtract(y, 0.5, out=y)

@@ -165,8 +165,37 @@ class Sequential(Module):
         return x
 
 
+FFN_BLOCK_ROWS = 1024
+"""Most rows a :class:`FeedForward` pushes through its hidden layer at once.
+Bounds the ``(rows, d_ffn)`` hidden activation at ``FFN_BLOCK_ROWS * d_ffn``
+floats, however many rows the input has."""
+
+
+def ffn_row_blocks(num_rows: int) -> list[tuple[int, int]]:
+    """Balanced ``[lo, hi)`` row blocks of at most :data:`FFN_BLOCK_ROWS`.
+
+    Block sizes differ by at most one row, larger blocks first, so no block
+    is ever a single row unless the input is: a 1-row matmul takes BLAS's
+    matrix-vector path, which rounds differently from the matrix-matrix
+    path every other row count shares.
+    """
+    count = max(1, -(-num_rows // FFN_BLOCK_ROWS))
+    base, extra = divmod(num_rows, count)
+    blocks, lo = [], 0
+    for i in range(count):
+        hi = lo + base + (1 if i < extra else 0)
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
 class FeedForward(Module):
-    """Transformer feed-forward block: ``Linear -> activation -> Linear``."""
+    """Transformer feed-forward block: ``Linear -> activation -> Linear``.
+
+    Both forwards run the rows in the blocks of :func:`ffn_row_blocks`, so
+    the hidden activation never exceeds :data:`FFN_BLOCK_ROWS` rows and the
+    allocating and buffered paths issue the same matmuls.
+    """
 
     def __init__(
         self,
@@ -188,27 +217,44 @@ class FeedForward(Module):
             raise ValueError(f"unknown activation {activation!r}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.linear2(self.activation(self.linear1(x)))
+        x = np.asarray(x, dtype=FLOAT_DTYPE)
+        rows = x.reshape(-1, x.shape[-1])
+        out = np.empty((rows.shape[0], self.d_model), dtype=FLOAT_DTYPE)
+        for lo, hi in ffn_row_blocks(rows.shape[0]):
+            out[lo:hi] = self.linear2(self.activation(self.linear1(rows[lo:hi])))
+        return out.reshape(x.shape[:-1] + (self.d_model,))
+
+    def hidden_rows(self, num_rows: int) -> int:
+        """Rows the ``hidden`` buffer of :meth:`forward_into` needs for an
+        input of *num_rows* rows: its largest row block."""
+        lo, hi = ffn_row_blocks(num_rows)[0]
+        return hi - lo
 
     def forward_into(
         self, x: np.ndarray, out: np.ndarray, hidden: np.ndarray
     ) -> np.ndarray:
         """:meth:`forward` through caller-provided buffers.
 
-        ``hidden`` holds the ``(..., d_ffn)`` post-activation intermediate
-        (the largest FFN temporary), ``out`` the ``(..., d_model)`` result;
-        neither may alias ``x``.  Only the ReLU activation supports the
-        in-place path (GELU's tanh chain is not expressible as one in-place
-        ufunc), so GELU configurations fall back to :meth:`forward` for the
-        activation while keeping the buffered matmuls.  Bit-identical to
-        :meth:`forward` either way.
+        ``hidden`` is a ``(hidden_rows(n), d_ffn)`` scratch for the
+        post-activation intermediate of one row block, ``out`` the
+        ``(..., d_model)`` result; neither may alias ``x``.  Only the ReLU
+        activation supports the in-place path (GELU's tanh chain is not
+        expressible as one in-place ufunc), so GELU configurations fall back
+        to :meth:`forward`'s activation while keeping the buffered matmuls.
+        Bit-identical to :meth:`forward` either way.
         """
-        self.linear1.forward_into(x, hidden)
-        if isinstance(self.activation, ReLU):
-            np.maximum(hidden, 0.0, out=hidden)
-        else:
-            hidden = self.activation(hidden)
-        return self.linear2.forward_into(hidden, out)
+        if not out.flags.c_contiguous:
+            raise ValueError("FeedForward.forward_into: out must be C-contiguous")
+        rows = x.reshape(-1, x.shape[-1])
+        out_rows = out.reshape(-1, self.d_model)
+        for lo, hi in ffn_row_blocks(rows.shape[0]):
+            h = self.linear1.forward_into(rows[lo:hi], hidden[: hi - lo])
+            if isinstance(self.activation, ReLU):
+                np.maximum(h, 0.0, out=h)
+            else:
+                h = self.activation(h)
+            self.linear2.forward_into(h, out_rows[lo:hi])
+        return out
 
     def flops(self, num_rows: int) -> int:
         """FLOPs of both projections for *num_rows* tokens."""

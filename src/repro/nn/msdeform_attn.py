@@ -211,15 +211,23 @@ class MSDeformAttn(Module):
         """
         if len(spatial_shapes) != self.num_levels:
             raise ValueError("spatial_shapes length must equal num_levels")
+        n_h, n_l, n_p = sampling_offsets.shape[-4:-1]
+        # Both operands are laid out to match the offsets' trailing axes, so
+        # NumPy runs long contiguous inner loops instead of broadcasting
+        # length-2 ones: the normalizer as a (N_h, N_l, N_p, 2) block, the
+        # reference points repeated over the points (broadcast over heads).
         normalizer = np.array(
             [[s.width, s.height] for s in spatial_shapes], dtype=FLOAT_DTYPE
         )  # (N_l, 2)
+        normalizer = np.ascontiguousarray(
+            np.broadcast_to(normalizer[:, None, :], (n_h, n_l, n_p, 2))
+        )
         ref = np.asarray(reference_points, dtype=FLOAT_DTYPE)
-        # Insert the head and point axes: (..., N_q, N_l, 2) -> (..., N_q, 1, N_l, 1, 2).
-        ref = ref[..., :, None, :, None, :]
+        # (..., N_q, N_l, 2) -> (..., N_q, 1, N_l, N_p, 2).
+        ref = np.repeat(ref[..., :, None, :, None, :], n_p, axis=-2)
         if out is None:
-            return ref + sampling_offsets / normalizer[:, None, :]
-        np.divide(sampling_offsets, normalizer[:, None, :], out=out)
+            return ref + sampling_offsets / normalizer
+        np.divide(sampling_offsets, normalizer, out=out)
         np.add(ref, out, out=out)
         return out
 

@@ -322,6 +322,15 @@ class TestRangeNarrowing:
         assert clamped[..., 0, :, 0].max() == pytest.approx(2.0)
         assert clamped[..., 1, :, 1].min() == pytest.approx(-1.0)
 
+    def test_clamp_bitwise_matches_broadcast_clip(self):
+        narrowing = RangeNarrowing((2.0, 1.5, 0.5))
+        rng = np.random.default_rng(3)
+        offsets = (rng.standard_normal((2, 7, 4, 3, 2, 2)) * 3).astype(np.float32)
+        ranges = np.asarray(narrowing.level_ranges, dtype=np.float32)[:, None, None]
+        expected = np.clip(offsets, -ranges, ranges)
+        assert np.array_equal(expected, narrowing.clamp_offsets(offsets))
+        assert np.array_equal(expected, narrowing.clamp_offsets_inplace(offsets))
+
     def test_clipping_fraction(self):
         narrowing = RangeNarrowing((1.0,))
         offsets = np.array([[[[[0.5, 2.0]]]]], dtype=np.float32)

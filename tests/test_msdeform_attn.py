@@ -80,6 +80,24 @@ class TestMSDeformAttn:
         expected = ref[:, None, :, None, :] + offsets / normalizer[None, None, :, None, :]
         assert np.allclose(locs, expected, atol=1e-5)
 
+    @pytest.mark.parametrize("per_image_refs", [False, True])
+    def test_sampling_locations_bitwise_match_broadcast_formula(
+        self, tiny_attn, tiny_shapes, tiny_inputs, per_image_refs
+    ):
+        """The contiguous-operand layout changes no bits, batched and
+        written in place over the offsets alike."""
+        query, ref, _ = tiny_inputs
+        offsets = tiny_attn.project_sampling_offsets(np.stack([query, query * 0.5]))
+        if per_image_refs:
+            ref = np.stack([ref, ref[::-1]])
+        normalizer = np.array([[s.width, s.height] for s in tiny_shapes], dtype=np.float32)
+        expected = ref[..., :, None, :, None, :] + offsets / normalizer[:, None, :]
+        got = tiny_attn.compute_sampling_locations(ref, offsets, tiny_shapes)
+        assert np.array_equal(expected.view(np.uint32), got.view(np.uint32))
+        in_place = tiny_attn.compute_sampling_locations(ref, offsets, tiny_shapes, out=offsets)
+        assert in_place is offsets
+        assert np.array_equal(expected.view(np.uint32), in_place.view(np.uint32))
+
     def test_wrong_value_length_raises(self, tiny_attn, tiny_shapes, tiny_inputs):
         query, ref, value = tiny_inputs
         with pytest.raises(ValueError):

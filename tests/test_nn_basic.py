@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.attention import MultiHeadAttention
-from repro.nn.modules import FeedForward, GELU, LayerNorm, Linear, Module, ReLU, Sequential
+from repro.nn.modules import (
+    FFN_BLOCK_ROWS,
+    FeedForward,
+    GELU,
+    LayerNorm,
+    Linear,
+    Module,
+    ReLU,
+    Sequential,
+    ffn_row_blocks,
+)
 from repro.nn.tensor_utils import (
     cosine_similarity,
     gelu,
@@ -126,6 +136,38 @@ class TestModules:
     def test_feedforward_unknown_activation(self):
         with pytest.raises(ValueError):
             FeedForward(8, 8, activation="swish")
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1023, 1024, 1025, 2049, 5000])
+    def test_ffn_row_blocks_are_balanced_and_never_single_rows(self, n):
+        blocks = ffn_row_blocks(n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert max(sizes) <= FFN_BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+        if n >= 2:
+            assert min(sizes) >= 2
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, FFN_BLOCK_ROWS - 1, FFN_BLOCK_ROWS, FFN_BLOCK_ROWS + 1, 2 * FFN_BLOCK_ROWS + 1],
+    )
+    def test_blocked_forward_matches_forward_into(self, n, activation):
+        ffn = FeedForward(16, 48, activation=activation, rng=0)
+        x = np.random.default_rng(n).standard_normal((n, 16)).astype(np.float32)
+        expected = ffn.forward(x)
+        out = np.empty_like(expected)
+        hidden = np.empty((ffn.hidden_rows(n), 48), np.float32)
+        assert hidden.shape[0] <= FFN_BLOCK_ROWS
+        got = ffn.forward_into(x, out, hidden)
+        assert np.array_equal(expected.view(np.uint32), got.view(np.uint32))
+
+    def test_forward_into_rejects_non_contiguous_out(self):
+        ffn = FeedForward(8, 16, rng=0)
+        x = np.ones((4, 8), np.float32)
+        out = np.empty((4, 16), np.float32)[:, ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            ffn.forward_into(x, out, np.empty((4, 16), np.float32))
 
     def test_named_parameters_discovery(self):
         ffn = FeedForward(8, 16, rng=0)
