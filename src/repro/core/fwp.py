@@ -65,60 +65,34 @@ def compute_fmap_mask(
     frequency: np.ndarray,
     spatial_shapes: list[LevelShape],
     k: float,
-) -> FWPResult:
-    """Compute the FWP fmap mask from a sampled-frequency array.
+) -> FWPResult | list[FWPResult]:
+    """Compute the FWP fmap masks from sampled-frequency arrays.
 
     Parameters
     ----------
     frequency:
-        Flat ``(N_in,)`` sampled-frequency array of the current block.
+        ``(B, N_in)`` sampled frequencies of the current block, one row per
+        image; a single image's flat ``(N_in,)`` array runs as a ``B = 1``
+        batch.
     spatial_shapes:
         Pyramid level shapes.
     k:
-        Threshold factor of Eq. 2.  ``k = 0`` keeps every pixel that was
-        accessed at least once is *not* guaranteed — the threshold is
-        ``k * mean`` so ``k = 0`` keeps all pixels.
+        Threshold factor of Eq. 2.  The threshold of a level is ``k`` times
+        its mean frequency, so ``k = 0`` keeps every pixel, including pixels
+        that were never accessed.
 
     Returns
     -------
-    :class:`FWPResult` with the keep-mask and per-level statistics.
+    One :class:`FWPResult` per image (a list), or the single
+    :class:`FWPResult` of a flat input.  The per-level statistics are
+    computed vectorized across the batch.
     """
     frequency = np.asarray(frequency, dtype=np.float64)
-    n_in = total_pixels(spatial_shapes)
-    if frequency.shape != (n_in,):
-        raise ValueError(f"frequency must have shape ({n_in},), got {frequency.shape}")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-
-    starts = level_start_indices(spatial_shapes)
-    mask = np.ones(n_in, dtype=bool)
-    thresholds = np.zeros(len(spatial_shapes), dtype=np.float64)
-    keep_fractions = np.zeros(len(spatial_shapes), dtype=np.float64)
-    for lvl, shape in enumerate(spatial_shapes):
-        sl = slice(starts[lvl], starts[lvl] + shape.num_pixels)
-        level_freq = frequency[sl]
-        threshold = k * level_freq.mean()
-        keep = level_freq >= threshold
-        mask[sl] = keep
-        thresholds[lvl] = threshold
-        keep_fractions[lvl] = float(np.mean(keep))
-    return FWPResult(fmap_mask=mask, thresholds=thresholds, level_keep_fractions=keep_fractions)
-
-
-def compute_fmap_mask_batched(
-    frequency: np.ndarray,
-    spatial_shapes: list[LevelShape],
-    k: float,
-) -> list[FWPResult]:
-    """Per-image FWP masks for a batch of frequency arrays.
-
-    ``frequency`` has shape ``(B, N_in)``; the result list matches calling
-    :func:`compute_fmap_mask` on every row (identical thresholds and masks),
-    with the per-level statistics computed vectorized across the batch.
-    """
-    frequency = np.asarray(frequency, dtype=np.float64)
-    if frequency.ndim != 2:
-        raise ValueError("frequency must have shape (B, N_in)")
+    if frequency.ndim not in (1, 2):
+        raise ValueError("frequency must have shape (N_in,) or (B, N_in)")
+    single = frequency.ndim == 1
+    if single:
+        frequency = frequency[None]
     batch = frequency.shape[0]
     n_in = total_pixels(spatial_shapes)
     if frequency.shape[1] != n_in:
@@ -139,7 +113,7 @@ def compute_fmap_mask_batched(
         masks[:, sl] = keep
         thresholds[:, lvl] = level_thresholds
         keep_fractions[:, lvl] = np.mean(keep, axis=1)
-    return [
+    results = [
         FWPResult(
             fmap_mask=masks[b],
             thresholds=thresholds[b],
@@ -147,6 +121,7 @@ def compute_fmap_mask_batched(
         )
         for b in range(batch)
     ]
+    return results[0] if single else results
 
 
 def normalize_mask(mask: np.ndarray | None) -> np.ndarray | None:

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.core.config import DEFAConfig
 from repro.core.flops import FlopsBreakdown, msdeform_attn_flops
-from repro.core.fwp import FWPResult, compute_fmap_mask_batched, normalize_mask
+from repro.core.fwp import FWPResult, compute_fmap_mask, normalize_mask
 from repro.kernels import (
     DispatchThresholds,
     ExecutionOptions,
@@ -62,19 +62,15 @@ from repro.kernels import (
 from repro.kernels.fused_ops import project_into
 from repro.core.pap import PAPResult, compute_point_mask
 from repro.core.range_narrowing import RangeNarrowing
-from repro.core.sampling_stats import (
-    sampled_frequency_batched,
-    sampled_frequency_compact_batched,
-)
+from repro.core.sampling_stats import sampled_frequency, sampled_frequency_compact
 from repro.nn.grid_sample import (
     SPARSE_MODES,
     CompactSamplingTrace,
     SamplingTrace,
     ms_deform_attn_from_compact_trace,
-    ms_deform_attn_from_trace_batched,
+    ms_deform_attn_from_trace,
     multi_scale_neighbors,
-    multi_scale_neighbors_batched,
-    multi_scale_neighbors_sparse_batched,
+    multi_scale_neighbors_sparse,
     use_sparse_gather,
 )
 from repro.nn.modules import Linear
@@ -817,12 +813,11 @@ class DEFAAttention:
             effective_masks,
             point_masks[0].size * 4,  # per-image slots: keep batched == single
             self.sparse_mode,
-            batched=True,
             thresholds=self._thresholds(backend),
         )
         if sparse_gather:
             with kernel_section("neighbors"):
-                trace = multi_scale_neighbors_sparse_batched(
+                trace = multi_scale_neighbors_sparse(
                     spatial_shapes, locations, point_mask=effective_masks, plan=plan
                 )
             head_outputs = ms_deform_attn_from_compact_trace(
@@ -830,18 +825,18 @@ class DEFAAttention:
             )
         else:
             with kernel_section("neighbors"):
-                trace = multi_scale_neighbors_batched(spatial_shapes, locations)
-            head_outputs = ms_deform_attn_from_trace_batched(
+                trace = multi_scale_neighbors(spatial_shapes, locations)
+            head_outputs = ms_deform_attn_from_trace(
                 value, trace, attn_weights, point_mask=point_masks
             )
         image_traces = trace.images()
         with kernel_section("fwp"):
             if self.config.enable_fwp:
                 if sparse_gather:
-                    frequency = sampled_frequency_compact_batched(trace)
+                    frequency = sampled_frequency_compact(trace)
                 else:
-                    frequency = sampled_frequency_batched(trace, point_mask=point_masks)
-                fwps = compute_fmap_mask_batched(frequency, spatial_shapes, self.config.fwp_k)
+                    frequency = sampled_frequency(trace, point_mask=point_masks)
+                fwps = compute_fmap_mask(frequency, spatial_shapes, self.config.fwp_k)
             else:
                 fwps = [
                     FWPResult(

@@ -3,9 +3,8 @@
 FWP (Sec. 3.1) is driven by how often every fmap pixel is touched by bilinear
 interpolation within one MSDeformAttn block: each of the four neighbours of a
 (kept) sampling point counts one access.  This module computes that frequency
-map from a :class:`~repro.nn.grid_sample.SamplingTrace` and provides the
-distribution statistics quoted by the paper (a small fraction of pixels
-receives most of the accesses).
+map from a sampling trace and provides the distribution statistics quoted by
+the paper (a small fraction of pixels receives most of the accesses).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from repro.utils.shapes import LevelShape, level_start_indices, total_pixels
 
 
 def sampled_frequency(
-    trace: SamplingTrace,
+    trace: SamplingTrace | BatchedSamplingTrace,
     point_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-pixel sampled frequency over the flattened multi-scale token axis.
@@ -27,15 +26,53 @@ def sampled_frequency(
     Parameters
     ----------
     trace:
-        Sampling trace of one MSDeformAttn block.
+        Sampling trace of one MSDeformAttn block: a
+        :class:`~repro.nn.grid_sample.BatchedSamplingTrace`, or a single
+        image's :class:`~repro.nn.grid_sample.SamplingTrace` (counted as a
+        ``B = 1`` batch).
     point_mask:
-        Optional boolean ``(N_q, N_h, N_l, N_p)`` keep-mask (PAP); neighbours
-        of pruned points are not counted, matching the accelerator dataflow in
-        which pruned points are never sampled.
+        Optional boolean ``([B,] N_q, N_h, N_l, N_p)`` keep-mask (PAP);
+        neighbours of pruned points are not counted, matching the accelerator
+        dataflow in which pruned points are never sampled.
 
     Returns
     -------
-    ``int64`` array of length ``N_in`` with the access count of every pixel.
+    ``int64`` access count of every pixel: ``(B, N_in)`` for a batched
+    trace, ``(N_in,)`` for a single image.  One ``np.bincount`` over
+    batch-offset token indices counts the whole batch; the counts are
+    integers, so they equal :func:`sampled_frequency_reference` exactly.
+    """
+    single = isinstance(trace, SamplingTrace)
+    if single:
+        trace = trace.as_batch()
+    n_in = total_pixels(trace.spatial_shapes)
+    batch = trace.batch_size
+    valid = trace.valid
+    if point_mask is not None:
+        point_mask = np.asarray(point_mask, dtype=bool)
+        expected = valid.shape[1:-1] if single else valid.shape[:-1]
+        if point_mask.shape != expected:
+            raise ValueError("point_mask shape must match trace points")
+        if single:
+            point_mask = point_mask[None]
+        valid = valid & point_mask[..., None]
+    offsets = (np.arange(batch, dtype=np.int64) * n_in).reshape(
+        (batch,) + (1,) * (trace.flat_indices.ndim - 1)
+    )
+    indices = (trace.flat_indices + offsets)[valid]
+    counts = np.bincount(indices, minlength=batch * n_in)
+    counts = counts.reshape(batch, n_in).astype(np.int64)
+    return counts[0] if single else counts
+
+
+def sampled_frequency_reference(
+    trace: SamplingTrace,
+    point_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """``np.add.at`` oracle of :func:`sampled_frequency` for one image.
+
+    Counts every in-bounds neighbour of every kept point one access at a
+    time; the tests check each image of a batched count against it.
     """
     n_in = total_pixels(trace.spatial_shapes)
     freq = np.zeros(n_in, dtype=np.int64)
@@ -45,61 +82,22 @@ def sampled_frequency(
         if point_mask.shape != trace.valid.shape[:-1]:
             raise ValueError("point_mask shape must match trace points")
         valid = valid & point_mask[..., None]
-    indices = trace.flat_indices[valid]
-    np.add.at(freq, indices, 1)
+    np.add.at(freq, trace.flat_indices[valid], 1)
     return freq
 
 
-def sampled_frequency_batched(
-    trace: BatchedSamplingTrace,
-    point_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-image sampled frequencies of a whole batch, shape ``(B, N_in)``.
-
-    Equivalent to calling :func:`sampled_frequency` on every
-    ``trace.image(b)`` but computed with a single ``np.bincount`` over
-    batch-offset token indices — much faster than one ``np.add.at`` per
-    image (the counts are integers, so the results are exactly equal).
-    """
-    n_in = total_pixels(trace.spatial_shapes)
-    batch = trace.batch_size
-    valid = trace.valid
-    if point_mask is not None:
-        point_mask = np.asarray(point_mask, dtype=bool)
-        if point_mask.shape != valid.shape[:-1]:
-            raise ValueError("point_mask shape must match trace points")
-        valid = valid & point_mask[..., None]
-    offsets = (np.arange(batch, dtype=np.int64) * n_in).reshape(
-        (batch,) + (1,) * (trace.flat_indices.ndim - 1)
-    )
-    indices = (trace.flat_indices + offsets)[valid]
-    counts = np.bincount(indices, minlength=batch * n_in)
-    return counts.reshape(batch, n_in).astype(np.int64)
-
-
 def sampled_frequency_compact(trace: CompactSamplingTrace) -> np.ndarray:
-    """Per-pixel sampled frequency from a single-image compacted trace.
+    """Per-image sampled frequencies from a compacted trace, ``(B, N_in)``.
 
-    The PAP/query mask is already folded into the trace (only kept points
-    carry rows), so there is no ``point_mask`` argument.  The counts equal
-    :func:`sampled_frequency` on the dense trace with the same mask exactly
-    (both count the in-bounds neighbours of the kept points).
-    """
-    if trace.batch_size != 1:
-        raise ValueError("use sampled_frequency_compact_batched for batched traces")
-    n_in = total_pixels(trace.spatial_shapes)
-    indices = trace.flat_indices[trace.valid]
-    return np.bincount(indices, minlength=n_in).astype(np.int64)
-
-
-def sampled_frequency_compact_batched(trace: CompactSamplingTrace) -> np.ndarray:
-    """Per-image sampled frequencies from a batched compacted trace, ``(B, N_in)``.
-
-    Exactly equal to :func:`sampled_frequency_compact` on every
-    ``trace.image(b)``.  ``kept`` is sorted, so each image's rows form one
-    contiguous slice (two binary searches per image); one ``np.bincount``
-    per slice then avoids materialising batch-offset index arrays, which
-    keeps a ``B = 1`` batch as cheap as the single-image count.
+    A compacted trace always carries its batch axis (``B = 1`` for one
+    image), and so does its count.  The PAP/query mask is already folded
+    into the trace (only kept points carry rows), so there is no
+    ``point_mask`` argument; row ``b`` equals :func:`sampled_frequency` on
+    the dense trace of image ``b`` with the same mask exactly (both count
+    the in-bounds neighbours of the kept points).  ``kept`` is sorted, so
+    each image's rows form one contiguous slice (two binary searches per
+    image); one ``np.bincount`` per slice then avoids materialising
+    batch-offset index arrays.
     """
     n_in = total_pixels(trace.spatial_shapes)
     batch = trace.batch_size

@@ -119,27 +119,13 @@ class FusedBackend:
     gather order, the weight-combine order and the reduceat groupings are
     the same — only the memory traffic differs (precomputed whole-trace
     gather indices, in-place weight combine, ``np.take``/``np.einsum`` with
-    ``out=`` into plan buffers instead of fresh temporaries).
+    ``out=`` into plan buffers instead of fresh temporaries).  A plan-less
+    call runs on a fresh :class:`ExecutionPlan`, so its output never
+    aliases another call's.
     """
 
     name = "fused"
     fused = True
-
-    _SCRATCH_RETENTION_BYTES = 1 << 20
-
-    def __init__(self) -> None:
-        # Internal-buffer scratch for plan-less calls (operator-level use,
-        # tests, the dense first block): reusing it across calls keeps the
-        # fused kernel allocation-free at any call site where it matters —
-        # small inputs, where per-call allocation overhead dominates.  Only
-        # buffers that never escape this method may live here — the output
-        # is allocated fresh when no caller plan owns it, so results of
-        # consecutive stand-alone calls never alias each other.  The
-        # retention cap keeps this process-lifetime singleton from pinning a
-        # one-off large workload's scratch forever: over-cap requests are
-        # served fresh (the reference backend's cost profile, where the
-        # per-call overhead is negligible anyway).
-        self._scratch = ExecutionPlan(max_buffer_bytes=self._SCRATCH_RETENTION_BYTES)
 
     def compact_gather_aggregate(
         self,
@@ -153,33 +139,31 @@ class FusedBackend:
         n_h = trace.num_heads
         n_q, batch = trace.num_queries, trace.batch_size
         k = trace.num_kept
-        internal = plan if plan is not None else self._scratch
+        if plan is None:
+            plan = ExecutionPlan()
 
         with kernel_section("gather"):
             seg_all = trace.segments()
-            head = internal.buffer("msgs.head", (k,), np.int64)
+            head = plan.buffer("msgs.head", (k,), np.int64)
             np.mod(seg_all, n_h, out=head)
             # Flattened neighbour gather indices, once per trace (the
             # reference kernel rebuilds this per chunk from the segment ids):
             # ((image * N_in) + token) * N_h + head.
-            gidx = internal.buffer("msgs.gather_idx", (k, 4), np.int64)
+            gidx = plan.buffer("msgs.gather_idx", (k, 4), np.int64)
             np.maximum(trace.flat_indices, 0, out=gidx)  # clamp -1 (weight is 0)
             if batch > 1:
-                image = internal.buffer("msgs.image", (k,), np.int64)
+                image = plan.buffer("msgs.image", (k,), np.int64)
                 np.floor_divide(seg_all, n_q * n_h, out=image)
                 np.multiply(image, n_in, out=image)
                 gidx += image[:, None]
             np.multiply(gidx, n_h, out=gidx)
             gidx += head[:, None]
 
-        if plan is not None:
-            output = plan.zeros("msgs.out", (batch * n_q * n_h, d_h), FLOAT_DTYPE)
-        else:  # escapes to the caller: must not live in the shared scratch
-            output = np.zeros((batch * n_q * n_h, d_h), dtype=FLOAT_DTYPE)
+        output = plan.zeros("msgs.out", (batch * n_q * n_h, d_h), FLOAT_DTYPE)
         chunk = max(1, _SPARSE_CONTRIB_BUDGET_BYTES // (4 * 4 * max(d_h, 1)))
-        gathered = internal.buffer("msgs.gathered", (min(chunk, max(k, 1)), 4, d_h))
-        w4 = internal.buffer("msgs.w4", (min(chunk, max(k, 1)), 4))
-        contrib = internal.buffer("msgs.contrib", (min(chunk, max(k, 1)), d_h))
+        gathered = plan.buffer("msgs.gathered", (min(chunk, max(k, 1)), 4, d_h))
+        w4 = plan.buffer("msgs.w4", (min(chunk, max(k, 1)), 4))
+        contrib = plan.buffer("msgs.contrib", (min(chunk, max(k, 1)), d_h))
         for lo in range(0, k, chunk):
             hi = min(lo + chunk, k)
             n = hi - lo

@@ -520,10 +520,11 @@ def _sweep_point_gather(
         side = max(2, int(np.ceil(np.sqrt(n_q / grid.num_levels))))
         spatial_shapes = [LevelShape(side, side) for _ in range(grid.num_levels)]
         n_in = sum(s.num_pixels for s in spatial_shapes)
+        # One image as a B = 1 batch, the form every kernel runs on.
         value = rng.standard_normal(
-            (n_in, grid.num_heads, d_head)
+            (1, n_in, grid.num_heads, d_head)
         ).astype(np.float32)
-        points_shape = (n_q, grid.num_heads, grid.num_levels, grid.num_points)
+        points_shape = (1, n_q, grid.num_heads, grid.num_levels, grid.num_points)
         locations = rng.uniform(0.05, 0.95, size=points_shape + (2,)).astype(np.float32)
         weights = rng.uniform(0.0, 1.0, size=points_shape).astype(np.float32)
         slots = int(np.prod(points_shape)) * 4
@@ -717,7 +718,7 @@ def check_reference(path: Path = REFERENCE_PROFILE_PATH) -> list[str]:
                         f"use_sparse_rows dispatch diverged for backend="
                         f"{backend_name} rows={rows} keep={keep}: {expected} != {got}"
                     )
-                point_mask = mask.reshape(rows, 1, 1, 1)
+                point_mask = mask.reshape(1, rows, 1, 1, 1)  # one B = 1 image
                 expected = use_sparse_gather(point_mask, rows * 4, "auto")
                 got = use_sparse_gather(
                     point_mask, rows * 4, "auto", thresholds=thresholds

@@ -144,8 +144,8 @@ class CompiledBackend(FusedBackend):
     """C-kernel variant of the fused backend (same plans, same bits).
 
     Inherits the fused backend's plan/arena conventions (``fused = True``:
-    runners thread :class:`ExecutionPlan` arenas through it, plan-less calls
-    use the internal retention-capped scratch) and overrides the two hot
+    runners thread :class:`ExecutionPlan` arenas through it, a plan-less
+    call gets a fresh plan) and overrides the two hot
     paths with single-pass C kernels.  Steady-state calls perform no
     allocations beyond the same plan buffers the fused backend uses — the C
     scratch rows live in the arena too.
@@ -184,11 +184,9 @@ class CompiledBackend(FusedBackend):
             return super().compact_gather_aggregate(
                 value_flat, trace, attn_flat, n_in, plan=plan
             )
-        internal = plan if plan is not None else self._scratch
-        if plan is not None:
-            output = plan.zeros("msgs.out", (batch * n_q * n_h, d_h), FLOAT_DTYPE)
-        else:  # escapes to the caller: must not live in the shared scratch
-            output = np.zeros((batch * n_q * n_h, d_h), dtype=FLOAT_DTYPE)
+        if plan is None:
+            plan = ExecutionPlan()
+        output = plan.zeros("msgs.out", (batch * n_q * n_h, d_h), FLOAT_DTYPE)
         if k == 0:
             return output
         # Same chunking formula as the numpy backends: shared boundaries mean
@@ -196,8 +194,8 @@ class CompiledBackend(FusedBackend):
         chunk = max(1, _SPARSE_CONTRIB_BUDGET_BYTES // (4 * 4 * max(d_h, 1)))
         points_per_seg = trace.num_levels * trace.num_points
         run_max = max(1, min(points_per_seg, chunk))
-        contrib = internal.buffer("msgs.c_contrib", (run_max, d_h), FLOAT_DTYPE)
-        sums = internal.buffer("msgs.c_sums", (_SUM_SCRATCH_ROWS, d_h), FLOAT_DTYPE)
+        contrib = plan.buffer("msgs.c_contrib", (run_max, d_h), FLOAT_DTYPE)
+        sums = plan.buffer("msgs.c_sums", (_SUM_SCRATCH_ROWS, d_h), FLOAT_DTYPE)
         with kernel_section("aggregate"):  # gather+combine+segsum, one pass
             _LIB.defa_gather_combine_segsum(
                 _ptr(value_flat),

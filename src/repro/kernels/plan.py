@@ -77,21 +77,12 @@ class ExecutionPlan:
     belongs to one runner and one shape signature.
     """
 
-    def __init__(self, max_buffer_bytes: int | None = None) -> None:
+    def __init__(self) -> None:
         self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
-        self.max_buffer_bytes = max_buffer_bytes
-        """Per-buffer retention cap: requests larger than this are served
-        fresh and *not* cached, so a long-lived arena (e.g. the fused
-        backend's plan-less scratch) never pins a one-off large workload's
-        high-water mark for the process lifetime.  ``None`` (the default for
-        runner-owned plans, whose lifetime matches their workload) retains
-        everything."""
-
         self.hits = 0
         """Requests served from an existing buffer without allocating."""
         self.grows = 0
-        """Requests that had to allocate (first use, capacity growth, or an
-        over-cap transient)."""
+        """Requests that had to allocate (first use or capacity growth)."""
 
     def buffer(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         """An uninitialised array of exactly *shape*, reusing cached capacity.
@@ -101,9 +92,6 @@ class ExecutionPlan:
         """
         dt = np.dtype(dtype)
         size = int(np.prod(shape)) if shape else 1
-        if self.max_buffer_bytes is not None and size * dt.itemsize > self.max_buffer_bytes:
-            self.grows += 1
-            return np.empty(shape, dtype=dt)  # transient: never retained
         key = (name, dt)
         flat = self._buffers.get(key)
         if flat is None or flat.size < size:

@@ -1,32 +1,40 @@
 """Bilinear grid-sampling kernels for multi-scale deformable attention.
 
-Three code paths are provided:
+Every kernel has one batch-first body that runs on ``(B, ...)`` arrays.  A
+single-image input (no leading batch axis, or a :class:`SamplingTrace`)
+runs as a ``B = 1`` view of that body and returns the single-image result
+type, so single-image and batched calls share every float operation.
 
-* a vectorized NumPy path used by the NN substrate
-  (:func:`bilinear_sample_level`, :func:`ms_deform_attn_core`),
+The code paths are:
+
+* the dense kernels (:func:`ms_deform_attn_core`,
+  :func:`ms_deform_attn_from_trace`): one flat gather of every neighbour of
+  every point; PAP pruning multiplies pruned points by zero,
 * an index-level path (:func:`bilinear_neighbors`,
   :func:`multi_scale_neighbors`) that exposes the integer neighbour pixels and
   interpolation weights of every sampling point.  The index-level path is what
   FWP frequency counting, the bank-conflict simulator and the fmap-reuse
   tracker consume — it corresponds to the memory accesses the accelerator
-  actually performs, and
+  actually performs,
 * a *sparse* path (:func:`ms_deform_attn_core_sparse`,
-  :func:`ms_deform_attn_sparse_from_trace` and their batched variants) that
-  compacts the PAP point mask **before** the bilinear gather: surviving
-  points are gathered into a dense ``(N_kept, ...)`` work set, only their
-  neighbours are fetched from the value array, and the contributions are
-  accumulated back into the per-(query, head) outputs with a segment sum.
-  This is the software analogue of the accelerator skipping pruned points
-  entirely — it turns the pruning ratio into wall-clock speedup instead of
-  multiplying gathered values by zero, and
+  :func:`ms_deform_attn_sparse_from_trace`) that compacts the PAP point mask
+  **before** the bilinear gather: surviving points are gathered into a dense
+  ``(N_kept, ...)`` work set, only their neighbours are fetched from the
+  value array, and the contributions are accumulated back into the
+  per-(query, head) outputs with a segment sum.  This is the software
+  analogue of the accelerator skipping pruned points entirely — it turns the
+  pruning ratio into wall-clock speedup instead of multiplying gathered
+  values by zero, and
 * a *compacted trace* (:class:`CompactSamplingTrace`, built by
-  :func:`multi_scale_neighbors_sparse` / :func:`
-  multi_scale_neighbors_sparse_batched` and consumed by
+  :func:`multi_scale_neighbors_sparse` and consumed by
   :func:`ms_deform_attn_from_compact_trace`): the index-level trace of only
   the mask-surviving points.  Unlike the sparse kernels above, which compact
   an already-built dense trace, the compacted trace never computes bilinear
   neighbours, weights or level offsets for pruned points, so trace
   construction itself scales with the keep ratio (sparse execution v2).
+
+:func:`bilinear_sample_level_reference` and :func:`ms_deform_attn_core_reference`
+are loop-based oracles kept for the tests.
 
 Coordinate convention: sampling locations are normalized to ``[0, 1]`` in
 ``(x, y)`` order (as in Deformable DETR).  They are mapped to pixel
@@ -45,7 +53,7 @@ from repro.kernels.calibration import DispatchThresholds, get_active_profile
 from repro.kernels.plan import ExecutionPlan, take_into
 from repro.kernels.registry import resolve_backend
 from repro.nn.tensor_utils import FLOAT_DTYPE
-from repro.utils.shapes import LevelShape, level_start_indices
+from repro.utils.shapes import LevelShape, level_start_indices, total_pixels
 from repro.utils.timing import kernel_section
 
 
@@ -200,6 +208,18 @@ class SamplingTrace:
     def num_points(self) -> int:
         return self.rows.shape[3]
 
+    def as_batch(self) -> "BatchedSamplingTrace":
+        """Zero-copy ``B = 1`` batch view: the form every kernel body runs on."""
+        return BatchedSamplingTrace(
+            levels=self.levels[None],
+            rows=self.rows[None],
+            cols=self.cols[None],
+            flat_indices=self.flat_indices[None],
+            weights=self.weights[None],
+            valid=self.valid[None],
+            spatial_shapes=self.spatial_shapes,
+        )
+
 
 @dataclass
 class BatchedSamplingTrace:
@@ -248,66 +268,100 @@ class BatchedSamplingTrace:
         return [self.image(b) for b in range(self.batch_size)]
 
 
-def _neighbors_arrays(
+def _batch_locations(
     spatial_shapes: list[LevelShape], sampling_locations: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared neighbour computation over arbitrary leading axes.
+) -> tuple[np.ndarray, bool]:
+    """Coerce sampling locations to ``(B, N_q, N_h, N_l, N_p, 2)``.
 
-    ``sampling_locations`` has shape ``(..., N_l, N_p, 2)`` with the level
-    axis third from the right; returns ``(levels, rows, cols, flat, weights,
-    valid)`` arrays with leading shape ``sampling_locations.shape[:-1]``.
-    Thin wrapper over :func:`_batched_neighbors` (one implementation of the
-    bilinear formulas serves the single-image and batched paths alike).
+    Returns ``(locations, single)``; a single-image ``(N_q, N_h, N_l, N_p,
+    2)`` input becomes a ``B = 1`` view and sets ``single``.
     """
-    n_l = sampling_locations.shape[-3]
-    rows, cols, weights, valid, safe_flat = _batched_neighbors(
-        spatial_shapes, sampling_locations
-    )
-    # Mark invalid neighbours in place: safe_flat is freshly allocated here,
-    # and scattering -1 into the (few) out-of-bounds slots is cheaper than a
-    # full np.where copy of the ~N_q*N_h*N_l*N_p*4 index array.
-    safe_flat[~valid] = -1
-    flat = safe_flat
-    # Read-only broadcast view: every consumer only indexes/compares levels,
-    # and skipping the materialised copy keeps trace construction lean.
-    levels = np.broadcast_to(
-        np.arange(n_l, dtype=np.int64)[:, None], sampling_locations.shape[:-1]
-    )
-    return levels, rows, cols, flat, weights, valid
-
-
-def multi_scale_neighbors(
-    spatial_shapes: list[LevelShape], sampling_locations: np.ndarray
-) -> SamplingTrace:
-    """Compute the :class:`SamplingTrace` of multi-scale sampling locations.
-
-    Parameters
-    ----------
-    spatial_shapes:
-        Pyramid level shapes.
-    sampling_locations:
-        Normalized locations of shape ``(N_q, N_h, N_l, N_p, 2)``.
-    """
-    sampling_locations = np.asarray(sampling_locations, dtype=FLOAT_DTYPE)
-    if sampling_locations.ndim != 5 or sampling_locations.shape[-1] != 2:
-        raise ValueError("sampling_locations must have shape (N_q, N_h, N_l, N_p, 2)")
-    n_l = sampling_locations.shape[2]
-    if n_l != len(spatial_shapes):
+    locations = np.asarray(sampling_locations, dtype=FLOAT_DTYPE)
+    if locations.ndim not in (5, 6) or locations.shape[-1] != 2:
+        raise ValueError("sampling_locations must have shape ([B,] N_q, N_h, N_l, N_p, 2)")
+    single = locations.ndim == 5
+    if single:
+        locations = locations[None]
+    if locations.shape[3] != len(spatial_shapes):
         raise ValueError(
-            f"sampling_locations has {n_l} levels but {len(spatial_shapes)} shapes given"
+            f"sampling_locations has {locations.shape[3]} levels "
+            f"but {len(spatial_shapes)} shapes given"
         )
-    levels, rows, cols, flat, weights, valid = _neighbors_arrays(
-        spatial_shapes, sampling_locations
+    return locations, single
+
+
+def _grid_arg(
+    name: str, array: np.ndarray, points_shape: tuple[int, ...], single: bool, dtype
+) -> np.ndarray:
+    """Coerce one per-point argument and check it against the point grid.
+
+    ``points_shape`` is the batched ``(B, N_q, N_h, N_l, N_p)`` grid; a
+    single-image call expects the grid without ``B`` and gets a ``B = 1``
+    view back.  This is the one shape check of ``attention_weights`` and
+    ``point_mask`` for every kernel (no broadcasting: a mismatched shape is
+    always an error).
+    """
+    array = np.asarray(array, dtype=dtype)
+    expected = tuple(points_shape[1:]) if single else tuple(points_shape)
+    if array.shape != expected:
+        raise ValueError(
+            f"{name} must have shape {expected} to match the sampling points, "
+            f"got {array.shape}"
+        )
+    return array[None] if single else array
+
+
+def _batch_value(
+    value: np.ndarray,
+    points_shape: tuple[int, ...],
+    spatial_shapes: list[LevelShape],
+    single: bool,
+) -> np.ndarray:
+    """Coerce projected values to ``(B, N_in, N_h, D_h)`` and check them
+    against the point grid and the pyramid (single images: ``(N_in, N_h,
+    D_h)``, returned as a ``B = 1`` view)."""
+    value = np.asarray(value, dtype=FLOAT_DTYPE)
+    if value.ndim != (3 if single else 4):
+        raise ValueError(
+            "value must have shape " + ("(N_in, N_h, D_h)" if single else "(B, N_in, N_h, D_h)")
+        )
+    if single:
+        value = value[None]
+    batch, n_in, n_h = value.shape[:3]
+    if batch != points_shape[0]:
+        raise ValueError(
+            f"value has {batch} images but the sampling points have {points_shape[0]}"
+        )
+    expected = total_pixels(spatial_shapes)
+    if n_in != expected:
+        raise ValueError(f"value has {n_in} tokens but spatial shapes sum to {expected}")
+    if n_h != points_shape[2]:
+        raise ValueError(
+            f"value has {n_h} heads but the sampling points have {points_shape[2]}"
+        )
+    return value
+
+
+def _point_args(
+    value: np.ndarray,
+    attention_weights: np.ndarray,
+    point_mask: np.ndarray | None,
+    points_shape: tuple[int, ...],
+    spatial_shapes: list[LevelShape],
+    single: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The shared argument check of the dense and sparse kernels.
+
+    Checks ``value``, ``attention_weights`` and ``point_mask`` against the
+    ``(B, N_q, N_h, N_l, N_p)`` point grid and returns them batch-first.
+    """
+    attention_weights = _grid_arg(
+        "attention_weights", attention_weights, points_shape, single, FLOAT_DTYPE
     )
-    return SamplingTrace(
-        levels=levels,
-        rows=rows,
-        cols=cols,
-        flat_indices=flat,
-        weights=weights,
-        valid=valid,
-        spatial_shapes=list(spatial_shapes),
-    )
+    if point_mask is not None:
+        point_mask = _grid_arg("point_mask", point_mask, points_shape, single, bool)
+    value = _batch_value(value, points_shape, spatial_shapes, single)
+    return value, attention_weights, point_mask
 
 
 def _neighbor_grid(
@@ -351,7 +405,7 @@ def _neighbor_grid(
     return rows, cols, weights, valid, safe_flat
 
 
-def _batched_neighbors(
+def _multi_level_neighbors(
     spatial_shapes: list[LevelShape], sampling_locations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Level-vectorized neighbour computation over arbitrary leading axes.
@@ -375,28 +429,29 @@ def _batched_neighbors(
     return _neighbor_grid(x, y, hi, wi, starts)
 
 
-def multi_scale_neighbors_batched(
+def multi_scale_neighbors(
     spatial_shapes: list[LevelShape], sampling_locations: np.ndarray
-) -> BatchedSamplingTrace:
-    """Batched variant of :func:`multi_scale_neighbors`.
+) -> SamplingTrace | BatchedSamplingTrace:
+    """Compute the sampling trace of multi-scale sampling locations.
 
-    ``sampling_locations`` has shape ``(B, N_q, N_h, N_l, N_p, 2)``; the
-    resulting trace matches the per-image traces exactly (same neighbour
-    order, weights and validity flags), but is computed with fully
-    level-vectorized kernels — no per-image or per-level Python loop.
+    ``sampling_locations`` has shape ``(B, N_q, N_h, N_l, N_p, 2)`` and
+    yields a :class:`BatchedSamplingTrace`; a single image ``(N_q, N_h,
+    N_l, N_p, 2)`` runs as a ``B = 1`` batch and yields its
+    :class:`SamplingTrace` view.  The neighbour math is fully
+    level-vectorized — no per-image or per-level Python loop.
     """
-    sampling_locations = np.asarray(sampling_locations, dtype=FLOAT_DTYPE)
-    if sampling_locations.ndim != 6 or sampling_locations.shape[-1] != 2:
-        raise ValueError("sampling_locations must have shape (B, N_q, N_h, N_l, N_p, 2)")
-    n_l = sampling_locations.shape[3]
-    if n_l != len(spatial_shapes):
-        raise ValueError(
-            f"sampling_locations has {n_l} levels but {len(spatial_shapes)} shapes given"
-        )
-    levels, rows, cols, flat, weights, valid = _neighbors_arrays(
-        spatial_shapes, sampling_locations
+    locations, single = _batch_locations(spatial_shapes, sampling_locations)
+    rows, cols, weights, valid, flat = _multi_level_neighbors(spatial_shapes, locations)
+    # Mark invalid neighbours in place: the index array is freshly allocated,
+    # and scattering -1 into the (few) out-of-bounds slots is cheaper than a
+    # full np.where copy of the ~B*N_q*N_h*N_l*N_p*4 index array.
+    flat[~valid] = -1
+    # Read-only broadcast view: every consumer only indexes/compares levels,
+    # and skipping the materialised copy keeps trace construction lean.
+    levels = np.broadcast_to(
+        np.arange(len(spatial_shapes), dtype=np.int64)[:, None], locations.shape[:-1]
     )
-    return BatchedSamplingTrace(
+    trace = BatchedSamplingTrace(
         levels=levels,
         rows=rows,
         cols=cols,
@@ -405,37 +460,23 @@ def multi_scale_neighbors_batched(
         valid=valid,
         spatial_shapes=list(spatial_shapes),
     )
+    return trace.image(0) if single else trace
 
 
-def ms_deform_attn_core(
+def ms_deform_attn_core_reference(
     value: np.ndarray,
     spatial_shapes: list[LevelShape],
     sampling_locations: np.ndarray,
     attention_weights: np.ndarray,
     point_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Core multi-scale deformable attention computation (MSGS + aggregation).
+    """Loop-based (per level, per head) oracle of :func:`ms_deform_attn_core`.
 
-    Parameters
-    ----------
-    value:
-        Projected values of shape ``(N_in, N_h, D_h)`` on the flattened
-        multi-scale token axis.
-    spatial_shapes:
-        Pyramid level shapes; their pixel counts must sum to ``N_in``.
-    sampling_locations:
-        Normalized ``(x, y)`` locations of shape ``(N_q, N_h, N_l, N_p, 2)``.
-    attention_weights:
-        Attention probabilities of shape ``(N_q, N_h, N_l, N_p)`` (already
-        softmax-normalized across the last two axes).
-    point_mask:
-        Optional boolean array of shape ``(N_q, N_h, N_l, N_p)``; ``False``
-        entries are skipped entirely (their contribution is zero).  This is
-        how PAP removes pruned sampling points.
-
-    Returns
-    -------
-    Output of shape ``(N_q, N_h * D_h)``.
+    Single images only: the shapes of :func:`ms_deform_attn_core` without
+    the batch axis, output ``(N_q, N_h * D_h)``.  Slow, but independent of
+    the batch-first kernel (it samples every level and head separately
+    through :func:`bilinear_sample_level`), so the tests check every image
+    of a batched call against it.
     """
     value = np.asarray(value, dtype=FLOAT_DTYPE)
     if value.ndim != 3:
@@ -472,96 +513,62 @@ def ms_deform_attn_core(
     return output.reshape(n_q, n_h * d_h)
 
 
-def ms_deform_attn_from_trace(
-    value: np.ndarray,
-    trace: SamplingTrace,
-    attention_weights: np.ndarray,
-    point_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Compute MSGS + aggregation from a precomputed :class:`SamplingTrace`.
-
-    Functionally equivalent to :func:`ms_deform_attn_core`; used by the DEFA
-    pipeline so that the same trace drives both the numerics and the
-    frequency/conflict statistics.
-    """
-    value = np.asarray(value, dtype=FLOAT_DTYPE)
-    n_in, n_h, d_h = value.shape
-    n_q = trace.num_queries
-    weights = trace.weights * trace.valid.astype(FLOAT_DTYPE)  # (N_q, N_h, N_l, N_p, 4)
-    attn = np.asarray(attention_weights, dtype=FLOAT_DTYPE)
-    if point_mask is not None:
-        attn = attn * np.asarray(point_mask, dtype=bool).astype(FLOAT_DTYPE)
-    combined = weights * attn[..., None]  # fold attention prob into neighbour weights
-    flat = np.clip(trace.flat_indices, 0, n_in - 1)
-
-    output = np.zeros((n_q, n_h, d_h), dtype=FLOAT_DTYPE)
-    for h in range(n_h):
-        idx = flat[:, h].reshape(n_q, -1)  # (N_q, N_l*N_p*4)
-        w = combined[:, h].reshape(n_q, -1)
-        with kernel_section("gather"):
-            gathered = value[idx, h]  # (N_q, N_l*N_p*4, D_h)
-        with kernel_section("aggregate"):
-            output[:, h] = np.einsum("qkc,qk->qc", gathered, w)
-    return output.reshape(n_q, n_h * d_h)
-
-
-def ms_deform_attn_core_batched(
+def ms_deform_attn_core(
     value: np.ndarray,
     spatial_shapes: list[LevelShape],
     sampling_locations: np.ndarray,
     attention_weights: np.ndarray,
     point_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched MSGS + aggregation: vectorized over the whole image batch.
+    """Core multi-scale deformable attention computation (MSGS + aggregation).
 
     Parameters
     ----------
     value:
-        Projected values of shape ``(B, N_in, N_h, D_h)``.
+        Projected values of shape ``(B, N_in, N_h, D_h)`` on the flattened
+        multi-scale token axis.
     spatial_shapes:
         Pyramid level shapes; their pixel counts must sum to ``N_in``.
     sampling_locations:
-        Normalized locations of shape ``(B, N_q, N_h, N_l, N_p, 2)``.
+        Normalized ``(x, y)`` locations of shape ``(B, N_q, N_h, N_l, N_p, 2)``.
     attention_weights:
-        Attention probabilities of shape ``(B, N_q, N_h, N_l, N_p)``.
+        Attention probabilities of shape ``(B, N_q, N_h, N_l, N_p)`` (already
+        softmax-normalized across the last two axes).
     point_mask:
-        Optional boolean array of shape ``(B, N_q, N_h, N_l, N_p)``.
+        Optional boolean array of shape ``(B, N_q, N_h, N_l, N_p)``;
+        ``False`` entries contribute nothing.  This is how PAP removes
+        pruned sampling points.
+
+    Single-image inputs (every shape above without ``B``) run as a ``B = 1``
+    batch and return ``(N_q, N_h * D_h)``.
 
     Returns
     -------
-    Output of shape ``(B, N_q, N_h * D_h)``; image ``b`` equals
-    ``ms_deform_attn_core(value[b], ..., sampling_locations[b], ...)`` up to
-    float32 rounding.  The hot path has no per-image, per-head or per-level
-    Python loop: neighbours of all levels are computed in one vectorized
-    pass, one flat ``np.take`` per query chunk gathers every neighbour, and
-    two einsums perform the weighted reductions.  The query chunking bounds
-    the gathered intermediate to a cache-friendly size — without it, large
+    Output of shape ``(B, N_q, N_h * D_h)``; image ``b`` matches
+    :func:`ms_deform_attn_core_reference` on that image up to float32
+    rounding.  The hot path has no per-image, per-head or per-level Python
+    loop: neighbours of all levels are computed in one vectorized pass, one
+    flat ``np.take`` per query chunk gathers every neighbour, and two
+    einsums perform the weighted reductions.  The query chunking bounds the
+    gathered intermediate to a cache-friendly size — without it, large
     workloads thrash the cache and batching loses its advantage.
     """
-    value = np.asarray(value, dtype=FLOAT_DTYPE)
-    if value.ndim != 4:
-        raise ValueError("value must have shape (B, N_in, N_h, D_h)")
+    sampling_locations, single = _batch_locations(spatial_shapes, sampling_locations)
+    value, attention_weights, point_mask = _point_args(
+        value,
+        attention_weights,
+        point_mask,
+        sampling_locations.shape[:-1],
+        spatial_shapes,
+        single,
+    )
     batch, n_in, n_h, d_h = value.shape
-    expected = sum(s.num_pixels for s in spatial_shapes)
-    if n_in != expected:
-        raise ValueError(f"value has {n_in} tokens but spatial shapes sum to {expected}")
-    attention_weights = np.asarray(attention_weights, dtype=FLOAT_DTYPE)
-    sampling_locations = np.asarray(sampling_locations, dtype=FLOAT_DTYPE)
-    if sampling_locations.shape[0] != batch:
-        raise ValueError("sampling_locations batch axis must match value")
-    n_q = sampling_locations.shape[1]
-    n_l, n_p = sampling_locations.shape[3], sampling_locations.shape[4]
-    if attention_weights.shape != sampling_locations.shape[:-1]:
-        raise ValueError("attention_weights shape must match sampling_locations[:-1]")
-
+    n_q, _, n_l, n_p = sampling_locations.shape[1:5]
     effective_weights = attention_weights
     if point_mask is not None:
-        point_mask = np.asarray(point_mask, dtype=bool)
-        if point_mask.shape != attention_weights.shape:
-            raise ValueError("point_mask shape must match attention_weights")
         effective_weights = attention_weights * point_mask.astype(FLOAT_DTYPE)
 
-    _, _, weights, valid, safe_flat = _batched_neighbors(spatial_shapes, sampling_locations)
+    _, _, weights, valid, safe_flat = _multi_level_neighbors(spatial_shapes, sampling_locations)
     effective = weights * valid.astype(FLOAT_DTYPE)  # (B, N_q, N_h, N_l, N_p, 4)
     # One flat gather axis over (batch, token, head): a single np.take per
     # query chunk beats multi-array advanced indexing by a wide margin.
@@ -581,33 +588,37 @@ def ms_deform_attn_core_batched(
         with kernel_section("aggregate"):
             sampled = np.einsum("bqhlpnc,bqhlpn->bqhlpc", gathered, effective[:, sl])
             output[:, sl] = np.einsum("bqhlpc,bqhlp->bqhc", sampled, effective_weights[:, sl])
-    return output.reshape(batch, n_q, n_h * d_h)
+    output = output.reshape(batch, n_q, n_h * d_h)
+    return output[0] if single else output
 
 
-def ms_deform_attn_from_trace_batched(
+def ms_deform_attn_from_trace(
     value: np.ndarray,
-    trace: BatchedSamplingTrace,
+    trace: SamplingTrace | BatchedSamplingTrace,
     attention_weights: np.ndarray,
     point_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched variant of :func:`ms_deform_attn_from_trace`.
+    """Compute MSGS + aggregation from a precomputed sampling trace.
 
-    ``value`` has shape ``(B, N_in, N_h, D_h)``, ``attention_weights`` and
-    ``point_mask`` shape ``(B, N_q, N_h, N_l, N_p)``.  Image ``b`` of the
-    result equals ``ms_deform_attn_from_trace(value[b], trace.image(b), ...)``
-    up to float32 rounding.
+    Functionally equivalent to :func:`ms_deform_attn_core`; used by the DEFA
+    pipeline so that the same trace drives both the numerics and the
+    frequency/conflict statistics.  With a :class:`BatchedSamplingTrace`,
+    ``value`` has shape ``(B, N_in, N_h, D_h)`` and ``attention_weights`` /
+    ``point_mask`` shape ``(B, N_q, N_h, N_l, N_p)``; the result is
+    ``(B, N_q, N_h * D_h)``.  A :class:`SamplingTrace` takes the same shapes
+    without ``B`` and runs as a ``B = 1`` batch.
     """
-    value = np.asarray(value, dtype=FLOAT_DTYPE)
-    if value.ndim != 4:
-        raise ValueError("value must have shape (B, N_in, N_h, D_h)")
+    single = isinstance(trace, SamplingTrace)
+    if single:
+        trace = trace.as_batch()
+    value, attn, point_mask = _point_args(
+        value, attention_weights, point_mask, trace.valid.shape[:-1], trace.spatial_shapes, single
+    )
     batch, n_in, n_h, d_h = value.shape
-    if trace.batch_size != batch:
-        raise ValueError("trace batch size must match value")
     n_q = trace.num_queries
     weights = trace.weights * trace.valid.astype(FLOAT_DTYPE)
-    attn = np.asarray(attention_weights, dtype=FLOAT_DTYPE)
     if point_mask is not None:
-        attn = attn * np.asarray(point_mask, dtype=bool).astype(FLOAT_DTYPE)
+        attn = attn * point_mask.astype(FLOAT_DTYPE)
     combined = (weights * attn[..., None]).reshape(batch, n_q, n_h, -1)
     # Invalid neighbours are -1 (their weight is zero); max with 0 is enough
     # and cheaper than a full clip.
@@ -630,7 +641,8 @@ def ms_deform_attn_from_trace_batched(
             gathered = np.take(value_flat, idx, axis=0)  # (B, q, N_h, K, D_h)
         with kernel_section("aggregate"):
             output[:, sl] = np.einsum("bqhkc,bqhk->bqhc", gathered, combined[:, sl])
-    return output.reshape(batch, n_q, n_h * d_h)
+    output = output.reshape(batch, n_q, n_h * d_h)
+    return output[0] if single else output
 
 
 # --------------------------------------------------------------------------
@@ -691,7 +703,6 @@ def use_sparse_gather(
     point_mask: np.ndarray | None,
     slots_per_image: int,
     sparse_mode: str,
-    batched: bool = False,
     thresholds: DispatchThresholds | None = None,
 ) -> bool:
     """Shared dispatch rule of the ``sparse_mode`` switch for point gathering.
@@ -711,16 +722,16 @@ def use_sparse_gather(
     comparison is *inclusive* (``keep_fraction <= point_keep_max`` accepts,
     so a keep fraction exactly at the crossover goes sparse).  A calibrated
     profile whose crossovers land exactly on a measured grid point therefore
-    dispatches deterministically, and batched vs single-image runs agree at
-    the boundary.
+    dispatches deterministically.
 
-    With ``batched=True`` the leading axis of ``point_mask`` is the image
-    axis and the keep-fraction test applies to the *maximum* per-image
-    fraction: a batch goes sparse only when every image alone would.  This
-    mirrors the per-image slot counting — the batched and single-image runs
-    must make the same decision wherever possible, otherwise quantized
-    configs amplify the float32 rounding difference between the two kernels
-    into a quantization step and break batched-vs-serial equivalence.
+    The leading axis of ``point_mask`` is the image axis (a single image is
+    a ``B = 1`` batch), and the keep-fraction test applies to the *maximum*
+    per-image fraction: a batch goes sparse only when every image alone
+    would.  This mirrors the per-image slot counting — the batched and
+    single-image runs must make the same decision wherever possible,
+    otherwise quantized configs amplify the float32 rounding difference
+    between the two kernels into a quantization step and break
+    batched-vs-serial equivalence.
     """
     if sparse_mode not in SPARSE_MODES:
         raise ValueError(f"sparse_mode must be one of {SPARSE_MODES}, got {sparse_mode!r}")
@@ -732,12 +743,9 @@ def use_sparse_gather(
         thresholds = get_active_profile().thresholds_for(None)
     if point_mask is None or slots_per_image < thresholds.min_slots:
         return False
-    if batched:
-        batch = point_mask.shape[0]
-        per_image = np.count_nonzero(point_mask.reshape(batch, -1), axis=1)
-        keep_fraction = float(per_image.max()) / max(point_mask[0].size, 1)
-    else:
-        keep_fraction = np.count_nonzero(point_mask) / max(point_mask.size, 1)
+    batch = point_mask.shape[0]
+    per_image = np.count_nonzero(point_mask.reshape(batch, -1), axis=1)
+    keep_fraction = float(per_image.max()) / max(point_mask[0].size, 1)
     return keep_fraction <= thresholds.point_keep_max
 
 
@@ -842,33 +850,44 @@ class CompactSamplingTrace:
         return [self.image(b) for b in range(self.batch_size)]
 
 
-def _compact_trace_impl(
+def multi_scale_neighbors_sparse(
     spatial_shapes: list[LevelShape],
     sampling_locations: np.ndarray,
-    point_mask: np.ndarray | None,
+    point_mask: np.ndarray | None = None,
     plan: ExecutionPlan | None = None,
 ) -> CompactSamplingTrace:
-    """Shared body of the compacted-trace constructors.
+    """Compacted-trace variant of :func:`multi_scale_neighbors`.
 
-    ``sampling_locations`` carries a leading batch axis
-    (``(B, N_q, N_h, N_l, N_p, 2)``, ``B = 1`` for single images); the
-    bilinear neighbour/weight/index math runs on the mask survivors only, so
-    the cost is proportional to the keep ratio rather than the grid size.
+    Computes sampling pixel coordinates, bilinear neighbour indices/weights
+    and level offsets **only for the points kept** by ``point_mask``
+    (``None`` keeps every point).  ``sampling_locations`` has shape
+    ``(B, N_q, N_h, N_l, N_p, 2)`` and ``point_mask`` ``(B, N_q, N_h, N_l,
+    N_p)``; a single image (both shapes without ``B``) is a ``B = 1`` batch.
+    The batch folds into the compacted point axis, so one pass serves every
+    image and :meth:`CompactSamplingTrace.image` recovers zero-copy
+    per-image views.
 
-    With a ``plan`` every per-point array (levels, neighbour rows/cols,
-    weights, validity, flat indices) is built in-place inside reused arena
-    buffers — bit-identical to the allocating path (same float expressions in
-    the same order, with the ``np.stack`` copies replaced by column stores).
-    The trace arrays then *are* plan buffers: valid until the plan's next
+    The per-point results are bit-identical to the dense trace restricted to
+    the kept points; construction cost scales with the keep ratio.  With a
+    ``plan`` every per-point array (levels, neighbour rows/cols, weights,
+    validity, flat indices) is built in place inside reused arena buffers —
+    bit-identical to the allocating path (same float expressions in the same
+    order, with the ``np.stack`` copies replaced by column stores).  The
+    trace arrays then *are* plan buffers: valid until the plan's next
     forward, per the :class:`~repro.kernels.plan.ExecutionPlan` lifetime
     rules.
     """
+    sampling_locations, single = _batch_locations(spatial_shapes, sampling_locations)
+    if point_mask is not None:
+        point_mask = _grid_arg(
+            "point_mask", point_mask, sampling_locations.shape[:-1], single, bool
+        )
     batch, n_q, n_h, n_l, n_p, _ = sampling_locations.shape
     total_points = batch * n_q * n_h * n_l * n_p
     if point_mask is None:
         kept = np.arange(total_points, dtype=np.int64)
     else:
-        kept = np.flatnonzero(np.asarray(point_mask, dtype=bool).reshape(-1))
+        kept = np.flatnonzero(point_mask.reshape(-1))
 
     widths = np.array([s.width for s in spatial_shapes], dtype=FLOAT_DTYPE)
     heights = np.array([s.height for s in spatial_shapes], dtype=FLOAT_DTYPE)
@@ -921,10 +940,11 @@ def _compact_trace_arrays_fused(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Buffer-reusing per-point trace arrays: ``(levels, weights, valid, flat)``.
 
-    Bit-identical to the allocating branch of :func:`_compact_trace_impl`:
-    every float expression matches :func:`_neighbor_grid` (the int64 operand
-    promotions included), the stacks become column stores, and the integer
-    flat-index arithmetic is exact in any order.
+    Bit-identical to the allocating branch of
+    :func:`multi_scale_neighbors_sparse`: every float expression matches
+    :func:`_neighbor_grid` (the int64 operand promotions included), the
+    stacks become column stores, and the integer flat-index arithmetic is
+    exact in any order.
     """
     k = int(kept.size)
     loc_flat = np.ascontiguousarray(sampling_locations).reshape(-1, 2)
@@ -1011,75 +1031,6 @@ def _compact_trace_arrays_fused(
     return lvl, weights, valid, flat
 
 
-def multi_scale_neighbors_sparse(
-    spatial_shapes: list[LevelShape],
-    sampling_locations: np.ndarray,
-    point_mask: np.ndarray | None = None,
-    plan: ExecutionPlan | None = None,
-) -> CompactSamplingTrace:
-    """Compacted-trace variant of :func:`multi_scale_neighbors`.
-
-    Computes sampling pixel coordinates, bilinear neighbour indices/weights
-    and level offsets **only for the points kept** by ``point_mask`` (shape
-    ``(N_q, N_h, N_l, N_p)``; ``None`` keeps every point).  The per-point
-    results are bit-identical to the dense trace restricted to the kept
-    points; construction cost scales with the keep ratio.  With a ``plan``
-    the per-point arrays live in reused arena buffers (fused execution) —
-    the returned trace is then only valid until the plan's next forward.
-    """
-    sampling_locations = np.asarray(sampling_locations, dtype=FLOAT_DTYPE)
-    if sampling_locations.ndim != 5 or sampling_locations.shape[-1] != 2:
-        raise ValueError("sampling_locations must have shape (N_q, N_h, N_l, N_p, 2)")
-    if sampling_locations.shape[2] != len(spatial_shapes):
-        raise ValueError(
-            f"sampling_locations has {sampling_locations.shape[2]} levels "
-            f"but {len(spatial_shapes)} shapes given"
-        )
-    if point_mask is not None:
-        point_mask = np.asarray(point_mask, dtype=bool)
-        if point_mask.shape != sampling_locations.shape[:-1]:
-            raise ValueError("point_mask shape must match sampling_locations[:-1]")
-    return _compact_trace_impl(
-        spatial_shapes,
-        sampling_locations[None],
-        None if point_mask is None else point_mask[None],
-        plan=plan,
-    )
-
-
-def multi_scale_neighbors_sparse_batched(
-    spatial_shapes: list[LevelShape],
-    sampling_locations: np.ndarray,
-    point_mask: np.ndarray | None = None,
-    plan: ExecutionPlan | None = None,
-) -> CompactSamplingTrace:
-    """Batched variant of :func:`multi_scale_neighbors_sparse`.
-
-    ``sampling_locations`` has shape ``(B, N_q, N_h, N_l, N_p, 2)`` and
-    ``point_mask`` (if given) ``(B, N_q, N_h, N_l, N_p)``.  The batch folds
-    into the compacted point axis, so one pass serves every image;
-    :meth:`CompactSamplingTrace.image` recovers zero-copy per-image views.
-    """
-    sampling_locations = np.asarray(sampling_locations, dtype=FLOAT_DTYPE)
-    if sampling_locations.ndim != 6 or sampling_locations.shape[-1] != 2:
-        raise ValueError("sampling_locations must have shape (B, N_q, N_h, N_l, N_p, 2)")
-    if sampling_locations.shape[3] != len(spatial_shapes):
-        raise ValueError(
-            f"sampling_locations has {sampling_locations.shape[3]} levels "
-            f"but {len(spatial_shapes)} shapes given"
-        )
-    if point_mask is not None:
-        point_mask = np.asarray(point_mask, dtype=bool)
-        if point_mask.shape != sampling_locations.shape[:-1]:
-            raise ValueError("point_mask shape must match sampling_locations[:-1]")
-    return _compact_trace_impl(spatial_shapes, sampling_locations, point_mask, plan=plan)
-
-
-# Shared by the sparse kernels below and re-exported for backward
-# compatibility; the implementation lives with the kernel backends.
-_segment_sum_into = segment_sum_into
-
-
 def _sparse_gather_aggregate(
     value_flat: np.ndarray,
     flat_indices: np.ndarray,
@@ -1155,29 +1106,8 @@ def _sparse_gather_aggregate(
         with kernel_section("aggregate"):
             w_kept = w2[lo:hi][kept] * attn2[lo:hi][kept][:, None]  # (N_kept, 4)
             contrib = np.einsum("kfc,kf->kc", gathered, w_kept)
-            _segment_sum_into(output[start * n_h : stop * n_h], contrib, seg)
+            segment_sum_into(output[start * n_h : stop * n_h], contrib, seg)
     return output
-
-
-def _compact_gather_aggregate(
-    value_flat: np.ndarray,
-    trace: CompactSamplingTrace,
-    attn_flat: np.ndarray,
-    n_in: int,
-    backend=None,
-    plan: ExecutionPlan | None = None,
-) -> np.ndarray:
-    """Gather + segment-sum aggregation over an already-compacted trace.
-
-    The implementation is selected by the kernel-backend registry (see
-    :mod:`repro.kernels`): ``"reference"`` is the original chunked
-    gather-einsum-reduceat kernel, ``"fused"`` the bit-identical single-pass
-    variant that precomputes the flattened gather indices once per trace and
-    reuses ``plan`` buffers for every intermediate.
-    """
-    return resolve_backend(backend).compact_gather_aggregate(
-        value_flat, trace, attn_flat, n_in, plan=plan
-    )
 
 
 def ms_deform_attn_from_compact_trace(
@@ -1191,112 +1121,67 @@ def ms_deform_attn_from_compact_trace(
 
     The pruning mask is already folded into the trace (only kept points have
     rows), so no ``point_mask`` argument exists: pruned points contribute
-    exact zeros, as in the masked-dense kernels.  ``value`` has shape
-    ``(N_in, N_h, D_h)`` for a ``batch_size == 1`` trace or
-    ``(B, N_in, N_h, D_h)`` for a batched one; ``attention_weights`` is the
-    full ``([B,] N_q, N_h, N_l, N_p)`` array (only kept entries are read).
-    Matches the dense from-trace kernel to float32 rounding (and the two
-    kernel backends match each other bit for bit).
+    exact zeros, as in the masked-dense kernels.  A compacted trace always
+    carries its batch axis, so ``value`` has shape ``(B, N_in, N_h, D_h)``,
+    ``attention_weights`` is the full ``(B, N_q, N_h, N_l, N_p)`` array
+    (only kept entries are read) and the result is ``(B, N_q, N_h * D_h)``
+    (``B = 1`` for a trace built from one image).  Matches the dense
+    from-trace kernel to float32 rounding.
 
-    ``backend`` overrides the kernel backend for this call (``None`` follows
-    the process default); ``plan`` supplies the buffer arena of the fused
-    backend (``None`` allocates scratch per call).  The returned array may be
-    a plan buffer — callers that retain it across forwards must copy.
+    The gather + segment-sum implementation is selected by the kernel-backend
+    registry (see :mod:`repro.kernels`): ``backend`` overrides the process
+    default for this call, and the backends match each other bit for bit.
+    ``plan`` supplies the buffer arena of the fused backends (``None`` gives
+    the call a fresh one).  The returned array may be a plan buffer —
+    callers that retain it across forwards must copy.
     """
-    value = np.asarray(value, dtype=FLOAT_DTYPE)
-    batched = trace.batch_size > 1 or value.ndim == 4
-    if batched:
-        if value.ndim != 4:
-            raise ValueError("value must have shape (B, N_in, N_h, D_h) for a batched trace")
-        if value.shape[0] != trace.batch_size:
-            raise ValueError("value batch axis must match the trace batch size")
-        batch, n_in, n_h, d_h = value.shape
-    else:
-        if value.ndim != 3:
-            raise ValueError("value must have shape (N_in, N_h, D_h)")
-        batch, (n_in, n_h, d_h) = 1, value.shape
-    if n_h != trace.num_heads:
-        raise ValueError("value head axis must match the trace")
-    expected = sum(s.num_pixels for s in trace.spatial_shapes)
-    if n_in != expected:
-        raise ValueError(f"value has {n_in} tokens but spatial shapes sum to {expected}")
-    attn_all = np.ascontiguousarray(np.asarray(attention_weights, dtype=FLOAT_DTYPE))
-    if plan is not None:
-        attn_flat = plan.take("msgs.attn", attn_all.reshape(-1), trace.kept)
-    else:
-        attn_flat = attn_all.reshape(-1)[trace.kept]
-    value_flat = np.ascontiguousarray(value).reshape(batch * n_in * n_h, d_h)
-    output = _compact_gather_aggregate(
-        value_flat, trace, attn_flat, n_in, backend=backend, plan=plan
+    points_shape = (
+        trace.batch_size,
+        trace.num_queries,
+        trace.num_heads,
+        trace.num_levels,
+        trace.num_points,
     )
-    if batched:
-        return output.reshape(batch, trace.num_queries, n_h * d_h)
-    return output.reshape(trace.num_queries, n_h * d_h)
+    value = _batch_value(value, points_shape, trace.spatial_shapes, single=False)
+    attn_all = np.ascontiguousarray(
+        _grid_arg("attention_weights", attention_weights, points_shape, False, FLOAT_DTYPE)
+    ).reshape(-1)
+    if plan is not None:
+        attn_flat = plan.take("msgs.attn", attn_all, trace.kept)
+    else:
+        attn_flat = attn_all[trace.kept]
+    batch, n_in, n_h, d_h = value.shape
+    value_flat = np.ascontiguousarray(value).reshape(batch * n_in * n_h, d_h)
+    output = resolve_backend(backend).compact_gather_aggregate(
+        value_flat, trace, attn_flat, n_in, plan=plan
+    )
+    return output.reshape(batch, trace.num_queries, n_h * d_h)
 
 
 def ms_deform_attn_sparse_from_trace(
     value: np.ndarray,
-    trace: SamplingTrace,
+    trace: SamplingTrace | BatchedSamplingTrace,
     attention_weights: np.ndarray,
     point_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sparse equivalent of :func:`ms_deform_attn_from_trace`.
+    """Sparse equivalent of :func:`ms_deform_attn_from_trace` (same shapes).
 
     PAP-pruned points (and out-of-bounds neighbours) are dropped *before* the
     value gather: only surviving neighbour slots touch memory, and their
     weighted contributions are accumulated with a segment sum.  Matches the
     dense kernel to float32 rounding; the speedup grows with the pruned
-    fraction.
+    fraction.  The compaction order is per-image contiguous, so image ``b``
+    of a batched call equals the single-image call on ``trace.image(b)``
+    exactly.
     """
-    value = np.asarray(value, dtype=FLOAT_DTYPE)
-    if value.ndim != 3:
-        raise ValueError("value must have shape (N_in, N_h, D_h)")
-    n_in, n_h, d_h = value.shape
-    n_q = trace.num_queries
-    attn = np.asarray(attention_weights, dtype=FLOAT_DTYPE)
-    if point_mask is not None:
-        point_mask = np.asarray(point_mask, dtype=bool)
-        if point_mask.shape != attn.shape:
-            raise ValueError("point_mask shape must match attention_weights")
-    effective = trace.weights * trace.valid.astype(FLOAT_DTYPE)
-    value_flat = np.ascontiguousarray(value).reshape(n_in * n_h, d_h)
-    output = _sparse_gather_aggregate(
-        value_flat,
-        trace.flat_indices[None],
-        effective[None],
-        None if point_mask is None else point_mask[None],
-        attn[None],
-        batch=1,
-        n_q=n_q,
-        n_in=n_in,
+    single = isinstance(trace, SamplingTrace)
+    if single:
+        trace = trace.as_batch()
+    value, attn, point_mask = _point_args(
+        value, attention_weights, point_mask, trace.valid.shape[:-1], trace.spatial_shapes, single
     )
-    return output.reshape(n_q, n_h * d_h)
-
-
-def ms_deform_attn_sparse_from_trace_batched(
-    value: np.ndarray,
-    trace: BatchedSamplingTrace,
-    attention_weights: np.ndarray,
-    point_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batched variant of :func:`ms_deform_attn_sparse_from_trace`.
-
-    ``value`` has shape ``(B, N_in, N_h, D_h)``; image ``b`` of the result
-    equals the single-image sparse kernel on ``trace.image(b)`` exactly (the
-    compaction order is per-image contiguous).
-    """
-    value = np.asarray(value, dtype=FLOAT_DTYPE)
-    if value.ndim != 4:
-        raise ValueError("value must have shape (B, N_in, N_h, D_h)")
     batch, n_in, n_h, d_h = value.shape
-    if trace.batch_size != batch:
-        raise ValueError("trace batch size must match value")
     n_q = trace.num_queries
-    attn = np.asarray(attention_weights, dtype=FLOAT_DTYPE)
-    if point_mask is not None:
-        point_mask = np.asarray(point_mask, dtype=bool)
-        if point_mask.shape != attn.shape:
-            raise ValueError("point_mask shape must match attention_weights")
     effective = trace.weights * trace.valid.astype(FLOAT_DTYPE)
     value_flat = np.ascontiguousarray(value).reshape(batch * n_in * n_h, d_h)
     output = _sparse_gather_aggregate(
@@ -1308,41 +1193,8 @@ def ms_deform_attn_sparse_from_trace_batched(
         batch=batch,
         n_q=n_q,
         n_in=n_in,
-    )
-    return output.reshape(batch, n_q, n_h * d_h)
-
-
-def _core_sparse_impl(
-    value: np.ndarray,
-    spatial_shapes: list[LevelShape],
-    sampling_locations: np.ndarray,
-    attention_weights: np.ndarray,
-    point_mask: np.ndarray | None,
-    backend=None,
-    plan: ExecutionPlan | None = None,
-) -> np.ndarray:
-    """Compact-before-neighbours sparse core shared by single/batched entry points.
-
-    All arrays carry a leading batch axis (size 1 for single images).
-    Unlike the from-trace sparse kernels, pruned points here skip even the
-    bilinear *neighbour computation*: sampling locations are compacted first,
-    neighbour/weight math runs on the ``(N_kept, ...)`` survivors only.
-    """
-    b, n_in, n_h, d_h = value.shape
-    backend = resolve_backend(backend)
-    with kernel_section("neighbors"):
-        trace = _compact_trace_impl(
-            spatial_shapes, sampling_locations, point_mask, plan=plan
-        )
-    attn_all = np.ascontiguousarray(attention_weights).reshape(-1)
-    if plan is not None:
-        attn_flat = plan.take("msgs.attn", attn_all, trace.kept)
-    else:
-        attn_flat = attn_all[trace.kept]
-    value_flat = np.ascontiguousarray(value).reshape(b * n_in * n_h, d_h)
-    return _compact_gather_aggregate(
-        value_flat, trace, attn_flat, n_in, backend=backend, plan=plan
-    )
+    ).reshape(batch, n_q, n_h * d_h)
+    return output[0] if single else output
 
 
 def ms_deform_attn_core_sparse(
@@ -1353,83 +1205,29 @@ def ms_deform_attn_core_sparse(
     point_mask: np.ndarray | None = None,
     backend=None,
 ) -> np.ndarray:
-    """Sparse equivalent of :func:`ms_deform_attn_core`.
+    """Sparse equivalent of :func:`ms_deform_attn_core` (same shapes).
 
-    The ``(N_q, N_h, N_l, N_p)`` point set is compacted with the PAP mask
-    before any per-point work: pruned points skip the bilinear neighbour
-    computation *and* the value gather entirely.  Matches the dense kernel to
-    float32 rounding.  ``backend`` selects the kernel backend for this call
-    (``None`` follows the process default; the backends are bit-identical).
+    The point set is compacted with the PAP mask before any per-point work:
+    pruned points skip the bilinear neighbour computation *and* the value
+    gather entirely (:func:`multi_scale_neighbors_sparse` then
+    :func:`ms_deform_attn_from_compact_trace`).  The batch folds into the
+    compacted point axis, so one kernel pass serves the whole batch.
+    Matches the dense kernel to float32 rounding.  ``backend`` selects the
+    kernel backend for this call (``None`` follows the process default; the
+    backends are bit-identical).
     """
-    value = np.asarray(value, dtype=FLOAT_DTYPE)
-    if value.ndim != 3:
-        raise ValueError("value must have shape (N_in, N_h, D_h)")
-    sampling_locations = np.asarray(sampling_locations, dtype=FLOAT_DTYPE)
-    if sampling_locations.ndim != 5 or sampling_locations.shape[-1] != 2:
-        raise ValueError("sampling_locations must have shape (N_q, N_h, N_l, N_p, 2)")
-    attention_weights = np.asarray(attention_weights, dtype=FLOAT_DTYPE)
-    if attention_weights.shape != sampling_locations.shape[:-1]:
-        raise ValueError("attention_weights shape must match sampling_locations[:-1]")
-    if point_mask is not None:
-        point_mask = np.asarray(point_mask, dtype=bool)
-        if point_mask.shape != attention_weights.shape:
-            raise ValueError("point_mask shape must match attention_weights")
-    n_in = value.shape[0]
-    expected = sum(s.num_pixels for s in spatial_shapes)
-    if n_in != expected:
-        raise ValueError(f"value has {n_in} tokens but spatial shapes sum to {expected}")
-    n_q, n_h = sampling_locations.shape[0], sampling_locations.shape[1]
-    output = _core_sparse_impl(
-        value[None],
-        spatial_shapes,
-        sampling_locations[None],
-        attention_weights[None],
-        None if point_mask is None else point_mask[None],
-        backend=backend,
-    )
-    return output.reshape(n_q, n_h * value.shape[2])
-
-
-def ms_deform_attn_core_sparse_batched(
-    value: np.ndarray,
-    spatial_shapes: list[LevelShape],
-    sampling_locations: np.ndarray,
-    attention_weights: np.ndarray,
-    point_mask: np.ndarray | None = None,
-    backend=None,
-) -> np.ndarray:
-    """Batched variant of :func:`ms_deform_attn_core_sparse`.
-
-    Shapes follow :func:`ms_deform_attn_core_batched` (leading batch axis);
-    the batch folds into the compacted point axis, so one kernel pass serves
-    the whole batch.
-    """
-    value = np.asarray(value, dtype=FLOAT_DTYPE)
-    if value.ndim != 4:
-        raise ValueError("value must have shape (B, N_in, N_h, D_h)")
-    sampling_locations = np.asarray(sampling_locations, dtype=FLOAT_DTYPE)
-    if sampling_locations.ndim != 6 or sampling_locations.shape[-1] != 2:
-        raise ValueError("sampling_locations must have shape (B, N_q, N_h, N_l, N_p, 2)")
-    attention_weights = np.asarray(attention_weights, dtype=FLOAT_DTYPE)
-    if attention_weights.shape != sampling_locations.shape[:-1]:
-        raise ValueError("attention_weights shape must match sampling_locations[:-1]")
-    if point_mask is not None:
-        point_mask = np.asarray(point_mask, dtype=bool)
-        if point_mask.shape != attention_weights.shape:
-            raise ValueError("point_mask shape must match attention_weights")
-    batch, n_in = value.shape[0], value.shape[1]
-    expected = sum(s.num_pixels for s in spatial_shapes)
-    if n_in != expected:
-        raise ValueError(f"value has {n_in} tokens but spatial shapes sum to {expected}")
-    if sampling_locations.shape[0] != batch:
-        raise ValueError("sampling_locations batch axis must match value")
-    n_q, n_h = sampling_locations.shape[1], sampling_locations.shape[2]
-    output = _core_sparse_impl(
+    sampling_locations, single = _batch_locations(spatial_shapes, sampling_locations)
+    value, attention_weights, point_mask = _point_args(
         value,
-        spatial_shapes,
-        sampling_locations,
         attention_weights,
         point_mask,
-        backend=backend,
+        sampling_locations.shape[:-1],
+        spatial_shapes,
+        single,
     )
-    return output.reshape(batch, n_q, n_h * value.shape[3])
+    with kernel_section("neighbors"):
+        trace = multi_scale_neighbors_sparse(spatial_shapes, sampling_locations, point_mask)
+    output = ms_deform_attn_from_compact_trace(
+        value, trace, attention_weights, backend=backend
+    )
+    return output[0] if single else output

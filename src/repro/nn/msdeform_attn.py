@@ -31,14 +31,10 @@ from repro.nn.grid_sample import (
     BatchedSamplingTrace,
     SamplingTrace,
     ms_deform_attn_core,
-    ms_deform_attn_core_batched,
     ms_deform_attn_core_sparse,
-    ms_deform_attn_core_sparse_batched,
-    ms_deform_attn_from_trace_batched,
+    ms_deform_attn_from_trace,
     ms_deform_attn_sparse_from_trace,
-    ms_deform_attn_sparse_from_trace_batched,
     multi_scale_neighbors,
-    multi_scale_neighbors_batched,
     use_sparse_gather,
 )
 from repro.kernels import ExecutionOptions, normalize_execution_options
@@ -86,8 +82,9 @@ class MSDeformAttn(Module):
     """Multi-scale deformable attention module.
 
     Inputs may be single images (``(N_q, D)`` queries / ``(N_in, D)`` values)
-    or same-shape batches (``(B, N_q, D)`` / ``(B, N_in, D)``); the batched
-    path is fully vectorized and equivalent to looping over the images.
+    or same-shape batches (``(B, N_q, D)`` / ``(B, N_in, D)``).  There is one
+    fully vectorized batch-first path: a single image runs as a ``B = 1``
+    batch, so it equals image 0 of the batched call bit for bit.
 
     Parameters
     ----------
@@ -292,6 +289,8 @@ class MSDeformAttn(Module):
         Batched inputs take the fully vectorized kernels (no per-image Python
         loop); every field of the result gains a leading batch axis and the
         trace becomes a :class:`~repro.nn.grid_sample.BatchedSamplingTrace`.
+        A single image runs as a ``B = 1`` batch whose result is returned
+        without the batch axis.
         """
         options = normalize_execution_options(options, owner="MSDeformAttn.forward_detailed")
         if options.enable_query_pruning is not None:
@@ -308,10 +307,16 @@ class MSDeformAttn(Module):
             raise ValueError("query must have shape (N_q, D) or (B, N_q, D)")
         if value_input.ndim != query.ndim:
             raise ValueError("query and value_input must both be batched or both single")
-        batched = query.ndim == 3
-        if batched and value_input.shape[0] != query.shape[0]:
+        single = query.ndim == 2
+        if single:
+            query, value_input = query[None], value_input[None]
+            if point_mask is not None:
+                point_mask = np.asarray(point_mask)[None]
+            if query_mask is not None:
+                query_mask = np.asarray(query_mask)[None]
+        if value_input.shape[0] != query.shape[0]:
             raise ValueError("query and value_input batch sizes differ")
-        n_in = value_input.shape[-2]
+        n_in = value_input.shape[1]
         if n_in != total_pixels(spatial_shapes):
             raise ValueError("value_input length does not match spatial_shapes")
 
@@ -334,9 +339,8 @@ class MSDeformAttn(Module):
                 effective_mask = np.broadcast_to(keep_rows, points_shape)
             else:
                 effective_mask = point_mask & keep_rows
-        per_image_points = int(np.prod(points_shape[1:] if batched else points_shape))
         sparse = use_sparse_gather(
-            effective_mask, per_image_points * 4, sparse_mode, batched=batched
+            effective_mask, int(np.prod(points_shape[1:])) * 4, sparse_mode
         )
 
         if sparse and query_mask is not None:
@@ -360,55 +364,28 @@ class MSDeformAttn(Module):
         point_mask = effective_mask
 
         trace = None
-        if batched:
-            if with_trace:
-                # Build the trace once and reuse it for the kernel — the
-                # neighbour computation is the non-gather setup cost.
-                trace = multi_scale_neighbors_batched(spatial_shapes, locations)
-                if sparse:
-                    head_outputs = ms_deform_attn_sparse_from_trace_batched(
-                        value, trace, attention, point_mask=point_mask
-                    )
-                else:
-                    head_outputs = ms_deform_attn_from_trace_batched(
-                        value, trace, attention, point_mask=point_mask
-                    )
-            elif sparse:
-                head_outputs = ms_deform_attn_core_sparse_batched(
-                    value,
-                    spatial_shapes,
-                    locations,
-                    attention,
-                    point_mask=point_mask,
-                    backend=backend,
-                )
-            else:
-                head_outputs = ms_deform_attn_core_batched(
-                    value, spatial_shapes, locations, attention, point_mask=point_mask
-                )
+        if with_trace:
+            # Build the trace once and reuse it for the kernel — the
+            # neighbour computation is the non-gather setup cost.
+            trace = multi_scale_neighbors(spatial_shapes, locations)
+            kernel = ms_deform_attn_sparse_from_trace if sparse else ms_deform_attn_from_trace
+            head_outputs = kernel(value, trace, attention, point_mask=point_mask)
+        elif sparse:
+            head_outputs = ms_deform_attn_core_sparse(
+                value, spatial_shapes, locations, attention, point_mask=point_mask, backend=backend
+            )
         else:
-            if with_trace:
-                trace = multi_scale_neighbors(spatial_shapes, locations)
-            if sparse and trace is not None:
-                head_outputs = ms_deform_attn_sparse_from_trace(
-                    value, trace, attention, point_mask=point_mask
-                )
-            elif sparse:
-                head_outputs = ms_deform_attn_core_sparse(
-                    value,
-                    spatial_shapes,
-                    locations,
-                    attention,
-                    point_mask=point_mask,
-                    backend=backend,
-                )
-            else:
-                head_outputs = ms_deform_attn_core(
-                    value, spatial_shapes, locations, attention, point_mask=point_mask
-                )
-        output = self.output_proj(head_outputs)
+            head_outputs = ms_deform_attn_core(
+                value, spatial_shapes, locations, attention, point_mask=point_mask
+            )
+        output = self.output_proj(head_outputs).astype(FLOAT_DTYPE)
+        if single:
+            output, attention, locations, offsets, value = (
+                array[0] for array in (output, attention, locations, offsets, value)
+            )
+            trace = None if trace is None else trace.image(0)
         return MSDeformAttnOutput(
-            output=output.astype(FLOAT_DTYPE),
+            output=output,
             attention_weights=attention,
             sampling_locations=locations,
             sampling_offsets=offsets,

@@ -1,8 +1,10 @@
 """Golden equivalence suite for the batched execution paths.
 
-Every batched kernel must produce, per image, what the single-image code path
-produces — within ``1e-5`` absolute tolerance (they are bit-identical in most
-configurations, but the batched kernels may regroup float32 reductions).  The
+Every batched kernel must produce, per image, what the loop-based reference
+oracles and the per-image calls produce — within ``1e-5`` absolute tolerance
+against the oracles (the batch-first kernels may regroup float32 reductions)
+and bit for bit against a single-image call, which runs the same body as a
+``B = 1`` batch.  The
 suite covers the raw operator (:class:`MSDeformAttn`), the encoder stack, and
 the DEFA pipeline with each algorithm knob (PAP / FWP / quantization) toggled
 independently, for batch sizes 1 and 3.
@@ -20,10 +22,10 @@ from repro.kernels import ExecutionOptions
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.grid_sample import (
     BatchedSamplingTrace,
+    SamplingTrace,
     ms_deform_attn_core,
-    ms_deform_attn_core_batched,
+    ms_deform_attn_core_reference,
     multi_scale_neighbors,
-    multi_scale_neighbors_batched,
 )
 from repro.nn.msdeform_attn import MSDeformAttn
 from repro.nn.positional import make_reference_points, sine_positional_encoding
@@ -58,7 +60,7 @@ def _batch_inputs(batch_size: int, seed: int = 1):
 
 
 class TestBatchedKernels:
-    def test_core_batched_matches_loop(self):
+    def test_core_matches_reference_per_image(self):
         rng = np.random.default_rng(2)
         batch = 3
         value = rng.standard_normal((batch, N_IN, NUM_HEADS, D_MODEL // NUM_HEADS)).astype(
@@ -71,29 +73,32 @@ class TestBatchedKernels:
             np.float32
         )
         mask = rng.random(weights.shape) > 0.3
-        batched = ms_deform_attn_core_batched(value, SHAPES, locs, weights, point_mask=mask)
+        batched = ms_deform_attn_core(value, SHAPES, locs, weights, point_mask=mask)
+        assert batched.shape == (batch, 17, D_MODEL)
         for b in range(batch):
+            reference = ms_deform_attn_core_reference(
+                value[b], SHAPES, locs[b], weights[b], point_mask=mask[b]
+            )
+            np.testing.assert_allclose(batched[b], reference, atol=TOL)
             single = ms_deform_attn_core(
                 value[b], SHAPES, locs[b], weights[b], point_mask=mask[b]
             )
-            np.testing.assert_allclose(batched[b], single, atol=TOL)
+            np.testing.assert_array_equal(batched[b], single)
 
     def test_batched_trace_matches_per_image(self):
         rng = np.random.default_rng(3)
         locs = rng.uniform(
             -0.1, 1.1, size=(2, 9, NUM_HEADS, len(SHAPES), NUM_POINTS, 2)
         ).astype(np.float32)
-        batched = multi_scale_neighbors_batched(SHAPES, locs)
+        batched = multi_scale_neighbors(SHAPES, locs)
         assert isinstance(batched, BatchedSamplingTrace)
         assert batched.batch_size == 2
         for b in range(2):
             single = multi_scale_neighbors(SHAPES, locs[b])
+            assert isinstance(single, SamplingTrace)
             image = batched.image(b)
-            np.testing.assert_array_equal(image.flat_indices, single.flat_indices)
-            np.testing.assert_array_equal(image.rows, single.rows)
-            np.testing.assert_array_equal(image.cols, single.cols)
-            np.testing.assert_array_equal(image.valid, single.valid)
-            np.testing.assert_allclose(image.weights, single.weights, atol=TOL)
+            for field in ("levels", "rows", "cols", "flat_indices", "weights", "valid"):
+                np.testing.assert_array_equal(getattr(image, field), getattr(single, field))
 
 
 class TestBatchedMSDeformAttn:
@@ -117,6 +122,55 @@ class TestBatchedMSDeformAttn:
             np.testing.assert_array_equal(
                 batched.trace.image(b).flat_indices, single.trace.flat_indices
             )
+
+    @pytest.mark.parametrize("with_query_mask", [False, True])
+    @pytest.mark.parametrize("with_trace", [False, True])
+    @pytest.mark.parametrize("sparse_mode", ["dense", "sparse"])
+    def test_single_image_is_image_zero_of_a_batch(
+        self, attn, sparse_mode, with_trace, with_query_mask
+    ):
+        """One path: ``forward_detailed(q)`` equals image 0 of
+        ``forward_detailed(q[None])`` bit for bit, outputs and trace alike."""
+        query, value, reference = _batch_inputs(1)
+        rng = np.random.default_rng(5)
+        point_mask = rng.random((N_IN, NUM_HEADS, len(SHAPES), NUM_POINTS)) > 0.6
+        query_mask = rng.random(N_IN) > 0.3 if with_query_mask else None
+        options = ExecutionOptions(sparse_mode=sparse_mode)
+        single = attn.forward_detailed(
+            query[0],
+            reference,
+            value[0],
+            SHAPES,
+            with_trace=with_trace,
+            point_mask=point_mask,
+            query_mask=query_mask,
+            options=options,
+        )
+        batched = attn.forward_detailed(
+            query,
+            reference,
+            value,
+            SHAPES,
+            with_trace=with_trace,
+            point_mask=point_mask[None],
+            query_mask=None if query_mask is None else query_mask[None],
+            options=options,
+        )
+        for field in (
+            "output",
+            "attention_weights",
+            "sampling_locations",
+            "sampling_offsets",
+            "value",
+        ):
+            np.testing.assert_array_equal(getattr(single, field), getattr(batched, field)[0])
+        if not with_trace:
+            assert single.trace is None and batched.trace is None
+            return
+        assert isinstance(single.trace, SamplingTrace)
+        image = batched.trace.image(0)
+        for field in ("levels", "rows", "cols", "flat_indices", "weights", "valid"):
+            np.testing.assert_array_equal(getattr(single.trace, field), getattr(image, field))
 
     def test_per_image_reference_points(self, attn):
         query, value, reference = _batch_inputs(2)

@@ -195,7 +195,7 @@ class TestReferenceProfile:
                 ) == use_sparse_rows(
                     mask, rows, thresholds.pixel_keep_max, thresholds.min_tokens, "auto"
                 )
-                point_mask = mask.reshape(rows, 1, 1, 1)
+                point_mask = mask.reshape(1, rows, 1, 1, 1)  # one B = 1 image
                 for slots in (rows * 4, SPARSE_AUTO_MIN_SLOTS):
                     assert use_sparse_gather(
                         point_mask, slots, "auto"
@@ -227,15 +227,15 @@ class TestBoundarySemantics:
 
     def test_min_slots_boundary_is_strict(self):
         t = DispatchThresholds(min_slots=256, point_keep_max=0.5)
-        mask = _exact_keep_mask(64, 16).reshape(64, 1, 1, 1)
+        mask = _exact_keep_mask(64, 16).reshape(1, 64, 1, 1, 1)
         assert use_sparse_gather(mask, 256, "auto", thresholds=t)
         assert not use_sparse_gather(mask, 255, "auto", thresholds=t)
 
     def test_point_keep_boundary_is_inclusive(self):
         t = DispatchThresholds(min_slots=1, point_keep_max=0.5)
-        at = _exact_keep_mask(64, 32).reshape(64, 1, 1, 1)
+        at = _exact_keep_mask(64, 32).reshape(1, 64, 1, 1, 1)
         assert use_sparse_gather(at, 256, "auto", thresholds=t)
-        above = _exact_keep_mask(64, 33).reshape(64, 1, 1, 1)
+        above = _exact_keep_mask(64, 33).reshape(1, 64, 1, 1, 1)
         assert not use_sparse_gather(above, 256, "auto", thresholds=t)
 
     def test_batched_equals_single_at_exact_crossover(self):
@@ -253,12 +253,12 @@ class TestBoundarySemantics:
         assert use_sparse_rows(batched_at, rows, keep_max, 512, "auto")
 
         t = DispatchThresholds(min_slots=1, point_keep_max=keep_max)
-        point_single = single_at.reshape(rows, 1, 1, 1)
+        point_single = single_at.reshape(1, rows, 1, 1, 1)
         point_batched = batched_at.reshape(2, rows, 1, 1, 1)
         assert use_sparse_gather(
             point_single, rows * 4, "auto", thresholds=t
         ) == use_sparse_gather(
-            point_batched, rows * 4, "auto", batched=True, thresholds=t
+            point_batched, rows * 4, "auto", thresholds=t
         )
 
         # One image just above the crossover drags the whole batch dense —
@@ -268,7 +268,7 @@ class TestBoundarySemantics:
         mixed = np.stack([single_at, above])
         assert not use_sparse_rows(mixed, rows, keep_max, 512, "auto")
         assert not use_sparse_gather(
-            mixed.reshape(2, rows, 1, 1, 1), rows * 4, "auto", batched=True, thresholds=t
+            mixed.reshape(2, rows, 1, 1, 1), rows * 4, "auto", thresholds=t
         )
 
 

@@ -1,8 +1,8 @@
 """Property tests for the compacted sampling trace (sparse execution v2)
 and the row-compacted FFN/LayerNorm entry points (block-sparse encoder, PR 4).
 
-The compacted trace (:func:`multi_scale_neighbors_sparse` and its batched
-variant) must be *exactly* the dense trace restricted to the kept points —
+The compacted trace (:func:`multi_scale_neighbors_sparse`, for one image or
+a batch) must be *exactly* the dense trace restricted to the kept points —
 same neighbour indices, bilinear weights, validity flags and level ids, bit
 for bit — for any pyramid geometry, any sampling locations (in or out of
 bounds, float32 or float64 input) and any point mask, including the
@@ -23,20 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sampling_stats import (
-    sampled_frequency,
-    sampled_frequency_batched,
-    sampled_frequency_compact,
-    sampled_frequency_compact_batched,
-)
+from repro.core.sampling_stats import sampled_frequency, sampled_frequency_compact
 from repro.nn.grid_sample import (
     ms_deform_attn_from_compact_trace,
     ms_deform_attn_from_trace,
-    ms_deform_attn_from_trace_batched,
     multi_scale_neighbors,
-    multi_scale_neighbors_batched,
     multi_scale_neighbors_sparse,
-    multi_scale_neighbors_sparse_batched,
 )
 from repro.utils.shapes import LevelShape
 
@@ -112,8 +104,8 @@ class TestCompactTraceProperties:
     @given(trace_cases(batched=True))
     def test_batched_matches_dense_and_image_views(self, case):
         shapes, locations, mask = case
-        dense = multi_scale_neighbors_batched(shapes, locations)
-        compact = multi_scale_neighbors_sparse_batched(shapes, locations, point_mask=mask)
+        dense = multi_scale_neighbors(shapes, locations)
+        compact = multi_scale_neighbors_sparse(shapes, locations, point_mask=mask)
         _assert_matches_dense(compact, dense, mask)
         # Per-image views equal single-image construction on that image.
         for b in range(locations.shape[0]):
@@ -148,13 +140,14 @@ class TestCompactTraceProperties:
 
         dense = multi_scale_neighbors(shapes, locations)
         compact = multi_scale_neighbors_sparse(shapes, locations, point_mask=mask)
+        # A compacted trace always carries its batch axis (B = 1 here).
         np.testing.assert_array_equal(
-            sampled_frequency_compact(compact),
+            sampled_frequency_compact(compact)[0],
             sampled_frequency(dense, point_mask=mask),
         )
         out_dense = ms_deform_attn_from_trace(value, dense, attn, point_mask=mask)
-        out_compact = ms_deform_attn_from_compact_trace(value, compact, attn)
-        np.testing.assert_allclose(out_compact, out_dense, atol=1e-5)
+        out_compact = ms_deform_attn_from_compact_trace(value[None], compact, attn[None])
+        np.testing.assert_allclose(out_compact[0], out_dense, atol=1e-5)
 
     @settings(max_examples=20, deadline=None)
     @given(trace_cases(batched=True), st.integers(0, 2**32 - 1))
@@ -167,13 +160,13 @@ class TestCompactTraceProperties:
         value = rng.standard_normal((batch, n_in, n_h, d_h)).astype(np.float32)
         attn = rng.uniform(0.0, 1.0, mask.shape).astype(np.float32)
 
-        dense = multi_scale_neighbors_batched(shapes, locations)
-        compact = multi_scale_neighbors_sparse_batched(shapes, locations, point_mask=mask)
+        dense = multi_scale_neighbors(shapes, locations)
+        compact = multi_scale_neighbors_sparse(shapes, locations, point_mask=mask)
         np.testing.assert_array_equal(
-            sampled_frequency_compact_batched(compact),
-            sampled_frequency_batched(dense, point_mask=mask),
+            sampled_frequency_compact(compact),
+            sampled_frequency(dense, point_mask=mask),
         )
-        out_dense = ms_deform_attn_from_trace_batched(value, dense, attn, point_mask=mask)
+        out_dense = ms_deform_attn_from_trace(value, dense, attn, point_mask=mask)
         out_compact = ms_deform_attn_from_compact_trace(value, compact, attn)
         np.testing.assert_allclose(out_compact, out_dense, atol=1e-5)
 
@@ -294,12 +287,12 @@ class TestCompactTraceEdgeCases:
         assert compact.keep_fraction == 0.0
         n_in = sum(s.num_pixels for s in self.SHAPES)
         np.testing.assert_array_equal(
-            sampled_frequency_compact(compact), np.zeros(n_in, dtype=np.int64)
+            sampled_frequency_compact(compact), np.zeros((1, n_in), dtype=np.int64)
         )
-        value = np.ones((n_in, 3, 4), dtype=np.float32)
-        attn = np.ones(mask.shape, dtype=np.float32)
+        value = np.ones((1, n_in, 3, 4), dtype=np.float32)
+        attn = np.ones((1,) + mask.shape, dtype=np.float32)
         out = ms_deform_attn_from_compact_trace(value, compact, attn)
-        assert out.shape == (6, 12) and np.all(out == 0)
+        assert out.shape == (1, 6, 12) and np.all(out == 0)
 
     def test_single_survivor_mask(self):
         locations = self._locations(seed=1)
@@ -313,8 +306,8 @@ class TestCompactTraceEdgeCases:
         # Only the (query 3, head 1) output slot may be non-zero.
         n_in = sum(s.num_pixels for s in self.SHAPES)
         rng = np.random.default_rng(2)
-        value = rng.standard_normal((n_in, 3, 4)).astype(np.float32)
-        attn = np.ones(mask.shape, dtype=np.float32)
+        value = rng.standard_normal((1, n_in, 3, 4)).astype(np.float32)
+        attn = np.ones((1,) + mask.shape, dtype=np.float32)
         out = ms_deform_attn_from_compact_trace(value, compact, attn).reshape(6, 3, 4)
         zeroed = out.copy()
         zeroed[3, 1] = 0
@@ -329,10 +322,8 @@ class TestCompactTraceEdgeCases:
         _assert_matches_dense(compact, dense, int_mask.astype(bool))
 
     def test_mask_shape_mismatch_rejected(self):
-        import pytest
-
         locations = self._locations(seed=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="point_mask"):
             multi_scale_neighbors_sparse(
                 self.SHAPES, locations, point_mask=np.ones((2, 2), dtype=bool)
             )

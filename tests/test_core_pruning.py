@@ -232,49 +232,56 @@ class TestFWP:
 
 class TestBatchedPruningHelpers:
     def _batched_trace(self, batch=3, seed=0):
-        from repro.nn.grid_sample import multi_scale_neighbors_batched
+        from repro.nn.grid_sample import multi_scale_neighbors
 
         shapes = [LevelShape(4, 4), LevelShape(2, 2)]
         rng = np.random.default_rng(seed)
         locs = rng.uniform(-0.1, 1.1, size=(batch, 7, 2, 2, 3, 2)).astype(np.float32)
-        return shapes, multi_scale_neighbors_batched(shapes, locs), rng
+        return shapes, multi_scale_neighbors(shapes, locs), rng
 
-    def test_sampled_frequency_batched_matches_per_image(self):
-        from repro.core.sampling_stats import sampled_frequency_batched
+    def test_sampled_frequency_matches_reference_per_image(self):
+        from repro.core.sampling_stats import sampled_frequency_reference
 
         shapes, trace, rng = self._batched_trace()
         mask = rng.random((3, 7, 2, 2, 3)) > 0.4
-        batched = sampled_frequency_batched(trace, point_mask=mask)
+        batched = sampled_frequency(trace, point_mask=mask)
+        assert batched.shape == (3, 20)
         for b in range(3):
+            reference = sampled_frequency_reference(trace.image(b), point_mask=mask[b])
+            np.testing.assert_array_equal(batched[b], reference)
             single = sampled_frequency(trace.image(b), point_mask=mask[b])
-            np.testing.assert_array_equal(batched[b], single)
+            assert single.shape == (20,)
+            np.testing.assert_array_equal(single, reference)
 
-    def test_compute_fmap_mask_batched_matches_per_image(self):
-        from repro.core.fwp import compute_fmap_mask_batched
+    def test_sampled_frequency_rejects_mismatched_mask(self):
+        shapes, trace, _ = self._batched_trace()
+        with pytest.raises(ValueError, match="point_mask"):
+            sampled_frequency(trace, point_mask=np.ones((3, 7, 2, 2, 1), dtype=bool))
+        with pytest.raises(ValueError, match="point_mask"):
+            sampled_frequency(trace.image(0), point_mask=np.ones((3, 7, 2, 2, 3), dtype=bool))
 
+    def test_compute_fmap_mask_batch_matches_per_image(self):
         shapes = [LevelShape(4, 4), LevelShape(2, 2)]
         rng = np.random.default_rng(1)
         freq = rng.integers(0, 9, size=(3, 20)).astype(float)
-        batched = compute_fmap_mask_batched(freq, shapes, k=0.8)
+        batched = compute_fmap_mask(freq, shapes, k=0.8)
         assert len(batched) == 3
         for b in range(3):
             single = compute_fmap_mask(freq[b], shapes, k=0.8)
             np.testing.assert_array_equal(batched[b].fmap_mask, single.fmap_mask)
-            np.testing.assert_allclose(batched[b].thresholds, single.thresholds)
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(batched[b].thresholds, single.thresholds)
+            np.testing.assert_array_equal(
                 batched[b].level_keep_fractions, single.level_keep_fractions
             )
 
-    def test_compute_fmap_mask_batched_validation(self):
-        from repro.core.fwp import compute_fmap_mask_batched
-
+    def test_compute_fmap_mask_validation(self):
         shapes = [LevelShape(4, 4), LevelShape(2, 2)]
         with pytest.raises(ValueError):
-            compute_fmap_mask_batched(np.zeros(20), shapes, k=1.0)
+            compute_fmap_mask(np.zeros((2, 2, 20)), shapes, k=1.0)
         with pytest.raises(ValueError):
-            compute_fmap_mask_batched(np.zeros((2, 5)), shapes, k=1.0)
+            compute_fmap_mask(np.zeros((2, 5)), shapes, k=1.0)
         with pytest.raises(ValueError):
-            compute_fmap_mask_batched(np.zeros((2, 20)), shapes, k=-1.0)
+            compute_fmap_mask(np.zeros((2, 20)), shapes, k=-1.0)
 
 
 class TestSamplingStats:

@@ -11,6 +11,7 @@ from repro.nn.grid_sample import (
     bilinear_sample_level,
     bilinear_sample_level_reference,
     ms_deform_attn_core,
+    ms_deform_attn_core_reference,
     ms_deform_attn_from_trace,
     multi_scale_neighbors,
 )
@@ -152,6 +153,22 @@ class TestMultiScale:
         trace = multi_scale_neighbors(tiny_shapes, locs)
         out_trace = ms_deform_attn_from_trace(value, trace, attn)
         assert np.allclose(out_core, out_trace, atol=1e-4)
+
+    def test_core_matches_reference(self, tiny_shapes):
+        """A single image runs the batch-first kernel as a B = 1 batch."""
+        rng = np.random.default_rng(1)
+        n_in = sum(s.num_pixels for s in tiny_shapes)
+        value = rng.standard_normal((n_in, 2, 4)).astype(np.float32)
+        locs = self._locations(tiny_shapes, seed=1)
+        attn = rng.random((10, 2, 3, 3)).astype(np.float32)
+        mask = rng.random(attn.shape) > 0.4
+        out = ms_deform_attn_core(value, tiny_shapes, locs, attn, point_mask=mask)
+        reference = ms_deform_attn_core_reference(value, tiny_shapes, locs, attn, point_mask=mask)
+        np.testing.assert_allclose(out, reference, atol=1e-5)
+        batch = ms_deform_attn_core(
+            value[None], tiny_shapes, locs[None], attn[None], point_mask=mask[None]
+        )
+        np.testing.assert_array_equal(out, batch[0])
 
     def test_point_mask_zeroes_contribution(self, tiny_shapes):
         rng = np.random.default_rng(0)

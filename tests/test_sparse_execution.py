@@ -28,15 +28,13 @@ from repro.kernels import COMPILED_AVAILABLE, ExecutionOptions
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.grid_sample import (
     ms_deform_attn_core,
-    ms_deform_attn_core_batched,
+    ms_deform_attn_core_reference,
     ms_deform_attn_core_sparse,
-    ms_deform_attn_core_sparse_batched,
+    ms_deform_attn_from_compact_trace,
     ms_deform_attn_from_trace,
-    ms_deform_attn_from_trace_batched,
     ms_deform_attn_sparse_from_trace,
-    ms_deform_attn_sparse_from_trace_batched,
     multi_scale_neighbors,
-    multi_scale_neighbors_batched,
+    multi_scale_neighbors_sparse,
     use_sparse_gather,
 )
 from repro.nn.positional import make_reference_points, sine_positional_encoding
@@ -95,16 +93,25 @@ class TestSparseKernels:
 
     def test_from_trace_matches_dense_batched(self):
         value, locs, attn, mask = _kernel_inputs(seed=1, batch=3)
-        trace = multi_scale_neighbors_batched(SHAPES, locs)
-        dense = ms_deform_attn_from_trace_batched(value, trace, attn, point_mask=mask)
-        sparse = ms_deform_attn_sparse_from_trace_batched(value, trace, attn, point_mask=mask)
+        trace = multi_scale_neighbors(SHAPES, locs)
+        dense = ms_deform_attn_from_trace(value, trace, attn, point_mask=mask)
+        sparse = ms_deform_attn_sparse_from_trace(value, trace, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
-        # Batched sparse equals per-image sparse exactly (per-image compaction).
         for b in range(3):
+            reference = ms_deform_attn_core_reference(
+                value[b], SHAPES, locs[b], attn[b], point_mask=mask[b]
+            )
+            np.testing.assert_allclose(dense[b], reference, atol=TOL)
+            # Batched equals per-image exactly (per-image compaction, and a
+            # single image runs the same body as a B = 1 batch).
             single = ms_deform_attn_sparse_from_trace(
                 value[b], trace.image(b), attn[b], point_mask=mask[b]
             )
-            np.testing.assert_allclose(sparse[b], single, atol=TOL)
+            np.testing.assert_array_equal(sparse[b], single)
+            single = ms_deform_attn_from_trace(
+                value[b], trace.image(b), attn[b], point_mask=mask[b]
+            )
+            np.testing.assert_array_equal(dense[b], single)
 
     def test_core_sparse_matches_dense(self):
         value, locs, attn, mask = _kernel_inputs(seed=2)
@@ -114,9 +121,18 @@ class TestSparseKernels:
 
     def test_core_sparse_matches_dense_batched(self):
         value, locs, attn, mask = _kernel_inputs(seed=3, batch=2)
-        dense = ms_deform_attn_core_batched(value, SHAPES, locs, attn, point_mask=mask)
-        sparse = ms_deform_attn_core_sparse_batched(value, SHAPES, locs, attn, point_mask=mask)
+        dense = ms_deform_attn_core(value, SHAPES, locs, attn, point_mask=mask)
+        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
+        for b in range(2):
+            reference = ms_deform_attn_core_reference(
+                value[b], SHAPES, locs[b], attn[b], point_mask=mask[b]
+            )
+            np.testing.assert_allclose(sparse[b], reference, atol=TOL)
+            single = ms_deform_attn_core_sparse(
+                value[b], SHAPES, locs[b], attn[b], point_mask=mask[b]
+            )
+            np.testing.assert_array_equal(sparse[b], single)
 
     def test_no_mask_means_all_points(self):
         value, locs, attn, _ = _kernel_inputs(seed=4)
@@ -163,7 +179,7 @@ class TestSparseKernels:
         assert np.all(zeroed == 0)
 
     def test_use_sparse_gather_dispatch(self):
-        mask = np.zeros((4, 2, 2, 2), dtype=bool)
+        mask = np.zeros((1, 4, 2, 2, 2), dtype=bool)  # one image (B = 1)
         assert use_sparse_gather(mask, 10**9, "sparse")
         assert not use_sparse_gather(mask, 10**9, "dense")
         assert not use_sparse_gather(None, 10**9, "auto")  # no mask -> dense
@@ -173,17 +189,55 @@ class TestSparseKernels:
         with pytest.raises(ValueError):
             use_sparse_gather(mask, 100, "blocked")
 
-    def test_use_sparse_gather_batched_uses_max_per_image_fraction(self):
+    def test_use_sparse_gather_uses_max_per_image_fraction(self):
         """A batch goes sparse only when every image alone would (batched
         decisions must match the per-image serial runs wherever possible)."""
         sparse_image = np.zeros((1, 4, 2, 2, 2), dtype=bool)  # keep 0%
         dense_image = np.ones((1, 4, 2, 2, 2), dtype=bool)  # keep 100%
         mixed = np.concatenate([sparse_image, dense_image])
-        assert use_sparse_gather(sparse_image, 10**9, "auto", batched=True)
-        assert not use_sparse_gather(dense_image, 10**9, "auto", batched=True)
+        assert use_sparse_gather(sparse_image, 10**9, "auto")
+        assert not use_sparse_gather(dense_image, 10**9, "auto")
         # One dense-leaning image forces the whole batch dense, even though
         # the aggregate keep fraction (0.5) is below the threshold.
-        assert not use_sparse_gather(mixed, 10**9, "auto", batched=True)
+        assert not use_sparse_gather(mixed, 10**9, "auto")
+
+
+class TestKernelShapeChecks:
+    """Every kernel checks its per-point arguments against the point grid
+    with one shared check: a mismatched shape is a ``ValueError`` naming the
+    argument, never a silent broadcast or an opaque reshape error."""
+
+    def test_from_trace_rejects_broadcastable_attention(self):
+        # (B, 1, N_h, N_l, N_p) broadcasts across every query if unchecked.
+        value, locs, attn, mask = _kernel_inputs(seed=8, batch=2)
+        trace = multi_scale_neighbors(SHAPES, locs)
+        for kernel in (ms_deform_attn_from_trace, ms_deform_attn_sparse_from_trace):
+            with pytest.raises(ValueError, match="attention_weights"):
+                kernel(value, trace, attn[:, :1])
+            with pytest.raises(ValueError, match="point_mask"):
+                kernel(value, trace, attn, point_mask=mask[:, :1])
+            with pytest.raises(ValueError, match="attention_weights"):
+                kernel(value[0], trace.image(0), attn[0, :1])
+
+    def test_core_kernels_reject_mismatched_points(self):
+        value, locs, attn, mask = _kernel_inputs(seed=9, batch=2)
+        for kernel in (ms_deform_attn_core, ms_deform_attn_core_sparse):
+            with pytest.raises(ValueError, match="attention_weights"):
+                kernel(value, SHAPES, locs, attn[:, :1])
+            with pytest.raises(ValueError, match="point_mask"):
+                kernel(value, SHAPES, locs, attn, point_mask=mask[:1])
+            with pytest.raises(ValueError, match="value"):
+                kernel(value[:1], SHAPES, locs, attn)
+            with pytest.raises(ValueError, match="sampling_locations"):
+                kernel(value, SHAPES[:2], locs, attn)
+
+    def test_compact_trace_kernel_rejects_mismatched_attention(self):
+        value, locs, attn, mask = _kernel_inputs(seed=10, batch=2)
+        trace = multi_scale_neighbors_sparse(SHAPES, locs, point_mask=mask)
+        with pytest.raises(ValueError, match="attention_weights"):
+            ms_deform_attn_from_compact_trace(value, trace, attn[:, :1])
+        with pytest.raises(ValueError, match="value"):
+            ms_deform_attn_from_compact_trace(value[0], trace, attn)
 
 
 class TestApplyFmapMask:

@@ -28,6 +28,7 @@ from repro.engine import (
     serial_reference_outputs,
 )
 from repro.eval.profiler import measure_streaming_blockwise_equivalence
+from repro.kernels import COMPILED_AVAILABLE, ExecutionOptions
 from repro.nn.encoder import DeformableEncoder
 from repro.utils.shapes import LevelShape
 from repro.workloads.specs import get_workload
@@ -177,17 +178,34 @@ class TestSessionStateMachine:
             StreamingConfig(options=ExecutionOptions(collect_details=True))
 
 
+PLANNED_BACKENDS = ("fused",) + (("compiled",) if COMPILED_AVAILABLE else ())
+"""Kernel backends that run on execution-plan arenas."""
+
+
 class TestWarmArenas:
-    def test_hits_climb_and_bytes_plateau(self):
-        session = _session()
+    @staticmethod
+    def _plan_stats(backend: str) -> tuple[dict, dict]:
+        """Plan stats after the first frame and after five frames."""
+        session = _session(options=ExecutionOptions(kernel_backend=backend))
         stream = _stream(seed=4)
         session.process(stream.frame(0), 0)
         first = session.plan_stats()
         for i in range(1, 5):
             session.process(stream.frame(i), i)
-        final = session.plan_stats()
+        return first, session.plan_stats()
+
+    @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
+    def test_hits_climb_and_bytes_plateau(self, backend):
+        first, final = self._plan_stats(backend)
+        assert final["backend"] == backend
         assert final["hits"] > first["hits"]
         assert final["bytes"] == first["bytes"]
+
+    def test_reference_backend_never_touches_plans(self):
+        first, final = self._plan_stats("reference")
+        assert final["backend"] == "reference"
+        for stats in (first, final):
+            assert stats["hits"] == 0 and stats["bytes"] == 0
 
 
 class TestLockstepEquivalence:
