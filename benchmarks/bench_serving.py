@@ -47,7 +47,7 @@ def serving_bank_spec(backend: str | None = None) -> ModelBankSpec:
     ``fp32`` is the unquantized sparse pipeline, ``int12`` the quantized one
     with query pruning — together they cover both equivalence regimes of the
     acceptance criteria on one shared encoder.  ``backend`` pins the kernel
-    backend of both classes (the spec travels to worker *processes*, whose
+    backend of the whole bank (the spec travels to worker *processes*, whose
     default backend is their own, not the benchmark process's) — a worker
     asked for ``"compiled"`` on a host without the built extension falls
     back to ``"fused"`` via the registry, which ``worker_stats()`` reports.
@@ -61,14 +61,10 @@ def serving_bank_spec(backend: str | None = None) -> ModelBankSpec:
         ffn_dim=128,
         rng_seed=0,
         classes=(
-            ("fp32", DEFAConfig(quant_bits=None, kernel_backend=backend)),
-            (
-                "int12",
-                DEFAConfig(
-                    quant_bits=12, enable_query_pruning=True, kernel_backend=backend
-                ),
-            ),
+            ("fp32", DEFAConfig(quant_bits=None)),
+            ("int12", DEFAConfig(quant_bits=12, enable_query_pruning=True)),
         ),
+        kernel_backend=backend,
     )
 
 

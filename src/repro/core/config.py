@@ -30,6 +30,11 @@ all levels costs roughly 25 % extra on-chip storage (Sec. 4.1), which the
 class DEFAConfig:
     """Algorithm-level configuration of DEFA.
 
+    The config says *what* is computed: every field can change the outputs.
+    *How* it executes — the dense/sparse path, the kernel backend and the
+    dispatch profile, none of which change the numerics of a chosen path —
+    lives in :class:`~repro.kernels.ExecutionOptions`.
+
     Parameters
     ----------
     enable_fwp:
@@ -65,17 +70,6 @@ class DEFAConfig:
         Bit width of the fake quantization applied to the MSDeformAttn
         weights/activations (12 in the paper, 8 for the rejected ablation,
         ``None`` disables quantization).
-    kernel_backend:
-        Kernel backend executing the compact-trace MSGS hot path and the
-        execution-plan machinery (see :mod:`repro.kernels`): ``"reference"``
-        reproduces the PR 4 kernels byte for byte, ``"fused"`` runs the
-        bit-identical single-pass kernels with buffer-arena reuse, and
-        ``"compiled"`` runs the C implementations of the same kernels when
-        the extension is built (falling back to ``"fused"`` with a warning
-        when it is not — see :mod:`repro.kernels.compiled_backend`).  ``None``
-        (the default) follows the process default (``REPRO_KERNEL_BACKEND``
-        environment variable, or ``"fused"``); a per-call ``backend=`` on
-        ``forward_detailed`` overrides both.
     enable_query_pruning:
         Extend the FWP mask to the *query* side of the next block: when the
         query set is the pixel set (encoder self-attention, ``N_q == N_in``),
@@ -105,17 +99,8 @@ class DEFAConfig:
     unified_range: bool = False
     quant_bits: int | None = 12
     enable_query_pruning: bool = False
-    kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kernel_backend is not None:
-            from repro.kernels import KERNEL_BACKENDS
-
-            if self.kernel_backend not in KERNEL_BACKENDS:
-                raise ValueError(
-                    f"kernel_backend must be one of {KERNEL_BACKENDS} or None, "
-                    f"got {self.kernel_backend!r}"
-                )
         if self.fwp_k < 0:
             raise ValueError("fwp_k must be non-negative")
         if not 0 <= self.pap_threshold < 1:
@@ -178,5 +163,4 @@ class DEFAConfig:
                 else "off"
             ),
             "quantization": f"INT{self.quant_bits}" if self.quant_bits else "FP32",
-            "kernel_backend": self.kernel_backend or "default",
         }

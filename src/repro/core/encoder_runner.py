@@ -128,7 +128,7 @@ class DEFAEncoderRunner:
         DEFA algorithm configuration.
     options:
         :class:`~repro.kernels.ExecutionOptions` bundling the execution
-        knobs (PR 8).
+        knobs.
 
         ``sparse_mode`` is the execution switch forwarded to every
         :class:`DEFAAttention` block (see :data:`repro.core.pipeline.
@@ -141,21 +141,18 @@ class DEFAEncoderRunner:
         SPARSE_AUTO_FFN_MIN_TOKENS` in ``"auto"``).
 
         ``kernel_backend`` is the kernel-backend specification (name,
-        backend object, or ``None`` to follow ``config.kernel_backend`` and
-        then the process default; the runner's ``kernel_backend`` attribute
-        stays settable, so a benchmark can flip one runner between
-        backends).  ``"reference"`` reproduces the PR 4 execution exactly —
-        no execution plans, per-block allocation; ``"fused"`` runs the
+        backend object, or ``None`` to follow the process default; the
+        runner's ``kernel_backend`` attribute stays settable, so a benchmark
+        can flip one runner between backends).  ``"reference"`` reproduces
+        the PR 4 execution exactly — no execution plans, per-block
+        allocation; ``"fused"`` runs the
         bit-identical fused kernels *and* allocates every per-block
         intermediate from a per-shape-signature :class:`ExecutionPlan`
         (see :meth:`execution_plan`), reused across blocks and across
         :class:`~repro.engine.batching.BatchRunner` work items.
 
-        ``collect_details`` sets the runner-wide default for
-        :meth:`forward`'s ``collect_details`` argument, and
-        ``enable_query_pruning`` overrides the config's flag at
-        construction time (the pruning projections are baked in here, so it
-        cannot be re-toggled per call).
+        ``machine_profile`` is resolved once here and forwarded to every
+        block.
     enable_sparse_ffn:
         Escape hatch for benchmarking: ``False`` pins the FFN stage to the
         masked-dense execution even in ``"sparse"`` mode, which reproduces
@@ -171,15 +168,10 @@ class DEFAEncoderRunner:
         enable_sparse_ffn: bool = True,
     ) -> None:
         options = normalize_execution_options(options, owner="DEFAEncoderRunner")
-        if options.enable_query_pruning is not None:
-            config = config.with_overrides(
-                enable_query_pruning=options.enable_query_pruning
-            )
         self.encoder = encoder
         self.config = config
         self.enable_sparse_ffn = enable_sparse_ffn
         self.kernel_backend = options.kernel_backend
-        self.collect_details_default = options.collect_details
         self.machine_profile = resolve_profile(options.machine_profile)
         """The host dispatch profile (PR 9) governing every ``auto``
         crossover threshold of this runner — the blocks' row dispatch, the
@@ -209,9 +201,9 @@ class DEFAEncoderRunner:
 
     def resolved_backend(self):
         """The kernel backend this runner executes with (runner attribute >
-        ``config.kernel_backend`` > process default, resolved per call so
-        :func:`repro.kernels.set_backend` takes effect immediately)."""
-        return resolve_backend(self.kernel_backend or self.config.kernel_backend)
+        process default, resolved per call so :func:`repro.kernels.
+        set_backend` takes effect immediately)."""
+        return resolve_backend(self.kernel_backend)
 
     MAX_EXECUTION_PLANS = 8
     """LRU bound on cached per-signature arenas.  Each warm plan holds every
@@ -268,7 +260,7 @@ class DEFAEncoderRunner:
         }
 
     def query_stage_plan(
-        self, fmap_mask: np.ndarray | None, queries_per_image: int
+        self, fmap_mask: np.ndarray | None, queries_per_image: int, backend
     ) -> tuple[np.ndarray | None, bool]:
         """``(keep_mask, compact)`` for the pre-attention ``query = x + pos`` add.
 
@@ -281,12 +273,13 @@ class DEFAEncoderRunner:
         equivalent to the PR 4 full add (every projection of a pruned row is
         already masked out downstream).  The compact/masked choice follows
         the same :func:`~repro.core.pipeline.use_sparse_rows` gate as the
-        query-side projections inside the attention block.
+        query-side projections inside the attention block, under the
+        thresholds of the (resolved) ``backend`` the forward runs with.
         """
         if not self.config.enable_query_pruning or fmap_mask is None:
             return None, False
         fmap_mask = normalize_mask(fmap_mask)  # boundary: accept int masks
-        t = self.machine_profile.thresholds_for(self.resolved_backend().name)
+        t = self.machine_profile.thresholds_for(backend.name)
         compact = use_sparse_rows(
             fmap_mask, queries_per_image, t.query_keep_max, t.min_queries, self.sparse_mode
         )
@@ -337,7 +330,7 @@ class DEFAEncoderRunner:
         return query
 
     def ffn_stage_plan(
-        self, fmap_mask: np.ndarray | None, tokens_per_image: int
+        self, fmap_mask: np.ndarray | None, tokens_per_image: int, backend
     ) -> tuple[np.ndarray | None, bool]:
         """``(keep_mask, compact)`` for the inter-block FFN/LayerNorm stage.
 
@@ -347,12 +340,13 @@ class DEFAEncoderRunner:
         incoming mask — the first block therefore always runs dense.  The
         compact/masked-dense execution choice then follows the shared
         :func:`~repro.core.pipeline.use_sparse_rows` rule under this runner's
-        ``sparse_mode``, unless :attr:`enable_sparse_ffn` pins it dense.
+        ``sparse_mode`` and the (resolved) ``backend``'s thresholds, unless
+        :attr:`enable_sparse_ffn` pins it dense.
         """
         if not self.config.enable_query_pruning or fmap_mask is None:
             return None, False
         fmap_mask = normalize_mask(fmap_mask)  # boundary: accept int masks
-        t = self.machine_profile.thresholds_for(self.resolved_backend().name)
+        t = self.machine_profile.thresholds_for(backend.name)
         compact = self.enable_sparse_ffn and use_sparse_rows(
             fmap_mask, tokens_per_image, t.ffn_keep_max, t.ffn_min_tokens, self.sparse_mode
         )
@@ -364,7 +358,7 @@ class DEFAEncoderRunner:
         pos: np.ndarray,
         reference_points: np.ndarray,
         spatial_shapes: list[LevelShape],
-        collect_details: bool | None = None,
+        collect_details: bool = False,
         fmap_masks: list[np.ndarray | None] | None = None,
     ) -> DEFAEncoderResult | DEFAEncoderBatchResult:
         """Run all encoder layers, propagating the FWP masks block to block.
@@ -375,8 +369,9 @@ class DEFAEncoderRunner:
         :class:`DEFAEncoderBatchResult` whose per-image results equal
         running each image alone; a single image runs as a ``B = 1`` batch
         and returns that batch's :class:`DEFAEncoderResult`.
-        ``collect_details`` defaults to the runner's
-        :class:`~repro.kernels.ExecutionOptions` value.
+        ``collect_details`` keeps every block's attention outputs in the
+        result (and runs without the execution-plan arena, since the
+        details must outlive the forward).
 
         ``fmap_masks`` overrides the *incoming* FWP mask of every block
         (entry ``j`` feeds block ``j``: ``(N_in,)`` for a single image,
@@ -401,10 +396,10 @@ class DEFAEncoderRunner:
                 f"fmap_masks must have one entry per encoder layer "
                 f"({len(self.encoder.layers)}), got {len(fmap_masks)}"
             )
-        if collect_details is None:
-            collect_details = self.collect_details_default
         batch, n_in = x.shape[0], x.shape[1]
         pos = np.asarray(pos, dtype=FLOAT_DTYPE)
+        # Resolved once per forward: every block and both inter-block stage
+        # plans run with (and look up thresholds for) this one backend.
         backend = self.resolved_backend()
         # collect_details hands the per-block outputs to the caller, so they
         # must not live in arena buffers that the next block overwrites.
@@ -426,7 +421,7 @@ class DEFAEncoderRunner:
                 fmap_mask = fmap_masks[index]
             # Pre-attention query add, skipped for FWP-pruned pixels under
             # query pruning (their rows never act as queries).
-            q_keep, q_compact = self.query_stage_plan(fmap_mask, n_in)
+            q_keep, q_compact = self.query_stage_plan(fmap_mask, n_in, backend)
             query = self._build_query(x, pos, q_keep, q_compact, plan)
             attn_out: DEFAAttentionBatchOutput = defa_attn.forward_detailed(
                 query,
@@ -440,7 +435,7 @@ class DEFAEncoderRunner:
             # The inter-block stage prunes on the masks applied to *this*
             # block (the rows that did not act as queries), so it must run
             # before the masks advance to the ones this block generated.
-            keep_mask, compact = self.ffn_stage_plan(fmap_mask, n_in)
+            keep_mask, compact = self.ffn_stage_plan(fmap_mask, n_in, backend)
             stream = None
             if plan is not None:
                 # Ping-pong stream buffers: the stage writes block i's output

@@ -64,7 +64,7 @@ from repro.core.pap import PAPResult, compute_point_mask
 from repro.core.range_narrowing import RangeNarrowing
 from repro.core.sampling_stats import sampled_frequency, sampled_frequency_compact
 from repro.nn.grid_sample import (
-    SPARSE_MODES,
+    SPARSE_MODES,  # noqa: F401 -- re-exported as repro.core.pipeline.SPARSE_MODES
     CompactSamplingTrace,
     SamplingTrace,
     ms_deform_attn_from_compact_trace,
@@ -348,13 +348,12 @@ class DEFAAttention:
         compacted gather/scatter kernels (actual wall-clock savings) or the
         masked-dense kernels (pruning simulated by zeroing) — both paths are
         equivalence-tested to 1e-5; ``kernel_backend`` names the kernel
-        backend for the compact-trace kernels (``None`` follows
-        ``config.kernel_backend`` and then the process default — resolved
-        per call, so :func:`repro.kernels.set_backend` takes effect
-        immediately; the backends are bit-identical, ``"fused"``
-        additionally consumes the ``plan`` buffer arena passed into
-        :meth:`forward_detailed`); ``enable_query_pruning`` overrides the
-        config's flag at construction.
+        backend for the compact-trace kernels (``None`` follows the process
+        default — resolved per call, so :func:`repro.kernels.set_backend`
+        takes effect immediately; the backends are bit-identical,
+        ``"fused"`` additionally consumes the ``plan`` buffer arena passed
+        into :meth:`forward_detailed`); ``machine_profile`` is resolved once
+        here.
 
     The block executes batch-first: a single ``(N_q, D)`` image runs as a
     ``B = 1`` batch through the same code as any ``(B, N_q, D)`` batch.
@@ -367,16 +366,9 @@ class DEFAAttention:
         options: ExecutionOptions | None = None,
     ) -> None:
         options = normalize_execution_options(options, owner="DEFAAttention")
-        mode = options.sparse_mode or "auto"
-        if mode not in SPARSE_MODES:
-            raise ValueError(f"sparse_mode must be one of {SPARSE_MODES}, got {mode!r}")
-        if options.enable_query_pruning is not None:
-            config = config.with_overrides(
-                enable_query_pruning=options.enable_query_pruning
-            )
         self.attn = attn
         self.config = config
-        self.sparse_mode = mode
+        self.sparse_mode = options.sparse_mode or "auto"
         self.kernel_backend = options.kernel_backend
         self.machine_profile = resolve_profile(options.machine_profile)
         """The host dispatch profile governing this block's ``auto``
@@ -398,12 +390,8 @@ class DEFAAttention:
         return quantize_linear(linear, self.config.quant_bits)
 
     def _resolve_backend(self, backend=None):
-        """Per-call > per-block > per-config > process-default resolution."""
-        if backend is None:
-            backend = self.kernel_backend
-        if backend is None:
-            backend = self.config.kernel_backend
-        return resolve_backend(backend)
+        """Per-call > construction > process-default resolution."""
+        return resolve_backend(backend if backend is not None else self.kernel_backend)
 
     @staticmethod
     def _project_batched(proj: Linear | QuantizedLinear, x: np.ndarray) -> np.ndarray:
@@ -607,11 +595,10 @@ class DEFAAttention:
         options:
             Per-call :class:`~repro.kernels.ExecutionOptions`.  Only
             ``kernel_backend`` is meaningful per call (``None`` follows the
-            block's options and then ``config.kernel_backend`` / the
-            process default; the backends are bit-identical) — the other
-            knobs are per-block/per-construction properties, so a non-
-            ``None`` ``sparse_mode``, ``enable_query_pruning`` or
-            ``machine_profile`` here is an error.
+            block's construction options and then the process default; the
+            backends are bit-identical) — ``sparse_mode`` and
+            ``machine_profile`` are fixed at construction, so a non-``None``
+            value here is an error.
         plan:
             Optional :class:`~repro.kernels.ExecutionPlan` buffer arena.
             When given (the encoder runner passes one per shape signature),
@@ -631,17 +618,12 @@ class DEFAAttention:
         options = normalize_execution_options(
             options, owner="DEFAAttention.forward_detailed"
         )
-        if options.sparse_mode is not None or options.enable_query_pruning is not None:
-            raise ValueError(
-                "sparse_mode and enable_query_pruning are per-block properties; "
-                "set them when constructing the DEFAAttention, not per call"
-            )
-        if options.machine_profile is not None:
-            raise ValueError(
-                "machine_profile is a per-block property resolved at "
-                "construction; set it when constructing the DEFAAttention, "
-                "not per call"
-            )
+        for knob in ("sparse_mode", "machine_profile"):
+            if getattr(options, knob) is not None:
+                raise ValueError(
+                    f"{knob} is a per-block property fixed at construction; "
+                    "set it when constructing the DEFAAttention, not per call"
+                )
         query = np.asarray(query, dtype=FLOAT_DTYPE)
         value_input = np.asarray(value_input, dtype=FLOAT_DTYPE)
         single = query.ndim == 2

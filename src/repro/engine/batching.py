@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.kernels import ExecutionOptions, ExecutionPlan, normalize_execution_options
+from repro.kernels import ExecutionPlan
 from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.shapes import LevelShape
 
@@ -203,89 +203,44 @@ class BatchRunner:
         return BatchRunResult(outputs=filled, item_ids=[item.item_id for item in items], stats=stats)
 
 
-def _positional_inputs(spatial_shapes: list[LevelShape], d_model: int):
+def _with_positional_inputs(encode: Callable[..., np.ndarray], d_model: int) -> BatchForward:
+    """Adapt ``encode(features, pos, reference_points, spatial_shapes)`` to
+    the runner's signature.  Positional encodings and reference points
+    depend only on the pyramid shapes, so they are derived once per shape
+    signature and cached."""
     from repro.nn.positional import make_reference_points, sine_positional_encoding
 
-    pos = sine_positional_encoding(spatial_shapes, d_model)
-    reference_points = make_reference_points(spatial_shapes)
-    return pos, reference_points
-
-
-def encoder_forward_fn(encoder) -> BatchForward:
-    """Adapt a :class:`~repro.nn.encoder.DeformableEncoder` to the runner.
-
-    Positional encodings and reference points depend only on the pyramid
-    shapes, so they are derived once per shape signature and cached.
-    """
     cache: dict[ShapeKey, tuple[np.ndarray, np.ndarray]] = {}
 
     def forward(features: np.ndarray, spatial_shapes: list[LevelShape]) -> np.ndarray:
         key = tuple(s.as_tuple() for s in spatial_shapes)
         if key not in cache:
-            cache[key] = _positional_inputs(spatial_shapes, encoder.d_model)
-        pos, reference_points = cache[key]
-        return encoder.forward(features, pos, reference_points, spatial_shapes)
+            cache[key] = (
+                sine_positional_encoding(spatial_shapes, d_model),
+                make_reference_points(spatial_shapes),
+            )
+        return encode(features, *cache[key], spatial_shapes)
 
     return forward
 
 
-def defa_forward_fn(
-    runner,
-    options: ExecutionOptions | None = None,
-) -> BatchForward:
+def encoder_forward_fn(encoder) -> BatchForward:
+    """Adapt a :class:`~repro.nn.encoder.DeformableEncoder` to the runner."""
+    return _with_positional_inputs(encoder.forward, encoder.d_model)
+
+
+def defa_forward_fn(runner) -> BatchForward:
     """Adapt a :class:`~repro.core.encoder_runner.DEFAEncoderRunner`.
 
     Runs the full DEFA algorithm (per-image FWP/PAP mask threading) on each
-    batch and returns the batched encoder memory.  ``options.sparse_mode``
-    (one of ``"auto"``/``"dense"``/``"sparse"``) sets the runner's execution
-    switch around every batch dispatched through this adapter, so each
-    adapter always runs in its own mode even when several adapters share one
-    runner; the runner's previous mode is restored afterwards (the adapter
-    must not leak its mode into other adapters or later direct calls on the
-    shared runner).  ``None`` keeps the runner's current mode.
-    ``options.kernel_backend`` does the same for the runner's kernel backend
-    (``"reference"``/``"fused"``); under the fused backend the runner's
+    batch and returns the batched encoder memory.  The adapter executes
+    exactly as the runner is configured — its ``sparse_mode``, kernel
+    backend and dispatch profile — so a different execution choice is a
+    different runner.  Under a planned backend the runner's
     per-shape-signature :class:`~repro.kernels.ExecutionPlan` arenas are
     reused across every work item this adapter dispatches, so a steady
     stream of same-shape items executes with zero large allocations.
-    ``options.enable_query_pruning`` and ``options.collect_details`` are
-    rejected — the pruning projections are baked into the runner at
-    construction, and the adapter only ever returns the batched memory.
     """
-    options = normalize_execution_options(options, owner="defa_forward_fn")
-    if options.enable_query_pruning is not None:
-        raise ValueError(
-            "enable_query_pruning cannot be set per adapter: the pruning "
-            "projections are baked into the runner at construction"
-        )
-    if options.collect_details:
-        raise ValueError("defa_forward_fn only returns the batched memory")
-    if options.machine_profile is not None:
-        raise ValueError(
-            "machine_profile cannot be set per adapter: the dispatch profile "
-            "is resolved when the runner is constructed"
-        )
-    sparse_mode = options.sparse_mode
-    backend = options.kernel_backend
-    cache: dict[ShapeKey, tuple[np.ndarray, np.ndarray]] = {}
-
-    def forward(features: np.ndarray, spatial_shapes: list[LevelShape]) -> np.ndarray:
-        saved_mode = runner.sparse_mode
-        saved_backend = runner.kernel_backend
-        try:
-            if sparse_mode is not None:
-                runner.sparse_mode = sparse_mode
-            if backend is not None:
-                runner.kernel_backend = backend
-            key = tuple(s.as_tuple() for s in spatial_shapes)
-            if key not in cache:
-                cache[key] = _positional_inputs(spatial_shapes, runner.encoder.d_model)
-            pos, reference_points = cache[key]
-            return runner.forward(features, pos, reference_points, spatial_shapes).memory
-        finally:
-            if sparse_mode is not None:
-                runner.sparse_mode = saved_mode
-            if backend is not None:
-                runner.kernel_backend = saved_backend
-
-    return forward
+    return _with_positional_inputs(
+        lambda *inputs: runner.forward(*inputs).memory, runner.encoder.d_model
+    )

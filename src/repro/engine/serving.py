@@ -273,7 +273,9 @@ class ModelBankSpec:
     results being independent of which path ran a batch.  All classes share
     one encoder (one set of weights); each gets its own
     :class:`~repro.core.encoder_runner.DEFAEncoderRunner` so per-class
-    sparse-mode/quantization state never interferes.
+    sparse-mode/quantization state never interferes.  The execution knobs
+    :attr:`kernel_backend` and :attr:`machine_profile` apply to every
+    runner and stream session of the bank.
     """
 
     num_layers: int = 2
@@ -292,6 +294,13 @@ class ModelBankSpec:
     picklable (use backend *names* in any embedded
     :class:`~repro.kernels.ExecutionOptions`)."""
 
+    kernel_backend: str | None = None
+    """Kernel-backend name every runner and stream session of the bank is
+    built with (overriding a stream policy's own), or ``None`` to follow
+    each worker's process default.  Resolved *on the worker*, so
+    ``"compiled"`` falls back to ``"fused"`` where the extension is not
+    built; ``ServingEngine.worker_stats()`` reports what ran."""
+
     machine_profile: "MachineProfile | str | None" = None
     """Dispatch profile (PR 9) every runner of the bank is built with:
     a :class:`~repro.kernels.MachineProfile` (frozen, picklable),
@@ -307,6 +316,10 @@ class ModelBankSpec:
     frozen dataclass of primitives, so the spec stays picklable.  Faults
     execute only inside workers; the parent's fallback bank ignores them."""
 
+    def __post_init__(self) -> None:
+        # Reject a bad backend name or profile here, not in every worker.
+        ExecutionOptions(kernel_backend=self.kernel_backend, machine_profile=self.machine_profile)
+
     def build(self) -> ModelBank:
         from repro.core.encoder_runner import DEFAEncoderRunner
         from repro.nn.encoder import DeformableEncoder
@@ -320,7 +333,9 @@ class ModelBankSpec:
             ffn_dim=self.ffn_dim,
             rng=self.rng_seed,
         )
-        options = ExecutionOptions(machine_profile=self.machine_profile)
+        options = ExecutionOptions(
+            kernel_backend=self.kernel_backend, machine_profile=self.machine_profile
+        )
         forwards: dict[str, BatchForward] = {}
         runners: dict[str, object] = {}
         for name, config in self.classes:
@@ -329,11 +344,12 @@ class ModelBankSpec:
             forwards[name] = defa_forward_fn(runner)
         streaming = {}
         for name, config, policy in self.streams:
-            if self.machine_profile is not None:
-                session_options = (
-                    policy.options or ExecutionOptions()
-                ).with_overrides(machine_profile=self.machine_profile)
-                policy = replace(policy, options=session_options)
+            own = policy.options or ExecutionOptions()
+            session_options = own.with_overrides(
+                kernel_backend=self.kernel_backend or own.kernel_backend,
+                machine_profile=self.machine_profile or own.machine_profile,
+            )
+            policy = replace(policy, options=session_options)
             streaming[name] = StreamingClassServer(encoder, config, policy)
         return ModelBank(forwards, runners, streaming, fault_plan=self.fault_plan)
 

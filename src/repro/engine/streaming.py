@@ -94,9 +94,7 @@ class StreamingConfig:
         all rows (sessions still reuse arenas and the static fast path).
     options:
         :class:`~repro.kernels.ExecutionOptions` for the session's runner
-        (execution path, kernel backend).  ``collect_details`` must stay
-        ``False``: detail collection disables the execution-plan arenas the
-        session exists to keep warm.
+        (execution path, kernel backend, dispatch profile).
     """
 
     keyframe_interval: int = 8
@@ -112,11 +110,6 @@ class StreamingConfig:
             raise ValueError("tolerances must be non-negative")
         if self.dilation is not None and self.dilation < 0:
             raise ValueError("dilation must be non-negative")
-        if self.options is not None and self.options.collect_details:
-            raise ValueError(
-                "collect_details disables the execution-plan arenas; "
-                "streaming sessions require plans"
-            )
 
 
 @dataclass

@@ -733,7 +733,7 @@ def measure_encoder_blockwise_equivalence(
         attn_out = runner.defa_layers[index].forward_detailed(
             x + pos, reference_points, x, shapes, fmap_mask=fmap_mask
         )
-        keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0])
+        keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0], runner.resolved_backend())
         out = layer.forward_ffn_stage(
             x, attn_out.output, keep_mask=keep_mask, compact=compact
         )
@@ -820,7 +820,7 @@ def measure_streaming_blockwise_equivalence(
         attn_out = runner.defa_layers[index].forward_detailed(
             x + pos, reference_points, x, shapes, fmap_mask=fmap_mask
         )
-        keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0])
+        keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0], runner.resolved_backend())
         out = layer.forward_ffn_stage(
             x, attn_out.output, keep_mask=keep_mask, compact=compact
         )

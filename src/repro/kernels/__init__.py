@@ -18,9 +18,8 @@ Public surface:
   fake-quantize helpers used by the pipeline when a plan is active.
 * :class:`ExecutionOptions` / :func:`normalize_execution_options` — the one
   frozen object bundling the execution knobs (``sparse_mode``, kernel
-  backend, detail collection, query-pruning enablement, machine profile)
-  threaded through the whole stack since PR 8, and its single
-  normalization point (see :mod:`repro.kernels.options`).
+  backend, machine profile) threaded through the whole stack, and its
+  single normalization point (see :mod:`repro.kernels.options`).
 * :class:`MachineProfile` / :class:`DispatchThresholds` /
   :func:`get_active_profile` / :func:`set_active_profile` /
   :func:`resolve_profile` / :func:`use_profile` / :func:`calibrate` —

@@ -1,17 +1,15 @@
-"""One object for the execution knobs threaded through the stack (PR 8).
+"""One object for the execution knobs threaded through the stack.
 
-Across PRs 2-7 the execution switches grew ad hoc as per-call keywords:
-``sparse_mode=`` on :class:`~repro.core.pipeline.DEFAAttention` and
-:class:`~repro.core.encoder_runner.DEFAEncoderRunner`, ``backend=`` /
-``kernel_backend`` in four different spots, ``collect_details=`` on the
-runner, ``enable_query_pruning`` on the config.  :class:`ExecutionOptions`
-bundles them into one frozen object that travels the whole stack —
-``DEFAAttention`` / ``MSDeformAttn.forward_detailed`` /
-``DEFAEncoderRunner`` / ``defa_forward_fn`` / ``ModelBankSpec`` — and
-:func:`normalize_execution_options` is the *single* point where it is
-checked (the PR 5 ``normalize_mask`` precedent: coerce once at the boundary,
-everything downstream sees one type).  The loose keywords are gone: every
-surface takes ``options=`` only.
+:class:`~repro.core.config.DEFAConfig` says *what* a DEFA pipeline computes
+(FWP ``k``, the PAP threshold, quantization, query pruning — every field can
+change the outputs); :class:`ExecutionOptions` says *how* it executes
+(``sparse_mode``, ``kernel_backend``, ``machine_profile``), and none of its
+fields changes the numerics of a chosen path.  Each knob has exactly one
+home: detail collection is a per-call argument of the surfaces that return
+details (``DEFAEncoderRunner.forward(collect_details=)``,
+``MSDeformAttn.forward_detailed(with_trace=)``).  Every surface takes
+``options=`` only, checked once by :func:`normalize_execution_options`
+(coerce once at the boundary, everything downstream sees one type).
 
 The one-object rule for future knobs: a new execution switch is a new
 ``ExecutionOptions`` field, never a new loose keyword.
@@ -35,51 +33,35 @@ class ExecutionOptions:
     """How a DEFA pipeline executes — independent of *what* it computes.
 
     Every field defaults to "inherit": ``None`` means the consuming layer
-    keeps its own default (``sparse_mode`` ``"auto"``, backend resolution
-    chain unchanged, the wrapped config's query-pruning flag).  The object is
-    frozen, hashable and picklable (pass backend *names*, not backend
-    objects, when it must cross a process boundary, e.g. inside a
-    :class:`~repro.engine.serving.ModelBankSpec`).
+    keeps its own default.  The object is frozen, hashable and picklable
+    (pass backend *names*, not backend objects, when it must cross a process
+    boundary, e.g. inside a :class:`~repro.engine.serving.ModelBankSpec`).
 
     Parameters
     ----------
     sparse_mode:
         ``"auto"`` / ``"dense"`` / ``"sparse"`` execution-path switch (see
-        :data:`repro.core.pipeline.SPARSE_MODES`), or ``None`` to keep the
-        consumer's default (``"auto"``).
+        :data:`repro.core.pipeline.SPARSE_MODES`), or ``None`` for
+        ``"auto"``.
     kernel_backend:
         Kernel-backend specification — a name from
         :data:`repro.kernels.KERNEL_BACKENDS`, a backend object, or ``None``
-        to follow the ``config.kernel_backend`` → process-default resolution
-        chain.
-    collect_details:
-        Keep per-block attention outputs (:class:`~repro.core.encoder_runner.
-        DEFAEncoderRunner` forwards) / the integer sampling trace
-        (``MSDeformAttn.forward_detailed``).  Detail collection disables the
-        execution-plan arenas, since the details must outlive the forward.
-    enable_query_pruning:
-        Override :attr:`~repro.core.config.DEFAConfig.enable_query_pruning`
-        at construction time (``None`` keeps the config's value).  Only
-        layers that *own* a config honor it — per-call surfaces
-        (``MSDeformAttn.forward_detailed``, :func:`~repro.engine.batching.
-        defa_forward_fn`) reject it, because the pruning projections are
-        baked in when the runner is built.
+        to follow the process default (``REPRO_KERNEL_BACKEND``, else
+        ``"fused"``; see :mod:`repro.kernels.registry`).
     machine_profile:
-        Host-calibrated auto-dispatch profile (PR 9): a
+        Host-calibrated auto-dispatch profile: a
         :class:`~repro.kernels.MachineProfile`, ``"reference"``, a path to a
         profile JSON file, or ``None`` to follow the process-default active
         profile (``REPRO_MACHINE_PROFILE``, falling back to the committed
-        reference constants).  Resolved once at construction by the owning
-        layer via :func:`~repro.kernels.resolve_profile`; per-call surfaces
-        reject it.  Profiles move *dispatch decisions* (which
-        equivalence-tested dense/sparse path runs), never the numerics of a
-        chosen path.
+        reference constants), resolved via
+        :func:`~repro.kernels.resolve_profile`.  Layers with a construction
+        step resolve it once there and reject it per call.  Profiles move
+        *dispatch decisions* (which equivalence-tested dense/sparse path
+        runs), never the numerics of a chosen path.
     """
 
     sparse_mode: str | None = None
     kernel_backend: object | None = None
-    collect_details: bool = False
-    enable_query_pruning: bool | None = None
     machine_profile: "MachineProfile | str | None" = None
 
     def __post_init__(self) -> None:

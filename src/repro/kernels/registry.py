@@ -1,16 +1,19 @@
 """Kernel-backend registry and selection.
 
 The compact-trace MSGS kernels (and the execution-plan machinery that rides
-with them) exist in two implementations — see :mod:`repro.kernels.backends`.
+with them) exist in three implementations — see :mod:`repro.kernels.backends`.
 Selection, from lowest to highest precedence:
 
 1. the process default — the ``REPRO_KERNEL_BACKEND`` environment variable
    at first use (``"fused"`` when unset), changeable at runtime with
    :func:`set_backend`;
-2. the per-pipeline configuration — :attr:`repro.core.config.DEFAConfig.
-   kernel_backend` (``None`` follows the process default);
-3. a per-call ``backend=`` override on the kernel entry points and
-   ``forward_detailed`` methods.
+2. the owning layer's :attr:`repro.kernels.ExecutionOptions.kernel_backend`
+   — a :class:`~repro.core.encoder_runner.DEFAEncoderRunner`'s or
+   :class:`~repro.core.pipeline.DEFAAttention`'s construction options
+   (``None`` follows the process default);
+3. the ``options=`` of a single ``forward_detailed`` call, which the
+   encoder runner uses to hand its once-per-forward resolved backend to
+   every block.
 
 ``"reference"`` reproduces the PR 4 execution byte for byte (no execution
 plans, per-chunk allocation); ``"fused"`` is bit-identical in results but
@@ -18,7 +21,7 @@ single-pass and zero-allocation in steady state; ``"compiled"`` runs the
 fused hot loops as C kernels (bit-identical again) and requires the optional
 extension built by ``setup.py build_ext`` — when the library is absent the
 name resolves to ``"fused"`` with a :class:`RuntimeWarning`, never an
-ImportError, so configs and environment variables naming ``"compiled"``
+ImportError, so options and environment variables naming ``"compiled"``
 stay valid on toolchain-less hosts.
 """
 

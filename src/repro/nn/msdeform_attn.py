@@ -37,7 +37,12 @@ from repro.nn.grid_sample import (
     multi_scale_neighbors,
     use_sparse_gather,
 )
-from repro.kernels import ExecutionOptions, normalize_execution_options
+from repro.kernels import (
+    ExecutionOptions,
+    normalize_execution_options,
+    resolve_backend,
+    resolve_profile,
+)
 from repro.nn.modules import Linear, Module
 from repro.nn.tensor_utils import FLOAT_DTYPE, softmax
 from repro.utils.rng import as_rng
@@ -282,9 +287,11 @@ class MSDeformAttn(Module):
             ``kernel_backend`` overrides the kernel backend for the
             compacted kernels (see :mod:`repro.kernels`); ``None`` follows
             the process default; the backends are bit-identical, so this
-            only affects wall clock.  ``collect_details=True`` implies
-            ``with_trace``.  ``enable_query_pruning`` is rejected — this
-            module has no DEFA config to apply it to.
+            only affects wall clock.  ``machine_profile`` supplies the
+            ``"auto"`` thresholds (the profile's override for the resolved
+            backend, else its machine-wide values); ``None`` follows the
+            process-default active profile.  This surface has no
+            construction step, so every knob applies per call.
 
         Batched inputs take the fully vectorized kernels (no per-image Python
         loop); every field of the result gains a leading batch axis and the
@@ -293,14 +300,9 @@ class MSDeformAttn(Module):
         without the batch axis.
         """
         options = normalize_execution_options(options, owner="MSDeformAttn.forward_detailed")
-        if options.enable_query_pruning is not None:
-            raise ValueError(
-                "enable_query_pruning does not apply to a bare MSDeformAttn; "
-                "set it on the DEFAConfig of the wrapping DEFAAttention"
-            )
         sparse_mode = options.sparse_mode or "auto"
-        backend = options.kernel_backend
-        with_trace = bool(with_trace) or options.collect_details
+        backend = resolve_backend(options.kernel_backend)
+        thresholds = resolve_profile(options.machine_profile).thresholds_for(backend.name)
         query = np.asarray(query, dtype=FLOAT_DTYPE)
         value_input = np.asarray(value_input, dtype=FLOAT_DTYPE)
         if query.ndim not in (2, 3):
@@ -340,7 +342,7 @@ class MSDeformAttn(Module):
             else:
                 effective_mask = point_mask & keep_rows
         sparse = use_sparse_gather(
-            effective_mask, int(np.prod(points_shape[1:])) * 4, sparse_mode
+            effective_mask, int(np.prod(points_shape[1:])) * 4, sparse_mode, thresholds
         )
 
         if sparse and query_mask is not None:

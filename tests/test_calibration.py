@@ -346,9 +346,9 @@ class TestProfileThreading:
         dense where the reference profile compacts them."""
         mask = _exact_keep_mask(2048, 512)
         loose = self._runner(reference_profile())
-        _, compact = loose.query_stage_plan(mask, 2048)
+        _, compact = loose.query_stage_plan(mask, 2048, loose.resolved_backend())
         assert compact
-        _, ffn_compact = loose.ffn_stage_plan(mask, 2048)
+        _, ffn_compact = loose.ffn_stage_plan(mask, 2048, loose.resolved_backend())
         assert ffn_compact
 
         strict = self._runner(
@@ -356,9 +356,9 @@ class TestProfileThreading:
                 min_queries=1 << 20, ffn_min_tokens=1 << 20,
             ))
         )
-        _, compact = strict.query_stage_plan(mask, 2048)
+        _, compact = strict.query_stage_plan(mask, 2048, strict.resolved_backend())
         assert not compact
-        _, ffn_compact = strict.ffn_stage_plan(mask, 2048)
+        _, ffn_compact = strict.ffn_stage_plan(mask, 2048, strict.resolved_backend())
         assert not ffn_compact
 
     def test_per_backend_override_selected_by_resolved_backend(self):
@@ -368,11 +368,59 @@ class TestProfileThreading:
         runner = self._runner(profile)
         runner.kernel_backend = backend
         mask = _exact_keep_mask(2048, 512)
-        _, compact = runner.query_stage_plan(mask, 2048)
+        _, compact = runner.query_stage_plan(mask, 2048, runner.resolved_backend())
         assert not compact
         runner.kernel_backend = "reference"  # no override -> machine default
-        _, compact = runner.query_stage_plan(mask, 2048)
+        _, compact = runner.query_stage_plan(mask, 2048, runner.resolved_backend())
         assert compact
+
+    def test_msdeform_forward_detailed_honours_options_profile(self, monkeypatch):
+        """A bare MSDeformAttn has no construction step: the per-call
+        profile (and its override for the resolved backend) decides the
+        point-gather dispatch, not the process-default profile."""
+        from repro.nn import msdeform_attn
+        from repro.nn.positional import make_reference_points
+
+        decisions = []
+
+        def spy(*args, **kwargs):
+            decisions.append(use_sparse_gather(*args, **kwargs))
+            return decisions[-1]
+
+        monkeypatch.setattr(msdeform_attn, "use_sparse_gather", spy)
+        shapes = [LevelShape(32, 24), LevelShape(16, 16)]  # 1,024 queries
+        attn = msdeform_attn.MSDeformAttn(
+            d_model=32, num_heads=4, num_levels=2, num_points=2, rng=0
+        )
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1024, 32)).astype(np.float32)
+        point_mask = rng.random((1024, 4, 2, 2)) < 0.2  # ~20 % of points kept
+        reference_points = make_reference_points(shapes)
+        never = DispatchThresholds(point_keep_max=0.0)
+        cases = (
+            (ExecutionOptions(), True),
+            (ExecutionOptions(machine_profile="reference"), True),
+            (ExecutionOptions(machine_profile=MachineProfile(name="n", thresholds=never)), False),
+            (
+                ExecutionOptions(
+                    kernel_backend="reference",
+                    machine_profile=MachineProfile(name="pb", per_backend=(("reference", never),)),
+                ),
+                False,
+            ),
+            (
+                ExecutionOptions(
+                    kernel_backend="fused",
+                    machine_profile=MachineProfile(name="pb", per_backend=(("reference", never),)),
+                ),
+                True,
+            ),
+        )
+        for options, _ in cases:
+            attn.forward_detailed(
+                x, reference_points, x, shapes, point_mask=point_mask, options=options
+            )
+        assert decisions == [expected for _, expected in cases]
 
     def test_forward_detailed_rejects_per_call_profile(self):
         runner = self._runner()
@@ -386,13 +434,6 @@ class TestProfileThreading:
                 shapes,
                 options=ExecutionOptions(machine_profile="reference"),
             )
-
-    def test_defa_forward_fn_rejects_per_adapter_profile(self):
-        from repro.engine.batching import defa_forward_fn
-
-        runner = self._runner()
-        with pytest.raises(ValueError, match="machine_profile"):
-            defa_forward_fn(runner, ExecutionOptions(machine_profile="reference"))
 
 
 class TestCalibrationSweep:

@@ -278,12 +278,13 @@ class TestQueryAddStage:
         x = np.asarray(features, dtype=np.float32)
         fmap_mask = None
         masks = []
+        backend = runner.resolved_backend()
         for layer, defa in zip(runner.encoder.layers, runner.defa_layers):
             query = x + pos
             attn_out = defa.forward_detailed(
                 query, reference, x, SHAPES, fmap_mask=fmap_mask
             )
-            keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0])
+            keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0], backend)
             x = layer.forward_ffn_stage(
                 x, attn_out.output, keep_mask=keep_mask, compact=compact
             )
@@ -315,11 +316,12 @@ class TestQueryAddStage:
         assert 0 < mask_into_block2.sum() < N_IN
         block1_out = result.layer_outputs[0]
         # Reconstruct block 1's stage output (= block 2's input).
-        keep_mask, compact = runner.ffn_stage_plan(None, N_IN)
+        backend = runner.resolved_backend()
+        keep_mask, compact = runner.ffn_stage_plan(None, N_IN, backend)
         block2_input = encoder.layers[0].forward_ffn_stage(
             features, block1_out.output, keep_mask=keep_mask, compact=compact
         )
-        keep_mask, compact = runner.ffn_stage_plan(mask_into_block2, N_IN)
+        keep_mask, compact = runner.ffn_stage_plan(mask_into_block2, N_IN, backend)
         block2_out = encoder.layers[1].forward_ffn_stage(
             block2_input,
             result.layer_outputs[1].output,
@@ -339,16 +341,16 @@ class TestQueryAddStage:
         off = DEFAEncoderRunner(
             encoder, DEFAConfig(quant_bits=None), ExecutionOptions(sparse_mode="sparse")
         )
-        assert off.query_stage_plan(mask, N_IN) == (None, False)
+        assert off.query_stage_plan(mask, N_IN, off.resolved_backend()) == (None, False)
         # Query pruning + forced sparse => compact path.
         on = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"))
-        keep, compact = on.query_stage_plan(mask, N_IN)
+        keep, compact = on.query_stage_plan(mask, N_IN, on.resolved_backend())
         assert compact and keep is not None
         # First block (no mask) always runs the plain add.
-        assert on.query_stage_plan(None, N_IN) == (None, False)
+        assert on.query_stage_plan(None, N_IN, on.resolved_backend()) == (None, False)
         # auto mode keeps tiny inputs dense (N_IN < SPARSE_AUTO_MIN_QUERIES).
         auto = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="auto"))
-        keep, compact = auto.query_stage_plan(mask, N_IN)
+        keep, compact = auto.query_stage_plan(mask, N_IN, auto.resolved_backend())
         assert keep is not None and not compact
 
 
@@ -368,14 +370,15 @@ class TestIntegerMaskNormalization:
         x = np.asarray(features, dtype=np.float32)[None]
         fmap_mask = None
         masks = []
+        backend = runner.resolved_backend()
         for layer, defa in zip(runner.encoder.layers, runner.defa_layers):
             int_mask = None if fmap_mask is None else fmap_mask.astype(dtype)
-            q_keep, q_compact = runner.query_stage_plan(int_mask, x.shape[1])
+            q_keep, q_compact = runner.query_stage_plan(int_mask, x.shape[1], backend)
             query = runner._build_query(x, pos, q_keep, q_compact, None)
             attn_out = defa.forward_detailed(
                 query, reference, x, SHAPES, fmap_mask=int_mask
             )
-            keep_mask, compact = runner.ffn_stage_plan(int_mask, x.shape[1])
+            keep_mask, compact = runner.ffn_stage_plan(int_mask, x.shape[1], backend)
             x = layer.forward_ffn_stage(
                 x, attn_out.output, keep_mask=keep_mask, compact=compact
             )

@@ -316,60 +316,25 @@ class TestParallelRunner:
         assert run_experiments_parallel([], jobs=2) == {}
 
 
-class TestDefaForwardFnStateRestore:
-    """Two adapters sharing one runner must not leak modes into each other."""
-
-    def test_adapter_restores_runner_mode_and_backend(self):
-        runner = DEFAEncoderRunner(_encoder(), DEFAConfig())
-        assert runner.sparse_mode == "auto" and runner.kernel_backend is None
-        dense_fn = defa_forward_fn(
-            runner, ExecutionOptions(sparse_mode="dense", kernel_backend="reference")
-        )
-        sparse_fn = defa_forward_fn(
-            runner, ExecutionOptions(sparse_mode="sparse", kernel_backend="fused")
-        )
-        batch = _item(0, SHAPES_A, 0).features[None]
-        shapes = list(SHAPES_A)
-        dense_first = dense_fn(batch, shapes)
-        assert runner.sparse_mode == "auto" and runner.kernel_backend is None
-        sparse_fn(batch, shapes)
-        assert runner.sparse_mode == "auto" and runner.kernel_backend is None
-        # The dense adapter still computes its own mode's result after the
-        # sparse adapter ran on the shared runner (no leaked mode).
-        np.testing.assert_array_equal(dense_fn(batch, shapes), dense_first)
-
-    def test_adapter_matches_dedicated_runner(self):
-        """A mode-pinned adapter on a shared runner must produce exactly what
-        a runner permanently set to that mode produces."""
-        shared = DEFAEncoderRunner(_encoder(), DEFAConfig())
-        dedicated = DEFAEncoderRunner(_encoder(), DEFAConfig())
-        dedicated.sparse_mode = "sparse"
-        sparse_fn = defa_forward_fn(shared, ExecutionOptions(sparse_mode="sparse"))
-        other_fn = defa_forward_fn(shared, ExecutionOptions(sparse_mode="dense"))
-        batch = _item(0, SHAPES_A, 3).features[None]
-        shapes = list(SHAPES_A)
-        other_fn(batch, shapes)  # perturb the shared runner first
-        pos = sine_positional_encoding(shapes, D_MODEL)
-        reference = make_reference_points(shapes)
-        expected = dedicated.forward(batch, pos, reference, shapes).memory
-        np.testing.assert_array_equal(sparse_fn(batch, shapes), expected)
-
-    def test_mode_restored_when_forward_raises(self):
-        runner = DEFAEncoderRunner(_encoder(), DEFAConfig())
-        adapter = defa_forward_fn(
-            runner, ExecutionOptions(sparse_mode="dense", kernel_backend="reference")
-        )
-        bad_batch = np.zeros((1, 3, D_MODEL), dtype=np.float32)  # token mismatch
-        with pytest.raises(Exception):
-            adapter(bad_batch, list(SHAPES_A))
-        assert runner.sparse_mode == "auto" and runner.kernel_backend is None
+class TestDefaForwardFnRunnerMode:
+    """The adapter runs exactly as its runner is configured."""
 
     def test_none_keeps_current_mode(self):
         runner = DEFAEncoderRunner(_encoder(), DEFAConfig())
         runner.sparse_mode = "dense"
-        adapter = defa_forward_fn(runner)  # no overrides
-        adapter(_item(0, SHAPES_A, 0).features[None], list(SHAPES_A))
+        adapter = defa_forward_fn(runner)
+        batch = _item(0, SHAPES_A, 0).features[None]
+        shapes = list(SHAPES_A)
+        got = adapter(batch, shapes)
         assert runner.sparse_mode == "dense"
+        dedicated = DEFAEncoderRunner(
+            _encoder(), DEFAConfig(), ExecutionOptions(sparse_mode="dense")
+        )
+        pos = sine_positional_encoding(shapes, D_MODEL)
+        reference = make_reference_points(shapes)
+        np.testing.assert_array_equal(
+            got, dedicated.forward(batch, pos, reference, shapes).memory
+        )
 
 
 def _flaky_experiment_worker(experiment_id: str):

@@ -1,20 +1,20 @@
-"""Tests for the one-object execution-knob surface (PR 8).
+"""Tests for the one-object execution-knob surface.
 
 ``ExecutionOptions`` bundles ``sparse_mode`` / ``kernel_backend`` /
-``collect_details`` / ``enable_query_pruning`` / ``machine_profile``; every
-surface takes it as ``options=`` only, normalized by
-``normalize_execution_options`` (``None`` means defaults, anything else that
-is not an ``ExecutionOptions`` is a ``TypeError``).
+``machine_profile``; every surface takes it as ``options=`` only, normalized
+by ``normalize_execution_options`` (``None`` means defaults, anything else
+that is not an ``ExecutionOptions`` is a ``TypeError``).
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
-from repro.engine.batching import defa_forward_fn
 from repro.kernels import ExecutionOptions, normalize_execution_options
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.positional import make_reference_points, sine_positional_encoding
@@ -42,9 +42,14 @@ class TestExecutionOptions:
         options = ExecutionOptions()
         assert options.sparse_mode is None
         assert options.kernel_backend is None
-        assert options.collect_details is False
-        assert options.enable_query_pruning is None
         assert options.machine_profile is None
+
+    def test_only_execution_knobs(self):
+        """Each knob has one home: what is computed lives on DEFAConfig,
+        detail collection on the forward calls."""
+        names = [f.name for f in fields(ExecutionOptions)]
+        assert names == ["sparse_mode", "kernel_backend", "machine_profile"]
+        assert "kernel_backend" not in {f.name for f in fields(DEFAConfig)}
 
     def test_machine_profile_accepts_profile_spec_only(self):
         from repro.kernels import MachineProfile
@@ -73,10 +78,10 @@ class TestExecutionOptions:
 
     def test_with_overrides(self):
         options = ExecutionOptions(sparse_mode="sparse")
-        updated = options.with_overrides(collect_details=True)
+        updated = options.with_overrides(kernel_backend="reference")
         assert updated.sparse_mode == "sparse"
-        assert updated.collect_details is True
-        assert options.collect_details is False  # frozen: original unchanged
+        assert updated.kernel_backend == "reference"
+        assert options.kernel_backend is None  # frozen: original unchanged
 
     def test_picklable(self):
         import pickle
@@ -110,9 +115,32 @@ class TestNormalization:
                 SHAPES,
                 options=ExecutionOptions(sparse_mode="sparse"),
             )
-        with pytest.raises(ValueError, match="construction"):
-            defa_forward_fn(
-                runner, ExecutionOptions(enable_query_pruning=True)
-            )
-        with pytest.raises(ValueError, match="batched memory"):
-            defa_forward_fn(runner, ExecutionOptions(collect_details=True))
+
+
+class TestBackendPrecedence:
+    """``kernel_backend`` lives on ExecutionOptions and the process default."""
+
+    def test_block_per_call_over_construction_over_default(self):
+        from repro.core.pipeline import DEFAAttention
+        from repro.kernels import use_backend
+
+        attn = _encoder().layers[0].self_attn
+        pinned = DEFAAttention(attn, DEFAConfig(), ExecutionOptions(kernel_backend="reference"))
+        unpinned = DEFAAttention(attn, DEFAConfig())
+        for default in ("fused", "reference"):
+            with use_backend(default):
+                assert pinned._resolve_backend().name == "reference"
+                assert pinned._resolve_backend("fused").name == "fused"
+                assert unpinned._resolve_backend().name == default
+
+    def test_runner_attribute_over_default(self):
+        from repro.kernels import use_backend
+
+        runner = DEFAEncoderRunner(
+            _encoder(), DEFAConfig(), ExecutionOptions(kernel_backend="reference")
+        )
+        with use_backend("fused"):
+            assert runner.resolved_backend().name == "reference"
+            assert runner.plan_stats()["backend"] == "reference"
+            runner.kernel_backend = None
+            assert runner.resolved_backend().name == "fused"

@@ -14,6 +14,7 @@ resolve to ``"fused"`` with a ``RuntimeWarning``, never an ImportError).
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,11 +114,6 @@ class TestRegistry:
     def test_backend_object_passes_through(self):
         backend = resolve_backend("fused")
         assert resolve_backend(backend) is backend
-
-    def test_config_validates_backend_name(self):
-        with pytest.raises(ValueError, match="kernel_backend"):
-            DEFAConfig(kernel_backend="turbo")
-        assert DEFAConfig(kernel_backend="reference").kernel_backend == "reference"
 
 
 class TestExecutionPlan:
@@ -486,18 +482,40 @@ class TestCompiledFallback:
         finally:
             registry._current = before
 
-    def test_runner_with_compiled_config_serves_via_fused(self, monkeypatch):
+    def test_runner_with_compiled_options_serves_via_fused(self, monkeypatch):
         monkeypatch.setattr(compiled_backend, "COMPILED_AVAILABLE", False)
-        config = DEFAConfig(kernel_backend="compiled")  # name stays valid
         shapes, encoder, features, pos, reference_points = _encoder_fixture(
             num_layers=1
         )
-        runner = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="sparse"))
+        options = ExecutionOptions(sparse_mode="sparse", kernel_backend="compiled")
+        runner = DEFAEncoderRunner(encoder, DEFAConfig(), options)  # name stays valid
         with pytest.warns(RuntimeWarning, match="falling back to 'fused'"):
             assert runner.resolved_backend().name == "fused"
             assert runner.plan_stats()["backend"] == "fused"
             result = runner.forward(features, pos, reference_points, shapes)
         assert result.memory.shape == features.shape
+
+    def test_runner_resolves_its_backend_once_per_forward(self, monkeypatch):
+        """The blocks and both inter-block stage plans share the backend the
+        forward resolved, so a missing extension warns once per forward."""
+        monkeypatch.setattr(compiled_backend, "COMPILED_AVAILABLE", False)
+        shapes, encoder, features, pos, reference_points = _encoder_fixture(
+            num_layers=3
+        )
+        runner = DEFAEncoderRunner(
+            encoder,
+            DEFAConfig(fwp_k=1.0, enable_query_pruning=True),
+            ExecutionOptions(sparse_mode="sparse", kernel_backend="compiled"),
+        )
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = runner.forward(features, pos, reference_points, shapes)
+            fallbacks = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert len(fallbacks) == 1, [str(w.message) for w in fallbacks]
+            assert "falling back to 'fused'" in str(fallbacks[0].message)
+        # The stage plans ran on masked blocks, i.e. were really consulted.
+        assert [s.sparse_ffn for s in result.layer_stats] == [False, True, True]
 
     @pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled library not built")
     def test_plan_stats_report_the_compiled_backend_when_available(self):
@@ -505,7 +523,7 @@ class TestCompiledFallback:
             num_layers=1
         )
         runner = DEFAEncoderRunner(
-            encoder, DEFAConfig(kernel_backend="compiled"), ExecutionOptions(sparse_mode="sparse")
+            encoder, DEFAConfig(), ExecutionOptions(sparse_mode="sparse", kernel_backend="compiled")
         )
         assert runner.plan_stats()["backend"] == "compiled"
         runner.forward(features, pos, reference_points, shapes)

@@ -358,10 +358,17 @@ class TestWorkerLifecycle:
         finally:
             engine.shutdown()
 
-    def test_worker_plan_stats_stay_warm_across_requests(self):
+    def test_worker_plan_stats_stay_warm_across_requests(self, monkeypatch):
         """The worker's runner keeps its ExecutionPlan arenas across batches:
         plan hits must climb between two same-shape flush rounds (the PR 5
         zero-allocation steady state surviving across requests)."""
+        from repro.kernels import DEFAULT_BACKEND_ENV, registry
+
+        # Workers default to the reference backend, which never touches
+        # plans (forked workers inherit the registry, spawned ones read the
+        # environment): the spec's pin must win.
+        monkeypatch.setenv(DEFAULT_BACKEND_ENV, "reference")
+        monkeypatch.setattr(registry, "_current", registry.resolve_backend("reference"))
         spec = ModelBankSpec(
             num_layers=2,
             d_model=D_MODEL,
@@ -370,9 +377,8 @@ class TestWorkerLifecycle:
             num_points=2,
             ffn_dim=64,
             rng_seed=0,
-            # Pin the fused backend so the plan arena is exercised even when
-            # the process default backend is "reference" (CI matrix leg).
-            classes=(("fp32", DEFAConfig(quant_bits=None, kernel_backend="fused")),),
+            classes=(("fp32", DEFAConfig(quant_bits=None)),),
+            kernel_backend="fused",
         )
         engine = ServingEngine(
             spec.build,
@@ -388,6 +394,7 @@ class TestWorkerLifecycle:
             engine.flush()
             first = engine.worker_stats()[0]
             assert first is not None and first["fp32"]["plans"] >= 1
+            assert first["fp32"]["backend"] == "fused"
             # PR 9: the worker reports which dispatch profile it serves with.
             assert first["fp32"]["profile"] == "reference"
             for i in range(4, 8):
@@ -698,6 +705,29 @@ class TestMachineProfileThreading:
         )
         bank = spec.build()
         assert bank.streaming["vid"].streaming.options.machine_profile == "reference"
+
+    def test_stream_policies_inherit_spec_backend(self):
+        from dataclasses import replace
+
+        from repro.engine import StreamingConfig
+        from repro.kernels import ExecutionOptions
+
+        policy = StreamingConfig(options=ExecutionOptions(sparse_mode="dense"))
+        spec = replace(
+            _spec(), kernel_backend="reference", streams=(("vid", DEFAConfig(), policy),)
+        )
+        bank = spec.build()
+        options = bank.streaming["vid"].streaming.options
+        assert options.kernel_backend == "reference"
+        assert options.sparse_mode == "dense"  # the policy's own knobs survive
+        assert all(r.resolved_backend().name == "reference" for r in bank.runners.values())
+        features = np.zeros((sum(s.num_pixels for s in SHAPES_A), D_MODEL), np.float32)
+        bank.streaming["vid"].forward(features[None], SHAPES_A, [("s0", 0)])
+        assert bank.plan_stats()["vid"]["backend"] == "reference"
+
+    def test_spec_rejects_unknown_backend(self):
+        with pytest.raises(ValueError, match="kernel_backend"):
+            ModelBankSpec(kernel_backend="vulkan")
 
     def test_spec_with_profile_is_picklable(self):
         import pickle

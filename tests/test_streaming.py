@@ -171,12 +171,6 @@ class TestSessionStateMachine:
         with pytest.raises(ValueError, match="pyramid"):
             session.process(np.zeros((7, D_MODEL), dtype=np.float32))
 
-    def test_collect_details_rejected(self):
-        from repro.kernels import ExecutionOptions
-
-        with pytest.raises(ValueError, match="collect_details"):
-            StreamingConfig(options=ExecutionOptions(collect_details=True))
-
 
 PLANNED_BACKENDS = ("fused",) + (("compiled",) if COMPILED_AVAILABLE else ())
 """Kernel backends that run on execution-plan arenas."""
