@@ -21,11 +21,12 @@ by >= 1.15x with bit-identical outputs.  The compiled C backend (PR 7), when
 its extension is built, is timed as a third backend point and gated
 bit-identical to the fused backend (its own ``COMPILED_EQUIVALENCE_TOL``
 tier); on hosts without a C toolchain the compiled fields are simply absent
-and ``compare_bench.py --allow-missing`` tolerates the gap.  The sweep is
-written to ``BENCH_sparse.json``
-at the repo root so the perf trajectory is tracked PR-over-PR
-(``benchmarks/run_all.py`` regenerates the same record and
-``benchmarks/compare_bench.py`` gates it in CI).
+and ``compare_bench.py --allow-missing`` tolerates the gap.  A direct run
+writes the sweep to ``BENCH_sparse.json`` at the repo root, a scratch record
+that git ignores.  ``benchmarks/run_all.py`` produces the same record as its
+``sparse_speedup`` probe, and CI gates that with
+``benchmarks/compare_bench.py`` against the committed
+``benchmarks/baselines/BENCH_compact.json``.
 
 Run directly (``python benchmarks/bench_sparse_speedup.py``) or through
 pytest-benchmark like the other figure benchmarks.
@@ -156,7 +157,8 @@ def sweep_record(
     encoder_report: EncoderSparseSpeedupReport | None = None,
     blockwise: dict | None = None,
 ) -> dict:
-    """The machine-readable benchmark record written to ``BENCH_sparse.json``.
+    """The machine-readable sweep record (``BENCH_sparse.json``, or ``run_all``'s
+    ``sparse_speedup`` probe).
 
     ``query_pruning`` must reflect the flag the sweep actually ran with so
     the record describes its own operating mode faithfully.  When the

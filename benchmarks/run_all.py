@@ -1,24 +1,42 @@
 """Repo-standard benchmark harness: run every perf benchmark, emit one JSON.
 
-Runs the batched-engine benchmark and the sparse-execution sweep and writes a
-single machine-readable record (name, config, speedups, per-kernel timings)
-so the perf trajectory can be tracked PR-over-PR::
+Runs the batched-engine benchmark, the sparse-execution sweep and the other
+probes, and writes a single machine-readable record (name, config, speedups,
+per-kernel timings, equivalence drifts)::
 
     PYTHONPATH=src python benchmarks/run_all.py --json BENCH_all.json
+
+The record a run writes is scratch output (git ignores ``BENCH_*.json`` at
+the repo root).  The committed record is
+``benchmarks/baselines/BENCH_compact.json``: CI compares a fresh compact run
+against it (or against the previous main-branch run) with
+``benchmarks/compare_bench.py``.
 
 ``--scale compact`` (the default) keeps the iteration budget tight enough for
 a CI smoke job; ``--scale paper`` reproduces the full paper-scale numbers of
 ``benchmarks/bench_sparse_speedup.py``.  ``--check`` exits non-zero when the
 sparse/dense (or batched/serial) equivalence drifts beyond tolerance, which
 is how CI guards the numerics without asserting hardware-dependent speedups.
+
+Run as a script, the harness pins BLAS and OpenMP to one thread: it sets
+``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before NumPy is first imported, as ``perfbench/run.py`` does, and the
+serving probes' worker processes inherit the setting.  Every probe is a
+single-core measurement; threaded GEMM made the small ``batched_engine``
+forwards bimodal on a shared host.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+if __name__ == "__main__":
+    for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_name] = "1"  # before NumPy is first imported
 
 # The sibling benchmark scripts are plain files, not a package; make them
 # importable regardless of how this script is invoked (direct path, -m, ...).
@@ -122,7 +140,7 @@ def run_engine_benchmark(repeats: int) -> dict:
 
 def run_sparse_benchmark(sparse_scale: str, repeats: int) -> dict:
     """The sparse-execution sweep, in the exact record shape of
-    ``bench_sparse_speedup.py`` so the two JSONs stay comparable PR-over-PR."""
+    ``bench_sparse_speedup.py`` so the two records stay comparable."""
     from bench_sparse_speedup import sweep_record
 
     reports = sweep_sparse_speedup(scale=sparse_scale, repeats=repeats, rng_seed=0)

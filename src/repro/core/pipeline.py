@@ -290,11 +290,6 @@ class DEFAAttentionOutput:
             )
         return self._materialized_trace
 
-    def dense_trace(self) -> SamplingTrace:
-        """Explicit alias of :attr:`trace` for call sites that must stress
-        they replay the *full* point stream (bank-conflict simulation)."""
-        return self.trace
-
 
 @dataclass
 class DEFAAttentionBatchOutput:

@@ -44,8 +44,8 @@ def run(
         for layer_out in result.layer_outputs:
             # The Fig. 7(a) micro-benchmark measures the raw MSGS engine
             # throughput, so the full (unpruned) sampling stream is replayed;
-            # dense_trace() materializes it when the block ran compacted.
-            trace = layer_out.dense_trace()
+            # .trace materializes it when the block ran compacted.
+            trace = layer_out.trace
             intra = simulate_bank_conflicts(
                 trace,
                 BankingScheme.INTRA_LEVEL,

@@ -134,7 +134,7 @@ class DEFASimulator:
         stats = output.stats
         # Sparse-path outputs carry a compacted trace; the simulator replays
         # every point, so materialize the full trace on demand.
-        trace = output.dense_trace()
+        trace = output.trace
         n_q, n_h, n_l, n_p = output.point_mask.shape
         active = trace.valid & output.point_mask[..., None]
         neighbor_accesses = int(np.count_nonzero(active))

@@ -34,9 +34,10 @@ FLOAT_DTYPE = np.float32
 
 _SPARSE_CONTRIB_BUDGET_BYTES = 8 * 1024 * 1024
 """Upper bound on the compacted ``(N_kept, D_h)`` contribution block per
-chunk, mirroring the cache-size chunking of the dense kernels.  Shared by
-both backends so their chunk boundaries (and therefore their float
-summation order) are identical."""
+chunk, mirroring the cache-size chunking of the dense kernel.  Shared by
+every registry backend (the compiled one imports it, and its C kernel
+flushes at the same boundaries) so their chunk boundaries, and therefore
+their float summation order, are identical."""
 
 
 def segment_sum_into(out: np.ndarray, contrib: np.ndarray, seg: np.ndarray) -> None:

@@ -7,31 +7,25 @@ type, so single-image and batched calls share every float operation.
 
 The code paths are:
 
-* the dense kernels (:func:`ms_deform_attn_core`,
-  :func:`ms_deform_attn_from_trace`): one flat gather of every neighbour of
-  every point; PAP pruning multiplies pruned points by zero,
-* an index-level path (:func:`bilinear_neighbors`,
-  :func:`multi_scale_neighbors`) that exposes the integer neighbour pixels and
-  interpolation weights of every sampling point.  The index-level path is what
-  FWP frequency counting, the bank-conflict simulator and the fmap-reuse
-  tracker consume — it corresponds to the memory accesses the accelerator
-  actually performs,
-* a *sparse* path (:func:`ms_deform_attn_core_sparse`,
-  :func:`ms_deform_attn_sparse_from_trace`) that compacts the PAP point mask
-  **before** the bilinear gather: surviving points are gathered into a dense
-  ``(N_kept, ...)`` work set, only their neighbours are fetched from the
-  value array, and the contributions are accumulated back into the
-  per-(query, head) outputs with a segment sum.  This is the software
-  analogue of the accelerator skipping pruned points entirely — it turns the
-  pruning ratio into wall-clock speedup instead of multiplying gathered
-  values by zero, and
-* a *compacted trace* (:class:`CompactSamplingTrace`, built by
-  :func:`multi_scale_neighbors_sparse` and consumed by
-  :func:`ms_deform_attn_from_compact_trace`): the index-level trace of only
-  the mask-surviving points.  Unlike the sparse kernels above, which compact
-  an already-built dense trace, the compacted trace never computes bilinear
-  neighbours, weights or level offsets for pruned points, so trace
-  construction itself scales with the keep ratio (sparse execution v2).
+* the index-level trace (:func:`bilinear_neighbors`,
+  :func:`multi_scale_neighbors`), which exposes the integer neighbour pixels
+  and interpolation weights of every sampling point.  It is what FWP
+  frequency counting, the bank-conflict simulator and the fmap-reuse tracker
+  consume: the memory accesses the accelerator actually performs,
+* the dense kernel :func:`ms_deform_attn_from_trace`: one flat gather of
+  every neighbour of every point of a trace, and one weighted reduction.
+  PAP pruning multiplies pruned points by zero.
+  :func:`ms_deform_attn_core` is this kernel on a freshly built trace, and
+* the *compacted* path: :func:`multi_scale_neighbors_sparse` builds a
+  :class:`CompactSamplingTrace` of only the mask-surviving points, and
+  :func:`ms_deform_attn_from_compact_trace` gathers their neighbours and
+  accumulates the contributions per (query, head) with a segment sum.  It
+  never computes neighbours, weights or level offsets for pruned points,
+  and never fetches their values, so both trace construction and the gather
+  scale with the keep ratio: the software analogue of the accelerator
+  skipping pruned points.  The gather + segment sum runs on the backend the
+  kernel registry selects (:mod:`repro.kernels`).
+  :func:`ms_deform_attn_core_sparse` chains the two steps.
 
 :func:`bilinear_sample_level_reference` and :func:`ms_deform_attn_core_reference`
 are loop-based oracles kept for the tests.
@@ -48,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.backends import _SPARSE_CONTRIB_BUDGET_BYTES, segment_sum_into
 from repro.kernels.calibration import DispatchThresholds, get_active_profile
 from repro.kernels.plan import ExecutionPlan, take_into
 from repro.kernels.registry import resolve_backend
@@ -546,50 +539,16 @@ def ms_deform_attn_core(
     -------
     Output of shape ``(B, N_q, N_h * D_h)``; image ``b`` matches
     :func:`ms_deform_attn_core_reference` on that image up to float32
-    rounding.  The hot path has no per-image, per-head or per-level Python
-    loop: neighbours of all levels are computed in one vectorized pass, one
-    flat ``np.take`` per query chunk gathers every neighbour, and two
-    einsums perform the weighted reductions.  The query chunking bounds the
-    gathered intermediate to a cache-friendly size — without it, large
-    workloads thrash the cache and batching loses its advantage.
+    rounding.  This is :func:`ms_deform_attn_from_trace` on the trace
+    :func:`multi_scale_neighbors` builds for ``sampling_locations``, bit for
+    bit.
     """
-    sampling_locations, single = _batch_locations(spatial_shapes, sampling_locations)
-    value, attention_weights, point_mask = _point_args(
+    return ms_deform_attn_from_trace(
         value,
+        multi_scale_neighbors(spatial_shapes, sampling_locations),
         attention_weights,
-        point_mask,
-        sampling_locations.shape[:-1],
-        spatial_shapes,
-        single,
+        point_mask=point_mask,
     )
-    batch, n_in, n_h, d_h = value.shape
-    n_q, _, n_l, n_p = sampling_locations.shape[1:5]
-    effective_weights = attention_weights
-    if point_mask is not None:
-        effective_weights = attention_weights * point_mask.astype(FLOAT_DTYPE)
-
-    _, _, weights, valid, safe_flat = _multi_level_neighbors(spatial_shapes, sampling_locations)
-    effective = weights * valid.astype(FLOAT_DTYPE)  # (B, N_q, N_h, N_l, N_p, 4)
-    # One flat gather axis over (batch, token, head): a single np.take per
-    # query chunk beats multi-array advanced indexing by a wide margin.
-    value_flat = np.ascontiguousarray(value).reshape(batch * n_in * n_h, d_h)
-    b_off = (np.arange(batch, dtype=np.int64) * n_in).reshape(batch, 1, 1, 1, 1, 1)
-    h_off = np.arange(n_h, dtype=np.int64).reshape(1, 1, n_h, 1, 1, 1)
-    # Bound the gathered (B, chunk, N_h, N_l, N_p, 4, D_h) block to ~4 MB.
-    per_query = batch * n_h * n_l * n_p * 4 * d_h
-    chunk = max(1, min(n_q, (1024 * 1024) // max(per_query, 1)))
-
-    output = np.empty((batch, n_q, n_h, d_h), dtype=FLOAT_DTYPE)
-    for start in range(0, n_q, chunk):
-        sl = slice(start, start + chunk)
-        with kernel_section("gather"):
-            idx = (b_off + safe_flat[:, sl]) * n_h + h_off
-            gathered = np.take(value_flat, idx, axis=0)  # (B, q, N_h, N_l, N_p, 4, D_h)
-        with kernel_section("aggregate"):
-            sampled = np.einsum("bqhlpnc,bqhlpn->bqhlpc", gathered, effective[:, sl])
-            output[:, sl] = np.einsum("bqhlpc,bqhlp->bqhc", sampled, effective_weights[:, sl])
-    output = output.reshape(batch, n_q, n_h * d_h)
-    return output[0] if single else output
 
 
 def ms_deform_attn_from_trace(
@@ -600,8 +559,9 @@ def ms_deform_attn_from_trace(
 ) -> np.ndarray:
     """Compute MSGS + aggregation from a precomputed sampling trace.
 
-    Functionally equivalent to :func:`ms_deform_attn_core`; used by the DEFA
-    pipeline so that the same trace drives both the numerics and the
+    The one dense gather + aggregate body: :func:`ms_deform_attn_core` runs
+    it on a freshly built trace, and the DEFA pipeline passes its own trace
+    so that the same trace drives both the numerics and the
     frequency/conflict statistics.  With a :class:`BatchedSamplingTrace`,
     ``value`` has shape ``(B, N_in, N_h, D_h)`` and ``attention_weights`` /
     ``point_mask`` shape ``(B, N_q, N_h, N_l, N_p)``; the result is
@@ -648,15 +608,16 @@ def ms_deform_attn_from_trace(
 # --------------------------------------------------------------------------
 # Sparse (compacted gather/scatter) execution path
 #
-# The dense kernels above *simulate* PAP pruning by multiplying attention
+# The dense kernel above *simulates* PAP pruning by multiplying attention
 # weights with the point mask — every pruned point is still gathered and
 # multiplied by zero.  The kernels below drop pruned points before any memory
 # traffic happens: surviving points are compacted into a flat work set, one
 # gather fetches exactly their neighbour value rows, an einsum folds the four
 # bilinear neighbours of each point, and a segment sum scatters the per-point
-# contributions back into the (query, head) output slots.  Results match the
-# dense kernels to float32 rounding (the same terms are summed, minus exact
-# zeros), which the equivalence tests pin at 1e-5.
+# contributions back into the (query, head) output slots (the registry
+# backend's ``compact_gather_aggregate``).  Results match the dense kernel to
+# float32 rounding (the same terms are summed, minus exact zeros), which the
+# equivalence tests pin at 1e-5.
 
 SPARSE_MODES = ("auto", "dense", "sparse")
 """Valid values of the ``sparse_mode`` execution switch, shared by every
@@ -1031,85 +992,6 @@ def _compact_trace_arrays_fused(
     return lvl, weights, valid, flat
 
 
-def _sparse_gather_aggregate(
-    value_flat: np.ndarray,
-    flat_indices: np.ndarray,
-    effective_weights: np.ndarray,
-    point_mask: np.ndarray | None,
-    attn: np.ndarray,
-    *,
-    batch: int,
-    n_q: int,
-    n_in: int,
-) -> np.ndarray:
-    """Compacted gather + segment-sum aggregation over kept sampling points.
-
-    Compaction happens at *point* granularity: the four neighbours of a kept
-    point are gathered as one ``(4, D_h)`` block and reduced with an einsum,
-    so the segment sum only sees one row per surviving point (4x fewer rows
-    than per-neighbour compaction — the segment sum is the serial part of the
-    kernel, the einsum is vectorized).
-
-    Parameters
-    ----------
-    value_flat:
-        ``(B * N_in * N_h, D_h)`` value rows on the flat (batch, token, head)
-        axis.
-    flat_indices:
-        ``(B, N_q, N_h, N_l, N_p, 4)`` neighbour token indices (``-1`` where
-        out of bounds; clamped before the gather, their weight is zero).
-    effective_weights:
-        ``(B, N_q, N_h, N_l, N_p, 4)`` bilinear weights with out-of-bounds
-        neighbours already zeroed (``weights * valid``).
-    point_mask:
-        ``(B, N_q, N_h, N_l, N_p)`` keep flags, or ``None`` for all points.
-    attn:
-        ``(B, N_q, N_h, N_l, N_p)`` attention probabilities.
-
-    Returns
-    -------
-    ``(B * N_q * N_h, D_h)`` aggregated head outputs.
-    """
-    d_h = value_flat.shape[1]
-    n_h = flat_indices.shape[2]
-    points_per_head = flat_indices.shape[3] * flat_indices.shape[4]  # N_l * N_p
-    rows = batch * n_q
-    points_per_row = n_h * points_per_head
-    flat2 = np.ascontiguousarray(flat_indices).reshape(rows * points_per_row, 4)
-    w2 = np.ascontiguousarray(effective_weights).reshape(rows * points_per_row, 4)
-    attn2 = np.ascontiguousarray(attn).reshape(rows * points_per_row)
-    keep2 = None if point_mask is None else point_mask.reshape(rows * points_per_row)
-
-    output = np.zeros((rows * n_h, d_h), dtype=FLOAT_DTYPE)
-    budget_points = max(_SPARSE_CONTRIB_BUDGET_BYTES // (4 * 4 * max(d_h, 1)), 1)
-    chunk = max(1, min(rows, budget_points // max(points_per_row, 1)))
-    for start in range(0, rows, chunk):
-        stop = min(start + chunk, rows)
-        lo, hi = start * points_per_row, stop * points_per_row
-        with kernel_section("gather"):
-            if keep2 is None:
-                kept = np.arange(hi - lo, dtype=np.int64)
-            else:
-                kept = np.flatnonzero(keep2[lo:hi])
-            if kept.size == 0:
-                continue
-            seg = kept // points_per_head  # local (row * N_h + head) segment id
-            head = seg % n_h
-            token = flat2[lo:hi][kept]  # (N_kept, 4)
-            np.maximum(token, 0, out=token)  # clamp -1 slots (weight is zero)
-            if batch > 1:
-                image = (start + seg // n_h) // n_q
-                gather_idx = ((image[:, None] * n_in) + token) * n_h + head[:, None]
-            else:
-                gather_idx = token * n_h + head[:, None]
-            gathered = value_flat[gather_idx]  # (N_kept, 4, D_h)
-        with kernel_section("aggregate"):
-            w_kept = w2[lo:hi][kept] * attn2[lo:hi][kept][:, None]  # (N_kept, 4)
-            contrib = np.einsum("kfc,kf->kc", gathered, w_kept)
-            segment_sum_into(output[start * n_h : stop * n_h], contrib, seg)
-    return output
-
-
 def ms_deform_attn_from_compact_trace(
     value: np.ndarray,
     trace: CompactSamplingTrace,
@@ -1121,7 +1003,7 @@ def ms_deform_attn_from_compact_trace(
 
     The pruning mask is already folded into the trace (only kept points have
     rows), so no ``point_mask`` argument exists: pruned points contribute
-    exact zeros, as in the masked-dense kernels.  A compacted trace always
+    exact zeros, as in the masked-dense kernel.  A compacted trace always
     carries its batch axis, so ``value`` has shape ``(B, N_in, N_h, D_h)``,
     ``attention_weights`` is the full ``(B, N_q, N_h, N_l, N_p)`` array
     (only kept entries are read) and the result is ``(B, N_q, N_h * D_h)``
@@ -1156,45 +1038,6 @@ def ms_deform_attn_from_compact_trace(
         value_flat, trace, attn_flat, n_in, plan=plan
     )
     return output.reshape(batch, trace.num_queries, n_h * d_h)
-
-
-def ms_deform_attn_sparse_from_trace(
-    value: np.ndarray,
-    trace: SamplingTrace | BatchedSamplingTrace,
-    attention_weights: np.ndarray,
-    point_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sparse equivalent of :func:`ms_deform_attn_from_trace` (same shapes).
-
-    PAP-pruned points (and out-of-bounds neighbours) are dropped *before* the
-    value gather: only surviving neighbour slots touch memory, and their
-    weighted contributions are accumulated with a segment sum.  Matches the
-    dense kernel to float32 rounding; the speedup grows with the pruned
-    fraction.  The compaction order is per-image contiguous, so image ``b``
-    of a batched call equals the single-image call on ``trace.image(b)``
-    exactly.
-    """
-    single = isinstance(trace, SamplingTrace)
-    if single:
-        trace = trace.as_batch()
-    value, attn, point_mask = _point_args(
-        value, attention_weights, point_mask, trace.valid.shape[:-1], trace.spatial_shapes, single
-    )
-    batch, n_in, n_h, d_h = value.shape
-    n_q = trace.num_queries
-    effective = trace.weights * trace.valid.astype(FLOAT_DTYPE)
-    value_flat = np.ascontiguousarray(value).reshape(batch * n_in * n_h, d_h)
-    output = _sparse_gather_aggregate(
-        value_flat,
-        trace.flat_indices,
-        effective,
-        point_mask,
-        attn,
-        batch=batch,
-        n_q=n_q,
-        n_in=n_in,
-    ).reshape(batch, n_q, n_h * d_h)
-    return output[0] if single else output
 
 
 def ms_deform_attn_core_sparse(

@@ -30,10 +30,8 @@ import numpy as np
 from repro.nn.grid_sample import (
     BatchedSamplingTrace,
     SamplingTrace,
-    ms_deform_attn_core,
     ms_deform_attn_core_sparse,
     ms_deform_attn_from_trace,
-    ms_deform_attn_sparse_from_trace,
     multi_scale_neighbors,
     use_sparse_gather,
 )
@@ -260,7 +258,12 @@ class MSDeformAttn(Module):
         spatial_shapes:
             Pyramid level shapes whose pixel counts sum to ``N_in``.
         with_trace:
-            If ``True``, also compute the integer sampling trace.
+            If ``True``, also return the dense integer sampling trace.  It
+            decides only what is returned, never which kernel runs: traced
+            and untraced outputs are bit-identical.  The dense path returns
+            the trace its kernel consumed; the sparse path runs the
+            compacted kernels as usual and builds the dense trace separately
+            for the return.
         point_mask:
             Optional boolean keep-mask of shape ``(N_q, N_h, N_l, N_p)``
             (batched: with a leading ``B``); ``False`` points contribute
@@ -284,14 +287,16 @@ class MSDeformAttn(Module):
             callers are unchanged, and ``"sparse"`` forces the compacted
             kernels even without a mask (all points kept — useful for
             testing and benchmarking the kernels themselves).
-            ``kernel_backend`` overrides the kernel backend for the
-            compacted kernels (see :mod:`repro.kernels`); ``None`` follows
-            the process default; the backends are bit-identical, so this
-            only affects wall clock.  ``machine_profile`` supplies the
-            ``"auto"`` thresholds (the profile's override for the resolved
-            backend, else its machine-wide values); ``None`` follows the
-            process-default active profile.  This surface has no
-            construction step, so every knob applies per call.
+            ``kernel_backend`` selects the registry backend that runs the
+            compacted gather + segment sum (see :mod:`repro.kernels`),
+            traced or not; the dense kernel has one body and ignores it.
+            ``None`` follows the process default; the backends are
+            bit-identical, so this only affects wall clock.
+            ``machine_profile`` supplies the ``"auto"`` thresholds (the
+            profile's override for the resolved backend, else its
+            machine-wide values); ``None`` follows the process-default
+            active profile.  This surface has no construction step, so
+            every knob applies per call.
 
         Batched inputs take the fully vectorized kernels (no per-image Python
         loop); every field of the result gains a leading batch axis and the
@@ -365,21 +370,18 @@ class MSDeformAttn(Module):
         locations = self.compute_sampling_locations(reference_points, offsets, spatial_shapes)
         point_mask = effective_mask
 
-        trace = None
-        if with_trace:
-            # Build the trace once and reuse it for the kernel — the
-            # neighbour computation is the non-gather setup cost.
-            trace = multi_scale_neighbors(spatial_shapes, locations)
-            kernel = ms_deform_attn_sparse_from_trace if sparse else ms_deform_attn_from_trace
-            head_outputs = kernel(value, trace, attention, point_mask=point_mask)
-        elif sparse:
+        if sparse:
             head_outputs = ms_deform_attn_core_sparse(
                 value, spatial_shapes, locations, attention, point_mask=point_mask, backend=backend
             )
+            trace = multi_scale_neighbors(spatial_shapes, locations) if with_trace else None
         else:
-            head_outputs = ms_deform_attn_core(
-                value, spatial_shapes, locations, attention, point_mask=point_mask
-            )
+            # One trace drives the kernel and, under with_trace, is returned,
+            # so traced and untraced forwards run the same float operations.
+            trace = multi_scale_neighbors(spatial_shapes, locations)
+            head_outputs = ms_deform_attn_from_trace(value, trace, attention, point_mask=point_mask)
+            if not with_trace:
+                trace = None
         output = self.output_proj(head_outputs).astype(FLOAT_DTYPE)
         if single:
             output, attention, locations, offsets, value = (

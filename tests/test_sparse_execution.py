@@ -32,7 +32,6 @@ from repro.nn.grid_sample import (
     ms_deform_attn_core_sparse,
     ms_deform_attn_from_compact_trace,
     ms_deform_attn_from_trace,
-    ms_deform_attn_sparse_from_trace,
     multi_scale_neighbors,
     multi_scale_neighbors_sparse,
     use_sparse_gather,
@@ -84,28 +83,35 @@ def _kernel_inputs(seed=0, batch=None):
 
 
 class TestSparseKernels:
-    def test_from_trace_matches_dense(self):
-        value, locs, attn, mask = _kernel_inputs()
+    def test_core_sparse_matches_dense(self):
+        value, locs, attn, mask = _kernel_inputs(seed=0)
         trace = multi_scale_neighbors(SHAPES, locs)
         dense = ms_deform_attn_from_trace(value, trace, attn, point_mask=mask)
-        sparse = ms_deform_attn_sparse_from_trace(value, trace, attn, point_mask=mask)
+        # The dense core is the trace kernel on its own trace: bit-equal.
+        core = ms_deform_attn_core(value, SHAPES, locs, attn, point_mask=mask)
+        np.testing.assert_array_equal(core, dense)
+        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
 
-    def test_from_trace_matches_dense_batched(self):
+    def test_core_sparse_matches_dense_batched(self):
         value, locs, attn, mask = _kernel_inputs(seed=1, batch=3)
         trace = multi_scale_neighbors(SHAPES, locs)
         dense = ms_deform_attn_from_trace(value, trace, attn, point_mask=mask)
-        sparse = ms_deform_attn_sparse_from_trace(value, trace, attn, point_mask=mask)
+        np.testing.assert_array_equal(
+            ms_deform_attn_core(value, SHAPES, locs, attn, point_mask=mask), dense
+        )
+        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
         for b in range(3):
             reference = ms_deform_attn_core_reference(
                 value[b], SHAPES, locs[b], attn[b], point_mask=mask[b]
             )
             np.testing.assert_allclose(dense[b], reference, atol=TOL)
+            np.testing.assert_allclose(sparse[b], reference, atol=TOL)
             # Batched equals per-image exactly (per-image compaction, and a
             # single image runs the same body as a B = 1 batch).
-            single = ms_deform_attn_sparse_from_trace(
-                value[b], trace.image(b), attn[b], point_mask=mask[b]
+            single = ms_deform_attn_core_sparse(
+                value[b], SHAPES, locs[b], attn[b], point_mask=mask[b]
             )
             np.testing.assert_array_equal(sparse[b], single)
             single = ms_deform_attn_from_trace(
@@ -113,42 +119,18 @@ class TestSparseKernels:
             )
             np.testing.assert_array_equal(dense[b], single)
 
-    def test_core_sparse_matches_dense(self):
-        value, locs, attn, mask = _kernel_inputs(seed=2)
-        dense = ms_deform_attn_core(value, SHAPES, locs, attn, point_mask=mask)
-        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
-        np.testing.assert_allclose(sparse, dense, atol=TOL)
-
-    def test_core_sparse_matches_dense_batched(self):
-        value, locs, attn, mask = _kernel_inputs(seed=3, batch=2)
-        dense = ms_deform_attn_core(value, SHAPES, locs, attn, point_mask=mask)
-        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
-        np.testing.assert_allclose(sparse, dense, atol=TOL)
-        for b in range(2):
-            reference = ms_deform_attn_core_reference(
-                value[b], SHAPES, locs[b], attn[b], point_mask=mask[b]
-            )
-            np.testing.assert_allclose(sparse[b], reference, atol=TOL)
-            single = ms_deform_attn_core_sparse(
-                value[b], SHAPES, locs[b], attn[b], point_mask=mask[b]
-            )
-            np.testing.assert_array_equal(sparse[b], single)
-
     def test_no_mask_means_all_points(self):
         value, locs, attn, _ = _kernel_inputs(seed=4)
         trace = multi_scale_neighbors(SHAPES, locs)
         dense = ms_deform_attn_from_trace(value, trace, attn)
-        sparse = ms_deform_attn_sparse_from_trace(value, trace, attn)
+        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
-        core_sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn)
-        np.testing.assert_allclose(core_sparse, dense, atol=1e-4)
 
     def test_all_pruned_point_mask_yields_zeros(self):
         value, locs, attn, _ = _kernel_inputs(seed=5)
         mask = np.zeros((N_Q, N_H, N_L, N_P), dtype=bool)
-        trace = multi_scale_neighbors(SHAPES, locs)
-        assert np.all(ms_deform_attn_sparse_from_trace(value, trace, attn, point_mask=mask) == 0)
         assert np.all(ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask) == 0)
+        assert np.all(ms_deform_attn_core(value, SHAPES, locs, attn, point_mask=mask) == 0)
 
     def test_all_pruned_for_one_head_level(self):
         """Pruning every point of one (head, level) pair matches dense."""
@@ -158,10 +140,10 @@ class TestSparseKernels:
         mask[:, 0, :, :] = True  # head 0: fully kept (contrast case)
         trace = multi_scale_neighbors(SHAPES, locs)
         dense = ms_deform_attn_from_trace(value, trace, attn, point_mask=mask)
-        sparse = ms_deform_attn_sparse_from_trace(value, trace, attn, point_mask=mask)
+        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
-        core = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
-        np.testing.assert_allclose(core, dense, atol=1e-4)
+        reference = ms_deform_attn_core_reference(value, SHAPES, locs, attn, point_mask=mask)
+        np.testing.assert_allclose(sparse, reference, atol=TOL)
 
     def test_single_survivor_point(self):
         value, locs, attn, _ = _kernel_inputs(seed=7)
@@ -169,7 +151,7 @@ class TestSparseKernels:
         mask[11, 1, 0, 1] = True
         trace = multi_scale_neighbors(SHAPES, locs)
         dense = ms_deform_attn_from_trace(value, trace, attn, point_mask=mask)
-        sparse = ms_deform_attn_sparse_from_trace(value, trace, attn, point_mask=mask)
+        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
         # Only the (query 11, head 1) slot may be non-zero.
         out = sparse.reshape(N_Q, N_H, D_H)
@@ -211,13 +193,12 @@ class TestKernelShapeChecks:
         # (B, 1, N_h, N_l, N_p) broadcasts across every query if unchecked.
         value, locs, attn, mask = _kernel_inputs(seed=8, batch=2)
         trace = multi_scale_neighbors(SHAPES, locs)
-        for kernel in (ms_deform_attn_from_trace, ms_deform_attn_sparse_from_trace):
-            with pytest.raises(ValueError, match="attention_weights"):
-                kernel(value, trace, attn[:, :1])
-            with pytest.raises(ValueError, match="point_mask"):
-                kernel(value, trace, attn, point_mask=mask[:, :1])
-            with pytest.raises(ValueError, match="attention_weights"):
-                kernel(value[0], trace.image(0), attn[0, :1])
+        with pytest.raises(ValueError, match="attention_weights"):
+            ms_deform_attn_from_trace(value, trace, attn[:, :1])
+        with pytest.raises(ValueError, match="point_mask"):
+            ms_deform_attn_from_trace(value, trace, attn, point_mask=mask[:, :1])
+        with pytest.raises(ValueError, match="attention_weights"):
+            ms_deform_attn_from_trace(value[0], trace.image(0), attn[0, :1])
 
     def test_core_kernels_reject_mismatched_points(self):
         value, locs, attn, mask = _kernel_inputs(seed=9, batch=2)
@@ -226,6 +207,10 @@ class TestKernelShapeChecks:
                 kernel(value, SHAPES, locs, attn[:, :1])
             with pytest.raises(ValueError, match="point_mask"):
                 kernel(value, SHAPES, locs, attn, point_mask=mask[:1])
+            with pytest.raises(ValueError, match="point_mask"):
+                kernel(value, SHAPES, locs, attn, point_mask=mask[:, :1])
+            with pytest.raises(ValueError, match="attention_weights"):
+                kernel(value[0], SHAPES, locs[0], attn[0, :1])
             with pytest.raises(ValueError, match="value"):
                 kernel(value[:1], SHAPES, locs, attn)
             with pytest.raises(ValueError, match="sampling_locations"):
@@ -608,7 +593,7 @@ class TestCompactTraceInPipeline:
         assert isinstance(materialized, SamplingTrace)
         np.testing.assert_array_equal(materialized.flat_indices, out_d.trace.flat_indices)
         np.testing.assert_array_equal(materialized.weights, out_d.trace.weights)
-        assert out_s.dense_trace() is materialized  # cached
+        assert out_s.trace is materialized  # cached
 
     def test_compact_trace_matches_executed_mask(self):
         features, query, reference = _defa_inputs(seed=26)
