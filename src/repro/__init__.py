@@ -15,11 +15,11 @@ entirely in NumPy:
   feature-map pruning (FWP), probability-aware point pruning (PAP), level-wise
   range narrowing, and the combined DEFA attention pipeline.
 * :mod:`repro.hardware` — a cycle-approximate simulator of the DEFA
-  accelerator (reconfigurable PE array, banked SRAM, HBM2, energy/area models).
-* :mod:`repro.baselines` — GPU roofline cost models, Faster R-CNN reference,
-  DeformConv workload comparison and published ASIC platform specs.
-* :mod:`repro.workloads` — synthetic COCO-like detection workloads and
-  sampling-trace generation.
+  accelerator (reconfigurable PE array, SRAM banking, HBM2, energy/area models).
+* :mod:`repro.baselines` — GPU roofline cost models, Faster R-CNN reference
+  and published ASIC platform specs.
+* :mod:`repro.workloads` — synthetic COCO-like detection workloads, encoder
+  inputs and video streams.
 * :mod:`repro.eval` — detection metrics, fidelity metrics, pruning statistics
   and the GPU latency profiler.
 * :mod:`repro.experiments` — one module per paper figure/table.
@@ -30,7 +30,7 @@ from repro.version import __version__
 from repro.core.config import DEFAConfig
 from repro.core.pipeline import DEFAAttention
 from repro.nn.msdeform_attn import MSDeformAttn
-from repro.workloads.specs import WorkloadSpec, get_workload, list_workloads
+from repro.workloads.specs import WorkloadSpec, get_workload
 
 __all__ = [
     "__version__",
@@ -39,5 +39,4 @@ __all__ = [
     "MSDeformAttn",
     "WorkloadSpec",
     "get_workload",
-    "list_workloads",
 ]

@@ -1,9 +1,8 @@
-"""Comparison baselines: GPUs, Faster R-CNN, DeformConv and published ASICs."""
+"""Comparison baselines: GPUs, Faster R-CNN and published ASICs."""
 
 from repro.baselines.gpu import GPUCostModel, GPUSpec, RTX_2080TI, RTX_3090TI
 from repro.baselines.faster_rcnn import FASTER_RCNN
 from repro.baselines.asic import ASICPlatform, ELSA, SPATTEN, BESAPU, published_platforms
-from repro.baselines.deform_conv import DeformConvWorkload
 
 __all__ = [
     "GPUCostModel",
@@ -16,5 +15,4 @@ __all__ = [
     "SPATTEN",
     "BESAPU",
     "published_platforms",
-    "DeformConvWorkload",
 ]

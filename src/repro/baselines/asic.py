@@ -33,26 +33,6 @@ class ASICPlatform:
             return 0.0
         return self.throughput_gops / (self.power_mw / 1e3)
 
-    def normalized_to_technology(self, target_nm: int) -> "ASICPlatform":
-        """First-order technology scaling of power (linear in feature size).
-
-        Used only for sanity checks — the paper compares the raw published
-        numbers, which is also what the Table 1 experiment reports.
-        """
-        scale = self.technology_nm / target_nm
-        return ASICPlatform(
-            name=self.name,
-            venue=self.venue,
-            function=self.function,
-            technology_nm=target_nm,
-            area_mm2=self.area_mm2 / scale**2,
-            frequency_mhz=self.frequency_mhz,
-            precision=self.precision,
-            power_mw=self.power_mw / scale,
-            throughput_gops=self.throughput_gops,
-        )
-
-
 ELSA = ASICPlatform(
     name="ELSA",
     venue="ISCA'21",

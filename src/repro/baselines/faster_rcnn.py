@@ -20,10 +20,5 @@ class FasterRCNNReference:
     end_to_end_gflops: float = 180.0
     fps_rtx3090ti: float = 25.0
 
-    def ap_margin(self, other_ap: float) -> float:
-        """AP advantage of another detector over Faster R-CNN."""
-        return other_ap - self.coco_ap
-
-
 FASTER_RCNN = FasterRCNNReference()
 """Singleton reference instance used by the experiments."""

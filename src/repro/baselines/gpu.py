@@ -112,19 +112,6 @@ class GPULayerLatency:
         """Fraction of the layer latency spent in MSGS + aggregation (Fig. 1b)."""
         return self.msgs_aggregation_s / self.total_s if self.total_s > 0 else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        """Per-operator latencies as a plain dict (for tables/serialization)."""
-        return {
-            "value_proj": self.value_proj_s,
-            "sampling_offsets": self.sampling_offsets_s,
-            "attention_weights": self.attention_weights_s,
-            "output_proj": self.output_proj_s,
-            "softmax": self.softmax_s,
-            "msgs": self.msgs_s,
-            "aggregation": self.aggregation_s,
-            "overhead": self.overhead_s,
-        }
-
 
 class GPUCostModel:
     """Latency / energy model of MSDeformAttn encoder layers on one GPU."""
@@ -176,10 +163,3 @@ class GPUCostModel:
     def encoder_attention_energy(self, workload: WorkloadSpec) -> float:
         """Energy of all MSDeformAttn layers (joules), at the board power."""
         return self.encoder_attention_latency(workload) * self.spec.board_power_w
-
-    def effective_throughput_tops(self, workload: WorkloadSpec) -> float:
-        """Achieved (dense-work / time) throughput on the MSDeformAttn layers."""
-        time = self.encoder_attention_latency(workload)
-        if time == 0:
-            return 0.0
-        return workload.encoder_attention_flops() / time / 1e12

@@ -210,8 +210,8 @@ class DEFAEncoderRunner:
     large per-block buffer of its workload (tens of MB at paper scale), so a
     long-lived runner fed heterogeneous image sizes must not accumulate one
     arena per distinct signature forever — least-recently-used plans are
-    dropped past this bound (mirroring :class:`repro.engine.trace_cache.
-    TraceCache`); a dropped signature simply re-warms on next use."""
+    dropped past this bound; a dropped signature simply re-warms on next
+    use."""
 
     def execution_plan(
         self, spatial_shapes: list[LevelShape], batch_size: int
@@ -475,18 +475,3 @@ class DEFAEncoderRunner:
         return DEFAEncoderBatchResult(memory=x, images=images)
 
     __call__ = forward
-
-
-def run_baseline_encoder(
-    encoder: DeformableEncoder,
-    src: np.ndarray,
-    pos: np.ndarray,
-    reference_points: np.ndarray,
-    spatial_shapes: list[LevelShape],
-) -> np.ndarray:
-    """Run the unmodified (FP32, unpruned) encoder and return its memory.
-
-    Provided for symmetry with :class:`DEFAEncoderRunner` so that accuracy
-    experiments compare the two through the same call shape.
-    """
-    return encoder.forward(src, pos, reference_points, spatial_shapes)

@@ -55,11 +55,6 @@ class FWPResult:
         """Overall fraction of pixels kept."""
         return self.num_kept / self.num_pixels if self.num_pixels else 1.0
 
-    @property
-    def pruned_fraction(self) -> float:
-        """Overall fraction of pixels pruned (the quantity in Fig. 6b)."""
-        return 1.0 - self.keep_fraction
-
 
 def compute_fmap_mask(
     frequency: np.ndarray,
@@ -136,33 +131,3 @@ def normalize_mask(mask: np.ndarray | None) -> np.ndarray | None:
     if mask is None:
         return None
     return np.asarray(mask, dtype=bool)
-
-
-def apply_fmap_mask(value: np.ndarray, fmap_mask: np.ndarray | None) -> np.ndarray:
-    """Zero out the value rows of pruned pixels.
-
-    ``value`` may be ``(N_in, D)`` or ``(N_in, N_h, D_h)``; a copy is returned
-    when a mask actually prunes something so the caller's array is never
-    mutated.  When the mask keeps every pixel (``fmap_mask.all()``) the input
-    array is returned *unchanged and uncopied* — callers must treat the result
-    as read-only (every call site in this repo already does).
-    """
-    if fmap_mask is None:
-        return value
-    fmap_mask = normalize_mask(fmap_mask)
-    if fmap_mask.shape[0] != value.shape[0]:
-        raise ValueError("fmap_mask length must match the value token axis")
-    if fmap_mask.all():
-        return value
-    result = value.copy()
-    result[~fmap_mask] = 0
-    return result
-
-
-def mask_storage_bits(fmap_mask: np.ndarray) -> int:
-    """Size of the bit mask in bits (one bit per fmap pixel).
-
-    Used by the hardware model to account for the (tiny) overhead of storing
-    and streaming the FWP mask between blocks.
-    """
-    return int(np.asarray(fmap_mask).size)

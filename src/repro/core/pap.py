@@ -54,11 +54,6 @@ class PAPResult:
         return self.num_kept / self.num_points if self.num_points else 1.0
 
     @property
-    def pruned_fraction(self) -> float:
-        """Fraction of sampling points removed (the quantity in Fig. 6b)."""
-        return 1.0 - self.keep_fraction
-
-    @property
     def kept_probability_mass(self) -> float:
         """Average attention probability mass retained per (query, head)."""
         mask = self.point_mask
@@ -137,16 +132,3 @@ def compute_point_mask(
                 FLOAT_DTYPE
             )
     return PAPResult(point_mask=mask, attention_weights=pruned_weights, threshold=float(threshold))
-
-
-def point_probability_histogram(
-    attention_weights: np.ndarray, num_bins: int = 50
-) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of attention probabilities (used to motivate PAP).
-
-    Returns ``(bin_edges, counts)`` over ``[0, 1]``; the paper observes that
-    over 80 % of the probabilities in Deformable DETR are near zero.
-    """
-    attention = np.asarray(attention_weights, dtype=np.float64).ravel()
-    counts, edges = np.histogram(attention, bins=num_bins, range=(0.0, 1.0))
-    return edges, counts

@@ -3,18 +3,15 @@
 FWP (Sec. 3.1) is driven by how often every fmap pixel is touched by bilinear
 interpolation within one MSDeformAttn block: each of the four neighbours of a
 (kept) sampling point counts one access.  This module computes that frequency
-map from a sampling trace and provides the distribution statistics quoted by
-the paper (a small fraction of pixels receives most of the accesses).
+map from a sampling trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.nn.grid_sample import BatchedSamplingTrace, CompactSamplingTrace, SamplingTrace
-from repro.utils.shapes import LevelShape, level_start_indices, total_pixels
+from repro.utils.shapes import total_pixels
 
 
 def sampled_frequency(
@@ -111,70 +108,3 @@ def sampled_frequency_compact(trace: CompactSamplingTrace) -> np.ndarray:
             trace.flat_indices[rows][trace.valid[rows]], minlength=n_in
         )
     return counts
-
-
-def split_frequency_by_level(
-    frequency: np.ndarray, spatial_shapes: list[LevelShape]
-) -> list[np.ndarray]:
-    """Split a flat frequency array into per-level ``(H_l, W_l)`` maps."""
-    frequency = np.asarray(frequency)
-    if frequency.shape[0] != total_pixels(spatial_shapes):
-        raise ValueError("frequency length does not match spatial shapes")
-    starts = level_start_indices(spatial_shapes)
-    maps = []
-    for lvl, shape in enumerate(spatial_shapes):
-        chunk = frequency[starts[lvl] : starts[lvl] + shape.num_pixels]
-        maps.append(chunk.reshape(shape.height, shape.width))
-    return maps
-
-
-@dataclass(frozen=True)
-class FrequencyStats:
-    """Summary statistics of a sampled-frequency distribution."""
-
-    total_accesses: int
-    """Total number of pixel accesses (4x the number of in-bounds samples)."""
-
-    num_pixels: int
-    """Number of fmap pixels."""
-
-    zero_fraction: float
-    """Fraction of pixels never accessed."""
-
-    mean: float
-    """Mean accesses per pixel."""
-
-    gini: float
-    """Gini coefficient of the access distribution (0 = uniform, 1 = maximally skewed)."""
-
-    top10_share: float
-    """Share of all accesses going to the most-accessed 10 % of pixels."""
-
-
-def frequency_stats(frequency: np.ndarray) -> FrequencyStats:
-    """Compute :class:`FrequencyStats` for a (flat or per-level) frequency array."""
-    freq = np.asarray(frequency, dtype=np.float64).ravel()
-    if freq.size == 0:
-        raise ValueError("frequency array must not be empty")
-    total = float(freq.sum())
-    mean = total / freq.size
-    zero_fraction = float(np.mean(freq == 0))
-    sorted_freq = np.sort(freq)
-    if total > 0:
-        cum = np.cumsum(sorted_freq)
-        # Gini coefficient via the Lorenz curve.
-        lorenz = cum / total
-        gini = float(1.0 - 2.0 * np.trapezoid(lorenz, dx=1.0 / freq.size))
-        top10_count = max(1, int(round(0.1 * freq.size)))
-        top10_share = float(sorted_freq[-top10_count:].sum() / total)
-    else:
-        gini = 0.0
-        top10_share = 0.0
-    return FrequencyStats(
-        total_accesses=int(total),
-        num_pixels=int(freq.size),
-        zero_fraction=zero_fraction,
-        mean=mean,
-        gini=gini,
-        top10_share=top10_share,
-    )

@@ -4,8 +4,6 @@ This package is the scaling layer on top of the single-image reproduction:
 
 * :mod:`repro.engine.batching` — :class:`BatchRunner` groups same-shape
   workload inputs and executes them through the vectorized batched kernels;
-* :mod:`repro.engine.trace_cache` — :class:`TraceCache` memoizes deterministic
-  ``(spec, seed)`` layer traces with hit/miss accounting;
 * :mod:`repro.engine.parallel` — process-parallel experiment execution behind
   the ``--jobs`` flag of :mod:`repro.experiments.runner`;
 * :mod:`repro.engine.serving` — :class:`ServingEngine`, the long-running
@@ -15,10 +13,9 @@ This package is the scaling layer on top of the single-image reproduction:
   temporal reuse (warm-started FWP masks, cross-frame frozen rows, exact
   trace-reuse fast path) over the PR 5 warm execution-plan arenas;
 * :mod:`repro.engine.traffic` — synthetic serving traffic (uniform / bursty /
-  diurnal arrivals over mixed pyramid shapes and request classes, plus
-  stream-affine ``video`` sessions);
+  diurnal arrivals over mixed pyramid shapes and request classes);
 * :mod:`repro.engine.faults` — :class:`FaultPlan`, the deterministic
-  worker-fault script (crash / hang / raise / delay / poison) that drives
+  worker-fault script (crash / hang / raise / poison) that drives
   the PR 10 request-lifecycle hardening in tests and benchmarks.
 
 The names re-exported here (see ``__all__``) are the package's supported
@@ -33,7 +30,6 @@ from repro.engine.batching import (
     BatchRunStats,
     WorkItem,
     defa_forward_fn,
-    encoder_forward_fn,
 )
 from repro.engine.faults import (
     FAULT_KINDS,
@@ -61,14 +57,11 @@ from repro.engine.streaming import (
     StreamingEncoderSession,
     StreamingFrameResult,
 )
-from repro.engine.trace_cache import DEFAULT_TRACE_CACHE, TraceCache, TraceCacheStats
 from repro.engine.traffic import (
     ARRIVAL_PROCESSES,
     ReplayResult,
     TrafficEvent,
     generate_traffic,
-    generate_video_traffic,
-    merge_traffic,
     replay_traffic,
     serial_reference_outputs,
 )
@@ -79,12 +72,8 @@ __all__ = [
     "BatchRunStats",
     "WorkItem",
     "defa_forward_fn",
-    "encoder_forward_fn",
     "ParallelExperimentError",
     "run_experiments_parallel",
-    "DEFAULT_TRACE_CACHE",
-    "TraceCache",
-    "TraceCacheStats",
     "FAULT_KINDS",
     "FaultInjectedError",
     "FaultPlan",
@@ -108,8 +97,6 @@ __all__ = [
     "ReplayResult",
     "TrafficEvent",
     "generate_traffic",
-    "generate_video_traffic",
-    "merge_traffic",
     "replay_traffic",
     "serial_reference_outputs",
 ]

@@ -11,9 +11,9 @@ forward per pack and scatters the results back into submission order.
 
 The runner is model-agnostic — it drives any callable with the signature
 ``forward(features (B, N_in, D), spatial_shapes) -> (B, N_in, D)`` — and
-:func:`encoder_forward_fn` / :func:`defa_forward_fn` adapt the stock encoder
-and the DEFA encoder runner to that signature (deriving the positional
-encoding and reference points per shape signature, cached across batches).
+:func:`defa_forward_fn` adapts the DEFA encoder runner to that signature
+(deriving the positional encoding and reference points per shape signature,
+cached across batches).
 """
 
 from __future__ import annotations
@@ -222,11 +222,6 @@ def _with_positional_inputs(encode: Callable[..., np.ndarray], d_model: int) -> 
         return encode(features, *cache[key], spatial_shapes)
 
     return forward
-
-
-def encoder_forward_fn(encoder) -> BatchForward:
-    """Adapt a :class:`~repro.nn.encoder.DeformableEncoder` to the runner."""
-    return _with_positional_inputs(encoder.forward, encoder.d_model)
 
 
 def defa_forward_fn(runner) -> BatchForward:

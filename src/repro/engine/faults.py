@@ -12,7 +12,7 @@ A plan travels inside the (picklable) :class:`~repro.engine.serving.
 ModelBankSpec`, so the *worker process* executes the faults while the parent
 engine stays oblivious — the engine under test sees only the symptoms a real
 production fault would produce: a dead process, a silent hang, a forward
-exception, a slow batch.
+exception.
 
 Fault taxonomy (see ``FAULT_KINDS``):
 
@@ -24,8 +24,6 @@ Fault taxonomy (see ``FAULT_KINDS``):
 * ``"raise"`` — the worker's forward raises :class:`FaultInjectedError`,
   reported back over the pipe as a *retryable* error (the worker survives).
   Drives the retry path without a process death.
-* ``"delay"`` — the worker sleeps ``seconds`` and then serves normally.
-  Drives latency accounting and deadline expiry without killing anything.
 
 Faults address a batch by its *ordinal within one worker incarnation*
 (0-based count of batches that incarnation has received), not by the
@@ -33,16 +31,16 @@ engine's global batch id — so a plan stays meaningful across restarts:
 ``incarnation=0`` is the first process spawned into a worker slot,
 ``incarnation=1`` its first replacement, and so on.
 
-**Poison requests** are scripted by item id instead: any batch containing a
-poisoned ``item_id`` crashes the worker, in *every* incarnation — the
-canonical poison-pill shape (a request whose payload reliably kills its
-server).  The engine's retry budget is what must contain it.
+**Poison requests** are scripted by item id instead (``poison_items``): any
+batch containing a poisoned ``item_id`` crashes the worker, in *every*
+incarnation — the canonical poison-pill shape (a request whose payload
+reliably kills its server).  The engine's retry budget is what must contain it.
 
 Determinism contract: a plan never consults wall-clock time or randomness
 to decide *whether* to fire — only batch ordinals and item ids.  (``hang``
-and ``delay`` sleep real seconds inside the worker, because a subprocess
-cannot share the parent's injected clock; tests bound them with the
-engine-side watchdog, which *is* driven by the injected clock.)
+sleeps real seconds inside the worker, because a subprocess cannot share
+the parent's injected clock; tests bound it with the engine-side watchdog,
+which *is* driven by the injected clock.)
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ __all__ = [
     "WorkerFaultState",
 ]
 
-FAULT_KINDS = ("crash", "hang", "raise", "delay")
+FAULT_KINDS = ("crash", "hang", "raise")
 """The supported fault kinds, in the order documented above."""
 
 
@@ -90,8 +88,8 @@ class FaultSpec:
     1 = first restart, ...)."""
 
     seconds: float = 0.0
-    """Sleep duration for ``"hang"``/``"delay"`` (must be positive there,
-    ignored for ``"crash"``/``"raise"``)."""
+    """Sleep duration for ``"hang"`` (must be positive there, and zero for
+    ``"crash"``/``"raise"``)."""
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -100,7 +98,7 @@ class FaultSpec:
             )
         if self.batch < 0 or self.worker < 0 or self.incarnation < 0:
             raise ValueError("batch, worker and incarnation must be non-negative")
-        if self.kind in ("hang", "delay"):
+        if self.kind == "hang":
             if self.seconds <= 0:
                 raise ValueError(f"a {self.kind!r} fault needs seconds > 0")
         elif self.seconds:
@@ -113,12 +111,11 @@ class FaultPlan:
 
     Frozen and built from primitives only, so it pickles into worker
     processes inside a :class:`~repro.engine.serving.ModelBankSpec`.  Use
-    the ``with_*`` builders::
+    the ``with_*`` builders for faults and ``poison_items`` for poison::
 
-        plan = (FaultPlan()
+        plan = (FaultPlan(poison_items=("req-0007",))
                 .with_crash(batch=2)                      # worker 0, first life
-                .with_hang(seconds=30.0, batch=0, incarnation=1)
-                .with_poison("req-0007"))
+                .with_hang(seconds=30.0, batch=0, incarnation=1))
     """
 
     faults: tuple[FaultSpec, ...] = ()
@@ -167,21 +164,6 @@ class FaultPlan:
         return self._with_fault(
             FaultSpec("raise", batch, worker=worker, incarnation=incarnation)
         )
-
-    def with_delay(
-        self, seconds: float, batch: int, worker: int = 0, incarnation: int = 0
-    ) -> "FaultPlan":
-        """Sleep ``seconds`` and then serve batch ordinal ``batch`` normally."""
-        return self._with_fault(
-            FaultSpec(
-                "delay", batch, worker=worker, incarnation=incarnation, seconds=seconds
-            )
-        )
-
-    def with_poison(self, *item_ids: int | str) -> "FaultPlan":
-        """Mark item ids as poison: any batch containing one crashes the
-        worker, in every incarnation."""
-        return replace(self, poison_items=self.poison_items + tuple(item_ids))
 
     # -------------------------------------------------------------- queries
 
@@ -239,7 +221,7 @@ class WorkerFaultState:
             return
         if fault.kind == "crash":
             _hard_crash()
-        elif fault.kind in ("hang", "delay"):
+        elif fault.kind == "hang":
             time.sleep(fault.seconds)
         elif fault.kind == "raise":
             raise FaultInjectedError(

@@ -47,8 +47,6 @@ __all__ = [
     "TrafficEvent",
     "ReplayResult",
     "generate_traffic",
-    "generate_video_traffic",
-    "merge_traffic",
     "replay_traffic",
     "serial_reference_outputs",
 ]
@@ -191,86 +189,6 @@ def generate_traffic(
             )
         )
     return events
-
-
-def generate_video_traffic(
-    num_streams: int,
-    frames_per_stream: int,
-    frame_interval_s: float = 1.0 / 30.0,
-    spatial_shapes: Sequence[LevelShape] = (LevelShape(8, 12), LevelShape(4, 6)),
-    d_model: int = 64,
-    video_spec: "VideoStreamSpec | None" = None,
-    request_class: str = "video",
-    seed: int = 0,
-) -> list[TrafficEvent]:
-    """Build a deterministic stream-affine ``video`` request stream.
-
-    Each of the ``num_streams`` concurrent streams renders its own
-    :class:`~repro.workloads.SyntheticVideoStream` (seeded ``seed + s``, so
-    streams differ but the whole mix is reproducible) and emits its frames in
-    order at a fixed ``frame_interval_s`` cadence, phase-offset per stream so
-    arrivals interleave.  Every event's :class:`~repro.engine.batching.
-    WorkItem` carries ``stream_id``/``frame_index`` — the engine's sticky
-    routing and the sessions' cold-resync rule both key off these.  The merged
-    stream is sorted by arrival with per-stream frame order preserved.
-    """
-    from repro.workloads.video import SyntheticVideoStream, VideoStreamSpec
-
-    if num_streams < 0:
-        raise ValueError("num_streams must be non-negative")
-    if frames_per_stream <= 0:
-        raise ValueError("frames_per_stream must be positive")
-    if frame_interval_s <= 0:
-        raise ValueError("frame_interval_s must be positive")
-    base_spec = video_spec or VideoStreamSpec()
-    shapes = tuple(spatial_shapes)
-    events: list[TrafficEvent] = []
-    for s in range(num_streams):
-        stream = SyntheticVideoStream(
-            shapes,
-            d_model,
-            VideoStreamSpec(
-                num_frames=frames_per_stream,
-                num_objects=base_spec.num_objects,
-                object_size=base_spec.object_size,
-                motion=base_spec.motion,
-                feature_scale=base_spec.feature_scale,
-                seed=seed + s,
-            ),
-        )
-        stream_id = f"stream-{s}"
-        offset = s * frame_interval_s / max(num_streams, 1)
-        for i in range(frames_per_stream):
-            events.append(
-                TrafficEvent(
-                    arrival_s=offset + i * frame_interval_s,
-                    item=WorkItem(
-                        item_id=f"{stream_id}/frame-{i:04d}",
-                        features=stream.frame(i),
-                        spatial_shapes=shapes,
-                        stream_id=stream_id,
-                        frame_index=i,
-                    ),
-                    request_class=request_class,
-                )
-            )
-    # Stable sort: equal arrivals keep emission order, so frames of one
-    # stream always appear in index order.
-    events.sort(key=lambda event: event.arrival_s)
-    return events
-
-
-def merge_traffic(*streams: Sequence[TrafficEvent]) -> list[TrafficEvent]:
-    """Merge traffic streams into one arrival-ordered stream.
-
-    Stable in arrival time, so each input's internal order (e.g. a video
-    stream's frame order) is preserved — use to mix stateless
-    :func:`generate_traffic` load with :func:`generate_video_traffic`
-    sessions on one engine.
-    """
-    merged = [event for stream in streams for event in stream]
-    merged.sort(key=lambda event: event.arrival_s)
-    return merged
 
 
 _LIFECYCLE_FAULTS = (QueueFullError, DeadlineExceeded, PoisonRequestError)

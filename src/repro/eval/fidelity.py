@@ -32,11 +32,6 @@ class FidelityReport:
     signal_to_noise_db: float
     """Output signal-to-perturbation ratio in dB."""
 
-    @property
-    def mean_cosine_distance(self) -> float:
-        """``1 - mean cosine similarity`` (0 = identical directions)."""
-        return 1.0 - self.mean_cosine_similarity
-
 
 def compare_outputs(reference: np.ndarray, modified: np.ndarray) -> FidelityReport:
     """Compute the :class:`FidelityReport` between two ``(N, D)`` outputs."""

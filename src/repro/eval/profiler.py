@@ -53,15 +53,6 @@ class LatencyBreakdown:
     layer_latency_s: float
     """Absolute modelled latency of one MSDeformAttn layer."""
 
-    def as_row(self) -> list[float | str]:
-        """Row of the Fig. 1(b) table."""
-        return [
-            self.model_name,
-            100.0 * self.msgs_aggregation_fraction,
-            100.0 * self.others_fraction,
-            100.0 * self.msgs_flops_fraction,
-        ]
-
 
 def profile_gpu_latency_breakdown(
     workload: WorkloadSpec, gpu: GPUSpec = RTX_3090TI
@@ -104,15 +95,6 @@ class BatchedThroughputReport:
     def speedup(self) -> float:
         """Serial-over-batched wall-clock ratio (> 1 means batching wins)."""
         return self.serial_s / self.batched_s if self.batched_s > 0 else float("inf")
-
-    def as_row(self) -> list[float | int]:
-        return [
-            self.batch_size,
-            self.num_tokens,
-            1e3 * self.serial_s,
-            1e3 * self.batched_s,
-            self.speedup,
-        ]
 
 
 def measure_encoder_batched_speedup(

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.encoder_runner import DEFAEncoderResult
 from repro.core.flops import FlopsBreakdown
 
@@ -26,14 +24,6 @@ class PruningStatsReport:
     flops_reduction_with_output_proj: float
     per_layer_point_reduction: tuple[float, ...]
     per_layer_pixel_reduction: tuple[float, ...]
-
-    def as_row(self) -> list[float]:
-        """Row of the Fig. 6(b) table: point, pixel and FLOP reduction (in %)."""
-        return [
-            100.0 * self.sampling_point_reduction,
-            100.0 * self.fmap_pixel_reduction,
-            100.0 * self.flops_reduction,
-        ]
 
 
 def collect_pruning_stats(result: DEFAEncoderResult, model_name: str = "") -> PruningStatsReport:
@@ -52,16 +42,3 @@ def collect_pruning_stats(result: DEFAEncoderResult, model_name: str = "") -> Pr
         per_layer_point_reduction=tuple(s.point_reduction for s in result.layer_stats),
         per_layer_pixel_reduction=tuple(s.pixel_reduction for s in result.layer_stats),
     )
-
-
-def summarize_reports(reports: list[PruningStatsReport]) -> dict[str, float]:
-    """Average the reduction ratios over several models (the Fig. 6b averages)."""
-    if not reports:
-        raise ValueError("no reports to summarize")
-    return {
-        "sampling_point_reduction": float(
-            np.mean([r.sampling_point_reduction for r in reports])
-        ),
-        "fmap_pixel_reduction": float(np.mean([r.fmap_pixel_reduction for r in reports])),
-        "flops_reduction": float(np.mean([r.flops_reduction for r in reports])),
-    }

@@ -10,10 +10,10 @@ AP through the calibrated estimator (see DESIGN.md for the substitution
 rationale).  The relative ordering — all DEFA techniques cost little, INT8 is
 unusable — is the result being reproduced.
 
-Optionally (``include_synthetic_task=True``) the experiment also measures a
-real COCO-style AP on the synthetic detection task through the matched-filter
-detection head; this exercises the full pipeline (scenes -> backbone ->
-encoder -> detection -> AP) end to end.
+Separately, :func:`run_synthetic_task_ap` measures a real COCO-style AP on
+the synthetic detection task through the matched-filter detection head; it
+exercises the full pipeline (scenes -> backbone -> encoder -> detection ->
+AP) end to end and is not part of :func:`run`.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def run_synthetic_task_ap(
     Runs the full pipeline (scenes -> backbone -> encoder -> matched-filter
     head -> COCO-style AP) for the FP32 baseline, the DEFA configuration and
     the INT8 ablation.  Returns ``{config_name: ap}``.  This is slower than
-    the estimator path and is exercised by the examples and integration tests.
+    the estimator path; ``examples/end_to_end_detection.py`` runs it.
     """
     from repro.core.encoder_runner import DEFAEncoderRunner
     from repro.eval.detection_metrics import coco_style_map

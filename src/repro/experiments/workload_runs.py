@@ -111,9 +111,3 @@ def run_defa_cached(
     if key not in _DEFA_CACHE:
         _DEFA_CACHE[key] = run.run_defa(config, collect_details=collect_details)
     return _DEFA_CACHE[key]
-
-
-def clear_caches() -> None:
-    """Drop all memoized runs (used by tests to bound memory)."""
-    _RUN_CACHE.clear()
-    _DEFA_CACHE.clear()

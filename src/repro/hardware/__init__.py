@@ -3,7 +3,6 @@
 from repro.hardware.config import HardwareConfig
 from repro.hardware.cacti import SRAMMacroModel
 from repro.hardware.dram import HBM2Model
-from repro.hardware.sram import BankedSRAM
 from repro.hardware.banking import BankingScheme, simulate_bank_conflicts
 from repro.hardware.pe_array import ReconfigurablePEArray
 from repro.hardware.dataflow import LayerSchedule, build_layer_schedule
@@ -15,7 +14,6 @@ __all__ = [
     "HardwareConfig",
     "SRAMMacroModel",
     "HBM2Model",
-    "BankedSRAM",
     "BankingScheme",
     "simulate_bank_conflicts",
     "ReconfigurablePEArray",

@@ -47,7 +47,6 @@ class SRAMMacroModel:
     _energy_base_pj: float = 2.2
     _energy_per_sqrt_kib_pj: float = 0.35
     _energy_per_bit_pj: float = 0.015
-    _leakage_mw_per_kib: float = 0.0045
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
@@ -85,7 +84,3 @@ class SRAMMacroModel:
     def energy_per_byte_pj(self) -> float:
         """Energy per byte transferred through the port (pJ/B)."""
         return self.energy_per_access_pj() / (self.word_bits / 8.0)
-
-    def leakage_mw(self) -> float:
-        """Static leakage power of the macro (mW)."""
-        return self._tech_scale_energy * self._leakage_mw_per_kib * self.capacity_kib

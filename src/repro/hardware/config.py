@@ -94,11 +94,6 @@ class HardwareConfig:
         """Sampling-point channel results produced per cycle in BA mode."""
         return self.ba_parallel_points * self.ba_channels_per_cycle
 
-    @property
-    def total_sram_kib(self) -> float:
-        """Total on-chip SRAM capacity in KiB."""
-        return self.fmap_buffer_kib + self.weight_buffer_kib + self.io_buffer_kib
-
     def scaled_to(self, target_tops: float) -> "HardwareConfig":
         """Return a configuration scaled up to roughly *target_tops* peak throughput.
 

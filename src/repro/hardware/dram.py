@@ -28,23 +28,6 @@ class HBM2Model:
         if self.burst_bytes <= 0:
             raise ValueError("burst_bytes must be positive")
 
-    def effective_bytes(self, num_bytes: float, num_transfers: int | None = None) -> float:
-        """Bytes actually moved, accounting for burst granularity.
-
-        If *num_transfers* is given, each transfer is rounded up to the burst
-        size (irregular gathers pay for full bursts even when only a few bytes
-        are useful — the effect that makes MSGS so bandwidth-hungry on GPUs).
-        """
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        if num_transfers is None:
-            return float(num_bytes)
-        return float(max(num_bytes, num_transfers * self.burst_bytes))
-
-    def transfer_time_s(self, num_bytes: float) -> float:
-        """Time to move *num_bytes* at full bandwidth (seconds)."""
-        return float(num_bytes) / (self.bandwidth_gbs * 1e9)
-
     def access_energy_j(self, num_bytes: float) -> float:
         """Energy to move *num_bytes* (joules)."""
         return float(num_bytes) * 8.0 * self.energy_pj_per_bit * 1e-12

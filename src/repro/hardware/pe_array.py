@@ -12,15 +12,11 @@ The array switches between two modes:
   probability and accumulates the head output.  MSGS and aggregation run fused
   in this mode, so the sampling values never leave the array.
 
-Besides cycle/energy accounting, the functional helpers
-(:func:`bilinear_interpolate_factorized`, :meth:`ReconfigurablePEArray.matmul`)
-are exercised by the tests to show the hardware arithmetic matches the NumPy
-reference operator.
+Besides cycle accounting, :func:`bilinear_interpolate_factorized` states
+Eq. 4 as code; the tests show it matches the standard bilinear formula.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,47 +45,19 @@ def bilinear_interpolate_factorized(
     return vertical + horizontal * t1
 
 
-@dataclass(frozen=True)
-class PEArrayUsage:
-    """Cycle and operation counts of one PE-array workload."""
-
-    cycles: int
-    macs: int
-    bi_ops: int
-
-    def merged_with(self, other: "PEArrayUsage") -> "PEArrayUsage":
-        return PEArrayUsage(
-            cycles=self.cycles + other.cycles,
-            macs=self.macs + other.macs,
-            bi_ops=self.bi_ops + other.bi_ops,
-        )
-
-
 class ReconfigurablePEArray:
-    """Cycle/energy model of the reconfigurable PE array."""
+    """Cycle model of the reconfigurable PE array."""
 
     def __init__(self, config: HardwareConfig) -> None:
         self.config = config
 
     # --------------------------------------------------------------- MM mode
 
-    def matmul(self, vector: np.ndarray, tile: np.ndarray) -> np.ndarray:
-        """Functional MM-mode computation: ``vector @ tile`` (output stationary)."""
-        vector = np.asarray(vector, dtype=np.float64)
-        tile = np.asarray(tile, dtype=np.float64)
-        if vector.shape[-1] != tile.shape[0]:
-            raise ValueError("inner dimensions do not match")
-        return vector @ tile
-
     def mm_cycles(self, num_macs: int) -> int:
         """Cycles to execute *num_macs* multiply-accumulates in MM mode."""
         if num_macs < 0:
             raise ValueError("num_macs must be non-negative")
         return int(np.ceil(num_macs / self.config.macs_per_cycle))
-
-    def mm_usage(self, num_macs: int) -> PEArrayUsage:
-        """Usage record of an MM-mode workload."""
-        return PEArrayUsage(cycles=self.mm_cycles(num_macs), macs=int(num_macs), bi_ops=0)
 
     # --------------------------------------------------------------- BA mode
 
@@ -108,18 +76,3 @@ class ReconfigurablePEArray:
             raise ValueError("conflict_factor must be >= 1")
         ideal = np.ceil(num_points * d_head / self.config.ba_samples_per_cycle)
         return int(np.ceil(ideal * conflict_factor))
-
-    def ba_usage(self, num_points: int, d_head: int, conflict_factor: float = 1.0) -> PEArrayUsage:
-        """Usage record of a BA-mode workload (BI + aggregation ops counted)."""
-        return PEArrayUsage(
-            cycles=self.ba_cycles(num_points, d_head, conflict_factor),
-            macs=int(num_points) * d_head,  # aggregation multiply-accumulate
-            bi_ops=int(num_points) * d_head,
-        )
-
-    # ---------------------------------------------------------------- energy
-
-    def energy_j(self, usage: PEArrayUsage) -> float:
-        """Dynamic energy of a usage record (joules)."""
-        cfg = self.config
-        return (usage.macs * cfg.mac_energy_pj + usage.bi_ops * cfg.bi_op_energy_pj) * 1e-12

@@ -37,11 +37,6 @@ class LayerSimulationReport:
     """Dense-equivalent operation count (2 x MACs of the unpruned block)."""
 
     @property
-    def effective_gops(self) -> float:
-        """Dense-equivalent throughput (counts pruned-away work as done)."""
-        return self.dense_ops / self.time_s / 1e9 if self.time_s > 0 else 0.0
-
-    @property
     def dram_bytes(self) -> float:
         return self.schedule.dram_bytes
 
@@ -83,11 +78,6 @@ class ModelSimulationReport:
             return 0.0
         chip_energy = sum(layer.energy.sram_j + layer.energy.logic_j for layer in self.layers)
         return chip_energy / self.time_s
-
-    @property
-    def total_power_w(self) -> float:
-        """Average power including DRAM access energy."""
-        return self.energy.total_j / self.time_s if self.time_s > 0 else 0.0
 
     @property
     def dram_bytes(self) -> float:
@@ -244,10 +234,6 @@ class DEFASimulator:
     def simulate_layers(self, workloads: list[LayerWorkload]) -> ModelSimulationReport:
         """Simulate a sequence of blocks (one encoder's MSDeformAttn layers)."""
         return ModelSimulationReport(layers=[self.simulate_layer(w) for w in workloads])
-
-    def simulate_encoder_result(self, result: DEFAEncoderResult) -> ModelSimulationReport:
-        """Simulate the blocks of a detailed algorithm-level encoder run."""
-        return self.simulate_layers(self.workloads_from_encoder_result(result))
 
     def simulate_from_ratios(
         self,

@@ -22,7 +22,7 @@ Public surface:
   single normalization point (see :mod:`repro.kernels.options`).
 * :class:`MachineProfile` / :class:`DispatchThresholds` /
   :func:`get_active_profile` / :func:`set_active_profile` /
-  :func:`resolve_profile` / :func:`use_profile` / :func:`calibrate` —
+  :func:`resolve_profile` / :func:`calibrate` —
   host-calibrated auto-dispatch profiles (PR 9): the ``SPARSE_AUTO_*``
   crossover thresholds as versioned, schema-checked JSON data, with a sweep
   harness to calibrate them per host and per backend, initialised from
@@ -53,7 +53,6 @@ from repro.kernels.calibration import (
     reference_profile,
     resolve_profile,
     set_active_profile,
-    use_profile,
 )
 from repro.kernels.options import ExecutionOptions, normalize_execution_options
 from repro.kernels.plan import ExecutionPlan
@@ -79,5 +78,4 @@ __all__ = [
     "set_backend",
     "set_active_profile",
     "use_backend",
-    "use_profile",
 ]

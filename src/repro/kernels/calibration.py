@@ -24,8 +24,8 @@ break-even point).  This module makes the thresholds *data*:
   compacted point gathering with the *real* kernels, per backend, and fits
   the crossover points into a fresh :class:`MachineProfile` for this host.
 * an active-profile registry mirroring the kernel-backend registry
-  (:func:`get_active_profile` / :func:`set_active_profile` /
-  :func:`use_profile`, seeded lazily from ``REPRO_MACHINE_PROFILE``), and
+  (:func:`get_active_profile` / :func:`set_active_profile`, seeded lazily
+  from ``REPRO_MACHINE_PROFILE``), and
   :func:`resolve_profile` — the uniform rule behind every
   ``machine_profile`` specification in :class:`~repro.kernels.
   ExecutionOptions` / :class:`~repro.engine.serving.ModelBankSpec`.
@@ -51,10 +51,8 @@ import json
 import os
 import platform
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -72,7 +70,6 @@ __all__ = [
     "reference_profile",
     "resolve_profile",
     "set_active_profile",
-    "use_profile",
 ]
 
 PROFILE_SCHEMA_VERSION = 1
@@ -340,18 +337,6 @@ def set_active_profile(profile: "MachineProfile | str | None") -> MachineProfile
         return get_active_profile()
     _active_profile = _coerce(profile)
     return _active_profile
-
-
-@contextmanager
-def use_profile(profile: "MachineProfile | str") -> Iterator[MachineProfile]:
-    """Temporarily switch the process-default profile (tests, probes)."""
-    previous = get_active_profile()
-    resolved = set_active_profile(profile)
-    try:
-        yield resolved
-    finally:
-        global _active_profile
-        _active_profile = previous
 
 
 def _load_spec(spec: str) -> MachineProfile:

@@ -5,7 +5,6 @@ from scratch on top of NumPy:
 
 * basic modules (:class:`~repro.nn.modules.Linear`,
   :class:`~repro.nn.modules.LayerNorm`, activations, feed-forward blocks),
-* standard multi-head attention (the DETR baseline operator),
 * bilinear grid-sampling kernels (:mod:`repro.nn.grid_sample`),
 * the multi-scale deformable attention operator
   (:class:`~repro.nn.msdeform_attn.MSDeformAttn`),
@@ -15,7 +14,7 @@ from scratch on top of NumPy:
 * an analytic detection head for the synthetic detection task.
 """
 
-from repro.nn.modules import GELU, LayerNorm, Linear, Module, ReLU, Sequential
+from repro.nn.modules import GELU, LayerNorm, Linear, Module, ReLU
 from repro.nn.msdeform_attn import MSDeformAttn, MSDeformAttnOutput
 from repro.nn.grid_sample import (
     bilinear_neighbors,
@@ -31,7 +30,6 @@ __all__ = [
     "LayerNorm",
     "ReLU",
     "GELU",
-    "Sequential",
     "MSDeformAttn",
     "MSDeformAttnOutput",
     "bilinear_neighbors",

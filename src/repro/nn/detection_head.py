@@ -52,10 +52,6 @@ class DetectionResult:
         if not (len(self.boxes) == len(self.scores) == len(self.labels)):
             raise ValueError("boxes, scores and labels must have the same length")
 
-    @property
-    def num_detections(self) -> int:
-        return len(self.scores)
-
     @staticmethod
     def empty() -> "DetectionResult":
         """A result with no detections."""

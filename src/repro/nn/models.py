@@ -178,11 +178,6 @@ def get_model_config(name: str) -> ModelConfig:
     return _MODEL_CONFIGS[key]
 
 
-def list_model_configs() -> list[ModelConfig]:
-    """All benchmark model configurations, in the paper's order."""
-    return [_MODEL_CONFIGS[name] for name in MODEL_NAMES]
-
-
 def build_encoder(
     config: ModelConfig,
     attention_sharpness: float = 2.5,

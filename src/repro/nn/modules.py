@@ -1,9 +1,8 @@
 """Minimal module system: parameter containers with a functional ``__call__``.
 
 The substrate only needs inference, so modules hold NumPy parameter arrays and
-implement ``forward``.  A tiny ``Module`` base class provides parameter
-discovery (used by the quantization wrappers and the FLOP analyzer) without
-pulling in any framework machinery.
+implement ``forward``; the tiny ``Module`` base class only makes them
+callable, without pulling in any framework machinery.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ from repro.utils.rng import as_rng
 class Module:
     """Base class for all NN modules.
 
-    Subclasses register parameters simply by assigning NumPy arrays to
-    attributes and sub-modules by assigning :class:`Module` instances.
-    :meth:`parameters` and :meth:`named_parameters` walk that structure.
+    Subclasses hold parameters as NumPy array attributes and sub-modules as
+    :class:`Module` attributes, and implement :meth:`forward`.
     """
 
     def forward(self, *args, **kwargs):
@@ -27,42 +25,6 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-    def named_parameters(self, prefix: str = "") -> dict[str, np.ndarray]:
-        """Return ``{qualified_name: array}`` for every parameter in the tree."""
-        params: dict[str, np.ndarray] = {}
-        for name, value in vars(self).items():
-            qualified = f"{prefix}{name}" if not prefix else f"{prefix}.{name}"
-            if isinstance(value, np.ndarray):
-                params[qualified] = value
-            elif isinstance(value, Module):
-                params.update(value.named_parameters(qualified))
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        params.update(item.named_parameters(f"{qualified}.{i}"))
-        return params
-
-    def parameters(self) -> list[np.ndarray]:
-        """Return all parameter arrays in the module tree."""
-        return list(self.named_parameters().values())
-
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return int(sum(p.size for p in self.parameters()))
-
-    def named_modules(self, prefix: str = "") -> dict[str, "Module"]:
-        """Return ``{qualified_name: module}`` for this module and all children."""
-        modules: dict[str, Module] = {prefix or "": self}
-        for name, value in vars(self).items():
-            qualified = f"{prefix}.{name}" if prefix else name
-            if isinstance(value, Module):
-                modules.update(value.named_modules(qualified))
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        modules.update(item.named_modules(f"{qualified}.{i}"))
-        return modules
 
 
 class Linear(Module):
@@ -151,18 +113,6 @@ class GELU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return gelu(x)
-
-
-class Sequential(Module):
-    """Apply a list of modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        self.layers = list(modules)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer(x)
-        return x
 
 
 FFN_BLOCK_ROWS = 1024

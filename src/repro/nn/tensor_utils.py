@@ -67,11 +67,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, gain: fl
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(FLOAT_DTYPE)
 
 
-def normal_init(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
-    """Gaussian initialization with the given standard deviation."""
-    return (rng.standard_normal(size=shape) * std).astype(FLOAT_DTYPE)
-
-
 def cosine_similarity(a: np.ndarray, b: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.ndarray:
     """Cosine similarity between *a* and *b* along *axis*."""
     a = np.asarray(a, dtype=np.float64)

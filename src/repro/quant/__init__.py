@@ -1,7 +1,6 @@
 """Fake quantization used by the DEFA algorithm evaluation (INT12 / INT8)."""
 
 from repro.quant.quantizer import QuantSpec, dequantize, fake_quantize, quantize
-from repro.quant.calibration import MinMaxCalibrator, PercentileCalibrator
 from repro.quant.qmodules import QuantizedLinear, quantize_linear
 
 __all__ = [
@@ -9,8 +8,6 @@ __all__ = [
     "quantize",
     "dequantize",
     "fake_quantize",
-    "MinMaxCalibrator",
-    "PercentileCalibrator",
     "QuantizedLinear",
     "quantize_linear",
 ]

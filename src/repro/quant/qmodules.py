@@ -43,10 +43,6 @@ class QuantizedLinear(Module):
         self.quantized_weight = fake_quantize(linear.weight, weight_spec).astype(FLOAT_DTYPE)
 
     @property
-    def in_features(self) -> int:
-        return self.inner.in_features
-
-    @property
     def out_features(self) -> int:
         return self.inner.out_features
 
@@ -59,22 +55,6 @@ class QuantizedLinear(Module):
         if self.inner.bias is not None:
             out = out + self.inner.bias
         return out
-
-    def activation_scale_max_abs(self, x: np.ndarray) -> float | np.ndarray:
-        """The max-abs that :meth:`forward` would quantize *x* with.
-
-        Either the calibrated ``activation_max_abs`` or the dynamic maximum
-        over the whole array (per channel when the activation spec asks for
-        it).  The sparse execution path uses this to quantize a compacted
-        *subset* of ``x`` with exactly the scale the dense path derives from
-        the full array, keeping the two paths numerically identical.
-        """
-        if self.activation_max_abs is not None:
-            return self.activation_max_abs
-        x = np.asarray(x, dtype=FLOAT_DTYPE)
-        if self.activation_spec.per_channel and x.ndim >= 2:
-            return np.max(np.abs(x.reshape(-1, x.shape[-1])), axis=0)
-        return float(np.max(np.abs(x))) if x.size else 0.0
 
     def forward_batched(self, x: np.ndarray) -> np.ndarray:
         """Forward a batch ``(B, ..., D)`` with *per-image* activation scales.

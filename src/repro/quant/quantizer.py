@@ -103,10 +103,3 @@ def fake_quantize(
     np.clip(scratch, spec.qmin, spec.qmax, out=scratch)
     np.multiply(scratch, scale, out=out, casting="unsafe")
     return out
-
-
-def quantization_error(x: np.ndarray, spec: QuantSpec) -> float:
-    """Root-mean-square error introduced by fake-quantizing *x*."""
-    x = np.asarray(x, dtype=np.float64)
-    err = x - fake_quantize(x, spec).astype(np.float64)
-    return float(np.sqrt(np.mean(err**2))) if x.size else 0.0

@@ -3,25 +3,20 @@
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.shapes import (
     LevelShape,
-    flatten_index,
     level_start_indices,
     make_level_shapes,
     total_pixels,
-    unflatten_index,
 )
 from repro.utils.tables import format_table
-from repro.utils.serialization import load_json, save_json
+from repro.utils.serialization import save_json
 
 __all__ = [
     "as_rng",
     "spawn_rngs",
     "LevelShape",
-    "flatten_index",
     "level_start_indices",
     "make_level_shapes",
     "total_pixels",
-    "unflatten_index",
     "format_table",
-    "load_json",
     "save_json",
 ]

@@ -36,9 +36,3 @@ def save_json(path: str | Path, data: Any) -> Path:
     with path.open("w", encoding="utf-8") as fh:
         json.dump(_to_jsonable(data), fh, indent=2, sort_keys=True)
     return path
-
-
-def load_json(path: str | Path) -> Any:
-    """Load JSON previously written with :func:`save_json`."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return json.load(fh)

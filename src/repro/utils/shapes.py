@@ -69,33 +69,3 @@ def level_start_indices(shapes: list[LevelShape]) -> np.ndarray:
     if len(shapes) > 1:
         starts[1:] = np.cumsum(sizes[:-1])
     return starts
-
-
-def flatten_index(level: int, row: np.ndarray, col: np.ndarray, shapes: list[LevelShape]) -> np.ndarray:
-    """Convert ``(level, row, col)`` coordinates to flattened token indices."""
-    if not 0 <= level < len(shapes):
-        raise ValueError(f"level {level} out of range for {len(shapes)} levels")
-    shape = shapes[level]
-    row = np.asarray(row)
-    col = np.asarray(col)
-    if np.any((row < 0) | (row >= shape.height)) or np.any((col < 0) | (col >= shape.width)):
-        raise ValueError("row/col out of bounds for level shape")
-    start = level_start_indices(shapes)[level]
-    return start + row.astype(np.int64) * shape.width + col.astype(np.int64)
-
-
-def unflatten_index(index: np.ndarray, shapes: list[LevelShape]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convert flattened token indices back to ``(level, row, col)`` arrays."""
-    index = np.asarray(index, dtype=np.int64)
-    n_total = total_pixels(shapes)
-    if np.any((index < 0) | (index >= n_total)):
-        raise ValueError("flattened index out of range")
-    starts = level_start_indices(shapes)
-    sizes = np.array([s.num_pixels for s in shapes], dtype=np.int64)
-    ends = starts + sizes
-    level = np.searchsorted(ends, index, side="right")
-    local = index - starts[level]
-    widths = np.array([s.width for s in shapes], dtype=np.int64)
-    row = local // widths[level]
-    col = local % widths[level]
-    return level, row, col

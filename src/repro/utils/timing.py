@@ -9,7 +9,7 @@ enough to leave enabled in production code.  Wrapping a region in
 
 >>> with collect_kernel_timings() as timings:
 ...     runner.forward(...)
->>> timings.total("gather")
+>>> timings.seconds["gather"]
 
 Collectors nest: every active collector records every section, so a profiler
 can measure one block while an outer harness measures the whole run.
@@ -38,33 +38,6 @@ class KernelTimings:
     def record(self, name: str, elapsed: float) -> None:
         self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
         self.calls[name] = self.calls.get(name, 0) + 1
-
-    def total(self, name: str) -> float:
-        """Total seconds spent in *name* (0.0 if the section never ran)."""
-        return self.seconds.get(name, 0.0)
-
-    def total_seconds(self) -> float:
-        """Sum over all recorded sections.
-
-        Sections may nest (e.g. "gather" runs inside "msgs"), so this is an
-        upper bound on distinct wall-clock time, not a partition of it.
-        """
-        return float(sum(self.seconds.values()))
-
-    def fractions(self) -> dict[str, float]:
-        """Per-section share of :meth:`total_seconds` (empty dict if nothing ran)."""
-        total = self.total_seconds()
-        if total <= 0.0:
-            return {}
-        return {name: secs / total for name, secs in self.seconds.items()}
-
-    def as_dict(self) -> dict[str, dict[str, float | int]]:
-        """JSON-friendly ``{section: {seconds, calls}}`` view."""
-        return {
-            name: {"seconds": self.seconds[name], "calls": self.calls.get(name, 0)}
-            for name in self.seconds
-        }
-
 
 _COLLECTORS: list[KernelTimings] = []
 """Stack of active collectors; sections no-op when it is empty."""

@@ -1,27 +1,21 @@
-"""Workload definitions: model/workload specs, synthetic scenes and traces."""
+"""Workload definitions: model/workload specs, synthetic scenes and inputs."""
 
 from repro.workloads.specs import (
     SCALE_PRESETS,
     WorkloadSpec,
     get_workload,
-    list_workloads,
 )
 from repro.workloads.synthetic_images import SceneGenerator, SyntheticScene
 from repro.workloads.dataset import SyntheticDetectionDataset
-from repro.workloads.traces import LayerTrace, cached_layer_traces, generate_layer_traces
 from repro.workloads.video import SyntheticVideoStream, VideoStreamSpec
 
 __all__ = [
     "SCALE_PRESETS",
     "WorkloadSpec",
     "get_workload",
-    "list_workloads",
     "SceneGenerator",
     "SyntheticScene",
     "SyntheticVideoStream",
     "VideoStreamSpec",
     "SyntheticDetectionDataset",
-    "LayerTrace",
-    "cached_layer_traces",
-    "generate_layer_traces",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.nn.models import MODEL_NAMES, ModelConfig, get_model_config
+from repro.nn.models import ModelConfig, get_model_config
 from repro.utils.shapes import LevelShape, make_level_shapes, total_pixels
 
 SCALE_PRESETS: dict[str, tuple[int, int]] = {
@@ -27,10 +27,6 @@ SCALE_PRESETS: dict[str, tuple[int, int]] = {
     "tiny": (64, 96),
 }
 """Image sizes (height, width) of the named workload scales."""
-
-BYTES_PER_ELEMENT_FP32 = 4
-BYTES_PER_ELEMENT_INT12 = 1.5
-BYTES_PER_ELEMENT_FP16 = 2
 
 
 @dataclass(frozen=True)
@@ -104,10 +100,6 @@ class WorkloadSpec:
         """Total dense FLOPs of one MSDeformAttn layer."""
         return int(sum(self.layer_flops_breakdown().values()))
 
-    def encoder_attention_flops(self) -> int:
-        """Dense MSDeformAttn FLOPs over all encoder layers."""
-        return self.layer_flops() * self.model.num_encoder_layers
-
     def ffn_flops_per_layer(self) -> int:
         """FLOPs of the FFN block of one encoder layer."""
         return 2 * self.num_tokens * self.model.d_model * self.model.ffn_dim * 2
@@ -118,14 +110,6 @@ class WorkloadSpec:
         return per_layer * self.model.num_encoder_layers
 
     # ------------------------------------------------------------- memory
-
-    def fmap_bytes(self, bytes_per_element: float = BYTES_PER_ELEMENT_INT12) -> float:
-        """Size of the flattened multi-scale value feature maps in bytes."""
-        return self.num_tokens * self.model.d_model * bytes_per_element
-
-    def level_fmap_bytes(self, level: int, bytes_per_element: float = BYTES_PER_ELEMENT_INT12) -> float:
-        """Size of one pyramid level's value feature map in bytes."""
-        return self.spatial_shapes[level].num_pixels * self.model.d_model * bytes_per_element
 
     def multi_scale_to_single_scale_ratio(self, single_scale_stride: int = 32) -> float:
         """Pixel-count ratio of the full pyramid vs. a single-scale feature map.
@@ -160,8 +144,3 @@ def get_workload(model_name: str, scale: str = "medium") -> WorkloadSpec:
         image_height=height,
         image_width=width,
     )
-
-
-def list_workloads(scale: str = "medium") -> list[WorkloadSpec]:
-    """Workload specs of all three benchmark models at the given scale."""
-    return [get_workload(name, scale) for name in MODEL_NAMES]

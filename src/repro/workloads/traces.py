@@ -1,125 +1,21 @@
-"""Sampling-trace generation for the hardware simulator and pruning analysis.
+"""Structured synthetic encoder inputs for the algorithm-level experiments.
 
-The accelerator-level experiments (bank conflicts, fmap reuse, energy) do not
-need image pixels — they need the *sampling behaviour* of the MSDeformAttn
-layers: where every point samples, with which bilinear neighbours, and with
-which attention probability.  This module runs the NumPy encoder on structured
-synthetic features and records a :class:`LayerTrace` per encoder layer.
-
-For large workloads a purely synthetic feature generator
-(:func:`synthetic_features`) is provided: background noise plus a handful of
-Gaussian "object" hotspots per level, replicating the spatial concentration of
-feature energy the backbone produces on real images.
+The pruning and hardware experiments do not need image pixels — they need
+the *sampling behaviour* of the MSDeformAttn layers on inputs whose feature
+energy is spatially concentrated the way a backbone's is on real images.
+:func:`synthetic_workload_input` builds such features (background noise plus
+a handful of Gaussian "object" hotspots per level) together with the object
+layout that the closed-form head fitting uses to emulate trained sampling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.nn.encoder import DeformableEncoder
-from repro.nn.grid_sample import SamplingTrace
-from repro.nn.models import build_encoder
-from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.nn.tensor_utils import FLOAT_DTYPE
-from repro.nn.weight_fitting import FittingConfig, ObjectLayout, fit_encoder_heads
-from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.shapes import LevelShape
+from repro.nn.weight_fitting import ObjectLayout
+from repro.utils.rng import as_rng
 from repro.workloads.specs import WorkloadSpec
-
-
-@dataclass
-class LayerTrace:
-    """Sampling behaviour of one MSDeformAttn layer on one input.
-
-    Attributes
-    ----------
-    layer_index:
-        Index of the encoder layer the trace belongs to.
-    spatial_shapes:
-        Pyramid level shapes.
-    attention_weights:
-        Softmax attention probabilities, ``(N_q, N_h, N_l, N_p)``.
-    sampling_locations:
-        Normalized sampling locations, ``(N_q, N_h, N_l, N_p, 2)``.
-    reference_points:
-        Normalized reference points, ``(N_q, N_l, 2)``.
-    trace:
-        Integer-level neighbour trace (indices, weights, validity).
-    """
-
-    layer_index: int
-    spatial_shapes: list[LevelShape]
-    attention_weights: np.ndarray
-    sampling_locations: np.ndarray
-    reference_points: np.ndarray
-    trace: SamplingTrace
-
-    @property
-    def num_queries(self) -> int:
-        return self.attention_weights.shape[0]
-
-    @property
-    def num_heads(self) -> int:
-        return self.attention_weights.shape[1]
-
-    @property
-    def num_levels(self) -> int:
-        return self.attention_weights.shape[2]
-
-    @property
-    def num_points(self) -> int:
-        return self.attention_weights.shape[3]
-
-
-TraceKey = tuple[WorkloadSpec, int, int | None, bool]
-"""Cache key of one deterministic trace generation — see :func:`trace_cache_key`."""
-
-
-def trace_cache_key(
-    spec: WorkloadSpec,
-    seed: int = 0,
-    num_layers: int | None = None,
-    fit_heads: bool = True,
-) -> TraceKey:
-    """Canonical cache key for a :func:`generate_layer_traces` invocation.
-
-    Trace generation is deterministic given ``(spec, seed)`` (plus the layer
-    count and head-fitting switch), so two invocations with equal keys return
-    identical traces.  The key format is::
-
-        (spec, seed, num_layers, fit_heads)
-
-    ``WorkloadSpec`` is a frozen dataclass, so the spec itself is the
-    identity — keying on it (rather than on ``spec.name``) guarantees that
-    two specs differing in resolution or model geometry never share an
-    entry.  The engine's :class:`~repro.engine.trace_cache.TraceCache` uses
-    this key so identical ``(spec, seed)`` traces are never regenerated.
-    """
-    return (spec, int(seed), num_layers, bool(fit_heads))
-
-
-def cached_layer_traces(
-    spec: WorkloadSpec,
-    seed: int = 0,
-    num_layers: int | None = None,
-    fit_heads: bool = True,
-) -> list["LayerTrace"]:
-    """Default-cached trace generation: the preferred entry point.
-
-    Delegates to the engine's process-wide
-    :data:`~repro.engine.trace_cache.DEFAULT_TRACE_CACHE`, so an identical
-    ``(spec, seed)`` trace is never regenerated within a process.  Use
-    :func:`generate_layer_traces` directly only when bypassing the cache is
-    intended (e.g. custom features or a pre-built encoder).
-    """
-    # Imported lazily: repro.engine depends on this module.
-    from repro.engine.trace_cache import DEFAULT_TRACE_CACHE
-
-    return DEFAULT_TRACE_CACHE.get_or_generate(
-        spec, seed=seed, num_layers=num_layers, fit_heads=fit_heads
-    )
 
 
 def synthetic_workload_input(
@@ -162,126 +58,3 @@ def synthetic_workload_input(
     features = np.concatenate(chunks, axis=0).astype(FLOAT_DTYPE)
     layout = ObjectLayout(centers=centers.astype(FLOAT_DTYPE), radii=radii.astype(FLOAT_DTYPE))
     return features, layout
-
-
-def synthetic_features(
-    spec: WorkloadSpec,
-    num_hotspots: int = 8,
-    noise_std: float = 0.3,
-    hotspot_gain: float = 3.0,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Structured synthetic features for a workload, shape ``(N_in, D)``.
-
-    Convenience wrapper around :func:`synthetic_workload_input` for callers
-    that do not need the object layout.
-    """
-    features, _ = synthetic_workload_input(
-        spec,
-        num_hotspots=num_hotspots,
-        noise_std=noise_std,
-        hotspot_gain=hotspot_gain,
-        rng=rng,
-    )
-    return features
-
-
-def generate_layer_traces(
-    spec: WorkloadSpec,
-    num_layers: int | None = None,
-    features: np.ndarray | None = None,
-    layout: ObjectLayout | None = None,
-    fit_heads: bool = True,
-    fitting_config: FittingConfig | None = None,
-    attention_sharpness: float = 2.5,
-    offset_scale: float = 2.0,
-    encoder: DeformableEncoder | None = None,
-    rng: np.random.Generator | int | None = None,
-) -> list[LayerTrace]:
-    """Run the workload's encoder and collect a :class:`LayerTrace` per layer.
-
-    Parameters
-    ----------
-    spec:
-        Workload specification.
-    num_layers:
-        Number of encoder layers to trace (defaults to the model's encoder
-        depth; smaller values are convenient for tests).
-    features:
-        Optional ``(N_in, D)`` input features; defaults to
-        :func:`synthetic_workload_input`.
-    layout:
-        Object layout matching *features*; required for head fitting when
-        custom features are supplied.
-    fit_heads:
-        Fit the offset/attention heads to object-seeking targets (emulating
-        trained sampling behaviour) before tracing.  Strongly recommended —
-        the pruning and hardware statistics of the paper assume trained-model
-        behaviour.
-    fitting_config:
-        Optional :class:`FittingConfig` overriding the fitting defaults.
-    attention_sharpness, offset_scale:
-        Synthetic-weight parameters forwarded to the encoder construction
-        (only relevant when ``fit_heads`` is ``False``).
-    encoder:
-        Optional pre-built encoder (must match the workload shape); if given,
-        ``num_layers`` defaults to its depth.
-    rng:
-        Seed or generator.
-    """
-    rng = as_rng(rng)
-    feature_rng, encoder_rng, fit_rng = spawn_rngs(rng, 3)
-    shapes = spec.spatial_shapes
-    if features is None:
-        features, layout = synthetic_workload_input(spec, rng=feature_rng)
-    if features.shape != (spec.num_tokens, spec.model.d_model):
-        raise ValueError(
-            f"features must have shape ({spec.num_tokens}, {spec.model.d_model}), "
-            f"got {features.shape}"
-        )
-    if encoder is None:
-        encoder = build_encoder(
-            spec.model,
-            attention_sharpness=attention_sharpness,
-            offset_scale=offset_scale,
-            rng=encoder_rng,
-        )
-    if num_layers is None:
-        num_layers = len(encoder.layers)
-    if not 1 <= num_layers <= len(encoder.layers):
-        raise ValueError(f"num_layers must be in [1, {len(encoder.layers)}]")
-
-    pos = sine_positional_encoding(shapes, spec.model.d_model)
-    reference_points = make_reference_points(shapes)
-    if fit_heads:
-        if layout is None:
-            raise ValueError("fit_heads=True requires an object layout for the features")
-        fit_encoder_heads(
-            encoder,
-            features,
-            pos,
-            reference_points,
-            shapes,
-            layout,
-            config=fitting_config,
-            rng=fit_rng,
-        )
-
-    traces: list[LayerTrace] = []
-    x = np.asarray(features, dtype=FLOAT_DTYPE)
-    for layer_index in range(num_layers):
-        layer = encoder.layers[layer_index]
-        layer_out = layer.forward_detailed(x, pos, reference_points, shapes, with_trace=True)
-        attn = layer_out.attention
-        traces.append(
-            LayerTrace(
-                layer_index=layer_index,
-                spatial_shapes=shapes,
-                attention_weights=attn.attention_weights,
-                sampling_locations=attn.sampling_locations,
-                reference_points=reference_points,
-                trace=attn.trace,
-            )
-        )
-        x = layer_out.output
-    return traces

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.shapes import LevelShape, total_pixels
-from repro.workloads.specs import WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -135,13 +134,6 @@ class SyntheticVideoStream:
                 np.stack([grid_y.reshape(-1), grid_x.reshape(-1)], axis=1)
             )
 
-    @classmethod
-    def from_workload(
-        cls, workload: WorkloadSpec, spec: VideoStreamSpec | None = None
-    ) -> "SyntheticVideoStream":
-        """Stream over a benchmark workload's pyramid and feature width."""
-        return cls(workload.spatial_shapes, workload.model.d_model, spec)
-
     # ------------------------------------------------------------- rendering
 
     def _coverage(self, frame_index: int) -> np.ndarray:
@@ -179,20 +171,3 @@ class SyntheticVideoStream:
         ):
             features[covered] = signature
         return features
-
-    def frames(self):
-        """Iterate the ``spec.num_frames`` frames of the stream."""
-        for index in range(self.spec.num_frames):
-            yield self.frame(index)
-
-    def static_rows(self, frame_index: int) -> np.ndarray:
-        """Boolean ``(N_in,)``: rows identical between frames ``i-1`` and ``i``.
-
-        Diagnostic for benchmarks/tests — the streaming session derives its
-        own dirty set from the feature arrays, not from this oracle.
-        """
-        if frame_index == 0:
-            return np.zeros(self.num_tokens, dtype=bool)
-        previous = self.frame(frame_index - 1)
-        current = self.frame(frame_index)
-        return ~np.any(previous != current, axis=1)

@@ -1,4 +1,4 @@
-"""Tests for the baselines (GPU, ASIC, Faster R-CNN, DeformConv) and eval metrics."""
+"""Tests for the baselines (GPU, ASIC, Faster R-CNN) and eval metrics."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,6 @@ from repro.baselines.asic import (
     SPATTEN,
     energy_efficiency_improvements,
     published_platforms,
-)
-from repro.baselines.deform_conv import (
-    DeformConvWorkload,
-    fmap_size_ratio,
-    sampling_point_ratio_per_head,
 )
 from repro.baselines.faster_rcnn import FASTER_RCNN
 from repro.baselines.gpu import GPUCostModel, RTX_2080TI, RTX_3090TI
@@ -38,7 +33,6 @@ class TestGPUModel:
         assert latency.total_s == pytest.approx(
             latency.msgs_aggregation_s + latency.others_s
         )
-        assert set(latency.as_dict()) >= {"msgs", "value_proj", "softmax"}
 
     def test_3090ti_faster_than_2080ti(self):
         spec = get_workload("deformable_detr", "paper")
@@ -52,12 +46,6 @@ class TestGPUModel:
         assert model.encoder_attention_energy(spec) == pytest.approx(
             model.encoder_attention_latency(spec) * RTX_3090TI.board_power_w
         )
-
-    def test_effective_throughput_far_below_peak(self):
-        """The efficiency gap that motivates the accelerator."""
-        spec = get_workload("deformable_detr", "paper")
-        eff = GPUCostModel(RTX_3090TI).effective_throughput_tops(spec)
-        assert eff < 0.25 * RTX_3090TI.peak_fp32_tflops
 
 
 class TestASICBaselines:
@@ -76,34 +64,8 @@ class TestASICBaselines:
     def test_platform_order(self):
         assert [p.name for p in published_platforms()] == ["ELSA", "SpAtten", "BESAPU"]
 
-    def test_technology_normalization(self):
-        scaled = BESAPU.normalized_to_technology(40)
-        assert scaled.technology_nm == 40
-        assert scaled.power_mw > BESAPU.power_mw
-
     def test_faster_rcnn_reference(self):
         assert FASTER_RCNN.coco_ap == 42.0
-        assert FASTER_RCNN.ap_margin(46.9) == pytest.approx(4.9)
-
-
-class TestDeformConvComparison:
-    def test_fmap_ratio_near_paper_value(self):
-        """Sec. 2.2: multi-scale fmaps are ~21.3x larger than single-scale ones."""
-        spec = get_workload("deformable_detr", "paper")
-        dcn = DeformConvWorkload.matching_single_scale(spec, stride=32)
-        ratio = fmap_size_ratio(spec, dcn)
-        assert 18.0 < ratio < 24.0
-
-    def test_point_ratio(self):
-        spec = get_workload("deformable_detr", "paper")
-        dcn = DeformConvWorkload.matching_single_scale(spec)
-        # N_l * N_p = 16 points per head vs 9 DeformConv taps
-        assert sampling_point_ratio_per_head(spec, dcn) == pytest.approx(16 / 9)
-
-    def test_workload_counts(self):
-        dcn = DeformConvWorkload(10, 10, 64)
-        assert dcn.points_per_output == 9
-        assert dcn.total_sampling_points == 900
 
 
 class TestDetectionMetrics:
@@ -159,7 +121,7 @@ class TestDetectionMetrics:
     def test_detection_result_validation(self):
         with pytest.raises(ValueError):
             DetectionResult(boxes=np.zeros((2, 4)), scores=np.zeros(1), labels=np.zeros(2))
-        assert DetectionResult.empty().num_detections == 0
+        assert len(DetectionResult.empty().scores) == 0
 
     def test_scene_count_mismatch(self):
         with pytest.raises(ValueError):

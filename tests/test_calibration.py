@@ -37,7 +37,6 @@ from repro.kernels import (
     reference_profile,
     resolve_profile,
     set_active_profile,
-    use_profile,
 )
 from repro.kernels import calibration
 from repro.kernels.calibration import (
@@ -293,15 +292,6 @@ class TestActiveProfileRegistry:
         assert get_active_profile() is custom
         calibration._active_profile = None
         assert set_active_profile(None) == reference_profile()
-
-    def test_use_profile_restores(self):
-        set_active_profile(None)
-        before = get_active_profile()
-        custom = MachineProfile(name="scoped")
-        with use_profile(custom) as active:
-            assert active is custom
-            assert get_active_profile() is custom
-        assert get_active_profile() == before
 
     def test_resolve_profile_rules(self, tmp_path):
         custom = MachineProfile(name="direct")

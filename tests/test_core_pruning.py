@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from repro.core.config import DEFAConfig
 from repro.core.flops import msdeform_attn_flops
-from repro.core.fwp import apply_fmap_mask, compute_fmap_mask, mask_storage_bits
-from repro.core.pap import compute_point_mask, point_probability_histogram
+from repro.core.fwp import compute_fmap_mask
+from repro.core.pap import compute_point_mask
 from repro.core.range_narrowing import RangeNarrowing, full_fmap_storage_bits
-from repro.core.sampling_stats import frequency_stats, sampled_frequency, split_frequency_by_level
+from repro.core.sampling_stats import sampled_frequency
 from repro.nn.tensor_utils import softmax
 from repro.utils.shapes import LevelShape
 
@@ -74,7 +74,7 @@ class TestPAP:
     def test_mask_prunes_low_probabilities(self):
         probs = self._probs()
         result = compute_point_mask(probs, threshold=0.05)
-        assert result.pruned_fraction > 0.3
+        assert result.keep_fraction < 0.7
         assert np.all(probs[~result.point_mask] < 0.05)
 
     def test_zero_threshold_keeps_everything(self):
@@ -103,7 +103,7 @@ class TestPAP:
         """The paper's motivation: softmax exponentially amplifies differences."""
         flat = compute_point_mask(self._probs(sharp=0.1), threshold=0.04)
         sharp = compute_point_mask(self._probs(sharp=5.0), threshold=0.04)
-        assert sharp.pruned_fraction > flat.pruned_fraction
+        assert sharp.keep_fraction < flat.keep_fraction
 
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
@@ -113,17 +113,13 @@ class TestPAP:
         with pytest.raises(ValueError):
             compute_point_mask(self._probs(), threshold=1.0)
 
-    def test_histogram(self):
-        edges, counts = point_probability_histogram(self._probs(), num_bins=20)
-        assert len(edges) == 21 and counts.sum() == 50 * 2 * 3 * 4
-
     @given(st.floats(0.0, 0.2))
     @settings(max_examples=20, deadline=None)
     def test_monotone_in_threshold(self, threshold):
         probs = self._probs(seed=7)
         low = compute_point_mask(probs, threshold=threshold)
         high = compute_point_mask(probs, threshold=min(threshold + 0.05, 0.99))
-        assert high.pruned_fraction >= low.pruned_fraction - 1e-9
+        assert high.keep_fraction <= low.keep_fraction + 1e-9
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -215,20 +211,6 @@ class TestFWP:
             assert result.level_keep_fractions[lvl] == pytest.approx(expected_keep.mean())
             offset += shape.num_pixels
 
-    def test_apply_fmap_mask_zeroes_rows(self):
-        value = np.ones((6, 3), dtype=np.float32)
-        mask = np.array([True, False, True, True, False, True])
-        out = apply_fmap_mask(value, mask)
-        assert np.allclose(out[1], 0.0) and np.allclose(out[0], 1.0)
-        assert np.allclose(value, 1.0)  # original untouched
-
-    def test_apply_none_mask_is_identity(self):
-        value = np.ones((4, 2), dtype=np.float32)
-        assert apply_fmap_mask(value, None) is value
-
-    def test_mask_storage_bits(self):
-        assert mask_storage_bits(np.ones(100, dtype=bool)) == 100
-
 
 class TestBatchedPruningHelpers:
     def _batched_trace(self, batch=3, seed=0):
@@ -294,29 +276,6 @@ class TestSamplingStats:
         full = sampled_frequency(tiny_defa_output.trace)
         masked = sampled_frequency(tiny_defa_output.trace, point_mask=tiny_defa_output.point_mask)
         assert masked.sum() <= full.sum()
-
-    def test_split_by_level(self, tiny_defa_output, tiny_spec):
-        freq = sampled_frequency(tiny_defa_output.trace)
-        maps = split_frequency_by_level(freq, tiny_spec.spatial_shapes)
-        assert len(maps) == len(tiny_spec.spatial_shapes)
-        assert sum(m.sum() for m in maps) == freq.sum()
-
-    def test_frequency_stats_uniform(self):
-        stats = frequency_stats(np.full(100, 5.0))
-        assert stats.gini == pytest.approx(0.0, abs=0.02)
-        assert stats.zero_fraction == 0.0
-
-    def test_frequency_stats_skewed(self):
-        freq = np.zeros(100)
-        freq[:5] = 100.0
-        stats = frequency_stats(freq)
-        assert stats.gini > 0.9
-        assert stats.zero_fraction == 0.95
-        assert stats.top10_share == pytest.approx(1.0)
-
-    def test_frequency_stats_empty_raises(self):
-        with pytest.raises(ValueError):
-            frequency_stats(np.zeros(0))
 
 
 class TestRangeNarrowing:

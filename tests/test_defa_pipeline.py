@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DEFAConfig
-from repro.core.encoder_runner import DEFAEncoderRunner, run_baseline_encoder
+from repro.core.encoder_runner import DEFAEncoderRunner
 from repro.core.pipeline import DEFAAttention
 from repro.eval.fidelity import compare_outputs
 from repro.nn.weight_fitting import (
@@ -28,7 +28,7 @@ class TestDEFAAttention:
         assert tiny_defa_output.stats.point_reduction > 0.3
 
     def test_fwp_mask_generated(self, tiny_defa_output):
-        assert 0.0 < tiny_defa_output.fwp.pruned_fraction < 1.0
+        assert 0.0 < tiny_defa_output.fwp.keep_fraction < 1.0
 
     def test_flops_reduction_positive(self, tiny_defa_output):
         assert tiny_defa_output.stats.flops_reduction > 0.2
@@ -139,12 +139,8 @@ class TestDEFAEncoderRunner:
 
     def test_memory_close_to_baseline(self, tiny_workload_run):
         run = tiny_workload_run
-        baseline = run_baseline_encoder(
-            run["encoder"],
-            run["features"],
-            run["pos"],
-            run["reference_points"],
-            run["spec"].spatial_shapes,
+        baseline = run["encoder"].forward(
+            run["features"], run["pos"], run["reference_points"], run["spec"].spatial_shapes
         )
         runner = DEFAEncoderRunner(run["encoder"], DEFAConfig())
         result = runner.forward(
@@ -155,12 +151,8 @@ class TestDEFAEncoderRunner:
 
     def test_int8_is_much_worse_than_int12(self, tiny_workload_run):
         run = tiny_workload_run
-        baseline = run_baseline_encoder(
-            run["encoder"],
-            run["features"],
-            run["pos"],
-            run["reference_points"],
-            run["spec"].spatial_shapes,
+        baseline = run["encoder"].forward(
+            run["features"], run["pos"], run["reference_points"], run["spec"].spatial_shapes
         )
         def error(bits):
             config = DEFAConfig.baseline().with_overrides(quant_bits=bits)

@@ -1,4 +1,4 @@
-"""Tests for the batched execution engine: BatchRunner, TraceCache, --jobs."""
+"""Tests for the batched execution engine: BatchRunner, --jobs."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ import pytest
 from repro.engine import (
     BatchRunner,
     ParallelExperimentError,
-    TraceCache,
     WorkItem,
     defa_forward_fn,
-    encoder_forward_fn,
     run_experiments_parallel,
 )
 from repro.core.config import DEFAConfig
@@ -21,8 +19,6 @@ from repro.experiments.runner import run_experiments
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.utils.shapes import LevelShape
-from repro.workloads.specs import get_workload
-from repro.workloads.traces import trace_cache_key
 
 SHAPES_A = (LevelShape(8, 12), LevelShape(4, 6))
 SHAPES_B = (LevelShape(6, 8), LevelShape(3, 4))
@@ -149,7 +145,11 @@ class TestBatchRunner:
         items = [
             _item(i, SHAPES_A if i % 2 == 0 else SHAPES_B, seed=i) for i in range(6)
         ]
-        runner = BatchRunner(encoder_forward_fn(encoder), max_batch_size=4)
+        def forward(batch, shapes):
+            pos = sine_positional_encoding(shapes, D_MODEL)
+            return encoder.forward(batch, pos, make_reference_points(shapes), shapes)
+
+        runner = BatchRunner(forward, max_batch_size=4)
         result = runner.run(items)
         for item, output in zip(items, result.outputs):
             shapes = list(item.spatial_shapes)
@@ -184,100 +184,6 @@ class TestBatchRunner:
         runner = BatchRunner(lambda batch, shapes: batch)
         result = runner.run([])
         assert result.outputs == [] and result.stats.num_batches == 0
-
-
-class TestTraceCache:
-    def test_hit_and_miss_accounting(self):
-        spec = get_workload("deformable_detr", "tiny")
-        cache = TraceCache()
-        first = cache.get_or_generate(spec, seed=0, num_layers=1)
-        again = cache.get_or_generate(spec, seed=0, num_layers=1)
-        other = cache.get_or_generate(spec, seed=1, num_layers=1)
-        # identical (spec, seed) is never regenerated: the LayerTrace objects
-        # are shared, only the list container is fresh per call.
-        assert [t is u for t, u in zip(again, first)] == [True]
-        assert other[0] is not first[0]
-        stats = cache.stats
-        assert stats.hits == 1 and stats.misses == 2 and stats.entries == 2
-        assert stats.requests == 3
-        assert stats.hit_rate == pytest.approx(1 / 3)
-
-    def test_key_format(self):
-        spec = get_workload("deformable_detr", "tiny")
-        assert trace_cache_key(spec, seed=3, num_layers=2) == (spec, 3, 2, True)
-
-    def test_key_distinguishes_same_name_different_geometry(self):
-        """Two specs with equal names but different resolutions must not share
-        a cache entry (the key carries the full frozen spec, not spec.name)."""
-        from dataclasses import replace
-
-        spec = get_workload("deformable_detr", "tiny")
-        other = replace(spec, image_height=32, image_width=48)
-        assert spec.name == other.name
-        assert trace_cache_key(spec, seed=0) != trace_cache_key(other, seed=0)
-
-    def test_eviction_bound(self):
-        spec = get_workload("deformable_detr", "tiny")
-        cache = TraceCache(max_entries=1)
-        cache.get_or_generate(spec, seed=0, num_layers=1)
-        cache.get_or_generate(spec, seed=1, num_layers=1)
-        assert len(cache) == 1
-        assert trace_cache_key(spec, seed=1, num_layers=1) in cache
-        assert trace_cache_key(spec, seed=0, num_layers=1) not in cache
-
-    def test_lru_eviction_hit_refreshes_recency(self):
-        """Eviction at max_entries is least-recently-*used*: a hit on the
-        oldest entry must save it from the next eviction, and the hit/miss
-        accounting must record the whole sequence."""
-        spec = get_workload("deformable_detr", "tiny")
-        cache = TraceCache(max_entries=2)
-        first = cache.get_or_generate(spec, seed=0, num_layers=1)  # miss
-        cache.get_or_generate(spec, seed=1, num_layers=1)  # miss
-        # Touch seed=0: it becomes most-recently-used and must survive the
-        # eviction triggered by inserting seed=2 (seed=1 is now the LRU).
-        again = cache.get_or_generate(spec, seed=0, num_layers=1)  # hit
-        assert again[0] is first[0]
-        cache.get_or_generate(spec, seed=2, num_layers=1)  # miss, evicts seed=1
-        assert len(cache) == 2
-        assert trace_cache_key(spec, seed=0, num_layers=1) in cache
-        assert trace_cache_key(spec, seed=2, num_layers=1) in cache
-        assert trace_cache_key(spec, seed=1, num_layers=1) not in cache
-        # The surviving seed=0 entry still hits (no regeneration).
-        assert cache.get_or_generate(spec, seed=0, num_layers=1)[0] is first[0]
-        stats = cache.stats
-        assert stats.hits == 2 and stats.misses == 3 and stats.entries == 2
-
-    def test_caller_mutation_does_not_corrupt_cache(self):
-        spec = get_workload("deformable_detr", "tiny")
-        cache = TraceCache()
-        traces = cache.get_or_generate(spec, seed=0, num_layers=1)
-        kept = traces[0]
-        traces.clear()  # caller trims its copy
-        assert cache.get_or_generate(spec, seed=0, num_layers=1)[0] is kept
-
-    def test_cached_layer_traces_entry_point(self):
-        from repro.engine.trace_cache import DEFAULT_TRACE_CACHE
-        from repro.workloads import cached_layer_traces
-
-        spec = get_workload("deformable_detr", "tiny")
-        before = DEFAULT_TRACE_CACHE.stats
-        first = cached_layer_traces(spec, seed=123, num_layers=1)
-        again = cached_layer_traces(spec, seed=123, num_layers=1)
-        assert again[0] is first[0]
-        after = DEFAULT_TRACE_CACHE.stats
-        assert after.misses == before.misses + 1
-        assert after.hits >= before.hits + 1
-
-    def test_clear(self):
-        spec = get_workload("deformable_detr", "tiny")
-        cache = TraceCache()
-        cache.get_or_generate(spec, seed=0, num_layers=1)
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_invalid_max_entries(self):
-        with pytest.raises(ValueError):
-            TraceCache(max_entries=0)
 
 
 class TestParallelRunner:

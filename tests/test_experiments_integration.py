@@ -12,15 +12,17 @@ from repro.experiments import (
     fig8_breakdown,
     table1_asic_comparison,
 )
-from repro.experiments.workload_runs import clear_caches, prepare_run, run_defa_cached
-from repro.eval.pruning_stats import collect_pruning_stats, summarize_reports
+from repro.experiments import workload_runs
+from repro.experiments.workload_runs import prepare_run, run_defa_cached
 from repro.utils.serialization import save_json
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _clear_caches_after_module():
     yield
-    clear_caches()
+    # Drop the memoized runs so later modules do not carry their memory.
+    workload_runs._RUN_CACHE.clear()
+    workload_runs._DEFA_CACHE.clear()
 
 
 class TestRegistry:
@@ -102,12 +104,3 @@ class TestAlgorithmExperimentsTiny:
         result = fig7a_parallelism.run(scale="tiny")
         for name, payload in result.data.items():
             assert payload["boost"] > 1.2
-
-    def test_pruning_stats_summary(self):
-        run = prepare_run("deformable_detr", scale="tiny", seed=0)
-        defa = run_defa_cached(run, DEFAConfig.paper_default(), "deformable_detr", "tiny", seed=0)
-        report = collect_pruning_stats(defa, "deformable_detr")
-        summary = summarize_reports([report, report])
-        assert summary["sampling_point_reduction"] == pytest.approx(
-            report.sampling_point_reduction
-        )

@@ -43,7 +43,7 @@ D_MODEL = 32
 
 class TestFaultSpec:
     def test_known_kinds(self):
-        assert FAULT_KINDS == ("crash", "hang", "raise", "delay")
+        assert FAULT_KINDS == ("crash", "hang", "raise")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind 'segv'"):
@@ -55,11 +55,10 @@ class TestFaultSpec:
             with pytest.raises(ValueError, match="non-negative"):
                 FaultSpec("crash", **kwargs)
 
-    def test_hang_and_delay_need_positive_seconds(self):
-        for kind in ("hang", "delay"):
-            with pytest.raises(ValueError, match="seconds > 0"):
-                FaultSpec(kind, batch=0)
-            assert FaultSpec(kind, batch=0, seconds=1.5).seconds == 1.5
+    def test_hang_needs_positive_seconds(self):
+        with pytest.raises(ValueError, match="seconds > 0"):
+            FaultSpec("hang", batch=0)
+        assert FaultSpec("hang", batch=0, seconds=1.5).seconds == 1.5
 
     def test_crash_and_raise_take_no_seconds(self):
         for kind in ("crash", "raise"):
@@ -70,14 +69,12 @@ class TestFaultSpec:
 class TestFaultPlan:
     def test_builders_accumulate_in_order(self):
         plan = (
-            FaultPlan()
+            FaultPlan(poison_items=("req-7", 42))
             .with_crash(batch=2)
             .with_hang(seconds=30.0, batch=0, incarnation=1)
             .with_raise(batch=1, incarnation=2)
-            .with_delay(seconds=0.5, batch=3, worker=1)
-            .with_poison("req-7", 42)
         )
-        assert [f.kind for f in plan.faults] == ["crash", "hang", "raise", "delay"]
+        assert [f.kind for f in plan.faults] == ["crash", "hang", "raise"]
         assert plan.poison_items == ("req-7", 42)
         # Builders return new frozen plans; the original is untouched.
         assert FaultPlan().faults == ()
@@ -94,7 +91,7 @@ class TestFaultPlan:
         assert plan.fault_for(1, 0, 1) is None
 
     def test_poisons_matches_any_item(self):
-        plan = FaultPlan().with_poison("bad")
+        plan = FaultPlan(poison_items=("bad",))
         assert plan.poisons(("ok-1", "bad", "ok-2"))
         assert not plan.poisons(("ok-1", "ok-2"))
         assert not FaultPlan().poisons(("bad",))
@@ -144,7 +141,7 @@ class TestWorkerFaultState:
     def test_poison_crashes_every_incarnation(self, monkeypatch):
         crashes: list[int] = []
         monkeypatch.setattr(faults_module, "_hard_crash", lambda: crashes.append(1))
-        plan = FaultPlan().with_poison("bad")
+        plan = FaultPlan(poison_items=("bad",))
         for incarnation in range(3):
             self._state(plan, incarnation=incarnation).on_batch(("ok", "bad"))
         assert crashes == [1, 1, 1]
@@ -157,7 +154,7 @@ class TestWorkerFaultState:
             raise Crashed
 
         monkeypatch.setattr(faults_module, "_hard_crash", crash)
-        state = self._state(FaultPlan().with_raise(batch=0).with_poison("bad"))
+        state = self._state(FaultPlan(poison_items=("bad",)).with_raise(batch=0))
         # The poison crash must fire before the scripted raise is consulted.
         with pytest.raises(Crashed):
             state.on_batch(("bad",))
@@ -349,7 +346,7 @@ class TestFaultRecovery:
         including the one co-batched with it — still serves bit-equal."""
         poison_index = 2
         engine, futures, reference = self._run(
-            FaultPlan().with_poison(f"req-{poison_index}"),
+            FaultPlan(poison_items=(f"req-{poison_index}",)),
             num_items=4,
             max_retries=2,
         )

@@ -4,7 +4,6 @@ dataflow, energy, area and the top-level simulator."""
 import numpy as np
 import pytest
 
-from repro.core.config import DEFAConfig
 from repro.hardware.area import area_model
 from repro.hardware.banking import (
     BankingScheme,
@@ -16,11 +15,9 @@ from repro.hardware.config import HardwareConfig
 from repro.hardware.dataflow import LayerWorkload, build_layer_schedule
 from repro.hardware.dram import HBM2Model
 from repro.hardware.energy import EnergyBreakdown, EnergyModel
-from repro.hardware.fmap_reuse import analyze_fmap_reuse
 from repro.hardware.mask_units import mask_unit_report
 from repro.hardware.pe_array import ReconfigurablePEArray
 from repro.hardware.simulator import DEFASimulator
-from repro.hardware.sram import BankedSRAM
 
 
 class TestHardwareConfig:
@@ -56,34 +53,9 @@ class TestMemoryModels:
         with pytest.raises(ValueError):
             SRAMMacroModel(capacity_bytes=0)
 
-    def test_dram_time_and_energy(self):
+    def test_dram_access_energy(self):
         dram = HBM2Model()
-        assert dram.transfer_time_s(256e9) == pytest.approx(1.0)
         assert dram.access_energy_j(1.0) == pytest.approx(8 * 1.2e-12)
-
-    def test_dram_burst_rounding(self):
-        dram = HBM2Model(burst_bytes=32)
-        assert dram.effective_bytes(10, num_transfers=4) == 128
-        assert dram.effective_bytes(1000, num_transfers=4) == 1000
-
-    def test_banked_sram_bulk_and_conflicts(self):
-        sram = BankedSRAM(num_banks=4, bank_capacity_bytes=1024)
-        sram.record_bulk(reads=10, writes=5)
-        assert sram.stats.total_accesses == 15
-        # two requests to the same bank, different addresses -> 2 cycles
-        cycles = sram.issue_parallel_reads(np.array([0, 0, 1]), np.array([1, 2, 1]))
-        assert cycles == 2
-        assert sram.stats.conflict_cycles == 1
-
-    def test_banked_sram_same_address_broadcast(self):
-        sram = BankedSRAM(num_banks=4)
-        cycles = sram.issue_parallel_reads(np.array([2, 2]), np.array([7, 7]))
-        assert cycles == 1
-
-    def test_banked_sram_bad_bank(self):
-        sram = BankedSRAM(num_banks=2)
-        with pytest.raises(ValueError):
-            sram.issue_parallel_reads(np.array([5]), np.array([0]))
 
 
 class TestBanking:
@@ -116,37 +88,12 @@ class TestBanking:
         assert report.scheme is BankingScheme.INTRA_LEVEL
 
 
-class TestFmapReuse:
-    def test_reuse_reduces_traffic(self, tiny_defa_output, tiny_spec):
-        report = analyze_fmap_reuse(
-            tiny_defa_output.trace,
-            d_model=tiny_spec.model.d_model,
-            num_heads=tiny_spec.model.num_heads,
-            bytes_per_element=1.5,
-            point_mask=tiny_defa_output.point_mask,
-        )
-        assert report.unique_pixels_accessed <= tiny_spec.num_tokens
-        assert report.dram_bytes_with_reuse < report.dram_bytes_no_reuse
-        assert 0.0 < report.dram_traffic_saving < 1.0
-        assert report.reuse_factor > 1.0
-
-    def test_invalid_heads(self, tiny_defa_output):
-        with pytest.raises(ValueError):
-            analyze_fmap_reuse(tiny_defa_output.trace, d_model=10, num_heads=3, bytes_per_element=1.5)
-
-
 class TestPEArray:
     def test_mm_cycles(self):
         pe = ReconfigurablePEArray(HardwareConfig())
         assert pe.mm_cycles(256) == 1
         assert pe.mm_cycles(257) == 2
         assert pe.mm_cycles(0) == 0
-
-    def test_matmul_functional(self):
-        pe = ReconfigurablePEArray(HardwareConfig())
-        v = np.arange(16, dtype=np.float64)
-        tile = np.eye(16)
-        assert np.allclose(pe.matmul(v, tile), v)
 
     def test_ba_cycles_scale_with_conflicts(self):
         pe = ReconfigurablePEArray(HardwareConfig())
@@ -158,11 +105,6 @@ class TestPEArray:
         pe = ReconfigurablePEArray(HardwareConfig())
         with pytest.raises(ValueError):
             pe.ba_cycles(10, 32, conflict_factor=0.5)
-
-    def test_energy_positive(self):
-        pe = ReconfigurablePEArray(HardwareConfig())
-        usage = pe.mm_usage(1000).merged_with(pe.ba_usage(10, 32))
-        assert pe.energy_j(usage) > 0
 
 
 class TestDataflowAndEnergy:
@@ -277,7 +219,6 @@ class TestSimulator:
         assert report.energy.total_j > 0
         assert len(report.layers) == tiny_spec.model.num_encoder_layers
         assert report.effective_tops > 0
-        assert report.chip_power_w < report.total_power_w
 
     def test_first_layer_is_unmasked(self, tiny_spec):
         sim = DEFASimulator()
@@ -316,14 +257,3 @@ class TestSimulator:
             tiny_spec, 0.2, 0.6
         )
         assert scaled.time_s < base.time_s
-
-    def test_encoder_result_requires_details(self, tiny_workload_run):
-        from repro.core.encoder_runner import DEFAEncoderRunner
-
-        run = tiny_workload_run
-        runner = DEFAEncoderRunner(run["encoder"], DEFAConfig())
-        result = runner.forward(
-            run["features"], run["pos"], run["reference_points"], run["spec"].spatial_shapes
-        )
-        with pytest.raises(ValueError):
-            DEFASimulator().simulate_encoder_result(result)

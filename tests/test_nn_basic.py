@@ -1,11 +1,10 @@
-"""Tests for the NumPy NN substrate: tensor utils, modules, dense attention."""
+"""Tests for the NumPy NN substrate: tensor utils and modules."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.attention import MultiHeadAttention
 from repro.nn.modules import (
     FFN_BLOCK_ROWS,
     FeedForward,
@@ -14,7 +13,6 @@ from repro.nn.modules import (
     Linear,
     Module,
     ReLU,
-    Sequential,
     ffn_row_blocks,
 )
 from repro.nn.tensor_utils import (
@@ -116,11 +114,6 @@ class TestModules:
         with pytest.raises(ValueError):
             LayerNorm(0)
 
-    def test_sequential(self):
-        model = Sequential(Linear(8, 8, rng=0), ReLU(), Linear(8, 2, rng=1))
-        out = model(np.ones((4, 8), np.float32))
-        assert out.shape == (4, 2)
-
     def test_activations_are_modules(self):
         assert isinstance(ReLU(), Module) and isinstance(GELU(), Module)
 
@@ -168,47 +161,3 @@ class TestModules:
         out = np.empty((4, 16), np.float32)[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
             ffn.forward_into(x, out, np.empty((4, 16), np.float32))
-
-    def test_named_parameters_discovery(self):
-        ffn = FeedForward(8, 16, rng=0)
-        names = ffn.named_parameters()
-        assert any("linear1.weight" in n for n in names)
-        assert ffn.num_parameters() == sum(p.size for p in ffn.parameters())
-
-    def test_named_modules(self):
-        ffn = FeedForward(8, 16, rng=0)
-        modules = ffn.named_modules()
-        assert any(isinstance(m, Linear) for m in modules.values())
-
-
-class TestMultiHeadAttention:
-    def test_self_attention_shape(self):
-        attn = MultiHeadAttention(d_model=32, num_heads=4, rng=0)
-        x = np.random.default_rng(0).standard_normal((10, 32)).astype(np.float32)
-        assert attn(x).shape == (10, 32)
-
-    def test_cross_attention_shape(self):
-        attn = MultiHeadAttention(d_model=32, num_heads=4, rng=0)
-        rng = np.random.default_rng(0)
-        q = rng.standard_normal((5, 32)).astype(np.float32)
-        kv = rng.standard_normal((12, 32)).astype(np.float32)
-        assert attn(q, kv).shape == (5, 32)
-
-    def test_invalid_heads(self):
-        with pytest.raises(ValueError):
-            MultiHeadAttention(d_model=30, num_heads=4)
-
-    def test_flops_quadratic_in_tokens(self):
-        attn = MultiHeadAttention(d_model=32, num_heads=4, rng=0)
-        f1 = sum(attn.flops(10, 10).values())
-        f2 = sum(attn.flops(20, 20).values())
-        assert f2 > 2 * f1  # super-linear growth (the O(N^2) term)
-
-    def test_attention_is_permutation_sensitive_to_values(self):
-        attn = MultiHeadAttention(d_model=16, num_heads=2, rng=0)
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((6, 16)).astype(np.float32)
-        y = attn(x)
-        x2 = x.copy()
-        x2[0] += 1.0
-        assert not np.allclose(y, attn(x2))

@@ -112,6 +112,14 @@ class TestServingConfig:
         with pytest.raises(ValueError):
             ServingConfig(restart_backoff_s=-0.1)
 
+    def test_negative_restart_budget_and_poll_interval_raise(self):
+        with pytest.raises(ValueError, match="max_restarts"):
+            ServingConfig(max_restarts=-3)
+        with pytest.raises(ValueError, match="poll_interval_s"):
+            ServingConfig(poll_interval_s=-1.0)
+        # Zero is a valid budget (never restart) and a valid interval.
+        ServingConfig(max_restarts=0, poll_interval_s=0.0)
+
 
 class TestSchedulingPolicy:
     """Manual-poll tests: no pump thread, no workers, deterministic clock."""

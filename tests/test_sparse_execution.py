@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
-from repro.core.fwp import apply_fmap_mask
 from repro.core.pipeline import SPARSE_MODES, DEFAAttention
 from repro.kernels import COMPILED_AVAILABLE, ExecutionOptions
 from repro.nn.encoder import DeformableEncoder
@@ -223,21 +222,6 @@ class TestKernelShapeChecks:
             ms_deform_attn_from_compact_trace(value, trace, attn[:, :1])
         with pytest.raises(ValueError, match="value"):
             ms_deform_attn_from_compact_trace(value[0], trace, attn)
-
-
-class TestApplyFmapMask:
-    def test_all_true_mask_skips_the_copy(self):
-        value = np.ones((N_IN, 4), dtype=np.float32)
-        out = apply_fmap_mask(value, np.ones(N_IN, dtype=bool))
-        assert out is value  # documented: no copy when nothing is pruned
-
-    def test_int_mask_is_coerced(self):
-        value = np.ones((N_IN, 4), dtype=np.float32)
-        mask = np.ones(N_IN, dtype=np.int64)
-        mask[:5] = 0
-        out = apply_fmap_mask(value, mask)
-        assert out is not value
-        assert np.all(out[:5] == 0) and np.all(out[5:] == 1)
 
 
 def _defa_inputs(seed=0, batch=None):

@@ -21,9 +21,9 @@ from repro.engine import (
     ServingEngine,
     StreamingConfig,
     StreamingEncoderSession,
+    TrafficEvent,
+    WorkItem,
     generate_traffic,
-    generate_video_traffic,
-    merge_traffic,
     replay_traffic,
     serial_reference_outputs,
 )
@@ -82,12 +82,6 @@ class TestVideoWorkload:
             np.array_equal(stream.frame(i), stream.frame(i + 1)) for i in range(5)
         )
         assert identical >= 3
-
-    def test_static_rows_oracle_matches_frames(self):
-        stream = _stream(seed=1)
-        static = stream.static_rows(3)
-        changed = np.any(stream.frame(2) != stream.frame(3), axis=1)
-        np.testing.assert_array_equal(static, ~changed)
 
     def test_objects_stay_in_bounds(self):
         # Reflection keeps long streams covered: frame 500 still renders.
@@ -233,29 +227,36 @@ def _video_spec() -> ModelBankSpec:
     )
 
 
+def _video_traffic(num_streams: int, num_frames: int, seed: int) -> list[TrafficEvent]:
+    """Stream-affine ``video`` requests: every stream's frames in order at
+    30 fps, phase-offset per stream so the streams' arrivals interleave."""
+    events = []
+    for s in range(num_streams):
+        stream = SyntheticVideoStream(
+            SHAPES, D_MODEL, VideoStreamSpec(num_frames=num_frames, seed=seed + s)
+        )
+        for i in range(num_frames):
+            item = WorkItem(
+                item_id=f"stream-{s}/frame-{i:04d}",
+                features=stream.frame(i),
+                spatial_shapes=SHAPES,
+                stream_id=f"stream-{s}",
+                frame_index=i,
+            )
+            events.append(TrafficEvent((i + s / num_streams) / 30.0, item, "video"))
+    return sorted(events, key=lambda event: event.arrival_s)
+
+
 def _video_events():
-    video = generate_video_traffic(
-        2, 5, spatial_shapes=SHAPES, d_model=D_MODEL, seed=5
-    )
     uniform = generate_traffic(
         8, d_model=D_MODEL, shape_mix=((SHAPES, 1.0),), seed=6
     )
-    return merge_traffic(video, uniform)
+    return sorted(
+        _video_traffic(2, 5, seed=5) + uniform, key=lambda event: event.arrival_s
+    )
 
 
 class TestStreamingServing:
-    def test_video_traffic_preserves_frame_order(self):
-        events = _video_events()
-        per_stream: dict[str, list[int]] = {}
-        for event in events:
-            if event.item.stream_id is not None:
-                per_stream.setdefault(event.item.stream_id, []).append(
-                    event.item.frame_index
-                )
-        assert set(per_stream) == {"stream-0", "stream-1"}
-        for indices in per_stream.values():
-            assert indices == sorted(indices)
-
     def test_stream_overlap_with_stateless_class_rejected(self):
         from repro.engine.serving import DEFAULT_REQUEST_CLASS
 
@@ -290,9 +291,7 @@ class TestStreamingServing:
 
     def test_sticky_routing_keeps_stream_on_one_worker(self):
         spec = _video_spec()
-        events = generate_video_traffic(
-            2, 4, spatial_shapes=SHAPES, d_model=D_MODEL, seed=7
-        )
+        events = _video_traffic(2, 4, seed=7)
         engine = ServingEngine(
             spec.build, ServingConfig(num_workers=2, max_wait_s=0.001)
         ).start()

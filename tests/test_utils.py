@@ -1,19 +1,17 @@
 """Tests for repro.utils: RNG helpers, shapes, tables, serialization."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.utils.rng import DEFAULT_SEED, as_rng, spawn_rngs
-from repro.utils.serialization import load_json, save_json
+from repro.utils.serialization import save_json
 from repro.utils.shapes import (
     LevelShape,
-    flatten_index,
     level_start_indices,
     make_level_shapes,
     total_pixels,
-    unflatten_index,
 )
 from repro.utils.tables import format_table
 
@@ -76,45 +74,6 @@ class TestShapes:
         shapes = [LevelShape(2, 2), LevelShape(1, 3), LevelShape(1, 1)]
         assert level_start_indices(shapes).tolist() == [0, 4, 7]
 
-    def test_flatten_unflatten_roundtrip(self):
-        shapes = [LevelShape(3, 5), LevelShape(2, 2)]
-        idx = flatten_index(0, np.array([1, 2]), np.array([4, 0]), shapes)
-        level, row, col = unflatten_index(idx, shapes)
-        assert level.tolist() == [0, 0]
-        assert row.tolist() == [1, 2]
-        assert col.tolist() == [4, 0]
-
-    def test_flatten_second_level_offset(self):
-        shapes = [LevelShape(3, 5), LevelShape(2, 2)]
-        idx = flatten_index(1, np.array([0]), np.array([1]), shapes)
-        assert idx.tolist() == [16]
-
-    def test_flatten_out_of_bounds(self):
-        shapes = [LevelShape(3, 5)]
-        with pytest.raises(ValueError):
-            flatten_index(0, np.array([3]), np.array([0]), shapes)
-
-    def test_unflatten_out_of_range(self):
-        shapes = [LevelShape(2, 2)]
-        with pytest.raises(ValueError):
-            unflatten_index(np.array([4]), shapes)
-
-    @given(
-        height=st.integers(1, 20),
-        width=st.integers(1, 20),
-        second=st.integers(1, 10),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_roundtrip_property(self, height, width, second):
-        shapes = [LevelShape(height, width), LevelShape(second, second)]
-        n = total_pixels(shapes)
-        idx = np.arange(n)
-        level, row, col = unflatten_index(idx, shapes)
-        widths = np.array([width, second])
-        starts = level_start_indices(shapes)
-        rebuilt = starts[level] + row * widths[level] + col
-        assert np.array_equal(rebuilt, idx)
-
 
 class TestTables:
     def test_basic_table(self):
@@ -139,7 +98,7 @@ class TestSerialization:
     def test_roundtrip(self, tmp_path):
         data = {"a": np.float32(1.5), "b": np.arange(3), "c": [np.int64(2), "text"], "d": np.bool_(True)}
         path = save_json(tmp_path / "out.json", data)
-        loaded = load_json(path)
+        loaded = json.loads(path.read_text())
         assert loaded["a"] == 1.5
         assert loaded["b"] == [0, 1, 2]
         assert loaded["c"] == [2, "text"]

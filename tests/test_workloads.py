@@ -1,21 +1,20 @@
-"""Tests for workload specs, synthetic scenes, the backbone, datasets and traces."""
+"""Tests for workload specs, synthetic scenes and inputs, the backbone and datasets."""
 
 import numpy as np
 import pytest
 
 from repro.nn.backbone import SyntheticFPNBackbone
 from repro.nn.detection_head import PrototypeDetectionHead
-from repro.nn.models import MODEL_NAMES, build_encoder, get_model_config, list_model_configs
+from repro.nn.models import MODEL_NAMES, build_encoder, get_model_config
 from repro.workloads.dataset import SyntheticDetectionDataset
-from repro.workloads.specs import SCALE_PRESETS, get_workload, list_workloads
+from repro.workloads.specs import SCALE_PRESETS, get_workload
 from repro.workloads.synthetic_images import SceneGenerator
-from repro.workloads.traces import generate_layer_traces, synthetic_workload_input
+from repro.workloads.traces import synthetic_workload_input
 
 
 class TestModelConfigs:
     def test_three_benchmarks(self):
         assert set(MODEL_NAMES) == {"deformable_detr", "dn_detr", "dino"}
-        assert len(list_model_configs()) == 3
 
     def test_aliases(self):
         assert get_model_config("De DETR").name == "deformable_detr"
@@ -26,7 +25,8 @@ class TestModelConfigs:
             get_model_config("yolo")
 
     def test_published_numbers_present(self):
-        for config in list_model_configs():
+        for name in MODEL_NAMES:
+            config = get_model_config(name)
             assert config.published.baseline_ap > config.published.defa_ap
             assert 0.5 < config.published.msgs_latency_fraction < 0.7
 
@@ -52,14 +52,10 @@ class TestWorkloadSpecs:
         with pytest.raises(KeyError):
             get_workload("dino", "huge")
 
-    def test_list_workloads(self):
-        assert len(list_workloads("tiny")) == 3
-
     def test_flops_breakdown_consistency(self):
         spec = get_workload("deformable_detr", "tiny")
         breakdown = spec.layer_flops_breakdown()
         assert sum(breakdown.values()) == spec.layer_flops()
-        assert spec.encoder_attention_flops() == spec.layer_flops() * 6
 
     def test_multi_scale_ratio_near_paper(self):
         spec = get_workload("deformable_detr", "paper")
@@ -133,23 +129,6 @@ class TestTracesAndDataset:
         assert features.shape == (tiny_spec.num_tokens, 256)
         assert layout.num_objects == 8
 
-    def test_generate_layer_traces(self, tiny_spec):
-        traces = generate_layer_traces(tiny_spec, num_layers=1, rng=0)
-        assert len(traces) == 1
-        trace = traces[0]
-        assert trace.attention_weights.shape == (
-            tiny_spec.num_tokens,
-            8,
-            4,
-            4,
-        )
-        assert trace.trace.flat_indices.shape[-1] == 4
-
-    def test_generate_traces_requires_layout_with_custom_features(self, tiny_spec):
-        features = np.zeros((tiny_spec.num_tokens, 256), dtype=np.float32)
-        with pytest.raises(ValueError):
-            generate_layer_traces(tiny_spec, features=features, layout=None, fit_heads=True)
-
     def test_dataset_splits(self):
         config = get_model_config("deformable_detr")
         dataset = SyntheticDetectionDataset(
@@ -183,7 +162,7 @@ class TestDetectionHead:
         head = PrototypeDetectionHead(num_classes=1, score_threshold=0.3)
         head.calibrate([memory], shapes, [boxes], [labels])
         result = head.detect(memory, shapes)
-        assert result.num_detections >= 1
+        assert len(result.scores) >= 1
         best = result.boxes[np.argmax(result.scores)]
         cx = (best[0] + best[2]) / 2
         cy = (best[1] + best[3]) / 2
