@@ -313,6 +313,26 @@ class TestCompactTraceEdgeCases:
         zeroed[3, 1] = 0
         assert np.all(zeroed == 0)
 
+    def test_geometry_counts(self):
+        locations = self._locations(seed=5)
+        mask = np.zeros(locations.shape[:-1], dtype=bool)
+        mask[::2] = True
+        compact = multi_scale_neighbors_sparse(self.SHAPES, locations, point_mask=mask)
+        assert compact.batch_size == 1
+        assert compact.points_per_image == 6 * 3 * 3 * 2
+        assert compact.total_points == compact.points_per_image
+        assert compact.num_kept == int(mask.sum())
+        assert compact.keep_fraction == pytest.approx(0.5)
+
+    def test_dense_trace_batch_view_is_zero_copy(self):
+        dense = multi_scale_neighbors(self.SHAPES, self._locations(seed=6))
+        batch = dense.as_batch()
+        for name in ("levels", "rows", "cols", "flat_indices", "weights", "valid"):
+            view = getattr(batch, name)
+            assert view.shape == (1,) + getattr(dense, name).shape
+            assert np.shares_memory(view, getattr(dense, name))
+        assert batch.spatial_shapes == dense.spatial_shapes
+
     def test_int_mask_is_coerced(self):
         locations = self._locations(seed=3)
         int_mask = (np.arange(np.prod(locations.shape[:-1])) % 3 == 0).astype(np.int32)

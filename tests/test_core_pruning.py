@@ -325,6 +325,26 @@ class TestRangeNarrowing:
         mb = full_fmap_storage_bits(shapes, d_model=256, bits_per_element=12) / 8 / 1024 / 1024
         assert 6.0 < mb < 12.0
 
+    def test_unified_uses_the_largest_range(self):
+        unified = RangeNarrowing((8.0, 7.0, 6.0)).unified()
+        assert unified.level_ranges == (8.0, 8.0, 8.0)
+        assert unified.num_levels == 3
+
+    def test_window_pixels(self):
+        narrowing = RangeNarrowing((2.0, 1.5, 0.5))
+        # (2 * ceil(R) + 2)^2: the window plus the bilinear guard row/column.
+        assert narrowing.window_pixels(0) == 36
+        assert narrowing.window_pixels(1) == 36
+        assert narrowing.window_pixels(2) == 16
+        with pytest.raises(ValueError):
+            narrowing.window_pixels(3)
+        with pytest.raises(ValueError):
+            narrowing.window_pixels(-1)
+
+    def test_storage_is_sum_of_windows(self):
+        narrowing = RangeNarrowing((2.0, 1.0))
+        assert narrowing.storage_bits(d_model=8, bits_per_element=12) == (36 + 16) * 8 * 12
+
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
             RangeNarrowing(())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DEFAConfig
-from repro.core.encoder_runner import DEFAEncoderRunner
+from repro.core.encoder_runner import DEFAEncoderResult, DEFAEncoderRunner
 from repro.core.pipeline import DEFAAttention
 from repro.eval.fidelity import compare_outputs
 from repro.nn.weight_fitting import (
@@ -136,6 +136,38 @@ class TestDEFAEncoderRunner:
         # second block receives the mask generated by the first
         assert result.layer_stats[1].pixels_kept == result.layer_outputs[0].fwp.num_kept
         assert 0.0 < result.mean_point_reduction < 1.0
+
+    def test_mean_reductions(self, tiny_workload_run):
+        run = tiny_workload_run
+        result = DEFAEncoderRunner(run["encoder"], DEFAConfig()).forward(
+            run["features"], run["pos"], run["reference_points"], run["spec"].spatial_shapes
+        )
+        stats = result.layer_stats
+        assert result.mean_point_reduction == pytest.approx(
+            np.mean([s.point_reduction for s in stats])
+        )
+        # The first block has no incoming FWP mask and is left out.
+        assert result.mean_pixel_reduction == pytest.approx(stats[1].pixel_reduction)
+        assert 0.0 < result.mean_pixel_reduction < 1.0
+        assert 0.0 < result.mean_flops_reduction < 1.0
+
+    def test_empty_result_reductions_are_zero(self):
+        result = DEFAEncoderResult(memory=np.zeros((4, 8), dtype=np.float32))
+        assert result.mean_point_reduction == 0.0
+        assert result.mean_pixel_reduction == 0.0
+        assert result.mean_flops_reduction == 0.0
+
+    def test_batch_result_keeps_per_image_results(self, tiny_workload_run):
+        run = tiny_workload_run
+        batch = np.stack([run["features"], run["features"][::-1].copy()])
+        result = DEFAEncoderRunner(run["encoder"], DEFAConfig()).forward(
+            batch, run["pos"], run["reference_points"], run["spec"].spatial_shapes
+        )
+        assert result.batch_size == 2
+        assert result.memory.shape == batch.shape
+        for b, image in enumerate(result.images):
+            assert np.array_equal(image.memory, result.memory[b])
+            assert len(image.layer_stats) == 2
 
     def test_memory_close_to_baseline(self, tiny_workload_run):
         run = tiny_workload_run

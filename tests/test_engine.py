@@ -184,6 +184,13 @@ class TestBatchRunner:
         runner = BatchRunner(lambda batch, shapes: batch)
         result = runner.run([])
         assert result.outputs == [] and result.stats.num_batches == 0
+        assert result.stats.mean_batch_size == 0.0
+
+    def test_mean_batch_size(self):
+        items = [_item(i, SHAPES_A, i) for i in range(5)]
+        result = BatchRunner(lambda batch, shapes: batch, max_batch_size=2).run(items)
+        assert result.stats.batch_sizes == [2, 2, 1]
+        assert result.stats.mean_batch_size == pytest.approx(5 / 3)
 
 
 class TestParallelRunner:

@@ -33,6 +33,7 @@ from repro.kernels import (
     use_backend,
 )
 from repro.kernels.fused_ops import QUANT_SCRATCH_BYTES, _quantize_into, project_into
+from repro.kernels.backends import segment_sum_into
 from repro.kernels.plan import take_into
 from repro.quant.qmodules import quantize_linear
 from repro.quant.quantizer import QuantSpec, fake_quantize
@@ -134,6 +135,15 @@ class TestExecutionPlan:
         d = plan.buffer("x", (8,), np.float64)
         assert not np.shares_memory(a, b)
         assert not np.shares_memory(a, d)
+
+    def test_num_buffers_and_allocated_bytes(self):
+        plan = ExecutionPlan()
+        assert plan.num_buffers == 0 and plan.allocated_bytes == 0
+        plan.buffer("x", (16,), np.float32)
+        plan.buffer("y", (4, 2), np.float64)
+        plan.buffer("x", (8,), np.float32)  # reuse: no new buffer
+        assert plan.num_buffers == 2
+        assert plan.allocated_bytes == 16 * 4 + 8 * 8
 
     def test_zeros_and_take(self):
         plan = ExecutionPlan()
@@ -590,3 +600,20 @@ class TestCompiledFakeQuantize:
             backend.fake_quantize_into(x64, self.SPEC, 1.0, np.empty((4, 4), np.float32))
             is None
         )
+
+
+class TestSegmentSum:
+    def test_matches_add_at_with_empty_segments(self):
+        rng = np.random.default_rng(0)
+        seg = np.array([1, 1, 3, 3, 3, 6])  # segments 2, 4 and 5 are empty
+        contrib = rng.standard_normal((6, 3))
+        out = rng.standard_normal((8, 3))
+        expected = out.copy()
+        np.add.at(expected, seg, contrib)
+        segment_sum_into(out, contrib, seg)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_empty_contribution_leaves_output_untouched(self):
+        out = np.ones((4, 2))
+        segment_sum_into(out, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        assert np.array_equal(out, np.ones((4, 2)))

@@ -66,6 +66,20 @@ class TestMSDeformAttn:
         assert detail.trace is not None
         assert np.allclose(detail.output, tiny_attn(query, ref, value, tiny_shapes), atol=1e-5)
 
+    def test_attention_logits_are_the_pre_softmax_probabilities(self, tiny_attn, tiny_inputs):
+        query = tiny_inputs[0]
+        batch = np.stack([query, query[::-1]])
+        logits = tiny_attn.project_attention_logits(batch)
+        assert logits.shape == (2, query.shape[0], 4, 3 * 2)
+        probs = tiny_attn.attention_probabilities(batch)
+        shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        expected = shifted / shifted.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(probs.reshape(logits.shape), expected, atol=1e-6)
+        # The argmax point of every head survives the softmax unchanged.
+        assert np.array_equal(
+            probs.reshape(logits.shape).argmax(-1), logits.argmax(-1)
+        )
+
     def test_attention_probabilities_normalized(self, tiny_attn, tiny_inputs):
         query, _, _ = tiny_inputs
         probs = tiny_attn.attention_probabilities(query)

@@ -28,12 +28,13 @@ from repro.engine import (
     QueueFullError,
     ServingConfig,
     ServingEngine,
+    TrafficEvent,
     WorkItem,
     generate_traffic,
     replay_traffic,
     serial_reference_outputs,
 )
-from repro.engine.serving import _PipeSendTimeout, _send_with_deadline
+from repro.engine.serving import BatchRecord, ServingStats, _PipeSendTimeout, _send_with_deadline
 from repro.utils.shapes import LevelShape
 
 SHAPES_A = (LevelShape(8, 12), LevelShape(4, 6))
@@ -119,6 +120,35 @@ class TestServingConfig:
             ServingConfig(poll_interval_s=-1.0)
         # Zero is a valid budget (never restart) and a valid interval.
         ServingConfig(max_restarts=0, poll_interval_s=0.0)
+
+
+class TestServingStats:
+    def test_empty_stats(self):
+        stats = ServingStats()
+        assert stats.num_batches == 0
+        assert stats.mean_batch_size == 0.0
+        assert stats.latency_quantile(50) == 0.0
+
+    def test_batch_accounting_by_path(self):
+        key = tuple(s.as_tuple() for s in SHAPES_A)
+        stats = ServingStats(
+            batches=[
+                BatchRecord("fp32", key, 4, "worker", "full", worker=0),
+                BatchRecord("fp32", key, 1, "inproc", "flush"),
+                BatchRecord("int12", key, 3, "worker", "wait", worker=1),
+            ]
+        )
+        assert stats.num_batches == 3
+        assert stats.batch_sizes == [4, 1, 3]
+        assert stats.mean_batch_size == pytest.approx(8 / 3)
+        assert stats.primary_batches == 2
+        assert stats.degraded_batches == 1
+
+    def test_latency_quantile(self):
+        stats = ServingStats(latencies_s=[0.4, 0.1, 0.3, 0.2, 0.5])
+        assert stats.latency_quantile(0) == pytest.approx(0.1)
+        assert stats.latency_quantile(50) == pytest.approx(0.3)
+        assert stats.latency_quantile(100) == pytest.approx(0.5)
 
 
 class TestSchedulingPolicy:
@@ -805,6 +835,23 @@ class TestAdmissionControl:
         engine.flush()
         for future in futures:
             assert future.result(timeout=1.0) is not None
+
+    def test_replay_records_shed_requests_as_failures(self):
+        engine = self._engine(max_queue_depth=2)
+        events = [TrafficEvent(0.0, _item(i, SHAPES_A, i)) for i in range(4)]
+        result = replay_traffic(engine, events, speed=0.0, tolerate_faults=True)
+        assert result.num_failed == 2
+        assert sorted(result.failures) == [2, 3]
+        assert all(isinstance(e, QueueFullError) for e in result.failures.values())
+        assert result.outputs[2] is None and result.outputs[3] is None
+        for event, output in zip(events[:2], result.outputs[:2]):
+            np.testing.assert_array_equal(output, event.item.features)
+
+    def test_replay_raises_shed_without_tolerance(self):
+        engine = self._engine(max_queue_depth=1)
+        events = [TrafficEvent(0.0, _item(i, SHAPES_A, i)) for i in range(2)]
+        with pytest.raises(QueueFullError):
+            replay_traffic(engine, events, speed=0.0)
 
     def test_block_admission_waits_for_space_then_admits(self):
         engine = self._engine(max_queue_depth=1, admission="block", max_wait_s=0.0)

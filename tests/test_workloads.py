@@ -30,6 +30,19 @@ class TestModelConfigs:
             assert config.published.baseline_ap > config.published.defa_ap
             assert 0.5 < config.published.msgs_latency_fraction < 0.7
 
+    def test_encoder_kwargs_describe_the_architecture(self):
+        config = get_model_config("dino")
+        kwargs = config.encoder_kwargs()
+        assert kwargs == {
+            "num_layers": config.num_encoder_layers,
+            "d_model": config.d_model,
+            "num_heads": config.num_heads,
+            "num_levels": config.num_levels,
+            "num_points": config.num_points,
+            "ffn_dim": config.ffn_dim,
+            "activation": config.activation,
+        }
+
     def test_build_encoder_matches_config(self):
         config = get_model_config("deformable_detr")
         encoder = build_encoder(config, rng=0)
@@ -64,6 +77,38 @@ class TestWorkloadSpecs:
     def test_describe_keys(self):
         desc = get_workload("dino", "tiny").describe()
         assert "num_tokens" in desc and "encoder_gflops" in desc
+
+    def test_describe_values_match_the_spec(self):
+        spec = get_workload("deformable_detr", "paper")
+        desc = spec.describe()
+        assert desc["workload"] == "deformable_detr@paper"
+        assert desc["image"] == "800x1066"
+        assert desc["levels"] == "100x134+50x67+25x34+13x17"
+        assert desc["sampling_points_per_layer"] == spec.num_sampling_points_per_layer
+        assert desc["layer_gflops"] == spec.layer_flops() / 1e9
+
+    def test_sampling_point_counts(self):
+        spec = get_workload("deformable_detr", "paper")
+        assert spec.d_head == 32
+        assert spec.num_queries == spec.num_tokens
+        assert spec.num_sampling_points_per_layer == 17821 * 128
+
+    def test_ffn_and_encoder_flops(self):
+        spec = get_workload("deformable_detr", "tiny")
+        ffn = spec.ffn_flops_per_layer()
+        assert ffn == 2 * spec.num_tokens * 256 * 1024 * 2
+        assert spec.encoder_flops() == (spec.layer_flops() + ffn) * 6
+
+    def test_encoder_flops_grow_with_resolution(self):
+        tiny = get_workload("dino", "tiny").encoder_flops()
+        paper = get_workload("dino", "paper").encoder_flops()
+        assert paper > 50 * tiny
+
+    def test_backbone_level_shapes_match_spec(self):
+        spec = get_workload("deformable_detr", "tiny")
+        backbone = SyntheticFPNBackbone(d_model=8, strides=spec.model.strides, rng=0)
+        assert backbone.num_levels == 4
+        assert backbone.level_shapes(spec.image_height, spec.image_width) == spec.spatial_shapes
 
 
 class TestSyntheticScenes:
