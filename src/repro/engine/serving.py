@@ -429,8 +429,8 @@ class ServingConfig:
             raise ValueError("backoff delays must be non-negative")
         if self.max_restarts is not None and self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative (or None)")
-        if self.poll_interval_s < 0:
-            raise ValueError("poll_interval_s must be non-negative")
+        if self.poll_interval_s <= 0:
+            raise ValueError("poll_interval_s must be positive")
         if self.max_queue_depth is not None and self.max_queue_depth <= 0:
             raise ValueError("max_queue_depth must be positive (or None)")
         if self.admission not in ("shed", "block"):

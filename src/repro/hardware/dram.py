@@ -1,9 +1,9 @@
-"""External memory model: HBM2 at 256 GB/s and 1.2 pJ/bit.
+"""External memory model: HBM2 at 1.2 pJ/bit.
 
 The paper uses a moderate single-stack HBM2 interface as the external memory
-system.  Only two properties matter to the evaluation: the time a transfer
-occupies the interface (bandwidth-limited) and the energy it consumes
-(per-bit).
+system.  Its bandwidth (256 GB/s) bounds layer time through
+``HardwareConfig.dram_bandwidth_gbs``; this model holds the other property the
+evaluation needs, the per-bit access energy.
 """
 
 from __future__ import annotations
@@ -13,20 +13,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class HBM2Model:
-    """Bandwidth / energy model of the HBM2 external memory."""
+    """Energy model of the HBM2 external memory."""
 
-    bandwidth_gbs: float = 256.0
     energy_pj_per_bit: float = 1.2
-    burst_bytes: int = 32
-    """Minimum transfer granularity; small transfers are rounded up to this."""
 
     def __post_init__(self) -> None:
-        if self.bandwidth_gbs <= 0:
-            raise ValueError("bandwidth must be positive")
         if self.energy_pj_per_bit < 0:
             raise ValueError("energy must be non-negative")
-        if self.burst_bytes <= 0:
-            raise ValueError("burst_bytes must be positive")
 
     def access_energy_j(self, num_bytes: float) -> float:
         """Energy to move *num_bytes* (joules)."""

@@ -58,10 +58,7 @@ class EnergyModel:
 
     def __init__(self, config: HardwareConfig) -> None:
         self.config = config
-        self.dram = HBM2Model(
-            bandwidth_gbs=config.dram_bandwidth_gbs,
-            energy_pj_per_bit=config.dram_energy_pj_per_bit,
-        )
+        self.dram = HBM2Model(energy_pj_per_bit=config.dram_energy_pj_per_bit)
         bank_bytes = config.fmap_buffer_kib * 1024 / config.num_banks
         self._sram_macro = SRAMMacroModel(
             capacity_bytes=max(bank_bytes, 1024),

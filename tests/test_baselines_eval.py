@@ -47,6 +47,13 @@ class TestGPUModel:
             model.encoder_attention_latency(spec) * RTX_3090TI.board_power_w
         )
 
+    def test_effective_throughput_far_below_peak(self):
+        """The efficiency gap that motivates the accelerator."""
+        spec = get_workload("deformable_detr", "paper")
+        flops = spec.layer_flops() * spec.model.num_encoder_layers
+        latency = GPUCostModel(RTX_3090TI).encoder_attention_latency(spec)
+        assert flops / latency / 1e12 < 0.25 * RTX_3090TI.peak_fp32_tflops
+
 
 class TestASICBaselines:
     def test_published_energy_efficiencies(self):

@@ -126,6 +126,3 @@ def test_allowlist_has_no_stale_entries():
     assert not missing, f"allowlisted names that no longer exist: {missing}"
     assert not called, f"allowlisted names that now have a runtime caller: {called}"
 
-
-def test_every_allowlist_entry_gives_a_reason():
-    assert all(reason.strip() for reason in ALLOWLIST.values())

@@ -113,13 +113,16 @@ class TestServingConfig:
         with pytest.raises(ValueError):
             ServingConfig(restart_backoff_s=-0.1)
 
-    def test_negative_restart_budget_and_poll_interval_raise(self):
+    def test_negative_restart_budget_and_nonpositive_poll_interval_raise(self):
         with pytest.raises(ValueError, match="max_restarts"):
             ServingConfig(max_restarts=-3)
-        with pytest.raises(ValueError, match="poll_interval_s"):
-            ServingConfig(poll_interval_s=-1.0)
-        # Zero is a valid budget (never restart) and a valid interval.
-        ServingConfig(max_restarts=0, poll_interval_s=0.0)
+        # A zero or negative interval makes the pump thread's wait return at
+        # once, so it would busy-spin.
+        for interval in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="poll_interval_s"):
+                ServingConfig(poll_interval_s=interval)
+        # Zero is a valid restart budget (never restart).
+        ServingConfig(max_restarts=0)
 
 
 class TestServingStats:
