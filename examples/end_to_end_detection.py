@@ -1,7 +1,7 @@
 """End-to-end synthetic detection: scenes -> backbone -> encoder -> AP.
 
 Exercises the full pipeline of the accuracy substitution described in
-DESIGN.md: synthetic COCO-like scenes are pushed through the synthetic FPN
+:mod:`repro.eval.ap_estimator`: synthetic COCO-like scenes are pushed through the synthetic FPN
 backbone and the deformable encoder, detections are produced by the
 matched-filter head, and a COCO-style AP is computed for the FP32 baseline,
 the DEFA configuration and the rejected INT8 configuration.

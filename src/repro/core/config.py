@@ -15,7 +15,7 @@ The defaults reproduce the paper's operating point (~43 % fmap pixels and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 DEFAULT_LEVEL_RANGES: tuple[float, ...] = (8.0, 7.0, 7.0, 6.0)
 """Default per-level bounded half-ranges (in pixels of the sampled level).
@@ -50,21 +50,14 @@ class DEFAConfig:
         Absolute probability threshold.  With ``N_l * N_p = 16`` points per
         head the uniform probability is 1/16 = 0.0625; the default prunes
         points holding well under that share of the attention mass.
-    pap_keep_top1:
-        Always keep the highest-probability point of every (query, head) even
-        if it falls below the threshold (guards degenerate configurations).
-    renormalize_after_pap:
-        If ``True``, re-normalize the surviving attention probabilities to sum
-        to one.  The paper keeps the raw probabilities (pruned mass is simply
-        dropped), which is the default.
+        PAP always keeps the highest-probability point of every (query, head)
+        and keeps the raw probabilities of the survivors (pruned mass is
+        simply dropped, as in the paper).
     enable_range_narrowing:
-        Clamp sampling offsets into per-level bounded ranges around the
-        reference point.
-    level_ranges:
-        Per-level half-range in pixels of that level.  Must have one entry per
-        pyramid level when range narrowing is enabled.
+        Clamp sampling offsets into the per-level bounded ranges of
+        :data:`DEFAULT_LEVEL_RANGES` around the reference point.
     unified_range:
-        Ablation switch: use the maximum of ``level_ranges`` on every level
+        Ablation switch: use the maximum of those ranges on every level
         (the "unified bounded range" of Fig. 4, costing ~25 % extra SRAM).
     quant_bits:
         Bit width of the fake quantization applied to the MSDeformAttn
@@ -92,10 +85,7 @@ class DEFAConfig:
     fwp_k: float = 0.75
     enable_pap: bool = True
     pap_threshold: float = 0.035
-    pap_keep_top1: bool = True
-    renormalize_after_pap: bool = False
     enable_range_narrowing: bool = True
-    level_ranges: tuple[float, ...] = field(default=DEFAULT_LEVEL_RANGES)
     unified_range: bool = False
     quant_bits: int | None = 12
     enable_query_pruning: bool = False
@@ -105,11 +95,6 @@ class DEFAConfig:
             raise ValueError("fwp_k must be non-negative")
         if not 0 <= self.pap_threshold < 1:
             raise ValueError("pap_threshold must be in [0, 1)")
-        if self.enable_range_narrowing:
-            if not self.level_ranges:
-                raise ValueError("level_ranges must be provided when range narrowing is enabled")
-            if any(r <= 0 for r in self.level_ranges):
-                raise ValueError("level_ranges must be positive")
         if self.quant_bits is not None and not 2 <= self.quant_bits <= 32:
             raise ValueError("quant_bits must be in [2, 32] or None")
 
@@ -137,12 +122,12 @@ class DEFAConfig:
     def effective_ranges(self, num_levels: int) -> tuple[float, ...]:
         """Bounded ranges actually applied, accounting for ``unified_range``.
 
-        Raises if range narrowing is enabled but the number of configured
-        ranges does not match the number of pyramid levels.
+        Raises if range narrowing is enabled and the workload has more
+        pyramid levels than :data:`DEFAULT_LEVEL_RANGES` has entries.
         """
         if not self.enable_range_narrowing:
             return tuple([float("inf")] * num_levels)
-        ranges = self.level_ranges
+        ranges = DEFAULT_LEVEL_RANGES
         if len(ranges) < num_levels:
             raise ValueError(
                 f"{len(ranges)} level ranges configured but the workload has {num_levels} levels"
@@ -158,7 +143,7 @@ class DEFAConfig:
             "fwp": f"k={self.fwp_k}" if self.enable_fwp else "off",
             "pap": f"thr={self.pap_threshold}" if self.enable_pap else "off",
             "range_narrowing": (
-                ("unified " if self.unified_range else "") + str(self.level_ranges)
+                ("unified " if self.unified_range else "") + str(DEFAULT_LEVEL_RANGES)
                 if self.enable_range_narrowing
                 else "off"
             ),

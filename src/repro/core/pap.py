@@ -29,7 +29,7 @@ class PAPResult:
         kept.
     attention_weights:
         The attention probabilities actually used downstream (pruned entries
-        zeroed; optionally re-normalized).
+        zeroed, survivors unchanged).
     threshold:
         The probability threshold that was applied.
     """
@@ -66,8 +66,6 @@ class PAPResult:
 def compute_point_mask(
     attention_weights: np.ndarray,
     threshold: float,
-    keep_top1: bool = True,
-    renormalize: bool = False,
     plan: ExecutionPlan | None = None,
 ) -> PAPResult:
     """Apply PAP to softmax attention probabilities.
@@ -78,14 +76,10 @@ def compute_point_mask(
         ``(N_q, N_h, N_l, N_p)`` softmax probabilities (each (query, head)
         slice sums to one).
     threshold:
-        Points with probability strictly below this value are pruned.
-    keep_top1:
-        Always keep the highest-probability point of every (query, head),
-        which guards against configurations where the threshold exceeds the
-        maximum probability.
-    renormalize:
-        If ``True``, re-normalize the surviving probabilities of every
-        (query, head) to sum to one.  The paper keeps the raw values.
+        Points with probability strictly below this value are pruned, except
+        the highest-probability point of every (query, head), which is always
+        kept (a guard for thresholds above the maximum probability).  The
+        survivors keep their raw probabilities, as in the paper.
     plan:
         Optional :class:`~repro.kernels.ExecutionPlan` arena.  When given,
         the mask and the pruned weights live in plan buffers (``pap.mask`` /
@@ -107,14 +101,13 @@ def compute_point_mask(
         )
     else:
         mask = attention >= threshold
-    if keep_top1:
-        n_q, n_h, n_l, n_p = attention.shape
-        flat = attention.reshape(n_q, n_h, n_l * n_p)
-        top = np.argmax(flat, axis=-1)
-        q_idx, h_idx = np.meshgrid(np.arange(n_q), np.arange(n_h), indexing="ij")
-        flat_mask = mask.reshape(n_q, n_h, n_l * n_p)
-        flat_mask[q_idx, h_idx, top] = True
-        mask = flat_mask.reshape(n_q, n_h, n_l, n_p)
+    n_q, n_h, n_l, n_p = attention.shape
+    flat = attention.reshape(n_q, n_h, n_l * n_p)
+    top = np.argmax(flat, axis=-1)
+    q_idx, h_idx = np.meshgrid(np.arange(n_q), np.arange(n_h), indexing="ij")
+    flat_mask = mask.reshape(n_q, n_h, n_l * n_p)
+    flat_mask[q_idx, h_idx, top] = True
+    mask = flat_mask.reshape(n_q, n_h, n_l, n_p)
 
     if plan is not None:
         # np.where(mask, attention, 0.0) without the temporary: zeros + masked
@@ -123,12 +116,4 @@ def compute_point_mask(
         np.copyto(pruned_weights, attention, where=mask)
     else:
         pruned_weights = np.where(mask, attention, 0.0).astype(FLOAT_DTYPE)
-    if renormalize:
-        sums = pruned_weights.sum(axis=(-2, -1), keepdims=True)
-        if plan is not None:
-            np.divide(pruned_weights, np.maximum(sums, 1e-12), out=pruned_weights)
-        else:
-            pruned_weights = (pruned_weights / np.maximum(sums, 1e-12)).astype(
-                FLOAT_DTYPE
-            )
     return PAPResult(point_mask=mask, attention_weights=pruned_weights, threshold=float(threshold))

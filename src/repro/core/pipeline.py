@@ -76,7 +76,7 @@ from repro.nn.grid_sample import (
 from repro.nn.modules import Linear
 from repro.nn.msdeform_attn import MSDeformAttn
 from repro.nn.tensor_utils import FLOAT_DTYPE, softmax
-from repro.quant.qmodules import QuantizedLinear, quantize_linear
+from repro.quant.qmodules import QuantizedLinear
 from repro.utils.shapes import LevelShape, total_pixels
 from repro.utils.timing import kernel_section
 
@@ -382,7 +382,7 @@ class DEFAAttention:
     def _maybe_quantize(self, linear: Linear) -> Linear | QuantizedLinear:
         if self.config.quant_bits is None:
             return linear
-        return quantize_linear(linear, self.config.quant_bits)
+        return QuantizedLinear(linear, self.config.quant_bits)
 
     def _resolve_backend(self, backend=None):
         """Per-call > construction > process-default resolution."""
@@ -698,8 +698,6 @@ class DEFAAttention:
             row_pap = compute_point_mask(
                 probs,
                 threshold=self.config.pap_threshold,
-                keep_top1=self.config.pap_keep_top1,
-                renormalize=self.config.renormalize_after_pap,
                 plan=plan,
             )
         else:

@@ -3,8 +3,7 @@
 The paper reports COCO AP of finetuned Deformable DETR / DN-DETR / DINO
 checkpoints under the DEFA algorithm modifications (Fig. 6a).  Finetuned
 checkpoints, COCO data and training are unavailable offline, so the
-reproduction estimates the AP impact with a two-step substitution that is
-documented in DESIGN.md:
+reproduction estimates the AP impact with a two-step substitution:
 
 1. the *measured* quantity is output fidelity: the relative error of the
    encoder memory produced under a DEFA configuration versus the FP32

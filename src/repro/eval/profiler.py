@@ -872,9 +872,6 @@ class KernelFusionReport:
     fused-backend output; gated at the compiled backend's tolerance tier
     (:data:`repro.kernels.compiled_backend.COMPILED_EQUIVALENCE_TOL`, 0.0)."""
 
-    compiled_kernels: dict[str, float] | None = None
-    """Per-section seconds of one compiled-backend forward."""
-
     @property
     def speedup(self) -> float:
         """Reference-over-fused wall-clock ratio (> 1 means fusion wins)."""
@@ -894,31 +891,6 @@ class KernelFusionReport:
             name: self.reference_kernels[name] / self.fused_kernels[name]
             for name in sorted(self.reference_kernels)
             if self.fused_kernels.get(name, 0.0) > 0.0
-        }
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "workload": self.workload,
-            "num_tokens": self.num_tokens,
-            "reference_ms": 1e3 * self.reference_s,
-            "fused_ms": 1e3 * self.fused_s,
-            "speedup": self.speedup,
-            "max_abs_diff": self.max_abs_diff,
-            "section_speedups": self.section_speedups(),
-            "reference_kernels_ms": {k: 1e3 * v for k, v in self.reference_kernels.items()},
-            "fused_kernels_ms": {k: 1e3 * v for k, v in self.fused_kernels.items()},
-            **(
-                {
-                    "compiled_ms": 1e3 * self.compiled_s,
-                    "compiled_speedup": self.compiled_speedup,
-                    "compiled_max_abs_diff": self.compiled_max_abs_diff,
-                    "compiled_kernels_ms": {
-                        k: 1e3 * v for k, v in (self.compiled_kernels or {}).items()
-                    },
-                }
-                if self.compiled_s is not None
-                else {}
-            ),
         }
 
 
@@ -1007,11 +979,6 @@ def measure_kernel_fusion(
         run_reference()
     with collect_kernel_timings() as fused_kernels:
         run_fused()
-    compiled_kernels = None
-    if COMPILED_AVAILABLE:
-        with collect_kernel_timings() as compiled_timings:
-            run_compiled()
-        compiled_kernels = dict(compiled_timings.seconds)
 
     return KernelFusionReport(
         workload=workload.name,
@@ -1020,7 +987,6 @@ def measure_kernel_fusion(
         fused_s=min(fused_times),
         compiled_s=min(compiled_times) if compiled_times else None,
         compiled_max_abs_diff=compiled_max_abs_diff,
-        compiled_kernels=compiled_kernels,
         max_abs_diff=max_abs_diff,
         reference_kernels=dict(reference_kernels.seconds),
         fused_kernels=dict(fused_kernels.seconds),

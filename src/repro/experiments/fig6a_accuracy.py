@@ -6,8 +6,8 @@ an average per-technique drop of 0.8 / 0.3 / 0.26 / 0.07 AP, and a
 catastrophic 9.7 AP drop for INT8.  Without COCO or checkpoints the
 reproduction measures *output fidelity* of each configuration against the
 FP32 unpruned baseline on the synthetic workload and maps it to an estimated
-AP through the calibrated estimator (see DESIGN.md for the substitution
-rationale).  The relative ordering — all DEFA techniques cost little, INT8 is
+AP through the calibrated estimator (see :mod:`repro.eval.ap_estimator` for
+the substitution rationale).  The relative ordering — all DEFA techniques cost little, INT8 is
 unusable — is the result being reproduced.
 
 Separately, :func:`run_synthetic_task_ap` measures a real COCO-style AP on
@@ -107,7 +107,7 @@ def run(
 
     notes = [
         "Estimated AP uses the calibrated fidelity->AP estimator (no COCO checkpoints offline); "
-        "see DESIGN.md for the substitution.",
+        "see the repro.eval.ap_estimator docstring for the substitution.",
         f"Faster R-CNN reference AP = {FASTER_RCNN.coco_ap}.",
     ]
     if include_ablations:

@@ -31,10 +31,6 @@ Public surface:
   :mod:`repro.kernels.calibration`).
 """
 
-# Import order is load-bearing: every leaf surface (registry, calibration,
-# options, plan) must bind into this namespace *before* compiled_backend,
-# whose import chain (quant -> nn.msdeform_attn) re-enters this package and
-# reads ExecutionOptions from the partially initialized module.
 from repro.kernels.registry import (
     DEFAULT_BACKEND_ENV,
     KERNEL_BACKENDS,

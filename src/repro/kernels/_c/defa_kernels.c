@@ -22,8 +22,8 @@
  *   backends (_SPARSE_CONTRIB_BUDGET_BYTES), flushing a partial sum into
  *   the output row at each boundary in chronological order.
  * - The fake-quantize chain is elementwise float64 divide -> rint ->
- *   clip -> rescale -> float32 store, the exact op sequence of
- *   repro.quant.quantizer.fake_quantize's in-place path.
+ *   clip -> rescale -> float32 store, the exact op sequence of the
+ *   blocked numpy chain in repro.kernels.fused_ops._quantize_into.
  *
  * Must be compiled with FP contraction off (-ffp-contract=off) — a fused
  * multiply-add would change the rounding of the combine loop.

@@ -30,7 +30,7 @@ break-even point).  This module makes the thresholds *data*:
   ``machine_profile`` specification in :class:`~repro.kernels.
   ExecutionOptions` / :class:`~repro.engine.serving.ModelBankSpec`.
 
-Run ``python -m repro.kernels.calibration --output host.json`` to calibrate
+Run ``python -m repro.kernels --output host.json`` to calibrate
 the current host, and load the result via ``ExecutionOptions(
 machine_profile="host.json")`` or ``REPRO_MACHINE_PROFILE=host.json``.
 Profiles change *dispatch decisions only* — which equivalence-tested path
@@ -684,7 +684,7 @@ def check_reference(path: Path = REFERENCE_PROFILE_PATH) -> list[str]:
     if loaded != reference_profile():
         failures.append(
             f"{path} differs from reference_profile(); regenerate it with "
-            f"`python -m repro.kernels.calibration --write-reference`"
+            f"`python -m repro.kernels --write-reference`"
         )
     rng = np.random.default_rng(0)
     for backend_name in KERNEL_BACKENDS + (None,):
@@ -718,7 +718,9 @@ def check_reference(path: Path = REFERENCE_PROFILE_PATH) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.kernels", description=__doc__.split("\n", 1)[0]
+    )
     parser.add_argument(
         "--output", type=Path, default=None,
         help="write the calibrated profile JSON here",
@@ -768,7 +770,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.output}")
     print(json.dumps(profile.to_dict(), indent=2, sort_keys=True))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -227,10 +227,12 @@ class CompiledBackend(FusedBackend):
     ) -> np.ndarray | None:
         """Fused C fake-quantize chain into *out*; ``None`` = unsupported.
 
-        Bit-identical to :func:`repro.quant.quantizer.fake_quantize`'s
-        in-place path (same float64 op sequence, elementwise).  Returns
-        ``None`` when the input or scale layout is outside the C kernel's
-        contract so the caller runs the numpy chain instead.
+        Bit-identical to the blocked numpy chain of
+        ``fused_ops._quantize_into`` (same float64 op sequence,
+        elementwise), so it equals :func:`repro.quant.quantizer.fake_quantize`
+        up to the sign of zeros.  Returns ``None`` when the input or scale
+        layout is outside the C kernel's contract so the caller runs the
+        numpy chain instead.
         """
         if (
             x.dtype != FLOAT_DTYPE

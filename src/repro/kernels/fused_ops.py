@@ -25,15 +25,13 @@ Every helper is **bit-identical** to the module method it replaces:
 * the dynamic activation scale is ``max(x.max(), -x.min())``, which equals
   ``np.max(np.abs(x))`` exactly (float negation and abs are exact) without
   materialising ``|x|``;
-* the in-place quantize chain preserves the float64 op order (the int32
-  round-trip it skips maps integral in-range float64 values to themselves),
-  and every step is elementwise, so splitting it into row blocks changes no
-  bits;
+* the in-place quantize chain preserves the float64 op order, and every
+  step is elementwise, so splitting it into row blocks changes no bits.  The
+  int32 round trip it skips maps integral in-range float64 values to
+  themselves, except that ``-0.0`` comes back as ``+0.0``: the quantized
+  activations differ from the module's at most in the sign of a zero, which
+  can reach a projection output only as the sign of a zero output;
 * ``np.matmul(out=...)`` issues the same BLAS call for the same row count.
-
-Per-channel dynamic activation specs fall back to the module's own method
-(no configuration in this repo uses them for activations, but correctness
-must not depend on that).
 
 Every helper accepts ``backend=None``: a backend exposing
 ``fake_quantize_into`` (the ``"compiled"`` backend's single-pass C chain)
@@ -87,9 +85,10 @@ def _quantize_into(
     ``scale_max_abs`` is a scalar, or broadcasts against ``x`` with a
     trailing axis of one (per-image ``(B, 1, 1)``, per-row ``(rows, 1)``).
     The divide → round → clip → rescale chain runs in row blocks through
-    the ``quant.q64`` scratch; every step is elementwise, so the result is
-    bit-identical to the one-shot chain of
-    :func:`repro.quant.quantizer.fake_quantize`.
+    the ``quant.q64`` scratch; every step is elementwise, so the result
+    equals :func:`repro.quant.quantizer.fake_quantize` bit for bit, up to
+    the sign of zeros (that chain's int32 round trip turns ``-0.0`` into
+    ``+0.0``).
     """
     x_q = plan.buffer("proj.xq", x.shape, FLOAT_DTYPE)
     fq_into = getattr(backend, "fake_quantize_into", None)
@@ -131,13 +130,10 @@ def _matmul_bias_into(
 def _input_key(proj: Linear | QuantizedLinear):
     """What a projection's matmul input depends on besides ``x``: two
     projections with equal keys read the identical (gathered, quantized)
-    input.  ``None`` marks a per-channel dynamic spec, which runs through
-    the module's own method."""
+    input."""
     if not isinstance(proj, QuantizedLinear):
         return ("float",)
-    if proj.activation_spec.per_channel and proj.activation_max_abs is None:
-        return None
-    return ("quantized", proj.activation_spec, proj.activation_max_abs)
+    return ("quantized", proj.activation_spec)
 
 
 def _matmul_input(
@@ -151,13 +147,12 @@ def _matmul_input(
     x_in = x if rows is None else plan.take("proj.rows", x.reshape(-1, x.shape[-1]), rows)
     if not isinstance(proj, QuantizedLinear):
         return x_in
-    scale = proj.activation_max_abs
-    if scale is None:  # dynamic: one scale per image, as forward_batched
-        if rows is None:
-            scale = max_abs(x, axis=tuple(range(1, x.ndim)), keepdims=True)
-        else:
-            image = np.asarray(rows, dtype=np.int64) // x.shape[1]
-            scale = max_abs(x, axis=(1, 2))[image][:, None]
+    # Dynamic: one scale per image, as forward_batched.
+    if rows is None:
+        scale = max_abs(x, axis=tuple(range(1, x.ndim)), keepdims=True)
+    else:
+        image = np.asarray(rows, dtype=np.int64) // x.shape[1]
+        scale = max_abs(x, axis=(1, 2))[image][:, None]
     return _quantize_into(proj.activation_spec, x_in, scale, plan, backend=backend)
 
 
@@ -180,8 +175,8 @@ def project_into(
     exactly the scales :meth:`QuantizedLinear.forward_batched` derives).
 
     Consecutive projections whose matmul input is the same — unquantized,
-    or quantized with the same activation spec and calibrated range — share
-    one gather and one quantization.
+    or quantized with the same activation spec — share one gather and one
+    quantization.
     """
     lead = x.shape[:-1] if rows is None else (rows.shape[0],)
     outs = []
@@ -189,16 +184,11 @@ def project_into(
     for proj, name in zip(projs, names, strict=True):
         out = plan.buffer(f"{name}.out", lead + (proj.out_features,), FLOAT_DTYPE)
         key = _input_key(proj)
-        if key is None:
-            out[...] = (
-                proj.forward_batched(x) if rows is None else proj.forward_rows_batched(x, rows)
-            )
+        if key != shared_key:
+            shared, shared_key = _matmul_input(proj, x, rows, plan, backend), key
+        if isinstance(proj, QuantizedLinear):
+            _matmul_bias_into(proj.quantized_weight, proj.inner.bias, shared, out)
         else:
-            if shared is None or key != shared_key:
-                shared, shared_key = _matmul_input(proj, x, rows, plan, backend), key
-            if isinstance(proj, QuantizedLinear):
-                _matmul_bias_into(proj.quantized_weight, proj.inner.bias, shared, out)
-            else:
-                _matmul_bias_into(proj.weight, proj.bias, shared, out)
+            _matmul_bias_into(proj.weight, proj.bias, shared, out)
         outs.append(out)
     return outs

@@ -7,9 +7,12 @@ change the outputs); :class:`ExecutionOptions` says *how* it executes
 fields changes the numerics of a chosen path.  Each knob has exactly one
 home: detail collection is a per-call argument of the surfaces that return
 details (``DEFAEncoderRunner.forward(collect_details=)``,
-``MSDeformAttn.forward_detailed(with_trace=)``).  Every surface takes
-``options=`` only, checked once by :func:`normalize_execution_options`
-(coerce once at the boundary, everything downstream sees one type).
+``MSDeformAttn.forward_detailed(with_trace=)``).  Every surface of the
+pruned DEFA stack (``DEFAAttention``, ``DEFAEncoderRunner``, streaming and
+serving) takes ``options=`` only, checked once by
+:func:`normalize_execution_options` (coerce once at the boundary, everything
+downstream sees one type).  The unpruned ``MSDeformAttn`` operator has one
+dense path and takes no options.
 
 The one-object rule for future knobs: a new execution switch is a new
 ``ExecutionOptions`` field, never a new loose keyword.

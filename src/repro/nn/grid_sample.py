@@ -24,8 +24,9 @@ The code paths are:
   and never fetches their values, so both trace construction and the gather
   scale with the keep ratio: the software analogue of the accelerator
   skipping pruned points.  The gather + segment sum runs on the backend the
-  kernel registry selects (:mod:`repro.kernels`).
-  :func:`ms_deform_attn_core_sparse` chains the two steps.
+  kernel registry selects (:mod:`repro.kernels`).  The DEFA pipeline
+  (:class:`repro.core.pipeline.DEFAAttention`) runs the two steps itself,
+  so the trace it builds also feeds its frequency counting.
 
 :func:`bilinear_sample_level_reference` and :func:`ms_deform_attn_core_reference`
 are loop-based oracles kept for the tests.
@@ -335,28 +336,6 @@ def _batch_value(
     return value
 
 
-def _point_args(
-    value: np.ndarray,
-    attention_weights: np.ndarray,
-    point_mask: np.ndarray | None,
-    points_shape: tuple[int, ...],
-    spatial_shapes: list[LevelShape],
-    single: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The shared argument check of the dense and sparse kernels.
-
-    Checks ``value``, ``attention_weights`` and ``point_mask`` against the
-    ``(B, N_q, N_h, N_l, N_p)`` point grid and returns them batch-first.
-    """
-    attention_weights = _grid_arg(
-        "attention_weights", attention_weights, points_shape, single, FLOAT_DTYPE
-    )
-    if point_mask is not None:
-        point_mask = _grid_arg("point_mask", point_mask, points_shape, single, bool)
-    value = _batch_value(value, points_shape, spatial_shapes, single)
-    return value, attention_weights, point_mask
-
-
 def _neighbor_grid(
     x: np.ndarray,
     y: np.ndarray,
@@ -571,9 +550,11 @@ def ms_deform_attn_from_trace(
     single = isinstance(trace, SamplingTrace)
     if single:
         trace = trace.as_batch()
-    value, attn, point_mask = _point_args(
-        value, attention_weights, point_mask, trace.valid.shape[:-1], trace.spatial_shapes, single
-    )
+    points_shape = trace.valid.shape[:-1]
+    attn = _grid_arg("attention_weights", attention_weights, points_shape, single, FLOAT_DTYPE)
+    if point_mask is not None:
+        point_mask = _grid_arg("point_mask", point_mask, points_shape, single, bool)
+    value = _batch_value(value, points_shape, trace.spatial_shapes, single)
     batch, n_in, n_h, d_h = value.shape
     n_q = trace.num_queries
     weights = trace.weights * trace.valid.astype(FLOAT_DTYPE)
@@ -1038,39 +1019,3 @@ def ms_deform_attn_from_compact_trace(
         value_flat, trace, attn_flat, n_in, plan=plan
     )
     return output.reshape(batch, trace.num_queries, n_h * d_h)
-
-
-def ms_deform_attn_core_sparse(
-    value: np.ndarray,
-    spatial_shapes: list[LevelShape],
-    sampling_locations: np.ndarray,
-    attention_weights: np.ndarray,
-    point_mask: np.ndarray | None = None,
-    backend=None,
-) -> np.ndarray:
-    """Sparse equivalent of :func:`ms_deform_attn_core` (same shapes).
-
-    The point set is compacted with the PAP mask before any per-point work:
-    pruned points skip the bilinear neighbour computation *and* the value
-    gather entirely (:func:`multi_scale_neighbors_sparse` then
-    :func:`ms_deform_attn_from_compact_trace`).  The batch folds into the
-    compacted point axis, so one kernel pass serves the whole batch.
-    Matches the dense kernel to float32 rounding.  ``backend`` selects the
-    kernel backend for this call (``None`` follows the process default; the
-    backends are bit-identical).
-    """
-    sampling_locations, single = _batch_locations(spatial_shapes, sampling_locations)
-    value, attention_weights, point_mask = _point_args(
-        value,
-        attention_weights,
-        point_mask,
-        sampling_locations.shape[:-1],
-        spatial_shapes,
-        single,
-    )
-    with kernel_section("neighbors"):
-        trace = multi_scale_neighbors_sparse(spatial_shapes, sampling_locations, point_mask)
-    output = ms_deform_attn_from_compact_trace(
-        value, trace, attention_weights, backend=backend
-    )
-    return output[0] if single else output

@@ -6,9 +6,9 @@ module records their architectural hyper-parameters along with the published
 reference numbers used by the experiment harness (baseline AP, AP after the
 DEFA algorithm modifications, workload GFLOPs, GPU latency fractions).
 
-Architectural details that the paper does not state explicitly (e.g. the FFN
-width of each model's encoder) follow the official open-source configurations
-of the respective models and are marked as approximations in DESIGN.md.
+Architectural details that the paper does not state explicitly follow the
+official open-source configurations of the respective models; each such field
+of :class:`ModelConfig` says "Approximation" in its docstring.
 """
 
 from __future__ import annotations
@@ -75,11 +75,22 @@ class ModelConfig:
     num_points: int = 4
     num_encoder_layers: int = 6
     ffn_dim: int = 1024
+    """Encoder FFN width.  Approximation: not stated in the paper; each
+    model's value follows its official configuration (1024 for Deformable
+    DETR, 2048 for DN-DETR and DINO)."""
+
     activation: str = "relu"
+    """Encoder FFN activation.  Approximation: the official configurations'
+    choice; not stated in the paper."""
 
     image_height: int = 800
     image_width: int = 1066
+    """Input resolution.  Approximation: the usual COCO evaluation resize
+    (shorter side 800); the paper does not state it."""
+
     strides: tuple[int, ...] = (8, 16, 32, 64)
+    """Backbone strides of the four pyramid levels.  Approximation: the
+    official multi-scale configuration; not stated in the paper."""
 
     end_to_end_gflops: float = 173.0
     """Published end-to-end workload of the full detector (GFLOPs)."""

@@ -30,16 +30,8 @@ import numpy as np
 from repro.nn.grid_sample import (
     BatchedSamplingTrace,
     SamplingTrace,
-    ms_deform_attn_core_sparse,
     ms_deform_attn_from_trace,
     multi_scale_neighbors,
-    use_sparse_gather,
-)
-from repro.kernels import (
-    ExecutionOptions,
-    normalize_execution_options,
-    resolve_backend,
-    resolve_profile,
 )
 from repro.nn.modules import Linear, Module
 from repro.nn.tensor_utils import FLOAT_DTYPE, softmax
@@ -238,11 +230,12 @@ class MSDeformAttn(Module):
         value_input: np.ndarray,
         spatial_shapes: list[LevelShape],
         with_trace: bool = False,
-        point_mask: np.ndarray | None = None,
-        query_mask: np.ndarray | None = None,
-        options: ExecutionOptions | None = None,
     ) -> MSDeformAttnOutput:
         """Full forward pass returning intermediates.
+
+        This is the unpruned Eq. 1 operator; FWP and PAP prune inside
+        :class:`~repro.core.pipeline.DEFAAttention`, which reuses this
+        module's weights and projection helpers.
 
         Parameters
         ----------
@@ -259,44 +252,8 @@ class MSDeformAttn(Module):
             Pyramid level shapes whose pixel counts sum to ``N_in``.
         with_trace:
             If ``True``, also return the dense integer sampling trace.  It
-            decides only what is returned, never which kernel runs: traced
-            and untraced outputs are bit-identical.  The dense path returns
-            the trace its kernel consumed; the sparse path runs the
-            compacted kernels as usual and builds the dense trace separately
-            for the return.
-        point_mask:
-            Optional boolean keep-mask of shape ``(N_q, N_h, N_l, N_p)``
-            (batched: with a leading ``B``); ``False`` points contribute
-            nothing, as under PAP pruning.
-        query_mask:
-            Optional boolean keep-mask of shape ``(N_q,)`` (batched:
-            ``(B, N_q)``) over whole queries, as under FWP query pruning:
-            every point of a masked-out query is pruned and its output row is
-            the output-projection bias.  On the sparse path the offset and
-            attention-head projections run row-compacted over the kept
-            queries only, and the recorded ``attention_weights`` /
-            ``sampling_offsets`` rows of pruned queries are zero-filled (the
-            dense path records their true projections; outputs agree either
-            way since every pruned point contributes nothing).
-        options:
-            Per-call :class:`~repro.kernels.ExecutionOptions`.
-            ``sparse_mode`` (``None`` means ``"auto"``) controls whether a
-            supplied ``point_mask`` executes through the compacted
-            (pruned-points-dropped-before-gather) kernels — under ``"auto"``
-            the dense kernels always run when no mask is given, so existing
-            callers are unchanged, and ``"sparse"`` forces the compacted
-            kernels even without a mask (all points kept — useful for
-            testing and benchmarking the kernels themselves).
-            ``kernel_backend`` selects the registry backend that runs the
-            compacted gather + segment sum (see :mod:`repro.kernels`),
-            traced or not; the dense kernel has one body and ignores it.
-            ``None`` follows the process default; the backends are
-            bit-identical, so this only affects wall clock.
-            ``machine_profile`` supplies the ``"auto"`` thresholds (the
-            profile's override for the resolved backend, else its
-            machine-wide values); ``None`` follows the process-default
-            active profile.  This surface has no construction step, so
-            every knob applies per call.
+            decides only what is returned: the kernel always consumes the
+            trace, so traced and untraced outputs are bit-identical.
 
         Batched inputs take the fully vectorized kernels (no per-image Python
         loop); every field of the result gains a leading batch axis and the
@@ -304,10 +261,6 @@ class MSDeformAttn(Module):
         A single image runs as a ``B = 1`` batch whose result is returned
         without the batch axis.
         """
-        options = normalize_execution_options(options, owner="MSDeformAttn.forward_detailed")
-        sparse_mode = options.sparse_mode or "auto"
-        backend = resolve_backend(options.kernel_backend)
-        thresholds = resolve_profile(options.machine_profile).thresholds_for(backend.name)
         query = np.asarray(query, dtype=FLOAT_DTYPE)
         value_input = np.asarray(value_input, dtype=FLOAT_DTYPE)
         if query.ndim not in (2, 3):
@@ -317,10 +270,6 @@ class MSDeformAttn(Module):
         single = query.ndim == 2
         if single:
             query, value_input = query[None], value_input[None]
-            if point_mask is not None:
-                point_mask = np.asarray(point_mask)[None]
-            if query_mask is not None:
-                query_mask = np.asarray(query_mask)[None]
         if value_input.shape[0] != query.shape[0]:
             raise ValueError("query and value_input batch sizes differ")
         n_in = value_input.shape[1]
@@ -330,59 +279,14 @@ class MSDeformAttn(Module):
         value = self.value_proj(value_input).reshape(
             value_input.shape[:-1] + (self.num_heads, self.d_head)
         )
-
-        points_shape = query.shape[:-1] + (self.num_heads, self.num_levels, self.num_points)
-        if point_mask is not None:
-            point_mask = np.asarray(point_mask, dtype=bool)
-            if point_mask.shape != points_shape:
-                raise ValueError("point_mask shape must match the attention weights")
-        effective_mask = point_mask
-        if query_mask is not None:
-            query_mask = np.asarray(query_mask, dtype=bool)
-            if query_mask.shape != query.shape[:-1]:
-                raise ValueError("query_mask must have shape (N_q,) (batched: (B, N_q))")
-            keep_rows = query_mask[..., None, None, None]
-            if point_mask is None:
-                effective_mask = np.broadcast_to(keep_rows, points_shape)
-            else:
-                effective_mask = point_mask & keep_rows
-        sparse = use_sparse_gather(
-            effective_mask, int(np.prod(points_shape[1:])) * 4, sparse_mode, thresholds
-        )
-
-        if sparse and query_mask is not None:
-            # Row-compacted query-side projections: pruned queries never
-            # reach the offset / attention heads (their records stay zero).
-            kept = np.flatnonzero(query_mask.reshape(-1))
-            q_rows = query.reshape(-1, query.shape[-1])[kept]
-            attention = np.zeros(points_shape, dtype=FLOAT_DTYPE)
-            offsets = np.zeros(points_shape + (2,), dtype=FLOAT_DTYPE)
-            if kept.size:
-                attention.reshape((-1,) + points_shape[-3:])[kept] = (
-                    self.attention_probabilities(q_rows)
-                )
-                offsets.reshape((-1,) + points_shape[-3:] + (2,))[kept] = (
-                    self.project_sampling_offsets(q_rows)
-                )
-        else:
-            attention = self.attention_probabilities(query)
-            offsets = self.project_sampling_offsets(query)
+        attention = self.attention_probabilities(query)
+        offsets = self.project_sampling_offsets(query)
         locations = self.compute_sampling_locations(reference_points, offsets, spatial_shapes)
-        point_mask = effective_mask
-
-        if sparse:
-            head_outputs = ms_deform_attn_core_sparse(
-                value, spatial_shapes, locations, attention, point_mask=point_mask, backend=backend
-            )
-            trace = multi_scale_neighbors(spatial_shapes, locations) if with_trace else None
-        else:
-            # One trace drives the kernel and, under with_trace, is returned,
-            # so traced and untraced forwards run the same float operations.
-            trace = multi_scale_neighbors(spatial_shapes, locations)
-            head_outputs = ms_deform_attn_from_trace(value, trace, attention, point_mask=point_mask)
-            if not with_trace:
-                trace = None
+        trace = multi_scale_neighbors(spatial_shapes, locations)
+        head_outputs = ms_deform_attn_from_trace(value, trace, attention)
         output = self.output_proj(head_outputs).astype(FLOAT_DTYPE)
+        if not with_trace:
+            trace = None
         if single:
             output, attention, locations, offsets, value = (
                 array[0] for array in (output, attention, locations, offsets, value)

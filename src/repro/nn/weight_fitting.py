@@ -20,7 +20,8 @@ linear heads are fitted to those targets with ridge regression.  The fit is a
 linear probe solved exactly — no iterative training — and the resulting module
 is still an ordinary :class:`~repro.nn.msdeform_attn.MSDeformAttn` whose
 behaviour (peaked attention, object-concentrated sampling) mirrors a trained
-model.  DESIGN.md documents this substitution.
+model.  How accuracy is then estimated without COCO is described in
+:mod:`repro.eval.ap_estimator`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Fake quantization used by the DEFA algorithm evaluation (INT12 / INT8)."""
 
 from repro.quant.quantizer import QuantSpec, dequantize, fake_quantize, quantize
-from repro.quant.qmodules import QuantizedLinear, quantize_linear
+from repro.quant.qmodules import QuantizedLinear
 
 __all__ = [
     "QuantSpec",
@@ -9,5 +9,4 @@ __all__ = [
     "dequantize",
     "fake_quantize",
     "QuantizedLinear",
-    "quantize_linear",
 ]

@@ -17,44 +17,39 @@ from repro.quant.quantizer import QuantSpec, fake_quantize
 class QuantizedLinear(Module):
     """A linear layer whose weights and activations are fake-quantized.
 
+    Weights are quantized once, with one scale per output channel.  Input
+    activations are quantized per tensor with a dynamic (per-call) max-abs
+    range; the batched methods take that range per image.
+
     Parameters
     ----------
     linear:
         The full-precision layer being wrapped (not copied; its parameters are
         reused).
-    weight_spec, activation_spec:
-        Quantizer specs for weights and input activations.
-    activation_max_abs:
-        Optional calibrated activation range; if ``None``, dynamic (per-call)
-        max-abs quantization is used.
+    num_bits:
+        Bit width of both quantizers (12 in the paper, 8 for the ablation).
     """
 
-    def __init__(
-        self,
-        linear: Linear,
-        weight_spec: QuantSpec,
-        activation_spec: QuantSpec | None = None,
-        activation_max_abs: float | None = None,
-    ) -> None:
+    def __init__(self, linear: Linear, num_bits: int) -> None:
         self.inner = linear
-        self.weight_spec = weight_spec
-        self.activation_spec = activation_spec or weight_spec
-        self.activation_max_abs = activation_max_abs
-        self.quantized_weight = fake_quantize(linear.weight, weight_spec).astype(FLOAT_DTYPE)
+        self.activation_spec = QuantSpec(num_bits=num_bits)
+        self.quantized_weight = fake_quantize(
+            linear.weight, QuantSpec(num_bits=num_bits, per_channel=True)
+        ).astype(FLOAT_DTYPE)
 
     @property
     def out_features(self) -> int:
         return self.inner.out_features
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=FLOAT_DTYPE)
-        x_q = fake_quantize(x, self.activation_spec, max_abs=self.activation_max_abs).astype(
-            FLOAT_DTYPE
-        )
+    def _matmul(self, x_q: np.ndarray) -> np.ndarray:
         out = x_q @ self.quantized_weight
         if self.inner.bias is not None:
             out = out + self.inner.bias
         return out
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=FLOAT_DTYPE)
+        return self._matmul(fake_quantize(x, self.activation_spec).astype(FLOAT_DTYPE))
 
     def forward_batched(self, x: np.ndarray) -> np.ndarray:
         """Forward a batch ``(B, ..., D)`` with *per-image* activation scales.
@@ -69,18 +64,9 @@ class QuantizedLinear(Module):
         x = np.asarray(x, dtype=FLOAT_DTYPE)
         if x.ndim < 2:
             raise ValueError("batched input must have at least 2 dimensions")
-        max_abs = self.activation_max_abs
-        if max_abs is None:
-            if self.activation_spec.per_channel and x.ndim >= 3:
-                reduce_axes = tuple(range(1, x.ndim - 1))  # per image, per channel
-            else:
-                reduce_axes = tuple(range(1, x.ndim))  # per image
-            max_abs = np.max(np.abs(x), axis=reduce_axes, keepdims=True)
+        max_abs = np.max(np.abs(x), axis=tuple(range(1, x.ndim)), keepdims=True)
         x_q = fake_quantize(x, self.activation_spec, max_abs=max_abs).astype(FLOAT_DTYPE)
-        out = x_q @ self.quantized_weight
-        if self.inner.bias is not None:
-            out = out + self.inner.bias
-        return out
+        return self._matmul(x_q)
 
     def forward_rows_batched(self, x: np.ndarray, flat_rows: np.ndarray) -> np.ndarray:
         """Project selected rows of a ``(B, N, D)`` batch with per-image scales.
@@ -97,28 +83,11 @@ class QuantizedLinear(Module):
             raise ValueError("forward_rows_batched expects a (B, N, D) input")
         batch, n_rows, _ = x.shape
         rows2d = x.reshape(batch * n_rows, x.shape[-1])[flat_rows]
-        max_abs = self.activation_max_abs
-        if max_abs is None:
-            image = np.asarray(flat_rows, dtype=np.int64) // n_rows
-            if self.activation_spec.per_channel:
-                per_image = np.max(np.abs(x), axis=1)  # (B, D)
-                max_abs = per_image[image]
-            else:
-                per_image = np.max(np.abs(x), axis=(1, 2))  # (B,)
-                max_abs = per_image[image][:, None]
+        image = np.asarray(flat_rows, dtype=np.int64) // n_rows
+        max_abs = np.max(np.abs(x), axis=(1, 2))[image][:, None]
         x_q = fake_quantize(rows2d, self.activation_spec, max_abs=max_abs).astype(FLOAT_DTYPE)
-        out = x_q @ self.quantized_weight
-        if self.inner.bias is not None:
-            out = out + self.inner.bias
-        return out
+        return self._matmul(x_q)
 
     def flops(self, num_rows: int) -> int:
         """Same MAC count as the wrapped layer (quantization changes energy, not FLOPs)."""
         return self.inner.flops(num_rows)
-
-
-def quantize_linear(linear: Linear, num_bits: int, per_channel_weights: bool = True) -> QuantizedLinear:
-    """Convenience constructor for :class:`QuantizedLinear` with common defaults."""
-    weight_spec = QuantSpec(num_bits=num_bits, per_channel=per_channel_weights)
-    activation_spec = QuantSpec(num_bits=num_bits, per_channel=False)
-    return QuantizedLinear(linear, weight_spec, activation_spec)

@@ -49,8 +49,9 @@ class QuantSpec:
 def compute_scale(x: np.ndarray, spec: QuantSpec, max_abs: float | np.ndarray | None = None) -> np.ndarray:
     """Quantization scale(s) for array *x* under *spec*.
 
-    If *max_abs* is given it overrides the dynamic maximum (used with
-    calibrators); otherwise the max absolute value of *x* is used.
+    If *max_abs* is given it overrides the maximum over the whole array
+    (the batched projections pass one range per image); otherwise the max
+    absolute value of *x* is used.
     """
     x = np.asarray(x)
     if max_abs is None:
@@ -75,31 +76,8 @@ def dequantize(q: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def fake_quantize(
-    x: np.ndarray,
-    spec: QuantSpec,
-    max_abs: float | np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    x: np.ndarray, spec: QuantSpec, max_abs: float | np.ndarray | None = None
 ) -> np.ndarray:
-    """Quantize-then-dequantize *x*, simulating fixed-point inference error.
-
-    With ``out`` (a float32 array of ``x.shape``) the whole
-    divide → round → clip → rescale chain runs in-place through a float64
-    ``scratch`` buffer (allocated fresh when not provided) and the result is
-    written into ``out`` — fewer passes and zero temporaries, with results
-    **bit-identical** to the allocating path: the rounded/clipped levels are
-    integral float64 values inside the int32 range, so skipping the explicit
-    ``int32`` round-trip of :func:`quantize`/:func:`dequantize` changes no
-    bits, and the final float64→float32 store performs the same C cast as
-    ``astype``.
-    """
+    """Quantize-then-dequantize *x*, simulating fixed-point inference error."""
     scale = compute_scale(x, spec, max_abs=max_abs)
-    if out is None:
-        return dequantize(quantize(x, scale, spec), scale)
-    if scratch is None:
-        scratch = np.empty(x.shape, dtype=np.float64)
-    np.divide(x, scale, out=scratch)
-    np.round(scratch, out=scratch)
-    np.clip(scratch, spec.qmin, spec.qmax, out=scratch)
-    np.multiply(scratch, scale, out=out, casting="unsafe")
-    return out
+    return dequantize(quantize(x, scale, spec), scale)

@@ -123,38 +123,19 @@ class TestBatchedMSDeformAttn:
                 batched.trace.image(b).flat_indices, single.trace.flat_indices
             )
 
-    @pytest.mark.parametrize("with_query_mask", [False, True])
+    @pytest.mark.parametrize("per_image_reference", [False, True])
     @pytest.mark.parametrize("with_trace", [False, True])
-    @pytest.mark.parametrize("sparse_mode", ["dense", "sparse"])
-    def test_single_image_is_image_zero_of_a_batch(
-        self, attn, sparse_mode, with_trace, with_query_mask
-    ):
+    def test_single_image_is_image_zero_of_a_batch(self, attn, with_trace, per_image_reference):
         """One path: ``forward_detailed(q)`` equals image 0 of
-        ``forward_detailed(q[None])`` bit for bit, outputs and trace alike."""
+        ``forward_detailed(q[None])`` bit for bit, outputs and trace alike,
+        whether the batch shares its reference points or carries its own."""
         query, value, reference = _batch_inputs(1)
-        rng = np.random.default_rng(5)
-        point_mask = rng.random((N_IN, NUM_HEADS, len(SHAPES), NUM_POINTS)) > 0.6
-        query_mask = rng.random(N_IN) > 0.3 if with_query_mask else None
-        options = ExecutionOptions(sparse_mode=sparse_mode)
         single = attn.forward_detailed(
-            query[0],
-            reference,
-            value[0],
-            SHAPES,
-            with_trace=with_trace,
-            point_mask=point_mask,
-            query_mask=query_mask,
-            options=options,
+            query[0], reference, value[0], SHAPES, with_trace=with_trace
         )
+        batch_reference = reference[None] if per_image_reference else reference
         batched = attn.forward_detailed(
-            query,
-            reference,
-            value,
-            SHAPES,
-            with_trace=with_trace,
-            point_mask=point_mask[None],
-            query_mask=None if query_mask is None else query_mask[None],
-            options=options,
+            query, batch_reference, value, SHAPES, with_trace=with_trace
         )
         for field in (
             "output",

@@ -10,6 +10,10 @@ by the path-choice-parity invariant, and a tiny-grid calibration smoke run.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,11 @@ class TestReferenceProfile:
         failures = check_reference(path)
         assert any("differs from reference_profile" in f for f in failures)
         assert any("dispatch diverged" in f for f in failures)
+
+    def test_check_reference_hint_names_the_runnable_entry(self, tmp_path):
+        drifted = MachineProfile(name="drifted", thresholds=DispatchThresholds())
+        failures = check_reference(drifted.save(tmp_path / "drifted.json"))
+        assert any("`python -m repro.kernels --write-reference`" in f for f in failures)
 
     @pytest.mark.parametrize("backend_name", KERNEL_BACKENDS + (None,))
     def test_dispatch_parity_with_hand_tuned_constants(self, backend_name):
@@ -364,54 +373,6 @@ class TestProfileThreading:
         _, compact = runner.query_stage_plan(mask, 2048, runner.resolved_backend())
         assert compact
 
-    def test_msdeform_forward_detailed_honours_options_profile(self, monkeypatch):
-        """A bare MSDeformAttn has no construction step: the per-call
-        profile (and its override for the resolved backend) decides the
-        point-gather dispatch, not the process-default profile."""
-        from repro.nn import msdeform_attn
-        from repro.nn.positional import make_reference_points
-
-        decisions = []
-
-        def spy(*args, **kwargs):
-            decisions.append(use_sparse_gather(*args, **kwargs))
-            return decisions[-1]
-
-        monkeypatch.setattr(msdeform_attn, "use_sparse_gather", spy)
-        shapes = [LevelShape(32, 24), LevelShape(16, 16)]  # 1,024 queries
-        attn = msdeform_attn.MSDeformAttn(
-            d_model=32, num_heads=4, num_levels=2, num_points=2, rng=0
-        )
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((1024, 32)).astype(np.float32)
-        point_mask = rng.random((1024, 4, 2, 2)) < 0.2  # ~20 % of points kept
-        reference_points = make_reference_points(shapes)
-        never = DispatchThresholds(point_keep_max=0.0)
-        cases = (
-            (ExecutionOptions(), True),
-            (ExecutionOptions(machine_profile="reference"), True),
-            (ExecutionOptions(machine_profile=MachineProfile(name="n", thresholds=never)), False),
-            (
-                ExecutionOptions(
-                    kernel_backend="reference",
-                    machine_profile=MachineProfile(name="pb", per_backend=(("reference", never),)),
-                ),
-                False,
-            ),
-            (
-                ExecutionOptions(
-                    kernel_backend="fused",
-                    machine_profile=MachineProfile(name="pb", per_backend=(("reference", never),)),
-                ),
-                True,
-            ),
-        )
-        for options, _ in cases:
-            attn.forward_detailed(
-                x, reference_points, x, shapes, point_mask=point_mask, options=options
-            )
-        assert decisions == [expected for _, expected in cases]
-
     def test_forward_detailed_rejects_per_call_profile(self):
         runner = self._runner()
         attn = runner.defa_layers[0]
@@ -466,3 +427,17 @@ class TestCalibrationSweep:
         assert MachineProfile.from_dict(loaded.to_dict()) == loaded
         assert calibration.main(["--check-reference"]) == 0
         assert "reference profile OK" in capsys.readouterr().out
+
+    def test_package_entry_imports_calibration_once(self):
+        """``python -m repro.kernels`` runs the CLI without runpy's
+        double-import warning (the module is not run as ``__main__``)."""
+        env = dict(os.environ)
+        src = str(Path(calibration.__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.kernels", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: python -m repro.kernels")
+        assert "RuntimeWarning" not in done.stderr

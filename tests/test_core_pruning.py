@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import DEFAConfig
+from repro.core.config import DEFAULT_LEVEL_RANGES, DEFAConfig
 from repro.core.flops import msdeform_attn_flops
 from repro.core.fwp import compute_fmap_mask
 from repro.core.pap import compute_point_mask
 from repro.core.range_narrowing import RangeNarrowing, full_fmap_storage_bits
 from repro.core.sampling_stats import sampled_frequency
+from repro.kernels import ExecutionPlan
 from repro.nn.tensor_utils import softmax
 from repro.utils.shapes import LevelShape
 
@@ -44,11 +45,11 @@ class TestDEFAConfig:
             DEFAConfig(quant_bits=1)
 
     def test_effective_ranges_levelwise(self):
-        config = DEFAConfig(level_ranges=(8.0, 6.0, 4.0, 3.0))
-        assert config.effective_ranges(4) == (8.0, 6.0, 4.0, 3.0)
+        assert DEFAConfig().effective_ranges(4) == DEFAULT_LEVEL_RANGES == (8.0, 7.0, 7.0, 6.0)
+        assert DEFAConfig().effective_ranges(3) == (8.0, 7.0, 7.0)
 
     def test_effective_ranges_unified(self):
-        config = DEFAConfig(level_ranges=(8.0, 6.0, 4.0, 3.0), unified_range=True)
+        config = DEFAConfig(unified_range=True)
         assert config.effective_ranges(4) == (8.0, 8.0, 8.0, 8.0)
 
     def test_effective_ranges_disabled(self):
@@ -56,13 +57,19 @@ class TestDEFAConfig:
         assert all(np.isinf(r) for r in config.effective_ranges(4))
 
     def test_effective_ranges_too_few(self):
-        config = DEFAConfig(level_ranges=(8.0, 6.0))
-        with pytest.raises(ValueError):
-            config.effective_ranges(4)
+        with pytest.raises(ValueError, match="4 level ranges"):
+            DEFAConfig().effective_ranges(5)
 
     def test_describe(self):
         desc = DEFAConfig().describe()
         assert "INT12" in desc["quantization"]
+
+    def test_describe_range_narrowing(self):
+        assert DEFAConfig().describe()["range_narrowing"] == "(8.0, 7.0, 7.0, 6.0)"
+        unified = DEFAConfig(unified_range=True).describe()["range_narrowing"]
+        assert unified == "unified (8.0, 7.0, 7.0, 6.0)"
+        disabled = DEFAConfig(enable_range_narrowing=False).describe()["range_narrowing"]
+        assert disabled == "off"
 
 
 class TestPAP:
@@ -84,20 +91,37 @@ class TestPAP:
 
     def test_keep_top1_guarantee(self):
         probs = self._probs()
-        result = compute_point_mask(probs, threshold=0.99, keep_top1=True)
+        result = compute_point_mask(probs, threshold=0.99)
         per_pair = result.point_mask.reshape(probs.shape[0], probs.shape[1], -1).sum(axis=-1)
         assert np.all(per_pair >= 1)
 
-    def test_renormalization(self):
-        probs = self._probs()
-        result = compute_point_mask(probs, threshold=0.05, renormalize=True)
-        sums = result.attention_weights.reshape(probs.shape[0], probs.shape[1], -1).sum(axis=-1)
-        assert np.allclose(sums, 1.0, atol=1e-5)
+    def test_threshold_above_every_probability_keeps_only_the_argmax(self):
+        probs = self._probs(sharp=0.5)  # max probability well under 0.99
+        result = compute_point_mask(probs, threshold=0.99)
+        n_q, n_h = probs.shape[:2]
+        flat_mask = result.point_mask.reshape(n_q, n_h, -1)
+        assert np.all(flat_mask.sum(axis=-1) == 1)
+        top = np.argmax(probs.reshape(n_q, n_h, -1), axis=-1)
+        assert np.all(np.take_along_axis(flat_mask, top[..., None], axis=-1))
 
-    def test_without_renormalization_mass_below_one(self):
+    def test_plan_buffers_match_allocating_path(self):
+        probs = self._probs(seed=3)
+        plan = ExecutionPlan()
+        planned = compute_point_mask(probs, threshold=0.05, plan=plan)
+        fresh = compute_point_mask(probs, threshold=0.05)
+        np.testing.assert_array_equal(planned.point_mask, fresh.point_mask)
+        assert np.array_equal(
+            planned.attention_weights.view(np.uint32), fresh.attention_weights.view(np.uint32)
+        )
+        assert np.shares_memory(planned.point_mask, plan.buffer("pap.mask", probs.shape, bool))
+
+    def test_survivors_keep_raw_probabilities(self):
+        """Pruned mass is dropped, not redistributed over the survivors."""
         probs = self._probs()
-        result = compute_point_mask(probs, threshold=0.05, renormalize=False)
-        assert result.kept_probability_mass <= 1.0 + 1e-6
+        result = compute_point_mask(probs, threshold=0.05)
+        expected = np.where(result.point_mask, probs, 0.0).astype(np.float32)
+        np.testing.assert_array_equal(result.attention_weights, expected)
+        assert result.kept_probability_mass < 1.0
 
     def test_high_sharpness_gives_high_reduction(self):
         """The paper's motivation: softmax exponentially amplifies differences."""
@@ -128,13 +152,13 @@ class TestPAP:
     )
     @settings(max_examples=40, deadline=None)
     def test_keep_top1_invariant(self, seed, sharp, threshold):
-        """With ``keep_top1=True`` the argmax point of every (query, head) is kept.
+        """The argmax point of every (query, head) is always kept.
 
         This must hold for *any* probability tensor and threshold — even ones
         where the threshold exceeds every probability of a pair.
         """
         probs = self._probs(n_q=12, sharp=sharp, seed=seed)
-        result = compute_point_mask(probs, threshold=threshold, keep_top1=True)
+        result = compute_point_mask(probs, threshold=threshold)
         n_q, n_h = probs.shape[:2]
         flat_probs = probs.reshape(n_q, n_h, -1)
         flat_mask = result.point_mask.reshape(n_q, n_h, -1)

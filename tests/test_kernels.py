@@ -35,7 +35,7 @@ from repro.kernels import (
 from repro.kernels.fused_ops import QUANT_SCRATCH_BYTES, _quantize_into, project_into
 from repro.kernels.backends import segment_sum_into
 from repro.kernels.plan import take_into
-from repro.quant.qmodules import quantize_linear
+from repro.quant.qmodules import QuantizedLinear
 from repro.quant.quantizer import QuantSpec, fake_quantize
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.modules import Linear
@@ -420,22 +420,25 @@ class TestArenaWorkingSet:
                 max_abs = float(np.max(np.abs(x)))
             else:
                 max_abs = np.max(np.abs(x), axis=1, keepdims=True)
-        expected = fake_quantize(x, self.SPEC, max_abs=max_abs, out=np.empty_like(x))
+        expected = fake_quantize(x, self.SPEC, max_abs=max_abs)
         plan = ExecutionPlan()
         got = _quantize_into(self.SPEC, x, max_abs, plan)
-        assert np.array_equal(expected.view(np.uint32), got.view(np.uint32))
+        # Bitwise once zeros are signless: fake_quantize's int32 round trip
+        # turns -0.0 into +0.0, the in-place chain keeps -0.0.
+        assert np.array_equal(expected.view(np.uint32), (got + 0.0).view(np.uint32))
         assert plan.allocated_bytes - got.nbytes <= QUANT_SCRATCH_BYTES  # one block
 
-    @pytest.mark.parametrize("calibrated", [None, 2.5])
+    @pytest.mark.parametrize("num_bits", [8, 12])
     @pytest.mark.parametrize("compact", [False, True])
-    def test_heads_sharing_one_input_match_module_methods(self, compact, calibrated):
-        """Two heads reading one query share a gather and a quantization
-        (equal specs) or quantize separately (different calibrated ranges);
-        either way each equals its own module method bit for bit."""
+    def test_heads_sharing_one_input_match_module_methods(self, compact, num_bits):
+        """Two heads reading one query share a gather and a quantization,
+        and each equals its own module method bit for bit, at the paper's
+        INT12 and at the INT8 of its ablation."""
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 700, 48)).astype(np.float32) * 3.0
-        heads = [quantize_linear(Linear(48, n, rng=i), 12) for i, n in enumerate((24, 40))]
-        heads[1].activation_max_abs = calibrated
+        heads = [
+            QuantizedLinear(Linear(48, n, rng=i), num_bits) for i, n in enumerate((24, 40))
+        ]
         rows = np.flatnonzero(rng.uniform(size=1400) < 0.6) if compact else None
         plan = ExecutionPlan()
         got = project_into(heads, x, plan, ("a", "b"), rows=rows)
@@ -544,16 +547,10 @@ class TestCompiledFallback:
 @pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled library not built")
 class TestCompiledFakeQuantize:
     """Unit coverage of the C fake-quantize dispatch in the projection
-    helpers: every supported scale layout is bit-identical to the numpy
-    in-place chain; unsupported layouts return ``None`` (numpy fallback)."""
+    helpers: every supported scale layout is bit-identical to the allocating
+    numpy chain; unsupported layouts return ``None`` (numpy fallback)."""
 
     SPEC = QuantSpec(num_bits=12)
-
-    def _numpy_chain(self, x, max_abs):
-        out = np.empty_like(x)
-        scratch = np.empty(x.shape, dtype=np.float64)
-        fake_quantize(x, self.SPEC, max_abs=max_abs, out=out, scratch=scratch)
-        return out
 
     def _compiled_chain(self, x, max_abs):
         backend = resolve_backend("compiled")
@@ -575,12 +572,12 @@ class TestCompiledFakeQuantize:
             max_abs = float(np.max(np.abs(x)))
         else:
             max_abs = np.max(np.abs(x), axis=axis, keepdims=True)
-        expected = self._numpy_chain(x, max_abs)
+        expected = fake_quantize(x, self.SPEC, max_abs=max_abs)
         got = self._compiled_chain(x, max_abs)
         assert got is not None
-        assert np.array_equal(
-            expected.view(np.uint32), got.view(np.uint32)
-        )  # bitwise, ±0.0 included
+        # Bitwise once zeros are signless (fake_quantize's int32 round trip
+        # turns -0.0 into +0.0).
+        assert np.array_equal(expected.view(np.uint32), (got + 0.0).view(np.uint32))
 
     def test_unsupported_layouts_decline(self):
         rng = np.random.default_rng(6)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.kernels import ExecutionOptions, resolve_backend
 from repro.nn.encoder import DeformableEncoder, DeformableEncoderLayer
+from repro.nn.grid_sample import multi_scale_neighbors
 from repro.nn.msdeform_attn import MSDeformAttn
 from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.utils.shapes import total_pixels
@@ -140,60 +140,40 @@ class TestMSDeformAttn:
 
 class TestTracedForward:
     """``with_trace`` decides only what ``forward_detailed`` returns: the
-    traced and untraced forwards run the same kernel, bit for bit, and the
-    sparse path goes through the selected registry backend either way."""
+    traced and untraced forwards run the same kernel, bit for bit."""
 
     @pytest.fixture(scope="class")
     def attn(self):
         return MSDeformAttn(d_model=64, num_heads=8, num_levels=3, num_points=4, rng=3)
 
-    def _inputs(self, attn, shapes, batch):
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_traced_and_untraced_outputs_bit_equal(self, attn, tiny_shapes, batch):
         rng = np.random.default_rng(7)
         lead = () if batch is None else (batch,)
-        n_in = total_pixels(shapes)
+        n_in = total_pixels(tiny_shapes)
         value = rng.standard_normal(lead + (n_in, 64)).astype(np.float32)
         query = rng.standard_normal(lead + (n_in, 64)).astype(np.float32)
-        points = lead + (n_in, attn.num_heads, attn.num_levels, attn.num_points)
-        mask = rng.uniform(0.0, 1.0, points) < 0.4
-        return query, make_reference_points(shapes), value, mask
-
-    @pytest.mark.parametrize("batch", [None, 2])
-    @pytest.mark.parametrize("sparse_mode", ["dense", "sparse"])
-    def test_traced_and_untraced_outputs_bit_equal(self, attn, tiny_shapes, batch, sparse_mode):
-        query, ref, value, mask = self._inputs(attn, tiny_shapes, batch)
-        options = ExecutionOptions(sparse_mode=sparse_mode)
-        untraced = attn.forward_detailed(
-            query, ref, value, tiny_shapes, point_mask=mask, options=options
-        )
-        traced = attn.forward_detailed(
-            query, ref, value, tiny_shapes, with_trace=True, point_mask=mask, options=options
-        )
+        ref = make_reference_points(tiny_shapes)
+        untraced = attn.forward_detailed(query, ref, value, tiny_shapes)
+        traced = attn.forward_detailed(query, ref, value, tiny_shapes, with_trace=True)
         assert untraced.trace is None
         assert traced.trace is not None
         np.testing.assert_array_equal(traced.output, untraced.output)
 
-    @pytest.mark.parametrize("backend_name", ["reference", "fused"])
-    def test_traced_sparse_forward_calls_selected_backend(
-        self, attn, tiny_shapes, monkeypatch, backend_name
-    ):
-        query, ref, value, mask = self._inputs(attn, tiny_shapes, 2)
-        calls = []
-        for name in ("reference", "fused"):
-            backend = resolve_backend(name)
-
-            def spy(*args, _name=name, _kernel=backend.compact_gather_aggregate, **kwargs):
-                calls.append(_name)
-                return _kernel(*args, **kwargs)
-
-            monkeypatch.setattr(backend, "compact_gather_aggregate", spy)
-        options = ExecutionOptions(sparse_mode="sparse", kernel_backend=backend_name)
-        for with_trace in (False, True):
-            calls.clear()
-            attn.forward_detailed(
-                query, ref, value, tiny_shapes,
-                with_trace=with_trace, point_mask=mask, options=options,
-            )
-            assert calls == [backend_name], f"with_trace={with_trace}"
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_trace_is_the_neighbors_of_returned_locations(self, attn, tiny_shapes, batch):
+        """The returned trace is the one the kernel consumed: the bilinear
+        neighbours of the returned sampling locations."""
+        rng = np.random.default_rng(8)
+        lead = () if batch is None else (batch,)
+        n_in = total_pixels(tiny_shapes)
+        x = rng.standard_normal(lead + (n_in, 64)).astype(np.float32)
+        ref = make_reference_points(tiny_shapes)
+        out = attn.forward_detailed(x, ref, x, tiny_shapes, with_trace=True)
+        expected = multi_scale_neighbors(tiny_shapes, out.sampling_locations)
+        assert type(out.trace) is type(expected)
+        for field in ("levels", "rows", "cols", "flat_indices", "weights", "valid"):
+            np.testing.assert_array_equal(getattr(out.trace, field), getattr(expected, field))
 
 
 class TestEncoder:

@@ -11,6 +11,12 @@ references: a re-export or a mention in prose keeps nothing alive.
 The scan matches by name, one level deep: a definition called only from
 another definition still counts as called.  Anything the tests need beyond
 that lives in :data:`ALLOWLIST`, each entry with the reason it stays.
+
+Config fields get the same rule: every field of the classes in
+:data:`CONFIG_CLASSES` must be passed by keyword (``field=``) somewhere in
+that runtime code outside the class's own module, or be listed in
+:data:`FIELD_ALLOWLIST` with a reason.  A field that only the tests set is a
+knob nothing runs.
 """
 
 from __future__ import annotations
@@ -52,6 +58,16 @@ ALLOWLIST: dict[str, str] = {
     ),
 }
 
+# Module file (relative to ``src/``) and name of each config class whose
+# fields must be set by runtime code.
+CONFIG_CLASSES = (
+    ("repro/core/config.py", "DEFAConfig"),
+    ("repro/kernels/options.py", "ExecutionOptions"),
+)
+
+# Qualified field name -> why a field that no runtime code sets stays.
+FIELD_ALLOWLIST: dict[str, str] = {}
+
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
@@ -91,18 +107,26 @@ def _definitions(tree: ast.Module, module: str):
 
 
 @lru_cache(maxsize=None)
+def _runtime_trees() -> dict[Path, ast.Module]:
+    """The parsed syntax tree of every runtime file."""
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in RUNTIME_DIRS
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+
+
+@lru_cache(maxsize=None)
 def _scan() -> tuple[set[str], dict[str, str]]:
     """Return (every referenced name, qualified name -> name of each definition)."""
     referenced: set[str] = set()
     definitions: dict[str, str] = {}
-    for top in RUNTIME_DIRS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            referenced |= _references(tree)
-            if top == "src":
-                parts = path.relative_to(ROOT / "src").with_suffix("").parts
-                module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-                definitions.update(_definitions(tree, module))
+    for path, tree in _runtime_trees().items():
+        referenced |= _references(tree)
+        if path.is_relative_to(ROOT / "src"):
+            parts = path.relative_to(ROOT / "src").with_suffix("").parts
+            module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+            definitions.update(_definitions(tree, module))
     return referenced, definitions
 
 
@@ -126,3 +150,47 @@ def test_allowlist_has_no_stale_entries():
     assert not missing, f"allowlisted names that no longer exist: {missing}"
     assert not called, f"allowlisted names that now have a runtime caller: {called}"
 
+
+@lru_cache(maxsize=None)
+def _call_keywords() -> dict[Path, frozenset[str]]:
+    """Every keyword-argument name passed in a call, per runtime file."""
+    return {
+        path: frozenset(
+            kw.arg
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for kw in node.keywords
+            if kw.arg is not None
+        )
+        for path, tree in _runtime_trees().items()
+    }
+
+
+def _config_fields(module_file: Path, class_name: str) -> list[str]:
+    tree = _runtime_trees()[module_file]
+    (cls,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name)
+    return [
+        stmt.target.id
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def test_every_config_field_is_set_by_runtime_code():
+    unset = []
+    for relative, class_name in CONFIG_CLASSES:
+        module_file = ROOT / "src" / relative
+        fields = _config_fields(module_file, class_name)
+        assert fields, f"{class_name} has no annotated fields in {relative}"
+        passed = set().union(
+            *(kw for path, kw in _call_keywords().items() if path != module_file)
+        )
+        unset += [
+            f"{class_name}.{field}"
+            for field in fields
+            if field not in passed and f"{class_name}.{field}" not in FIELD_ALLOWLIST
+        ]
+    assert not unset, (
+        "config fields that no runtime code sets by keyword (delete them with "
+        "their tests, or allowlist them with a reason):\n  " + "\n  ".join(unset)
+    )

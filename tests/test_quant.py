@@ -13,7 +13,7 @@ from repro.quant.quantizer import (
     fake_quantize,
     quantize,
 )
-from repro.quant.qmodules import QuantizedLinear, quantize_linear
+from repro.quant.qmodules import QuantizedLinear
 
 
 def _rms_error(x: np.ndarray, spec: QuantSpec) -> float:
@@ -85,7 +85,7 @@ class TestQuantizeDequantize:
 class TestQuantizedLinear:
     def test_close_to_fp32_at_int12(self):
         linear = Linear(32, 16, rng=0)
-        qlinear = quantize_linear(linear, num_bits=12)
+        qlinear = QuantizedLinear(linear, num_bits=12)
         x = np.random.default_rng(1).standard_normal((20, 32)).astype(np.float32)
         rel = np.linalg.norm(qlinear(x) - linear(x)) / np.linalg.norm(linear(x))
         assert rel < 0.01
@@ -94,15 +94,46 @@ class TestQuantizedLinear:
         linear = Linear(32, 16, rng=0)
         x = np.random.default_rng(1).standard_normal((20, 32)).astype(np.float32)
         ref = linear(x)
-        err8 = np.linalg.norm(quantize_linear(linear, 8)(x) - ref)
-        err12 = np.linalg.norm(quantize_linear(linear, 12)(x) - ref)
+        err8 = np.linalg.norm(QuantizedLinear(linear, 8)(x) - ref)
+        err12 = np.linalg.norm(QuantizedLinear(linear, 12)(x) - ref)
         assert err12 < err8
 
     def test_flops_unchanged(self):
         linear = Linear(16, 8, rng=0)
-        assert quantize_linear(linear, 12).flops(10) == linear.flops(10)
+        assert QuantizedLinear(linear, 12).flops(10) == linear.flops(10)
 
     def test_feature_properties(self):
         linear = Linear(16, 8, rng=0)
-        qlinear = QuantizedLinear(linear, QuantSpec(12))
+        qlinear = QuantizedLinear(linear, 12)
         assert qlinear.out_features == 8
+
+    def test_weights_quantized_per_output_channel(self):
+        """A small output channel next to a large one keeps its precision:
+        each output column has its own weight scale."""
+        linear = Linear(32, 2, rng=0)
+        linear.weight[:, 1] *= 1000.0
+        qlinear = QuantizedLinear(linear, 8)
+        for col in range(2):
+            step = np.max(np.abs(linear.weight[:, col])) / QuantSpec(num_bits=8).qmax
+            err = np.abs(qlinear.quantized_weight[:, col] - linear.weight[:, col])
+            assert np.max(err) <= 0.5 * step * (1 + 1e-5)
+
+    def test_activation_range_is_dynamic(self):
+        """Inputs far outside any fixed range are scaled, not clipped."""
+        linear = Linear(32, 16, rng=0)
+        qlinear = QuantizedLinear(linear, 12)
+        x = 1000.0 * np.random.default_rng(1).standard_normal((20, 32)).astype(np.float32)
+        rel = np.linalg.norm(qlinear(x) - linear(x)) / np.linalg.norm(linear(x))
+        assert rel < 0.01
+
+    def test_forward_batched_quantizes_each_image_with_its_own_range(self):
+        linear = Linear(16, 8, rng=0)
+        qlinear = QuantizedLinear(linear, 8)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((2, 30, 16)).astype(np.float32)
+        x[1] *= 500.0  # a shared scale would flush image 0 to a few levels
+        batched = qlinear.forward_batched(x)
+        for b in range(2):
+            np.testing.assert_allclose(batched[b], qlinear(x[b]), rtol=1e-6, atol=1e-6)
+        shared = qlinear(x.reshape(60, 16))[:30]
+        assert not np.allclose(batched[0], shared, rtol=1e-3, atol=1e-3)

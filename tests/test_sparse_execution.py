@@ -28,7 +28,6 @@ from repro.nn.encoder import DeformableEncoder
 from repro.nn.grid_sample import (
     ms_deform_attn_core,
     ms_deform_attn_core_reference,
-    ms_deform_attn_core_sparse,
     ms_deform_attn_from_compact_trace,
     ms_deform_attn_from_trace,
     multi_scale_neighbors,
@@ -36,7 +35,7 @@ from repro.nn.grid_sample import (
     use_sparse_gather,
 )
 from repro.nn.positional import make_reference_points, sine_positional_encoding
-from repro.quant.qmodules import quantize_linear
+from repro.quant.qmodules import QuantizedLinear
 from repro.nn.modules import Linear
 from repro.utils.shapes import LevelShape
 
@@ -81,6 +80,18 @@ def _kernel_inputs(seed=0, batch=None):
     return value, locs, attn, mask
 
 
+def compact_msgs(value, spatial_shapes, locs, attn, point_mask=None):
+    """The sparse MSGS as the DEFA pipeline chains it: the compacted trace
+    of the kept points, then the compact gather + segment-sum kernel.
+    Single-image inputs (no leading ``B``) run as a ``B = 1`` batch."""
+    single = np.ndim(locs) == 5
+    trace = multi_scale_neighbors_sparse(spatial_shapes, locs, point_mask)
+    if single:
+        value, attn = np.asarray(value)[None], np.asarray(attn)[None]
+    out = ms_deform_attn_from_compact_trace(value, trace, attn)
+    return out[0] if single else out
+
+
 class TestSparseKernels:
     def test_core_sparse_matches_dense(self):
         value, locs, attn, mask = _kernel_inputs(seed=0)
@@ -89,7 +100,7 @@ class TestSparseKernels:
         # The dense core is the trace kernel on its own trace: bit-equal.
         core = ms_deform_attn_core(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_array_equal(core, dense)
-        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
+        sparse = compact_msgs(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
 
     def test_core_sparse_matches_dense_batched(self):
@@ -99,7 +110,7 @@ class TestSparseKernels:
         np.testing.assert_array_equal(
             ms_deform_attn_core(value, SHAPES, locs, attn, point_mask=mask), dense
         )
-        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
+        sparse = compact_msgs(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
         for b in range(3):
             reference = ms_deform_attn_core_reference(
@@ -109,7 +120,7 @@ class TestSparseKernels:
             np.testing.assert_allclose(sparse[b], reference, atol=TOL)
             # Batched equals per-image exactly (per-image compaction, and a
             # single image runs the same body as a B = 1 batch).
-            single = ms_deform_attn_core_sparse(
+            single = compact_msgs(
                 value[b], SHAPES, locs[b], attn[b], point_mask=mask[b]
             )
             np.testing.assert_array_equal(sparse[b], single)
@@ -122,13 +133,13 @@ class TestSparseKernels:
         value, locs, attn, _ = _kernel_inputs(seed=4)
         trace = multi_scale_neighbors(SHAPES, locs)
         dense = ms_deform_attn_from_trace(value, trace, attn)
-        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn)
+        sparse = compact_msgs(value, SHAPES, locs, attn)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
 
     def test_all_pruned_point_mask_yields_zeros(self):
         value, locs, attn, _ = _kernel_inputs(seed=5)
         mask = np.zeros((N_Q, N_H, N_L, N_P), dtype=bool)
-        assert np.all(ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask) == 0)
+        assert np.all(compact_msgs(value, SHAPES, locs, attn, point_mask=mask) == 0)
         assert np.all(ms_deform_attn_core(value, SHAPES, locs, attn, point_mask=mask) == 0)
 
     def test_all_pruned_for_one_head_level(self):
@@ -139,7 +150,7 @@ class TestSparseKernels:
         mask[:, 0, :, :] = True  # head 0: fully kept (contrast case)
         trace = multi_scale_neighbors(SHAPES, locs)
         dense = ms_deform_attn_from_trace(value, trace, attn, point_mask=mask)
-        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
+        sparse = compact_msgs(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
         reference = ms_deform_attn_core_reference(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, reference, atol=TOL)
@@ -150,7 +161,7 @@ class TestSparseKernels:
         mask[11, 1, 0, 1] = True
         trace = multi_scale_neighbors(SHAPES, locs)
         dense = ms_deform_attn_from_trace(value, trace, attn, point_mask=mask)
-        sparse = ms_deform_attn_core_sparse(value, SHAPES, locs, attn, point_mask=mask)
+        sparse = compact_msgs(value, SHAPES, locs, attn, point_mask=mask)
         np.testing.assert_allclose(sparse, dense, atol=TOL)
         # Only the (query 11, head 1) slot may be non-zero.
         out = sparse.reshape(N_Q, N_H, D_H)
@@ -201,7 +212,7 @@ class TestKernelShapeChecks:
 
     def test_core_kernels_reject_mismatched_points(self):
         value, locs, attn, mask = _kernel_inputs(seed=9, batch=2)
-        for kernel in (ms_deform_attn_core, ms_deform_attn_core_sparse):
+        for kernel in (ms_deform_attn_core, compact_msgs):
             with pytest.raises(ValueError, match="attention_weights"):
                 kernel(value, SHAPES, locs, attn[:, :1])
             with pytest.raises(ValueError, match="point_mask"):
@@ -344,7 +355,7 @@ class TestQuantizedRows:
     def test_forward_rows_matches_forward(self):
         rng = np.random.default_rng(0)
         linear = Linear(16, 12, rng=1)
-        qlinear = quantize_linear(linear, 12)
+        qlinear = QuantizedLinear(linear, 12)
         x = rng.standard_normal((50, 16)).astype(np.float32)
         rows = np.array([0, 3, 17, 49])
         # A single image is a B=1 batch: its one per-image scale is the
@@ -356,7 +367,7 @@ class TestQuantizedRows:
     def test_forward_rows_batched_matches_forward_batched(self):
         rng = np.random.default_rng(1)
         linear = Linear(16, 12, rng=2)
-        qlinear = quantize_linear(linear, 12)
+        qlinear = QuantizedLinear(linear, 12)
         x = rng.standard_normal((3, 40, 16)).astype(np.float32)
         flat_rows = np.array([0, 39, 40, 85, 119])  # rows from every image
         expected = qlinear.forward_batched(x).reshape(120, 12)[flat_rows]
