@@ -93,44 +93,24 @@ def _inter_level_banks(
     return levels * banks_per_level + local % banks_per_level
 
 
-def _group_cycles(
-    banks: np.ndarray,
-    addresses: np.ndarray,
-    active: np.ndarray,
-    num_banks: int,
-    merge_same_address: bool = False,
-) -> np.ndarray:
+CONFLICT_PENALTY_CYCLES = 2
+"""Pipeline-stall cycles paid by every issue group that hits at least one
+bank conflict.  The paper notes that "extra clock cycles are spent on
+detecting bank conflicts, stopping the pipeline, and sequentially
+processing the requests": the serialization itself is modelled exactly, and
+this constant models the detect/stop/restart overhead."""
+
+
+def _group_cycles(banks: np.ndarray, active: np.ndarray, num_banks: int) -> np.ndarray:
     """Cycles needed by each issue group.
 
-    ``banks``/``addresses``/``active`` have shape ``(G, K)`` where ``K`` is the
-    number of simultaneous requests of one group.  Requests to the same bank
-    serialize; the group cost is the maximum per-bank request count.  With
-    ``merge_same_address=True`` requests of different sampling points hitting
-    the same bank *and* the same address are served by a single broadcast
-    access (an optimistic design with an address-comparison crossbar); the
-    default models a plain single-port bank that serializes them.
+    ``banks``/``active`` have shape ``(G, K)`` where ``K`` is the number of
+    simultaneous requests of one group.  Each bank is a plain single-port
+    bank: requests to the same bank serialize (also when they hit the same
+    address), so the group cost is the maximum per-bank request count.
     """
-    banks = np.asarray(banks, dtype=np.int64)
-    addresses = np.asarray(addresses, dtype=np.int64)
-    active = np.asarray(active, dtype=bool)
-    if banks.shape != addresses.shape or banks.shape != active.shape:
-        raise ValueError("banks, addresses and active must share a shape")
-    num_groups = banks.shape[0]
-    if num_groups == 0:
-        return np.zeros(0, dtype=np.int64)
-
-    if merge_same_address:
-        big = int(addresses.max()) + 2 if addresses.size else 2
-        keys = np.where(active, banks * big + addresses + 1, 0)
-        sorted_keys = np.sort(keys, axis=1)
-        first = np.ones_like(sorted_keys, dtype=bool)
-        first[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
-        unique = first & (sorted_keys != 0)
-        bank_of = np.where(unique, (sorted_keys - 1) // big, -1)
-    else:
-        bank_of = np.where(active, banks, -1)
-
-    cycles = np.zeros(num_groups, dtype=np.int64)
+    bank_of = np.where(active, banks, -1)
+    cycles = np.zeros(banks.shape[0], dtype=np.int64)
     for bank in range(num_banks):
         count = np.sum(bank_of == bank, axis=1)
         np.maximum(cycles, count, out=cycles)
@@ -142,8 +122,6 @@ def simulate_bank_conflicts(
     scheme: BankingScheme | str = BankingScheme.INTER_LEVEL,
     point_mask: np.ndarray | None = None,
     num_banks: int = 16,
-    merge_same_address: bool = False,
-    conflict_penalty_cycles: int = 2,
 ) -> ConflictReport:
     """Replay a sampling trace under one banking scheme.
 
@@ -158,15 +136,9 @@ def simulate_bank_conflicts(
         issued (matching the accelerator dataflow).
     num_banks:
         Number of SRAM banks (16 in the paper's design).
-    merge_same_address:
-        Whether same-bank same-address requests of different points are served
-        by one broadcast access (see :func:`_group_cycles`).
-    conflict_penalty_cycles:
-        Pipeline-stall penalty paid by every group that hits at least one
-        conflict.  The paper notes that "extra clock cycles are spent on
-        detecting bank conflicts, stopping the pipeline, and sequentially
-        processing the requests" — the serialization itself is modelled
-        exactly, and this constant models the detect/stop/restart overhead.
+
+    Every group that hits a conflict also pays
+    :data:`CONFLICT_PENALTY_CYCLES`.
     """
     scheme = BankingScheme(scheme)
     rows = trace.rows
@@ -182,20 +154,12 @@ def simulate_bank_conflicts(
             raise ValueError("point_mask shape mismatch")
         active &= point_mask[..., None]
 
-    # Address within a bank: the pixel's position inside its level, divided by
-    # the bank interleaving (different pixels mapping to the same bank get
-    # different addresses, which is what matters for conflict detection).
-    widths = np.array([s.width for s in trace.spatial_shapes], dtype=np.int64)
-    level_width = widths[trace.levels][..., None]
     rows_c = np.maximum(rows, 0)
     cols_c = np.maximum(cols, 0)
-    pixel_id = rows_c * level_width + cols_c
-
     if scheme is BankingScheme.INTRA_LEVEL:
         banks = _intra_level_banks(rows_c, cols_c, num_banks)
         # Issue groups: the N_p points of one (query, head, level).
         group_banks = banks.reshape(n_q * n_h * n_l, n_p * 4)
-        group_addr = pixel_id.reshape(n_q * n_h * n_l, n_p * 4)
         group_active = active.reshape(n_q * n_h * n_l, n_p * 4)
     else:
         banks = _inter_level_banks(
@@ -204,20 +168,13 @@ def simulate_bank_conflicts(
         # Issue groups: the same point index of one (query, head) across levels.
         order = (0, 1, 3, 2, 4)  # (q, h, p, l, neighbour)
         group_banks = banks.transpose(order).reshape(n_q * n_h * n_p, n_l * 4)
-        group_addr = pixel_id.transpose(order).reshape(n_q * n_h * n_p, n_l * 4)
         group_active = active.transpose(order).reshape(n_q * n_h * n_p, n_l * 4)
 
     nonempty = group_active.any(axis=1)
-    cycles = _group_cycles(
-        group_banks[nonempty],
-        group_addr[nonempty],
-        group_active[nonempty],
-        num_banks,
-        merge_same_address=merge_same_address,
-    )
+    cycles = _group_cycles(group_banks[nonempty], group_active[nonempty], num_banks)
     cycles = np.maximum(cycles, 1)
     conflicting = int(np.count_nonzero(cycles > 1))
-    total_cycles = int(cycles.sum()) + conflict_penalty_cycles * conflicting
+    total_cycles = int(cycles.sum()) + CONFLICT_PENALTY_CYCLES * conflicting
     num_groups = int(nonempty.sum())
     active_points = int(np.count_nonzero(active.any(axis=-1)))
     return ConflictReport(

@@ -18,8 +18,8 @@ class QuantizedLinear(Module):
     """A linear layer whose weights and activations are fake-quantized.
 
     Weights are quantized once, with one scale per output channel.  Input
-    activations are quantized per tensor with a dynamic (per-call) max-abs
-    range; the batched methods take that range per image.
+    activations are quantized with a dynamic (per-call) max-abs range taken
+    per image.
 
     Parameters
     ----------
@@ -47,19 +47,15 @@ class QuantizedLinear(Module):
             out = out + self.inner.bias
         return out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=FLOAT_DTYPE)
-        return self._matmul(fake_quantize(x, self.activation_spec).astype(FLOAT_DTYPE))
-
     def forward_batched(self, x: np.ndarray) -> np.ndarray:
         """Forward a batch ``(B, ..., D)`` with *per-image* activation scales.
 
         Dynamic activation quantization computes the max-abs over the array
-        being quantized; feeding a whole batch through :meth:`forward` would
-        therefore couple the images through one shared scale and break
-        equivalence with per-image execution.  This method computes one
-        dynamic scale per batch element (identical to quantizing each image
-        separately) while still performing a single batched matmul.
+        being quantized; one scale over the whole batch would therefore
+        couple the images and break equivalence with per-image execution.
+        This method computes one dynamic scale per batch element (identical
+        to quantizing each image separately) while still performing a single
+        batched matmul.
         """
         x = np.asarray(x, dtype=FLOAT_DTYPE)
         if x.ndim < 2:

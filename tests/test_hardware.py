@@ -154,14 +154,6 @@ class TestBanking:
         assert inter.conflict_fraction == 0.0 < intra.conflict_fraction
         assert intra.conflicting_groups > 0
 
-    def test_same_address_merging_never_costs_cycles(self, tiny_defa_output):
-        plain = simulate_bank_conflicts(tiny_defa_output.trace, BankingScheme.INTRA_LEVEL)
-        merged = simulate_bank_conflicts(
-            tiny_defa_output.trace, BankingScheme.INTRA_LEVEL, merge_same_address=True
-        )
-        assert merged.active_points == plain.active_points
-        assert merged.total_cycles <= plain.total_cycles
-
     def test_point_mask_shape_mismatch(self, tiny_defa_output):
         mask = np.ones(tiny_defa_output.point_mask.shape[:-1], dtype=bool)
         with pytest.raises(ValueError, match="point_mask"):

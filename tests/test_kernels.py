@@ -33,7 +33,8 @@ from repro.kernels import (
     use_backend,
 )
 from repro.kernels.fused_ops import QUANT_SCRATCH_BYTES, _quantize_into, project_into
-from repro.kernels.backends import segment_sum_into
+from repro.kernels import backends as kernel_backends
+from repro.kernels.backends import _rank_major_order, _rank_major_sum, segment_sum_into
 from repro.kernels.plan import take_into
 from repro.quant.qmodules import QuantizedLinear
 from repro.quant.quantizer import QuantSpec, fake_quantize
@@ -401,8 +402,10 @@ class TestArenaWorkingSet:
     temporary per call site."""
 
     ARENA_BUDGET_BYTES = 52_000_000
-    """Measured 49.7 MB (INT12) and 47.6 MB (fp32) on the working-set
-    fixture; the per-call-site arena it replaced held 90.9 / 60.2 MB."""
+    """Measured 49.2 MB (INT12) and 47.1 MB (fp32) on the working-set
+    fixture with chunk-sized MSGS buffers (49.7 / 47.6 MB while the gather
+    indices were one whole-trace buffer); the per-call-site arena it
+    replaced held 90.9 / 60.2 MB."""
 
     SPEC = QuantSpec(num_bits=12)
 
@@ -614,3 +617,111 @@ class TestSegmentSum:
         out = np.ones((4, 2))
         segment_sum_into(out, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         assert np.array_equal(out, np.ones((4, 2)))
+
+
+def _run_length_case(batch, n_l, n_p, d_h, seed=0):
+    """A compact-trace kernel case whose segment runs take every length.
+
+    Segment ``i`` keeps a random ``i % (n_l * n_p + 1)`` of its points
+    (0 = empty), so every run length from 1 to ``n_l * n_p`` occurs,
+    including fully kept segments.  A quarter of the value entries are
+    ``+0.0`` or ``-0.0`` and a tenth of the attention weights are zero, so
+    signed-zero contributions run through the sums.
+    """
+    rng = np.random.default_rng(seed)
+    shapes = [LevelShape(6, 8), LevelShape(3, 4), LevelShape(2, 2), LevelShape(1, 1)][:n_l]
+    n_in = sum(s.num_pixels for s in shapes)
+    n_q, n_h = 23, 3
+    per_seg = n_l * n_p
+    value = rng.standard_normal((batch, n_in, n_h, d_h)).astype(np.float32)
+    zero = rng.uniform(size=value.shape) < 0.25
+    value[zero] = np.where(rng.uniform(size=zero.sum()) < 0.5, -0.0, 0.0)
+    locs = rng.uniform(-0.1, 1.1, (batch, n_q, n_h, n_l, n_p, 2)).astype(np.float32)
+    attn = rng.uniform(0.0, 1.0, (batch, n_q, n_h, n_l, n_p)).astype(np.float32)
+    attn[rng.uniform(size=attn.shape) < 0.1] = 0.0
+    mask = np.zeros((batch * n_q * n_h, per_seg), dtype=bool)
+    for i in range(mask.shape[0]):
+        mask[i, rng.permutation(per_seg)[: i % (per_seg + 1)]] = True
+    trace = multi_scale_neighbors_sparse(shapes, locs, point_mask=mask.reshape(attn.shape))
+    return value, trace, attn
+
+
+def _sequential_rest_segment_sum(out, contrib, seg):
+    """``segment_sum_into`` with the pairwise tree replaced by a plain
+    left-to-right sum: ``first + (((0 + a1) + a2) + ...)`` per segment."""
+    for s in np.unique(seg):
+        rows = contrib[seg == s]
+        rest = np.zeros_like(rows[0])
+        for row in rows[1:]:
+            rest += row
+        out[s] += rows[0] + rest
+
+
+class TestRankMajorSegmentSum:
+    """The fused backend sums each segment's rows rank-major with slice adds
+    and must reproduce the reference backend's ``reduceat`` bit for bit."""
+
+    @staticmethod
+    def _assert_bitwise(backend, value, trace, attn):
+        ref = ms_deform_attn_from_compact_trace(value, trace, attn, backend="reference")
+        got = ms_deform_attn_from_compact_trace(value, trace, attn, backend=backend)
+        assert np.array_equal(ref.view(np.uint32), got.view(np.uint32))
+        return ref
+
+    def test_rank_major_sum_matches_reduceat(self):
+        rng = np.random.default_rng(5)
+        lengths = rng.permutation(np.repeat(np.arange(1, 17), 5))
+        seg = np.repeat(np.arange(lengths.size) * 2, lengths)  # odd ids stay empty
+        contrib = rng.standard_normal((seg.size, 6)).astype(np.float32)
+        contrib[rng.uniform(size=contrib.shape) < 0.3] = -0.0
+        expected = np.add.reduceat(contrib, np.flatnonzero(np.diff(seg, prepend=-1)), axis=0)
+        perm = np.empty(seg.size, dtype=np.int64)
+        run_seg, counts = _rank_major_order(seg, perm)
+        assert counts == [int((lengths > r).sum()) for r in range(16)]
+        permuted = contrib[perm]
+        _rank_major_sum(permuted, counts)
+        got = permuted[: run_seg.size][np.argsort(run_seg)]
+        # Bitwise once zeros are signless: reduceat's pairwise sum starts from
+        # -0.0 (0.0 in some older NumPy releases), which the rank-major form skips.
+        assert np.array_equal((expected + 0.0).view(np.uint32), (got + 0.0).view(np.uint32))
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_run_lengths_1_to_16(self, backend, batch, monkeypatch):
+        value, trace, attn = _run_length_case(batch, n_l=4, n_p=4, d_h=8)
+        lengths = np.bincount(trace.segments())
+        assert set(range(1, 17)) <= set(lengths.tolist())
+        ref = self._assert_bitwise(backend, value, trace, attn)
+        # The data tells reduceat's 8-accumulator tree apart from a plain
+        # sequential sum of the rest rows, so a kernel without it fails.
+        monkeypatch.setattr(kernel_backends, "segment_sum_into", _sequential_rest_segment_sum)
+        seq = ms_deform_attn_from_compact_trace(value, trace, attn, backend="reference")
+        assert not np.array_equal(ref, seq)
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_segment_split_by_a_chunk_boundary(self, backend):
+        d_h = 1024
+        chunk = kernel_backends._SPARSE_CONTRIB_BUDGET_BYTES // (16 * d_h)
+        value, trace, attn = _run_length_case(2, n_l=4, n_p=4, d_h=d_h, seed=1)
+        seg = trace.segments()
+        assert trace.num_kept > chunk and seg[chunk - 1] == seg[chunk]
+        self._assert_bitwise(backend, value, trace, attn)
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_segments_longer_than_the_rank_major_form(self, backend):
+        value, trace, attn = _run_length_case(2, n_l=3, n_p=6, d_h=8, seed=2)
+        assert trace.num_levels * trace.num_points > kernel_backends._RANK_MAJOR_MAX_RUN
+        assert np.bincount(trace.segments()).max() == 18
+        self._assert_bitwise(backend, value, trace, attn)
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_no_kept_points(self, backend):
+        value, trace, attn = _run_length_case(2, n_l=4, n_p=4, d_h=8)
+        empty = multi_scale_neighbors_sparse(
+            trace.spatial_shapes,
+            np.zeros(attn.shape + (2,), np.float32),
+            point_mask=np.zeros(attn.shape, dtype=bool),
+        )
+        assert empty.num_kept == 0
+        out = self._assert_bitwise(backend, value, empty, attn)
+        assert not out.any()

@@ -82,21 +82,37 @@ class TestQuantizeDequantize:
         assert err_high <= err_low + 1e-9
 
 
+def _single_image(qlinear: QuantizedLinear, x: np.ndarray) -> np.ndarray:
+    """Oracle for one image: its activations fake-quantized with their own
+    max-abs range, times the per-channel quantized weights, plus the bias."""
+    x_q = fake_quantize(x, qlinear.activation_spec).astype(np.float32)
+    return x_q @ qlinear.quantized_weight + qlinear.inner.bias
+
+
 class TestQuantizedLinear:
     def test_close_to_fp32_at_int12(self):
         linear = Linear(32, 16, rng=0)
         qlinear = QuantizedLinear(linear, num_bits=12)
         x = np.random.default_rng(1).standard_normal((20, 32)).astype(np.float32)
-        rel = np.linalg.norm(qlinear(x) - linear(x)) / np.linalg.norm(linear(x))
+        out = qlinear.forward_batched(x[None])[0]
+        rel = np.linalg.norm(out - linear(x)) / np.linalg.norm(linear(x))
         assert rel < 0.01
 
     def test_int8_worse_than_int12(self):
         linear = Linear(32, 16, rng=0)
         x = np.random.default_rng(1).standard_normal((20, 32)).astype(np.float32)
         ref = linear(x)
-        err8 = np.linalg.norm(QuantizedLinear(linear, 8)(x) - ref)
-        err12 = np.linalg.norm(QuantizedLinear(linear, 12)(x) - ref)
+        err8 = np.linalg.norm(QuantizedLinear(linear, 8).forward_batched(x[None])[0] - ref)
+        err12 = np.linalg.norm(QuantizedLinear(linear, 12).forward_batched(x[None])[0] - ref)
         assert err12 < err8
+
+    def test_one_image_batch_matches_single_image_oracle(self):
+        linear = Linear(32, 16, rng=0)
+        qlinear = QuantizedLinear(linear, 12)
+        x = np.random.default_rng(3).standard_normal((20, 32)).astype(np.float32)
+        np.testing.assert_allclose(
+            qlinear.forward_batched(x[None])[0], _single_image(qlinear, x), rtol=1e-6, atol=1e-6
+        )
 
     def test_flops_unchanged(self):
         linear = Linear(16, 8, rng=0)
@@ -123,7 +139,8 @@ class TestQuantizedLinear:
         linear = Linear(32, 16, rng=0)
         qlinear = QuantizedLinear(linear, 12)
         x = 1000.0 * np.random.default_rng(1).standard_normal((20, 32)).astype(np.float32)
-        rel = np.linalg.norm(qlinear(x) - linear(x)) / np.linalg.norm(linear(x))
+        out = qlinear.forward_batched(x[None])[0]
+        rel = np.linalg.norm(out - linear(x)) / np.linalg.norm(linear(x))
         assert rel < 0.01
 
     def test_forward_batched_quantizes_each_image_with_its_own_range(self):
@@ -134,6 +151,8 @@ class TestQuantizedLinear:
         x[1] *= 500.0  # a shared scale would flush image 0 to a few levels
         batched = qlinear.forward_batched(x)
         for b in range(2):
-            np.testing.assert_allclose(batched[b], qlinear(x[b]), rtol=1e-6, atol=1e-6)
-        shared = qlinear(x.reshape(60, 16))[:30]
+            np.testing.assert_allclose(
+                batched[b], _single_image(qlinear, x[b]), rtol=1e-6, atol=1e-6
+            )
+        shared = _single_image(qlinear, x.reshape(60, 16))[:30]
         assert not np.allclose(batched[0], shared, rtol=1e-3, atol=1e-3)

@@ -36,6 +36,7 @@ from repro.nn.grid_sample import (
 )
 from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.quant.qmodules import QuantizedLinear
+from repro.quant.quantizer import fake_quantize
 from repro.nn.modules import Linear
 from repro.utils.shapes import LevelShape
 
@@ -352,17 +353,17 @@ class TestDEFASparseEquivalence:
 
 
 class TestQuantizedRows:
-    def test_forward_rows_matches_forward(self):
+    def test_forward_rows_matches_single_image_quantization(self):
         rng = np.random.default_rng(0)
         linear = Linear(16, 12, rng=1)
         qlinear = QuantizedLinear(linear, 12)
         x = rng.standard_normal((50, 16)).astype(np.float32)
         rows = np.array([0, 3, 17, 49])
         # A single image is a B=1 batch: its one per-image scale is the
-        # full-array scale of forward().
-        np.testing.assert_allclose(
-            qlinear.forward_rows_batched(x[None], rows), qlinear.forward(x)[rows], atol=1e-6
-        )
+        # full-array scale of the image.
+        x_q = fake_quantize(x, qlinear.activation_spec).astype(np.float32)
+        expected = (x_q @ qlinear.quantized_weight + linear.bias)[rows]
+        np.testing.assert_allclose(qlinear.forward_rows_batched(x[None], rows), expected, atol=1e-6)
 
     def test_forward_rows_batched_matches_forward_batched(self):
         rng = np.random.default_rng(1)
