@@ -109,10 +109,6 @@ class DEFAEncoderBatchResult:
     images: list[DEFAEncoderResult] = field(default_factory=list)
     """Per-image results (stats and, optionally, detailed layer outputs)."""
 
-    @property
-    def batch_size(self) -> int:
-        return len(self.images)
-
 
 class DEFAEncoderRunner:
     """Execute a deformable encoder with DEFA applied to each attention block.
@@ -149,7 +145,7 @@ class DEFAEncoderRunner:
         bit-identical fused kernels *and* allocates every per-block
         intermediate from a per-shape-signature :class:`ExecutionPlan`
         (see :meth:`execution_plan`), reused across blocks and across
-        :class:`~repro.engine.batching.BatchRunner` work items.
+        forwards of the same shape signature.
 
         ``machine_profile`` is resolved once here and forwarded to every
         block.
@@ -221,7 +217,7 @@ class DEFAEncoderRunner:
         Plans are created on first use and kept LRU-bounded (at most
         :data:`MAX_EXECUTION_PLANS`): a signature change means a *new* plan
         (the invalidation rule), while repeated forwards — across blocks and
-        across BatchRunner work items of the same signature — reuse the warm
+        across batches of the same signature — reuse the warm
         arena and perform no large allocations.  ``batch_size`` is at least
         1: a single-image forward runs as a ``B = 1`` batch and shares the
         ``B = 1`` arena.

@@ -41,19 +41,9 @@ class FWPResult:
     level_keep_fractions: np.ndarray
 
     @property
-    def num_pixels(self) -> int:
-        """Total number of fmap pixels."""
-        return int(self.fmap_mask.size)
-
-    @property
     def num_kept(self) -> int:
         """Number of pixels kept."""
         return int(np.count_nonzero(self.fmap_mask))
-
-    @property
-    def keep_fraction(self) -> float:
-        """Overall fraction of pixels kept."""
-        return self.num_kept / self.num_pixels if self.num_pixels else 1.0
 
 
 def compute_fmap_mask(

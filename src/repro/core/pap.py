@@ -49,11 +49,6 @@ class PAPResult:
         return int(np.count_nonzero(self.point_mask))
 
     @property
-    def keep_fraction(self) -> float:
-        """Fraction of sampling points kept."""
-        return self.num_kept / self.num_points if self.num_points else 1.0
-
-    @property
     def kept_probability_mass(self) -> float:
         """Average attention probability mass retained per (query, head)."""
         mask = self.point_mask

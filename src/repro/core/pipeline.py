@@ -308,23 +308,9 @@ class DEFAAttentionBatchOutput:
     """Per-image detailed outputs (views into the batched tensors)."""
 
     @property
-    def batch_size(self) -> int:
-        return len(self.images)
-
-    @property
-    def stats(self) -> list[DEFALayerStats]:
-        """Per-image pruning statistics."""
-        return [image.stats for image in self.images]
-
-    @property
     def fmap_mask_next(self) -> np.ndarray:
         """Stacked per-image FWP keep-masks for the next block, ``(B, N_in)``."""
         return np.stack([image.fmap_mask_next for image in self.images], axis=0)
-
-    @property
-    def point_mask(self) -> np.ndarray:
-        """Stacked per-image PAP keep-masks, ``(B, N_q, N_h, N_l, N_p)``."""
-        return np.stack([image.point_mask for image in self.images], axis=0)
 
 
 class DEFAAttention:
@@ -890,16 +876,3 @@ class DEFAAttention:
         if single:
             return images[0]
         return DEFAAttentionBatchOutput(output=output, images=images)
-
-    def forward(
-        self,
-        query: np.ndarray,
-        reference_points: np.ndarray,
-        value_input: np.ndarray,
-        spatial_shapes: list[LevelShape],
-        fmap_mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Output-only wrapper: ``(N_q, D)``, or ``(B, N_q, D)`` for a batch."""
-        return self.forward_detailed(
-            query, reference_points, value_input, spatial_shapes, fmap_mask=fmap_mask
-        ).output

@@ -2,8 +2,8 @@
 
 This package is the scaling layer on top of the single-image reproduction:
 
-* :mod:`repro.engine.batching` — :class:`BatchRunner` groups same-shape
-  workload inputs and executes them through the vectorized batched kernels;
+* :mod:`repro.engine.batching` — :class:`WorkItem`, one queued image, and
+  :func:`defa_forward_fn`, the batched-forward adapter of the DEFA runner;
 * :mod:`repro.engine.parallel` — process-parallel experiment execution behind
   the ``--jobs`` flag of :mod:`repro.experiments.runner`;
 * :mod:`repro.engine.serving` — :class:`ServingEngine`, the long-running
@@ -24,13 +24,7 @@ Anything reachable only through a submodule path (leading-underscore helpers,
 worker internals) is implementation detail and may change between PRs.
 """
 
-from repro.engine.batching import (
-    BatchRunner,
-    BatchRunResult,
-    BatchRunStats,
-    WorkItem,
-    defa_forward_fn,
-)
+from repro.engine.batching import WorkItem, defa_forward_fn
 from repro.engine.faults import (
     FAULT_KINDS,
     FaultInjectedError,
@@ -67,9 +61,6 @@ from repro.engine.traffic import (
 )
 
 __all__ = [
-    "BatchRunner",
-    "BatchRunResult",
-    "BatchRunStats",
     "WorkItem",
     "defa_forward_fn",
     "ParallelExperimentError",

@@ -1480,7 +1480,7 @@ class ServingEngine:
             return
         for index, pending in enumerate(batch.requests):
             # Copy so a retained per-request output does not pin the whole
-            # batch array (mirrors BatchRunner.run).
+            # batch array.
             result = np.array(output[index])
             self.stats.latencies_s.append(now - pending.arrival)
             self.stats.num_completed += 1

@@ -1094,22 +1094,6 @@ class ServingLatencyReport:
         }
 
 
-class _FaultedBankFactory:
-    """Picklable wrapper attaching a fault plan to a bank factory's product
-    (so a plan can be injected without rebuilding the caller's spec)."""
-
-    def __init__(self, base_factory, fault_plan) -> None:
-        self.base_factory = base_factory
-        self.fault_plan = fault_plan
-
-    def __call__(self):
-        from repro.engine.serving import ModelBank
-
-        bank = ModelBank.coerce(self.base_factory())
-        bank.fault_plan = self.fault_plan
-        return bank
-
-
 def measure_serving_latency(
     model_bank_factory,
     events,
@@ -1130,8 +1114,9 @@ def measure_serving_latency(
     the profile covers the death -> degraded -> restart path.
 
     ``model_bank_factory`` may also be a
-    :class:`~repro.engine.serving.ModelBankSpec` directly.  ``fault_plan``
-    threads a :class:`~repro.engine.faults.FaultPlan` into the engine's
+    :class:`~repro.engine.serving.ModelBankSpec` directly, which
+    ``fault_plan`` requires: it threads a
+    :class:`~repro.engine.faults.FaultPlan` into the spec and so the engine's
     workers (the serial reference never executes faults — they live in
     ``_worker_main`` only), and switches the replay to fault-tolerant
     gathering: shed/expired/quarantined events are counted (``num_shed`` /
@@ -1156,7 +1141,7 @@ def measure_serving_latency(
             model_bank_factory = replace(model_bank_factory, fault_plan=fault_plan)
         model_bank_factory = model_bank_factory.build
     elif fault_plan is not None:
-        model_bank_factory = _FaultedBankFactory(model_bank_factory, fault_plan)
+        raise TypeError("fault_plan needs a ModelBankSpec, not a bank factory")
     bank = ModelBank.coerce(model_bank_factory())
     reference = serial_reference_outputs(bank, events)  # warm-up + reference
     serial_s = min(

@@ -77,10 +77,6 @@ class LayerWorkload:
     def point_keep_ratio(self) -> float:
         return self.points_kept / self.points_total if self.points_total else 1.0
 
-    @property
-    def pixel_keep_ratio(self) -> float:
-        return self.pixels_kept / self.num_tokens if self.num_tokens else 1.0
-
     # ------------------------------------------------------------ factories
 
     @staticmethod
@@ -194,17 +190,6 @@ class LayerSchedule:
     @property
     def dram_bytes(self) -> float:
         return float(sum(p.dram_bytes for p in self.phases))
-
-    @property
-    def sram_bytes(self) -> float:
-        return float(sum(p.sram_bytes for p in self.phases))
-
-    def phase(self, name: str) -> Phase:
-        """Look up a phase by name."""
-        for phase in self.phases:
-            if phase.name == name:
-                return phase
-        raise KeyError(f"no phase named {name!r}")
 
     def msgs_phases(self) -> list[Phase]:
         """The phases belonging to the MSGS + aggregation stage."""

@@ -36,14 +36,6 @@ class LayerSimulationReport:
     dense_ops: int
     """Dense-equivalent operation count (2 x MACs of the unpruned block)."""
 
-    @property
-    def dram_bytes(self) -> float:
-        return self.schedule.dram_bytes
-
-    @property
-    def sram_bytes(self) -> float:
-        return self.schedule.sram_bytes
-
 
 @dataclass
 class ModelSimulationReport:
@@ -78,10 +70,6 @@ class ModelSimulationReport:
             return 0.0
         chip_energy = sum(layer.energy.sram_j + layer.energy.logic_j for layer in self.layers)
         return chip_energy / self.time_s
-
-    @property
-    def dram_bytes(self) -> float:
-        return float(sum(layer.dram_bytes for layer in self.layers))
 
     @property
     def energy_per_inference_j(self) -> float:

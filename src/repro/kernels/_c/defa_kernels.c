@@ -51,7 +51,9 @@ pairwise_rows(const float *rows, int64_t n, int64_t w,
               float *res, float *r8, float *stack)
 {
     if (n < 8) {
-        for (int64_t c = 0; c < w; ++c) res[c] = 0.0f;
+        /* numpy starts the short sum from -0.0, so an all -0.0 run sums to
+         * -0.0 as np.add.reduceat returns it. */
+        for (int64_t c = 0; c < w; ++c) res[c] = -0.0f;
         for (int64_t i = 0; i < n; ++i) {
             const float *a = rows + i * w;
             for (int64_t c = 0; c < w; ++c) res[c] += a[c];

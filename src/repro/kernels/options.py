@@ -5,9 +5,8 @@
 change the outputs); :class:`ExecutionOptions` says *how* it executes
 (``sparse_mode``, ``kernel_backend``, ``machine_profile``), and none of its
 fields changes the numerics of a chosen path.  Each knob has exactly one
-home: detail collection is a per-call argument of the surfaces that return
-details (``DEFAEncoderRunner.forward(collect_details=)``,
-``MSDeformAttn.forward_detailed(with_trace=)``).  Every surface of the
+home: detail collection is a per-call argument of the surface that returns
+details (``DEFAEncoderRunner.forward(collect_details=)``).  Every surface of the
 pruned DEFA stack (``DEFAAttention``, ``DEFAEncoderRunner``, streaming and
 serving) takes ``options=`` only, checked once by
 :func:`normalize_execution_options` (coerce once at the boundary, everything

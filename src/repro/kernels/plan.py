@@ -7,7 +7,7 @@ malloc mmap threshold are returned to the OS on free, so every block pays
 mmap + page-fault + TLB churn for hundreds of megabytes of temporaries.  An
 :class:`ExecutionPlan` removes that traffic: each named intermediate is
 allocated once at its high-water-mark capacity and reused across blocks and
-across :class:`~repro.engine.batching.BatchRunner` work items.
+across the batches a serving engine or encoder runner executes.
 
 Usage and lifetime rules
 ------------------------
@@ -36,8 +36,8 @@ Usage and lifetime rules
 * Plans are keyed by the caller on ``(shape-signature, batch-size)`` (see
   :meth:`repro.core.encoder_runner.DEFAEncoderRunner.execution_plan`): a
   shape-signature change means a *new* plan, never a resize-in-place of a
-  live one, so two signatures interleaved (the BatchRunner regime) each keep
-  their own warm arena.
+  live one, so two signatures interleaved (mixed-shape serving traffic) each
+  keep their own warm arena.
 * Nothing returned to an API caller may alias a plan buffer (results must
   survive the next forward); callers copy the final output out of the arena.
   The aliasing-corruption test in ``tests/test_kernels.py`` pins this.
@@ -120,16 +120,12 @@ class ExecutionPlan:
         return take_into(source, indices, out, axis=axis)
 
     @property
-    def num_buffers(self) -> int:
-        return len(self._buffers)
-
-    @property
     def allocated_bytes(self) -> int:
         """Total arena capacity in bytes (the steady-state footprint)."""
         return int(sum(b.nbytes for b in self._buffers.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ExecutionPlan(buffers={self.num_buffers}, "
+            f"ExecutionPlan(buffers={len(self._buffers)}, "
             f"bytes={self.allocated_bytes}, hits={self.hits}, grows={self.grows})"
         )

@@ -121,11 +121,6 @@ class SyntheticFPNBackbone:
         # Per-level scale so deeper levels are not systematically weaker.
         self.level_scales = np.linspace(1.0, 1.5, len(strides)).astype(FLOAT_DTYPE)
 
-    @property
-    def num_levels(self) -> int:
-        """Number of pyramid levels produced."""
-        return len(self.strides)
-
     def level_shapes(self, image_height: int, image_width: int) -> list[LevelShape]:
         """Pyramid shapes for an input image of the given size."""
         return make_level_shapes(image_height, image_width, self.strides)

@@ -7,14 +7,14 @@ pre-/post-norm transformer block with MSDeformAttn as the token mixer:
     src = LayerNorm(src + MSDeformAttn(src + pos, ref_points, src))
     src = LayerNorm(src + FFN(src))
 
-The stack exposes detailed per-layer intermediates (attention probabilities
-and sampling traces) because the DEFA algorithm propagates a feature-map mask
-from one MSDeformAttn block to the next.
+Pruned execution, which propagates a feature-map mask from one MSDeformAttn
+block to the next, runs these layers' weights through
+:class:`~repro.core.encoder_runner.DEFAEncoderRunner`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +35,6 @@ class EncoderLayerOutput:
 
     attention: MSDeformAttnOutput
     """Detailed MSDeformAttn intermediates for this layer."""
-
-
-@dataclass
-class EncoderOutput:
-    """Result of a full encoder forward pass."""
-
-    memory: np.ndarray
-    """Final encoder output (``(N_in, D)``, or ``(B, N_in, D)`` when batched)."""
-
-    layers: list[EncoderLayerOutput] = field(default_factory=list)
-    """Per-layer intermediates (present when ``collect_details=True``)."""
 
 
 class DeformableEncoderLayer(Module):
@@ -84,7 +73,6 @@ class DeformableEncoderLayer(Module):
         pos: np.ndarray,
         reference_points: np.ndarray,
         spatial_shapes: list[LevelShape],
-        with_trace: bool = False,
     ) -> EncoderLayerOutput:
         """Forward pass returning intermediates.
 
@@ -96,9 +84,7 @@ class DeformableEncoderLayer(Module):
         src = np.asarray(src, dtype=FLOAT_DTYPE)
         pos = np.asarray(pos, dtype=FLOAT_DTYPE)
         query = src + pos
-        attn = self.self_attn.forward_detailed(
-            query, reference_points, src, spatial_shapes, with_trace=with_trace
-        )
+        attn = self.self_attn.forward_detailed(query, reference_points, src, spatial_shapes)
         out = self.forward_ffn_stage(src, attn.output)
         return EncoderLayerOutput(output=out, attention=attn)
 
@@ -235,12 +221,6 @@ class DeformableEncoderLayer(Module):
         """Layer output of shape ``(N_in, D)`` (``(B, N_in, D)`` when batched)."""
         return self.forward_detailed(src, pos, reference_points, spatial_shapes).output
 
-    def flops(self, num_tokens: int) -> dict[str, int]:
-        """FLOP breakdown of the layer: attention operators + FFN."""
-        breakdown = self.self_attn.flops(num_tokens, num_tokens)
-        breakdown["ffn"] = self.ffn.flops(num_tokens)
-        return breakdown
-
 
 class DeformableEncoder(Module):
     """A stack of :class:`DeformableEncoderLayer` blocks."""
@@ -278,29 +258,6 @@ class DeformableEncoder(Module):
             for i in range(num_layers)
         ]
 
-    def forward_detailed(
-        self,
-        src: np.ndarray,
-        pos: np.ndarray,
-        reference_points: np.ndarray,
-        spatial_shapes: list[LevelShape],
-        with_trace: bool = False,
-    ) -> EncoderOutput:
-        """Run all layers, collecting per-layer intermediates.
-
-        ``src`` may be a single image ``(N_in, D)`` or a batch ``(B, N_in, D)``;
-        batched runs execute every layer on the whole batch at once.
-        """
-        outputs: list[EncoderLayerOutput] = []
-        x = np.asarray(src, dtype=FLOAT_DTYPE)
-        for layer in self.layers:
-            layer_out = layer.forward_detailed(
-                x, pos, reference_points, spatial_shapes, with_trace=with_trace
-            )
-            outputs.append(layer_out)
-            x = layer_out.output
-        return EncoderOutput(memory=x, layers=outputs)
-
     def forward(
         self,
         src: np.ndarray,
@@ -313,11 +270,3 @@ class DeformableEncoder(Module):
         for layer in self.layers:
             x = layer(x, pos, reference_points, spatial_shapes)
         return x
-
-    def flops(self, num_tokens: int) -> dict[str, int]:
-        """Aggregate FLOP breakdown over all layers."""
-        total: dict[str, int] = {}
-        for layer in self.layers:
-            for key, val in layer.flops(num_tokens).items():
-                total[key] = total.get(key, 0) + val
-        return total

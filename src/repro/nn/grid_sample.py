@@ -186,22 +186,6 @@ class SamplingTrace:
     valid: np.ndarray
     spatial_shapes: list[LevelShape]
 
-    @property
-    def num_queries(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def num_heads(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def num_levels(self) -> int:
-        return self.rows.shape[2]
-
-    @property
-    def num_points(self) -> int:
-        return self.rows.shape[3]
-
     def as_batch(self) -> "BatchedSamplingTrace":
         """Zero-copy ``B = 1`` batch view: the form every kernel body runs on."""
         return BatchedSamplingTrace(
@@ -240,10 +224,6 @@ class BatchedSamplingTrace:
     @property
     def num_queries(self) -> int:
         return self.rows.shape[1]
-
-    @property
-    def num_heads(self) -> int:
-        return self.rows.shape[2]
 
     def image(self, b: int) -> SamplingTrace:
         """Single-image view (no copies) of batch element *b*."""
@@ -748,16 +728,6 @@ class CompactSamplingTrace:
     @property
     def points_per_image(self) -> int:
         return self.num_queries * self.num_heads * self.num_levels * self.num_points
-
-    @property
-    def total_points(self) -> int:
-        """Grid size before compaction (``B * N_q * N_h * N_l * N_p``)."""
-        return self.batch_size * self.points_per_image
-
-    @property
-    def keep_fraction(self) -> float:
-        total = self.total_points
-        return self.num_kept / total if total else 1.0
 
     def segments(self) -> np.ndarray:
         """``(K,)`` output-slot id ``(image * N_q + query) * N_h + head`` of

@@ -75,10 +75,6 @@ class Linear(Module):
             out += self.bias
         return out
 
-    def flops(self, num_rows: int) -> int:
-        """Multiply-accumulate FLOPs (2 per MAC) for *num_rows* input rows."""
-        return int(2 * num_rows * self.in_features * self.out_features)
-
 
 class LayerNorm(Module):
     """Layer normalization over the last dimension with learnable scale/shift."""
@@ -205,7 +201,3 @@ class FeedForward(Module):
                 h = self.activation(h)
             self.linear2.forward_into(h, out_rows[lo:hi])
         return out
-
-    def flops(self, num_rows: int) -> int:
-        """FLOPs of both projections for *num_rows* tokens."""
-        return self.linear1.flops(num_rows) + self.linear2.flops(num_rows)

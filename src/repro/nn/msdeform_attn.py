@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.grid_sample import (
-    BatchedSamplingTrace,
-    SamplingTrace,
-    ms_deform_attn_from_trace,
-    multi_scale_neighbors,
-)
+from repro.nn.grid_sample import ms_deform_attn_from_trace, multi_scale_neighbors
 from repro.nn.modules import Linear, Module
 from repro.nn.tensor_utils import FLOAT_DTYPE, softmax
 from repro.utils.rng import as_rng
@@ -68,9 +63,6 @@ class MSDeformAttnOutput:
 
     value: np.ndarray
     """Projected value tensor of shape ``(N_in, N_h, D_h)``."""
-
-    trace: SamplingTrace | BatchedSamplingTrace | None = None
-    """Optional integer-level sampling trace (neighbour indices / weights)."""
 
 
 class MSDeformAttn(Module):
@@ -229,7 +221,6 @@ class MSDeformAttn(Module):
         reference_points: np.ndarray,
         value_input: np.ndarray,
         spatial_shapes: list[LevelShape],
-        with_trace: bool = False,
     ) -> MSDeformAttnOutput:
         """Full forward pass returning intermediates.
 
@@ -250,14 +241,9 @@ class MSDeformAttn(Module):
             ``(B, N_in, D)`` matching the query batch.
         spatial_shapes:
             Pyramid level shapes whose pixel counts sum to ``N_in``.
-        with_trace:
-            If ``True``, also return the dense integer sampling trace.  It
-            decides only what is returned: the kernel always consumes the
-            trace, so traced and untraced outputs are bit-identical.
 
         Batched inputs take the fully vectorized kernels (no per-image Python
-        loop); every field of the result gains a leading batch axis and the
-        trace becomes a :class:`~repro.nn.grid_sample.BatchedSamplingTrace`.
+        loop); every field of the result gains a leading batch axis.
         A single image runs as a ``B = 1`` batch whose result is returned
         without the batch axis.
         """
@@ -285,20 +271,16 @@ class MSDeformAttn(Module):
         trace = multi_scale_neighbors(spatial_shapes, locations)
         head_outputs = ms_deform_attn_from_trace(value, trace, attention)
         output = self.output_proj(head_outputs).astype(FLOAT_DTYPE)
-        if not with_trace:
-            trace = None
         if single:
             output, attention, locations, offsets, value = (
                 array[0] for array in (output, attention, locations, offsets, value)
             )
-            trace = None if trace is None else trace.image(0)
         return MSDeformAttnOutput(
             output=output,
             attention_weights=attention,
             sampling_locations=locations,
             sampling_offsets=offsets,
             value=value,
-            trace=trace,
         )
 
     def forward(
@@ -313,28 +295,3 @@ class MSDeformAttn(Module):
         Accepts single-image ``(N_q, D)`` or batched ``(B, N_q, D)`` inputs.
         """
         return self.forward_detailed(query, reference_points, value_input, spatial_shapes).output
-
-    # ------------------------------------------------------------- analysis
-
-    def flops(self, num_queries: int, num_tokens: int) -> dict[str, int]:
-        """FLOP breakdown of one dense (unpruned) forward pass.
-
-        Returns a dict with the per-operator FLOPs used by the FLOP analyzer
-        and the GPU cost model: the four linear projections, the softmax and
-        the MSGS + aggregation stage.
-        """
-        n_points_total = self.num_heads * self.num_levels * self.num_points
-        sampling = {
-            # 8 MAC-ish ops per bilinear interpolation per channel (Eq. 4: 3 mul + 7 add),
-            # counted as 2*flops-per-mac equivalents plus the aggregation multiply-add.
-            "msgs": int(num_queries * n_points_total * self.d_head * 10),
-            "aggregation": int(2 * num_queries * n_points_total * self.d_head),
-        }
-        return {
-            "value_proj": self.value_proj.flops(num_tokens),
-            "sampling_offsets": self.sampling_offsets.flops(num_queries),
-            "attention_weights": self.attention_weights.flops(num_queries),
-            "output_proj": self.output_proj.flops(num_queries),
-            "softmax": int(5 * num_queries * n_points_total),
-            **sampling,
-        }

@@ -58,10 +58,6 @@ class ObjectLayout:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
 
-    @property
-    def num_objects(self) -> int:
-        return len(self.radii)
-
     @staticmethod
     def from_boxes(boxes: np.ndarray) -> "ObjectLayout":
         """Build a layout from normalized ``(x1, y1, x2, y2)`` boxes."""

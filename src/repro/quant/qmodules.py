@@ -83,7 +83,3 @@ class QuantizedLinear(Module):
         max_abs = np.max(np.abs(x), axis=(1, 2))[image][:, None]
         x_q = fake_quantize(rows2d, self.activation_spec, max_abs=max_abs).astype(FLOAT_DTYPE)
         return self._matmul(x_q)
-
-    def flops(self, num_rows: int) -> int:
-        """Same MAC count as the wrapped layer (quantization changes energy, not FLOPs)."""
-        return self.inner.flops(num_rows)

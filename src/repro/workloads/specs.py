@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.flops import msdeform_attn_flops
 from repro.nn.models import ModelConfig, get_model_config
 from repro.utils.shapes import LevelShape, make_level_shapes, total_pixels
 
@@ -76,25 +77,17 @@ class WorkloadSpec:
     # ------------------------------------------------------------- FLOPs
 
     def layer_flops_breakdown(self) -> dict[str, int]:
-        """Dense FLOP breakdown of one MSDeformAttn layer (no FFN/norms).
-
-        Mirrors :meth:`repro.nn.msdeform_attn.MSDeformAttn.flops` but is
-        computed analytically so no model has to be instantiated.
-        """
-        d = self.model.d_model
-        n_q = self.num_queries
-        n_in = self.num_tokens
-        n_pts = self.num_sampling_points_per_query
-        d_h = self.d_head
-        return {
-            "value_proj": 2 * n_in * d * d,
-            "sampling_offsets": 2 * n_q * d * (2 * n_pts),
-            "attention_weights": 2 * n_q * d * n_pts,
-            "output_proj": 2 * n_q * d * d,
-            "softmax": 5 * n_q * n_pts,
-            "msgs": n_q * n_pts * d_h * 10,
-            "aggregation": 2 * n_q * n_pts * d_h,
-        }
+        """Dense FLOP breakdown of one MSDeformAttn layer (no FFN/norms),
+        from :func:`repro.core.flops.msdeform_attn_flops`."""
+        model = self.model
+        return msdeform_attn_flops(
+            model.d_model,
+            model.num_heads,
+            model.num_levels,
+            model.num_points,
+            self.num_queries,
+            self.num_tokens,
+        ).dense
 
     def layer_flops(self) -> int:
         """Total dense FLOPs of one MSDeformAttn layer."""

@@ -44,10 +44,6 @@ class SyntheticScene:
     boxes: np.ndarray
     labels: np.ndarray
 
-    @property
-    def num_objects(self) -> int:
-        return len(self.labels)
-
 
 def _class_palette(num_classes: int) -> np.ndarray:
     """Distinct, saturated colour per class (``(num_classes, 3)`` in [0,1])."""

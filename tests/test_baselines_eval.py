@@ -16,6 +16,7 @@ from repro.baselines.gpu import GPUCostModel, RTX_2080TI, RTX_3090TI
 from repro.eval.ap_estimator import CalibratedAPEstimator
 from repro.eval.detection_metrics import average_precision, coco_style_map, match_detections
 from repro.eval.fidelity import compare_outputs
+from repro.eval.profiler import profile_gpu_latency_breakdown
 from repro.nn.detection_head import DetectionResult, box_iou_matrix, nms
 from repro.workloads.specs import get_workload
 
@@ -33,6 +34,17 @@ class TestGPUModel:
         assert latency.total_s == pytest.approx(
             latency.msgs_aggregation_s + latency.others_s
         )
+
+    def test_latency_breakdown_flops_come_from_the_workload_flop_model(self):
+        """Fig. 1(b)'s FLOP share is read off the same breakdown that the
+        stats and figures use."""
+        spec = get_workload("deformable_detr", "small")
+        breakdown = profile_gpu_latency_breakdown(spec, RTX_3090TI)
+        flops = spec.layer_flops_breakdown()
+        assert breakdown.msgs_flops_fraction == pytest.approx(
+            (flops["msgs"] + flops["aggregation"]) / spec.layer_flops()
+        )
+        assert breakdown.msgs_aggregation_fraction + breakdown.others_fraction == pytest.approx(1.0)
 
     def test_3090ti_faster_than_2080ti(self):
         spec = get_workload("deformable_detr", "paper")

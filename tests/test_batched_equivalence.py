@@ -105,12 +105,10 @@ class TestBatchedMSDeformAttn:
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_forward_detailed_matches_loop(self, attn, batch_size):
         query, value, reference = _batch_inputs(batch_size)
-        batched = attn.forward_detailed(query, reference, value, SHAPES, with_trace=True)
+        batched = attn.forward_detailed(query, reference, value, SHAPES)
         assert batched.output.shape == (batch_size, N_IN, D_MODEL)
         for b in range(batch_size):
-            single = attn.forward_detailed(
-                query[b], reference, value[b], SHAPES, with_trace=True
-            )
+            single = attn.forward_detailed(query[b], reference, value[b], SHAPES)
             np.testing.assert_allclose(batched.output[b], single.output, atol=TOL)
             np.testing.assert_allclose(
                 batched.attention_weights[b], single.attention_weights, atol=TOL
@@ -119,24 +117,16 @@ class TestBatchedMSDeformAttn:
                 batched.sampling_locations[b], single.sampling_locations, atol=TOL
             )
             np.testing.assert_allclose(batched.value[b], single.value, atol=TOL)
-            np.testing.assert_array_equal(
-                batched.trace.image(b).flat_indices, single.trace.flat_indices
-            )
 
     @pytest.mark.parametrize("per_image_reference", [False, True])
-    @pytest.mark.parametrize("with_trace", [False, True])
-    def test_single_image_is_image_zero_of_a_batch(self, attn, with_trace, per_image_reference):
+    def test_single_image_is_image_zero_of_a_batch(self, attn, per_image_reference):
         """One path: ``forward_detailed(q)`` equals image 0 of
-        ``forward_detailed(q[None])`` bit for bit, outputs and trace alike,
-        whether the batch shares its reference points or carries its own."""
+        ``forward_detailed(q[None])`` bit for bit, whether the batch shares
+        its reference points or carries its own."""
         query, value, reference = _batch_inputs(1)
-        single = attn.forward_detailed(
-            query[0], reference, value[0], SHAPES, with_trace=with_trace
-        )
+        single = attn.forward_detailed(query[0], reference, value[0], SHAPES)
         batch_reference = reference[None] if per_image_reference else reference
-        batched = attn.forward_detailed(
-            query, batch_reference, value, SHAPES, with_trace=with_trace
-        )
+        batched = attn.forward_detailed(query, batch_reference, value, SHAPES)
         for field in (
             "output",
             "attention_weights",
@@ -145,13 +135,6 @@ class TestBatchedMSDeformAttn:
             "value",
         ):
             np.testing.assert_array_equal(getattr(single, field), getattr(batched, field)[0])
-        if not with_trace:
-            assert single.trace is None and batched.trace is None
-            return
-        assert isinstance(single.trace, SamplingTrace)
-        image = batched.trace.image(0)
-        for field in ("levels", "rows", "cols", "flat_indices", "weights", "valid"):
-            np.testing.assert_array_equal(getattr(single.trace, field), getattr(image, field))
 
     def test_per_image_reference_points(self, attn):
         query, value, reference = _batch_inputs(2)
@@ -182,11 +165,11 @@ class TestBatchedEncoder:
         )
         _, value, reference = _batch_inputs(batch_size, seed=4)
         pos = sine_positional_encoding(SHAPES, D_MODEL)
-        batched = encoder.forward_detailed(value, pos, reference, SHAPES)
-        assert batched.memory.shape == (batch_size, N_IN, D_MODEL)
+        batched = encoder.forward(value, pos, reference, SHAPES)
+        assert batched.shape == (batch_size, N_IN, D_MODEL)
         for b in range(batch_size):
             single = encoder.forward(value[b], pos, reference, SHAPES)
-            np.testing.assert_allclose(batched.memory[b], single, atol=TOL)
+            np.testing.assert_allclose(batched[b], single, atol=TOL)
 
 
 def _defa_configs() -> dict[str, DEFAConfig]:
@@ -208,7 +191,7 @@ class TestBatchedDEFAAttention:
         query, value, reference = _batch_inputs(batch_size, seed=5)
         batched = defa.forward_detailed(query, reference, value, SHAPES)
         assert batched.output.shape == (batch_size, N_IN, D_MODEL)
-        assert batched.batch_size == batch_size
+        assert len(batched.images) == batch_size
         for b in range(batch_size):
             single = defa.forward_detailed(query[b], reference, value[b], SHAPES)
             image = batched.images[b]
@@ -272,7 +255,7 @@ class TestBatchedEncoderRunner:
         _, value, reference = _batch_inputs(3, seed=9)
         pos = sine_positional_encoding(SHAPES, D_MODEL)
         batched = runner.forward(value, pos, reference, SHAPES, collect_details=True)
-        assert batched.batch_size == 3
+        assert len(batched.images) == 3
         for b in range(3):
             single = runner.forward(value[b], pos, reference, SHAPES, collect_details=True)
             np.testing.assert_allclose(batched.images[b].memory, single.memory, atol=TOL)

@@ -284,7 +284,6 @@ class TestCompactTraceEdgeCases:
         compact = multi_scale_neighbors_sparse(self.SHAPES, locations, point_mask=mask)
         assert compact.num_kept == 0
         assert compact.flat_indices.shape == (0, 4)
-        assert compact.keep_fraction == 0.0
         n_in = sum(s.num_pixels for s in self.SHAPES)
         np.testing.assert_array_equal(
             sampled_frequency_compact(compact), np.zeros((1, n_in), dtype=np.int64)
@@ -320,9 +319,7 @@ class TestCompactTraceEdgeCases:
         compact = multi_scale_neighbors_sparse(self.SHAPES, locations, point_mask=mask)
         assert compact.batch_size == 1
         assert compact.points_per_image == 6 * 3 * 3 * 2
-        assert compact.total_points == compact.points_per_image
-        assert compact.num_kept == int(mask.sum())
-        assert compact.keep_fraction == pytest.approx(0.5)
+        assert compact.num_kept == int(mask.sum()) == compact.points_per_image // 2
 
     def test_dense_trace_batch_view_is_zero_copy(self):
         dense = multi_scale_neighbors(self.SHAPES, self._locations(seed=6))

@@ -12,6 +12,7 @@ from repro.core.pap import compute_point_mask
 from repro.core.range_narrowing import RangeNarrowing, full_fmap_storage_bits
 from repro.core.sampling_stats import sampled_frequency
 from repro.kernels import ExecutionPlan
+from repro.nn.msdeform_attn import MSDeformAttn
 from repro.nn.tensor_utils import softmax
 from repro.utils.shapes import LevelShape
 
@@ -81,13 +82,13 @@ class TestPAP:
     def test_mask_prunes_low_probabilities(self):
         probs = self._probs()
         result = compute_point_mask(probs, threshold=0.05)
-        assert result.keep_fraction < 0.7
+        assert result.point_mask.mean() < 0.7
         assert np.all(probs[~result.point_mask] < 0.05)
 
     def test_zero_threshold_keeps_everything(self):
         probs = self._probs()
         result = compute_point_mask(probs, threshold=0.0)
-        assert result.keep_fraction == 1.0
+        assert result.point_mask.all()
 
     def test_keep_top1_guarantee(self):
         probs = self._probs()
@@ -127,7 +128,7 @@ class TestPAP:
         """The paper's motivation: softmax exponentially amplifies differences."""
         flat = compute_point_mask(self._probs(sharp=0.1), threshold=0.04)
         sharp = compute_point_mask(self._probs(sharp=5.0), threshold=0.04)
-        assert sharp.keep_fraction < flat.keep_fraction
+        assert sharp.point_mask.mean() < flat.point_mask.mean()
 
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
@@ -143,7 +144,7 @@ class TestPAP:
         probs = self._probs(seed=7)
         low = compute_point_mask(probs, threshold=threshold)
         high = compute_point_mask(probs, threshold=min(threshold + 0.05, 0.99))
-        assert high.keep_fraction <= low.keep_fraction + 1e-9
+        assert high.num_kept <= low.num_kept
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -189,12 +190,12 @@ class TestFWP:
     def test_k_zero_keeps_all(self):
         freq = np.random.default_rng(0).integers(0, 10, 20).astype(float)
         result = compute_fmap_mask(freq, self._shapes(), k=0.0)
-        assert result.keep_fraction == 1.0
+        assert result.fmap_mask.all()
 
     def test_monotone_in_k(self):
         freq = np.random.default_rng(0).integers(0, 10, 20).astype(float)
         kept = [
-            compute_fmap_mask(freq, self._shapes(), k=k).keep_fraction for k in (0.2, 0.6, 1.2)
+            compute_fmap_mask(freq, self._shapes(), k=k).num_kept for k in (0.2, 0.6, 1.2)
         ]
         assert kept[0] >= kept[1] >= kept[2]
 
@@ -221,7 +222,7 @@ class TestFWP:
         result = compute_fmap_mask(freq, shapes, k=k)
         assert np.all(result.level_keep_fractions >= 0.0)
         assert np.all(result.level_keep_fractions <= 1.0)
-        assert 0.0 <= result.keep_fraction <= 1.0
+        assert 0 <= result.num_kept <= result.fmap_mask.size
         # Recompute the Eq. 2 thresholds independently, level by level.
         offset = 0
         for lvl, shape in enumerate(shapes):
@@ -393,6 +394,11 @@ class TestFlops:
         assert pruned.total_pruned() < dense.total_dense()
         assert 0.0 < pruned.reduction() < 1.0
 
+    def test_every_dense_term_is_positive(self):
+        dense = msdeform_attn_flops(32, 4, 3, 2, num_queries=100, num_tokens=100).dense
+        for key in ("value_proj", "sampling_offsets", "attention_weights", "output_proj", "msgs"):
+            assert dense[key] > 0
+
     def test_output_proj_not_in_default_total(self):
         breakdown = msdeform_attn_flops(64, 4, 3, 2, 100, 100)
         assert breakdown.total_dense(include_output_proj=True) > breakdown.total_dense()
@@ -409,6 +415,17 @@ class TestFlops:
     def test_invalid_head_split(self):
         with pytest.raises(ValueError):
             msdeform_attn_flops(65, 4, 3, 2, 10, 10)
+
+    def test_dense_projections_match_the_operator_weights(self):
+        """Each projection costs 2 FLOPs per multiply-accumulate of the
+        MSDeformAttn layer it describes."""
+        attn = MSDeformAttn(d_model=64, num_heads=4, num_levels=3, num_points=2, rng=0)
+        dense = msdeform_attn_flops(64, 4, 3, 2, num_queries=30, num_tokens=100).dense
+        rows = {"value_proj": 100, "sampling_offsets": 30, "attention_weights": 30,
+                "output_proj": 30}
+        for name, n in rows.items():
+            assert dense[name] == 2 * n * getattr(attn, name).weight.size
+        assert set(dense) == set(rows) | {"softmax", "msgs", "aggregation"}
 
     def test_merge(self):
         a = msdeform_attn_flops(64, 4, 3, 2, 100, 100)

@@ -5,8 +5,11 @@ import pytest
 
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderResult, DEFAEncoderRunner
+from repro.core.flops import msdeform_attn_flops
 from repro.core.pipeline import DEFAAttention
 from repro.eval.fidelity import compare_outputs
+from repro.kernels import ExecutionOptions
+from repro.nn.grid_sample import multi_scale_neighbors
 from repro.nn.weight_fitting import (
     FittingConfig,
     ObjectLayout,
@@ -28,10 +31,46 @@ class TestDEFAAttention:
         assert tiny_defa_output.stats.point_reduction > 0.3
 
     def test_fwp_mask_generated(self, tiny_defa_output):
-        assert 0.0 < tiny_defa_output.fwp.keep_fraction < 1.0
+        assert 0.0 < tiny_defa_output.fwp.fmap_mask.mean() < 1.0
 
     def test_flops_reduction_positive(self, tiny_defa_output):
         assert tiny_defa_output.stats.flops_reduction > 0.2
+
+    @pytest.mark.parametrize("sparse_mode", ["dense", "sparse"])
+    def test_trace_is_the_neighbors_of_returned_locations(self, tiny_workload_run, sparse_mode):
+        """The trace the hardware simulator reads is the bilinear neighbour
+        set of the sampling locations the block returns, whichever kernel
+        path executed it."""
+        run = tiny_workload_run
+        shapes = run["spec"].spatial_shapes
+        defa = DEFAAttention(
+            run["encoder"].layers[0].self_attn,
+            DEFAConfig(),
+            ExecutionOptions(sparse_mode=sparse_mode),
+        )
+        out = defa.forward_detailed(
+            run["features"] + run["pos"], run["reference_points"], run["features"], shapes
+        )
+        expected = multi_scale_neighbors(shapes, out.sampling_locations)
+        for field in ("levels", "rows", "cols", "flat_indices", "weights", "valid"):
+            np.testing.assert_array_equal(getattr(out.trace, field), getattr(expected, field))
+
+    def test_stats_flops_are_the_flop_model_of_the_kept_counts(self, tiny_defa_output, tiny_spec):
+        stats = tiny_defa_output.stats
+        model_config = tiny_spec.model
+        model = msdeform_attn_flops(
+            model_config.d_model,
+            model_config.num_heads,
+            model_config.num_levels,
+            model_config.num_points,
+            num_queries=stats.num_queries,
+            num_tokens=stats.num_tokens,
+            points_kept=stats.points_kept,
+            pixels_kept=stats.pixels_kept,
+        )
+        assert stats.flops.dense == model.dense
+        assert stats.flops.pruned == model.pruned
+        assert stats.flops_reduction == model.reduction()
 
     def test_baseline_config_is_lossless(self, tiny_workload_run):
         run = tiny_workload_run
@@ -163,7 +202,7 @@ class TestDEFAEncoderRunner:
         result = DEFAEncoderRunner(run["encoder"], DEFAConfig()).forward(
             batch, run["pos"], run["reference_points"], run["spec"].spatial_shapes
         )
-        assert result.batch_size == 2
+        assert len(result.images) == 2
         assert result.memory.shape == batch.shape
         for b, image in enumerate(result.images):
             assert np.array_equal(image.memory, result.memory[b])

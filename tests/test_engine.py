@@ -1,4 +1,4 @@
-"""Tests for the batched execution engine: BatchRunner, --jobs."""
+"""Tests for the batched execution engine: work items, the DEFA adapter, --jobs."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    BatchRunner,
     ParallelExperimentError,
+    ServingConfig,
+    ServingEngine,
     WorkItem,
     defa_forward_fn,
     run_experiments_parallel,
@@ -83,7 +84,7 @@ class TestWorkItem:
 
     def test_post_submit_mutation_cannot_change_outputs(self):
         """End-to-end: corrupting the submitted array after construction must
-        not change what the runner computes."""
+        not change what the engine computes."""
         rng = np.random.default_rng(1)
         n_in = sum(s.num_pixels for s in SHAPES_A)
         buffers = [
@@ -93,10 +94,14 @@ class TestWorkItem:
         expected = [buf.copy() for buf in buffers]
         for buf in buffers:
             buf[:] = np.nan  # post-submit corruption
-        runner = BatchRunner(lambda batch, shapes: batch.copy(), max_batch_size=2)
-        result = runner.run(items)
-        for output, want in zip(result.outputs, expected):
-            np.testing.assert_array_equal(output, want)
+        engine = ServingEngine(
+            lambda: {"default": lambda batch, shapes: batch.copy()},
+            ServingConfig(num_workers=0, max_batch_size=2),
+        )
+        futures = [engine.submit(item) for item in items]
+        engine.flush()
+        for future, want in zip(futures, expected):
+            np.testing.assert_array_equal(future.result(timeout=1.0), want)
 
     def test_features_are_read_only(self):
         item = _item(0, SHAPES_A, 0)
@@ -116,81 +121,30 @@ class TestWorkItem:
         assert item.features.dtype == np.float32
 
 
-class TestBatchRunner:
-    def test_groups_and_batches(self):
-        items = [
-            _item("a0", SHAPES_A, 0),
-            _item("b0", SHAPES_B, 1),
-            _item("a1", SHAPES_A, 2),
-            _item("a2", SHAPES_A, 3),
-            _item("b1", SHAPES_B, 4),
-        ]
-        calls = []
-
-        def forward(batch, shapes):
-            calls.append(batch.shape[0])
-            return batch  # identity
-
-        runner = BatchRunner(forward, max_batch_size=2)
-        result = runner.run(items)
-        # 3 same-shape A items -> batches of 2 + 1; 2 B items -> one batch.
-        assert sorted(result.stats.batch_sizes) == [1, 2, 2]
-        assert result.stats.num_groups == 2
-        assert result.stats.num_items == 5
-        assert result.stats.num_batches == 3
-        assert result.item_ids == ["a0", "b0", "a1", "a2", "b1"]
+class TestInProcessBatching:
+    """``ServingEngine(num_workers=0)`` is the in-process shape-grouping
+    batcher: mixed-shape encoder requests come back in submission order,
+    each equal to its single-image forward."""
 
     def test_outputs_in_submission_order_and_equivalent(self):
         encoder = _encoder()
-        items = [
-            _item(i, SHAPES_A if i % 2 == 0 else SHAPES_B, seed=i) for i in range(6)
-        ]
+        items = [_item(i, SHAPES_A if i % 2 == 0 else SHAPES_B, seed=i) for i in range(6)]
+
         def forward(batch, shapes):
             pos = sine_positional_encoding(shapes, D_MODEL)
             return encoder.forward(batch, pos, make_reference_points(shapes), shapes)
 
-        runner = BatchRunner(forward, max_batch_size=4)
-        result = runner.run(items)
-        for item, output in zip(items, result.outputs):
+        engine = ServingEngine(
+            lambda: {"default": forward},
+            ServingConfig(num_workers=0, max_batch_size=4, max_wait_s=100.0),
+        )
+        futures = [engine.submit(item) for item in items]
+        engine.flush()
+        for item, future in zip(items, futures):
             shapes = list(item.spatial_shapes)
             pos = sine_positional_encoding(shapes, D_MODEL)
-            reference = make_reference_points(shapes)
-            single = encoder.forward(item.features, pos, reference, shapes)
-            np.testing.assert_allclose(output, single, atol=1e-5)
-
-    def test_defa_forward_fn_equivalent(self):
-        encoder = _encoder()
-        runner_defa = DEFAEncoderRunner(encoder, DEFAConfig())
-        items = [_item(i, SHAPES_A, seed=10 + i) for i in range(3)]
-        engine = BatchRunner(defa_forward_fn(runner_defa), max_batch_size=8)
-        result = engine.run(items)
-        shapes = list(SHAPES_A)
-        pos = sine_positional_encoding(shapes, D_MODEL)
-        reference = make_reference_points(shapes)
-        for item, output in zip(items, result.outputs):
-            single = runner_defa.forward(item.features, pos, reference, shapes)
-            np.testing.assert_allclose(output, single.memory, atol=1e-5)
-
-    def test_wrong_forward_batch_raises(self):
-        runner = BatchRunner(lambda batch, shapes: batch[:1], max_batch_size=4)
-        with pytest.raises(ValueError):
-            runner.run([_item(0, SHAPES_A, 0), _item(1, SHAPES_A, 1)])
-
-    def test_invalid_batch_size_raises(self):
-        with pytest.raises(ValueError):
-            BatchRunner(lambda batch, shapes: batch, max_batch_size=0)
-
-    def test_empty_run(self):
-        runner = BatchRunner(lambda batch, shapes: batch)
-        result = runner.run([])
-        assert result.outputs == [] and result.stats.num_batches == 0
-        assert result.stats.mean_batch_size == 0.0
-
-    def test_mean_batch_size(self):
-        items = [_item(i, SHAPES_A, i) for i in range(5)]
-        result = BatchRunner(lambda batch, shapes: batch, max_batch_size=2).run(items)
-        assert result.stats.batch_sizes == [2, 2, 1]
-        assert result.stats.mean_batch_size == pytest.approx(5 / 3)
+            single = encoder.forward(item.features, pos, make_reference_points(shapes), shapes)
+            np.testing.assert_allclose(future.result(timeout=5.0), single, atol=1e-5)
 
 
 class TestParallelRunner:
@@ -231,6 +185,17 @@ class TestParallelRunner:
 
 class TestDefaForwardFnRunnerMode:
     """The adapter runs exactly as its runner is configured."""
+
+    def test_batch_matches_single_images(self):
+        runner = DEFAEncoderRunner(_encoder(), DEFAConfig())
+        items = [_item(i, SHAPES_A, seed=10 + i) for i in range(3)]
+        shapes = list(SHAPES_A)
+        batched = defa_forward_fn(runner)(np.stack([item.features for item in items]), shapes)
+        pos = sine_positional_encoding(shapes, D_MODEL)
+        reference = make_reference_points(shapes)
+        for item, output in zip(items, batched):
+            single = runner.forward(item.features, pos, reference, shapes)
+            np.testing.assert_allclose(output, single.memory, atol=1e-5)
 
     def test_none_keeps_current_mode(self):
         runner = DEFAEncoderRunner(_encoder(), DEFAConfig())

@@ -67,6 +67,12 @@ class TestFaultSpec:
 
 
 class TestFaultPlan:
+    def test_profiler_threads_a_plan_only_through_a_spec(self):
+        from repro.eval.profiler import measure_serving_latency
+
+        with pytest.raises(TypeError, match="ModelBankSpec"):
+            measure_serving_latency(lambda: {}, [], fault_plan=FaultPlan())
+
     def test_builders_accumulate_in_order(self):
         plan = (
             FaultPlan(poison_items=("req-7", 42))

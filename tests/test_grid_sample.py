@@ -105,9 +105,7 @@ class TestMultiScale:
     def test_trace_shapes(self, tiny_shapes):
         locs = self._locations(tiny_shapes)
         trace = multi_scale_neighbors(tiny_shapes, locs)
-        assert trace.rows.shape == (10, 2, 3, 3, 4)
-        assert trace.num_queries == 10
-        assert trace.num_levels == len(tiny_shapes)
+        assert trace.rows.shape == (10, 2, len(tiny_shapes), 3, 4)
 
     def test_trace_flat_indices_in_range(self, tiny_shapes):
         locs = self._locations(tiny_shapes)

@@ -197,6 +197,15 @@ class TestPEArray:
             pe.ba_cycles(10, 0)
 
 
+def _phase(schedule, name):
+    (phase,) = (p for p in schedule.phases if p.name == name)
+    return phase
+
+
+def _dram_bytes(report):
+    return sum(layer.schedule.dram_bytes for layer in report.layers)
+
+
 class TestDataflowAndEnergy:
     def _workload(self, point_keep=0.2, pixel_keep=0.6):
         return LayerWorkload.from_ratios(
@@ -213,7 +222,7 @@ class TestDataflowAndEnergy:
 
     def test_dense_factory(self):
         dense = LayerWorkload.dense(10, 10, 64, 4, 4, 4)
-        assert dense.point_keep_ratio == 1.0 and dense.pixel_keep_ratio == 1.0
+        assert dense.point_keep_ratio == 1.0 and dense.pixels_kept == dense.num_tokens
 
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
@@ -247,7 +256,6 @@ class TestDataflowAndEnergy:
         phases = schedule.phases
         assert schedule.total_macs == sum(p.macs for p in phases)
         assert schedule.total_bi_ops == sum(p.bi_ops for p in phases)
-        assert schedule.sram_bytes == pytest.approx(sum(p.sram_bytes for p in phases))
         assert schedule.dram_bytes == pytest.approx(sum(p.dram_bytes for p in phases))
         for phase in phases:
             assert phase.sram_bytes == phase.sram_read_bytes + phase.sram_write_bytes
@@ -255,11 +263,11 @@ class TestDataflowAndEnergy:
     def test_dense_schedule_macs_match_the_projections(self):
         n, d, points_per_query = 128, 256, 8 * 4 * 4
         schedule = build_layer_schedule(LayerWorkload.dense(n, n, d, 8, 4, 4), HardwareConfig())
-        assert schedule.phase("attention_weights_mm").macs == n * d * points_per_query
-        assert schedule.phase("sampling_offsets_mm").macs == n * d * 2 * points_per_query
-        assert schedule.phase("value_proj_mm").macs == n * d * d
-        assert schedule.phase("output_proj_mm").macs == n * d * d
-        ba = schedule.phase("msgs_aggregation_ba")
+        assert _phase(schedule, "attention_weights_mm").macs == n * d * points_per_query
+        assert _phase(schedule, "sampling_offsets_mm").macs == n * d * 2 * points_per_query
+        assert _phase(schedule, "value_proj_mm").macs == n * d * d
+        assert _phase(schedule, "output_proj_mm").macs == n * d * d
+        ba = _phase(schedule, "msgs_aggregation_ba")
         assert ba.macs == ba.bi_ops == n * points_per_query * (d // 8)
 
     def test_msgs_phases(self):
@@ -361,8 +369,6 @@ class TestDataflowAndEnergy:
         ):
             assert expected in names
         assert schedule.compute_cycles > 0
-        with pytest.raises(KeyError):
-            schedule.phase("nonexistent")
 
     def test_pruning_reduces_cycles(self):
         dense = build_layer_schedule(
@@ -383,9 +389,8 @@ class TestDataflowAndEnergy:
     def test_no_reuse_increases_fetch_traffic(self):
         reuse = build_layer_schedule(self._workload(), HardwareConfig(), fmap_reuse=True)
         no_reuse = build_layer_schedule(self._workload(), HardwareConfig(), fmap_reuse=False)
-        assert no_reuse.phase("msgs_fmap_fetch").dram_read_bytes > reuse.phase(
-            "msgs_fmap_fetch"
-        ).dram_read_bytes
+        fetch = "msgs_fmap_fetch"
+        assert _phase(no_reuse, fetch).dram_read_bytes > _phase(reuse, fetch).dram_read_bytes
 
     def test_intra_banking_slower(self):
         workload = LayerWorkload.from_ratios(
@@ -394,7 +399,8 @@ class TestDataflowAndEnergy:
         )
         inter = build_layer_schedule(workload, HardwareConfig(), banking="inter_level")
         intra = build_layer_schedule(workload, HardwareConfig(), banking="intra_level")
-        assert intra.phase("msgs_aggregation_ba").cycles > inter.phase("msgs_aggregation_ba").cycles
+        ba = "msgs_aggregation_ba"
+        assert _phase(intra, ba).cycles > _phase(inter, ba).cycles
 
     def test_energy_breakdown_positive(self):
         schedule = build_layer_schedule(self._workload(), HardwareConfig())
@@ -466,8 +472,8 @@ class TestSimulator:
     def test_first_layer_is_unmasked(self, tiny_spec):
         sim = DEFASimulator()
         workloads = sim.workloads_from_ratios(tiny_spec, 0.2, 0.6)
-        assert workloads[0].pixel_keep_ratio == 1.0
-        assert workloads[1].pixel_keep_ratio == pytest.approx(0.6, abs=0.01)
+        assert workloads[0].pixels_kept == workloads[0].num_tokens
+        assert workloads[1].pixels_kept / workloads[1].num_tokens == pytest.approx(0.6, abs=0.01)
 
     def test_workload_from_defa_output(self, tiny_defa_output):
         sim = DEFASimulator()
@@ -494,8 +500,8 @@ class TestSimulator:
         assert base.energy.total_j < no_reuse.energy.total_j
         # Both savings come from off-chip traffic: the spill round trip and
         # the per-neighbour fmap re-fetches.
-        assert base.dram_bytes < no_fuse.dram_bytes
-        assert base.dram_bytes < no_reuse.dram_bytes
+        assert _dram_bytes(base) < _dram_bytes(no_fuse)
+        assert _dram_bytes(base) < _dram_bytes(no_reuse)
 
     def test_scaled_config_is_faster(self, tiny_spec):
         base = DEFASimulator().simulate_from_ratios(tiny_spec, 0.2, 0.6)
@@ -509,13 +515,10 @@ class TestSimulator:
         layers = report.layers
         assert report.time_s == pytest.approx(sum(layer.time_s for layer in layers))
         assert report.dense_ops == sum(layer.dense_ops for layer in layers)
-        assert report.dram_bytes == pytest.approx(sum(layer.dram_bytes for layer in layers))
         assert report.energy_per_inference_j == report.energy.total_j
         chip_j = report.energy.sram_j + report.energy.logic_j
         assert report.chip_power_w == pytest.approx(chip_j / report.time_s)
         assert report.effective_tops == pytest.approx(report.dense_ops / report.time_s / 1e12)
-        for layer in layers:
-            assert layer.sram_bytes == layer.schedule.sram_bytes
 
     def test_empty_model_report(self):
         report = ModelSimulationReport()
@@ -529,7 +532,7 @@ class TestSimulator:
         for layer in sim.simulate_from_ratios(tiny_spec, 0.2, 0.6).layers:
             assert layer.time_s == max(layer.compute_time_s, layer.dram_time_s)
             assert layer.compute_time_s == pytest.approx(layer.compute_cycles * 2.5e-9)
-            assert layer.dram_time_s == pytest.approx(layer.dram_bytes / 256e9)
+            assert layer.dram_time_s == pytest.approx(layer.schedule.dram_bytes / 256e9)
 
     def test_dense_ops_do_not_depend_on_pruning(self, tiny_spec):
         sim = DEFASimulator()

@@ -137,13 +137,12 @@ class TestExecutionPlan:
         assert not np.shares_memory(a, b)
         assert not np.shares_memory(a, d)
 
-    def test_num_buffers_and_allocated_bytes(self):
+    def test_allocated_bytes_count_each_buffer_once(self):
         plan = ExecutionPlan()
-        assert plan.num_buffers == 0 and plan.allocated_bytes == 0
+        assert plan.allocated_bytes == 0
         plan.buffer("x", (16,), np.float32)
         plan.buffer("y", (4, 2), np.float64)
         plan.buffer("x", (8,), np.float32)  # reuse: no new buffer
-        assert plan.num_buffers == 2
         assert plan.allocated_bytes == 16 * 4 + 8 * 8
 
     def test_zeros_and_take(self):
@@ -334,6 +333,23 @@ class TestPlanReuseAcrossForwards:
         np.testing.assert_array_equal(
             detailed.layer_outputs[1].attention_weights, kept_weights
         )
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("sparse_mode", ["dense", "sparse"])
+    def test_collecting_details_leaves_the_memory_bit_equal(self, sparse_mode, batch):
+        """A forward that collects its traces runs without the plan arena
+        and still computes the planned forward's memory bit for bit."""
+        shapes, encoder, features, pos, reference_points = _encoder_fixture()
+        if batch is not None:
+            features = np.stack([features * (1.0 + 0.5 * b) for b in range(batch)])
+        config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
+        options = ExecutionOptions(sparse_mode=sparse_mode, kernel_backend="fused")
+        runner = DEFAEncoderRunner(encoder, config, options)
+        planned = runner.forward(features, pos, reference_points, shapes)
+        detailed = runner.forward(
+            features, pos, reference_points, shapes, collect_details=True
+        )
+        np.testing.assert_array_equal(detailed.memory, planned.memory)
 
 
 class TestAllocationBudget:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.encoder import DeformableEncoder, DeformableEncoderLayer
-from repro.nn.grid_sample import multi_scale_neighbors
+from repro.nn.grid_sample import ms_deform_attn_from_trace, multi_scale_neighbors
 from repro.nn.msdeform_attn import MSDeformAttn
 from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.utils.shapes import total_pixels
@@ -58,12 +58,11 @@ class TestMSDeformAttn:
 
     def test_forward_detailed_intermediates(self, tiny_attn, tiny_shapes, tiny_inputs):
         query, ref, value = tiny_inputs
-        detail = tiny_attn.forward_detailed(query, ref, value, tiny_shapes, with_trace=True)
+        detail = tiny_attn.forward_detailed(query, ref, value, tiny_shapes)
         n_q = query.shape[0]
         assert detail.attention_weights.shape == (n_q, 4, 3, 2)
         assert detail.sampling_locations.shape == (n_q, 4, 3, 2, 2)
         assert detail.value.shape == (value.shape[0], 4, 8)
-        assert detail.trace is not None
         assert np.allclose(detail.output, tiny_attn(query, ref, value, tiny_shapes), atol=1e-5)
 
     def test_attention_logits_are_the_pre_softmax_probabilities(self, tiny_attn, tiny_inputs):
@@ -124,11 +123,6 @@ class TestMSDeformAttn:
         with pytest.raises(ValueError):
             tiny_attn.compute_sampling_locations(ref, offsets, tiny_shapes[:2])
 
-    def test_flops_breakdown_keys(self, tiny_attn):
-        flops = tiny_attn.flops(num_queries=100, num_tokens=100)
-        for key in ("value_proj", "sampling_offsets", "attention_weights", "output_proj", "msgs"):
-            assert flops[key] > 0
-
     def test_zero_value_gives_bias_only_output(self, tiny_attn, tiny_shapes, tiny_inputs):
         query, ref, value = tiny_inputs
         out = tiny_attn(query, ref, np.zeros_like(value), tiny_shapes)
@@ -138,42 +132,24 @@ class TestMSDeformAttn:
         assert np.allclose(out, out[0], atol=1e-4)
 
 
-class TestTracedForward:
-    """``with_trace`` decides only what ``forward_detailed`` returns: the
-    traced and untraced forwards run the same kernel, bit for bit."""
+class TestKernelComposition:
+    """``forward_detailed`` is the MSGS kernel over the locations it returns."""
 
     @pytest.fixture(scope="class")
     def attn(self):
         return MSDeformAttn(d_model=64, num_heads=8, num_levels=3, num_points=4, rng=3)
 
     @pytest.mark.parametrize("batch", [None, 2])
-    def test_traced_and_untraced_outputs_bit_equal(self, attn, tiny_shapes, batch):
-        rng = np.random.default_rng(7)
-        lead = () if batch is None else (batch,)
-        n_in = total_pixels(tiny_shapes)
-        value = rng.standard_normal(lead + (n_in, 64)).astype(np.float32)
-        query = rng.standard_normal(lead + (n_in, 64)).astype(np.float32)
-        ref = make_reference_points(tiny_shapes)
-        untraced = attn.forward_detailed(query, ref, value, tiny_shapes)
-        traced = attn.forward_detailed(query, ref, value, tiny_shapes, with_trace=True)
-        assert untraced.trace is None
-        assert traced.trace is not None
-        np.testing.assert_array_equal(traced.output, untraced.output)
-
-    @pytest.mark.parametrize("batch", [None, 2])
-    def test_trace_is_the_neighbors_of_returned_locations(self, attn, tiny_shapes, batch):
-        """The returned trace is the one the kernel consumed: the bilinear
-        neighbours of the returned sampling locations."""
+    def test_output_is_the_kernel_over_returned_locations(self, attn, tiny_shapes, batch):
         rng = np.random.default_rng(8)
         lead = () if batch is None else (batch,)
         n_in = total_pixels(tiny_shapes)
         x = rng.standard_normal(lead + (n_in, 64)).astype(np.float32)
         ref = make_reference_points(tiny_shapes)
-        out = attn.forward_detailed(x, ref, x, tiny_shapes, with_trace=True)
-        expected = multi_scale_neighbors(tiny_shapes, out.sampling_locations)
-        assert type(out.trace) is type(expected)
-        for field in ("levels", "rows", "cols", "flat_indices", "weights", "valid"):
-            np.testing.assert_array_equal(getattr(out.trace, field), getattr(expected, field))
+        out = attn.forward_detailed(x, ref, x, tiny_shapes)
+        trace = multi_scale_neighbors(tiny_shapes, out.sampling_locations)
+        heads = ms_deform_attn_from_trace(out.value, trace, out.attention_weights)
+        np.testing.assert_array_equal(attn.output_proj(heads), out.output)
 
 
 class TestEncoder:
@@ -194,20 +170,16 @@ class TestEncoder:
         assert out.shape == src.shape
         assert not np.allclose(out, src)
 
-    def test_layer_flops_contains_ffn(self, tiny_shapes):
-        layer = DeformableEncoderLayer(
-            d_model=32, num_heads=4, num_levels=3, num_points=2, ffn_dim=64, rng=0
-        )
-        assert layer.flops(100)["ffn"] == 2 * 2 * 100 * 32 * 64
-
     def test_encoder_stacks_layers(self, tiny_shapes):
         encoder = DeformableEncoder(
             num_layers=2, d_model=32, num_heads=4, num_levels=3, num_points=2, ffn_dim=64, rng=0
         )
         src, pos, ref = self._inputs(tiny_shapes)
-        detailed = encoder.forward_detailed(src, pos, ref, tiny_shapes)
-        assert len(detailed.layers) == 2
-        assert np.allclose(detailed.memory, encoder(src, pos, ref, tiny_shapes), atol=1e-5)
+        x = src
+        for layer in encoder.layers:
+            x = layer(x, pos, ref, tiny_shapes)
+        assert len(encoder.layers) == 2
+        np.testing.assert_array_equal(encoder(src, pos, ref, tiny_shapes), x)
 
     def test_encoder_invalid_depth(self):
         with pytest.raises(ValueError):
@@ -220,9 +192,3 @@ class TestEncoder:
         w0 = encoder.layers[0].self_attn.value_proj.weight
         w1 = encoder.layers[1].self_attn.value_proj.weight
         assert not np.allclose(w0, w1)
-
-    def test_encoder_flops_scale_with_depth(self, tiny_shapes):
-        kwargs = dict(d_model=32, num_heads=4, num_levels=3, num_points=2, ffn_dim=64, rng=0)
-        f1 = sum(DeformableEncoder(num_layers=1, **kwargs).flops(50).values())
-        f2 = sum(DeformableEncoder(num_layers=2, **kwargs).flops(50).values())
-        assert f2 == 2 * f1

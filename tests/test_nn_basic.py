@@ -98,9 +98,6 @@ class TestModules:
         with pytest.raises(ValueError):
             layer(np.ones((3, 7), np.float32))
 
-    def test_linear_flops(self):
-        assert Linear(8, 4, rng=0).flops(10) == 2 * 10 * 8 * 4
-
     def test_linear_invalid_dims(self):
         with pytest.raises(ValueError):
             Linear(0, 4)
@@ -120,7 +117,6 @@ class TestModules:
     def test_feedforward(self):
         ffn = FeedForward(16, 32, rng=0)
         assert ffn(np.ones((2, 16), np.float32)).shape == (2, 16)
-        assert ffn.flops(10) == 2 * (2 * 10 * 16 * 32)
 
     def test_feedforward_gelu(self):
         ffn = FeedForward(8, 8, activation="gelu", rng=0)

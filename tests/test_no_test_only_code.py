@@ -3,9 +3,10 @@
 Every top-level function or class in ``src/repro`` and every non-dunder
 method of a top-level class must be named somewhere in the code that runs
 without the test suite: ``src/``, ``benchmarks/``, ``perfbench/`` or
-``examples/``.  A reference is a loaded name or attribute, or an identifier
-inside a string literal (registries and ``getattr`` lookups name code that
-way).  Import lines, ``__all__`` lists, docstrings and comments are not
+``examples/``.  A reference is a loaded name or attribute, or a string
+literal that is a whole identifier or dotted name (registries and ``getattr``
+lookups name code that way).  Import lines, ``__all__`` lists, docstrings,
+comments and identifiers inside prose strings such as error messages are not
 references: a re-export or a mention in prose keeps nothing alive.
 
 The scan matches by name, one level deep: a definition called only from
@@ -28,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNTIME_DIRS = ("src", "benchmarks", "perfbench", "examples")
-IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+DOTTED_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 # Qualified name -> why a definition that only the tests reach stays in src/.
 ALLOWLIST: dict[str, str] = {
@@ -83,8 +84,12 @@ def _references(tree: ast.AST) -> set[str]:
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.Constant):
-            if isinstance(node.value, str) and id(node) not in prose:
-                names.update(IDENTIFIER.findall(node.value))
+            if (
+                isinstance(node.value, str)
+                and id(node) not in prose
+                and DOTTED_NAME.fullmatch(node.value)
+            ):
+                names.update(node.value.split("."))
         elif isinstance(node, ast.Expr):
             prose.add(id(node.value))
         elif isinstance(node, ast.Assign) and any(

@@ -114,10 +114,6 @@ class TestQuantizedLinear:
             qlinear.forward_batched(x[None])[0], _single_image(qlinear, x), rtol=1e-6, atol=1e-6
         )
 
-    def test_flops_unchanged(self):
-        linear = Linear(16, 8, rng=0)
-        assert QuantizedLinear(linear, 12).flops(10) == linear.flops(10)
-
     def test_feature_properties(self):
         linear = Linear(16, 8, rng=0)
         qlinear = QuantizedLinear(linear, 12)

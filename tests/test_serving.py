@@ -240,6 +240,18 @@ class TestSchedulingPolicy:
         with pytest.raises(RuntimeError, match="shut down"):
             future.result(timeout=1.0)
 
+    def test_forward_returning_a_short_batch_fails_every_future(self):
+        engine = ServingEngine(
+            lambda: {"default": lambda batch, shapes: batch[:1]},
+            ServingConfig(num_workers=0, max_batch_size=4),
+            clock=FakeClock(),
+        )
+        futures = [engine.submit(_item(i, SHAPES_A, i)) for i in range(2)]
+        engine.flush()
+        for future in futures:
+            with pytest.raises(RuntimeError, match="returned a batch of 1 for 2"):
+                future.result(timeout=1.0)
+
 
 class TestServedEquivalence:
     """Acceptance criterion: served outputs bit-equal to the serial loop."""

@@ -107,7 +107,7 @@ class TestWorkloadSpecs:
     def test_backbone_level_shapes_match_spec(self):
         spec = get_workload("deformable_detr", "tiny")
         backbone = SyntheticFPNBackbone(d_model=8, strides=spec.model.strides, rng=0)
-        assert backbone.num_levels == 4
+        assert len(backbone.strides) == 4
         assert backbone.level_shapes(spec.image_height, spec.image_width) == spec.spatial_shapes
 
 
@@ -117,7 +117,7 @@ class TestSyntheticScenes:
         scene = generator.generate()
         assert scene.image.shape == (64, 96, 3)
         assert scene.image.min() >= 0.0 and scene.image.max() <= 1.0
-        assert scene.boxes.shape == (scene.num_objects, 4)
+        assert scene.boxes.shape == (len(scene.labels), 4)
         assert np.all(scene.boxes[:, 2] > scene.boxes[:, 0])
         assert np.all((scene.labels >= 0) & (scene.labels < generator.num_classes))
 
@@ -172,7 +172,7 @@ class TestTracesAndDataset:
     def test_synthetic_workload_input(self, tiny_spec):
         features, layout = synthetic_workload_input(tiny_spec, rng=0)
         assert features.shape == (tiny_spec.num_tokens, 256)
-        assert layout.num_objects == 8
+        assert len(layout.radii) == len(layout.centers) == 8
 
     def test_dataset_splits(self):
         config = get_model_config("deformable_detr")
