@@ -31,7 +31,6 @@ from repro.core.fwp import normalize_mask
 from repro.core.pipeline import (
     SPARSE_MODES,
     DEFAAttention,
-    DEFAAttentionBatchOutput,
     DEFAAttentionOutput,
     DEFALayerStats,
     use_sparse_rows,
@@ -292,7 +291,8 @@ class DEFAEncoderRunner:
         """``query = x + pos`` under the query-pruning mask (see
         :meth:`query_stage_plan`).  ``x`` is ``(B, N, D)`` with ``pos``
         shared ``(N, D)``; with a ``plan`` the query lives in a reused arena
-        buffer."""
+        buffer.  A planned compact query never takes this route: it is built
+        as rows by :meth:`_query_rows`."""
         if keep_mask is None:
             if plan is not None:
                 query = plan.buffer("query", x.shape)
@@ -309,21 +309,21 @@ class DEFAEncoderRunner:
             return query
         flat_x = x.reshape(-1, x.shape[-1])
         kept = np.flatnonzero(keep_mask.reshape(-1))
-        pos_idx = kept % x.shape[1]
-        if plan is not None:
-            query = plan.zeros("query", x.shape)
-            if kept.size:
-                # The projections' transient row buffers: both are dead
-                # until the attention block gathers its query rows.
-                rows = plan.take("proj.rows", flat_x, kept)
-                rows_pos = plan.take("proj.xq", pos, pos_idx)
-                np.add(rows, rows_pos, out=rows)
-                query.reshape(-1, x.shape[-1])[kept] = rows
-            return query
         query = np.zeros_like(x)
         if kept.size:
-            query.reshape(-1, x.shape[-1])[kept] = flat_x[kept] + pos[pos_idx]
+            query.reshape(-1, x.shape[-1])[kept] = flat_x[kept] + pos[kept % x.shape[1]]
         return query
+
+    @staticmethod
+    def _query_rows(
+        x: np.ndarray, pos: np.ndarray, kept: np.ndarray, plan: ExecutionPlan
+    ) -> np.ndarray:
+        """The kept query rows ``x[kept] + pos[kept % N]`` as one ``(K, D)``
+        arena buffer: the query-side projections' input, written once."""
+        rows = plan.take("query", x.reshape(-1, x.shape[-1]), kept)
+        # proj.xq is dead until the projections quantize these rows.
+        np.add(rows, plan.take("proj.xq", pos, kept % x.shape[1]), out=rows)
+        return rows
 
     def ffn_stage_plan(
         self, fmap_mask: np.ndarray | None, tokens_per_image: int, backend
@@ -418,25 +418,49 @@ class DEFAEncoderRunner:
             # Pre-attention query add, skipped for FWP-pruned pixels under
             # query pruning (their rows never act as queries).
             q_keep, q_compact = self.query_stage_plan(fmap_mask, n_in, backend)
-            query = self._build_query(x, pos, q_keep, q_compact, plan)
-            attn_out: DEFAAttentionBatchOutput = defa_attn.forward_detailed(
-                query,
-                reference_points,
-                x,
-                spatial_shapes,
-                fmap_mask=fmap_mask,
-                options=call_options,
-                plan=plan,
-            )
+            if plan is not None and q_compact:
+                # Row-compact block: kept-query space from the query add to
+                # the FFN stage, which receives the output rows as they are.
+                if q_keep.shape != (batch, n_in):
+                    raise ValueError("fmap_mask must have shape (N_in,), or (B, N_in) for a batch")
+                kept = np.flatnonzero(q_keep.reshape(-1))
+                attn_out = defa_attn.forward_kept_rows(
+                    self._query_rows(x, pos, kept, plan),
+                    kept,
+                    reference_points,
+                    x,
+                    spatial_shapes,
+                    q_keep,
+                    backend,
+                    plan,
+                )
+            else:
+                query = self._build_query(x, pos, q_keep, q_compact, plan)
+                attn_out = defa_attn.forward_detailed(
+                    query,
+                    reference_points,
+                    x,
+                    spatial_shapes,
+                    fmap_mask=fmap_mask,
+                    options=call_options,
+                    plan=plan,
+                )
             # The inter-block stage prunes on the masks applied to *this*
             # block (the rows that did not act as queries), so it must run
             # before the masks advance to the ones this block generated.
             keep_mask, compact = self.ffn_stage_plan(fmap_mask, n_in, backend)
             stream = None
             if plan is not None:
-                # Ping-pong stream buffers: the stage writes block i's output
-                # into stream i%2 while reading block i-1's from the other.
-                stream = plan.buffer(f"stream{index % 2}", x.shape)
+                # One residual-stream buffer: block 0 writes it (a masked
+                # block 0 copies the caller's input in once), and every later
+                # stage updates it in place, writing only its kept rows.
+                if index == 0:
+                    stream = plan.buffer("stream", x.shape)
+                    if keep_mask is not None:
+                        np.copyto(stream, x)
+                        x = stream
+                else:
+                    stream = x
             x = layer.forward_ffn_stage(
                 x,
                 attn_out.output,

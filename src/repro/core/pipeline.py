@@ -59,8 +59,8 @@ from repro.kernels import (
     resolve_backend,
     resolve_profile,
 )
-from repro.kernels.fused_ops import project_into
-from repro.core.pap import PAPResult, compute_point_mask
+from repro.kernels.fused_ops import image_row_max_abs, max_abs, project_into
+from repro.core.pap import PAPResult, compute_point_mask, point_keep_mask
 from repro.core.range_narrowing import RangeNarrowing
 from repro.core.sampling_stats import sampled_frequency, sampled_frequency_compact
 from repro.nn.grid_sample import (
@@ -70,7 +70,9 @@ from repro.nn.grid_sample import (
     ms_deform_attn_from_compact_trace,
     ms_deform_attn_from_trace,
     multi_scale_neighbors,
+    multi_scale_neighbors_rows,
     multi_scale_neighbors_sparse,
+    sparse_gather_rule,
     use_sparse_gather,
 )
 from repro.nn.modules import Linear
@@ -251,14 +253,17 @@ class DEFAAttentionOutput:
     fmap_mask_next: np.ndarray
     """FWP keep-mask generated for the next block (length ``N_in``)."""
 
-    point_mask: np.ndarray
-    """PAP keep-mask, shape ``(N_q, N_h, N_l, N_p)``."""
+    point_mask: np.ndarray | None
+    """PAP keep-mask, shape ``(N_q, N_h, N_l, N_p)``; ``None`` in a planned
+    record (see :meth:`DEFAAttention.forward_detailed`)."""
 
-    attention_weights: np.ndarray
-    """Attention probabilities after PAP (pruned entries zeroed)."""
+    attention_weights: np.ndarray | None
+    """Attention probabilities after PAP (pruned entries zeroed); ``None`` in
+    a planned record."""
 
-    sampling_locations: np.ndarray
-    """Normalized sampling locations after range narrowing."""
+    sampling_locations: np.ndarray | None
+    """Normalized sampling locations after range narrowing; ``None`` in a
+    planned record."""
 
     trace_executed: SamplingTrace | CompactSamplingTrace
     """The trace the kernels actually consumed: a full :class:`SamplingTrace`
@@ -266,7 +271,8 @@ class DEFAAttentionOutput:
     the sparse path."""
 
     fwp: FWPResult
-    pap: PAPResult
+    pap: PAPResult | None
+    """The image's PAP result; ``None`` in a planned record."""
 
     _materialized_trace: SamplingTrace | None = field(default=None, repr=False)
     """Cache of the on-demand full trace (sparse-path outputs only)."""
@@ -284,6 +290,11 @@ class DEFAAttentionOutput:
         """
         if isinstance(self.trace_executed, SamplingTrace):
             return self.trace_executed
+        if self.sampling_locations is None:
+            raise ValueError(
+                "a planned record carries no sampling locations to build the full "
+                "trace from; run the block without a plan (collect_details=True)"
+            )
         if self._materialized_trace is None:
             self._materialized_trace = multi_scale_neighbors(
                 self.trace_executed.spatial_shapes, self.sampling_locations
@@ -302,7 +313,9 @@ class DEFAAttentionBatchOutput:
     """
 
     output: np.ndarray
-    """Batched block output of shape ``(B, N_q, D)``."""
+    """Batched block output of shape ``(B, N_q, D)``; from
+    :meth:`DEFAAttention.forward_kept_rows`, the ``(K_q, D)`` kept query
+    rows, each record's ``output`` its image's slice of them."""
 
     images: list[DEFAAttentionOutput]
     """Per-image detailed outputs (views into the batched tensors)."""
@@ -440,9 +453,9 @@ class DEFAAttention:
         points_shape: tuple[int, ...],
         query_keep: np.ndarray | None,
         kept_q: np.ndarray | None,
-        plan: ExecutionPlan | None = None,
     ) -> PAPResult:
-        """Combine a PAP result with the query keep-mask of query pruning.
+        """Combine a PAP result with the query keep-mask of query pruning
+        (the plan-less path).
 
         Returns a :class:`PAPResult` over the full ``points_shape`` grid with
         pruned queries' points masked out and their attention weights zeroed.
@@ -450,34 +463,15 @@ class DEFAAttention:
         kept rows (sparse query path) and is scattered back; otherwise it
         covers the full grid (dense path) and the pruned rows are zeroed.
         Either way the resulting masks, weights and counts are identical, so
-        the two paths stay equivalent.  With a ``plan`` the folded mask and
-        weights live in arena buffers (``fold.mask`` / ``fold.weights``) —
-        note ``row_pap`` may itself alias the ``pap.*`` buffers, so the fold
-        uses distinct names and only reads from the input.
+        the two paths stay equivalent.
         """
         if query_keep is None:
             return row_pap
         if kept_q is not None:
-            if plan is not None:
-                point_mask = plan.zeros("fold.mask", points_shape, bool)
-                weights = plan.zeros("fold.weights", points_shape, FLOAT_DTYPE)
-            else:
-                point_mask = np.zeros(points_shape, dtype=bool)
-                weights = np.zeros(points_shape, dtype=FLOAT_DTYPE)
+            point_mask = np.zeros(points_shape, dtype=bool)
+            weights = np.zeros(points_shape, dtype=FLOAT_DTYPE)
             point_mask[kept_q] = row_pap.point_mask
             weights[kept_q] = row_pap.attention_weights
-        elif plan is not None:
-            keep_rows = query_keep.reshape(query_keep.size, 1, 1, 1)
-            point_mask = np.logical_and(
-                row_pap.point_mask,
-                keep_rows,
-                out=plan.buffer("fold.mask", points_shape, bool),
-            )
-            weights = np.multiply(
-                row_pap.attention_weights,
-                keep_rows,
-                out=plan.buffer("fold.weights", points_shape, FLOAT_DTYPE),
-            )
         else:
             keep_rows = query_keep.reshape(query_keep.size, 1, 1, 1)
             point_mask = row_pap.point_mask & keep_rows
@@ -486,6 +480,87 @@ class DEFAAttention:
             point_mask=point_mask,
             attention_weights=weights,
             threshold=row_pap.threshold,
+        )
+
+    def _planned_point_mask(self, probs: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
+        """The PAP keep-mask of *probs* in the ``pap.mask`` arena buffer.
+
+        The planned path keeps the raw probabilities next to it: every
+        kernel reads a probability only where the mask keeps the point (the
+        compact kernels gather kept entries, the dense one multiplies by the
+        mask), and there the raw value is the PAP-pruned one.
+        """
+        mask = plan.buffer("pap.mask", probs.shape, bool)
+        if not self.config.enable_pap:
+            mask.fill(True)
+            return mask
+        return point_keep_mask(probs, self.config.pap_threshold, out=mask)
+
+    def _fwp_masks(
+        self,
+        trace,
+        sparse_gather: bool,
+        point_masks: np.ndarray | None,
+        spatial_shapes: list[LevelShape],
+        batch: int,
+    ) -> list[FWPResult]:
+        """Step 4's frequency counting and per-image FWP mask generation."""
+        with kernel_section("fwp"):
+            if not self.config.enable_fwp:
+                n_in = total_pixels(spatial_shapes)
+                return [
+                    FWPResult(
+                        fmap_mask=np.ones(n_in, dtype=bool),
+                        thresholds=np.zeros(len(spatial_shapes)),
+                        level_keep_fractions=np.ones(len(spatial_shapes)),
+                    )
+                    for _ in range(batch)
+                ]
+            if sparse_gather:
+                frequency = sampled_frequency_compact(trace)
+            else:
+                frequency = sampled_frequency(trace, point_mask=point_masks)
+            return compute_fmap_mask(frequency, spatial_shapes, self.config.fwp_k)
+
+    def _layer_stats(
+        self,
+        n_q: int,
+        n_in: int,
+        points_kept: int,
+        mask_b: np.ndarray | None,
+        fwp: FWPResult,
+        clipping_fraction: float,
+        sparse_projection: bool,
+        sparse_gather: bool,
+        sparse_query: bool,
+    ) -> DEFALayerStats:
+        """One image's :class:`DEFALayerStats`."""
+        attn = self.attn
+        pixels_kept = int(np.count_nonzero(mask_b)) if mask_b is not None else n_in
+        return DEFALayerStats(
+            num_queries=n_q,
+            num_tokens=n_in,
+            points_total=n_q * attn.num_heads * attn.num_levels * attn.num_points,
+            points_kept=points_kept,
+            pixels_total=n_in,
+            pixels_kept=pixels_kept,
+            pixels_kept_next=fwp.num_kept,
+            offset_clipping_fraction=clipping_fraction,
+            flops=msdeform_attn_flops(
+                d_model=attn.d_model,
+                num_heads=attn.num_heads,
+                num_levels=attn.num_levels,
+                num_points=attn.num_points,
+                num_queries=n_q,
+                num_tokens=n_in,
+                points_kept=points_kept,
+                pixels_kept=pixels_kept,
+            ),
+            mask_applied=mask_b is not None,
+            sparse_projection=sparse_projection,
+            sparse_gather=sparse_gather,
+            sparse_neighbors=sparse_gather,
+            sparse_query=sparse_query,
         )
 
     def _project_values_batched(
@@ -589,6 +664,15 @@ class DEFAAttention:
             forwards allocate nothing large.  The returned arrays are then
             only valid until the plan's next forward (the runner copies what
             it keeps); callers that retain outputs must pass ``plan=None``.
+            Under row-compacted query pruning the planned block runs in
+            kept-query space (:meth:`forward_kept_rows`) and scatters only
+            its output rows back.  A planned record carries the output, the
+            stats, the FWP result and the executed trace, but no
+            ``point_mask``, ``attention_weights``, ``sampling_locations`` or
+            ``pap`` (all ``None``): the planned path never builds those
+            per-image grids, and the runner, the only planned caller, reads
+            none of them.  Detail consumers (the hardware simulator, the
+            figures) run plan-less, through ``collect_details=True``.
 
         A single ``(N_q, D)`` image runs as a ``B = 1`` batch (its mask, if
         any, as ``(1, N_in)``) and returns that batch's only per-image record,
@@ -643,6 +727,12 @@ class DEFAAttention:
             query_keep, n_q, backend=backend
         )
         kept_q = np.flatnonzero(query_keep.reshape(-1)) if sparse_query else None
+        if plan is not None and sparse_query:
+            result = self._forward_query_rows(
+                query, kept_q, reference_points, value_input, spatial_shapes,
+                fmap_mask, backend, plan,
+            )
+            return result.images[0] if single else result
 
         # Step 1: attention probabilities (batched) + PAP masks.  PAP is a
         # per-(query, head) operation, so folding the batch axis into the
@@ -657,7 +747,7 @@ class DEFAAttention:
             heads = (self._attention_weights, self._sampling_offsets)
             if plan is not None:
                 logits, offsets_proj = project_into(
-                    heads, query, plan, ("attn_logits", "offsets"), rows=kept_q, backend=backend
+                    heads, query, plan, ("attn_logits", "offsets"), backend=backend
                 )
             elif sparse_query:
                 logits, offsets_proj = (
@@ -666,64 +756,50 @@ class DEFAAttention:
             else:
                 logits, offsets_proj = (self._project_batched(head, query) for head in heads)
             logits = logits.reshape(-1, attn.num_heads, attn.num_levels * attn.num_points)
+        paps: list[PAPResult] | None = None
         if plan is not None:
-            # In-place softmax on the logits buffer — the same subtract / exp /
-            # divide chain as repro.nn.tensor_utils.softmax, bit-identically
-            # (the row sums are reduced before the divide overwrites them).
-            np.subtract(logits, np.max(logits, axis=-1, keepdims=True), out=logits)
-            np.exp(logits, out=logits)
-            np.divide(logits, np.sum(logits, axis=-1, keepdims=True), out=logits)
-            probs = logits.reshape(
-                logits.shape[0], attn.num_heads, attn.num_levels, attn.num_points
-            )
+            probs = _softmax_inplace(logits, plan).reshape(grid_shape)
+            point_masks = self._planned_point_mask(probs, plan)
+            if query_keep is not None:
+                keep_rows = query_keep.reshape(-1, 1, 1, 1)
+                np.logical_and(point_masks, keep_rows, out=point_masks)
+            point_masks = point_masks.reshape((batch, n_q) + grid_shape[1:])
+            attn_weights = probs.reshape(point_masks.shape)
         else:
             probs = softmax(logits, axis=-1).reshape(
                 logits.shape[0], attn.num_heads, attn.num_levels, attn.num_points
             )
-        if self.config.enable_pap:
-            row_pap = compute_point_mask(
-                probs,
-                threshold=self.config.pap_threshold,
-                plan=plan,
-            )
-        else:
-            if plan is not None:
-                all_kept = plan.buffer("pap.mask", probs.shape, bool)
-                all_kept.fill(True)
+            if self.config.enable_pap:
+                row_pap = compute_point_mask(probs, threshold=self.config.pap_threshold)
             else:
-                all_kept = np.ones_like(probs, dtype=bool)
-            row_pap = PAPResult(
-                point_mask=all_kept,
-                attention_weights=probs,
-                threshold=0.0,
+                row_pap = PAPResult(
+                    point_mask=np.ones_like(probs, dtype=bool),
+                    attention_weights=probs,
+                    threshold=0.0,
+                )
+            pap_all = self._fold_query_mask(
+                row_pap,
+                grid_shape,
+                None if query_keep is None else query_keep.reshape(-1),
+                kept_q,
             )
-        pap_all = self._fold_query_mask(
-            row_pap,
-            grid_shape,
-            None if query_keep is None else query_keep.reshape(-1),
-            kept_q,
-            plan=plan,
-        )
-        point_masks = pap_all.point_mask.reshape((batch, n_q) + grid_shape[1:])
-        attn_weights = pap_all.attention_weights.reshape(point_masks.shape)
-        paps = [
-            PAPResult(
-                point_mask=point_masks[b],
-                attention_weights=attn_weights[b],
-                threshold=pap_all.threshold,
-            )
-            for b in range(batch)
-        ]
+            point_masks = pap_all.point_mask.reshape((batch, n_q) + grid_shape[1:])
+            attn_weights = pap_all.attention_weights.reshape(point_masks.shape)
+            paps = [
+                PAPResult(
+                    point_mask=point_masks[b],
+                    attention_weights=attn_weights[b],
+                    threshold=pap_all.threshold,
+                )
+                for b in range(batch)
+            ]
 
         # Step 2: sampling offsets + range narrowing (batched clamp,
         # per-image clipping fractions over the kept queries).
         offsets_shape = (batch, n_q) + grid_shape[1:] + (2,)
         with kernel_section("query_proj"):
             if sparse_query:
-                if plan is not None:
-                    offsets = plan.zeros("offsets", grid_shape + (2,))
-                else:
-                    offsets = np.zeros(grid_shape + (2,), dtype=FLOAT_DTYPE)
+                offsets = np.zeros(grid_shape + (2,), dtype=FLOAT_DTYPE)
                 offsets[kept_q] = offsets_proj.reshape((kept_q.size,) + grid_shape[1:] + (2,))
                 offsets = offsets.reshape(offsets_shape)
             else:
@@ -790,23 +866,7 @@ class DEFAAttention:
             head_outputs = ms_deform_attn_from_trace(
                 value, trace, attn_weights, point_mask=point_masks
             )
-        image_traces = trace.images()
-        with kernel_section("fwp"):
-            if self.config.enable_fwp:
-                if sparse_gather:
-                    frequency = sampled_frequency_compact(trace)
-                else:
-                    frequency = sampled_frequency(trace, point_mask=point_masks)
-                fwps = compute_fmap_mask(frequency, spatial_shapes, self.config.fwp_k)
-            else:
-                fwps = [
-                    FWPResult(
-                        fmap_mask=np.ones(n_in, dtype=bool),
-                        thresholds=np.zeros(len(spatial_shapes)),
-                        level_keep_fractions=np.ones(len(spatial_shapes)),
-                    )
-                    for _ in range(batch)
-                ]
+        fwps = self._fwp_masks(trace, sparse_gather, point_masks, spatial_shapes, batch)
 
         # Step 5: output projection (batched; row-compacted under query
         # pruning — pruned queries' rows equal the projection bias).
@@ -814,65 +874,265 @@ class DEFAAttention:
             heads_in = head_outputs.reshape(batch, n_q, attn.d_model)
             if plan is not None:
                 (output,) = project_into(
-                    (self._output_proj,), heads_in, plan, ("output",), rows=kept_q, backend=backend
+                    (self._output_proj,), heads_in, plan, ("output",), backend=backend
                 )
             elif sparse_query:
                 output = self._project_rows_batched(self._output_proj, heads_in, kept_q)
             else:
                 output = self._project_batched(self._output_proj, heads_in)
             if sparse_query:
-                if plan is not None:
-                    out_flat = plan.zeros("output", (batch * n_q, attn.d_model))
-                else:
-                    out_flat = np.zeros((batch * n_q, attn.d_model), dtype=FLOAT_DTYPE)
+                out_flat = np.zeros((batch * n_q, attn.d_model), dtype=FLOAT_DTYPE)
                 bias = self._projection_bias(self._output_proj)
                 if bias is not None:
                     out_flat += bias
                 out_flat[kept_q] = output
                 output = out_flat.reshape(batch, n_q, attn.d_model)
 
+        image_traces = trace.images()
+        planned = paps is None  # planned records carry no per-point grids
         images: list[DEFAAttentionOutput] = []
         for b in range(batch):
-            mask_b = fmap_mask[b] if fmap_mask is not None else None
-            pixels_kept = int(np.count_nonzero(mask_b)) if mask_b is not None else n_in
-            stats = DEFALayerStats(
-                num_queries=n_q,
-                num_tokens=n_in,
-                points_total=paps[b].num_points,
-                points_kept=paps[b].num_kept,
-                pixels_total=n_in,
-                pixels_kept=pixels_kept,
-                pixels_kept_next=fwps[b].num_kept,
-                offset_clipping_fraction=clipping_fractions[b],
-                flops=msdeform_attn_flops(
-                    d_model=attn.d_model,
-                    num_heads=attn.num_heads,
-                    num_levels=attn.num_levels,
-                    num_points=attn.num_points,
-                    num_queries=n_q,
-                    num_tokens=n_in,
-                    points_kept=paps[b].num_kept,
-                    pixels_kept=pixels_kept,
-                ),
-                mask_applied=mask_b is not None,
-                sparse_projection=sparse_projection,
-                sparse_gather=sparse_gather,
-                sparse_neighbors=sparse_gather,
-                sparse_query=sparse_query,
+            stats = self._layer_stats(
+                n_q,
+                n_in,
+                int(np.count_nonzero(point_masks[b])),
+                fmap_mask[b] if fmap_mask is not None else None,
+                fwps[b],
+                clipping_fractions[b],
+                sparse_projection,
+                sparse_gather,
+                sparse_query,
             )
             images.append(
                 DEFAAttentionOutput(
                     output=output[b],
                     stats=stats,
                     fmap_mask_next=fwps[b].fmap_mask,
-                    point_mask=paps[b].point_mask,
-                    attention_weights=paps[b].attention_weights,
-                    sampling_locations=locations[b],
+                    point_mask=None if planned else point_masks[b],
+                    attention_weights=None if planned else attn_weights[b],
+                    sampling_locations=None if planned else locations[b],
                     trace_executed=image_traces[b],
                     fwp=fwps[b],
-                    pap=paps[b],
+                    pap=None if planned else paps[b],
                 )
             )
         if single:
             return images[0]
         return DEFAAttentionBatchOutput(output=output, images=images)
+
+    def _forward_query_rows(
+        self,
+        query: np.ndarray,
+        kept_q: np.ndarray,
+        reference_points: np.ndarray,
+        value_input: np.ndarray,
+        spatial_shapes: list[LevelShape],
+        fmap_mask: np.ndarray,
+        backend,
+        plan: ExecutionPlan,
+    ) -> DEFAAttentionBatchOutput:
+        """:meth:`forward_kept_rows` behind :meth:`forward_detailed`'s
+        full-grid contract: the kept rows are gathered from the full
+        ``(B, N_q, D)`` query (quantized with that query's per-image scales,
+        whatever its pruned rows hold), and the output rows are scattered
+        back, with the pruned queries' rows at the output-projection bias."""
+        d_model = self.attn.d_model
+        batch, n_q = query.shape[:2]
+        rows = plan.take("query", query.reshape(-1, d_model), kept_q)
+        row_max_abs = None
+        if self.config.quant_bits is not None:
+            row_max_abs = max_abs(query, axis=(1, 2))[kept_q // n_q][:, None]
+        result = self.forward_kept_rows(
+            rows, kept_q, reference_points, value_input, spatial_shapes,
+            fmap_mask, backend, plan, row_max_abs=row_max_abs,
+        )
+        output = plan.buffer("output", (batch * n_q, d_model))
+        bias = self._projection_bias(self._output_proj)
+        output.fill(0)
+        if bias is not None:
+            output += bias
+        output[kept_q] = result.output
+        output = output.reshape(batch, n_q, d_model)
+        for b, image in enumerate(result.images):
+            image.output = output[b]
+        return DEFAAttentionBatchOutput(output=output, images=result.images)
+
+    def forward_kept_rows(
+        self,
+        query_rows: np.ndarray,
+        kept_q: np.ndarray,
+        reference_points: np.ndarray,
+        value_input: np.ndarray,
+        spatial_shapes: list[LevelShape],
+        fmap_mask: np.ndarray,
+        backend,
+        plan: ExecutionPlan,
+        row_max_abs: np.ndarray | None = None,
+    ) -> DEFAAttentionBatchOutput:
+        """The planned block under row-compacted query pruning, in kept-query
+        space from the query rows to the output rows.
+
+        This is :meth:`forward_detailed` with a ``plan`` when its
+        ``sparse_query`` dispatch holds (the encoder runner checks it with the
+        same thresholds, :meth:`~repro.core.encoder_runner.DEFAEncoderRunner.
+        query_stage_plan`), minus the full ``(B * N_q)`` grids it would only
+        zero, scatter and gather again:
+
+        * ``query_rows`` ``(K_q, D)`` are the query rows of ``kept_q``, the
+          sorted flat indices of ``fmap_mask``'s kept pixels on the ``(B *
+          N_q)`` axis (``N_q = N_in``); ``backend`` is a resolved fused
+          backend.  Quantized projections scale each row by its image's
+          ``max|query|``: ``row_max_abs`` ``(K_q, 1)`` when given, otherwise
+          the max over the image's kept rows — equal when the pruned rows of
+          the query are zero, as the runner's are;
+        * the PAP mask, the probabilities, the offsets and the sampling
+          locations stay ``(K_q, N_h, N_l, N_p[, 2])`` arrays; the clamp and
+          the location math are elementwise, and image ``b``'s clipping
+          fraction is the mean over its slice of rows;
+        * the compact trace is built from those rows
+          (:func:`~repro.nn.grid_sample.multi_scale_neighbors_rows`), with
+          ``kept`` in full point space as always; only a dense-gather
+          dispatch expands the rows into full grids for the dense kernel;
+        * ``output`` is ``(K_q, D)``: the output projection of the kept
+          rows, and each record's ``output`` is its image's slice of them.
+
+        Every value equals the full-grid planned path's bit for bit (the
+        same ufuncs on the same values in the same order, and matmuls over
+        the same row counts).  Records carry no ``point_mask``,
+        ``attention_weights``, ``sampling_locations`` or ``pap``, like every
+        planned record (see :meth:`forward_detailed`).
+        """
+        attn = self.attn
+        batch, n_in = value_input.shape[:2]
+        if n_in != total_pixels(spatial_shapes):
+            raise ValueError("value_input length does not match spatial_shapes")
+        n_q = n_in
+        n_h, n_l, n_p = attn.num_heads, attn.num_levels, attn.num_points
+        points_per_image = n_q * n_h * n_l * n_p
+        bounds = np.searchsorted(kept_q, np.arange(batch + 1, dtype=np.int64) * n_q)
+        quantized = self.config.quant_bits is not None
+        if quantized and row_max_abs is None:
+            row_max_abs = image_row_max_abs(query_rows, bounds)
+
+        # Step 1: attention probabilities and PAP masks of the kept rows.
+        with kernel_section("query_proj"):
+            heads = (self._attention_weights, self._sampling_offsets)
+            logits, offsets = project_into(
+                heads, query_rows, plan, ("attn_logits", "offsets"),
+                backend=backend, row_max_abs=row_max_abs,
+            )
+        probs = _softmax_inplace(logits.reshape(-1, n_h, n_l * n_p), plan)
+        probs = probs.reshape(-1, n_h, n_l, n_p)
+        point_mask = self._planned_point_mask(probs, plan)
+        slices = list(zip(bounds[:-1], bounds[1:]))  # each image's rows
+        points_kept = [int(np.count_nonzero(point_mask[lo:hi])) for lo, hi in slices]
+
+        # Step 2: offsets, range narrowing and sampling locations.
+        offsets = offsets.reshape(probs.shape + (2,))
+        clipping_fractions = [0.0] * batch
+        if self.range_narrowing is not None:
+            clipping_fractions = [
+                self.range_narrowing.clipping_fraction(offsets[lo:hi]) for lo, hi in slices
+            ]
+            self.range_narrowing.clamp_offsets_inplace(offsets)
+        ref = np.asarray(reference_points, dtype=FLOAT_DTYPE)
+        ref_rows = ref.reshape(-1, n_l, 2)[kept_q if ref.ndim == 4 else kept_q % n_q]
+        locations = attn.compute_sampling_locations(
+            ref_rows, offsets, spatial_shapes, out=offsets
+        )
+
+        # Step 3: value projection.
+        with kernel_section("value_proj"):
+            value, sparse_projection = self._project_values_batched(
+                value_input, fmap_mask, plan, backend=backend
+            )
+
+        # Step 4: MSGS + aggregation, then the FWP masks.
+        sparse_gather = sparse_gather_rule(
+            np.asarray(points_kept),
+            points_per_image,
+            points_per_image * 4,
+            self.sparse_mode,
+            self._thresholds(backend),
+        )
+        full_mask = None
+        if sparse_gather:
+            with kernel_section("neighbors"):
+                trace, row_kept = multi_scale_neighbors_rows(
+                    spatial_shapes, locations, point_mask, kept_q, batch, n_q, plan
+                )
+            attn_flat = plan.take("msgs.attn", probs.reshape(-1), row_kept)
+            head_outputs = backend.compact_gather_aggregate(
+                value.reshape(-1, attn.d_head), trace, attn_flat, n_in, plan=plan
+            )
+        else:
+            # The dense kernel reads full grids; a pruned query keeps no
+            # point, so its zero rows contribute nothing.
+            grid = (batch, n_q, n_h, n_l, n_p)
+            full_mask = plan.zeros("fold.mask", grid, bool)
+            full_probs = plan.zeros("fold.weights", grid)
+            full_locations = plan.zeros("fold.locations", grid + (2,))
+            for full, rows in (
+                (full_mask, point_mask), (full_probs, probs), (full_locations, locations)
+            ):
+                full.reshape((batch * n_q,) + full.shape[2:])[kept_q] = rows
+            with kernel_section("neighbors"):
+                trace = multi_scale_neighbors(spatial_shapes, full_locations)
+            head_outputs = ms_deform_attn_from_trace(
+                value, trace, full_probs, point_mask=full_mask
+            )
+        fwps = self._fwp_masks(trace, sparse_gather, full_mask, spatial_shapes, batch)
+
+        # Step 5: output projection of the kept rows.
+        with kernel_section("output_proj"):
+            heads_rows = plan.take(
+                "proj.rows", head_outputs.reshape(batch * n_q, attn.d_model), kept_q
+            )
+            (output,) = project_into(
+                (self._output_proj,), heads_rows, plan, ("output",), backend=backend,
+                row_max_abs=image_row_max_abs(heads_rows, bounds) if quantized else None,
+            )
+
+        image_traces = trace.images()
+        records = []
+        for b, (lo, hi) in enumerate(slices):
+            stats = self._layer_stats(
+                n_q, n_in, points_kept[b], fmap_mask[b], fwps[b], clipping_fractions[b],
+                sparse_projection, sparse_gather, True,
+            )
+            records.append(
+                DEFAAttentionOutput(
+                    output=output[lo:hi],
+                    stats=stats,
+                    fmap_mask_next=fwps[b].fmap_mask,
+                    point_mask=None,
+                    attention_weights=None,
+                    sampling_locations=None,
+                    trace_executed=image_traces[b],
+                    fwp=fwps[b],
+                    pap=None,
+                )
+            )
+        return DEFAAttentionBatchOutput(output=output, images=records)
+
+
+def _softmax_inplace(logits: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
+    """Softmax over the last axis of a logits arena buffer, in place.
+
+    The subtract / exp / divide chain of :func:`repro.nn.tensor_utils.
+    softmax`, bit-identically.  The row maximum is a running ``np.maximum``
+    over the columns of the short last axis instead of a reduction over
+    every 16-wide row: max is exact, so both give the same value (up to the
+    sign of a zero maximum, which ``x - max`` carries only into the sign of
+    a zero, and ``exp`` maps either zero to 1).  The row sums are reduced
+    before the divide overwrites them.
+    """
+    peak = plan.buffer("softmax.peak", logits.shape[:-1] + (1,))
+    column = peak[..., 0]
+    np.copyto(column, logits[..., 0])
+    for j in range(1, logits.shape[-1]):
+        np.maximum(column, logits[..., j], out=column)
+    np.subtract(logits, peak, out=logits)
+    np.exp(logits, out=logits)
+    np.divide(logits, np.sum(logits, axis=-1, keepdims=True), out=logits)
+    return logits

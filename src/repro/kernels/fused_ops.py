@@ -57,7 +57,7 @@ QUANT_SCRATCH_BYTES = 1 << 20
 """Size of the float64 scratch the quantize chain runs through: one row block
 (512 rows at ``D = 256``)."""
 
-__all__ = ["QUANT_SCRATCH_BYTES", "max_abs", "project_into"]
+__all__ = ["QUANT_SCRATCH_BYTES", "image_row_max_abs", "max_abs", "project_into"]
 
 
 def max_abs(x: np.ndarray, axis=None, keepdims: bool = False):
@@ -142,18 +142,37 @@ def _matmul_input(
     rows: np.ndarray | None,
     plan: ExecutionPlan,
     backend=None,
+    row_max_abs: np.ndarray | None = None,
 ) -> np.ndarray:
     """The (gathered, fake-quantized) matmul input of *proj* for ``x``."""
     x_in = x if rows is None else plan.take("proj.rows", x.reshape(-1, x.shape[-1]), rows)
     if not isinstance(proj, QuantizedLinear):
         return x_in
     # Dynamic: one scale per image, as forward_batched.
-    if rows is None:
+    if row_max_abs is not None:
+        scale = row_max_abs
+    elif rows is None:
         scale = max_abs(x, axis=tuple(range(1, x.ndim)), keepdims=True)
     else:
         image = np.asarray(rows, dtype=np.int64) // x.shape[1]
         scale = max_abs(x, axis=(1, 2))[image][:, None]
     return _quantize_into(proj.activation_spec, x_in, scale, plan, backend=backend)
+
+
+def image_row_max_abs(rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``(K, 1)``: the max-abs of each compact row's image.
+
+    ``rows`` holds the kept rows of a batch, image ``b`` in
+    ``rows[bounds[b]:bounds[b + 1]]``.  When every row the compaction
+    dropped is zero, an image's ``max|x|`` over its kept rows equals the one
+    over all its rows (``max|x| >= 0``), so these are exactly the per-image
+    scales :meth:`QuantizedLinear.forward_rows_batched` derives from the
+    full batch.
+    """
+    scales = np.empty(len(bounds) - 1, dtype=rows.dtype)
+    for b in range(scales.size):
+        scales[b] = max_abs(rows[bounds[b] : bounds[b + 1]], axis=(0, 1))
+    return np.repeat(scales, np.diff(bounds))[:, None]
 
 
 def project_into(
@@ -163,6 +182,7 @@ def project_into(
     names: Sequence[str],
     rows: np.ndarray | None = None,
     backend=None,
+    row_max_abs: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Each ``proj.forward_batched(x)`` (``proj(x)`` unquantized), into the
     plan buffer ``{name}.out``.
@@ -173,6 +193,11 @@ def project_into(
     with the dynamic scale of its own image.  Dynamic activation
     quantization always stays per image (one scale per batch element,
     exactly the scales :meth:`QuantizedLinear.forward_batched` derives).
+
+    ``x`` may instead be rows that are already compact, ``(K, D)``, with
+    ``row_max_abs`` the ``(K, 1)`` max-abs of each row's image (see
+    :func:`image_row_max_abs`); quantized projections then use those
+    scales, and nothing is gathered.
 
     Consecutive projections whose matmul input is the same — unquantized,
     or quantized with the same activation spec — share one gather and one
@@ -185,7 +210,8 @@ def project_into(
         out = plan.buffer(f"{name}.out", lead + (proj.out_features,), FLOAT_DTYPE)
         key = _input_key(proj)
         if key != shared_key:
-            shared, shared_key = _matmul_input(proj, x, rows, plan, backend), key
+            shared = _matmul_input(proj, x, rows, plan, backend, row_max_abs)
+            shared_key = key
         if isinstance(proj, QuantizedLinear):
             _matmul_bias_into(proj.quantized_weight, proj.inner.bias, shared, out)
         else:

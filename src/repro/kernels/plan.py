@@ -16,14 +16,25 @@ Usage and lifetime rules
   ``shape``.  The *content* of a named buffer stays valid only until the next
   ``buffer()`` request with the same name — a name identifies one logical
   intermediate of the execution, not a storage slot to hold on to.
-* A name is either **one logical intermediate** (``value``, ``offsets``,
-  ``stream0``: its content is read after the helper that wrote it returns)
+* A name is either **one logical intermediate** (``value``, ``query``,
+  ``stream``: its content is read after the helper that wrote it returns)
   or **one transient scratch role** (``proj.rows``, ``proj.xq``,
   ``quant.q64``, ``ffn.hidden``: its content is dead when the requesting
   helper returns).  Every call site of a transient role shares the one
   name, so the arena holds each role once, at its largest live size — not
   once per call site.  Two arrays that are live at the same time must
-  never share a name.
+  never share a name; one name may serve two roles that are never live
+  together (the MSGS gather block doubles as the flush scratch of its own
+  chunk once the contributions exist).
+* A block under row-compacted query pruning sizes its per-query buffers to
+  the kept queries (``query``, ``attn_logits.out``, ``offsets.out``,
+  ``pap.mask``, ``output.out`` hold ``K_q`` rows): nothing in it is zeroed,
+  scattered or gathered on the full ``(B * N_q)`` grid except the value
+  tensor and the MSGS output slots, whose kernels index them by pixel and
+  by (query, head).
+* The encoder's residual stream is one buffer, ``stream``: the first block
+  writes it, and every later inter-block stage updates it in place, writing
+  only the rows it recomputes — the frozen rows are never copied.
 * A transient role that a loop can serve in pieces is sized to one piece:
   the float64 quantize scratch holds one row block of
   :data:`~repro.kernels.fused_ops.QUANT_SCRATCH_BYTES`, the FFN hidden

@@ -104,7 +104,13 @@ class DeformableEncoderLayer(Module):
         src:
             Block input of shape ``(N, D)`` or ``(B, N, D)``.
         attn_output:
-            Same-shape output of the attention block.
+            Same-shape output of the attention block.  With a ``plan`` and a
+            ``keep_mask`` it may instead be the attention output's kept rows
+            only, ``(K, D)`` in flat kept order — what the row-compact
+            attention block (:meth:`repro.core.pipeline.DEFAAttention.
+            forward_kept_rows`) produces.  The compact stage then adds them
+            as they are, with no gather; the masked-dense stage spreads them
+            over zero rows, whose results its mask discards.
         keep_mask:
             Optional boolean keep-mask over the rows (``(N,)``, or ``(B, N)``
             when batched).  Pruned rows skip the residual adds, ``norm1``, the
@@ -129,10 +135,13 @@ class DeformableEncoderLayer(Module):
             the compact stage use the same buffer names (``ffn.mixed``,
             ``ffn.src2``, ``ffn.hidden``).
         out:
-            Optional destination for the stage output (same shape as ``src``,
-            must not alias it) — the encoder runner passes alternating stream
-            buffers so consecutive blocks ping-pong between two arrays.
-            Requires ``plan``; without a plan the stage always allocates.
+            Optional destination for the stage output (same shape as
+            ``src``).  Requires ``plan``; without a plan the stage always
+            allocates.  ``out`` may be ``src`` itself — the encoder runner
+            keeps the residual stream in one arena buffer that way: every
+            stage reads its input rows before it writes them, and a masked
+            stage then writes only the kept rows, leaving the frozen rows
+            where they are instead of copying them.
 
         Returns the stage output in the shape of ``src``.
         """
@@ -166,30 +175,46 @@ class DeformableEncoderLayer(Module):
         keep_mask = np.asarray(keep_mask, dtype=bool)
         if keep_mask.shape != src.shape[:-1]:
             raise ValueError("keep_mask must match the row shape of src")
+        d_model = src.shape[-1]
+        flat_src = src.reshape(-1, d_model)
+        kept = attn_rows = None
+        if attn_output.shape != src.shape:
+            kept = np.flatnonzero(keep_mask.reshape(-1))
+            if plan is None or attn_output.shape != (kept.size, d_model):
+                raise ValueError(
+                    "attn_output must match src, or (with a plan) hold the (K, D) kept rows"
+                )
+            attn_rows = attn_output
+            if not compact:
+                attn_output = plan.zeros("ffn.attn", src.shape)
+                attn_output.reshape(-1, d_model)[kept] = attn_rows
         if not compact:
             dense = self.forward_ffn_stage(src, attn_output, plan=plan)
             if plan is not None:
                 result = out if out is not None else plan.buffer("ffn.masked_out", src.shape)
-                np.copyto(result, src)
+                if result is not src:
+                    np.copyto(result, src)
                 result[keep_mask] = dense[keep_mask]
                 return result
             out_masked = src.copy()
             out_masked[keep_mask] = dense[keep_mask]
             return out_masked
-        d_model = src.shape[-1]
-        flat_src = src.reshape(-1, d_model)
+        if kept is None:
+            kept = np.flatnonzero(keep_mask.reshape(-1))
         flat_attn = attn_output.reshape(-1, d_model)
-        kept = np.flatnonzero(keep_mask.reshape(-1))
         if plan is not None:
             result = out if out is not None else plan.buffer("ffn.compact_out", src.shape)
-            np.copyto(result, src)
+            if result is not src:
+                np.copyto(result, src)
             if kept.size:
                 with kernel_section("norm"):
                     # The dense stage's names, so the first (dense) block's
                     # buffers serve the compact blocks after it.
                     mixed = plan.take("ffn.mixed", flat_src, kept)
-                    src2 = plan.take("ffn.src2", flat_attn, kept)  # attn rows
-                    np.add(mixed, src2, out=mixed)
+                    if attn_rows is None:
+                        attn_rows = plan.take("ffn.src2", flat_attn, kept)
+                    np.add(mixed, attn_rows, out=mixed)
+                    src2 = plan.buffer("ffn.src2", mixed.shape)
                     self.norm1.forward_into(mixed, src2)
                 with kernel_section("ffn"):
                     hidden_rows = self.ffn.hidden_rows(kept.size)

@@ -653,8 +653,25 @@ def use_sparse_gather(
     single-image runs must make the same decision wherever possible,
     otherwise quantized configs amplify the float32 rounding difference
     between the two kernels into a quantization step and break
-    batched-vs-serial equivalence.
+    batched-vs-serial equivalence.  :func:`sparse_gather_rule` is the same
+    rule on per-image kept counts.
     """
+    per_image, points = None, 0
+    if point_mask is not None and sparse_mode == "auto":
+        per_image = np.count_nonzero(point_mask.reshape(point_mask.shape[0], -1), axis=1)
+        points = point_mask[0].size
+    return sparse_gather_rule(per_image, points, slots_per_image, sparse_mode, thresholds)
+
+
+def sparse_gather_rule(
+    per_image_kept: np.ndarray | None,
+    points_per_image: int,
+    slots_per_image: int,
+    sparse_mode: str,
+    thresholds: DispatchThresholds | None = None,
+) -> bool:
+    """:func:`use_sparse_gather` on the kept-point count of every image
+    (``None``: no point mask) out of ``points_per_image``."""
     if sparse_mode not in SPARSE_MODES:
         raise ValueError(f"sparse_mode must be one of {SPARSE_MODES}, got {sparse_mode!r}")
     if sparse_mode == "dense":
@@ -663,11 +680,9 @@ def use_sparse_gather(
         return True
     if thresholds is None:
         thresholds = get_active_profile().thresholds_for(None)
-    if point_mask is None or slots_per_image < thresholds.min_slots:
+    if per_image_kept is None or slots_per_image < thresholds.min_slots:
         return False
-    batch = point_mask.shape[0]
-    per_image = np.count_nonzero(point_mask.reshape(batch, -1), axis=1)
-    keep_fraction = float(per_image.max()) / max(point_mask[0].size, 1)
+    keep_fraction = float(np.max(per_image_kept)) / max(points_per_image, 1)
     return keep_fraction <= thresholds.point_keep_max
 
 
@@ -801,17 +816,16 @@ def multi_scale_neighbors_sparse(
     else:
         kept = np.flatnonzero(point_mask.reshape(-1))
 
-    widths = np.array([s.width for s in spatial_shapes], dtype=FLOAT_DTYPE)
-    heights = np.array([s.height for s in spatial_shapes], dtype=FLOAT_DTYPE)
-    hi = np.array([s.height for s in spatial_shapes], dtype=np.int64)
-    wi = np.array([s.width for s in spatial_shapes], dtype=np.int64)
-    starts = np.array(level_start_indices(spatial_shapes), dtype=np.int64)
-
     if plan is not None:
         lvl, weights, valid, safe_flat = _compact_trace_arrays_fused(
-            sampling_locations, kept, n_p, n_l, widths, heights, hi, wi, starts, plan
+            np.ascontiguousarray(sampling_locations).reshape(-1, 2), kept, n_p, spatial_shapes, plan
         )
     else:
+        widths = np.array([s.width for s in spatial_shapes], dtype=FLOAT_DTYPE)
+        heights = np.array([s.height for s in spatial_shapes], dtype=FLOAT_DTYPE)
+        hi = np.array([s.height for s in spatial_shapes], dtype=np.int64)
+        wi = np.array([s.width for s in spatial_shapes], dtype=np.int64)
+        starts = np.array(level_start_indices(spatial_shapes), dtype=np.int64)
         lvl = (kept // n_p) % n_l
         loc = np.ascontiguousarray(sampling_locations).reshape(total_points, 2)[kept]
         # Identical float32 expressions as the dense trace path (via
@@ -838,28 +852,80 @@ def multi_scale_neighbors_sparse(
     )
 
 
+def multi_scale_neighbors_rows(
+    spatial_shapes: list[LevelShape],
+    row_locations: np.ndarray,
+    row_mask: np.ndarray,
+    rows: np.ndarray,
+    batch_size: int,
+    num_queries: int,
+    plan: ExecutionPlan,
+) -> tuple[CompactSamplingTrace, np.ndarray]:
+    """:func:`multi_scale_neighbors_sparse` from the kept query rows only.
+
+    ``row_locations`` ``(K_q, N_h, N_l, N_p, 2)`` and ``row_mask`` ``(K_q,
+    N_h, N_l, N_p)`` hold the sampling locations and PAP mask of the query
+    rows ``rows`` — sorted indices into the flat ``(B * N_q)`` query axis;
+    every query outside ``rows`` has no kept point.  Returns the trace and
+    ``row_kept``, the flat indices of the kept points into ``row_mask``.
+    The trace equals the one :func:`multi_scale_neighbors_sparse` builds
+    from the full ``(B, N_q, ...)`` grids bit for bit: its ``kept`` is in
+    full point space, ``rows[row_kept // P] * P + row_kept % P`` with ``P =
+    N_h * N_l * N_p``, in the same ascending order, and the per-point
+    arithmetic reads the same location values.
+    """
+    n_h, n_l, n_p = row_mask.shape[1:]
+    per_query = n_h * n_l * n_p
+    flat_mask = row_mask.reshape(-1, per_query)
+    row_kept = np.flatnonzero(flat_mask)
+    # Point i of compact row r sits at (rows[r] - r) * P past row_kept[i].
+    shift = (rows - np.arange(rows.size, dtype=np.int64)) * per_query
+    kept = np.repeat(shift, np.count_nonzero(flat_mask, axis=1))
+    kept += row_kept
+    lvl, weights, valid, safe_flat = _compact_trace_arrays_fused(
+        row_locations.reshape(-1, 2), row_kept, n_p, spatial_shapes, plan
+    )
+    trace = CompactSamplingTrace(
+        kept=kept,
+        levels=lvl,
+        flat_indices=safe_flat,
+        weights=weights,
+        valid=valid,
+        spatial_shapes=list(spatial_shapes),
+        batch_size=batch_size,
+        num_queries=num_queries,
+        num_heads=n_h,
+        num_levels=n_l,
+        num_points=n_p,
+    )
+    return trace, row_kept
+
+
 def _compact_trace_arrays_fused(
-    sampling_locations: np.ndarray,
+    loc_flat: np.ndarray,
     kept: np.ndarray,
     n_p: int,
-    n_l: int,
-    widths: np.ndarray,
-    heights: np.ndarray,
-    hi: np.ndarray,
-    wi: np.ndarray,
-    starts: np.ndarray,
+    spatial_shapes: list[LevelShape],
     plan: ExecutionPlan,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Buffer-reusing per-point trace arrays: ``(levels, weights, valid, flat)``.
 
+    ``loc_flat`` is the ``(points, 2)`` location table and ``kept`` the
+    sorted rows of it to build; a row's level is ``(row // N_p) % N_l``, so
+    the table may be the full point grid or whole query rows of it.
     Bit-identical to the allocating branch of
     :func:`multi_scale_neighbors_sparse`: every float expression matches
     :func:`_neighbor_grid` (the int64 operand promotions included), the
     stacks become column stores, and the integer flat-index arithmetic is
     exact in any order.
     """
+    n_l = len(spatial_shapes)
+    widths = np.array([s.width for s in spatial_shapes], dtype=FLOAT_DTYPE)
+    heights = np.array([s.height for s in spatial_shapes], dtype=FLOAT_DTYPE)
+    hi = np.array([s.height for s in spatial_shapes], dtype=np.int64)
+    wi = np.array([s.width for s in spatial_shapes], dtype=np.int64)
+    starts = np.array(level_start_indices(spatial_shapes), dtype=np.int64)
     k = int(kept.size)
-    loc_flat = np.ascontiguousarray(sampling_locations).reshape(-1, 2)
     loc = plan.take("trace.loc", loc_flat, kept, axis=0)  # (K, 2)
     lvl = plan.buffer("trace.levels", (k,), np.int64)
     np.floor_divide(kept, n_p, out=lvl)

@@ -19,6 +19,11 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / np.sum(exp, axis=axis, keepdims=True)
 
 
+LAYER_NORM_BLOCK_BYTES = 1 << 18
+"""Size of the float32 scratch the in-place :func:`layer_norm` squares its
+centred rows into: one row block (256 rows at ``D = 256``)."""
+
+
 def layer_norm(
     x: np.ndarray,
     weight: np.ndarray,
@@ -28,21 +33,39 @@ def layer_norm(
 ) -> np.ndarray:
     """Layer normalization over the last dimension.
 
-    With ``out`` (a float32 array of ``x.shape``, distinct from ``x``) the
-    big elementwise passes run in-place into it — bit-identical to the
-    allocating path (same operations in the same order; only the per-row
-    mean/variance reductions still allocate, and those are ``D`` times
-    smaller than the data).
+    With ``out`` (a C-contiguous float32 array of ``x.shape``, distinct from
+    ``x``) the stage runs in place in it, bit-identical to the allocating
+    path: the row sums are reduced once, ``x - mean`` is written once into
+    ``out``, and its squares go through one row block of
+    :data:`LAYER_NORM_BLOCK_BYTES` at a time.  That is ``x.mean`` /
+    ``x.var`` step for step — the same pairwise row sums, divided by
+    ``np.intp(D)`` with ``casting="unsafe"`` as NumPy's ``_mean`` / ``_var``
+    do — without ``x.var``'s full-size centred copy.
     """
     x = np.asarray(x, dtype=FLOAT_DTYPE)
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
     if out is None:
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
         normalized = (x - mean) / np.sqrt(var + eps)
         return normalized * weight + bias
-    np.subtract(x, mean, out=out)
-    denom = np.sqrt(var + eps)
-    np.divide(out, denom, out=out)
+    width = x.shape[-1]
+    count = np.intp(width)
+    rows = x.reshape(-1, width)
+    centred = out.reshape(-1, width)
+    mean = np.add.reduce(rows, axis=-1, keepdims=True)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    np.subtract(rows, mean, out=centred)
+    var = mean  # the mean is dead once the rows are centred
+    step = max(1, LAYER_NORM_BLOCK_BYTES // (4 * width))
+    squares = np.empty((min(step, rows.shape[0]), width), dtype=FLOAT_DTYPE)
+    for lo in range(0, rows.shape[0], step):
+        hi = min(lo + step, rows.shape[0])
+        block = np.square(centred[lo:hi], out=squares[: hi - lo])
+        np.add.reduce(block, axis=-1, keepdims=True, out=var[lo:hi])
+    np.true_divide(var, count, out=var, casting="unsafe")
+    np.add(var, eps, out=var)
+    np.sqrt(var, out=var)
+    np.divide(centred, var, out=centred)
     np.multiply(out, weight, out=out)
     np.add(out, bias, out=out)
     return out
