@@ -121,8 +121,10 @@ def run_engine_benchmark(repeats: int) -> dict:
         ffn_dim=128,
         rng=0,
     )
+    # One-shot compact wall clocks jitter by ±30 %, past the bench-regression
+    # fence; a best-of-3 floor keeps the ratio stable, as for kernel_fusion.
     report = measure_encoder_batched_speedup(
-        encoder, shapes, batch_size=8, repeats=repeats, rng=1
+        encoder, shapes, batch_size=8, repeats=max(repeats, 3), rng=1
     )
     return {
         "name": "batched_engine",
@@ -304,7 +306,9 @@ def run_sparse_fp32_equivalence(sparse_scale: str, repeats: int) -> dict:
     """
     workload = get_workload("deformable_detr", sparse_scale)
     config = DEFAConfig(fwp_k=1.0, quant_bits=None, enable_query_pruning=True)
-    report = measure_sparse_speedup(workload, config, repeats=repeats, rng=0)
+    # Best-of-3 floor, as for batched_engine: one-shot ratios jitter past
+    # the bench-regression fence.
+    report = measure_sparse_speedup(workload, config, repeats=max(repeats, 3), rng=0)
     return {
         "name": "sparse_equivalence_fp32",
         "config": {

@@ -20,6 +20,7 @@ masked-dense otherwise, with identical semantics either way.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ from repro.kernels import (
     resolve_backend,
     resolve_profile,
 )
+from repro.kernels.plan import thread_plan
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.shapes import LevelShape
@@ -173,6 +175,8 @@ class DEFAEncoderRunner:
         inter-block query/FFN stages and the point-gather rule — resolved
         once at construction (``None`` followed the process-default active
         profile) and forwarded to every block."""
+        # The plans this runner holds alive, by (thread id, key), least
+        # recently used first (see execution_plan).
         self._plans: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
         block_options = ExecutionOptions(
             sparse_mode=options.sparse_mode or "auto",
@@ -201,44 +205,50 @@ class DEFAEncoderRunner:
         return resolve_backend(self.kernel_backend)
 
     MAX_EXECUTION_PLANS = 8
-    """LRU bound on cached per-signature arenas.  Each warm plan holds every
-    large per-block buffer of its workload (tens of MB at paper scale), so a
-    long-lived runner fed heterogeneous image sizes must not accumulate one
-    arena per distinct signature forever — least-recently-used plans are
-    dropped past this bound; a dropped signature simply re-warms on next
-    use."""
+    """LRU bound on the execution plans this runner keeps alive.  Each warm
+    plan holds every large per-block buffer of its workload (tens of MB at
+    paper scale), so a long-lived runner fed heterogeneous image sizes must
+    not keep one arena per distinct signature forever — past this bound the
+    runner drops its least-recently-used plan, which is freed unless another
+    runner of the thread still holds it; a dropped signature simply re-warms
+    on next use."""
 
     def execution_plan(
         self, spatial_shapes: list[LevelShape], batch_size: int
     ) -> ExecutionPlan:
-        """The buffer arena for one ``(shape-signature, batch-size)``.
+        """The calling thread's buffer arena for one ``(shape-signature,
+        batch-size)``.
 
-        Plans are created on first use and kept LRU-bounded (at most
-        :data:`MAX_EXECUTION_PLANS`): a signature change means a *new* plan
-        (the invalidation rule), while repeated forwards — across blocks and
-        across batches of the same signature — reuse the warm
+        The plan comes from the thread's registry
+        (:func:`repro.kernels.plan.thread_plan`), so every runner in the
+        thread shares it; this runner holds it in its LRU of at most
+        :data:`MAX_EXECUTION_PLANS` plans.  A signature change means a *new*
+        plan (the invalidation rule), while repeated forwards — across
+        blocks, batches and runners of the same signature — reuse the warm
         arena and perform no large allocations.  ``batch_size`` is at least
         1: a single-image forward runs as a ``B = 1`` batch and shares the
         ``B = 1`` arena.
         """
         key = (tuple(s.as_tuple() for s in spatial_shapes), batch_size)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = ExecutionPlan()
-        else:
-            self._plans.move_to_end(key)  # refresh recency (true LRU)
+        plan = thread_plan(key)
+        held = (threading.get_ident(), key)
+        self._plans[held] = plan
+        self._plans.move_to_end(held)  # refresh recency (true LRU)
         while len(self._plans) > self.MAX_EXECUTION_PLANS:
             self._plans.popitem(last=False)
         return plan
 
     def plan_stats(self) -> dict[str, int | str]:
-        """Aggregate arena accounting over all cached execution plans.
+        """Arena accounting over the execution plans this runner holds.
 
         ``hits``/``grows`` follow :class:`~repro.kernels.ExecutionPlan`
         semantics (buffer reuses vs. (re)allocations); ``bytes`` is the total
-        steady-state arena footprint.  The serving engine reports this per
-        worker as evidence that the warm-arena regime survives across
-        requests (hits keep climbing, grows plateau once the plans are warm).
+        steady-state arena footprint.  A plan is shared by every runner of
+        its thread, so its counters include the other runners' requests and
+        two runners that share a plan both count its bytes.  The serving
+        engine reports this per worker as evidence that the warm-arena
+        regime survives across requests (hits keep climbing, grows plateau
+        once the plans are warm).
         ``backend`` names the kernel backend the runner *actually* executes
         with right now — after registry fallback, so a worker that requested
         ``"compiled"`` on a host without the built extension reports

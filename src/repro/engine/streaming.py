@@ -29,7 +29,9 @@ extends the same frozen-row convention across *frames*:
 * **Warm arenas.**  A stream has one pyramid signature for its lifetime, so
   the session's :class:`~repro.core.encoder_runner.DEFAEncoderRunner` keeps
   reusing the same :class:`~repro.kernels.ExecutionPlan` arenas frame after
-  frame: ``plan_stats()`` shows hits climbing while bytes plateau.
+  frame: ``plan_stats()`` shows hits climbing while bytes plateau.  Plans
+  are shared per thread and key, so every session over one pyramid in a
+  thread runs on one arena, not one arena per session.
 
 Equivalence discipline (the PR 4 trajectory-sensitivity rules): a warm frame
 *by design* prunes differently than a cold start — masks are algorithm

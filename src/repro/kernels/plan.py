@@ -44,21 +44,37 @@ Usage and lifetime rules
   reallocates (counted in :attr:`grows`), a smaller one reuses the prefix.
   After one warm forward per shape signature the plan is at its high-water
   mark and subsequent forwards perform no large allocations.
-* Plans are keyed by the caller on ``(shape-signature, batch-size)`` (see
-  :meth:`repro.core.encoder_runner.DEFAEncoderRunner.execution_plan`): a
-  shape-signature change means a *new* plan, never a resize-in-place of a
+* One plan per thread and key.  :func:`thread_plan` keeps a per-thread
+  registry keyed by ``(shape-signature, batch-size)`` (the key
+  :meth:`repro.core.encoder_runner.DEFAEncoderRunner.execution_plan`
+  builds), so every runner in a thread gets the same plan for a key: two
+  streaming sessions over one pyramid share one arena instead of holding two
+  identical ones.  That is safe because a plan only holds intermediates that
+  die inside one forward, and the forwards of one thread never overlap.  Two
+  threads never share a plan (the in-process serving engine's pump thread
+  and a caller's thread can run forwards at the same moment).
+* A shape-signature change means a *new* plan, never a resize-in-place of a
   live one, so two signatures interleaved (mixed-shape serving traffic) each
   keep their own warm arena.
+* The registry holds its plans weakly; the runners that used a plan hold it
+  strongly (each in an LRU of
+  :attr:`~repro.core.encoder_runner.DEFAEncoderRunner.MAX_EXECUTION_PLANS`).
+  An arena is freed with the last runner that holds it.
 * Nothing returned to an API caller may alias a plan buffer (results must
-  survive the next forward); callers copy the final output out of the arena.
-  The aliasing-corruption test in ``tests/test_kernels.py`` pins this.
+  survive the next forward, of this runner or of any other in the thread);
+  callers copy the final output out of the arena.  The aliasing-corruption
+  tests in ``tests/test_kernels.py`` pin this within and across runners.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections.abc import Hashable
+
 import numpy as np
 
-__all__ = ["ExecutionPlan", "take_into"]
+__all__ = ["ExecutionPlan", "take_into", "thread_plan"]
 
 
 def take_into(
@@ -82,10 +98,11 @@ def take_into(
 
 
 class ExecutionPlan:
-    """Named-buffer arena for the per-block intermediates of one runner.
+    """Named-buffer arena for the per-block intermediates of one forward.
 
-    Not thread-safe (neither is the NumPy substrate it serves); one plan
-    belongs to one runner and one shape signature.
+    Not thread-safe (neither is the NumPy substrate it serves): one plan
+    serves one thread and one ``(shape-signature, batch-size)`` key, and is
+    shared by every runner of that thread (see :func:`thread_plan`).
     """
 
     def __init__(self) -> None:
@@ -140,3 +157,22 @@ class ExecutionPlan:
             f"ExecutionPlan(buffers={len(self._buffers)}, "
             f"bytes={self.allocated_bytes}, hits={self.hits}, grows={self.grows})"
         )
+
+
+_registry = threading.local()
+
+
+def thread_plan(key: Hashable) -> ExecutionPlan:
+    """The calling thread's plan for *key*, created on first request.
+
+    Every caller in one thread gets the same plan object for a key, and a
+    thread never sees another thread's plan.  The registry holds plans
+    weakly: a plan lives as long as some caller keeps a reference to it.
+    """
+    plans = getattr(_registry, "plans", None)
+    if plans is None:
+        plans = _registry.plans = weakref.WeakValueDictionary()
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = ExecutionPlan()
+    return plan

@@ -14,27 +14,14 @@ block to the next, runs these layers' weights through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.nn.modules import FeedForward, LayerNorm, Module
-from repro.nn.msdeform_attn import MSDeformAttn, MSDeformAttnOutput
+from repro.nn.msdeform_attn import MSDeformAttn
 from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.shapes import LevelShape
 from repro.utils.timing import kernel_section
-
-
-@dataclass
-class EncoderLayerOutput:
-    """Intermediates of one encoder layer forward pass."""
-
-    output: np.ndarray
-    """Layer output of shape ``(N_in, D)`` (``(B, N_in, D)`` when batched)."""
-
-    attention: MSDeformAttnOutput
-    """Detailed MSDeformAttn intermediates for this layer."""
 
 
 class DeformableEncoderLayer(Module):
@@ -66,27 +53,6 @@ class DeformableEncoderLayer(Module):
         self.norm1 = LayerNorm(d_model)
         self.ffn = FeedForward(d_model, ffn_dim, activation=activation, rng=rng)
         self.norm2 = LayerNorm(d_model)
-
-    def forward_detailed(
-        self,
-        src: np.ndarray,
-        pos: np.ndarray,
-        reference_points: np.ndarray,
-        spatial_shapes: list[LevelShape],
-    ) -> EncoderLayerOutput:
-        """Forward pass returning intermediates.
-
-        ``src`` has shape ``(N_in, D)`` or ``(B, N_in, D)``; ``pos`` has shape
-        ``(N_in, D)`` and is shared across the batch (positional encodings
-        only depend on the pyramid shapes).  The query of the attention block
-        is ``src + pos`` while the value is ``src`` itself.
-        """
-        src = np.asarray(src, dtype=FLOAT_DTYPE)
-        pos = np.asarray(pos, dtype=FLOAT_DTYPE)
-        query = src + pos
-        attn = self.self_attn.forward_detailed(query, reference_points, src, spatial_shapes)
-        out = self.forward_ffn_stage(src, attn.output)
-        return EncoderLayerOutput(output=out, attention=attn)
 
     def forward_ffn_stage(
         self,
@@ -243,8 +209,17 @@ class DeformableEncoderLayer(Module):
         reference_points: np.ndarray,
         spatial_shapes: list[LevelShape],
     ) -> np.ndarray:
-        """Layer output of shape ``(N_in, D)`` (``(B, N_in, D)`` when batched)."""
-        return self.forward_detailed(src, pos, reference_points, spatial_shapes).output
+        """Layer output of shape ``(N_in, D)`` (``(B, N_in, D)`` when batched).
+
+        ``src`` has shape ``(N_in, D)`` or ``(B, N_in, D)``; ``pos`` has shape
+        ``(N_in, D)`` and is shared across the batch (positional encodings
+        only depend on the pyramid shapes).  The query of the attention block
+        is ``src + pos`` while the value is ``src`` itself.
+        """
+        src = np.asarray(src, dtype=FLOAT_DTYPE)
+        pos = np.asarray(pos, dtype=FLOAT_DTYPE)
+        attn = self.self_attn(src + pos, reference_points, src, spatial_shapes)
+        return self.forward_ffn_stage(src, attn)
 
 
 class DeformableEncoder(Module):

@@ -796,13 +796,12 @@ def multi_scale_neighbors_sparse(
 
     The per-point results are bit-identical to the dense trace restricted to
     the kept points; construction cost scales with the keep ratio.  With a
-    ``plan`` every per-point array (levels, neighbour rows/cols, weights,
-    validity, flat indices) is built in place inside reused arena buffers —
-    bit-identical to the allocating path (same float expressions in the same
-    order, with the ``np.stack`` copies replaced by column stores).  The
-    trace arrays then *are* plan buffers: valid until the plan's next
-    forward, per the :class:`~repro.kernels.plan.ExecutionPlan` lifetime
-    rules.
+    ``plan`` every per-point array (levels, weights, validity, flat indices)
+    is built in place inside reused arena buffers — bit-identical to the
+    allocating path (same float expressions in the same order, with the
+    ``np.stack`` copies replaced by column stores).  The trace arrays then
+    *are* plan buffers: valid until the plan's next forward, per the
+    :class:`~repro.kernels.plan.ExecutionPlan` lifetime rules.
     """
     sampling_locations, single = _batch_locations(spatial_shapes, sampling_locations)
     if point_mask is not None:
@@ -915,9 +914,10 @@ def _compact_trace_arrays_fused(
     the table may be the full point grid or whole query rows of it.
     Bit-identical to the allocating branch of
     :func:`multi_scale_neighbors_sparse`: every float expression matches
-    :func:`_neighbor_grid` (the int64 operand promotions included), the
-    stacks become column stores, and the integer flat-index arithmetic is
-    exact in any order.
+    :func:`_neighbor_grid` (the int64 operand promotions included) and the
+    stacks become column stores.  No ``(K, 4)`` row/column grids are built:
+    validity comes from per-axis flags of the corner rows and columns, and
+    each flat index from one per-point base (see the comments below).
     """
     n_l = len(spatial_shapes)
     widths = np.array([s.width for s in spatial_shapes], dtype=FLOAT_DTYPE)
@@ -956,17 +956,6 @@ def _compact_trace_arrays_fused(
     t0 = plan.buffer("trace.t0", (k,), FLOAT_DTYPE)
     np.subtract(y, y0, out=t0, casting="unsafe")
 
-    rows = plan.buffer("trace.rows", (k, 4), np.int64)
-    rows[:, 0] = y0
-    rows[:, 1] = y0
-    np.add(y0, 1, out=rows[:, 2])
-    rows[:, 3] = rows[:, 2]
-    cols = plan.buffer("trace.cols", (k, 4), np.int64)
-    cols[:, 0] = x0
-    np.add(x0, 1, out=cols[:, 1])
-    cols[:, 2] = x0
-    cols[:, 3] = cols[:, 1]
-
     weights = plan.buffer("trace.weights", (k, 4), FLOAT_DTYPE)
     one_m_t1 = x  # reuse: x/y are no longer needed past this point
     one_m_t0 = y
@@ -977,35 +966,41 @@ def _compact_trace_arrays_fused(
     np.multiply(one_m_t1, t0, out=weights[:, 2])
     np.multiply(t1, t0, out=weights[:, 3])
 
-    h_col = plan.take("trace.h", hi, lvl)[:, None]
-    w_col = plan.take("trace.w", wi, lvl)[:, None]
+    # Per-axis in-bounds flags of the two corner rows (y0, y0 + 1) and
+    # columns (x0, x0 + 1).  Through the unsigned view ``0 <= v < n`` is the
+    # one comparison ``uint(v) < n``, and ``uint(v) + 1`` wraps exactly like
+    # ``v + 1``.  Corner c = (row c // 2, column c % 2) is valid when both
+    # of its flags are, which equals _neighbor_grid's four comparisons.
+    h_col = plan.take("trace.h", hi, lvl).view(np.uint64)
+    w_col = plan.take("trace.w", wi, lvl)
+    flags = plan.buffer("trace.flags", (4, k), np.bool_)
+    base = plan.buffer("trace.base", (k,), np.int64)
+    step = base.view(np.uint64)  # scratch until the base is built
+    np.less(y0.view(np.uint64), h_col, out=flags[0])
+    np.add(y0.view(np.uint64), 1, out=step)
+    np.less(step, h_col, out=flags[1])
+    np.less(x0.view(np.uint64), w_col.view(np.uint64), out=flags[2])
+    np.add(x0.view(np.uint64), 1, out=step)
+    np.less(step, w_col.view(np.uint64), out=flags[3])
     valid = plan.buffer("trace.valid", (k, 4), np.bool_)
-    tmp = plan.buffer("trace.valid_tmp", (k, 4), np.bool_)
-    np.greater_equal(rows, 0, out=valid)
-    np.less(rows, h_col, out=tmp)
-    valid &= tmp
-    np.greater_equal(cols, 0, out=tmp)
-    valid &= tmp
-    np.less(cols, w_col, out=tmp)
-    valid &= tmp
+    for c in range(4):
+        np.logical_and(flags[c // 2], flags[2 + c % 2], out=valid[:, c])
 
-    # Clamp in place (rows/cols are not part of the compact trace) and build
-    # the flat token indices; invalid neighbours are marked -1.  h_col/w_col
-    # are only needed as size-1 bounds from here on, so the decrement reuses
-    # them.
-    np.maximum(rows, 0, out=rows)
-    np.subtract(h_col, 1, out=h_col)
-    np.minimum(rows, h_col, out=rows)
-    np.maximum(cols, 0, out=cols)
-    np.subtract(w_col, 1, out=w_col)
-    np.minimum(cols, w_col, out=cols)
-    np.add(w_col, 1, out=w_col)  # restore: the flat index needs the true width
+    # Flat token indices from one base per point: a valid corner is in
+    # bounds, so _neighbor_grid's clamp is the identity on it and its index
+    # is base + {0, 1, w, w + 1}.  Invalid corners (whatever wrapped
+    # arithmetic produced there) are marked -1.
+    np.multiply(y0, w_col, out=base)
+    base += x0
+    base += plan.take("trace.starts", starts, lvl)
     flat = plan.buffer("trace.flat", (k, 4), np.int64)
-    np.multiply(rows, w_col, out=flat)
-    flat += cols
-    flat += plan.take("trace.starts", starts, lvl)[:, None]
-    np.logical_not(valid, out=tmp)
-    np.copyto(flat, -1, where=tmp)
+    flat[:, 0] = base
+    np.add(base, 1, out=flat[:, 1])
+    np.add(base, w_col, out=flat[:, 2])
+    np.add(flat[:, 2], 1, out=flat[:, 3])
+    invalid = plan.buffer("trace.flags", (k, 4), np.bool_)  # the flags are dead
+    np.logical_not(valid, out=invalid)
+    np.copyto(flat, -1, where=invalid)
     return lvl, weights, valid, flat
 
 

@@ -328,6 +328,24 @@ class TestRangeNarrowing:
         offsets = np.array([[[[[0.5, 2.0]]]]], dtype=np.float32)
         assert narrowing.clipping_fraction(offsets) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("queries", [0, 1, 9])
+    def test_clipping_fraction_equals_the_mean_of_clipped_flags(self, queries):
+        """The count of out-of-range components over the size is the same
+        float as the mean of ``|o| > R``: ±0, NaN, ±Inf and values exactly
+        at ±R_l included, and an empty array reads 0.0."""
+        narrowing = RangeNarrowing((2.0, 1.5, 0.5))
+        ranges = np.asarray(narrowing.level_ranges, dtype=np.float32)[:, None, None]
+        rng = np.random.default_rng(5)
+        offsets = (rng.standard_normal((queries, 4, 3, 2, 2)) * 2).astype(np.float32)
+        if queries:
+            specials = [0.0, -0.0, np.nan, np.inf, -np.inf, np.nan, 3.0, -3.0]
+            offsets[0, 0].reshape(-1)[: len(specials)] = specials
+            offsets[-1, 1] = ranges  # exactly at +R_l
+            offsets[-1, 2] = -ranges  # exactly at -R_l
+        expected = float(np.mean(np.abs(offsets) > ranges)) if offsets.size else 0.0
+        got = narrowing.clipping_fraction(offsets)
+        assert type(got) is float and got == expected
+
     def test_unified_costs_more_storage(self):
         narrowing = RangeNarrowing((8.0, 7.0, 7.0, 6.0))
         overhead = narrowing.unified_storage_overhead(d_model=256)

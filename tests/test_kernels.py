@@ -13,8 +13,11 @@ resolve to ``"fused"`` with a ``RuntimeWarning``, never an ImportError).
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from repro.kernels import (
 from repro.kernels.fused_ops import QUANT_SCRATCH_BYTES, _quantize_into, project_into
 from repro.kernels import backends as kernel_backends
 from repro.kernels.backends import _rank_major_order, _rank_major_sum, segment_sum_into
-from repro.kernels.plan import take_into
+from repro.kernels.plan import take_into, thread_plan
 from repro.quant.qmodules import QuantizedLinear
 from repro.quant.quantizer import QuantSpec, fake_quantize
 from repro.nn.encoder import DeformableEncoder
@@ -211,6 +214,47 @@ class TestFusedBitIdentity:
         for field in ("kept", "levels", "flat_indices", "weights", "valid"):
             assert np.array_equal(getattr(ref, field), getattr(fused, field)), field
 
+    EDGE_SHAPES = [LevelShape(5, 7), LevelShape(1, 1), LevelShape(2, 3)]
+    EDGE_CASES = {
+        # Far outside every level, on each side and diagonally.
+        "far_outside": [(-40.0, 0.5), (41.0, 0.5), (0.5, -40.0), (0.5, 41.0), (-1e6, 1e6)],
+        # Corners exactly on the edge: x = -0.5 (loc 0) and x = W - 0.5 (loc 1).
+        "on_the_edge": [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.0)],
+        # Not finite: every corner of these points is invalid.
+        "not_finite": [
+            (np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (-np.inf, 0.5), (0.5, -np.inf),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_fused_trace_edge_cases_byte_equal(self, case):
+        """The planned trace (per-axis flags and one base per point) equals
+        the plan-less ``_neighbor_grid`` path byte for byte, 1x1 level
+        included, and every invalid corner reads -1."""
+        points = np.array(self.EDGE_CASES[case], dtype=np.float32)  # (P, 2)
+        n_l = len(self.EDGE_SHAPES)
+        locs = np.broadcast_to(points[None, None, None], (2, 1, n_l) + points.shape)
+        locs = np.ascontiguousarray(locs)[None]  # (B, N_q, N_h, N_l, N_p, 2)
+        mask = np.ones(locs.shape[:-1], dtype=bool)
+        mask[0, 1, 0, 1, ::2] = False
+        with np.errstate(invalid="ignore"):  # NaN/Inf floors cast to int64
+            ref = multi_scale_neighbors_sparse(self.EDGE_SHAPES, locs, point_mask=mask)
+            fused = multi_scale_neighbors_sparse(
+                self.EDGE_SHAPES, locs, point_mask=mask, plan=ExecutionPlan()
+            )
+        for field in ("levels", "weights", "valid", "flat_indices"):
+            want, got = getattr(ref, field), getattr(fused, field)
+            assert got.dtype == want.dtype and got.shape == want.shape, field
+            assert got.tobytes() == want.tobytes(), field
+        flat, valid = fused.flat_indices, fused.valid
+        assert (flat[~valid] == -1).all()
+        n_in = sum(s.num_pixels for s in self.EDGE_SHAPES)
+        assert ((flat[valid] >= 0) & (flat[valid] < n_in)).all()
+        if case == "on_the_edge":
+            assert valid.any() and not valid.all()
+        elif case == "far_outside":
+            assert not valid.any()
+
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("sparse_mode", ["dense", "sparse", "auto"])
     def test_encoder_backends_bit_identical(self, sparse_mode, backend):
@@ -281,10 +325,10 @@ class TestPlanReuseAcrossForwards:
         runner.forward(
             np.stack([features, features]), pos, reference_points, shapes
         )
-        keys = set(runner._plans)
-        assert len(keys) == 2  # (signature, 1) and (signature, 2)
-        batch_sizes = {key[1] for key in keys}
-        assert batch_sizes == {1, 2}
+        signature = tuple(s.as_tuple() for s in shapes)
+        one, two = thread_plan((signature, 1)), thread_plan((signature, 2))
+        assert one is not two
+        assert list(runner._plans.values()) == [one, two]
 
     def test_single_image_and_b1_batch_share_one_arena(self):
         shapes, encoder, features, pos, reference_points = _encoder_fixture()
@@ -293,26 +337,29 @@ class TestPlanReuseAcrossForwards:
         runner.forward(features, pos, reference_points, shapes)
         grows = runner.plan_stats()["grows"]
         runner.forward(features[None], pos, reference_points, shapes)
-        assert list(runner._plans) == [(tuple(s.as_tuple() for s in shapes), 1)]
+        signature = tuple(s.as_tuple() for s in shapes)
+        assert list(runner._plans.values()) == [thread_plan((signature, 1))]
         assert runner.plan_stats()["grows"] == grows  # warm: nothing reallocated
 
     def test_plan_cache_is_lru_bounded(self):
         shapes, encoder, features, pos, reference_points = _encoder_fixture()
         config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
         runner = DEFAEncoderRunner(encoder, config, SPARSE_FUSED)
-        first_key = (tuple(s.as_tuple() for s in shapes), 1)
         runner.forward(features, pos, reference_points, shapes)
+        first = weakref.ref(runner.execution_plan(shapes, 1))
         # Synthetic distinct signatures fill the cache past the bound; the
         # real signature is refreshed (LRU) halfway, so it must survive.
         for i in range(runner.MAX_EXECUTION_PLANS - 1):
             runner.execution_plan(shapes, batch_size=100 + i)
             if i == runner.MAX_EXECUTION_PLANS // 2:
                 runner.execution_plan(shapes, batch_size=1)  # refresh
-        assert first_key in runner._plans
+        assert any(plan is first() for plan in runner._plans.values())
         for i in range(runner.MAX_EXECUTION_PLANS + 1):
             runner.execution_plan(shapes, batch_size=200 + i)
         assert len(runner._plans) == runner.MAX_EXECUTION_PLANS
-        assert first_key not in runner._plans  # evicted least-recently-used
+        # Evicted least-recently-used, and no other runner held it: freed.
+        gc.collect()
+        assert first() is None
         # A dropped signature simply re-warms: the forward still works.
         result = runner.forward(features, pos, reference_points, shapes)
         assert result.memory.shape == features.shape
@@ -350,6 +397,109 @@ class TestPlanReuseAcrossForwards:
             features, pos, reference_points, shapes, collect_details=True
         )
         np.testing.assert_array_equal(detailed.memory, planned.memory)
+
+
+def _in_new_thread(fn):
+    """``fn()`` run on a fresh thread, which has its own plan registry."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
+
+
+class TestSharedPlans:
+    """Every runner in a thread shares one plan per ``(signature, B)`` key;
+    threads never share a plan, and a plan dies with its last runner."""
+
+    @staticmethod
+    def _two_runners():
+        shapes, encoder_a, features, pos, reference_points = _encoder_fixture(seed=0)
+        encoder_b = _encoder_fixture(seed=3)[1]
+        config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
+        runner_a = DEFAEncoderRunner(encoder_a, config, SPARSE_FUSED)
+        runner_b = DEFAEncoderRunner(encoder_b, config, SPARSE_FUSED)
+        return shapes, runner_a, runner_b, features, pos, reference_points
+
+    def test_two_runners_in_a_thread_get_the_same_plan(self):
+        shapes, runner_a, runner_b, features, pos, reference_points = self._two_runners()
+        runner_a.forward(features, pos, reference_points, shapes)
+        runner_b.forward(features, pos, reference_points, shapes)
+        plan = runner_a.execution_plan(shapes, 1)
+        assert runner_b.execution_plan(shapes, 1) is plan
+        assert list(runner_a._plans.values()) == list(runner_b._plans.values()) == [plan]
+
+    def test_shared_arena_results_equal_separate_arenas(self):
+        """Interleaved forwards of two runners on one arena are bit-equal to
+        each runner alone on its own arena (its own thread)."""
+        shapes, runner_a, runner_b, features, pos, reference_points = self._two_runners()
+        rng = np.random.default_rng(7)
+        inputs = [features, np.stack([features * 0.5, features + 0.1])]
+        inputs += [rng.standard_normal(features.shape).astype(np.float32) * 2.0]
+
+        def run(runners):
+            return [r.forward(x, pos, reference_points, shapes) for x in inputs for r in runners]
+
+        shared = run([runner_a, runner_b])
+        alone_a = _in_new_thread(lambda: run([runner_a]))
+        alone_b = _in_new_thread(lambda: run([runner_b]))
+        assert runner_a.execution_plan(shapes, 1) is runner_b.execution_plan(shapes, 1)
+        for got, want in zip(shared, [r for pair in zip(alone_a, alone_b) for r in pair]):
+            assert np.array_equal(got.memory, want.memory)
+            images = got.images if hasattr(got, "images") else [got]
+            wanted = want.images if hasattr(want, "images") else [want]
+            for g, w in zip(images, wanted):
+                for a, b in zip(g.fmap_masks, w.fmap_masks):
+                    assert np.array_equal(a, b)
+
+    def test_other_runners_forward_leaves_a_result_untouched(self):
+        """The aliasing rule across runners: runner B's forward on the shared
+        arena must not touch what runner A returned."""
+        shapes, runner_a, runner_b, features, pos, reference_points = self._two_runners()
+        first = runner_a.forward(features, pos, reference_points, shapes)
+        memory_snapshot = first.memory.copy()
+        mask_snapshots = [m.copy() for m in first.fmap_masks]
+        stats_snapshot = [(s.pixels_kept, s.points_kept) for s in first.layer_stats]
+        other = np.random.default_rng(99).standard_normal(features.shape).astype(np.float32)
+        runner_b.forward(other * 2.0, pos, reference_points, shapes)
+        assert runner_a.execution_plan(shapes, 1) is runner_b.execution_plan(shapes, 1)
+        np.testing.assert_array_equal(first.memory, memory_snapshot)
+        for kept, snap in zip(first.fmap_masks, mask_snapshots):
+            np.testing.assert_array_equal(kept, snap)
+        assert [(s.pixels_kept, s.points_kept) for s in first.layer_stats] == stats_snapshot
+
+    def test_two_threads_get_two_plans_for_one_key(self):
+        shapes, runner_a, runner_b, *_ = self._two_runners()
+        here = runner_a.execution_plan(shapes, 1)
+        there = _in_new_thread(lambda: runner_a.execution_plan(shapes, 1))
+        assert there is not here
+        assert _in_new_thread(lambda: runner_b.execution_plan(shapes, 1)) is not here
+        assert runner_b.execution_plan(shapes, 1) is here
+        # The runner holds both threads' plans, one LRU entry each.
+        assert len(runner_a._plans) == 2
+
+    def test_registry_entry_dies_with_the_last_runner(self):
+        shapes, runner_a, runner_b, features, pos, reference_points = self._two_runners()
+        runner_a.forward(features, pos, reference_points, shapes)
+        runner_b.forward(features, pos, reference_points, shapes)
+        plan = weakref.ref(runner_a.execution_plan(shapes, 1))
+        del runner_a
+        gc.collect()
+        assert plan() is not None  # runner B still holds it
+        del runner_b
+        gc.collect()
+        assert plan() is None
+        key = (tuple(s.as_tuple() for s in shapes), 1)
+        assert thread_plan(key).allocated_bytes == 0  # a fresh, cold plan
+
+    def test_each_runners_lru_bound_holds(self):
+        shapes, runner_a, runner_b, *_ = self._two_runners()
+        shared = runner_b.execution_plan(shapes, 1)
+        assert runner_a.execution_plan(shapes, 1) is shared
+        for i in range(runner_a.MAX_EXECUTION_PLANS + 3):
+            runner_a.execution_plan(shapes, batch_size=100 + i)
+        assert len(runner_a._plans) == runner_a.MAX_EXECUTION_PLANS
+        assert all(plan is not shared for plan in runner_a._plans.values())
+        assert list(runner_b._plans.values()) == [shared]
+        # Runner B kept the evicted plan alive, so A gets it back warm.
+        assert runner_a.execution_plan(shapes, 1) is shared
 
 
 class TestAllocationBudget:
