@@ -36,8 +36,8 @@ def test_batched_engine_speedup(benchmark):
     print()
     print(
         f"8-image same-shape workload ({report.num_tokens} tokens/image, "
-        f"d_model={report.d_model}): serial {1e3 * report.serial_s:.2f} ms, "
-        f"batched {1e3 * report.batched_s:.2f} ms, "
+        f"d_model={report.d_model}): serial {1e3 * report.timings.best_s['serial']:.2f} ms, "
+        f"batched {1e3 * report.timings.best_s['batched']:.2f} ms, "
         f"speedup {report.speedup:.2f}x, max |diff| {report.max_abs_diff:.2e}"
     )
     # Acceptance criterion of the batched-engine PR, calibrated on the

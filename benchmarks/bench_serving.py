@@ -19,7 +19,7 @@ from repro.core.config import DEFAConfig
 from repro.engine.faults import FaultPlan
 from repro.engine.serving import ModelBankSpec, ServingConfig
 from repro.engine.traffic import generate_traffic
-from repro.eval.profiler import measure_serving_latency
+from repro.eval.profiler import ProbeRecord, measure_serving_latency
 from repro.utils.shapes import LevelShape
 
 SERVING_EQUIVALENCE_TOL = 0.0
@@ -109,44 +109,56 @@ def serving_report(
     )
 
 
-def serving_record(
-    report, kill_worker_at: int | None, backend: str | None = None
-) -> dict:
-    """Machine-readable record of one serving profile (run_all.py shape)."""
-    d = report.as_dict()
-    return {
-        "name": "serving",
-        "config": {
+SERVING_COUNTERS = (
+    "mean_batch_size",
+    "worker_deaths",
+    "worker_restarts",
+    "primary_batches",
+    "degraded_batches",
+    "num_shed",
+    "num_expired",
+    "num_retried",
+    "num_quarantined",
+    "watchdog_kills",
+    "num_failed",
+)
+"""The request-lifecycle counters every serving record carries.  Their values
+depend on the scripted faults and on scheduler timing, so ``compare_bench``
+gates only their presence: a record that stops carrying one has lost
+fault-model coverage."""
+
+
+def _serving_record(report, name: str, backend: str | None, config: dict) -> ProbeRecord:
+    timings_ms = report.timings.ms()
+    timings_ms["best"]["replay"] = 1e3 * report.elapsed_s  # one replay, no spread
+    record = ProbeRecord(
+        name=name,
+        config={
             "num_requests": report.num_requests,
             "num_workers": report.num_workers,
             "max_batch_size": SERVING_MAX_BATCH_SIZE,
             "process": "bursty",
             "classes": ["fp32", "int12"],
             "kernel_backend": backend or "default",
-            "kill_worker_at": kill_worker_at,
+            **config,
         },
-        "p50_ms": d["p50_ms"],
-        "p99_ms": d["p99_ms"],
-        "throughput_rps": d["throughput_rps"],
-        "overhead": d["overhead"],
-        "mean_batch_size": d["mean_batch_size"],
-        "worker_deaths": report.worker_deaths,
-        "worker_restarts": report.worker_restarts,
-        "primary_batches": report.primary_batches,
-        "degraded_batches": report.degraded_batches,
-        # Request-lifecycle counters (PR 10): recorded so compare_bench.py
-        # fences them structurally — a record that silently stops carrying
-        # them fails the regression gate.
-        "num_shed": report.num_shed,
-        "num_expired": report.num_expired,
-        "num_retried": report.num_retried,
-        "num_quarantined": report.num_quarantined,
-        "watchdog_kills": report.watchdog_kills,
-        "num_failed": report.num_failed,
-        "timings_ms": {"serial": d["serial_ms"], "replay": d["elapsed_ms"]},
-        "max_abs_diff": report.max_abs_diff,
-        "equivalence_tol": SERVING_EQUIVALENCE_TOL,
-    }
+        timings_ms=timings_ms,
+        serving={
+            "p50_ms": {"value": 1e3 * report.p50_s, "better": "lower"},
+            "p99_ms": {"value": 1e3 * report.p99_s, "better": "lower"},
+            "throughput_rps": {"value": report.throughput_rps, "better": "higher"},
+        },
+        counters={key: getattr(report, key) for key in SERVING_COUNTERS},
+    )
+    record.gate(name, report.max_abs_diff, SERVING_EQUIVALENCE_TOL)
+    return record
+
+
+def serving_record(
+    report, kill_worker_at: int | None, backend: str | None = None
+) -> ProbeRecord:
+    """The probe record of one serving profile (``run_all``'s ``serving``)."""
+    return _serving_record(report, "serving", backend, {"kill_worker_at": kill_worker_at})
 
 
 # --------------------------------------------------------------------------
@@ -195,11 +207,9 @@ def serving_faults_report(num_requests: int = 48, repeats: int = 2, backend=None
     )
 
 
-def serving_faults_record(report, backend: str | None = None) -> dict:
-    """Machine-readable record of the fault probe (run_all.py shape)."""
-    record = serving_record(report, kill_worker_at=None, backend=backend)
-    record["name"] = "serving_faults"
-    record["config"]["fault_plan"] = {
+def serving_faults_record(report, backend: str | None = None) -> ProbeRecord:
+    """The probe record of the fault probe (``run_all``'s ``serving_faults``)."""
+    fault_plan = {
         "faults": [
             {
                 "kind": f.kind,
@@ -212,8 +222,7 @@ def serving_faults_record(report, backend: str | None = None) -> dict:
         ],
         "batch_timeout_s": SERVING_FAULTS_BATCH_TIMEOUT_S,
     }
-    del record["config"]["kill_worker_at"]
-    return record
+    return _serving_record(report, "serving_faults", backend, {"fault_plan": fault_plan})
 
 
 def _print_report(label: str, report) -> None:

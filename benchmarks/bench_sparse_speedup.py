@@ -20,10 +20,11 @@ backend (single-pass kernels + execution-plan buffer reuse), which must win
 by >= 1.15x with bit-identical outputs.  The compiled C backend (PR 7), when
 its extension is built, is timed as a third backend point and gated
 bit-identical to the fused backend (its own ``COMPILED_EQUIVALENCE_TOL``
-tier); on hosts without a C toolchain the compiled fields are simply absent
-and ``compare_bench.py --allow-missing`` tolerates the gap.  A direct run
-writes the sweep to ``BENCH_sparse.json`` at the repo root, a scratch record
-that git ignores.  ``benchmarks/run_all.py`` produces the same record as its
+tier); on hosts without a C toolchain the compiled metrics and probes are
+simply absent and ``compare_bench.py --allow-missing`` tolerates the gap.  A
+direct run writes the sweep's probe record to ``BENCH_sparse.json`` at the
+repo root, a scratch record that git ignores.  ``benchmarks/run_all.py``
+produces the same record (without the encoder parts) as its
 ``sparse_speedup`` probe, and CI gates that with
 ``benchmarks/compare_bench.py`` against the committed
 ``benchmarks/baselines/BENCH_compact.json``.
@@ -35,11 +36,13 @@ pytest-benchmark like the other figure benchmarks.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.core.config import DEFAConfig
 from repro.eval.profiler import (
     EncoderSparseSpeedupReport,
+    ProbeRecord,
     SparseSpeedupReport,
     measure_encoder_blockwise_equivalence,
     measure_encoder_sparse_speedup,
@@ -66,6 +69,13 @@ measures ~4x there)."""
 #: reduction is large enough for the ratio to rise above timer noise).
 NEIGHBORS_SCALING_SLACK = 2.5
 NEIGHBORS_SCALING_MIN_REDUCTION = 0.3
+
+SWEEP_INT12_TOL = 5e-3
+"""Sparse-vs-dense drift bound of the (INT12) sweep points: the ~1e-7 float32
+kernel rounding difference can be amplified to a full quantization step by
+the dynamically scaled output projection, so the bound is a few steps wide.
+The strict 1e-5 equivalence is asserted on unquantized configs in
+tests/test_sparse_execution.py."""
 
 ENCODER_FFN_TARGET = 1.2
 """PR 4 acceptance floor: the block-sparse encoder (row-compacted
@@ -126,8 +136,9 @@ def run_encoder_benchmark(
     )
 
 
-def run_encoder_blockwise_probe(scale: str = "paper") -> dict:
-    """The machine-independent encoder equivalence probes (fp32 + INT12).
+def run_encoder_blockwise_probe(scale: str = "paper") -> dict[str, tuple[float, float]]:
+    """The machine-independent encoder equivalence probes, as
+    ``{tier: (max_abs_diff, tolerance)}`` for the fp32 and INT12 tiers.
 
     Lockstep block-wise comparison: both paths see identical block inputs
     and incoming masks at every block, so threshold decisions cannot flip
@@ -143,11 +154,40 @@ def run_encoder_blockwise_probe(scale: str = "paper") -> dict:
     int12 = measure_encoder_blockwise_equivalence(
         workload, num_layers=ENCODER_EQUIV_NUM_LAYERS, rng=0
     )
-    return {
-        "num_layers": ENCODER_EQUIV_NUM_LAYERS,
-        "fp32": {"max_abs_diff": fp32, "equivalence_tol": 1e-5},
-        "int12": {"max_abs_diff": int12, "equivalence_tol": ENCODER_INT12_TOL},
+    return {"fp32": (fp32, 1e-5), "int12": (int12, ENCODER_INT12_TOL)}
+
+
+def _point(report: SparseSpeedupReport) -> str:
+    return f"fwp_k={report.fwp_k}, pap={report.pap_threshold}"
+
+
+def encoder_ratios(report: EncoderSparseSpeedupReport) -> dict[str, float]:
+    """The tracked speedups of an end-to-end encoder measurement."""
+    ratios = {
+        "speedup": report.speedup,
+        "ffn_speedup": report.ffn_speedup,
+        "fused_speedup": report.fused_speedup,
     }
+    if report.compiled_speedup is not None:
+        ratios["compiled_speedup"] = report.compiled_speedup
+    return ratios
+
+
+def gate_encoder(
+    record: ProbeRecord, report: EncoderSparseSpeedupReport, probe: str, compiled_probe: str
+) -> None:
+    """Add an end-to-end encoder measurement's equivalence probes.
+
+    The dense/sparse diff is a probe only when both runs kept the same mask
+    trajectory — a diverged trajectory makes the end-to-end diff meaningless
+    (whole rows legitimately differ once a threshold decision flips).  The
+    compiled backend, when it ran, is gated against the fused backend under
+    its own tolerance tier.
+    """
+    if report.mask_trajectory_matched:
+        record.gate(probe, report.max_abs_diff, ENCODER_INT12_TOL)
+    if report.compiled_max_abs_diff is not None:
+        record.gate(compiled_probe, report.compiled_max_abs_diff, COMPILED_EQUIVALENCE_TOL)
 
 
 def sweep_record(
@@ -155,26 +195,30 @@ def sweep_record(
     repeats: int,
     query_pruning: bool = True,
     encoder_report: EncoderSparseSpeedupReport | None = None,
-    blockwise: dict | None = None,
-) -> dict:
-    """The machine-readable sweep record (``BENCH_sparse.json``, or ``run_all``'s
+    blockwise: dict[str, tuple[float, float]] | None = None,
+) -> ProbeRecord:
+    """The sweep's probe record (``BENCH_sparse.json``, or ``run_all``'s
     ``sparse_speedup`` probe).
 
     ``query_pruning`` must reflect the flag the sweep actually ran with so
-    the record describes its own operating mode faithfully.  When the
-    end-to-end encoder measurement ran, its record is embedded under
-    ``"encoder"`` and its two speedups join the tracked summary aggregates;
-    the record only carries an ``equivalence_tol`` (i.e. only becomes a
-    gated probe) when both runs kept the same mask trajectory — a diverged
-    trajectory makes the end-to-end diff meaningless.  The lockstep
-    block-wise probes (``blockwise``, machine-independent) are embedded
-    under ``"encoder_blockwise"`` and always gated.
+    the record describes its own operating mode faithfully.  Each operating
+    point contributes its ``dense[...]`` / ``sparse[...]`` timings and its
+    ``sparse_speedup[...]`` equivalence probe; the tracked ratios are the
+    sweep aggregates (single points are too noisy for the fence).  When the
+    end-to-end encoder measurement ran, its speedups join the ratios as
+    ``encoder_*`` and its probes are gated as ``sparse_speedup.encoder`` /
+    ``sparse_speedup.compiled``; the lockstep block-wise probes
+    (``blockwise``) as ``sparse_speedup.encoder_blockwise.<tier>``.
     """
     half = min(reports, key=lambda r: abs(r.pixel_reduction - 0.5))
-    record = {
-        "name": "sparse_speedup",
-        "generated_by": "benchmarks/bench_sparse_speedup.py",
-        "config": {
+    best, spread = {}, {}
+    for r in reports:
+        for name in ("dense", "sparse"):
+            best[f"{name}[{_point(r)}]"] = 1e3 * r.timings.best_s[name]
+            spread[f"{name}[{_point(r)}]"] = r.timings.spread[name]
+    record = ProbeRecord(
+        name="sparse_speedup",
+        config={
             "workload": reports[0].workload if reports else None,
             "repeats": repeats,
             "query_pruning": query_pruning,
@@ -182,32 +226,21 @@ def sweep_record(
             "encoder_ffn_target": ENCODER_FFN_TARGET,
             "encoder_fused_target": ENCODER_FUSED_TARGET,
         },
-        "results": [r.as_dict() for r in reports],
-        "summary": {
+        timings_ms={"rounds": repeats, "best": best, "spread": spread},
+        ratios={
             "max_speedup": max(r.speedup for r in reports),
             "speedup_at_half_pixel_reduction": half.speedup,
-            "pixel_reduction_at_half_point": half.pixel_reduction,
         },
-    }
+    )
+    for r in reports:
+        record.gate(f"sparse_speedup[{_point(r)}]", r.max_abs_diff, SWEEP_INT12_TOL)
     if encoder_report is not None:
-        record["encoder"] = encoder_report.as_dict()
-        if encoder_report.mask_trajectory_matched:
-            record["encoder"]["equivalence_tol"] = ENCODER_INT12_TOL
-        record["summary"]["encoder_speedup"] = encoder_report.speedup
-        record["summary"]["encoder_ffn_speedup"] = encoder_report.ffn_speedup
-        record["summary"]["encoder_fused_speedup"] = encoder_report.fused_speedup
-        if encoder_report.sparse_compiled_s is not None:
-            # The compiled backend ran: track its speedup and gate its drift
-            # against the fused backend under the compiled tolerance tier.
-            record["summary"]["encoder_compiled_speedup"] = (
-                encoder_report.compiled_speedup
-            )
-            record["compiled"] = {
-                "max_abs_diff": encoder_report.compiled_max_abs_diff,
-                "equivalence_tol": COMPILED_EQUIVALENCE_TOL,
-            }
-    if blockwise is not None:
-        record["encoder_blockwise"] = blockwise
+        record.ratios.update(
+            {f"encoder_{key}": value for key, value in encoder_ratios(encoder_report).items()}
+        )
+        gate_encoder(record, encoder_report, "sparse_speedup.encoder", "sparse_speedup.compiled")
+    for tier, (drift, tolerance) in (blockwise or {}).items():
+        record.gate(f"sparse_speedup.encoder_blockwise.{tier}", drift, tolerance)
     return record
 
 
@@ -216,12 +249,13 @@ def write_bench_json(
     repeats: int,
     path: Path = BENCH_JSON,
     encoder_report: EncoderSparseSpeedupReport | None = None,
-    blockwise: dict | None = None,
-) -> dict:
+    blockwise: dict[str, tuple[float, float]] | None = None,
+) -> ProbeRecord:
     record = sweep_record(
         reports, repeats, encoder_report=encoder_report, blockwise=blockwise
     )
-    path.write_text(json.dumps(record, indent=2) + "\n")
+    bench = {"name": "bench_sparse_speedup", "benchmarks": [asdict(record)]}
+    path.write_text(json.dumps(bench, indent=2) + "\n")
     return record
 
 
@@ -232,33 +266,36 @@ def _print_sweep(
     print()
     print(f"{'fwp_k':>6} {'pap_thr':>8} {'pix_red':>8} {'pt_red':>7} {'dense_ms':>9} {'sparse_ms':>10} {'speedup':>8} {'|diff|':>9}")
     for r in reports:
+        best = r.timings.best_s
         print(
             f"{r.fwp_k:>6.2f} {r.pap_threshold:>8.3f} {r.pixel_reduction:>8.3f} "
-            f"{r.point_reduction:>7.3f} {1e3 * r.dense_s:>9.1f} {1e3 * r.sparse_s:>10.1f} "
+            f"{r.point_reduction:>7.3f} {1e3 * best['dense']:>9.1f} {1e3 * best['sparse']:>10.1f} "
             f"{r.speedup:>8.2f} {r.max_abs_diff:>9.1e}"
         )
     if encoder_report is not None:
         e = encoder_report
+        ms = {name: 1e3 * s for name, s in e.timings.best_s.items()}
         compiled = ""
-        if e.sparse_compiled_s is not None:
+        if e.compiled_speedup is not None:
             compiled = (
-                f", compiled {1e3 * e.sparse_compiled_s:.1f}ms "
+                f", compiled {ms['sparse_compiled']:.1f}ms "
                 f"({e.compiled_speedup:.2f}x over fused, "
                 f"|diff| {e.compiled_max_abs_diff:.1e})"
             )
         print(
             f"\nencoder ({e.num_layers} layers, pix_red {e.pixel_reduction:.3f}): "
-            f"dense {1e3 * e.dense_s:.1f}ms, sparse+dense-ffn "
-            f"{1e3 * e.sparse_dense_ffn_s:.1f}ms, block-sparse {1e3 * e.sparse_s:.1f}ms, "
-            f"fused {1e3 * e.sparse_fused_s:.1f}ms "
-            f"=> {e.speedup:.2f}x total, {e.ffn_speedup:.2f}x over the PR 3 profile, "
-            f"{e.fused_speedup:.2f}x over the PR 4 path "
+            f"dense {ms['dense']:.1f}ms, sparse+dense-ffn "
+            f"{ms['sparse_dense_ffn']:.1f}ms, block-sparse {ms['sparse']:.1f}ms, "
+            f"fused {ms['sparse_fused']:.1f}ms "
+            f"=> {e.speedup:.2f}x total, {e.ffn_speedup:.2f}x over sparse attention "
+            f"with a dense FFN stage, {e.fused_speedup:.2f}x over the reference backend "
             f"(fused |diff| {e.fused_max_abs_diff:.1e}){compiled}"
         )
 
 
 def check_encoder_report(
-    encoder_report: EncoderSparseSpeedupReport, blockwise: dict | None = None
+    encoder_report: EncoderSparseSpeedupReport,
+    blockwise: dict[str, tuple[float, float]] | None = None,
 ) -> None:
     """Assert the PR 4 acceptance criteria on the end-to-end encoder record."""
     assert encoder_report.ffn_speedup >= ENCODER_FFN_TARGET, (
@@ -295,13 +332,10 @@ def check_encoder_report(
         assert encoder_report.max_abs_diff <= ENCODER_INT12_TOL, (
             f"encoder dense/sparse drift {encoder_report.max_abs_diff:.1e}"
         )
-    if blockwise is not None:
-        for key in ("fp32", "int12"):
-            probe = blockwise[key]
-            assert probe["max_abs_diff"] <= probe["equivalence_tol"], (
-                f"encoder blockwise {key} drift {probe['max_abs_diff']:.2e} "
-                f"exceeds {probe['equivalence_tol']:.0e}"
-            )
+    for tier, (drift, tolerance) in (blockwise or {}).items():
+        assert drift <= tolerance, (
+            f"encoder blockwise {tier} drift {drift:.2e} exceeds {tolerance:.0e}"
+        )
 
 
 def check_sweep(reports: list[SparseSpeedupReport]) -> None:
@@ -339,12 +373,10 @@ def check_sweep(reports: list[SparseSpeedupReport]) -> None:
             f"point keep {keep_ratio:.2f})"
         )
     # The sparse path stays numerically equivalent to the dense-masked path.
-    # INT12 configs may amplify float32 kernel rounding into a quantization
-    # step in the output projection, hence the step-scale tolerance here; the
-    # strict 1e-5 equivalence is asserted on unquantized configs in
-    # tests/test_sparse_execution.py.
     for r in reports:
-        assert r.max_abs_diff <= 5e-3, f"sparse/dense drift {r.max_abs_diff:.1e} at fwp_k={r.fwp_k}"
+        assert r.max_abs_diff <= SWEEP_INT12_TOL, (
+            f"sparse/dense drift {r.max_abs_diff:.1e} at fwp_k={r.fwp_k}"
+        )
 
 
 def _paper_scale_sweep():

@@ -9,21 +9,24 @@ their execution-plan arenas warm across frames, so the reported speedup
 isolates *temporal reuse* — warm-started FWP masks, cross-frame frozen rows,
 the exact static-frame fast path — from the PR 5 arena effects.
 
-Gates follow the PR 4 trajectory-sensitivity discipline: warm frames prune
-differently than cold ones *by design*, so the warm-vs-cold end-to-end diff
-is reported as a diagnostic (with its pixels-kept context), while the gated
-equivalence probe replays each warm frame's recorded per-block masks through
-the dense and sparse execution paths in lockstep
+Gates follow the trajectory-sensitivity discipline of the block-sparse
+encoder: warm frames prune differently than cold ones *by design*, so the
+warm-vs-cold end-to-end diff is no gate; the gated equivalence probe replays
+each warm frame's recorded per-block masks through the dense and sparse
+execution paths in lockstep
 (:func:`repro.eval.profiler.measure_streaming_blockwise_equivalence`).
 """
 
-import numpy as np
 from conftest import run_once
 
 from repro.core.config import DEFAConfig
 from repro.engine.streaming import StreamingConfig, StreamingEncoderSession
-from repro.eval.profiler import measure_streaming_blockwise_equivalence
-from repro.nn.encoder import DeformableEncoder
+from repro.eval.profiler import (
+    ProbeRecord,
+    build_encoder,
+    measure_streaming_blockwise_equivalence,
+    time_interleaved,
+)
 from repro.workloads.specs import get_workload
 from repro.workloads.video import SyntheticVideoStream, VideoStreamSpec
 
@@ -63,17 +66,7 @@ def streaming_video_spec(num_frames: int) -> VideoStreamSpec:
 def build_sessions(scale: str = "paper", num_frames: int = 8):
     """The cold/warm session pair and their shared stream at ``scale``."""
     workload = get_workload("deformable_detr", scale)
-    model = workload.model
-    encoder = DeformableEncoder(
-        num_layers=STREAMING_NUM_LAYERS,
-        d_model=model.d_model,
-        num_heads=model.num_heads,
-        num_levels=model.num_levels,
-        num_points=model.num_points,
-        ffn_dim=model.ffn_dim,
-        activation=model.activation,
-        rng=0,
-    )
+    encoder = build_encoder(workload, STREAMING_NUM_LAYERS, rng=0)
     config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
     cold = StreamingEncoderSession(
         encoder, config, workload.spatial_shapes, StreamingConfig(keyframe_interval=1)
@@ -85,68 +78,77 @@ def build_sessions(scale: str = "paper", num_frames: int = 8):
         StreamingConfig(keyframe_interval=num_frames + 1),
     )
     stream = SyntheticVideoStream(
-        workload.spatial_shapes, model.d_model, streaming_video_spec(num_frames)
+        workload.spatial_shapes, workload.model.d_model, streaming_video_spec(num_frames)
     )
     return cold, warm, stream
 
 
 def run_streaming_benchmark(
     scale: str = "paper", num_frames: int = 8, repeats: int = 2
-) -> dict:
+) -> ProbeRecord:
     """Measure steady-state frames/sec against the cold-start rate.
 
-    Frame 0 warms both sessions (and their arenas) untimed; frames 1..N-1
-    are timed per frame, per session, ``repeats`` times (sessions reset and
-    replay between repeats), and the per-frame cost is the best repeat's
-    mean — frames legitimately differ in dirtiness, so the mean over the
-    stream is the steady-state rate, while min-of-repeats drops scheduler
-    noise.  Returns the machine-readable benchmark record.
+    One untimed pass over the stream warms both sessions (and their arenas)
+    and records the warm session's frame kinds, kept-pixel fractions and
+    plan counters.  Then every round resets both sessions, replays frame 0
+    untimed and times frames 1..N-1 frame by frame, alternating the cold and
+    the warm session (:func:`~repro.eval.profiler.time_interleaved`, one
+    step per frame).  Frames legitimately differ in dirtiness, so the replay
+    of the whole stream is the steady-state rate, while best-of-rounds drops
+    scheduler noise.  Returns the probe record.
     """
-    import time
-
     cold, warm, stream = build_sessions(scale, num_frames)
     frames = [stream.frame(i) for i in range(num_frames)]
+    next_frame = {}
 
-    cold_means = []
-    warm_means = []
-    diagnostics = []
-    stats_snapshots = []
-    for repeat in range(repeats):
-        cold.reset()
-        warm.reset()
-        cold.process(frames[0], 0)
-        warm.process(frames[0], 0)
-        if repeat == 0:
-            stats_snapshots.append(dict(warm.plan_stats()))
-        cold_times = []
-        warm_times = []
-        for i in range(1, num_frames):
-            start = time.perf_counter()
-            cold_result = cold.process(frames[i], i)
-            cold_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            warm_result = warm.process(frames[i], i)
-            warm_times.append(time.perf_counter() - start)
-            if repeat == 0:
-                diagnostics.append(
-                    {
-                        "frame": i,
-                        "kind": warm_result.kind,
-                        "pixels_kept": warm_result.pixels_kept,
-                        "warm_vs_cold_max_abs_diff": float(
-                            np.max(np.abs(warm_result.memory - cold_result.memory))
-                        ),
-                    }
-                )
-        if repeat == 0:
-            stats_snapshots.append(dict(warm.plan_stats()))
-        cold_means.append(sum(cold_times) / len(cold_times))
-        warm_means.append(sum(warm_times) / len(warm_times))
+    def restart() -> None:
+        for session in (cold, warm):
+            session.reset()
+            session.process(frames[0], 0)
+            next_frame[session] = 1
 
-    cold_s = min(cold_means)
-    warm_s = min(warm_means)
-    speedup = cold_s / warm_s
+    def step(session: StreamingEncoderSession):
+        index = next_frame[session]
+        next_frame[session] = index + 1
+        return session.process(frames[index], index)
+
+    restart()
+    first = warm.plan_stats()
+    warm_results = []
+    for _ in range(1, num_frames):
+        step(cold)
+        warm_results.append(step(warm))
+    final = warm.plan_stats()
+    kinds = [result.kind for result in warm_results]
+    timings = time_interleaved(
+        {"cold": lambda: step(cold), "warm": lambda: step(warm)},
+        repeats,
+        restart,
+        steps=num_frames - 1,
+    )
+
     workload = get_workload("deformable_detr", scale)
+    record = ProbeRecord(
+        name="streaming",
+        config={
+            "workload": workload.name,
+            "num_layers": STREAMING_NUM_LAYERS,
+            "num_frames": num_frames,
+            "repeats": repeats,
+            "motion": streaming_video_spec(num_frames).motion,
+            "target_speedup": STREAMING_TARGET_SPEEDUP,
+        },
+        timings_ms=timings.ms(),
+        ratios={"speedup": timings.ratio("cold", "warm")},
+        counters={
+            **{f"frames_{kind}": kinds.count(kind) for kind in ("cold", "warm", "reused")},
+            "mean_pixels_kept": sum(r.pixels_kept for r in warm_results) / len(warm_results),
+            "plan_hits_first_frame": first["hits"],
+            "plan_hits": final["hits"],
+            "plan_bytes_first_frame": first["bytes"],
+            "plan_bytes": final["bytes"],
+        },
+    )
     fp32 = measure_streaming_blockwise_equivalence(
         workload,
         config=DEFAConfig(fwp_k=1.0, quant_bits=None, enable_query_pruning=True),
@@ -157,76 +159,47 @@ def run_streaming_benchmark(
     int12 = measure_streaming_blockwise_equivalence(
         workload, num_layers=3, num_frames=4, rng=0
     )
-    return {
-        "name": "streaming",
-        "generated_by": "benchmarks/bench_streaming.py",
-        "config": {
-            "workload": workload.name,
-            "num_layers": STREAMING_NUM_LAYERS,
-            "num_frames": num_frames,
-            "repeats": repeats,
-            "motion": streaming_video_spec(num_frames).motion,
-            "target_speedup": STREAMING_TARGET_SPEEDUP,
-        },
-        "speedup": speedup,
-        "cold_frame_s": cold_s,
-        "warm_frame_s": warm_s,
-        "cold_fps": 1.0 / cold_s,
-        "steady_state_fps": 1.0 / warm_s,
-        "mean_pixels_kept": (
-            sum(d["pixels_kept"] for d in diagnostics) / len(diagnostics)
-        ),
-        "frame_kinds": [d["kind"] for d in diagnostics],
-        "warm_vs_cold": diagnostics,
-        "plan_stats": {"after_first_frame": stats_snapshots[0], "final": stats_snapshots[1]},
-        "encoder_blockwise": {
-            "fp32": {"max_abs_diff": fp32, "equivalence_tol": STREAMING_FP32_TOL},
-            "int12": {"max_abs_diff": int12, "equivalence_tol": STREAMING_INT12_TOL},
-        },
-    }
+    record.gate("streaming.encoder_blockwise.fp32", fp32, STREAMING_FP32_TOL)
+    record.gate("streaming.encoder_blockwise.int12", int12, STREAMING_INT12_TOL)
+    return record
 
 
-def check_streaming_record(record: dict) -> None:
-    """The acceptance gates, shared by the benchmark test and run_all.py."""
-    assert record["speedup"] >= STREAMING_TARGET_SPEEDUP, (
-        f"steady-state speedup {record['speedup']:.2f}x below the "
-        f"{STREAMING_TARGET_SPEEDUP}x fence"
+def check_streaming_record(record: ProbeRecord) -> None:
+    """The acceptance gates of the streaming probe record."""
+    speedup = record.ratios["speedup"]
+    assert speedup >= STREAMING_TARGET_SPEEDUP, (
+        f"steady-state speedup {speedup:.2f}x below the {STREAMING_TARGET_SPEEDUP}x fence"
     )
-    for tier in ("fp32", "int12"):
-        probe = record["encoder_blockwise"][tier]
-        assert probe["max_abs_diff"] <= probe["equivalence_tol"], (
-            f"{tier} lockstep streaming drift {probe['max_abs_diff']:.2e} over "
-            f"{probe['equivalence_tol']:.0e}"
+    for probe in record.equivalence:
+        assert probe["max_abs_diff"] <= probe["tolerance"], (
+            f"{probe['probe']} drift {probe['max_abs_diff']:.2e} over "
+            f"{probe['tolerance']:.0e}"
         )
-    first, final = (
-        record["plan_stats"]["after_first_frame"],
-        record["plan_stats"]["final"],
-    )
+    counters = record.counters
     # Warm arenas: a streaming session has one pyramid signature, so hits
     # climb frame over frame while the arena footprint plateaus.
-    assert final["hits"] > first["hits"]
-    assert final["bytes"] == first["bytes"]
+    assert counters["plan_hits"] > counters["plan_hits_first_frame"]
+    assert counters["plan_bytes"] == counters["plan_bytes_first_frame"]
     # Temporal reuse must actually fire: at least one frame after the first
     # must be warm or reused, and the stream must skip rows overall.
-    assert any(kind in ("warm", "reused") for kind in record["frame_kinds"])
-    assert record["mean_pixels_kept"] < 1.0
+    assert counters["frames_warm"] + counters["frames_reused"] > 0
+    assert counters["mean_pixels_kept"] < 1.0
 
 
-def _print_record(record: dict) -> None:
+def _print_record(record: ProbeRecord) -> None:
+    best, counters = record.timings_ms["best"], record.counters
+    frames = record.config["num_frames"] - 1
+    drift = ", ".join(f"{p['probe']} {p['max_abs_diff']:.2e}" for p in record.equivalence)
     print(
-        f"streaming @ {record['config']['workload']}: "
-        f"{record['steady_state_fps']:.2f} fps steady-state vs "
-        f"{record['cold_fps']:.2f} fps cold ({record['speedup']:.2f}x), "
-        f"mean pixels kept {record['mean_pixels_kept']:.1%}, "
-        f"kinds {record['frame_kinds']}"
+        f"streaming @ {record.config['workload']}: "
+        f"{1e3 * frames / best['warm']:.2f} fps steady-state vs "
+        f"{1e3 * frames / best['cold']:.2f} fps cold ({record.ratios['speedup']:.2f}x), "
+        f"mean pixels kept {counters['mean_pixels_kept']:.1%}, frames cold/warm/reused "
+        f"{counters['frames_cold']}/{counters['frames_warm']}/{counters['frames_reused']}"
     )
-    blockwise = record["encoder_blockwise"]
     print(
-        f"  lockstep drift: fp32 {blockwise['fp32']['max_abs_diff']:.2e}, "
-        f"int12 {blockwise['int12']['max_abs_diff']:.2e}; "
-        f"plan hits {record['plan_stats']['after_first_frame']['hits']} -> "
-        f"{record['plan_stats']['final']['hits']}, "
-        f"bytes {record['plan_stats']['final']['bytes']}"
+        f"  lockstep drift: {drift}; plan hits {counters['plan_hits_first_frame']} -> "
+        f"{counters['plan_hits']}, bytes {counters['plan_bytes']}"
     )
 
 

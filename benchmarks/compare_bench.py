@@ -1,40 +1,49 @@
 """Compare two benchmark records and fail on speedup regressions or drift.
 
 The repo-standard harness (``benchmarks/run_all.py``) and the sparse-speedup
-benchmark both emit machine-readable ``BENCH_*.json`` records.  This tool
-diffs a *current* record against a *baseline* record (the previous
-main-branch artifact, or the committed reference under
-``benchmarks/baselines/``) and exits non-zero when
+benchmark both emit machine-readable ``BENCH_*.json`` records: a
+``benchmarks`` list of probe records, each in the one layout of
+:class:`repro.eval.profiler.ProbeRecord` (``name``, ``config``,
+``timings_ms``, ``ratios``, ``serving``, ``counters``, ``equivalence``; see
+``benchmarks/baselines/README.md``).  This tool reads only the last four
+sections.  It diffs a *current* record against a *baseline* record (the
+previous main-branch artifact, or the committed reference under
+``benchmarks/baselines/``), qualifies every metric by its probe name
+(``kernel_fusion.compiled_speedup``, ``serving.p99_ms``, ...) and exits
+non-zero when
 
-* any tracked **speedup metric** regresses by more than ``--tolerance``
-  (relative; default 20 % — wall-clock ratios are hardware-dependent and
-  jitter between runners, so the gate guards the trajectory, not the exact
-  number),
-* any tracked **serving metric** (p50/p99 latency, throughput) regresses past
-  the widened :data:`LATENCY_FENCE_FACTOR` fence — percentiles of one short
-  replay jitter more than best-of-N ratios, so their fence only catches
-  structural regressions,
-* any **equivalence probe** of the current record drifts beyond its own
+* the baseline yields no tracked metric at all (no ``ratios``, ``serving``
+  or ``counters`` entry in any probe) — a baseline in a layout this tool
+  cannot read would otherwise gate nothing, even under ``--allow-missing``,
+* any **ratio** regresses by more than ``--tolerance`` (relative; default
+  20 % — wall-clock ratios are hardware-dependent and jitter between
+  runners, so the gate guards the trajectory, not the exact number),
+* any **serving metric** (p50/p99 latency, throughput, each with the
+  direction that is better) regresses past the widened
+  :data:`LATENCY_FENCE_FACTOR` fence — percentiles of one short replay
+  jitter more than best-of-N ratios, so their fence only catches structural
+  regressions,
+* any **equivalence** entry of the current record drifts beyond its own
   recorded tolerance (numerics are machine-independent, so this is exact),
-* a **request-lifecycle counter** (:data:`LIFECYCLE_COUNTERS`) tracked by the
-  baseline disappears from the current record — the values are workload-
-  dependent and purely informational, but a serving record that silently
-  stops carrying them has lost fault-model coverage, so the *presence* fence
-  is structural, or
-* a metric tracked by the baseline disappears from the current record
-  (``--allow-missing`` downgrades this to a warning, for comparing records
-  produced by older harness versions).
+* a **counter** tracked by the baseline disappears from the current record —
+  the request-lifecycle values are workload-dependent and purely
+  informational, but a record that silently stops carrying one has lost
+  fault-model coverage, so the *presence* fence is structural, or
+* a ratio or serving metric tracked by the baseline disappears from the
+  current record.
+
+``--allow-missing`` downgrades the last two to a warning, for comparing
+records from hosts without the compiled extension.
 
 Usage::
 
     python benchmarks/compare_bench.py --baseline BENCH_old.json \
         --current BENCH_new.json --tolerance 0.2
 
-Both the aggregate ``run_all`` record shape (``{"benchmarks": [...]}``) and
-the single-benchmark shape of ``bench_sparse_speedup.py`` are understood.
 CI wires this as the ``bench-regression`` job: it downloads the previous
-main-branch ``bench-smoke`` artifact when one is reachable and falls back to
-the committed baseline otherwise.
+main-branch ``bench-smoke`` artifact when one is reachable and this tool
+reads it (compared against itself), and falls back to the committed
+baseline otherwise.
 """
 
 from __future__ import annotations
@@ -56,153 +65,48 @@ DEFAULT_TOLERANCE = 0.2
 #: queue), not scheduler noise.
 LATENCY_FENCE_FACTOR = 2.0
 
-#: Request-lifecycle counters (PR 10) recorded by every serving probe.  Their
-#: values are fenced *structurally only*: shed/expired/retried counts depend
-#: on the scripted fault plan and scheduler timing, so the numbers are
-#: informational — but a record that stops carrying one of these keys has
-#: silently lost request-lifecycle coverage, which fails the gate (unless
-#: ``--allow-missing``, for records from pre-PR-10 harness versions).
-LIFECYCLE_COUNTERS = (
-    "num_shed",
-    "num_expired",
-    "num_retried",
-    "num_quarantined",
-    "watchdog_kills",
-    "num_failed",
-)
+#: The record sections holding tracked metrics, keyed per probe.
+TRACKED_SECTIONS = ("ratios", "serving", "counters")
 
 
-def _benchmarks(record: dict) -> list[dict]:
-    """The benchmark entries of a record, whatever its shape.
-
-    ``run_all`` records carry a ``benchmarks`` list; single-benchmark records
-    (e.g. ``BENCH_sparse.json``) *are* the entry.
-    """
-    if "benchmarks" in record:
-        return list(record["benchmarks"])
-    return [record]
+def _probes(record: dict) -> list[dict]:
+    benchmarks = record.get("benchmarks")
+    return [p for p in benchmarks if isinstance(p, dict)] if isinstance(benchmarks, list) else []
 
 
-def extract_speedups(record: dict) -> dict[str, float]:
-    """Flatten the tracked speedup metrics of a record into ``{name: value}``.
-
-    Per-benchmark: the scalar ``speedup`` when present, plus the sweep
-    summary aggregates (``max_speedup`` and the speedup at the ~50 %
-    pixel-reduction operating point).  Individual sweep operating points are
-    deliberately not gated — single wall-clock points are too noisy for a
-    20 % fence; the aggregates are what the PR acceptance criteria track.
-    """
-    speedups: dict[str, float] = {}
-    for bench in _benchmarks(record):
-        name = bench.get("name", "benchmark")
-        for key in ("speedup", "ffn_speedup", "fused_speedup", "compiled_speedup"):
-            if isinstance(bench.get(key), (int, float)):
-                speedups[f"{name}.{key}"] = float(bench[key])
-        summary = bench.get("summary", {})
-        for key in (
-            "max_speedup",
-            "speedup_at_half_pixel_reduction",
-            "encoder_speedup",
-            "encoder_ffn_speedup",
-            "encoder_fused_speedup",
-            "encoder_compiled_speedup",
-        ):
-            if isinstance(summary.get(key), (int, float)):
-                speedups[f"{name}.{key}"] = float(summary[key])
-    return speedups
+def tracked(record: dict, section: str) -> dict[str, object]:
+    """One tracked section of every probe, as ``{"probe.key": entry}``."""
+    return {
+        f"{probe.get('name')}.{key}": entry
+        for probe in _probes(record)
+        for key, entry in (probe.get(section) or {}).items()
+    }
 
 
-def extract_serving_metrics(record: dict) -> dict[str, tuple[str, float]]:
-    """The tracked serving metrics of a record: ``{name: (direction, value)}``.
-
-    ``direction`` is ``"higher"`` (throughput: regressing means falling) or
-    ``"lower"`` (latency percentiles: regressing means rising).  Both are
-    gated behind the widened :data:`LATENCY_FENCE_FACTOR` fence — see there.
-    """
-    metrics: dict[str, tuple[str, float]] = {}
-    for bench in _benchmarks(record):
-        name = bench.get("name", "benchmark")
-        if isinstance(bench.get("throughput_rps"), (int, float)):
-            metrics[f"{name}.throughput_rps"] = ("higher", float(bench["throughput_rps"]))
-        for key in ("p50_ms", "p99_ms"):
-            if isinstance(bench.get(key), (int, float)):
-                metrics[f"{name}.{key}"] = ("lower", float(bench[key]))
-    return metrics
+def equivalence_entries(record: dict) -> list[dict]:
+    """Every probe's ``equivalence`` entries (``probe``, ``max_abs_diff``,
+    ``tolerance``), in record order — what both this tool and
+    ``run_all.py --check`` gate."""
+    return [entry for probe in _probes(record) for entry in probe.get("equivalence") or []]
 
 
-def extract_lifecycle_counters(record: dict) -> dict[str, float]:
-    """The request-lifecycle counters of a record: ``{name.key: value}``.
-
-    See :data:`LIFECYCLE_COUNTERS` — presence is gated, values are not.
-    """
-    counters: dict[str, float] = {}
-    for bench in _benchmarks(record):
-        name = bench.get("name", "benchmark")
-        for key in LIFECYCLE_COUNTERS:
-            if isinstance(bench.get(key), (int, float)):
-                counters[f"{name}.{key}"] = float(bench[key])
-    return counters
+def _change(base: float, curr: float) -> str:
+    return f"{(curr - base) / base:+.1%}" if base > 0 else "-"
 
 
-def extract_equivalence_probes(record: dict) -> list[dict]:
-    """Every equivalence probe of a record: name, measured drift, tolerance.
-
-    This is the canonical probe-flattening used by both this tool and
-    ``run_all.py --check``, so probe names stay identical across the two
-    reports.  Sweep operating points are qualified by every knob present
-    (``fwp_k`` and ``pap_threshold``) so points differing in either are
-    distinguishable.
-    """
-    probes = []
-    for bench in _benchmarks(record):
-        name = bench.get("name", "benchmark")
-        # An embedded end-to-end encoder record (sparse_speedup sweeps) only
-        # carries a tolerance when both runs kept the same mask trajectory —
-        # a record without one is diagnostic, not a probe.  The lockstep
-        # block-wise sub-probes under "encoder_blockwise" are always gated
-        # (identical block inputs make them machine-independent).  The
-        # "compiled" sub-probe carries the compiled backend's own tolerance
-        # tier (compiled-vs-fused drift; absent on hosts without the built
-        # extension, which --allow-missing / the embedded-probe skip covers).
-        embedded = [
-            (f"{name}.encoder", bench.get("encoder")),
-            (f"{name}.compiled", bench.get("compiled")),
-        ]
-        blockwise = bench.get("encoder_blockwise")
-        if isinstance(blockwise, dict):
-            embedded += [
-                (f"{name}.encoder_blockwise.{key}", blockwise.get(key))
-                for key in ("fp32", "int12")
-            ]
-        for probe_name, sub in embedded:
-            if (
-                isinstance(sub, dict)
-                and "max_abs_diff" in sub
-                and sub.get("equivalence_tol") is not None
-            ):
-                probes.append(
-                    {
-                        "probe": probe_name,
-                        "max_abs_diff": sub["max_abs_diff"],
-                        "tolerance": sub["equivalence_tol"],
-                    }
-                )
-        tol = bench.get("equivalence_tol")
-        if tol is None:
-            continue
-        if "max_abs_diff" in bench:
-            probes.append(
-                {"probe": name, "max_abs_diff": bench["max_abs_diff"], "tolerance": tol}
-            )
-        for result in bench.get("results", []):
-            label = f"{name}[fwp_k={result['fwp_k']}"
-            if "pap_threshold" in result:
-                label += f", pap={result['pap_threshold']}"
-            label += "]"
-            probes.append(
-                {"probe": label, "max_abs_diff": result["max_abs_diff"], "tolerance": tol}
-            )
-    return probes
+def _compare(
+    section: str, base: float, curr: float, better: str, tolerance: float
+) -> str | None:
+    """How *curr* regressed from *base*, or ``None`` (counters never do)."""
+    change = _change(base, curr)
+    if section == "ratios" and curr < base * (1.0 - tolerance):
+        return f"speedup regressed {base:.2f}x -> {curr:.2f}x ({change}, tolerance -{tolerance:.0%})"
+    if section == "serving":
+        fence = (1.0 + tolerance) * LATENCY_FENCE_FACTOR
+        if curr > base * fence if better == "lower" else curr < base / fence:
+            worse = "rose" if better == "lower" else "fell"
+            return f"{worse} {base:.2f} -> {curr:.2f} ({change}, fence {fence:.1f}x)"
+    return None
 
 
 def compare_records(
@@ -218,87 +122,47 @@ def compare_records(
     table for the job log.
     """
     failures: list[str] = []
-    lines: list[str] = []
-
-    base_speedups = extract_speedups(baseline)
-    curr_speedups = extract_speedups(current)
-    lines.append(f"{'metric':<48} {'baseline':>9} {'current':>9} {'change':>8}  status")
-    for name in sorted(base_speedups):
-        base = base_speedups[name]
-        if name not in curr_speedups:
-            status = "MISSING" if not allow_missing else "missing (allowed)"
-            lines.append(f"{name:<48} {base:>8.2f}x {'-':>9} {'-':>8}  {status}")
-            if not allow_missing:
-                failures.append(f"{name}: tracked by the baseline but absent from the current record")
-            continue
-        curr = curr_speedups[name]
-        change = (curr - base) / base if base > 0 else 0.0
-        regressed = curr < base * (1.0 - tolerance)
-        status = "REGRESSION" if regressed else "ok"
-        lines.append(f"{name:<48} {base:>8.2f}x {curr:>8.2f}x {change:>+7.1%}  {status}")
-        if regressed:
-            failures.append(
-                f"{name}: speedup regressed {base:.2f}x -> {curr:.2f}x "
-                f"({change:+.1%}, tolerance -{tolerance:.0%})"
-            )
-    for name in sorted(set(curr_speedups) - set(base_speedups)):
-        lines.append(f"{name:<48} {'-':>9} {curr_speedups[name]:>8.2f}x {'-':>8}  new")
-
-    base_serving = extract_serving_metrics(baseline)
-    curr_serving = extract_serving_metrics(current)
-    fence = (1.0 + tolerance) * LATENCY_FENCE_FACTOR
-    for name in sorted(base_serving):
-        direction, base = base_serving[name]
-        if name not in curr_serving:
-            status = "MISSING" if not allow_missing else "missing (allowed)"
-            lines.append(f"{name:<48} {base:>9.2f} {'-':>9} {'-':>8}  {status}")
-            if not allow_missing:
-                failures.append(
-                    f"{name}: tracked by the baseline but absent from the current record"
-                )
-            continue
-        curr = curr_serving[name][1]
-        change = (curr - base) / base if base > 0 else 0.0
-        if direction == "lower":
-            regressed = curr > base * fence
-        else:
-            regressed = curr < base / fence
-        status = "REGRESSION" if regressed else "ok"
-        lines.append(f"{name:<48} {base:>9.2f} {curr:>9.2f} {change:>+7.1%}  {status}")
-        if regressed:
-            worse = "rose" if direction == "lower" else "fell"
-            failures.append(
-                f"{name}: {worse} {base:.2f} -> {curr:.2f} ({change:+.1%}, "
-                f"fence {fence:.1f}x)"
-            )
-    for name in sorted(set(curr_serving) - set(base_serving)):
-        lines.append(f"{name:<48} {'-':>9} {curr_serving[name][1]:>9.2f} {'-':>8}  new")
-
-    base_counters = extract_lifecycle_counters(baseline)
-    curr_counters = extract_lifecycle_counters(current)
-    for name in sorted(base_counters):
-        base = base_counters[name]
-        if name not in curr_counters:
-            status = "MISSING" if not allow_missing else "missing (allowed)"
-            lines.append(f"{name:<48} {base:>9.0f} {'-':>9} {'-':>8}  {status}")
-            if not allow_missing:
-                failures.append(
-                    f"{name}: lifecycle counter tracked by the baseline but absent "
-                    "from the current record (fault-model coverage lost)"
-                )
-            continue
-        lines.append(
-            f"{name:<48} {base:>9.0f} {curr_counters[name]:>9.0f} {'-':>8}  info"
+    lines = [f"{'metric':<48} {'baseline':>9} {'current':>9} {'change':>8}  status"]
+    if not any(tracked(baseline, section) for section in TRACKED_SECTIONS):
+        failures.append(
+            "the baseline yields no tracked metric (no ratios, serving or counters "
+            "entry in any probe): not a record layout this tool reads"
         )
-    for name in sorted(set(curr_counters) - set(base_counters)):
-        lines.append(f"{name:<48} {'-':>9} {curr_counters[name]:>9.0f} {'-':>8}  new")
+    for section in TRACKED_SECTIONS:
+        base_metrics = tracked(baseline, section)
+        curr_metrics = tracked(current, section)
+        for name in sorted(base_metrics):
+            base_entry = base_metrics[name]
+            base = base_entry["value"] if section == "serving" else base_entry
+            if name not in curr_metrics:
+                status = "missing (allowed)" if allow_missing else "MISSING"
+                lines.append(f"{name:<48} {base:>9.2f} {'-':>9} {'-':>8}  {status}")
+                if not allow_missing:
+                    coverage = " (fault-model coverage lost)" if section == "counters" else ""
+                    failures.append(
+                        f"{name}: tracked by the baseline but absent from the current "
+                        f"record{coverage}"
+                    )
+                continue
+            curr_entry = curr_metrics[name]
+            curr = curr_entry["value"] if section == "serving" else curr_entry
+            better = base_entry["better"] if section == "serving" else "higher"
+            regression = _compare(section, base, curr, better, tolerance)
+            change = _change(base, curr)
+            status = "info" if section == "counters" else "REGRESSION" if regression else "ok"
+            lines.append(f"{name:<48} {base:>9.2f} {curr:>9.2f} {change:>8}  {status}")
+            if regression:
+                failures.append(f"{name}: {regression}")
+        for name in sorted(set(curr_metrics) - set(base_metrics)):
+            entry = curr_metrics[name]
+            value = entry["value"] if section == "serving" else entry
+            lines.append(f"{name:<48} {'-':>9} {value:>9.2f} {'-':>8}  new")
 
-    for probe in extract_equivalence_probes(current):
+    for probe in equivalence_entries(current):
         ok = probe["max_abs_diff"] <= probe["tolerance"]
-        status = "ok" if ok else "DRIFT"
         lines.append(
             f"{probe['probe']:<48} {'tol':>9} {probe['max_abs_diff']:>9.1e} "
-            f"{probe['tolerance']:>8.0e}  {status}"
+            f"{probe['tolerance']:>8.0e}  {'ok' if ok else 'DRIFT'}"
         )
         if not ok:
             failures.append(

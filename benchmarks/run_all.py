@@ -1,10 +1,17 @@
 """Repo-standard benchmark harness: run every perf benchmark, emit one JSON.
 
 Runs the batched-engine benchmark, the sparse-execution sweep and the other
-probes, and writes a single machine-readable record (name, config, speedups,
-per-kernel timings, equivalence drifts)::
+probes, and writes one machine-readable record: ``{"name": "run_all",
+"config": {...}, "benchmarks": [probe, ...]}``, where every probe has the
+same layout (:class:`repro.eval.profiler.ProbeRecord`: ``name``, ``config``,
+``timings_ms``, ``ratios``, ``serving``, ``counters``, ``equivalence``; see
+``benchmarks/baselines/README.md``)::
 
     PYTHONPATH=src python benchmarks/run_all.py --json BENCH_all.json
+
+Every probe that times variants uses one interleaved best-of-N timer
+(:func:`repro.eval.profiler.time_interleaved`) and records N and the
+per-variant spread next to the best times.
 
 The record a run writes is scratch output (git ignores ``BENCH_*.json`` at
 the repo root).  The committed record is
@@ -14,9 +21,10 @@ against it (or against the previous main-branch run) with
 
 ``--scale compact`` (the default) keeps the iteration budget tight enough for
 a CI smoke job; ``--scale paper`` reproduces the full paper-scale numbers of
-``benchmarks/bench_sparse_speedup.py``.  ``--check`` exits non-zero when the
-sparse/dense (or batched/serial) equivalence drifts beyond tolerance, which
-is how CI guards the numerics without asserting hardware-dependent speedups.
+``benchmarks/bench_sparse_speedup.py``.  ``--check`` exits non-zero when any
+probe's ``equivalence`` entry drifts beyond its tolerance (sparse/dense,
+batched/serial, backend/backend, served/serial), which is how CI guards the
+numerics without asserting hardware-dependent speedups.
 
 Run as a script, the harness pins BLAS and OpenMP to one thread: it sets
 ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
@@ -32,6 +40,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -44,6 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.core.config import DEFAConfig
 from repro.eval.profiler import (
+    ProbeRecord,
     measure_encoder_batched_speedup,
     measure_encoder_blockwise_equivalence,
     measure_encoder_sparse_speedup,
@@ -80,11 +90,6 @@ ENGINE_EQUIVALENCE_TOL = 1e-5
 SPARSE_FP32_EQUIVALENCE_TOL = 1e-5
 """Sparse-vs-dense drift bound for unquantized configs."""
 
-SPARSE_INT12_EQUIVALENCE_TOL = 5e-3
-"""Sparse-vs-dense drift bound for INT12 configs: the ~1e-7 float32 kernel
-rounding difference can be amplified to a full quantization step by the
-dynamically scaled output projection, so the bound is a few steps wide."""
-
 #: Sparse-sweep scale, repeats, serving-stream and video-stream length per
 #: harness preset.
 SCALE_PRESETS = {
@@ -109,7 +114,7 @@ SCALE_PRESETS = {
 }
 
 
-def run_engine_benchmark(repeats: int) -> dict:
+def run_engine_benchmark(repeats: int) -> ProbeRecord:
     """The batched-engine speedup benchmark (see bench_batched_engine.py)."""
     shapes = make_level_shapes(32, 48, (8, 16))
     encoder = DeformableEncoder(
@@ -126,45 +131,42 @@ def run_engine_benchmark(repeats: int) -> dict:
     report = measure_encoder_batched_speedup(
         encoder, shapes, batch_size=8, repeats=max(repeats, 3), rng=1
     )
-    return {
-        "name": "batched_engine",
-        "config": {
+    record = ProbeRecord(
+        name="batched_engine",
+        config={
             "batch_size": report.batch_size,
             "num_tokens": report.num_tokens,
             "d_model": report.d_model,
         },
-        "speedup": report.speedup,
-        "timings_ms": {"serial": 1e3 * report.serial_s, "batched": 1e3 * report.batched_s},
-        "max_abs_diff": report.max_abs_diff,
-        "equivalence_tol": ENGINE_EQUIVALENCE_TOL,
-    }
-
-
-def run_sparse_benchmark(sparse_scale: str, repeats: int) -> dict:
-    """The sparse-execution sweep, in the exact record shape of
-    ``bench_sparse_speedup.py`` so the two records stay comparable."""
-    from bench_sparse_speedup import sweep_record
-
-    reports = sweep_sparse_speedup(scale=sparse_scale, repeats=repeats, rng_seed=0)
-    record = sweep_record(reports, repeats)
-    record["generated_by"] = "benchmarks/run_all.py"
-    record["equivalence_tol"] = SPARSE_INT12_EQUIVALENCE_TOL
+        timings_ms=report.timings.ms(),
+        ratios={"speedup": report.speedup},
+    )
+    record.gate("batched_engine", report.max_abs_diff, ENGINE_EQUIVALENCE_TOL)
     return record
 
 
-def run_encoder_sparse_benchmark(sparse_scale: str, repeats: int) -> dict:
-    """End-to-end block-sparse encoder vs the PR 3 cost profile (INT12).
+def run_sparse_benchmark(sparse_scale: str, repeats: int) -> ProbeRecord:
+    """The sparse-execution sweep: the probe record of
+    ``bench_sparse_speedup.py`` without its paper-scale encoder parts."""
+    from bench_sparse_speedup import sweep_record
+
+    reports = sweep_sparse_speedup(scale=sparse_scale, repeats=repeats, rng_seed=0)
+    return sweep_record(reports, repeats)
+
+
+def run_encoder_sparse_benchmark(sparse_scale: str, repeats: int) -> ProbeRecord:
+    """End-to-end block-sparse encoder against its partial profiles (INT12).
 
     Times the full :class:`DEFAEncoderRunner` (query pruning on, frozen-row
-    semantics) in three profiles — all-dense, sparse attention with a dense
-    inter-block stage (the PR 3 path), and fully block-sparse — so
+    semantics) all-dense, with sparse attention and a dense inter-block
+    stage, and fully block-sparse on each kernel backend, so
     ``ffn_speedup`` isolates the additional win of the row-compacted
-    FFN/LayerNorm stage.  The end-to-end diff only carries a tolerance (and
-    becomes a gated probe) when both runs kept the same mask trajectory;
-    pure execution-path drift is gated by the lockstep probes
-    (``encoder_equivalence_fp32`` / ``encoder_equivalence_int12``).
+    FFN/LayerNorm stage.  The end-to-end diff is only a gated probe when
+    both runs kept the same mask trajectory; pure execution-path drift is
+    gated by the lockstep probes (``encoder_equivalence_fp32`` /
+    ``encoder_equivalence_int12``).
     """
-    from bench_sparse_speedup import ENCODER_INT12_TOL, ENCODER_NUM_LAYERS
+    from bench_sparse_speedup import ENCODER_NUM_LAYERS, encoder_ratios, gate_encoder
 
     workload = get_workload("deformable_detr", sparse_scale)
     # The tracked fused_speedup sits near 1x at compact scale, where one-shot
@@ -173,44 +175,25 @@ def run_encoder_sparse_benchmark(sparse_scale: str, repeats: int) -> dict:
     report = measure_encoder_sparse_speedup(
         workload, num_layers=ENCODER_NUM_LAYERS, repeats=max(repeats, 3), rng=0
     )
-    record = {
-        "name": "encoder_sparse",
-        "config": {
+    record = ProbeRecord(
+        name="encoder_sparse",
+        config={
             "workload": workload.name,
             "num_layers": report.num_layers,
             "fwp_k": report.fwp_k,
             "quant_bits": 12,
             "enable_query_pruning": True,
         },
-        "speedup": report.speedup,
-        "ffn_speedup": report.ffn_speedup,
-        "fused_speedup": report.fused_speedup,
-        "fused_max_abs_diff": report.fused_max_abs_diff,
-        "pixel_reduction": report.pixel_reduction,
-        "timings_ms": {
-            "dense": 1e3 * report.dense_s,
-            "sparse_dense_ffn": 1e3 * report.sparse_dense_ffn_s,
-            "sparse": 1e3 * report.sparse_s,
-            "sparse_fused": 1e3 * report.sparse_fused_s,
-        },
-        "max_abs_diff": report.max_abs_diff,
-        "mask_trajectory_matched": report.mask_trajectory_matched,
-    }
-    if report.sparse_compiled_s is not None:
-        record["timings_ms"]["sparse_compiled"] = 1e3 * report.sparse_compiled_s
-        record["compiled_speedup"] = report.compiled_speedup
-        record["compiled"] = {
-            "max_abs_diff": report.compiled_max_abs_diff,
-            "equivalence_tol": COMPILED_EQUIVALENCE_TOL,
-        }
-    if report.mask_trajectory_matched:
-        record["equivalence_tol"] = ENCODER_INT12_TOL
+        timings_ms=report.timings.ms(),
+        ratios=encoder_ratios(report),
+    )
+    gate_encoder(record, report, "encoder_sparse", "encoder_sparse.compiled")
     return record
 
 
 def _encoder_blockwise_probe(
     sparse_scale: str, quant_bits: int | None, tolerance: float, name: str
-) -> dict:
+) -> ProbeRecord:
     """One lockstep block-wise encoder equivalence probe (see
     :func:`repro.eval.profiler.measure_encoder_blockwise_equivalence`): both
     paths get identical block inputs and incoming masks at every block, so
@@ -224,28 +207,28 @@ def _encoder_blockwise_probe(
     drift = measure_encoder_blockwise_equivalence(
         workload, config=config, num_layers=ENCODER_EQUIV_NUM_LAYERS, rng=0
     )
-    return {
-        "name": name,
-        "config": {
+    record = ProbeRecord(
+        name=name,
+        config={
             "workload": workload.name,
             "num_layers": ENCODER_EQUIV_NUM_LAYERS,
             "fwp_k": 1.0,
             "quant_bits": quant_bits,
             "enable_query_pruning": True,
         },
-        "max_abs_diff": drift,
-        "equivalence_tol": tolerance,
-    }
+    )
+    record.gate(name, drift, tolerance)
+    return record
 
 
-def run_encoder_fp32_equivalence(sparse_scale: str, repeats: int) -> dict:
+def run_encoder_fp32_equivalence(sparse_scale: str, repeats: int) -> ProbeRecord:
     """The block-sparse encoder held to the strict 1e-5 fp32 equivalence."""
     return _encoder_blockwise_probe(
         sparse_scale, None, SPARSE_FP32_EQUIVALENCE_TOL, "encoder_equivalence_fp32"
     )
 
 
-def run_encoder_int12_equivalence(sparse_scale: str, repeats: int) -> dict:
+def run_encoder_int12_equivalence(sparse_scale: str, repeats: int) -> ProbeRecord:
     """The INT12 block-sparse encoder within its quantization-step bound."""
     from bench_sparse_speedup import ENCODER_INT12_TOL
 
@@ -254,49 +237,41 @@ def run_encoder_int12_equivalence(sparse_scale: str, repeats: int) -> dict:
     )
 
 
-def run_kernel_fusion_benchmark(sparse_scale: str, repeats: int) -> dict:
+def run_kernel_fusion_benchmark(sparse_scale: str, repeats: int) -> ProbeRecord:
     """Fused-vs-reference kernel backend on one sparse DEFA block.
 
-    Times the identical sparse execution (same inputs, same masks) on both
-    kernel backends and reports the end-to-end and per-section speedups plus
-    the output drift — gated at exactly zero, because the fused backend is
-    bit-identical by construction.
+    Times the identical sparse execution (same inputs, same masks) on every
+    available kernel backend and reports the speedups plus the output drift
+    — gated at exactly zero, because the fused backend is bit-identical by
+    construction.  The compiled backend's drift is its own probe
+    (``kernel_fusion.compiled``) under its own tier, so a diverging platform
+    would widen that tier explicitly, never the fused-vs-reference 0.0.
     """
     workload = get_workload("deformable_detr", sparse_scale)
     # The tracked ratio sits near 1x at compact scale, where one-shot wall
     # clocks jitter more than the bench-regression fence; a best-of-3 floor
     # keeps the probe stable at negligible cost (the block runs in ~30 ms).
     report = measure_kernel_fusion(workload, repeats=max(repeats, 3), rng=0)
-    record = {
-        "name": "kernel_fusion",
-        "config": {
+    record = ProbeRecord(
+        name="kernel_fusion",
+        config={
             "workload": workload.name,
             "backends": list(KERNEL_BACKENDS),
             "compiled_available": COMPILED_AVAILABLE,
         },
-        "speedup": report.speedup,
-        "section_speedups": report.section_speedups(),
-        "timings_ms": {
-            "reference": 1e3 * report.reference_s,
-            "fused": 1e3 * report.fused_s,
-        },
-        "max_abs_diff": report.max_abs_diff,
-        "equivalence_tol": KERNEL_FUSION_EQUIVALENCE_TOL,
-    }
-    if report.compiled_s is not None:
-        record["timings_ms"]["compiled"] = 1e3 * report.compiled_s
-        record["compiled_speedup"] = report.compiled_speedup
-        # The compiled backend's own equivalence tier, gated as a separate
-        # embedded probe (kernel_fusion.compiled) so a diverging platform
-        # would widen this tier explicitly, never the fused-vs-reference 0.0.
-        record["compiled"] = {
-            "max_abs_diff": report.compiled_max_abs_diff,
-            "equivalence_tol": COMPILED_EQUIVALENCE_TOL,
-        }
+        timings_ms=report.timings.ms(),
+        ratios={"speedup": report.speedup},
+    )
+    if report.compiled_speedup is not None:
+        record.ratios["compiled_speedup"] = report.compiled_speedup
+        record.gate(
+            "kernel_fusion.compiled", report.compiled_max_abs_diff, COMPILED_EQUIVALENCE_TOL
+        )
+    record.gate("kernel_fusion", report.max_abs_diff, KERNEL_FUSION_EQUIVALENCE_TOL)
     return record
 
 
-def run_sparse_fp32_equivalence(sparse_scale: str, repeats: int) -> dict:
+def run_sparse_fp32_equivalence(sparse_scale: str, repeats: int) -> ProbeRecord:
     """One unquantized operating point, held to the strict 1e-5 equivalence.
 
     Query pruning is enabled so the probe covers the full sparse-v2 surface:
@@ -309,22 +284,22 @@ def run_sparse_fp32_equivalence(sparse_scale: str, repeats: int) -> dict:
     # Best-of-3 floor, as for batched_engine: one-shot ratios jitter past
     # the bench-regression fence.
     report = measure_sparse_speedup(workload, config, repeats=max(repeats, 3), rng=0)
-    return {
-        "name": "sparse_equivalence_fp32",
-        "config": {
+    record = ProbeRecord(
+        name="sparse_equivalence_fp32",
+        config={
             "workload": workload.name,
             "fwp_k": 1.0,
             "quant_bits": None,
             "enable_query_pruning": True,
         },
-        "speedup": report.speedup,
-        "timings_ms": {"dense": 1e3 * report.dense_s, "sparse": 1e3 * report.sparse_s},
-        "max_abs_diff": report.max_abs_diff,
-        "equivalence_tol": SPARSE_FP32_EQUIVALENCE_TOL,
-    }
+        timings_ms=report.timings.ms(),
+        ratios={"speedup": report.speedup},
+    )
+    record.gate("sparse_equivalence_fp32", report.max_abs_diff, SPARSE_FP32_EQUIVALENCE_TOL)
+    return record
 
 
-def run_serving_benchmark(serving_requests: int, repeats: int) -> dict:
+def run_serving_benchmark(serving_requests: int, repeats: int) -> ProbeRecord:
     """The serving-engine probe (see ``bench_serving.py``): one worker, a
     forced kill mid-stream, mixed shapes and fp32/INT12 request classes.
 
@@ -353,7 +328,7 @@ def run_serving_benchmark(serving_requests: int, repeats: int) -> dict:
     return serving_record(report, kill_worker_at=kill_at, backend=backend)
 
 
-def run_serving_faults_benchmark(serving_requests: int, repeats: int) -> dict:
+def run_serving_faults_benchmark(serving_requests: int, repeats: int) -> ProbeRecord:
     """The chaos probe (PR 10, see ``bench_serving.py``): one replay through
     a scripted crash, a watchdog-killed 30 s hang and a transient raise.
 
@@ -385,7 +360,9 @@ def run_serving_faults_benchmark(serving_requests: int, repeats: int) -> dict:
     return serving_faults_record(report, backend=backend)
 
 
-def run_streaming_benchmark(sparse_scale: str, streaming_frames: int, repeats: int) -> dict:
+def run_streaming_benchmark(
+    sparse_scale: str, streaming_frames: int, repeats: int
+) -> ProbeRecord:
     """The streaming-session probe (see ``bench_streaming.py``): a low-motion
     synthetic video encoded by a warm session against an every-frame-cold one.
 
@@ -442,20 +419,24 @@ PROBE_RUNNERS = {
 
 
 def equivalence_probes(record: dict) -> list[dict]:
-    """Flatten every equivalence probe of a harness record.
-
-    Returns one entry per probe — a top-level ``max_abs_diff`` or a sweep
-    operating point — with its qualified name, measured drift, tolerance and
-    pass/fail status, so ``--check`` can say exactly *which* probe drifted.
-    The flattening (and the probe naming) is shared with
-    ``benchmarks/compare_bench.py``, which gates the same record in CI.
-    """
-    from compare_bench import extract_equivalence_probes
+    """Every probe's ``equivalence`` entries with a pass/fail ``ok`` flag, so
+    ``--check`` can say exactly *which* probe drifted (``compare_bench.py``
+    gates the same entries in CI)."""
+    from compare_bench import equivalence_entries
 
     return [
         {**probe, "ok": probe["max_abs_diff"] <= probe["tolerance"]}
-        for probe in extract_equivalence_probes(record)
+        for probe in equivalence_entries(record)
     ]
+
+
+def _summary(probe: dict) -> str:
+    parts = [f"{key} {value:.2f}x" for key, value in probe["ratios"].items()]
+    parts += [f"{key} {m['value']:.1f}" for key, m in probe["serving"].items()]
+    if probe["equivalence"]:
+        drift = max(e["max_abs_diff"] for e in probe["equivalence"])
+        parts.append(f"max |diff| {drift:.2e}")
+    return ", ".join(parts)
 
 
 def _scale_arg(value: str) -> str:
@@ -546,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
             "machine_profile": get_active_profile().name,
         },
         "benchmarks": [
-            PROBE_RUNNERS[name](preset, repeats) for name in selected
+            asdict(PROBE_RUNNERS[name](preset, repeats)) for name in selected
         ],
     }
     if args.only is not None:
@@ -556,18 +537,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args.json.write_text(json.dumps(record, indent=2) + "\n")
     for bench in record["benchmarks"]:
-        speedup = bench.get("speedup") or bench.get("summary", {}).get("max_speedup")
-        if "throughput_rps" in bench:  # the serving probe tracks latency, not speedup
-            print(
-                f"  {bench['name']}: p50 {bench['p50_ms']:.1f} ms, "
-                f"p99 {bench['p99_ms']:.1f} ms, "
-                f"throughput {bench['throughput_rps']:.1f} req/s, "
-                f"max |diff| {bench['max_abs_diff']:.2e}"
-            )
-        elif speedup is not None:
-            print(f"  {bench['name']}: speedup {speedup:.2f}x")
-        else:  # pure equivalence probes carry a drift, not a speedup
-            print(f"  {bench['name']}: max |diff| {bench['max_abs_diff']:.2e}")
+        print(f"  {bench['name']}: {_summary(bench)}")
     print(f"wrote {args.json}")
 
     if args.check:

@@ -46,7 +46,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.engine.faults._hard_crash": "fault path: the worker exits inside it, unrecorded",
     "repro.nn.detection_head.DetectionResult.empty": "no-detection branch",
     "repro.nn.grid_sample.SamplingTrace.as_batch": "single-image input form (batch-first rule)",
-    "repro.eval.profiler.EncoderSparseSpeedupReport.as_dict": "bench_sparse_speedup record",
     "repro.engine.serving.StreamingClassServer": _STREAMING,
     "repro.engine.serving.ServingEngine._stream_worker": _STREAMING,
     "repro.kernels.options.ExecutionOptions.with_overrides": _STREAMING,

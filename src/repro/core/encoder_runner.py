@@ -49,6 +49,18 @@ from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.shapes import LevelShape
 
 
+def arena_counters(plans) -> dict[str, int]:
+    """``plans`` / ``hits`` / ``grows`` / ``bytes`` over the distinct plans of
+    *plans*: a plan that several runners share counts once."""
+    distinct = {id(plan): plan for plan in plans}.values()
+    return {
+        "plans": len(distinct),
+        "hits": sum(p.hits for p in distinct),
+        "grows": sum(p.grows for p in distinct),
+        "bytes": sum(p.allocated_bytes for p in distinct),
+    }
+
+
 @dataclass
 class DEFAEncoderResult:
     """Result of running an encoder under the DEFA algorithm."""
@@ -258,10 +270,7 @@ class DEFAEncoderRunner:
         return {
             "backend": self.resolved_backend().name,
             "profile": self.machine_profile.name,
-            "plans": len(self._plans),
-            "hits": sum(p.hits for p in self._plans.values()),
-            "grows": sum(p.grows for p in self._plans.values()),
-            "bytes": sum(p.allocated_bytes for p in self._plans.values()),
+            **arena_counters(self._plans.values()),
         }
 
     def query_stage_plan(

@@ -32,13 +32,10 @@ class FWPResult:
         *kept* for the next block.
     thresholds:
         Per-level threshold values ``T_FWP``.
-    level_keep_fractions:
-        Fraction of pixels kept in each level.
     """
 
     fmap_mask: np.ndarray
     thresholds: np.ndarray
-    level_keep_fractions: np.ndarray
 
     @property
     def num_kept(self) -> int:
@@ -89,7 +86,6 @@ def compute_fmap_mask(
     n_l = len(spatial_shapes)
     masks = np.ones((batch, n_in), dtype=bool)
     thresholds = np.zeros((batch, n_l), dtype=np.float64)
-    keep_fractions = np.zeros((batch, n_l), dtype=np.float64)
     for lvl, shape in enumerate(spatial_shapes):
         sl = slice(starts[lvl], starts[lvl] + shape.num_pixels)
         level_freq = frequency[:, sl]  # (B, num_pixels)
@@ -97,15 +93,7 @@ def compute_fmap_mask(
         keep = level_freq >= level_thresholds[:, None]
         masks[:, sl] = keep
         thresholds[:, lvl] = level_thresholds
-        keep_fractions[:, lvl] = np.mean(keep, axis=1)
-    results = [
-        FWPResult(
-            fmap_mask=masks[b],
-            thresholds=thresholds[b],
-            level_keep_fractions=keep_fractions[b],
-        )
-        for b in range(batch)
-    ]
+    results = [FWPResult(fmap_mask=masks[b], thresholds=thresholds[b]) for b in range(batch)]
     return results[0] if single else results
 
 

@@ -177,9 +177,6 @@ class DEFALayerStats:
     pixels_kept_next: int
     """Pixels kept by the mask generated for the *next* block."""
 
-    offset_clipping_fraction: float
-    """Fraction of offset components clamped by range narrowing."""
-
     flops: FlopsBreakdown
 
     mask_applied: bool = False
@@ -512,7 +509,6 @@ class DEFAAttention:
                     FWPResult(
                         fmap_mask=np.ones(n_in, dtype=bool),
                         thresholds=np.zeros(len(spatial_shapes)),
-                        level_keep_fractions=np.ones(len(spatial_shapes)),
                     )
                     for _ in range(batch)
                 ]
@@ -529,7 +525,6 @@ class DEFAAttention:
         points_kept: int,
         mask_b: np.ndarray | None,
         fwp: FWPResult,
-        clipping_fraction: float,
         sparse_projection: bool,
         sparse_gather: bool,
         sparse_query: bool,
@@ -545,7 +540,6 @@ class DEFAAttention:
             pixels_total=n_in,
             pixels_kept=pixels_kept,
             pixels_kept_next=fwp.num_kept,
-            offset_clipping_fraction=clipping_fraction,
             flops=msdeform_attn_flops(
                 d_model=attn.d_model,
                 num_heads=attn.num_heads,
@@ -794,8 +788,7 @@ class DEFAAttention:
                 for b in range(batch)
             ]
 
-        # Step 2: sampling offsets + range narrowing (batched clamp,
-        # per-image clipping fractions over the kept queries).
+        # Step 2: sampling offsets + range narrowing (batched clamp).
         offsets_shape = (batch, n_q) + grid_shape[1:] + (2,)
         with kernel_section("query_proj"):
             if sparse_query:
@@ -809,14 +802,7 @@ class DEFAAttention:
                     # place — the projection is a fresh array or a plan
                     # buffer) so both paths record identical offsets.
                     offsets *= query_keep[:, :, None, None, None, None]
-        clipping_fractions = [0.0] * batch
         if self.range_narrowing is not None:
-            clipping_fractions = [
-                self.range_narrowing.clipping_fraction(
-                    offsets[b] if query_keep is None else offsets[b][query_keep[b]]
-                )
-                for b in range(batch)
-            ]
             if plan is not None:
                 offsets = self.range_narrowing.clamp_offsets_inplace(offsets)
             else:
@@ -898,7 +884,6 @@ class DEFAAttention:
                 int(np.count_nonzero(point_masks[b])),
                 fmap_mask[b] if fmap_mask is not None else None,
                 fwps[b],
-                clipping_fractions[b],
                 sparse_projection,
                 sparse_gather,
                 sparse_query,
@@ -987,8 +972,7 @@ class DEFAAttention:
           the query are zero, as the runner's are;
         * the PAP mask, the probabilities, the offsets and the sampling
           locations stay ``(K_q, N_h, N_l, N_p[, 2])`` arrays; the clamp and
-          the location math are elementwise, and image ``b``'s clipping
-          fraction is the mean over its slice of rows;
+          the location math are elementwise;
         * the compact trace is built from those rows
           (:func:`~repro.nn.grid_sample.multi_scale_neighbors_rows`), with
           ``kept`` in full point space as always; only a dense-gather
@@ -1029,11 +1013,7 @@ class DEFAAttention:
 
         # Step 2: offsets, range narrowing and sampling locations.
         offsets = offsets.reshape(probs.shape + (2,))
-        clipping_fractions = [0.0] * batch
         if self.range_narrowing is not None:
-            clipping_fractions = [
-                self.range_narrowing.clipping_fraction(offsets[lo:hi]) for lo, hi in slices
-            ]
             self.range_narrowing.clamp_offsets_inplace(offsets)
         ref = np.asarray(reference_points, dtype=FLOAT_DTYPE)
         ref_rows = ref.reshape(-1, n_l, 2)[kept_q if ref.ndim == 4 else kept_q % n_q]
@@ -1097,7 +1077,7 @@ class DEFAAttention:
         records = []
         for b, (lo, hi) in enumerate(slices):
             stats = self._layer_stats(
-                n_q, n_in, points_kept[b], fmap_mask[b], fwps[b], clipping_fractions[b],
+                n_q, n_in, points_kept[b], fmap_mask[b], fwps[b],
                 sparse_projection, sparse_gather, True,
             )
             records.append(

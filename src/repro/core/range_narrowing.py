@@ -84,21 +84,6 @@ class RangeNarrowing:
         Bit-identical to the allocating form."""
         return self.clamp_offsets(sampling_offsets, out=sampling_offsets)
 
-    def clipping_fraction(self, sampling_offsets: np.ndarray) -> float:
-        """Fraction of offset components altered by the clamp (a fidelity metric).
-
-        ``|o| > R`` is counted as ``o > R`` plus ``o < -R`` (NaN is in
-        neither), with no ``|o|`` copy; the count over the size is the mean
-        of the clipped flags exactly.
-        """
-        offsets = np.asarray(sampling_offsets, dtype=FLOAT_DTYPE)
-        if not offsets.size:
-            return 0.0
-        ranges = self._range_block(offsets)
-        outside = np.count_nonzero(offsets > ranges)
-        outside += np.count_nonzero(offsets < -ranges)
-        return float(outside / offsets.size)
-
     # --------------------------------------------------------------- storage
 
     def window_pixels(self, level: int) -> int:

@@ -56,6 +56,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.config import DEFAConfig
+from repro.core.encoder_runner import arena_counters
 from repro.engine.batching import BatchForward, ShapeKey, WorkItem, defa_forward_fn
 from repro.engine.faults import FaultInjectedError, FaultPlan, WorkerFaultState
 from repro.engine.streaming import StreamingConfig, StreamingEncoderSession
@@ -167,14 +168,21 @@ class StreamingClassServer:
         return outputs
 
     def plan_stats(self) -> dict[str, int | str]:
-        """Arena accounting aggregated over the class's live sessions."""
-        merged: dict[str, int | str] = {"plans": 0, "hits": 0, "grows": 0, "bytes": 0}
+        """Arena accounting over the distinct plans of the class's live
+        sessions: sessions of one thread share a plan per pyramid, so a
+        shared arena counts once."""
+        merged: dict[str, int | str] = {}
         for session in self.sessions.values():
             stats = session.plan_stats()
             merged["backend"] = stats["backend"]
             merged["profile"] = stats["profile"]
-            for key in ("plans", "hits", "grows", "bytes"):
-                merged[key] += stats[key]
+        merged.update(
+            arena_counters(
+                plan
+                for session in self.sessions.values()
+                for plan in session.runner._plans.values()
+            )
+        )
         merged["sessions"] = len(self.sessions)
         return merged
 

@@ -8,7 +8,6 @@ from repro.eval.profiler import (
     LatencyBreakdown,
     SparseSpeedupReport,
     measure_sparse_speedup,
-    profile_defa_kernel_breakdown,
     profile_gpu_latency_breakdown,
 )
 
@@ -26,5 +25,4 @@ __all__ = [
     "profile_gpu_latency_breakdown",
     "SparseSpeedupReport",
     "measure_sparse_speedup",
-    "profile_defa_kernel_breakdown",
 ]

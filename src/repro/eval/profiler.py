@@ -1,22 +1,24 @@
-"""Profilers: the Fig. 1b GPU latency breakdown and batched-engine throughput.
+"""Profilers: the Fig. 1b GPU latency breakdown and the benchmark probes.
 
 The paper profiles the MSDeformAttn latency on an RTX 3090Ti for Deformable
 DETR, DN-DETR and DINO and finds that MSGS + aggregation account for over 60 %
 of it while contributing only ~3 % of the FLOPs.  This module reproduces both
 numbers from the GPU cost model and the analytic FLOP breakdown.
 
-It also measures the wall-clock win of the batched execution engine
-(:func:`measure_encoder_batched_speedup`): one batched forward of a same-shape
-image batch against the equivalent loop of single-image forwards.  The win
-comes from amortizing per-call dispatch overhead across the batch, so it is
-largest for streams of small images (the many-small-requests serving regime)
-and tapers toward parity once per-image tensor work dominates.
+It also holds the measurement side of the benchmark harness
+(``benchmarks/run_all.py``): one interleaved best-of-N timer
+(:func:`time_interleaved`), one probe record (:class:`ProbeRecord`), the
+shared probe setup, and the probes themselves — the batched engine against
+the single-image loop, dense against sparse blocks and encoders, the kernel
+backends against each other, the lockstep equivalence replays and the
+serving-engine replay.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.rng import as_rng
 from repro.utils.shapes import LevelShape, total_pixels
-from repro.utils.timing import KernelTimings, collect_kernel_timings
+from repro.utils.timing import collect_kernel_timings
 from repro.workloads.specs import WorkloadSpec, get_workload
 
 
@@ -73,6 +75,224 @@ def profile_gpu_latency_breakdown(
     )
 
 
+# --------------------------------------------------------------------------
+# The benchmark harness: one timer, one record
+
+
+@dataclass(frozen=True)
+class Timings:
+    """Best-of-N wall clocks of named variants timed in interleaved rounds."""
+
+    best_s: dict[str, float]
+    """Fastest round per variant, in seconds."""
+
+    spread: dict[str, float]
+    """Per variant, ``(slowest - fastest) / fastest`` over the rounds."""
+
+    rounds: int
+    """N: how many times every variant ran."""
+
+    def ratio(self, slow: str, fast: str) -> float:
+        """``best[slow] / best[fast]`` (> 1 means *fast* wins)."""
+        den = self.best_s[fast]
+        return self.best_s[slow] / den if den > 0 else float("inf")
+
+    def ms(self) -> dict[str, object]:
+        """The ``timings_ms`` section of a :class:`ProbeRecord`."""
+        return {
+            "rounds": self.rounds,
+            "best": {name: 1e3 * s for name, s in self.best_s.items()},
+            "spread": dict(self.spread),
+        }
+
+
+def time_interleaved(
+    variants: dict[str, Callable[[], object]],
+    rounds: int,
+    before_round: Callable[[], object] | None = None,
+    steps: int = 1,
+) -> Timings:
+    """Time *rounds* rounds of the variants, alternating them step by step.
+
+    Each round runs ``steps`` steps, and each step calls every variant once,
+    in order; a variant's time for the round is the sum over its steps.
+    Wall clock on a shared host drifts in eras (allocator and page-cache
+    state, neighbours' load); alternating the variants at the finest step
+    exposes each to the same conditions, so best-of ratios between them stay
+    meaningful.  ``before_round`` runs untimed at the start of every round.
+    Warm the variants before calling: every round is timed.
+    """
+    if rounds <= 0:
+        raise ValueError("repeats must be positive")
+    samples: dict[str, list[float]] = {name: [] for name in variants}
+    for _ in range(rounds):
+        if before_round is not None:
+            before_round()
+        totals = dict.fromkeys(variants, 0.0)
+        for _ in range(steps):
+            for name, run in variants.items():
+                start = time.perf_counter()
+                run()
+                totals[name] += time.perf_counter() - start
+        for name, total in totals.items():
+            samples[name].append(total)
+    best = {name: min(times) for name, times in samples.items()}
+    return Timings(
+        best_s=best,
+        spread={
+            name: (max(times) - best[name]) / best[name] if best[name] > 0 else 0.0
+            for name, times in samples.items()
+        },
+        rounds=rounds,
+    )
+
+
+@dataclass
+class ProbeRecord:
+    """The one record layout every benchmark probe emits.
+
+    ``compare_bench.py`` and ``run_all.py --check`` read only ``ratios``,
+    ``serving``, ``counters`` and ``equivalence`` (see
+    ``benchmarks/baselines/README.md``); a probe's JSON form is
+    ``dataclasses.asdict(record)``.
+    """
+
+    name: str
+    config: dict[str, object]
+    timings_ms: dict[str, object] = field(default_factory=dict)
+    """:meth:`Timings.ms` of the probe's timer (empty for pure equivalence
+    probes)."""
+
+    ratios: dict[str, float] = field(default_factory=dict)
+    """Tracked speedups, gated against a baseline at the relative tolerance."""
+
+    serving: dict[str, dict[str, object]] = field(default_factory=dict)
+    """Serving metrics as ``{"value": v, "better": "lower" | "higher"}``,
+    gated behind the widened latency fence."""
+
+    counters: dict[str, float] = field(default_factory=dict)
+    """Lifecycle counters: their presence is gated, their values are not."""
+
+    equivalence: list[dict[str, object]] = field(default_factory=list)
+    """``{"probe", "max_abs_diff", "tolerance"}`` per equivalence probe,
+    with the probe's qualified name."""
+
+    def gate(self, probe: str, max_abs_diff: float, tolerance: float) -> None:
+        """Add one equivalence probe."""
+        self.equivalence.append(
+            {"probe": probe, "max_abs_diff": max_abs_diff, "tolerance": tolerance}
+        )
+
+
+# --------------------------------------------------------------------------
+# Shared probe setup
+
+
+def build_encoder(
+    workload: WorkloadSpec, num_layers: int, rng: np.random.Generator | int | None
+) -> DeformableEncoder:
+    """A :class:`DeformableEncoder` at the workload's model geometry."""
+    model = workload.model
+    return DeformableEncoder(
+        num_layers=num_layers,
+        d_model=model.d_model,
+        num_heads=model.num_heads,
+        num_levels=model.num_levels,
+        num_points=model.num_points,
+        ffn_dim=model.ffn_dim,
+        activation=model.activation,
+        rng=rng,
+    )
+
+
+def _image_inputs(
+    workload: WorkloadSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Synthetic features plus the positional encoding and reference points
+    of one image of the workload."""
+    shapes = workload.spatial_shapes
+    d_model = workload.model.d_model
+    features = rng.standard_normal((workload.num_tokens, d_model)).astype(FLOAT_DTYPE)
+    return features, sine_positional_encoding(shapes, d_model), make_reference_points(shapes)
+
+
+def _masked_block(
+    workload: WorkloadSpec, config: DEFAConfig, sparse_mode: str, rng: np.random.Generator
+) -> tuple[DEFAAttention, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(defa, query, reference_points, features, fmap_mask)``: an
+    :class:`MSDeformAttn` block at the workload's model geometry and the FWP
+    mask a first (unmasked) block generates for it — the realistic input of
+    the second block, which the probes time."""
+    model = workload.model
+    attn = MSDeformAttn(
+        d_model=model.d_model,
+        num_heads=model.num_heads,
+        num_levels=model.num_levels,
+        num_points=model.num_points,
+        rng=rng,
+    )
+    features, pos, reference_points = _image_inputs(workload, rng)
+    query = features + pos
+    defa = DEFAAttention(attn, config, ExecutionOptions(sparse_mode=sparse_mode))
+    first = defa.forward_detailed(
+        query, reference_points, features, workload.spatial_shapes,
+        options=ExecutionOptions(kernel_backend="reference"),
+    )
+    return defa, query, reference_points, features, first.fmap_mask_next.copy()
+
+
+def _lockstep_drift(
+    dense: DEFAEncoderRunner,
+    sparse: DEFAEncoderRunner,
+    x: np.ndarray,
+    pos: np.ndarray,
+    reference_points: np.ndarray,
+    shapes: list[LevelShape],
+    masks: list[np.ndarray | None] | None = None,
+) -> float:
+    """Max dense/sparse block-output drift over one lockstep encoder pass.
+
+    At every block both runners receive the dense trajectory's block input
+    and the same incoming FWP mask — ``masks[index]`` when given, otherwise
+    the mask the dense previous block generated — their attention plus
+    inter-block-stage outputs are compared, and the dense output is carried
+    forward.  Identical inputs mean identical threshold decisions, so the
+    generated masks must agree exactly (integer frequency counting); if they
+    ever do not, that is an execution-path bug and the drift is ``inf``.
+    """
+    drift = 0.0
+    fmap_mask = None
+    for index, layer in enumerate(dense.encoder.layers):
+        if masks is not None:
+            fmap_mask = masks[index]
+        outs = []
+        for runner in (dense, sparse):
+            attn_out = runner.defa_layers[index].forward_detailed(
+                x + pos, reference_points, x, shapes, fmap_mask=fmap_mask
+            )
+            keep_mask, compact = runner.ffn_stage_plan(
+                fmap_mask, x.shape[0], runner.resolved_backend()
+            )
+            out = layer.forward_ffn_stage(
+                x, attn_out.output, keep_mask=keep_mask, compact=compact
+            )
+            outs.append((out, attn_out.fmap_mask_next))
+        (out_dense, mask_next), (out_sparse, sparse_mask_next) = outs
+        drift = max(drift, float(np.max(np.abs(out_dense - out_sparse))))
+        if not np.array_equal(mask_next, sparse_mask_next):
+            return float("inf")
+        x, fmap_mask = out_dense, mask_next
+    return drift
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+# --------------------------------------------------------------------------
+# Batched-engine profiling
+
+
 @dataclass(frozen=True)
 class BatchedThroughputReport:
     """Measured batched-vs-serial wall clock of one same-shape workload."""
@@ -82,11 +302,9 @@ class BatchedThroughputReport:
     """Flattened multi-scale tokens per image."""
 
     d_model: int
-    serial_s: float
-    """Best-of-repeats wall clock of the single-image loop over the batch."""
-
-    batched_s: float
-    """Best-of-repeats wall clock of one batched forward."""
+    timings: Timings
+    """Variants ``serial`` (the single-image loop over the batch) and
+    ``batched`` (one batched forward)."""
 
     max_abs_diff: float
     """Max elementwise deviation of the batched output from the serial loop."""
@@ -94,7 +312,7 @@ class BatchedThroughputReport:
     @property
     def speedup(self) -> float:
         """Serial-over-batched wall-clock ratio (> 1 means batching wins)."""
-        return self.serial_s / self.batched_s if self.batched_s > 0 else float("inf")
+        return self.timings.ratio("serial", "batched")
 
 
 def measure_encoder_batched_speedup(
@@ -108,12 +326,12 @@ def measure_encoder_batched_speedup(
 
     Runs ``batch_size`` synthetic same-shape images through *encoder* twice —
     once as a Python loop of single-image forwards, once as one batched
-    forward — and reports the best-of-*repeats* wall clock of each, plus the
-    maximum elementwise deviation between the two results (the equivalence
-    the batched kernels guarantee).
+    forward — and reports the interleaved best-of-*repeats* wall clock of
+    each, plus the maximum elementwise deviation between the two results
+    (the equivalence the batched kernels guarantee).
     """
-    if batch_size <= 0 or repeats <= 0:
-        raise ValueError("batch_size and repeats must be positive")
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
     rng = as_rng(rng)
     n_in = total_pixels(spatial_shapes)
     d_model = encoder.d_model
@@ -132,30 +350,14 @@ def measure_encoder_batched_speedup(
     def run_batched() -> np.ndarray:
         return encoder.forward(features, pos, reference_points, spatial_shapes)
 
-    serial_out = run_serial()  # warm-up + reference output
-    batched_out = run_batched()
-    max_abs_diff = float(np.max(np.abs(serial_out - batched_out)))
-
-    serial_s = min(
-        _timed(run_serial) for _ in range(repeats)
-    )
-    batched_s = min(
-        _timed(run_batched) for _ in range(repeats)
-    )
+    max_abs_diff = _max_abs_diff(run_serial(), run_batched())  # warm-up + reference
     return BatchedThroughputReport(
         batch_size=batch_size,
         num_tokens=n_in,
         d_model=d_model,
-        serial_s=serial_s,
-        batched_s=batched_s,
+        timings=time_interleaved({"serial": run_serial, "batched": run_batched}, repeats),
         max_abs_diff=max_abs_diff,
     )
-
-
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
 
 
 # --------------------------------------------------------------------------
@@ -169,21 +371,15 @@ class SparseSpeedupReport:
     workload: str
     fwp_k: float
     pap_threshold: float
-    num_tokens: int
     pixel_reduction: float
     """Fraction of fmap pixels pruned by the incoming FWP mask."""
 
     point_reduction: float
     """Fraction of sampling points pruned by PAP in the timed block."""
 
-    flops_reduction: float
-    """Analytic FLOP reduction of the prunable operators (Fig. 6b metric)."""
-
-    dense_s: float
-    """Best-of-repeats wall clock of the masked-dense block forward."""
-
-    sparse_s: float
-    """Best-of-repeats wall clock of the compacted-kernel block forward."""
+    timings: Timings
+    """Variants ``dense`` (the masked-dense block forward) and ``sparse``
+    (the compacted-kernel block forward)."""
 
     max_abs_diff: float
     """Max elementwise deviation between the two block outputs."""
@@ -197,25 +393,7 @@ class SparseSpeedupReport:
     @property
     def speedup(self) -> float:
         """Dense-over-sparse wall-clock ratio (> 1 means sparse wins)."""
-        return self.dense_s / self.sparse_s if self.sparse_s > 0 else float("inf")
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-friendly record for the benchmark harness."""
-        return {
-            "workload": self.workload,
-            "fwp_k": self.fwp_k,
-            "pap_threshold": self.pap_threshold,
-            "num_tokens": self.num_tokens,
-            "pixel_reduction": self.pixel_reduction,
-            "point_reduction": self.point_reduction,
-            "flops_reduction": self.flops_reduction,
-            "dense_ms": 1e3 * self.dense_s,
-            "sparse_ms": 1e3 * self.sparse_s,
-            "speedup": self.speedup,
-            "max_abs_diff": self.max_abs_diff,
-            "dense_kernels_ms": {k: 1e3 * v for k, v in self.dense_kernels.items()},
-            "sparse_kernels_ms": {k: 1e3 * v for k, v in self.sparse_kernels.items()},
-        }
+        return self.timings.ratio("dense", "sparse")
 
 
 SPARSE_SWEEP_OPERATING_POINTS: tuple[tuple[float, float], ...] = (
@@ -273,31 +451,6 @@ def sweep_sparse_speedup(
     return reports
 
 
-def profile_defa_kernel_breakdown(
-    defa: DEFAAttention,
-    query: np.ndarray,
-    reference_points: np.ndarray,
-    value_input: np.ndarray,
-    spatial_shapes: list[LevelShape],
-    fmap_mask: np.ndarray | None = None,
-) -> KernelTimings:
-    """Per-kernel wall-clock breakdown of one DEFA block forward.
-
-    Returns the :class:`~repro.utils.timing.KernelTimings` of a single
-    ``forward_detailed`` call: ``value_proj`` / ``query_proj`` /
-    ``output_proj`` (projections), ``neighbors`` (bilinear index math),
-    ``gather`` and ``aggregate`` (the MSGS hot loop) and ``fwp`` (frequency
-    counting + mask generation).  This is the software-side analogue of the
-    Fig. 1b latency breakdown, available for both execution paths via
-    ``defa.sparse_mode``.
-    """
-    with collect_kernel_timings() as timings:
-        defa.forward_detailed(
-            query, reference_points, value_input, spatial_shapes, fmap_mask=fmap_mask
-        )
-    return timings
-
-
 def measure_sparse_speedup(
     workload: WorkloadSpec,
     config: DEFAConfig | None = None,
@@ -316,77 +469,37 @@ def measure_sparse_speedup(
     ``enable_query_pruning`` (sparse execution v2) — apply to both paths, so
     the comparison always times two implementations of the same semantics.
     """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
     config = config or DEFAConfig()
-    rng = as_rng(rng)
+    defa, query, reference_points, features, fmap_mask = _masked_block(
+        workload, config, "dense", as_rng(rng)
+    )
     shapes = workload.spatial_shapes
-    model = workload.model
-    n_in = workload.num_tokens
-    attn = MSDeformAttn(
-        d_model=model.d_model,
-        num_heads=model.num_heads,
-        num_levels=model.num_levels,
-        num_points=model.num_points,
-        rng=rng,
-    )
-    features = rng.standard_normal((n_in, model.d_model)).astype(FLOAT_DTYPE)
-    pos = sine_positional_encoding(shapes, model.d_model)
-    reference_points = make_reference_points(shapes)
-    query = features + pos
 
-    defa = DEFAAttention(attn, config, ExecutionOptions(sparse_mode="dense"))
-    first = defa.forward_detailed(query, reference_points, features, shapes)
-    fmap_mask = first.fmap_mask_next.copy()
-    del first  # release the first block's trace before timing
-
-    def run_dense():
-        defa.sparse_mode = "dense"
+    def run(mode: str):
+        defa.sparse_mode = mode
         return defa.forward_detailed(
             query, reference_points, features, shapes, fmap_mask=fmap_mask
         )
 
-    def run_sparse():
-        defa.sparse_mode = "sparse"
-        return defa.forward_detailed(
-            query, reference_points, features, shapes, fmap_mask=fmap_mask
-        )
-
-    dense_out = run_dense()  # warm-up + reference
-    sparse_out = run_sparse()
-    max_abs_diff = float(np.max(np.abs(dense_out.output - sparse_out.output)))
+    dense_out = run("dense")  # warm-up + reference
+    max_abs_diff = _max_abs_diff(dense_out.output, run("sparse").output)
     stats = dense_out.stats
-    del dense_out, sparse_out  # release the big traces before timing
+    del dense_out  # release the big trace before timing
 
-    # Interleave the repeats: wall-clock on a shared host drifts in "eras"
-    # (allocator/page-cache state), and alternating the two paths exposes
-    # both to the same conditions so the best-of ratio stays meaningful.
-    dense_times, sparse_times = [], []
-    for _ in range(repeats):
-        dense_times.append(_timed(run_dense))
-        sparse_times.append(_timed(run_sparse))
-    dense_s = min(dense_times)
-    sparse_s = min(sparse_times)
-
-    defa.sparse_mode = "dense"
-    dense_kernels = profile_defa_kernel_breakdown(
-        defa, query, reference_points, features, shapes, fmap_mask=fmap_mask
+    timings = time_interleaved(
+        {"dense": lambda: run("dense"), "sparse": lambda: run("sparse")}, repeats
     )
-    defa.sparse_mode = "sparse"
-    sparse_kernels = profile_defa_kernel_breakdown(
-        defa, query, reference_points, features, shapes, fmap_mask=fmap_mask
-    )
-
+    with collect_kernel_timings() as dense_kernels:
+        run("dense")
+    with collect_kernel_timings() as sparse_kernels:
+        run("sparse")
     return SparseSpeedupReport(
         workload=workload.name,
         fwp_k=config.fwp_k if config.enable_fwp else 0.0,
         pap_threshold=config.pap_threshold if config.enable_pap else 0.0,
-        num_tokens=n_in,
         pixel_reduction=stats.pixel_reduction,
         point_reduction=stats.point_reduction,
-        flops_reduction=stats.flops_reduction,
-        dense_s=dense_s,
-        sparse_s=sparse_s,
+        timings=timings,
         max_abs_diff=max_abs_diff,
         dense_kernels=dict(dense_kernels.seconds),
         sparse_kernels=dict(sparse_kernels.seconds),
@@ -394,40 +507,38 @@ def measure_sparse_speedup(
 
 
 # --------------------------------------------------------------------------
-# Block-sparse encoder profiling (PR 4)
+# Block-sparse encoder profiling
 
 
 @dataclass(frozen=True)
 class EncoderSparseSpeedupReport:
-    """End-to-end encoder wall clock of the three execution profiles.
+    """End-to-end encoder wall clock of the block-sparse execution profiles.
 
-    All three runs execute the *same* block-sparse-encoder semantics (query
+    All runs execute the *same* block-sparse-encoder semantics (query
     pruning on, pruned rows frozen at the block input); they differ only in
-    which stages run compacted:
+    which stages run compacted and on which kernel backend.  The
+    :attr:`timings` variants:
 
-    * ``dense_s`` — everything masked-dense (pruning changes numerics only);
-    * ``sparse_dense_ffn_s`` — sparse attention blocks, masked-dense
-      inter-block FFN/LayerNorm stage: the PR 3 cost profile;
-    * ``sparse_s`` — the full block-sparse encoder (row-compacted FFN stage)
-      on the ``"reference"`` kernel backend: the PR 4 execution exactly;
-    * ``sparse_fused_s`` — the same block-sparse encoder on the ``"fused"``
-      backend (single-pass kernels + execution-plan buffer reuse, PR 5).
-      Bit-identical outputs, so :attr:`fused_max_abs_diff` must be 0.
+    * ``dense`` — everything masked-dense (pruning changes numerics only);
+    * ``sparse_dense_ffn`` — sparse attention blocks, masked-dense
+      inter-block FFN/LayerNorm stage;
+    * ``sparse`` — the full block-sparse encoder (row-compacted FFN stage)
+      on the ``"reference"`` kernel backend;
+    * ``sparse_fused`` — the same block-sparse encoder on the ``"fused"``
+      backend (single-pass kernels + execution-plan buffer reuse).
+      Bit-identical outputs, so :attr:`fused_max_abs_diff` must be 0;
+    * ``sparse_compiled`` — the same on the ``"compiled"`` backend, present
+      only when the compiled kernel library is built on this host.
     """
 
     workload: str
     fwp_k: float
     pap_threshold: float
     num_layers: int
-    num_tokens: int
     pixel_reduction: float
     """Mean FWP pixel reduction over the masked blocks (2..L)."""
 
-    dense_s: float
-    sparse_dense_ffn_s: float
-    sparse_s: float
-    sparse_fused_s: float
-    """Best-of-repeats wall clock of the fused-backend block-sparse run."""
+    timings: Timings
 
     fused_max_abs_diff: float
     """Max elementwise deviation of the fused-backend memory from the
@@ -447,28 +558,10 @@ class EncoderSparseSpeedupReport:
     equivalence gate is :func:`measure_encoder_blockwise_equivalence`.
     """
 
-    dense_pixels_kept: tuple[int, ...]
-    """Per-block incoming-mask keep counts of the dense run (first block:
-    ``num_tokens`` by the no-mask convention)."""
-
-    sparse_pixels_kept: tuple[int, ...]
-    """Per-block incoming-mask keep counts of the block-sparse run."""
-
     mask_trajectory_matched: bool
     """Whether both runs generated bit-identical FWP masks in every block
     (exact mask comparison, not just keep counts — a count-preserving flip
     would still diverge the trajectories)."""
-
-    dense_kernels: dict[str, float]
-    """Per-section seconds of one masked-dense encoder forward (now including
-    the ``ffn`` / ``norm`` sections of the inter-block stage)."""
-
-    sparse_kernels: dict[str, float]
-    """Per-section seconds of one block-sparse encoder forward."""
-
-    sparse_compiled_s: float | None = None
-    """Best-of-repeats wall clock of the compiled-backend block-sparse run
-    (``None`` when the compiled kernel library is not built on this host)."""
 
     compiled_max_abs_diff: float | None = None
     """Max elementwise deviation of the compiled-backend memory from the
@@ -478,66 +571,27 @@ class EncoderSparseSpeedupReport:
     @property
     def speedup(self) -> float:
         """Dense-over-block-sparse encoder wall-clock ratio."""
-        return self.dense_s / self.sparse_s if self.sparse_s > 0 else float("inf")
+        return self.timings.ratio("dense", "sparse")
 
     @property
     def ffn_speedup(self) -> float:
-        """Additional end-to-end win of the compacted FFN stage over the PR 3
-        profile (sparse attention + dense inter-block work)."""
-        return self.sparse_dense_ffn_s / self.sparse_s if self.sparse_s > 0 else float("inf")
+        """Additional end-to-end win of the compacted FFN stage over sparse
+        attention with dense inter-block work."""
+        return self.timings.ratio("sparse_dense_ffn", "sparse")
 
     @property
     def fused_speedup(self) -> float:
         """Additional end-to-end win of the fused backend + execution plans
-        over the PR 4 block-sparse path (the reference backend)."""
-        return (
-            self.sparse_s / self.sparse_fused_s if self.sparse_fused_s > 0 else float("inf")
-        )
+        over the block-sparse path on the reference backend."""
+        return self.timings.ratio("sparse", "sparse_fused")
 
     @property
     def compiled_speedup(self) -> float | None:
         """Additional end-to-end win of the compiled C kernels over the fused
         numpy backend (``None`` when the compiled backend was not measured)."""
-        if self.sparse_compiled_s is None:
+        if "sparse_compiled" not in self.timings.best_s:
             return None
-        return (
-            self.sparse_fused_s / self.sparse_compiled_s
-            if self.sparse_compiled_s > 0
-            else float("inf")
-        )
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "workload": self.workload,
-            "fwp_k": self.fwp_k,
-            "pap_threshold": self.pap_threshold,
-            "num_layers": self.num_layers,
-            "num_tokens": self.num_tokens,
-            "pixel_reduction": self.pixel_reduction,
-            "dense_ms": 1e3 * self.dense_s,
-            "sparse_dense_ffn_ms": 1e3 * self.sparse_dense_ffn_s,
-            "sparse_ms": 1e3 * self.sparse_s,
-            "sparse_fused_ms": 1e3 * self.sparse_fused_s,
-            "speedup": self.speedup,
-            "ffn_speedup": self.ffn_speedup,
-            "fused_speedup": self.fused_speedup,
-            "fused_max_abs_diff": self.fused_max_abs_diff,
-            "max_abs_diff": self.max_abs_diff,
-            "dense_pixels_kept": list(self.dense_pixels_kept),
-            "sparse_pixels_kept": list(self.sparse_pixels_kept),
-            "mask_trajectory_matched": self.mask_trajectory_matched,
-            "dense_kernels_ms": {k: 1e3 * v for k, v in self.dense_kernels.items()},
-            "sparse_kernels_ms": {k: 1e3 * v for k, v in self.sparse_kernels.items()},
-            **(
-                {
-                    "sparse_compiled_ms": 1e3 * self.sparse_compiled_s,
-                    "compiled_speedup": self.compiled_speedup,
-                    "compiled_max_abs_diff": self.compiled_max_abs_diff,
-                }
-                if self.sparse_compiled_s is not None
-                else {}
-            ),
-        }
+        return self.timings.ratio("sparse_fused", "sparse_compiled")
 
 
 def measure_encoder_sparse_speedup(
@@ -547,52 +601,28 @@ def measure_encoder_sparse_speedup(
     repeats: int = 3,
     rng: np.random.Generator | int | None = None,
 ) -> EncoderSparseSpeedupReport:
-    """Time a full DEFA encoder in the three block-sparse execution profiles.
+    """Time a full DEFA encoder in the block-sparse execution profiles.
 
     Builds a :class:`DeformableEncoder` at the workload's model geometry
     (*num_layers* blocks; the first block never receives a mask, so at least
     two layers are required for any pruning to execute) and one
-    :class:`DEFAEncoderRunner` with query pruning semantics, then times
-
-    1. ``sparse_mode="dense"`` — the all-masked-dense reference,
-    2. ``sparse_mode="sparse"`` with ``enable_sparse_ffn=False`` — the PR 3
-       cost profile (compacted attention, dense inter-block stage),
-    3. ``sparse_mode="sparse"`` — the full block-sparse encoder on the
-       ``"reference"`` kernel backend (the PR 4 path), and
-    4. the same block-sparse encoder on the ``"fused"`` backend (PR 5:
-       single-pass kernels + execution-plan buffer reuse),
-
-    interleaved best-of-*repeats*.  All four see identical inputs and
-    produce the same memory (``max_abs_diff`` reports dense vs. full-sparse;
-    ``fused_max_abs_diff`` reports fused vs. reference, which must be 0), so
+    :class:`DEFAEncoderRunner` with query pruning semantics, then times the
+    :class:`EncoderSparseSpeedupReport` variants interleaved
+    best-of-*repeats*.  All see identical inputs and produce the same memory
+    (``max_abs_diff`` reports dense vs. full-sparse; ``fused_max_abs_diff``
+    reports fused vs. reference, which must be 0), so
     :attr:`EncoderSparseSpeedupReport.ffn_speedup` isolates the win of
     carrying FWP pruning through the FFN/LayerNorm stage and
     :attr:`EncoderSparseSpeedupReport.fused_speedup` the win of the fused
-    backend over the PR 4 path.
+    backend over the reference one.
     """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
     if num_layers < 2:
         raise ValueError("num_layers must be >= 2 (the first block is never masked)")
     config = config or DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
     rng = as_rng(rng)
     shapes = workload.spatial_shapes
-    model = workload.model
-    n_in = workload.num_tokens
-    encoder = DeformableEncoder(
-        num_layers=num_layers,
-        d_model=model.d_model,
-        num_heads=model.num_heads,
-        num_levels=model.num_levels,
-        num_points=model.num_points,
-        ffn_dim=model.ffn_dim,
-        activation=model.activation,
-        rng=rng,
-    )
-    features = rng.standard_normal((n_in, model.d_model)).astype(FLOAT_DTYPE)
-    pos = sine_positional_encoding(shapes, model.d_model)
-    reference_points = make_reference_points(shapes)
-
+    encoder = build_encoder(workload, num_layers, rng)
+    features, pos, reference_points = _image_inputs(workload, rng)
     runner = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="dense"))
 
     def run(mode: str, sparse_ffn: bool, backend: str = "reference"):
@@ -601,21 +631,24 @@ def measure_encoder_sparse_speedup(
         runner.kernel_backend = backend
         return runner.forward(features, pos, reference_points, shapes)
 
+    variants = {
+        "dense": lambda: run("dense", False),
+        "sparse_dense_ffn": lambda: run("sparse", False),
+        "sparse": lambda: run("sparse", True),
+        "sparse_fused": lambda: run("sparse", True, backend="fused"),
+    }
     dense_res = run("dense", False)  # warm-up + reference
     sparse_res = run("sparse", True)
     fused_res = run("sparse", True, backend="fused")  # also warms the plan arena
-    max_abs_diff = float(np.max(np.abs(dense_res.memory - sparse_res.memory)))
-    fused_max_abs_diff = float(np.max(np.abs(sparse_res.memory - fused_res.memory)))
+    max_abs_diff = _max_abs_diff(dense_res.memory, sparse_res.memory)
+    fused_max_abs_diff = _max_abs_diff(sparse_res.memory, fused_res.memory)
     compiled_max_abs_diff = None
     if COMPILED_AVAILABLE:
-        compiled_res = run("sparse", True, backend="compiled")
-        compiled_max_abs_diff = float(
-            np.max(np.abs(fused_res.memory - compiled_res.memory))
+        variants["sparse_compiled"] = lambda: run("sparse", True, backend="compiled")
+        compiled_max_abs_diff = _max_abs_diff(
+            fused_res.memory, variants["sparse_compiled"]().memory
         )
-        del compiled_res
     pixel_reduction = sparse_res.mean_pixel_reduction
-    dense_pixels_kept = tuple(s.pixels_kept for s in dense_res.layer_stats)
-    sparse_pixels_kept = tuple(s.pixels_kept for s in sparse_res.layer_stats)
     # Exact per-block mask comparison (keep counts alone would miss a
     # count-preserving flip, which still diverges the trajectories).
     mask_trajectory_matched = all(
@@ -624,46 +657,17 @@ def measure_encoder_sparse_speedup(
     )
     del dense_res, sparse_res, fused_res
 
-    dense_times: list[float] = []
-    pr3_times: list[float] = []
-    sparse_times: list[float] = []
-    fused_times: list[float] = []
-    compiled_times: list[float] = []
-    for _ in range(repeats):
-        dense_times.append(_timed(lambda: run("dense", False)))
-        pr3_times.append(_timed(lambda: run("sparse", False)))
-        sparse_times.append(_timed(lambda: run("sparse", True)))
-        fused_times.append(_timed(lambda: run("sparse", True, backend="fused")))
-        if COMPILED_AVAILABLE:
-            compiled_times.append(
-                _timed(lambda: run("sparse", True, backend="compiled"))
-            )
-
-    with collect_kernel_timings() as dense_kernels:
-        run("dense", False)
-    with collect_kernel_timings() as sparse_kernels:
-        run("sparse", True)
-
     return EncoderSparseSpeedupReport(
         workload=workload.name,
         fwp_k=config.fwp_k if config.enable_fwp else 0.0,
         pap_threshold=config.pap_threshold if config.enable_pap else 0.0,
         num_layers=num_layers,
-        num_tokens=n_in,
         pixel_reduction=pixel_reduction,
-        dense_s=min(dense_times),
-        sparse_dense_ffn_s=min(pr3_times),
-        sparse_s=min(sparse_times),
-        sparse_fused_s=min(fused_times),
-        sparse_compiled_s=min(compiled_times) if compiled_times else None,
-        compiled_max_abs_diff=compiled_max_abs_diff,
+        timings=time_interleaved(variants, repeats),
         fused_max_abs_diff=fused_max_abs_diff,
         max_abs_diff=max_abs_diff,
-        dense_pixels_kept=dense_pixels_kept,
-        sparse_pixels_kept=sparse_pixels_kept,
         mask_trajectory_matched=mask_trajectory_matched,
-        dense_kernels=dict(dense_kernels.seconds),
-        sparse_kernels=dict(sparse_kernels.seconds),
+        compiled_max_abs_diff=compiled_max_abs_diff,
     )
 
 
@@ -680,8 +684,7 @@ def measure_encoder_blockwise_equivalence(
     downstream and the two runs then prune different pixels (a property of
     the algorithm, not of the execution paths).  This probe removes that
     sensitivity: at every block, *both* paths receive the dense trajectory's
-    block input and incoming FWP mask, their attention + inter-block-stage
-    outputs are compared, and the dense output is carried forward.  Identical
+    block input and incoming FWP mask (:func:`_lockstep_drift`).  Identical
     inputs mean identical threshold decisions, so the returned maximum is a
     machine-independent measure of pure execution-path drift — 1e-5 for fp32
     configs, a few quantization steps for INT12 — while still exercising
@@ -691,50 +694,13 @@ def measure_encoder_blockwise_equivalence(
         raise ValueError("num_layers must be >= 2 (the first block is never masked)")
     config = config or DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
     rng = as_rng(rng)
-    shapes = workload.spatial_shapes
-    model = workload.model
-    n_in = workload.num_tokens
-    encoder = DeformableEncoder(
-        num_layers=num_layers,
-        d_model=model.d_model,
-        num_heads=model.num_heads,
-        num_levels=model.num_levels,
-        num_points=model.num_points,
-        ffn_dim=model.ffn_dim,
-        activation=model.activation,
-        rng=rng,
-    )
-    features = rng.standard_normal((n_in, model.d_model)).astype(FLOAT_DTYPE)
-    pos = sine_positional_encoding(shapes, model.d_model)
-    reference_points = make_reference_points(shapes)
+    encoder = build_encoder(workload, num_layers, rng)
+    features, pos, reference_points = _image_inputs(workload, rng)
     dense = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="dense"))
     sparse = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="sparse"))
-
-    def step(runner: DEFAEncoderRunner, index: int, x: np.ndarray, fmap_mask):
-        layer = runner.encoder.layers[index]
-        attn_out = runner.defa_layers[index].forward_detailed(
-            x + pos, reference_points, x, shapes, fmap_mask=fmap_mask
-        )
-        keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0], runner.resolved_backend())
-        out = layer.forward_ffn_stage(
-            x, attn_out.output, keep_mask=keep_mask, compact=compact
-        )
-        return out, attn_out.fmap_mask_next
-
-    x = features
-    fmap_mask = None
-    max_drift = 0.0
-    for index in range(num_layers):
-        out_dense, mask_next = step(dense, index, x, fmap_mask)
-        out_sparse, sparse_mask_next = step(sparse, index, x, fmap_mask)
-        max_drift = max(max_drift, float(np.max(np.abs(out_dense - out_sparse))))
-        # Same inputs => the generated masks must agree exactly (integer
-        # frequency counting); if they ever did not, that would be an
-        # execution-path bug, which the probe should surface loudly.
-        if not np.array_equal(mask_next, sparse_mask_next):
-            return float("inf")
-        x, fmap_mask = out_dense, mask_next
-    return max_drift
+    return _lockstep_drift(
+        dense, sparse, features, pos, reference_points, workload.spatial_shapes
+    )
 
 
 def measure_streaming_blockwise_equivalence(
@@ -748,8 +714,8 @@ def measure_streaming_blockwise_equivalence(
 
     Warm frames are trajectory-sensitive squared: their incoming masks mix a
     cached keyframe FWP trajectory with a temporally-dirty set, so warm-vs-
-    cold end-to-end diffs are algorithm diagnostics (PR 4 rules), not
-    execution gates.  This probe applies the same lockstep discipline as
+    cold end-to-end diffs are algorithm diagnostics, not execution gates.
+    This probe applies the same lockstep discipline as
     :func:`measure_encoder_blockwise_equivalence` to the *recorded* streaming
     masks: a session runs a synthetic video, and for every non-reused frame
     the per-block ``incoming_masks`` it executed with are replayed through a
@@ -767,17 +733,8 @@ def measure_streaming_blockwise_equivalence(
     config = config or DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
     rng = as_rng(rng)
     shapes = workload.spatial_shapes
-    model = workload.model
-    encoder = DeformableEncoder(
-        num_layers=num_layers,
-        d_model=model.d_model,
-        num_heads=model.num_heads,
-        num_levels=model.num_levels,
-        num_points=model.num_points,
-        ffn_dim=model.ffn_dim,
-        activation=model.activation,
-        rng=rng,
-    )
+    d_model = workload.model.d_model
+    encoder = build_encoder(workload, num_layers, rng)
     session = StreamingEncoderSession(
         encoder,
         config,
@@ -786,10 +743,10 @@ def measure_streaming_blockwise_equivalence(
     )
     stream = SyntheticVideoStream(
         shapes,
-        model.d_model,
+        d_model,
         VideoStreamSpec(num_frames=num_frames, seed=int(rng.integers(1 << 31))),
     )
-    pos = sine_positional_encoding(shapes, model.d_model)
+    pos = sine_positional_encoding(shapes, d_model)
     reference_points = make_reference_points(shapes)
     # Sessions force query pruning on; mirror that for the replay runners so
     # all three agree on the frozen-row convention.
@@ -797,75 +754,46 @@ def measure_streaming_blockwise_equivalence(
     dense = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="dense"))
     sparse = DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode="sparse"))
 
-    def step(runner: DEFAEncoderRunner, index: int, x: np.ndarray, fmap_mask):
-        layer = runner.encoder.layers[index]
-        attn_out = runner.defa_layers[index].forward_detailed(
-            x + pos, reference_points, x, shapes, fmap_mask=fmap_mask
-        )
-        keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0], runner.resolved_backend())
-        out = layer.forward_ffn_stage(
-            x, attn_out.output, keep_mask=keep_mask, compact=compact
-        )
-        return out, attn_out.fmap_mask_next
-
     max_drift = 0.0
     for frame_index in range(num_frames):
         features = stream.frame(frame_index)
         result = session.process(features, frame_index)
         if result.kind == "reused":
             continue  # no forward ran; nothing to replay
-        x = features
-        for index in range(num_layers):
-            fmap_mask = result.incoming_masks[index]
-            out_dense, mask_next = step(dense, index, x, fmap_mask)
-            out_sparse, sparse_mask_next = step(sparse, index, x, fmap_mask)
-            max_drift = max(
-                max_drift, float(np.max(np.abs(out_dense - out_sparse)))
-            )
-            if not np.array_equal(mask_next, sparse_mask_next):
-                return float("inf")
-            x = out_dense
+        max_drift = max(
+            max_drift,
+            _lockstep_drift(
+                dense, sparse, features, pos, reference_points, shapes,
+                masks=result.incoming_masks,
+            ),
+        )
     return max_drift
 
 
 # --------------------------------------------------------------------------
-# Kernel-fusion profiling (PR 5)
+# Kernel-fusion profiling
 
 
 @dataclass(frozen=True)
 class KernelFusionReport:
     """Fused-vs-reference backend comparison of one sparse DEFA block.
 
-    Both runs execute the identical sparse path (same inputs, same masks,
-    same ``sparse_mode="sparse"``) and differ only in the kernel backend, so
+    Every run executes the identical sparse path (same inputs, same masks,
+    same ``sparse_mode="sparse"``) and differs only in the kernel backend, so
     ``max_abs_diff`` measures the backends' numerical agreement — which is
     exactly 0 by construction (the fused backend performs the same float
-    operations in the same order) — and the section ratios isolate where the
-    fusion wins.
+    operations in the same order).
     """
 
     workload: str
-    num_tokens: int
-    reference_s: float
-    """Best-of-repeats wall clock of the reference-backend block forward."""
-
-    fused_s: float
-    """Best-of-repeats wall clock of the fused-backend block forward
-    (steady-state: the execution-plan arena is warmed before timing)."""
+    timings: Timings
+    """Variants ``reference``, ``fused`` (steady state: the execution-plan
+    arena is warmed before timing) and, when the compiled kernel library is
+    built on this host, ``compiled`` (steady state, own warmed plan)."""
 
     max_abs_diff: float
-    """Max elementwise deviation between the two block outputs (0 expected)."""
-
-    reference_kernels: dict[str, float]
-    """Per-section seconds of one reference-backend forward."""
-
-    fused_kernels: dict[str, float]
-    """Per-section seconds of one fused-backend forward."""
-
-    compiled_s: float | None = None
-    """Best-of-repeats wall clock of the compiled-backend block forward
-    (steady-state, own warmed plan; ``None`` when the compiled kernel library
-    is not built on this host)."""
+    """Max elementwise deviation between the reference and fused outputs
+    (0 expected)."""
 
     compiled_max_abs_diff: float | None = None
     """Max elementwise deviation of the compiled-backend output from the
@@ -875,23 +803,15 @@ class KernelFusionReport:
     @property
     def speedup(self) -> float:
         """Reference-over-fused wall-clock ratio (> 1 means fusion wins)."""
-        return self.reference_s / self.fused_s if self.fused_s > 0 else float("inf")
+        return self.timings.ratio("reference", "fused")
 
     @property
     def compiled_speedup(self) -> float | None:
         """Fused-over-compiled wall-clock ratio (> 1 means the C kernels
         win); ``None`` when the compiled backend was not measured."""
-        if self.compiled_s is None:
+        if "compiled" not in self.timings.best_s:
             return None
-        return self.fused_s / self.compiled_s if self.compiled_s > 0 else float("inf")
-
-    def section_speedups(self) -> dict[str, float]:
-        """Reference/fused ratio per kernel section (where both measured)."""
-        return {
-            name: self.reference_kernels[name] / self.fused_kernels[name]
-            for name in sorted(self.reference_kernels)
-            if self.fused_kernels.get(name, 0.0) > 0.0
-        }
+        return self.timings.ratio("fused", "compiled")
 
 
 def measure_kernel_fusion(
@@ -902,94 +822,40 @@ def measure_kernel_fusion(
 ) -> KernelFusionReport:
     """Time one sparse DEFA block on the reference vs the fused backend.
 
-    The block setup mirrors :func:`measure_sparse_speedup` (a first unmasked
+    The block setup is :func:`measure_sparse_speedup`'s (a first unmasked
     block produces a realistic FWP mask; the timed block receives it), but
-    both timed runs use ``sparse_mode="sparse"`` and only the kernel backend
-    differs.  An :class:`~repro.kernels.ExecutionPlan` is threaded through
-    the fused run via a :class:`DEFAEncoderRunner`-style plan so the fused
+    every timed run uses ``sparse_mode="sparse"`` and only the kernel backend
+    differs.  The fused (and compiled) runs thread their own
+    :class:`~repro.kernels.ExecutionPlan`, warmed before timing, so their
     numbers reflect steady-state (warm-arena) execution.
     """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
     config = config or DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
-    rng = as_rng(rng)
+    defa, query, reference_points, features, fmap_mask = _masked_block(
+        workload, config, "sparse", as_rng(rng)
+    )
     shapes = workload.spatial_shapes
-    model = workload.model
-    n_in = workload.num_tokens
-    attn = MSDeformAttn(
-        d_model=model.d_model,
-        num_heads=model.num_heads,
-        num_levels=model.num_levels,
-        num_points=model.num_points,
-        rng=rng,
-    )
-    features = rng.standard_normal((n_in, model.d_model)).astype(FLOAT_DTYPE)
-    pos = sine_positional_encoding(shapes, model.d_model)
-    reference_points = make_reference_points(shapes)
-    query = features + pos
+    backends = ("reference", "fused") + (("compiled",) if COMPILED_AVAILABLE else ())
+    # One arena per backend: steady state per backend.
+    plans = {name: ExecutionPlan() if name != "reference" else None for name in backends}
 
-    defa = DEFAAttention(attn, config, ExecutionOptions(sparse_mode="sparse"))
-    first = defa.forward_detailed(
-        query, reference_points, features, shapes, options=ExecutionOptions(kernel_backend="reference")
-    )
-    fmap_mask = first.fmap_mask_next.copy()
-    del first
-
-    plan = ExecutionPlan()
-    compiled_plan = ExecutionPlan()  # separate arena: steady state per backend
-
-    def run_reference():
-        return defa.forward_detailed(
+    def runner(backend: str):
+        options = ExecutionOptions(kernel_backend=backend)
+        return lambda: defa.forward_detailed(
             query, reference_points, features, shapes,
-            fmap_mask=fmap_mask, options=ExecutionOptions(kernel_backend="reference"),
+            fmap_mask=fmap_mask, options=options, plan=plans[backend],
         )
 
-    def run_fused():
-        return defa.forward_detailed(
-            query, reference_points, features, shapes,
-            fmap_mask=fmap_mask, options=ExecutionOptions(kernel_backend="fused"), plan=plan,
-        )
-
-    def run_compiled():
-        return defa.forward_detailed(
-            query, reference_points, features, shapes,
-            fmap_mask=fmap_mask, options=ExecutionOptions(kernel_backend="compiled"), plan=compiled_plan,
-        )
-
-    ref_out = run_reference()  # warm-up + reference output
-    fused_out = run_fused()  # warms the plan arena
-    max_abs_diff = float(np.max(np.abs(ref_out.output - fused_out.output)))
-    compiled_max_abs_diff = None
-    if COMPILED_AVAILABLE:
-        compiled_out = run_compiled()  # warms the compiled arena
-        compiled_max_abs_diff = float(
-            np.max(np.abs(fused_out.output - compiled_out.output))
-        )
-        del compiled_out
-    del ref_out, fused_out
-
-    ref_times, fused_times, compiled_times = [], [], []
-    for _ in range(repeats):  # interleaved, as in measure_sparse_speedup
-        ref_times.append(_timed(run_reference))
-        fused_times.append(_timed(run_fused))
-        if COMPILED_AVAILABLE:
-            compiled_times.append(_timed(run_compiled))
-
-    with collect_kernel_timings() as reference_kernels:
-        run_reference()
-    with collect_kernel_timings() as fused_kernels:
-        run_fused()
-
+    variants = {name: runner(name) for name in backends}
+    outputs = {name: run().output for name, run in variants.items()}  # warm-up
     return KernelFusionReport(
         workload=workload.name,
-        num_tokens=n_in,
-        reference_s=min(ref_times),
-        fused_s=min(fused_times),
-        compiled_s=min(compiled_times) if compiled_times else None,
-        compiled_max_abs_diff=compiled_max_abs_diff,
-        max_abs_diff=max_abs_diff,
-        reference_kernels=dict(reference_kernels.seconds),
-        fused_kernels=dict(fused_kernels.seconds),
+        timings=time_interleaved(variants, repeats),
+        max_abs_diff=_max_abs_diff(outputs["reference"], outputs["fused"]),
+        compiled_max_abs_diff=(
+            _max_abs_diff(outputs["fused"], outputs["compiled"])
+            if COMPILED_AVAILABLE
+            else None
+        ),
     )
 
 
@@ -1023,8 +889,8 @@ class ServingLatencyReport:
     elapsed_s: float
     """Wall clock of the whole replay (first submit to last completion)."""
 
-    serial_s: float
-    """Best-of-repeats wall clock of the serial per-image reference loop."""
+    timings: Timings
+    """Variant ``serial``: the serial per-image reference loop."""
 
     max_abs_diff: float
     """Max |served - serial reference| over every request (gated at 0.0)."""
@@ -1064,34 +930,8 @@ class ServingLatencyReport:
     def overhead(self) -> float:
         """Replay-over-serial wall-clock ratio (scheduling + IPC cost; 1.0
         means the engine adds nothing over the bare serial loop)."""
-        return self.elapsed_s / self.serial_s if self.serial_s > 0 else float("inf")
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "num_requests": self.num_requests,
-            "num_workers": self.num_workers,
-            "num_batches": self.num_batches,
-            "mean_batch_size": self.mean_batch_size,
-            "p50_ms": 1e3 * self.p50_s,
-            "p99_ms": 1e3 * self.p99_s,
-            "max_latency_ms": 1e3 * self.max_latency_s,
-            "elapsed_ms": 1e3 * self.elapsed_s,
-            "serial_ms": 1e3 * self.serial_s,
-            "throughput_rps": self.throughput_rps,
-            "overhead": self.overhead,
-            "max_abs_diff": self.max_abs_diff,
-            "worker_deaths": self.worker_deaths,
-            "worker_restarts": self.worker_restarts,
-            "primary_batches": self.primary_batches,
-            "degraded_batches": self.degraded_batches,
-            "mode": self.mode,
-            "num_shed": self.num_shed,
-            "num_expired": self.num_expired,
-            "num_retried": self.num_retried,
-            "num_quarantined": self.num_quarantined,
-            "watchdog_kills": self.watchdog_kills,
-            "num_failed": self.num_failed,
-        }
+        serial_s = self.timings.best_s["serial"]
+        return self.elapsed_s / serial_s if serial_s > 0 else float("inf")
 
 
 def measure_serving_latency(
@@ -1131,8 +971,6 @@ def measure_serving_latency(
     )
     from repro.engine.traffic import replay_traffic, serial_reference_outputs
 
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
     config = config or ServingConfig()
     if isinstance(model_bank_factory, ModelBankSpec):
         if fault_plan is not None:
@@ -1144,8 +982,8 @@ def measure_serving_latency(
         raise TypeError("fault_plan needs a ModelBankSpec, not a bank factory")
     bank = ModelBank.coerce(model_bank_factory())
     reference = serial_reference_outputs(bank, events)  # warm-up + reference
-    serial_s = min(
-        _timed(lambda: serial_reference_outputs(bank, events)) for _ in range(repeats)
+    timings = time_interleaved(
+        {"serial": lambda: serial_reference_outputs(bank, events)}, repeats
     )
 
     engine = ServingEngine(model_bank_factory, config)
@@ -1177,7 +1015,7 @@ def measure_serving_latency(
     for served, expected in zip(replay.outputs, reference):
         if served is None:
             continue
-        max_abs_diff = max(max_abs_diff, float(np.max(np.abs(served - expected))))
+        max_abs_diff = max(max_abs_diff, _max_abs_diff(served, expected))
     return ServingLatencyReport(
         num_requests=len(events),
         num_workers=config.num_workers,
@@ -1187,7 +1025,7 @@ def measure_serving_latency(
         p99_s=stats.latency_quantile(99),
         max_latency_s=stats.latency_quantile(100),
         elapsed_s=replay.elapsed_s,
-        serial_s=serial_s,
+        timings=timings,
         max_abs_diff=max_abs_diff,
         worker_deaths=stats.worker_deaths,
         worker_restarts=stats.worker_restarts,

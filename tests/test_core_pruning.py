@@ -216,13 +216,11 @@ class TestFWP:
     @settings(max_examples=40, deadline=None)
     def test_fwp_invariants_match_eq2(self, seed, k, max_freq):
         """Property check of Eq. 2: per-level thresholds are ``k * mean`` and
-        keep-fractions always lie in ``[0, 1]``."""
+        the mask keeps exactly the pixels at or above them."""
         shapes = self._shapes()
         rng = np.random.default_rng(seed)
         freq = rng.integers(0, max_freq + 1, size=20).astype(float)
         result = compute_fmap_mask(freq, shapes, k=k)
-        assert np.all(result.level_keep_fractions >= 0.0)
-        assert np.all(result.level_keep_fractions <= 1.0)
         assert 0 <= result.num_kept <= result.fmap_mask.size
         # Recompute the Eq. 2 thresholds independently, level by level.
         offset = 0
@@ -234,7 +232,6 @@ class TestFWP:
             np.testing.assert_array_equal(
                 result.fmap_mask[offset : offset + shape.num_pixels], expected_keep
             )
-            assert result.level_keep_fractions[lvl] == pytest.approx(expected_keep.mean())
             offset += shape.num_pixels
 
 
@@ -278,9 +275,6 @@ class TestBatchedPruningHelpers:
             single = compute_fmap_mask(freq[b], shapes, k=0.8)
             np.testing.assert_array_equal(batched[b].fmap_mask, single.fmap_mask)
             np.testing.assert_array_equal(batched[b].thresholds, single.thresholds)
-            np.testing.assert_array_equal(
-                batched[b].level_keep_fractions, single.level_keep_fractions
-            )
 
     def test_compute_fmap_mask_validation(self):
         shapes = [LevelShape(4, 4), LevelShape(2, 2)]
@@ -322,29 +316,6 @@ class TestRangeNarrowing:
         expected = np.clip(offsets, -ranges, ranges)
         assert np.array_equal(expected, narrowing.clamp_offsets(offsets))
         assert np.array_equal(expected, narrowing.clamp_offsets_inplace(offsets))
-
-    def test_clipping_fraction(self):
-        narrowing = RangeNarrowing((1.0,))
-        offsets = np.array([[[[[0.5, 2.0]]]]], dtype=np.float32)
-        assert narrowing.clipping_fraction(offsets) == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("queries", [0, 1, 9])
-    def test_clipping_fraction_equals_the_mean_of_clipped_flags(self, queries):
-        """The count of out-of-range components over the size is the same
-        float as the mean of ``|o| > R``: ±0, NaN, ±Inf and values exactly
-        at ±R_l included, and an empty array reads 0.0."""
-        narrowing = RangeNarrowing((2.0, 1.5, 0.5))
-        ranges = np.asarray(narrowing.level_ranges, dtype=np.float32)[:, None, None]
-        rng = np.random.default_rng(5)
-        offsets = (rng.standard_normal((queries, 4, 3, 2, 2)) * 2).astype(np.float32)
-        if queries:
-            specials = [0.0, -0.0, np.nan, np.inf, -np.inf, np.nan, 3.0, -3.0]
-            offsets[0, 0].reshape(-1)[: len(specials)] = specials
-            offsets[-1, 1] = ranges  # exactly at +R_l
-            offsets[-1, 2] = -ranges  # exactly at -R_l
-        expected = float(np.mean(np.abs(offsets) > ranges)) if offsets.size else 0.0
-        got = narrowing.clipping_fraction(offsets)
-        assert type(got) is float and got == expected
 
     def test_unified_costs_more_storage(self):
         narrowing = RangeNarrowing((8.0, 7.0, 7.0, 6.0))

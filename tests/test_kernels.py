@@ -881,6 +881,39 @@ class TestRankMajorSegmentSum:
         self._assert_bitwise(backend, value, trace, attn)
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("planned", [False, True])
+    def test_block_with_segments_longer_than_the_rank_major_form(self, backend, planned):
+        """A masked sparse DEFA block of 3 levels x 6 points (18 points a
+        segment: the trace-order sum) equals the reference backend bit for
+        bit, with an execution plan and without one."""
+        from repro.core.pipeline import DEFAAttention
+        from repro.nn.msdeform_attn import MSDeformAttn
+
+        shapes = [LevelShape(6, 8), LevelShape(3, 4), LevelShape(2, 2)]
+        attn = MSDeformAttn(d_model=32, num_heads=2, num_levels=3, num_points=6, rng=0)
+        assert attn.num_levels * attn.num_points > kernel_backends._RANK_MAJOR_MAX_RUN
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((2, 64, 32)).astype(np.float32)
+        query = features + sine_positional_encoding(shapes, 32)
+        reference = make_reference_points(shapes)
+        defa = DEFAAttention(
+            attn, DEFAConfig(fwp_k=1.0, pap_threshold=0.005), ExecutionOptions(sparse_mode="sparse")
+        )
+
+        def run(kernel_backend, fmap_mask=None, plan=None):
+            return defa.forward_detailed(
+                query, reference, features, shapes, fmap_mask=fmap_mask,
+                options=ExecutionOptions(kernel_backend=kernel_backend), plan=plan,
+            )
+
+        fmap_mask = np.stack([image.fmap_mask_next for image in run("reference").images])
+        assert not fmap_mask.all()
+        ref = run("reference", fmap_mask)
+        got = run(backend, fmap_mask, ExecutionPlan() if planned else None)
+        assert all(image.stats.sparse_gather for image in got.images)
+        assert np.array_equal(ref.output.view(np.uint32), got.output.view(np.uint32))
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_no_kept_points(self, backend):
         value, trace, attn = _run_length_case(2, n_l=4, n_p=4, d_h=8)
         empty = multi_scale_neighbors_sparse(

@@ -490,10 +490,6 @@ class TestQueryPruning:
         np.testing.assert_array_equal(out_sparse.fmap_mask_next, out_dense.fmap_mask_next)
         assert out_sparse.stats.sparse_query and out_sparse.stats.sparse_neighbors
         assert not out_dense.stats.sparse_query
-        assert (
-            out_sparse.stats.offset_clipping_fraction
-            == out_dense.stats.offset_clipping_fraction
-        )
         assert out_sparse.stats.points_kept == out_dense.stats.points_kept
 
     def test_pruned_query_rows_are_the_output_bias(self):

@@ -195,6 +195,29 @@ class TestWarmArenas:
         for stats in (first, final):
             assert stats["hits"] == 0 and stats["bytes"] == 0
 
+    @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
+    def test_class_server_counts_a_shared_arena_once(self, backend):
+        """Two streams over one pyramid in one thread share one plan; the
+        class server reports that plan once, not once per session."""
+        from repro.engine.serving import StreamingClassServer
+
+        server = StreamingClassServer(
+            _encoder(),
+            DEFAConfig(fwp_k=1.0),
+            StreamingConfig(options=ExecutionOptions(kernel_backend=backend)),
+        )
+        stream = _stream(seed=4)
+        for i in range(3):
+            frame = stream.frame(i)
+            server.forward(np.stack([frame, frame]), SHAPES, [("a", i), ("b", i)])
+        runners = [s.runner for s in server.sessions.values()]
+        (plan,) = {id(p): p for r in runners for p in r._plans.values()}.values()
+        stats = server.plan_stats()
+        assert stats["sessions"] == 2 and stats["plans"] == 1
+        assert stats["bytes"] == plan.allocated_bytes > 0
+        assert stats["hits"] == plan.hits and stats["grows"] == plan.grows
+        assert all(s.plan_stats()["bytes"] == plan.allocated_bytes for s in server.sessions.values())
+
 
 class TestLockstepEquivalence:
     def test_streaming_blockwise_fp32(self):
