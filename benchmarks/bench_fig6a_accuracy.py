@@ -6,7 +6,7 @@ from repro.experiments import fig6a_accuracy
 
 
 def test_fig6a_accuracy(benchmark):
-    result = run_once(benchmark, fig6a_accuracy.run, scale="small", include_ablations=True)
+    result = run_once(benchmark, fig6a_accuracy.run, scale="small")
     print()
     print(result.as_table())
     for name, payload in result.data["per_model"].items():

@@ -29,7 +29,7 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(ROOT / "tests"))
 from test_no_test_only_code import ALLOWLIST as NAME_GUARD_ALLOWLIST
 
-_STREAMING = "served streaming: blocked on perfbench `TracedBank`, ROADMAP item 5"
+_STREAMING = "served streaming: blocked on perfbench `TracedBank`, ROADMAP item 8"
 
 # Qualified name (a function, or a class for all its methods) -> why it stays.
 ALLOWLIST: dict[str, str] = {

@@ -17,7 +17,6 @@ class ASICPlatform:
     """One row of Table 1."""
 
     name: str
-    venue: str
     function: str
     technology_nm: int
     area_mm2: float
@@ -35,7 +34,6 @@ class ASICPlatform:
 
 ELSA = ASICPlatform(
     name="ELSA",
-    venue="ISCA'21",
     function="Attention",
     technology_nm=40,
     area_mm2=1.26,
@@ -47,7 +45,6 @@ ELSA = ASICPlatform(
 
 SPATTEN = ASICPlatform(
     name="SpAtten",
-    venue="HPCA'21",
     function="Attention",
     technology_nm=40,
     area_mm2=1.55,
@@ -59,7 +56,6 @@ SPATTEN = ASICPlatform(
 
 BESAPU = ASICPlatform(
     name="BESAPU",
-    venue="JSSC'22",
     function="Attention",
     technology_nm=28,
     area_mm2=6.82,
@@ -71,7 +67,6 @@ BESAPU = ASICPlatform(
 
 DEFA_PUBLISHED = ASICPlatform(
     name="DEFA (published)",
-    venue="DAC'24",
     function="DeformAttn",
     technology_nm=40,
     area_mm2=2.63,

@@ -17,8 +17,6 @@ class FasterRCNNReference:
 
     name: str = "Faster R-CNN (ResNet-50 FPN)"
     coco_ap: float = 42.0
-    end_to_end_gflops: float = 180.0
-    fps_rtx3090ti: float = 25.0
 
 FASTER_RCNN = FasterRCNNReference()
 """Singleton reference instance used by the experiments."""

@@ -145,9 +145,10 @@ class DEFAEncoderRunner:
         compacted gather/scatter kernels whenever the FWP/PAP reduction
         ratio makes them profitable, ``"dense"``/``"sparse"`` force one
         path.  The same switch governs the inter-block FFN/LayerNorm stage
-        under query pruning (thresholds :data:`~repro.core.pipeline.
-        SPARSE_AUTO_FFN_KEEP_MAX` / :data:`~repro.core.pipeline.
-        SPARSE_AUTO_FFN_MIN_TOKENS` in ``"auto"``).
+        under query pruning (thresholds
+        :attr:`~repro.kernels.DispatchThresholds.ffn_keep_max` /
+        :attr:`~repro.kernels.DispatchThresholds.ffn_min_tokens` in
+        ``"auto"``).
 
         ``kernel_backend`` is the kernel-backend specification (name,
         backend object, or ``None`` to follow the process default; the
@@ -162,11 +163,6 @@ class DEFAEncoderRunner:
 
         ``machine_profile`` is resolved once here and forwarded to every
         block.
-    enable_sparse_ffn:
-        Escape hatch for benchmarking: ``False`` pins the FFN stage to the
-        masked-dense execution even in ``"sparse"`` mode, which reproduces
-        the PR 3 cost profile (sparse attention, dense inter-block work)
-        under the *same* frozen-row semantics.  Numerics are unaffected.
     """
 
     def __init__(
@@ -174,12 +170,15 @@ class DEFAEncoderRunner:
         encoder: DeformableEncoder,
         config: DEFAConfig,
         options: ExecutionOptions | None = None,
-        enable_sparse_ffn: bool = True,
     ) -> None:
         options = normalize_execution_options(options, owner="DEFAEncoderRunner")
         self.encoder = encoder
         self.config = config
-        self.enable_sparse_ffn = enable_sparse_ffn
+        self.enable_sparse_ffn = True
+        """Escape hatch for benchmarking: ``False`` pins the FFN stage to the
+        masked-dense execution even in ``"sparse"`` mode, which gives the
+        cost profile of sparse attention with dense inter-block work under
+        the *same* frozen-row semantics.  Numerics are unaffected."""
         self.kernel_backend = options.kernel_backend
         self.machine_profile = resolve_profile(options.machine_profile)
         """The host dispatch profile (PR 9) governing every ``auto``

@@ -38,8 +38,8 @@ The block-sparse encoder (PR 4) carries the same mask through the
 and ``norm2`` of a pruned pixel are skipped as well — its row is frozen at
 the block input — with the row-compacted execution living in
 :meth:`repro.nn.encoder.DeformableEncoderLayer.forward_ffn_stage` and the
-dispatch thresholds (:data:`SPARSE_AUTO_FFN_KEEP_MAX` /
-:data:`SPARSE_AUTO_FFN_MIN_TOKENS`) defined here next to the others.
+dispatch thresholds in :class:`~repro.kernels.DispatchThresholds`
+(``ffn_keep_max`` / ``ffn_min_tokens``) next to the others.
 """
 
 from __future__ import annotations
@@ -81,42 +81,6 @@ from repro.nn.tensor_utils import FLOAT_DTYPE, softmax
 from repro.quant.qmodules import QuantizedLinear
 from repro.utils.shapes import LevelShape, total_pixels
 from repro.utils.timing import kernel_section
-
-# The hand-tuned reference-machine crossovers live as the field defaults of
-# repro.kernels.calibration.DispatchThresholds (single source of truth since
-# PR 9); these module constants are derived aliases kept for external callers
-# and for the reference-profile parity gate.  Construction-time profiles
-# (ExecutionOptions.machine_profile / REPRO_MACHINE_PROFILE) override them
-# per host and per backend without touching this module.
-_REFERENCE_THRESHOLDS = DispatchThresholds()
-
-SPARSE_AUTO_PIXEL_KEEP_MAX = _REFERENCE_THRESHOLDS.pixel_keep_max
-"""``auto``: use the compacted value projection when at most this fraction of
-fmap pixels survives the incoming FWP mask."""
-
-SPARSE_AUTO_MIN_TOKENS = _REFERENCE_THRESHOLDS.min_tokens
-"""``auto``: minimum ``N_in`` (per image) before the compacted value
-projection can pay for its gather/scatter overhead."""
-
-SPARSE_AUTO_QUERY_KEEP_MAX = _REFERENCE_THRESHOLDS.query_keep_max
-"""``auto``: use the row-compacted query-side projections (attention /
-offset / output heads) when at most this fraction of queries survives the
-incoming FWP mask under query pruning."""
-
-SPARSE_AUTO_MIN_QUERIES = _REFERENCE_THRESHOLDS.min_queries
-"""``auto``: minimum ``N_q`` (per image) before the row-compacted query-side
-projections can pay for their gather/scatter overhead."""
-
-SPARSE_AUTO_FFN_KEEP_MAX = _REFERENCE_THRESHOLDS.ffn_keep_max
-"""``auto``: run the inter-block FFN/LayerNorm stage row-compacted when at
-most this fraction of pixels survives the incoming FWP mask under query
-pruning (see :meth:`repro.nn.encoder.DeformableEncoderLayer.
-forward_ffn_stage`)."""
-
-SPARSE_AUTO_FFN_MIN_TOKENS = _REFERENCE_THRESHOLDS.ffn_min_tokens
-"""``auto``: minimum ``N_in`` (per image) before the row-compacted FFN stage
-can pay for its gather/scatter overhead."""
-
 
 def use_sparse_rows(
     mask: np.ndarray | None,
@@ -191,16 +155,10 @@ class DEFALayerStats:
     """Whether the value projection ran on the compacted (kept-pixel) rows."""
 
     sparse_gather: bool = False
-    """Whether MSGS + aggregation ran the compacted (kept-point) kernel."""
-
-    sparse_neighbors: bool = False
-    """Whether trace construction ran compacted (neighbour indices/weights
-    computed for kept points only, :func:`~repro.nn.grid_sample.
-    multi_scale_neighbors_sparse`); cost scales with the point keep ratio.
-    The pipeline dispatches trace compaction and the compacted gather with
-    one decision, so today this always equals :attr:`sparse_gather`; it is
-    reported separately because consumers care about the *neighbors* stage
-    (the PR 2 sparse path gathered sparsely from a dense trace)."""
+    """Whether MSGS + aggregation ran the compacted (kept-point) kernel.  The
+    pipeline dispatches trace construction with the same decision, so this
+    also says whether neighbour indices and weights were computed for kept
+    points only (:func:`~repro.nn.grid_sample.multi_scale_neighbors_sparse`)."""
 
     sparse_query: bool = False
     """Whether the query-side projections (attention / offset / output heads)
@@ -435,7 +393,7 @@ class DEFAAttention:
         return proj(x.reshape(-1, x.shape[-1])[flat_rows])
 
     @staticmethod
-    def _projection_bias(proj: Linear | QuantizedLinear) -> np.ndarray | None:
+    def _projection_bias(proj: Linear | QuantizedLinear) -> np.ndarray:
         """The additive bias of a (possibly quantized) projection.
 
         Skipped rows of a row-compacted projection receive exactly this value:
@@ -553,7 +511,6 @@ class DEFAAttention:
             mask_applied=mask_b is not None,
             sparse_projection=sparse_projection,
             sparse_gather=sparse_gather,
-            sparse_neighbors=sparse_gather,
             sparse_query=sparse_query,
         )
 
@@ -868,9 +825,7 @@ class DEFAAttention:
                 output = self._project_batched(self._output_proj, heads_in)
             if sparse_query:
                 out_flat = np.zeros((batch * n_q, attn.d_model), dtype=FLOAT_DTYPE)
-                bias = self._projection_bias(self._output_proj)
-                if bias is not None:
-                    out_flat += bias
+                out_flat += self._projection_bias(self._output_proj)
                 out_flat[kept_q] = output
                 output = out_flat.reshape(batch, n_q, attn.d_model)
 
@@ -932,10 +887,8 @@ class DEFAAttention:
             fmap_mask, backend, plan, row_max_abs=row_max_abs,
         )
         output = plan.buffer("output", (batch * n_q, d_model))
-        bias = self._projection_bias(self._output_proj)
         output.fill(0)
-        if bias is not None:
-            output += bias
+        output += self._projection_bias(self._output_proj)
         output[kept_q] = result.output
         output = output.reshape(batch, n_q, d_model)
         for b, image in enumerate(result.images):

@@ -21,6 +21,9 @@ import numpy as np
 from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.shapes import LevelShape
 
+BITS_PER_ELEMENT = 12
+"""Width of one stored fmap element: DEFA keeps its fmap in INT12."""
+
 
 @dataclass(frozen=True)
 class RangeNarrowing:
@@ -98,12 +101,9 @@ class RangeNarrowing:
         return side * side
 
     def storage_bits(
-        self,
-        d_model: int,
-        bits_per_element: int = 12,
-        spatial_shapes: list[LevelShape] | None = None,
+        self, d_model: int, spatial_shapes: list[LevelShape] | None = None
     ) -> int:
-        """On-chip storage (bits) needed for all bounded-range windows.
+        """On-chip storage (bits) of INT12 elements for all bounded-range windows.
 
         If *spatial_shapes* is given, each level's window is additionally
         capped at the full level size (a bounded range larger than the level
@@ -114,11 +114,11 @@ class RangeNarrowing:
             pixels = self.window_pixels(lvl)
             if spatial_shapes is not None:
                 pixels = min(pixels, spatial_shapes[lvl].num_pixels)
-            total += pixels * d_model * bits_per_element
+            total += pixels * d_model * BITS_PER_ELEMENT
         return int(total)
 
     def unified_storage_overhead(
-        self, d_model: int, bits_per_element: int = 12, spatial_shapes: list[LevelShape] | None = None
+        self, d_model: int, spatial_shapes: list[LevelShape] | None = None
     ) -> float:
         """Relative extra storage of the unified range vs. the level-wise ranges.
 
@@ -126,20 +126,18 @@ class RangeNarrowing:
         (Sec. 4.1); this method reproduces that comparison for any range
         configuration.
         """
-        own = self.storage_bits(d_model, bits_per_element, spatial_shapes)
-        unified = self.unified().storage_bits(d_model, bits_per_element, spatial_shapes)
+        own = self.storage_bits(d_model, spatial_shapes)
+        unified = self.unified().storage_bits(d_model, spatial_shapes)
         if own == 0:
             return 0.0
         return unified / own - 1.0
 
 
-def full_fmap_storage_bits(
-    spatial_shapes: list[LevelShape], d_model: int, bits_per_element: int = 12
-) -> int:
-    """On-chip storage needed to hold the *entire* multi-scale fmap.
+def full_fmap_storage_bits(spatial_shapes: list[LevelShape], d_model: int) -> int:
+    """On-chip storage (bits) of INT12 elements to hold the *entire* multi-scale fmap.
 
     This is the ~9.8 MB buffer requirement the paper attributes to attention
     accelerators without range narrowing (Sec. 2.2).
     """
     pixels = sum(s.num_pixels for s in spatial_shapes)
-    return int(pixels * d_model * bits_per_element)
+    return int(pixels * d_model * BITS_PER_ELEMENT)

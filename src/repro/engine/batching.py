@@ -2,7 +2,7 @@
 
 The NN substrate and the DEFA pipeline can execute a *same-shape* batch of
 images in one fully vectorized pass (see
-:meth:`repro.nn.msdeform_attn.MSDeformAttn.forward_detailed` and
+:meth:`repro.nn.msdeform_attn.MSDeformAttn.forward` and
 :meth:`repro.core.pipeline.DEFAAttention.forward_detailed`).  Real workload
 streams, however, mix resolutions: the serving engine
 (:class:`~repro.engine.serving.ServingEngine`) groups submitted

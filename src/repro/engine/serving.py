@@ -479,7 +479,6 @@ class ServingStats:
     """Mutable accounting of one engine's lifetime."""
 
     num_requests: int = 0
-    num_completed: int = 0
     batches: list[BatchRecord] = field(default_factory=list)
     latencies_s: list[float] = field(default_factory=list)
     """Submit-to-completion latency of every completed request (engine clock)."""
@@ -547,7 +546,7 @@ class _Pending:
     future: Future
     deadline_at: float | None = None
     """Engine-clock instant after which the request expires unserved (from
-    the item's / submit's ``deadline_s``); ``None`` = no deadline."""
+    the item's ``deadline_s``); ``None`` = no deadline."""
 
     retries: int = 0
     """How many worker faults this request has been in flight for.  A
@@ -584,7 +583,7 @@ class _WorkerHandle:
         """Set when the slot exhausted ``max_restarts``: never respawned."""
 
 
-def _worker_main(conn, model_bank_factory, worker_index: int = 0, incarnation: int = 0) -> None:
+def _worker_main(conn, model_bank_factory, worker_index: int, incarnation: int) -> None:
     """Worker process entry point: build the bank once, serve batches forever.
 
     The bank — and with it every runner's execution-plan arenas and
@@ -766,9 +765,9 @@ class ServingEngine:
 
     # ------------------------------------------------------------ lifecycle
 
-    def start(self, wait_ready: bool = True, timeout: float = 60.0) -> "ServingEngine":
-        """Spawn the workers (and the pump thread); optionally block until
-        every worker has built its model bank and reported ready."""
+    def start(self) -> "ServingEngine":
+        """Spawn the workers (and the pump thread); block until every worker
+        has built its model bank and reported ready (at most 60 s)."""
         with self._lock:
             if self._shut_down:
                 raise RuntimeError("engine already shut down")
@@ -781,10 +780,11 @@ class ServingEngine:
                 # not inside the first served batch.
                 self._ensure_local_bank()
             self._record_mode(now)
-        if wait_ready and self._workers:
+        if self._workers:
             # Deadline math goes through the injected clock (like every other
             # timing decision here) so FakeClock-driven tests never race real
             # wall time.
+            timeout = 60.0
             deadline = self._clock() + timeout
             while not all(h.ready for h in self._workers if h.alive):
                 self.poll()
@@ -858,7 +858,6 @@ class ServingEngine:
         self,
         item: WorkItem,
         request_class: str = DEFAULT_REQUEST_CLASS,
-        deadline_s: float | None = None,
     ) -> Future:
         """Queue one request; the future resolves to its ``(N_in, D)`` output.
 
@@ -866,21 +865,16 @@ class ServingEngine:
         construction, so nothing the caller does to its own arrays after
         submit can reach the queued request.
 
-        ``deadline_s`` bounds the time the request may spend *queued* (from
-        this submit, on the engine clock): a request still undispatched when
-        its deadline passes fails with :class:`DeadlineExceeded`.  Omitted,
-        the item's own :attr:`~repro.engine.batching.WorkItem.deadline_s`
-        applies; a request already dispatched never expires (its batch is
-        bounded by the watchdog instead).
+        The item's :attr:`~repro.engine.batching.WorkItem.deadline_s` bounds
+        the time the request may spend *queued* (from this submit, on the
+        engine clock): a request still undispatched when its deadline passes
+        fails with :class:`DeadlineExceeded`; a request already dispatched
+        never expires (its batch is bounded by the watchdog instead).
 
         With ``max_queue_depth`` set, a full queue sheds the request with
         :class:`QueueFullError` (``admission="shed"``) or blocks this thread
         until the pump drains space (``admission="block"``).
         """
-        if deadline_s is None:
-            deadline_s = item.deadline_s
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
         depth = self.config.max_queue_depth
         with self._lock:
             if self._shut_down:
@@ -909,7 +903,7 @@ class ServingEngine:
                     arrival=arrival,
                     future=future,
                     deadline_at=(
-                        arrival + deadline_s if deadline_s is not None else None
+                        arrival + item.deadline_s if item.deadline_s is not None else None
                     ),
                 )
             )
@@ -1491,6 +1485,5 @@ class ServingEngine:
             # batch array.
             result = np.array(output[index])
             self.stats.latencies_s.append(now - pending.arrival)
-            self.stats.num_completed += 1
             if not pending.future.done():
                 pending.future.set_result(result)

@@ -15,13 +15,12 @@ Three arrival processes are provided:
 * ``"uniform"`` — Poisson arrivals (i.i.d. exponential interarrival times) at
   a constant mean rate.
 * ``"bursty"`` — a two-state on/off modulated Poisson process: bursts arrive
-  ``burst_factor`` times faster than the mean, idle gaps correspondingly
-  slower, with geometric state holding times.  Exercises queue build-up and
-  max-batch flushes.
+  4x faster than the mean, idle gaps correspondingly slower, with geometric
+  state holding times.  Exercises queue build-up and max-batch flushes.
 * ``"diurnal"`` — a sinusoidally rate-modulated process (thinning-free: the
   interarrival of each request is scaled by the instantaneous inverse rate),
-  sweeping between quiet and peak load ``num_periods`` times over the
-  stream.  Exercises the max-wait policy at low load and batching at peak.
+  sweeping between quiet and peak load twice over the stream.  Exercises
+  the max-wait policy at low load and batching at peak.
 """
 
 from __future__ import annotations
@@ -88,21 +87,16 @@ class ReplayResult:
 
 
 def _interarrivals(
-    rng: np.random.Generator,
-    num_requests: int,
-    mean_rate_rps: float,
-    process: str,
-    burst_factor: float,
-    burst_length: int,
-    num_periods: float,
+    rng: np.random.Generator, num_requests: int, mean_rate_rps: float, process: str
 ) -> np.ndarray:
     base = rng.exponential(scale=1.0 / mean_rate_rps, size=num_requests)
     if process == "uniform":
         return base
     if process == "bursty":
-        # Two-state modulation with geometric holding times of mean
-        # `burst_length` requests.  Rates are balanced so the long-run mean
-        # rate stays `mean_rate_rps`.
+        # Two-state modulation with geometric holding times of mean 8
+        # requests; the gaps shrink or stretch 4x, so the long-run mean rate
+        # stays `mean_rate_rps`.
+        burst_factor, burst_length = 4.0, 8
         scale = np.empty(num_requests)
         in_burst = False
         toggle = rng.random(num_requests) < (1.0 / burst_length)
@@ -113,8 +107,8 @@ def _interarrivals(
         return base * scale
     if process == "diurnal":
         # Instantaneous rate sweeps sinusoidally between ~0.25x and ~1.75x of
-        # the mean, `num_periods` full cycles across the stream.
-        phase = np.arange(num_requests) / num_requests * (2.0 * np.pi * num_periods)
+        # the mean, two full cycles across the stream.
+        phase = np.arange(num_requests) / num_requests * (2.0 * np.pi * 2.0)
         rate_factor = 1.0 + 0.75 * np.sin(phase)
         return base / rate_factor
     raise ValueError(
@@ -139,9 +133,6 @@ def generate_traffic(
     class_mix: Sequence[tuple[str, float]] = ((DEFAULT_REQUEST_CLASS, 1.0),),
     process: str = "uniform",
     seed: int = 0,
-    burst_factor: float = 4.0,
-    burst_length: int = 8,
-    num_periods: float = 2.0,
 ) -> list[TrafficEvent]:
     """Build a deterministic synthetic request stream.
 
@@ -157,17 +148,13 @@ def generate_traffic(
         raise ValueError("num_requests must be non-negative")
     if mean_rate_rps <= 0:
         raise ValueError("mean_rate_rps must be positive")
-    if burst_factor < 1.0:
-        raise ValueError("burst_factor must be >= 1")
     if shape_mix is None:
         shape_mix = (
             ((LevelShape(8, 12), LevelShape(4, 6)), 2.0),
             ((LevelShape(6, 8), LevelShape(3, 4)), 1.0),
         )
     rng = np.random.default_rng(seed)
-    gaps = _interarrivals(
-        rng, num_requests, mean_rate_rps, process, burst_factor, burst_length, num_periods
-    )
+    gaps = _interarrivals(rng, num_requests, mean_rate_rps, process)
     arrivals = np.cumsum(gaps)
     shapes_options = [tuple(shapes) for shapes, _ in shape_mix]
     shape_weights = [w for _, w in shape_mix]
@@ -202,7 +189,6 @@ def replay_traffic(
     events: Sequence[TrafficEvent],
     speed: float = 1.0,
     on_submit: Callable[[int], None] | None = None,
-    timeout: float = 120.0,
     tolerate_faults: bool = False,
 ) -> ReplayResult:
     """Pace a traffic stream into a started engine and gather the results.
@@ -211,7 +197,8 @@ def replay_traffic(
     ``speed <= 0`` submits everything as fast as possible (open-loop stress).
     ``on_submit(i)`` fires after event *i* is submitted — benchmark fault
     injection hooks a worker kill here.  Returns the served outputs in event
-    order; any per-request failure propagates from its future.
+    order; any per-request failure propagates from its future.  The flush
+    and every result wait at most 120 s.
 
     ``tolerate_faults=True`` treats the PR 10 lifecycle bounds —
     :class:`~repro.engine.serving.QueueFullError` at submit,
@@ -241,6 +228,7 @@ def replay_traffic(
             futures.append(None)
         if on_submit is not None:
             on_submit(i)
+    timeout = 120.0
     engine.flush(timeout=timeout)
     outputs: list = []
     for i, future in enumerate(futures):

@@ -39,9 +39,6 @@ class APEstimate:
     estimated_ap: float
     """Estimated AP under the evaluated configuration."""
 
-    estimated_drop: float
-    """Estimated AP drop (baseline - estimated)."""
-
     relative_error: float
     """The measured output relative error that produced the estimate."""
 
@@ -94,6 +91,5 @@ class CalibratedAPEstimator:
         return APEstimate(
             baseline_ap=baseline_ap,
             estimated_ap=baseline_ap - drop,
-            estimated_drop=drop,
             relative_error=relative_error,
         )

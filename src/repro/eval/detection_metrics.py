@@ -92,9 +92,8 @@ def coco_style_map(
     gt_boxes: list[np.ndarray],
     gt_labels: list[np.ndarray],
     num_classes: int,
-    iou_thresholds: tuple[float, ...] = COCO_IOU_THRESHOLDS,
 ) -> dict[str, float]:
-    """COCO-style mean AP over classes and IoU thresholds.
+    """COCO-style mean AP over classes and the IoU thresholds 0.50:0.05:0.95.
 
     Parameters
     ----------
@@ -104,8 +103,6 @@ def coco_style_map(
         Ground-truth boxes / labels per scene (normalized coordinates).
     num_classes:
         Number of classes to average over.
-    iou_thresholds:
-        IoU thresholds to average over (COCO uses 0.50:0.05:0.95).
 
     Returns
     -------
@@ -114,8 +111,8 @@ def coco_style_map(
     """
     if len(detections) != len(gt_boxes) or len(detections) != len(gt_labels):
         raise ValueError("detections and ground truth must have the same number of scenes")
-    per_threshold: dict[float, list[float]] = {t: [] for t in iou_thresholds}
-    for threshold in iou_thresholds:
+    per_threshold: dict[float, list[float]] = {t: [] for t in COCO_IOU_THRESHOLDS}
+    for threshold in COCO_IOU_THRESHOLDS:
         for cls in range(num_classes):
             matches = []
             for det, boxes, labels in zip(detections, gt_boxes, gt_labels):
@@ -134,7 +131,7 @@ def coco_style_map(
         return float(np.mean(values)) * 100.0 if values else 0.0
 
     return {
-        "ap": mean_over(iou_thresholds),
+        "ap": mean_over(COCO_IOU_THRESHOLDS),
         "ap50": mean_over((0.5,)),
-        "ap75": mean_over((0.75,)) if 0.75 in per_threshold else mean_over(iou_thresholds),
+        "ap75": mean_over((0.75,)),
     }

@@ -26,11 +26,6 @@ class FidelityReport:
     mean_cosine_similarity: float
     """Average per-token cosine similarity between modified and reference output."""
 
-    max_absolute_error: float
-    """Worst-case absolute deviation of any element."""
-
-    signal_to_noise_db: float
-    """Output signal-to-perturbation ratio in dB."""
 
 
 def compare_outputs(reference: np.ndarray, modified: np.ndarray) -> FidelityReport:
@@ -47,10 +42,7 @@ def compare_outputs(reference: np.ndarray, modified: np.ndarray) -> FidelityRepo
     diff_norm = np.linalg.norm(diff)
     relative_error = float(diff_norm / max(ref_norm, 1e-12))
     cos = cosine_similarity(reference, modified, axis=-1)
-    snr = 10.0 * np.log10(max(ref_norm, 1e-12) ** 2 / max(diff_norm, 1e-12) ** 2)
     return FidelityReport(
         relative_error=relative_error,
         mean_cosine_similarity=float(np.mean(cos)),
-        max_absolute_error=float(np.max(np.abs(diff))),
-        signal_to_noise_db=float(snr),
     )

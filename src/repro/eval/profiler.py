@@ -41,8 +41,6 @@ from repro.workloads.specs import WorkloadSpec, get_workload
 class LatencyBreakdown:
     """MSGS-vs-others split of one model's MSDeformAttn latency."""
 
-    model_name: str
-    gpu_name: str
     msgs_aggregation_fraction: float
     """Fraction of MSDeformAttn latency spent in MSGS + aggregation."""
 
@@ -66,8 +64,6 @@ def profile_gpu_latency_breakdown(
     msgs_flops = flops["msgs"] + flops["aggregation"]
     total_flops = sum(flops.values())
     return LatencyBreakdown(
-        model_name=workload.model.display_name,
-        gpu_name=gpu.name,
         msgs_aggregation_fraction=latency.msgs_fraction,
         others_fraction=1.0 - latency.msgs_fraction,
         msgs_flops_fraction=msgs_flops / total_flops,
@@ -403,7 +399,7 @@ SPARSE_SWEEP_OPERATING_POINTS: tuple[tuple[float, float], ...] = (
     (1.0, 0.035),
     (1.15, 0.05),
 )
-"""Default ``(fwp_k, pap_threshold)`` sweep of the sparse-speedup benchmark.
+"""The ``(fwp_k, pap_threshold)`` sweep of the sparse-speedup benchmark.
 
 Reduction grows along the sweep: the paper operating point sits in the
 middle, ``fwp_k = 1.0`` yields roughly the 50 % pixel reduction quoted as the
@@ -413,37 +409,30 @@ disables PAP."""
 
 
 def sweep_sparse_speedup(
-    model_name: str = "deformable_detr",
-    scale: str = "paper",
-    operating_points: tuple[tuple[float, float], ...] | None = None,
-    repeats: int = 3,
-    rng_seed: int = 0,
-    quant_bits: int | None = 12,
-    query_pruning: bool = True,
+    scale: str = "paper", repeats: int = 3, rng_seed: int = 0
 ) -> list[SparseSpeedupReport]:
-    """Dense-vs-sparse speedup sweep over FWP/PAP operating points.
+    """Dense-vs-sparse speedup sweep of Deformable DETR (INT12) over
+    :data:`SPARSE_SWEEP_OPERATING_POINTS`.
 
     Every operating point re-seeds the generator with *rng_seed*, so all
     points see identical synthetic weights and features and the measured
     reduction ratios are directly comparable.
 
-    ``query_pruning`` (default on — sparse execution v2) extends the FWP mask
-    to the query side in *both* timed paths: pruned pixels stop acting as
-    queries, the dense path zeroes their rows, the sparse path skips their
-    projections and sampling points entirely.  The reported
-    ``point_reduction`` therefore includes the points of pruned queries.
+    Query pruning (sparse execution v2) extends the FWP mask to the query
+    side in *both* timed paths: pruned pixels stop acting as queries, the
+    dense path zeroes their rows, the sparse path skips their projections
+    and sampling points entirely.  The reported ``point_reduction``
+    therefore includes the points of pruned queries.
     """
-    workload = get_workload(model_name, scale)
-    points = operating_points if operating_points is not None else SPARSE_SWEEP_OPERATING_POINTS
+    workload = get_workload("deformable_detr", scale)
     reports = []
-    for fwp_k, pap_threshold in points:
+    for fwp_k, pap_threshold in SPARSE_SWEEP_OPERATING_POINTS:
         config = DEFAConfig(
             enable_fwp=fwp_k > 0,
             fwp_k=fwp_k if fwp_k > 0 else 0.75,
             enable_pap=pap_threshold > 0,
             pap_threshold=pap_threshold,
-            quant_bits=quant_bits,
-            enable_query_pruning=query_pruning,
+            enable_query_pruning=True,
         )
         reports.append(
             measure_sparse_speedup(workload, config, repeats=repeats, rng=rng_seed)
@@ -596,12 +585,12 @@ class EncoderSparseSpeedupReport:
 
 def measure_encoder_sparse_speedup(
     workload: WorkloadSpec,
-    config: DEFAConfig | None = None,
     num_layers: int = 3,
     repeats: int = 3,
     rng: np.random.Generator | int | None = None,
 ) -> EncoderSparseSpeedupReport:
-    """Time a full DEFA encoder in the block-sparse execution profiles.
+    """Time a full DEFA encoder in the block-sparse execution profiles, at
+    ``fwp_k=1.0`` with query pruning.
 
     Builds a :class:`DeformableEncoder` at the workload's model geometry
     (*num_layers* blocks; the first block never receives a mask, so at least
@@ -618,7 +607,7 @@ def measure_encoder_sparse_speedup(
     """
     if num_layers < 2:
         raise ValueError("num_layers must be >= 2 (the first block is never masked)")
-    config = config or DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
+    config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
     rng = as_rng(rng)
     shapes = workload.spatial_shapes
     encoder = build_encoder(workload, num_layers, rng)
@@ -816,11 +805,11 @@ class KernelFusionReport:
 
 def measure_kernel_fusion(
     workload: WorkloadSpec,
-    config: DEFAConfig | None = None,
     repeats: int = 3,
     rng: np.random.Generator | int | None = None,
 ) -> KernelFusionReport:
-    """Time one sparse DEFA block on the reference vs the fused backend.
+    """Time one sparse DEFA block on the reference vs the fused backend, at
+    ``fwp_k=1.0`` with query pruning.
 
     The block setup is :func:`measure_sparse_speedup`'s (a first unmasked
     block produces a realistic FWP mask; the timed block receives it), but
@@ -829,7 +818,7 @@ def measure_kernel_fusion(
     :class:`~repro.kernels.ExecutionPlan`, warmed before timing, so their
     numbers reflect steady-state (warm-arena) execution.
     """
-    config = config or DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
+    config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
     defa, query, reference_points, features, fmap_mask = _masked_block(
         workload, config, "sparse", as_rng(rng)
     )
@@ -885,7 +874,6 @@ class ServingLatencyReport:
     p99_s: float
     """Submit-to-completion latency percentiles over all requests."""
 
-    max_latency_s: float
     elapsed_s: float
     """Wall clock of the whole replay (first submit to last completion)."""
 
@@ -942,7 +930,6 @@ def measure_serving_latency(
     kill_worker_at: int | None = None,
     repeats: int = 2,
     fault_plan=None,
-    timeout: float = 120.0,
 ) -> ServingLatencyReport:
     """Replay a traffic stream through a :class:`ServingEngine` and profile it.
 
@@ -1003,7 +990,6 @@ def measure_serving_latency(
             events,
             speed=speed,
             on_submit=on_submit,
-            timeout=timeout,
             tolerate_faults=fault_plan is not None,
         )
         stats = engine.stats
@@ -1023,7 +1009,6 @@ def measure_serving_latency(
         mean_batch_size=stats.mean_batch_size,
         p50_s=stats.latency_quantile(50),
         p99_s=stats.latency_quantile(99),
-        max_latency_s=stats.latency_quantile(100),
         elapsed_s=replay.elapsed_s,
         timings=timings,
         max_abs_diff=max_abs_diff,

@@ -17,7 +17,6 @@ from repro.core.flops import FlopsBreakdown
 class PruningStatsReport:
     """Reduction ratios of one encoder run (all values in ``[0, 1]``)."""
 
-    model_name: str
     sampling_point_reduction: float
     fmap_pixel_reduction: float
     flops_reduction: float
@@ -26,7 +25,7 @@ class PruningStatsReport:
     per_layer_pixel_reduction: tuple[float, ...]
 
 
-def collect_pruning_stats(result: DEFAEncoderResult, model_name: str = "") -> PruningStatsReport:
+def collect_pruning_stats(result: DEFAEncoderResult) -> PruningStatsReport:
     """Build a :class:`PruningStatsReport` from a DEFA encoder run."""
     if not result.layer_stats:
         raise ValueError("encoder result contains no layer statistics")
@@ -34,7 +33,6 @@ def collect_pruning_stats(result: DEFAEncoderResult, model_name: str = "") -> Pr
     for stats in result.layer_stats:
         merged = merged.merged_with(stats.flops)
     return PruningStatsReport(
-        model_name=model_name,
         sampling_point_reduction=result.mean_point_reduction,
         fmap_pixel_reduction=result.mean_pixel_reduction,
         flops_reduction=merged.reduction(include_output_proj=False),

@@ -34,9 +34,9 @@ class ExperimentResult:
     notes: list[str] = field(default_factory=list)
     data: dict[str, Any] = field(default_factory=dict)
 
-    def as_table(self, float_fmt: str = ".2f") -> str:
-        """Render the result as an aligned ASCII table with its notes."""
-        text = format_table(self.headers, self.rows, float_fmt=float_fmt, title=self.title)
+    def as_table(self) -> str:
+        """Render the result as an aligned ASCII table (two decimals) with its notes."""
+        text = format_table(self.headers, self.rows, float_fmt=".2f", title=self.title)
         if self.notes:
             text += "\n" + "\n".join(f"note: {note}" for note in self.notes)
         return text

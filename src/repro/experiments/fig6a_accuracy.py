@@ -49,22 +49,13 @@ PAPER_TECHNIQUE_DROPS = {
 
 
 @register_experiment("fig6a")
-def run(
-    scale: str = "small",
-    seed: int = 0,
-    include_ablations: bool = True,
-) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
     """Regenerate the Fig. 6(a) accuracy comparison (estimated AP)."""
-    configs = dict(TECHNIQUE_CONFIGS) if include_ablations else {
-        "defa": TECHNIQUE_CONFIGS["defa"],
-        "defa_int8": TECHNIQUE_CONFIGS["defa_int8"],
-    }
-
     # Measure output fidelity of every configuration on every benchmark.
     errors: dict[str, dict[str, float]] = {name: {} for name in MODEL_NAMES}
     for name in MODEL_NAMES:
         run_ctx = prepare_run(name, scale=scale, seed=seed)
-        for config_name, config in configs.items():
+        for config_name, config in TECHNIQUE_CONFIGS.items():
             result = run_defa_cached(run_ctx, config, name, scale, seed=seed, collect_details=False)
             fidelity = compare_outputs(run_ctx.baseline_memory, result.memory)
             errors[name][config_name] = fidelity.relative_error
@@ -110,21 +101,18 @@ def run(
         "see the repro.eval.ap_estimator docstring for the substitution.",
         f"Faster R-CNN reference AP = {FASTER_RCNN.coco_ap}.",
     ]
-    if include_ablations:
-        technique_rows = []
-        for config_name, paper_drop in PAPER_TECHNIQUE_DROPS.items():
-            if config_name not in configs:
-                continue
-            mean_error = float(np.mean([errors[name][config_name] for name in MODEL_NAMES]))
-            est_drop = estimator.estimate_drop(mean_error)
-            technique_rows.append((config_name, est_drop, paper_drop))
-        data["technique_drops"] = {
-            name: {"estimated": est, "paper": pub} for name, est, pub in technique_rows
-        }
-        notes.append(
-            "per-technique estimated AP drops: "
-            + ", ".join(f"{n}={e:.2f} (paper {p})" for n, e, p in technique_rows)
-        )
+    technique_rows = []
+    for config_name, paper_drop in PAPER_TECHNIQUE_DROPS.items():
+        mean_error = float(np.mean([errors[name][config_name] for name in MODEL_NAMES]))
+        est_drop = estimator.estimate_drop(mean_error)
+        technique_rows.append((config_name, est_drop, paper_drop))
+    data["technique_drops"] = {
+        name: {"estimated": est, "paper": pub} for name, est, pub in technique_rows
+    }
+    notes.append(
+        "per-technique estimated AP drops: "
+        + ", ".join(f"{n}={e:.2f} (paper {p})" for n, e, p in technique_rows)
+    )
 
     return ExperimentResult(
         experiment_id="fig6a",
@@ -159,6 +147,7 @@ def run_synthetic_task_ap(
     from repro.utils.rng import spawn_rngs
     from repro.workloads.dataset import SyntheticDetectionDataset
     from repro.workloads.specs import SCALE_PRESETS, get_workload
+    from repro.workloads.synthetic_images import NUM_CLASSES
 
     spec = get_workload(model_name, scale)
     height, width = SCALE_PRESETS[scale]
@@ -186,7 +175,7 @@ def run_synthetic_task_ap(
         rng=fit_rng,
     )
 
-    head = PrototypeDetectionHead(num_classes=dataset.num_classes)
+    head = PrototypeDetectionHead(num_classes=NUM_CLASSES)
     calib_memories = [
         encoder.forward(sample.features, pos, ref, shapes) for sample in dataset.calibration
     ]
@@ -204,7 +193,7 @@ def run_synthetic_task_ap(
             detections.append(head.detect(memory, shapes))
             gt_boxes.append(sample.scene.boxes)
             gt_labels.append(sample.scene.labels)
-        return coco_style_map(detections, gt_boxes, gt_labels, dataset.num_classes)["ap"]
+        return coco_style_map(detections, gt_boxes, gt_labels, NUM_CLASSES)["ap"]
 
     results = {}
     results["baseline"] = evaluate(lambda feats: encoder.forward(feats, pos, ref, shapes))

@@ -20,7 +20,6 @@ from repro.nn.models import MODEL_NAMES, get_model_config
 def run(
     scale: str = "small",
     config: DEFAConfig | None = None,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate the Fig. 6(b) reduction ratios."""
     config = config or DEFAConfig.paper_default()
@@ -36,9 +35,9 @@ def run(
     rows = []
     data = {}
     for name in MODEL_NAMES:
-        run_ctx = prepare_run(name, scale=scale, seed=seed)
-        result = run_defa_cached(run_ctx, config, name, scale, seed=seed)
-        stats = collect_pruning_stats(result, model_name=name)
+        run_ctx = prepare_run(name, scale=scale)
+        result = run_defa_cached(run_ctx, config, name, scale)
+        stats = collect_pruning_stats(result)
         published = get_model_config(name).published
         rows.append(
             [

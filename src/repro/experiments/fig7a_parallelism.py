@@ -22,10 +22,9 @@ from repro.nn.models import MODEL_NAMES, get_model_config
 def run(
     scale: str = "small",
     config: DEFAConfig | None = None,
-    num_banks: int = 16,
-    seed: int = 0,
 ) -> ExperimentResult:
-    """Regenerate the Fig. 7(a) throughput-boost series."""
+    """Regenerate the Fig. 7(a) throughput-boost series (16 SRAM banks)."""
+    num_banks = 16
     config = config or DEFAConfig.paper_default()
     headers = [
         "model",
@@ -38,8 +37,8 @@ def run(
     rows = []
     data = {}
     for name in MODEL_NAMES:
-        run_ctx = prepare_run(name, scale=scale, seed=seed)
-        result = run_defa_cached(run_ctx, config, name, scale, seed=seed)
+        run_ctx = prepare_run(name, scale=scale)
+        result = run_defa_cached(run_ctx, config, name, scale)
         boosts, intra_cpg, inter_cpg, conflict = [], [], [], []
         for layer_out in result.layer_outputs:
             # The Fig. 7(a) micro-benchmark measures the raw MSGS engine

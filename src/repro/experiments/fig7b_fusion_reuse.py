@@ -43,18 +43,16 @@ def _msgs_memory_energy(simulator: DEFASimulator, workloads) -> tuple[float, flo
 def run(
     scale: str = "small",
     config: DEFAConfig | None = None,
-    hardware: HardwareConfig | None = None,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate the Fig. 7(b) energy-saving bars."""
     config = config or DEFAConfig.paper_default()
-    hardware = hardware or HardwareConfig()
+    hardware = HardwareConfig()
 
     # Use the averaged sampling statistics of the three benchmarks.
     all_workloads = []
     for name in MODEL_NAMES:
-        run_ctx = prepare_run(name, scale=scale, seed=seed)
-        result = run_defa_cached(run_ctx, config, name, scale, seed=seed)
+        run_ctx = prepare_run(name, scale=scale)
+        result = run_defa_cached(run_ctx, config, name, scale)
         sim = DEFASimulator(hardware)
         all_workloads.extend(sim.workloads_from_encoder_result(result))
 

@@ -23,21 +23,17 @@ PAPER_TOTAL_AREA_MM2 = 2.63
 def run(
     model_name: str = "deformable_detr",
     scale: str = "paper",
-    hardware: HardwareConfig | None = None,
-    point_keep_ratio: float = 0.16,
-    pixel_keep_ratio: float = 0.57,
 ) -> ExperimentResult:
-    """Regenerate the Fig. 8 area and energy breakdowns."""
-    hardware = hardware or HardwareConfig()
+    """Regenerate the Fig. 8 area and energy breakdowns (16 % of the sampling
+    points and 57 % of the fmap pixels kept)."""
+    hardware = HardwareConfig()
     spec = get_workload(model_name, scale)
 
     area = area_model(hardware)
     area_fracs = area.fractions()
 
     simulator = DEFASimulator(hardware)
-    report = simulator.simulate_from_ratios(
-        spec, point_keep_ratio=point_keep_ratio, pixel_keep_ratio=pixel_keep_ratio
-    )
+    report = simulator.simulate_from_ratios(spec, point_keep_ratio=0.16, pixel_keep_ratio=0.57)
     energy_fracs = report.energy.fractions()
 
     headers = ["component", "ours %", "paper %"]

@@ -34,11 +34,9 @@ GPU_TARGETS: tuple[tuple[GPUSpec, float], ...] = ((RTX_2080TI, 13.3), (RTX_3090T
 def run(
     measure_scale: str = "small",
     project_scale: str = "paper",
-    config: DEFAConfig | None = None,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate the Fig. 9 speedup / energy-efficiency comparison."""
-    config = config or DEFAConfig.paper_default()
+    config = DEFAConfig.paper_default()
     headers = [
         "model",
         "GPU",
@@ -51,8 +49,8 @@ def run(
     data = {}
     for name in MODEL_NAMES:
         # Measure the pruning behaviour at a tractable scale...
-        run_ctx = prepare_run(name, scale=measure_scale, seed=seed)
-        result = run_defa_cached(run_ctx, config, name, measure_scale, seed=seed)
+        run_ctx = prepare_run(name, scale=measure_scale)
+        result = run_defa_cached(run_ctx, config, name, measure_scale)
         point_keep = 1.0 - result.mean_point_reduction
         pixel_keep = 1.0 - result.mean_pixel_reduction
         sim_probe = DEFASimulator(HardwareConfig())

@@ -28,14 +28,12 @@ def _report(
     result: ExperimentResult,
     elapsed: float | None,
     output_dir: str | Path | None,
-    verbose: bool,
 ) -> None:
-    if verbose:
-        print(result.as_table())
-        if elapsed is not None:
-            print(f"[{experiment_id} finished in {elapsed:.1f}s]\n")
-        else:
-            print()
+    print(result.as_table())
+    if elapsed is not None:
+        print(f"[{experiment_id} finished in {elapsed:.1f}s]\n")
+    else:
+        print()
     if output_dir is not None:
         save_json(
             Path(output_dir) / f"{experiment_id}.json",
@@ -53,7 +51,6 @@ def _report(
 def run_experiments(
     ids: list[str] | None = None,
     output_dir: str | Path | None = None,
-    verbose: bool = True,
     jobs: int = 1,
 ) -> dict[str, ExperimentResult]:
     """Run the selected experiments (all of them by default).
@@ -83,15 +80,14 @@ def run_experiments(
             selected,
             jobs,
             on_result=lambda experiment_id, result: _report(
-                experiment_id, result, None, output_dir, verbose
+                experiment_id, result, None, output_dir
             ),
         )
         elapsed = time.time() - start
-        if verbose:
-            print(
-                f"[{len(selected)} experiments finished in {elapsed:.1f}s "
-                f"across {min(jobs, len(selected))} worker processes]\n"
-            )
+        print(
+            f"[{len(selected)} experiments finished in {elapsed:.1f}s "
+            f"across {min(jobs, len(selected))} worker processes]\n"
+        )
         return results
 
     for experiment_id in selected:
@@ -99,7 +95,7 @@ def run_experiments(
         result = EXPERIMENTS[experiment_id]()
         elapsed = time.time() - start
         results[experiment_id] = result
-        _report(experiment_id, result, elapsed, output_dir, verbose)
+        _report(experiment_id, result, elapsed, output_dir)
     return results
 
 

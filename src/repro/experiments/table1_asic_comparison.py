@@ -21,24 +21,17 @@ from repro.hardware.simulator import DEFASimulator
 from repro.workloads.specs import get_workload
 
 
-def simulate_defa_row(
-    hardware: HardwareConfig | None = None,
-    model_name: str = "deformable_detr",
-    scale: str = "paper",
-    point_keep_ratio: float = 0.16,
-    pixel_keep_ratio: float = 0.57,
-) -> ASICPlatform:
-    """Produce DEFA's Table-1 row from the simulator and the area model."""
-    hardware = hardware or HardwareConfig()
-    spec = get_workload(model_name, scale)
+def simulate_defa_row() -> ASICPlatform:
+    """Produce DEFA's Table-1 row from the simulator and the area model: the
+    base configuration on paper-scale Deformable DETR, with 16 % of the
+    sampling points and 57 % of the fmap pixels kept."""
+    hardware = HardwareConfig()
+    spec = get_workload("deformable_detr", "paper")
     area = area_model(hardware)
     simulator = DEFASimulator(hardware)
-    report = simulator.simulate_from_ratios(
-        spec, point_keep_ratio=point_keep_ratio, pixel_keep_ratio=pixel_keep_ratio
-    )
+    report = simulator.simulate_from_ratios(spec, point_keep_ratio=0.16, pixel_keep_ratio=0.57)
     return ASICPlatform(
         name="DEFA (ours)",
-        venue="this repo",
         function="DeformAttn",
         technology_nm=hardware.technology_nm,
         area_mm2=area.total_mm2,
@@ -50,9 +43,9 @@ def simulate_defa_row(
 
 
 @register_experiment("table1")
-def run(hardware: HardwareConfig | None = None) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate Table 1 (published platforms + simulated DEFA row)."""
-    defa_row = simulate_defa_row(hardware)
+    defa_row = simulate_defa_row()
     platforms = published_platforms() + [DEFA_PUBLISHED, defa_row]
 
     headers = [

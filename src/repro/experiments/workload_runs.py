@@ -19,7 +19,7 @@ from repro.core.encoder_runner import DEFAEncoderResult, DEFAEncoderRunner
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.models import build_encoder
 from repro.nn.positional import make_reference_points, sine_positional_encoding
-from repro.nn.weight_fitting import FittingConfig, ObjectLayout, fit_encoder_heads
+from repro.nn.weight_fitting import FittingConfig, fit_encoder_heads
 from repro.utils.rng import spawn_rngs
 from repro.workloads.specs import WorkloadSpec, get_workload
 from repro.workloads.traces import synthetic_workload_input
@@ -32,7 +32,6 @@ class AlgorithmRun:
     spec: WorkloadSpec
     encoder: DeformableEncoder
     features: np.ndarray
-    layout: ObjectLayout
     pos: np.ndarray
     reference_points: np.ndarray
     baseline_memory: np.ndarray
@@ -57,11 +56,10 @@ _DEFA_CACHE: dict[tuple, DEFAEncoderResult] = {}
 def prepare_run(
     model_name: str,
     scale: str = "small",
-    num_layers: int | None = None,
     seed: int = 0,
 ) -> AlgorithmRun:
     """Build (or fetch from cache) the shared workload run for one model."""
-    key = (model_name, scale, num_layers, seed)
+    key = (model_name, scale, seed)
     if key in _RUN_CACHE:
         return _RUN_CACHE[key]
 
@@ -69,9 +67,6 @@ def prepare_run(
     feature_rng, encoder_rng, fit_rng = spawn_rngs(seed, 3)
     features, layout = synthetic_workload_input(spec, rng=feature_rng)
     encoder = build_encoder(spec.model, rng=encoder_rng)
-    if num_layers is not None:
-        encoder.layers = encoder.layers[:num_layers]
-        encoder.num_layers = num_layers
     pos = sine_positional_encoding(spec.spatial_shapes, spec.model.d_model)
     reference_points = make_reference_points(spec.spatial_shapes)
     fit_encoder_heads(
@@ -89,7 +84,6 @@ def prepare_run(
         spec=spec,
         encoder=encoder,
         features=features,
-        layout=layout,
         pos=pos,
         reference_points=reference_points,
         baseline_memory=baseline,

@@ -39,7 +39,6 @@ class BankingScheme(str, Enum):
 class ConflictReport:
     """Result of replaying a sampling trace under one banking scheme."""
 
-    scheme: BankingScheme
     num_groups: int
     """Number of parallel issue groups replayed."""
 
@@ -51,9 +50,6 @@ class ConflictReport:
 
     conflict_cycles: int
     """Extra cycles spent serializing bank conflicts and stalling the pipeline."""
-
-    conflicting_groups: int = 0
-    """Number of issue groups that hit at least one bank conflict."""
 
     @property
     def cycles_per_group(self) -> float:
@@ -178,12 +174,10 @@ def simulate_bank_conflicts(
     num_groups = int(nonempty.sum())
     active_points = int(np.count_nonzero(active.any(axis=-1)))
     return ConflictReport(
-        scheme=scheme,
         num_groups=num_groups,
         active_points=active_points,
         total_cycles=total_cycles,
         conflict_cycles=total_cycles - num_groups,
-        conflicting_groups=conflicting,
     )
 
 

@@ -25,8 +25,6 @@ class MaskUnitReport:
 
     fmap_mask_bits: int
     point_mask_bits: int
-    frequency_updates: int
-    compression_bytes: float
     cycles: int
     energy_j: float
 
@@ -37,7 +35,6 @@ def mask_unit_report(
     neighbor_accesses: int,
     compressed_bytes: float,
     config: HardwareConfig,
-    addresses_per_cycle: int = 16,
 ) -> MaskUnitReport:
     """Model the FWP/PAP mask generators and the compression units for one block.
 
@@ -53,15 +50,13 @@ def mask_unit_report(
         Data volume passing through the compression/decompression units.
     config:
         Hardware configuration (provides the per-bit energy).
-    addresses_per_cycle:
-        Frequency-counter update throughput (matches the 16 parallel bank
-        accesses of the MSGS pipeline).
+
+    The frequency counter takes 16 addresses per cycle, matching the 16
+    parallel bank accesses of the MSGS pipeline.
     """
     if min(num_tokens, num_points_total, neighbor_accesses) < 0 or compressed_bytes < 0:
         raise ValueError("mask unit inputs must be non-negative")
-    if addresses_per_cycle <= 0:
-        raise ValueError("addresses_per_cycle must be positive")
-    cycles = (neighbor_accesses + addresses_per_cycle - 1) // addresses_per_cycle
+    cycles = (neighbor_accesses + 15) // 16
     mask_bits = num_tokens + num_points_total
     energy_pj = (
         mask_bits * config.mask_bit_energy_pj
@@ -71,8 +66,6 @@ def mask_unit_report(
     return MaskUnitReport(
         fmap_mask_bits=num_tokens,
         point_mask_bits=num_points_total,
-        frequency_updates=neighbor_accesses,
-        compression_bytes=compressed_bytes,
         cycles=int(cycles),
         energy_j=energy_pj * 1e-12,
     )

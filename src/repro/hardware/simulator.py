@@ -157,16 +157,14 @@ class DEFASimulator:
         pixel_keep_ratio: float,
         unique_pixel_ratio: float = 0.6,
         intra_conflict_factor: float = 3.0,
-        num_layers: int | None = None,
     ) -> list[LayerWorkload]:
         """Analytic layer workloads for paper-scale projections.
 
         The first block never has an incoming FWP mask, so its pixel keep
         ratio is 1; subsequent blocks use *pixel_keep_ratio*.
         """
-        num_layers = num_layers or spec.model.num_encoder_layers
         workloads = []
-        for layer in range(num_layers):
+        for layer in range(spec.model.num_encoder_layers):
             workloads.append(
                 LayerWorkload.from_ratios(
                     num_queries=spec.num_queries,
@@ -230,7 +228,6 @@ class DEFASimulator:
         pixel_keep_ratio: float,
         unique_pixel_ratio: float = 0.6,
         intra_conflict_factor: float = 3.0,
-        num_layers: int | None = None,
     ) -> ModelSimulationReport:
         """Simulate a workload described only by summary pruning ratios."""
         workloads = self.workloads_from_ratios(
@@ -239,6 +236,5 @@ class DEFASimulator:
             pixel_keep_ratio=pixel_keep_ratio,
             unique_pixel_ratio=unique_pixel_ratio,
             intra_conflict_factor=intra_conflict_factor,
-            num_layers=num_layers,
         )
         return self.simulate_layers(workloads)

@@ -23,7 +23,7 @@ Public surface:
 * :class:`MachineProfile` / :class:`DispatchThresholds` /
   :func:`get_active_profile` / :func:`set_active_profile` /
   :func:`resolve_profile` / :func:`calibrate` —
-  host-calibrated auto-dispatch profiles (PR 9): the ``SPARSE_AUTO_*``
+  host-calibrated auto-dispatch profiles: the ``auto`` dispatch
   crossover thresholds as versioned, schema-checked JSON data, with a sweep
   harness to calibrate them per host and per backend, initialised from
   ``REPRO_MACHINE_PROFILE`` (the committed reference profile when unset, so

@@ -10,9 +10,7 @@ break-even point).  This module makes the thresholds *data*:
 * :class:`DispatchThresholds` — the eight crossover constants of the shared
   :func:`~repro.core.pipeline.use_sparse_rows` /
   :func:`~repro.nn.grid_sample.use_sparse_gather` dispatch rules.  Its field
-  defaults ARE the historical hand-tuned values; the ``SPARSE_AUTO_*`` module
-  constants in ``core/pipeline.py`` and ``nn/grid_sample.py`` are derived
-  from them, so there is exactly one source of truth.
+  defaults ARE the historical hand-tuned values, and their only home.
 * :class:`MachineProfile` — a named, versioned, JSON-serializable bundle of
   thresholds (a machine-wide default plus optional per-backend overrides).
   The committed ``profiles/reference.json`` equals :func:`reference_profile`
@@ -93,9 +91,8 @@ historical hand-tuned dispatch decisions bit for bit."""
 class DispatchThresholds:
     """Crossover constants of the ``auto`` dense/sparse dispatch rules.
 
-    The defaults are the hand-tuned reference-machine values that shipped as
-    ``SPARSE_AUTO_*`` module constants through PR 8; those constants are now
-    derived from this dataclass (single source of truth).
+    The defaults are the hand-tuned reference-machine values, and this
+    dataclass is their only home.
 
     Boundary semantics — pinned by the boundary-value tests, and load-bearing
     for the path-choice-parity invariant: a calibrated profile whose values
@@ -134,11 +131,17 @@ class DispatchThresholds:
 
     point_keep_max: float = 0.70
     """MSGS point gathering: compacted at or below this PAP point keep
-    fraction."""
+    fraction.  Above it, the compaction overhead (flatnonzero + segment
+    bookkeeping) outweighs the avoided gather traffic."""
 
     min_slots: int = 32768
     """MSGS point gathering: minimum per-image gather slots
-    (``N_q * N_h * N_l * N_p * 4``)."""
+    (``N_q * N_h * N_l * N_p * 4``); below it, fixed per-call overhead
+    dominates.  Counted per image, not per batch: batched and single-image
+    execution must make the same dense/sparse decision, otherwise quantized
+    configs could amplify the float32 rounding difference between the two
+    kernels into a full quantization step and break batched-vs-serial
+    equivalence."""
 
     def __post_init__(self) -> None:
         for name in ("pixel_keep_max", "query_keep_max", "ffn_keep_max", "point_keep_max"):
@@ -667,11 +670,7 @@ def check_reference(path: Path = REFERENCE_PROFILE_PATH) -> list[str]:
        profile reproduces the module-constant decisions bit-identically, for
        every backend name.
     """
-    from repro.core.pipeline import (
-        SPARSE_AUTO_MIN_TOKENS,
-        SPARSE_AUTO_PIXEL_KEEP_MAX,
-        use_sparse_rows,
-    )
+    from repro.core.pipeline import use_sparse_rows
     from repro.nn.grid_sample import use_sparse_gather
 
     failures: list[str] = []
@@ -686,14 +685,15 @@ def check_reference(path: Path = REFERENCE_PROFILE_PATH) -> list[str]:
             f"{path} differs from reference_profile(); regenerate it with "
             f"`python -m repro.kernels --write-reference`"
         )
+    reference = DispatchThresholds()
     rng = np.random.default_rng(0)
     for backend_name in KERNEL_BACKENDS + (None,):
         thresholds = loaded.thresholds_for(backend_name)
-        for rows in (64, SPARSE_AUTO_MIN_TOKENS, 4096):
-            for keep in (0.1, 0.5, SPARSE_AUTO_PIXEL_KEEP_MAX, 0.99):
+        for rows in (64, reference.min_tokens, 4096):
+            for keep in (0.1, 0.5, reference.pixel_keep_max, 0.99):
                 mask = _keep_mask(rng, rows, keep)
                 expected = use_sparse_rows(
-                    mask, rows, SPARSE_AUTO_PIXEL_KEEP_MAX, SPARSE_AUTO_MIN_TOKENS, "auto"
+                    mask, rows, reference.pixel_keep_max, reference.min_tokens, "auto"
                 )
                 got = use_sparse_rows(
                     mask, rows, thresholds.pixel_keep_max, thresholds.min_tokens, "auto"

@@ -119,11 +119,10 @@ def _quantize_into(
 
 
 def _matmul_bias_into(
-    weight: np.ndarray, bias: np.ndarray | None, x: np.ndarray, out: np.ndarray
+    weight: np.ndarray, bias: np.ndarray, x: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     np.matmul(x, weight, out=out)
-    if bias is not None:
-        out += bias
+    out += bias
     return out
 
 

@@ -15,7 +15,7 @@ from scratch on top of NumPy:
 """
 
 from repro.nn.modules import GELU, LayerNorm, Linear, Module, ReLU
-from repro.nn.msdeform_attn import MSDeformAttn, MSDeformAttnOutput
+from repro.nn.msdeform_attn import MSDeformAttn
 from repro.nn.grid_sample import (
     bilinear_neighbors,
     bilinear_sample_level,
@@ -31,7 +31,6 @@ __all__ = [
     "ReLU",
     "GELU",
     "MSDeformAttn",
-    "MSDeformAttnOutput",
     "bilinear_neighbors",
     "bilinear_sample_level",
     "ms_deform_attn_core",

@@ -96,10 +96,6 @@ class SyntheticFPNBackbone:
         Output channel dimension of every pyramid level.
     strides:
         Backbone strides producing the pyramid (one level per stride).
-    feature_gain:
-        Scale applied after the projection so the features have roughly unit
-        variance (keeps the downstream encoder numerically comparable to a
-        trained model).
     rng:
         Seed or generator for the projection weights.
     """
@@ -108,7 +104,6 @@ class SyntheticFPNBackbone:
         self,
         d_model: int = 256,
         strides: tuple[int, ...] = (8, 16, 32, 64),
-        feature_gain: float = 4.0,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if not strides:
@@ -116,7 +111,6 @@ class SyntheticFPNBackbone:
         rng = as_rng(rng)
         self.d_model = d_model
         self.strides = tuple(strides)
-        self.feature_gain = float(feature_gain)
         self.projection = Linear(NUM_IMAGE_STATS, d_model, rng=rng)
         # Per-level scale so deeper levels are not systematically weaker.
         self.level_scales = np.linspace(1.0, 1.5, len(strides)).astype(FLOAT_DTYPE)
@@ -132,7 +126,10 @@ class SyntheticFPNBackbone:
         levels = []
         for lvl, shape in enumerate(shapes):
             pooled = _average_pool(stats, shape.height, shape.width)
-            features = gelu(self.projection(pooled)) * self.feature_gain * self.level_scales[lvl]
+            # The gain of 4 gives the features roughly unit variance, which
+            # keeps the downstream encoder numerically comparable to a
+            # trained model.
+            features = gelu(self.projection(pooled)) * 4.0 * self.level_scales[lvl]
             levels.append(features.astype(FLOAT_DTYPE))
         flat = np.concatenate([lv.reshape(-1, self.d_model) for lv in levels], axis=0)
         return FeaturePyramid(levels=levels, spatial_shapes=shapes, flat=flat)

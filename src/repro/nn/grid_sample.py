@@ -591,34 +591,10 @@ DEFAAttention`, the encoder runner and the engine adapters).
 * ``"sparse"`` — always run the compacted gather/scatter kernels whenever a
   mask is available (useful for tests and benchmarks).
 * ``"auto"`` — pick sparse per stage when the measured reduction ratio and
-  the problem size clear the thresholds below (dense wins at low reduction
-  and on tiny inputs, where compaction overhead dominates).
+  the problem size clear the :class:`~repro.kernels.DispatchThresholds` of the
+  active machine profile (dense wins at low reduction and on tiny inputs,
+  where compaction overhead dominates).
 """
-
-_REFERENCE_THRESHOLDS = DispatchThresholds()
-
-SPARSE_AUTO_POINT_KEEP_MAX = _REFERENCE_THRESHOLDS.point_keep_max
-"""``auto`` sparse dispatch: use the sparse gather when at most this fraction
-of sampling points survives the PAP mask.  Above it, the compaction overhead
-(flatnonzero + segment bookkeeping) outweighs the avoided gather traffic.
-
-Since PR 9 this is an alias of the reference
-:class:`~repro.kernels.DispatchThresholds` — the committed hand-tuned value,
-kept for external readers; dispatch itself consults the active
-:class:`~repro.kernels.MachineProfile`."""
-
-SPARSE_AUTO_MIN_SLOTS = _REFERENCE_THRESHOLDS.min_slots
-"""``auto`` sparse dispatch: minimum number of *per-image* gather slots
-(``N_q * N_h * N_l * N_p * 4``) before the sparse path can win — below it,
-fixed per-call overhead dominates and dense is faster.  Deliberately counted
-per image, not per batch: batched and single-image execution must make the
-same dense/sparse decision, otherwise quantized configs could amplify the
-float32 rounding difference between the two kernels into a full quantization
-step and break batched-vs-serial equivalence.
-
-Alias of the reference :class:`~repro.kernels.DispatchThresholds` value
-since PR 9 (see :data:`SPARSE_AUTO_POINT_KEEP_MAX`)."""
-
 
 
 def use_sparse_gather(

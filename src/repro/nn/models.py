@@ -92,9 +92,6 @@ class ModelConfig:
     """Backbone strides of the four pyramid levels.  Approximation: the
     official multi-scale configuration; not stated in the paper."""
 
-    end_to_end_gflops: float = 173.0
-    """Published end-to-end workload of the full detector (GFLOPs)."""
-
     published: PublishedNumbers = field(default=None)  # type: ignore[assignment]
 
     def encoder_kwargs(self) -> dict:
@@ -115,7 +112,6 @@ _MODEL_CONFIGS: dict[str, ModelConfig] = {
         name="deformable_detr",
         display_name="De DETR",
         ffn_dim=1024,
-        end_to_end_gflops=173.0,
         published=PublishedNumbers(
             baseline_ap=46.9,
             defa_ap=45.5,
@@ -134,7 +130,6 @@ _MODEL_CONFIGS: dict[str, ModelConfig] = {
         name="dn_detr",
         display_name="DN-DETR",
         ffn_dim=2048,
-        end_to_end_gflops=195.0,
         published=PublishedNumbers(
             baseline_ap=49.4,
             defa_ap=47.9,
@@ -153,7 +148,6 @@ _MODEL_CONFIGS: dict[str, ModelConfig] = {
         name="dino",
         display_name="DINO",
         ffn_dim=2048,
-        end_to_end_gflops=279.0,
         published=PublishedNumbers(
             baseline_ap=50.8,
             defa_ap=49.4,

@@ -34,7 +34,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if in_features <= 0 or out_features <= 0:
@@ -43,7 +42,7 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = xavier_uniform(rng, in_features, out_features)
-        self.bias = np.zeros(out_features, dtype=FLOAT_DTYPE) if bias else None
+        self.bias = np.zeros(out_features, dtype=FLOAT_DTYPE)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=FLOAT_DTYPE)
@@ -51,10 +50,7 @@ class Linear(Module):
             raise ValueError(
                 f"expected last dimension {self.in_features}, got {x.shape[-1]}"
             )
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
     def forward_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """:meth:`forward` written into a caller-provided buffer.
@@ -71,30 +67,28 @@ class Linear(Module):
                 f"expected last dimension {self.in_features}, got {x.shape[-1]}"
             )
         np.matmul(x, self.weight, out=out)
-        if self.bias is not None:
-            out += self.bias
+        out += self.bias
         return out
 
 
 class LayerNorm(Module):
     """Layer normalization over the last dimension with learnable scale/shift."""
 
-    def __init__(self, normalized_shape: int, eps: float = 1e-5) -> None:
+    def __init__(self, normalized_shape: int) -> None:
         if normalized_shape <= 0:
             raise ValueError("normalized_shape must be positive")
         self.normalized_shape = normalized_shape
-        self.eps = eps
         self.weight = np.ones(normalized_shape, dtype=FLOAT_DTYPE)
         self.bias = np.zeros(normalized_shape, dtype=FLOAT_DTYPE)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return layer_norm(x, self.weight, self.bias, self.eps)
+        return layer_norm(x, self.weight, self.bias)
 
     def forward_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """:meth:`forward` written into ``out`` (same shape, not aliasing
         ``x``); bit-identical — see :func:`repro.nn.tensor_utils.layer_norm`.
         """
-        return layer_norm(x, self.weight, self.bias, self.eps, out=out)
+        return layer_norm(x, self.weight, self.bias, out=out)
 
 
 class ReLU(Module):

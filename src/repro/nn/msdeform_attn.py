@@ -23,8 +23,6 @@ models over 80 % of attention probabilities are near zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.nn.grid_sample import ms_deform_attn_from_trace, multi_scale_neighbors
@@ -32,37 +30,6 @@ from repro.nn.modules import Linear, Module
 from repro.nn.tensor_utils import FLOAT_DTYPE, softmax
 from repro.utils.rng import as_rng
 from repro.utils.shapes import LevelShape, total_pixels
-
-
-@dataclass
-class MSDeformAttnOutput:
-    """Full set of intermediate tensors produced by one MSDeformAttn forward.
-
-    The DEFA pipeline and the hardware simulator both need access to the
-    intermediates (attention probabilities for PAP, sampling locations for
-    FWP/banking), so :meth:`MSDeformAttn.forward_detailed` returns this record
-    rather than only the output features.
-    """
-
-    output: np.ndarray
-    """Final output of shape ``(N_q, D)`` (after the output projection).
-
-    Batched forwards prepend a batch axis to every tensor in this record
-    (``(B, N_q, D)`` here, ``(B, N_q, N_h, N_l, N_p)`` for the attention
-    weights, and so on).
-    """
-
-    attention_weights: np.ndarray
-    """Softmax attention probabilities, shape ``(N_q, N_h, N_l, N_p)``."""
-
-    sampling_locations: np.ndarray
-    """Normalized sampling locations, shape ``(N_q, N_h, N_l, N_p, 2)``."""
-
-    sampling_offsets: np.ndarray
-    """Raw sampling offsets (before normalization), same shape as locations."""
-
-    value: np.ndarray
-    """Projected value tensor of shape ``(N_in, N_h, D_h)``."""
 
 
 class MSDeformAttn(Module):
@@ -215,18 +182,20 @@ class MSDeformAttn(Module):
         np.add(ref, out, out=out)
         return out
 
-    def forward_detailed(
+    def forward(
         self,
         query: np.ndarray,
         reference_points: np.ndarray,
         value_input: np.ndarray,
         spatial_shapes: list[LevelShape],
-    ) -> MSDeformAttnOutput:
-        """Full forward pass returning intermediates.
+    ) -> np.ndarray:
+        """Forward pass returning the ``(N_q, D)`` output (``(B, N_q, D)`` batched).
 
         This is the unpruned Eq. 1 operator; FWP and PAP prune inside
         :class:`~repro.core.pipeline.DEFAAttention`, which reuses this
-        module's weights and projection helpers.
+        module's weights and projection helpers (the same helpers give a
+        caller the intermediates: :meth:`attention_probabilities`,
+        :meth:`project_sampling_offsets`, :meth:`compute_sampling_locations`).
 
         Parameters
         ----------
@@ -243,9 +212,8 @@ class MSDeformAttn(Module):
             Pyramid level shapes whose pixel counts sum to ``N_in``.
 
         Batched inputs take the fully vectorized kernels (no per-image Python
-        loop); every field of the result gains a leading batch axis.
-        A single image runs as a ``B = 1`` batch whose result is returned
-        without the batch axis.
+        loop).  A single image runs as a ``B = 1`` batch whose output is
+        returned without the batch axis.
         """
         query = np.asarray(query, dtype=FLOAT_DTYPE)
         value_input = np.asarray(value_input, dtype=FLOAT_DTYPE)
@@ -271,27 +239,4 @@ class MSDeformAttn(Module):
         trace = multi_scale_neighbors(spatial_shapes, locations)
         head_outputs = ms_deform_attn_from_trace(value, trace, attention)
         output = self.output_proj(head_outputs).astype(FLOAT_DTYPE)
-        if single:
-            output, attention, locations, offsets, value = (
-                array[0] for array in (output, attention, locations, offsets, value)
-            )
-        return MSDeformAttnOutput(
-            output=output,
-            attention_weights=attention,
-            sampling_locations=locations,
-            sampling_offsets=offsets,
-            value=value,
-        )
-
-    def forward(
-        self,
-        query: np.ndarray,
-        reference_points: np.ndarray,
-        value_input: np.ndarray,
-        spatial_shapes: list[LevelShape],
-    ) -> np.ndarray:
-        """Standard forward pass returning only the ``(N_q, D)`` output.
-
-        Accepts single-image ``(N_q, D)`` or batched ``(B, N_q, D)`` inputs.
-        """
-        return self.forward_detailed(query, reference_points, value_input, spatial_shapes).output
+        return output[0] if single else output

@@ -41,21 +41,20 @@ def make_reference_points(spatial_shapes: list[LevelShape]) -> np.ndarray:
     return np.broadcast_to(all_points[:, None, :], (n_in, n_levels, 2)).astype(FLOAT_DTYPE).copy()
 
 
-def sine_positional_encoding(
-    spatial_shapes: list[LevelShape], d_model: int, temperature: float = 10000.0
-) -> np.ndarray:
+def sine_positional_encoding(spatial_shapes: list[LevelShape], d_model: int) -> np.ndarray:
     """Sine/cosine positional encoding of shape ``(N_in, d_model)``.
 
     Half of the channels encode the normalized y coordinate and half the x
     coordinate, each with alternating sine and cosine at geometrically spaced
-    frequencies.  A small deterministic per-level offset stands in for the
-    learnable level embedding of the reference implementation.
+    frequencies (temperature 10000).  A small deterministic per-level offset
+    stands in for the learnable level embedding of the reference
+    implementation.
     """
     if d_model % 4 != 0:
         raise ValueError("d_model must be divisible by 4 for sine positional encoding")
     num_pos_feats = d_model // 2
     dim_t = np.arange(num_pos_feats, dtype=FLOAT_DTYPE)
-    dim_t = temperature ** (2 * (dim_t // 2) / num_pos_feats)
+    dim_t = 10000.0 ** (2 * (dim_t // 2) / num_pos_feats)
 
     chunks = []
     for lvl, shape in enumerate(spatial_shapes):

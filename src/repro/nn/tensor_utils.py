@@ -28,10 +28,9 @@ def layer_norm(
     x: np.ndarray,
     weight: np.ndarray,
     bias: np.ndarray,
-    eps: float = 1e-5,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Layer normalization over the last dimension.
+    """Layer normalization over the last dimension (variance floor 1e-5).
 
     With ``out`` (a C-contiguous float32 array of ``x.shape``, distinct from
     ``x``) the stage runs in place in it, bit-identical to the allocating
@@ -46,7 +45,7 @@ def layer_norm(
     if out is None:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        normalized = (x - mean) / np.sqrt(var + eps)
+        normalized = (x - mean) / np.sqrt(var + 1e-5)
         return normalized * weight + bias
     width = x.shape[-1]
     count = np.intp(width)
@@ -63,7 +62,7 @@ def layer_norm(
         block = np.square(centred[lo:hi], out=squares[: hi - lo])
         np.add.reduce(block, axis=-1, keepdims=True, out=var[lo:hi])
     np.true_divide(var, count, out=var, casting="unsafe")
-    np.add(var, eps, out=var)
+    np.add(var, 1e-5, out=var)
     np.sqrt(var, out=var)
     np.divide(centred, var, out=centred)
     np.multiply(out, weight, out=out)
@@ -82,18 +81,18 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, gain: float = 1.0) -> np.ndarray:
-    """Xavier/Glorot uniform initialization for a ``(fan_in, fan_out)`` weight."""
+def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Xavier/Glorot uniform initialization (gain 1) for a ``(fan_in, fan_out)`` weight."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValueError("fan_in and fan_out must be positive")
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(FLOAT_DTYPE)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.ndarray:
-    """Cosine similarity between *a* and *b* along *axis*."""
+def cosine_similarity(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Cosine similarity between *a* and *b* along *axis* (norms floored at 1e-12)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     num = np.sum(a * b, axis=axis)
     den = np.linalg.norm(a, axis=axis) * np.linalg.norm(b, axis=axis)
-    return num / np.maximum(den, eps)
+    return num / np.maximum(den, 1e-12)

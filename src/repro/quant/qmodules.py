@@ -42,10 +42,7 @@ class QuantizedLinear(Module):
         return self.inner.out_features
 
     def _matmul(self, x_q: np.ndarray) -> np.ndarray:
-        out = x_q @ self.quantized_weight
-        if self.inner.bias is not None:
-            out = out + self.inner.bias
-        return out
+        return x_q @ self.quantized_weight + self.inner.bias
 
     def forward_batched(self, x: np.ndarray) -> np.ndarray:
         """Forward a batch ``(B, ..., D)`` with *per-image* activation scales.

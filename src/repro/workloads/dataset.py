@@ -47,8 +47,6 @@ class SyntheticDetectionDataset:
         Scene resolution (usually taken from a :class:`WorkloadSpec`).
     num_calibration, num_eval:
         Number of scenes in each split.
-    num_classes:
-        Number of synthetic object classes.
     rng:
         Seed or generator; scene content and backbone weights are derived
         deterministically from it.
@@ -61,27 +59,23 @@ class SyntheticDetectionDataset:
         image_width: int,
         num_calibration: int = 4,
         num_eval: int = 8,
-        num_classes: int = 6,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if num_calibration <= 0 or num_eval <= 0:
             raise ValueError("both splits must contain at least one scene")
         backbone_rng, calib_rng, eval_rng = spawn_rngs(as_rng(rng), 3)
         self.model = model
-        self.num_classes = num_classes
         self.backbone = SyntheticFPNBackbone(
             d_model=model.d_model, strides=model.strides, rng=backbone_rng
         )
         calib_generator = SceneGenerator(
             image_height=image_height,
             image_width=image_width,
-            num_classes=num_classes,
             rng=calib_rng,
         )
         eval_generator = SceneGenerator(
             image_height=image_height,
             image_width=image_width,
-            num_classes=num_classes,
             rng=eval_rng,
         )
         self.calibration: list[DatasetSample] = [

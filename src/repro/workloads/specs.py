@@ -104,13 +104,13 @@ class WorkloadSpec:
 
     # ------------------------------------------------------------- memory
 
-    def multi_scale_to_single_scale_ratio(self, single_scale_stride: int = 32) -> float:
+    def multi_scale_to_single_scale_ratio(self) -> float:
         """Pixel-count ratio of the full pyramid vs. a single-scale feature map.
 
         The paper quotes this as the ~21.3x factor by which multi-scale fmaps
         exceed the single-scale (stride-32) fmaps of DeformConv (Sec. 2.2).
         """
-        single = make_level_shapes(self.image_height, self.image_width, (single_scale_stride,))[0]
+        single = make_level_shapes(self.image_height, self.image_width, (32,))[0]
         return self.num_tokens / single.num_pixels
 
     def describe(self) -> dict[str, float | int | str]:

@@ -23,7 +23,8 @@ import numpy as np
 from repro.nn.tensor_utils import FLOAT_DTYPE
 from repro.utils.rng import as_rng
 
-DEFAULT_NUM_CLASSES = 6
+NUM_CLASSES = 6
+"""Object classes of every scene, each with a distinct colour signature."""
 
 
 @dataclass
@@ -74,46 +75,24 @@ class SceneGenerator:
     ----------
     image_height, image_width:
         Scene resolution in pixels.
-    num_classes:
-        Number of object classes (each gets a distinct colour signature).
-    min_objects, max_objects:
-        Number of objects per scene is drawn uniformly from this range.
-    min_size, max_size:
-        Object side lengths as a fraction of the image size.
-    background_noise:
-        Standard deviation of the background texture noise.
     rng:
         Seed or generator.
+
+    Each scene holds 3 to 8 objects of :data:`NUM_CLASSES` classes, with
+    side lengths of 8 % to 35 % of the image size, on a background textured
+    with noise of standard deviation 0.05.
     """
 
     def __init__(
         self,
         image_height: int = 200,
         image_width: int = 267,
-        num_classes: int = DEFAULT_NUM_CLASSES,
-        min_objects: int = 3,
-        max_objects: int = 8,
-        min_size: float = 0.08,
-        max_size: float = 0.35,
-        background_noise: float = 0.05,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        if num_classes <= 0:
-            raise ValueError("num_classes must be positive")
-        if not 0 < min_size <= max_size < 1:
-            raise ValueError("object sizes must satisfy 0 < min <= max < 1")
-        if min_objects < 0 or max_objects < min_objects:
-            raise ValueError("invalid object count range")
         self.image_height = image_height
         self.image_width = image_width
-        self.num_classes = num_classes
-        self.min_objects = min_objects
-        self.max_objects = max_objects
-        self.min_size = min_size
-        self.max_size = max_size
-        self.background_noise = background_noise
         self.rng = as_rng(rng)
-        self.palette = _class_palette(num_classes)
+        self.palette = _class_palette(NUM_CLASSES)
 
     def generate(self) -> SyntheticScene:
         """Generate one scene."""
@@ -121,15 +100,15 @@ class SceneGenerator:
         height, width = self.image_height, self.image_width
         base = 0.35 + 0.1 * rng.random()
         image = np.full((height, width, 3), base, dtype=FLOAT_DTYPE)
-        image += rng.normal(0.0, self.background_noise, size=image.shape).astype(FLOAT_DTYPE)
+        image += rng.normal(0.0, 0.05, size=image.shape).astype(FLOAT_DTYPE)
 
-        num_objects = int(rng.integers(self.min_objects, self.max_objects + 1))
+        num_objects = int(rng.integers(3, 8 + 1))
         boxes: list[np.ndarray] = []
         labels: list[int] = []
         for _ in range(num_objects):
-            label = int(rng.integers(0, self.num_classes))
-            obj_w = rng.uniform(self.min_size, self.max_size)
-            obj_h = rng.uniform(self.min_size, self.max_size)
+            label = int(rng.integers(0, NUM_CLASSES))
+            obj_w = rng.uniform(0.08, 0.35)
+            obj_h = rng.uniform(0.08, 0.35)
             cx = rng.uniform(obj_w / 2, 1.0 - obj_w / 2)
             cy = rng.uniform(obj_h / 2, 1.0 - obj_h / 2)
             x1, x2 = cx - obj_w / 2, cx + obj_w / 2

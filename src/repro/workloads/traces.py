@@ -20,15 +20,12 @@ from repro.workloads.specs import WorkloadSpec
 
 def synthetic_workload_input(
     spec: WorkloadSpec,
-    num_hotspots: int = 8,
-    noise_std: float = 0.3,
-    hotspot_gain: float = 3.0,
     rng: np.random.Generator | int | None = None,
 ) -> tuple[np.ndarray, ObjectLayout]:
     """Structured synthetic features plus the object layout that produced them.
 
-    Each pyramid level receives low-amplitude Gaussian noise plus
-    ``num_hotspots`` Gaussian bumps ("objects") whose channel signature is a
+    Each pyramid level receives Gaussian noise (standard deviation 0.3) plus
+    8 Gaussian bumps ("objects") of gain 3 whose channel signature is a
     random direction in feature space.  The same hotspot positions are used at
     every level (objects appear at all scales), matching the behaviour of an
     FPN backbone on a real image.  The returned :class:`ObjectLayout` is used
@@ -37,6 +34,7 @@ def synthetic_workload_input(
     rng = as_rng(rng)
     d_model = spec.model.d_model
     shapes = spec.spatial_shapes
+    num_hotspots = 8
     centers = rng.random(size=(num_hotspots, 2))  # normalized (x, y)
     radii = rng.uniform(0.03, 0.12, size=num_hotspots)
     signatures = rng.standard_normal(size=(num_hotspots, d_model)).astype(FLOAT_DTYPE)
@@ -47,13 +45,13 @@ def synthetic_workload_input(
         ys = (np.arange(shape.height, dtype=FLOAT_DTYPE) + 0.5) / shape.height
         xs = (np.arange(shape.width, dtype=FLOAT_DTYPE) + 0.5) / shape.width
         grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-        level = rng.normal(0.0, noise_std, size=(shape.height, shape.width, d_model)).astype(
+        level = rng.normal(0.0, 0.3, size=(shape.height, shape.width, d_model)).astype(
             FLOAT_DTYPE
         )
         for k in range(num_hotspots):
             dist2 = (grid_x - centers[k, 0]) ** 2 + (grid_y - centers[k, 1]) ** 2
             bump = np.exp(-dist2 / (2.0 * radii[k] ** 2)).astype(FLOAT_DTYPE)
-            level += hotspot_gain * bump[..., None] * signatures[k][None, None, :]
+            level += 3.0 * bump[..., None] * signatures[k][None, None, :]
         chunks.append(level.reshape(-1, d_model))
     features = np.concatenate(chunks, axis=0).astype(FLOAT_DTYPE)
     layout = ObjectLayout(centers=centers.astype(FLOAT_DTYPE), radii=radii.astype(FLOAT_DTYPE))

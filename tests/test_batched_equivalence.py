@@ -102,39 +102,46 @@ class TestBatchedKernels:
 
 
 class TestBatchedMSDeformAttn:
+    @staticmethod
+    def _intermediates(attn, query, reference, value):
+        """Attention probabilities, sampling offsets and locations and the
+        projected values, from the helpers ``forward`` composes."""
+        offsets = attn.project_sampling_offsets(query)
+        return {
+            "attention_weights": attn.attention_probabilities(query),
+            "sampling_offsets": offsets,
+            "sampling_locations": attn.compute_sampling_locations(reference, offsets, SHAPES),
+            "value": attn.value_proj(value),
+        }
+
     @pytest.mark.parametrize("batch_size", [1, 3])
-    def test_forward_detailed_matches_loop(self, attn, batch_size):
+    def test_forward_matches_loop(self, attn, batch_size):
         query, value, reference = _batch_inputs(batch_size)
-        batched = attn.forward_detailed(query, reference, value, SHAPES)
-        assert batched.output.shape == (batch_size, N_IN, D_MODEL)
+        batched = attn.forward(query, reference, value, SHAPES)
+        assert batched.shape == (batch_size, N_IN, D_MODEL)
+        batched_parts = self._intermediates(attn, query, reference, value)
         for b in range(batch_size):
-            single = attn.forward_detailed(query[b], reference, value[b], SHAPES)
-            np.testing.assert_allclose(batched.output[b], single.output, atol=TOL)
-            np.testing.assert_allclose(
-                batched.attention_weights[b], single.attention_weights, atol=TOL
-            )
-            np.testing.assert_allclose(
-                batched.sampling_locations[b], single.sampling_locations, atol=TOL
-            )
-            np.testing.assert_allclose(batched.value[b], single.value, atol=TOL)
+            single = attn.forward(query[b], reference, value[b], SHAPES)
+            np.testing.assert_allclose(batched[b], single, atol=TOL)
+            single_parts = self._intermediates(attn, query[b], reference, value[b])
+            for name, part in single_parts.items():
+                np.testing.assert_allclose(batched_parts[name][b], part, atol=TOL)
 
     @pytest.mark.parametrize("per_image_reference", [False, True])
     def test_single_image_is_image_zero_of_a_batch(self, attn, per_image_reference):
-        """One path: ``forward_detailed(q)`` equals image 0 of
-        ``forward_detailed(q[None])`` bit for bit, whether the batch shares
-        its reference points or carries its own."""
+        """One path: ``forward(q)`` equals image 0 of ``forward(q[None])``
+        bit for bit, whether the batch shares its reference points or
+        carries its own, and so do the intermediates it composes."""
         query, value, reference = _batch_inputs(1)
-        single = attn.forward_detailed(query[0], reference, value[0], SHAPES)
         batch_reference = reference[None] if per_image_reference else reference
-        batched = attn.forward_detailed(query, batch_reference, value, SHAPES)
-        for field in (
-            "output",
-            "attention_weights",
-            "sampling_locations",
-            "sampling_offsets",
-            "value",
-        ):
-            np.testing.assert_array_equal(getattr(single, field), getattr(batched, field)[0])
+        np.testing.assert_array_equal(
+            attn.forward(query[0], reference, value[0], SHAPES),
+            attn.forward(query, batch_reference, value, SHAPES)[0],
+        )
+        single = self._intermediates(attn, query[0], reference, value[0])
+        batched = self._intermediates(attn, query, batch_reference, value)
+        for name, part in single.items():
+            np.testing.assert_array_equal(part, batched[name][0])
 
     def test_per_image_reference_points(self, attn):
         query, value, reference = _batch_inputs(2)
@@ -146,9 +153,9 @@ class TestBatchedMSDeformAttn:
     def test_mixed_batching_raises(self, attn):
         query, value, reference = _batch_inputs(2)
         with pytest.raises(ValueError):
-            attn.forward_detailed(query, reference, value[0], SHAPES)
+            attn.forward(query, reference, value[0], SHAPES)
         with pytest.raises(ValueError):
-            attn.forward_detailed(query[:1], reference, value, SHAPES)
+            attn.forward(query[:1], reference, value, SHAPES)
 
 
 class TestBatchedEncoder:

@@ -20,15 +20,7 @@ import pytest
 
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
-from repro.core.pipeline import (
-    SPARSE_AUTO_FFN_KEEP_MAX,
-    SPARSE_AUTO_FFN_MIN_TOKENS,
-    SPARSE_AUTO_MIN_QUERIES,
-    SPARSE_AUTO_MIN_TOKENS,
-    SPARSE_AUTO_PIXEL_KEEP_MAX,
-    SPARSE_AUTO_QUERY_KEEP_MAX,
-    use_sparse_rows,
-)
+from repro.core.pipeline import use_sparse_rows
 from repro.kernels import (
     KERNEL_BACKENDS,
     PROFILE_ENV,
@@ -49,11 +41,7 @@ from repro.kernels.calibration import (
     check_reference,
 )
 from repro.nn.encoder import DeformableEncoder
-from repro.nn.grid_sample import (
-    SPARSE_AUTO_MIN_SLOTS,
-    SPARSE_AUTO_POINT_KEEP_MAX,
-    use_sparse_gather,
-)
+from repro.nn.grid_sample import use_sparse_gather
 from repro.utils.shapes import LevelShape
 
 
@@ -73,17 +61,17 @@ def _exact_keep_mask(size: int, kept: int) -> np.ndarray:
 
 class TestDispatchThresholds:
     def test_defaults_are_the_hand_tuned_constants(self):
-        """The module constants are derived from the dataclass defaults —
-        one source of truth, and the committed values never drift."""
+        """The dataclass defaults are the one home of the hand-tuned
+        constants, and the committed values never drift."""
         t = DispatchThresholds()
-        assert t.pixel_keep_max == SPARSE_AUTO_PIXEL_KEEP_MAX == 0.85
-        assert t.min_tokens == SPARSE_AUTO_MIN_TOKENS == 512
-        assert t.query_keep_max == SPARSE_AUTO_QUERY_KEEP_MAX == 0.85
-        assert t.min_queries == SPARSE_AUTO_MIN_QUERIES == 512
-        assert t.ffn_keep_max == SPARSE_AUTO_FFN_KEEP_MAX == 0.85
-        assert t.ffn_min_tokens == SPARSE_AUTO_FFN_MIN_TOKENS == 512
-        assert t.point_keep_max == SPARSE_AUTO_POINT_KEEP_MAX == 0.70
-        assert t.min_slots == SPARSE_AUTO_MIN_SLOTS == 32768
+        assert t.pixel_keep_max == 0.85
+        assert t.min_tokens == 512
+        assert t.query_keep_max == 0.85
+        assert t.min_queries == 512
+        assert t.ffn_keep_max == 0.85
+        assert t.ffn_min_tokens == 512
+        assert t.point_keep_max == 0.70
+        assert t.min_slots == 32768
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -188,10 +176,12 @@ class TestReferenceProfile:
     @pytest.mark.parametrize("backend_name", KERNEL_BACKENDS + (None,))
     def test_dispatch_parity_with_hand_tuned_constants(self, backend_name):
         """Sweeping representative shapes through ``use_sparse_rows`` /
-        ``use_sparse_gather`` both ways — module constants vs. the committed
-        profile's thresholds — every decision is identical, per backend."""
+        ``use_sparse_gather`` both ways — the dataclass defaults vs. the
+        committed profile's thresholds — every decision is identical, per
+        backend."""
         loaded = MachineProfile.load(REFERENCE_PROFILE_PATH)
         thresholds = loaded.thresholds_for(backend_name)
+        reference = DispatchThresholds()
         rng = np.random.default_rng(7)
         for rows in (64, 511, 512, 513, 2048, 4096):
             for keep in (0.05, 0.3, 0.5, 0.7, 0.85, 0.9, 1.0):
@@ -199,12 +189,12 @@ class TestReferenceProfile:
                 mask = np.zeros(rows, dtype=bool)
                 mask[rng.permutation(rows)[:kept]] = True
                 assert use_sparse_rows(
-                    mask, rows, SPARSE_AUTO_PIXEL_KEEP_MAX, SPARSE_AUTO_MIN_TOKENS, "auto"
+                    mask, rows, reference.pixel_keep_max, reference.min_tokens, "auto"
                 ) == use_sparse_rows(
                     mask, rows, thresholds.pixel_keep_max, thresholds.min_tokens, "auto"
                 )
                 point_mask = mask.reshape(1, rows, 1, 1, 1)  # one B = 1 image
-                for slots in (rows * 4, SPARSE_AUTO_MIN_SLOTS):
+                for slots in (rows * 4, reference.min_slots):
                     assert use_sparse_gather(
                         point_mask, slots, "auto"
                     ) == use_sparse_gather(

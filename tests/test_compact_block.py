@@ -79,9 +79,8 @@ def _run_pair(config, backend, features, fmap_masks=None, **runner_kw):
     runs = []
     for name in (backend, "reference"):
         options = ExecutionOptions(kernel_backend=name, **runner_kw.get("options", {}))
-        runner = DEFAEncoderRunner(
-            encoder, config, options, enable_sparse_ffn=runner_kw.get("sparse_ffn", True)
-        )
+        runner = DEFAEncoderRunner(encoder, config, options)
+        runner.enable_sparse_ffn = runner_kw.get("sparse_ffn", True)
         runs.append(runner.forward(features, pos, reference, SHAPES, fmap_masks=fmap_masks))
     return runs
 
@@ -277,7 +276,7 @@ class TestBitwisePins:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         expected = (x - mean) / np.sqrt(var + 1e-5) * weight + bias
-        got = layer_norm(x, weight, bias, 1e-5, out=np.empty_like(x))
+        got = layer_norm(x, weight, bias, out=np.empty_like(x))
         assert np.array_equal(expected.view(np.uint32), got.view(np.uint32))
 
     def test_softmax_running_max_matches_reduction(self):

@@ -337,7 +337,7 @@ class TestRangeNarrowing:
         from repro.utils.shapes import make_level_shapes
 
         shapes = make_level_shapes(800, 1066, (8, 16, 32, 64))
-        mb = full_fmap_storage_bits(shapes, d_model=256, bits_per_element=12) / 8 / 1024 / 1024
+        mb = full_fmap_storage_bits(shapes, d_model=256) / 8 / 1024 / 1024
         assert 6.0 < mb < 12.0
 
     def test_unified_uses_the_largest_range(self):
@@ -358,7 +358,7 @@ class TestRangeNarrowing:
 
     def test_storage_is_sum_of_windows(self):
         narrowing = RangeNarrowing((2.0, 1.0))
-        assert narrowing.storage_bits(d_model=8, bits_per_element=12) == (36 + 16) * 8 * 12
+        assert narrowing.storage_bits(d_model=8) == (36 + 16) * 8 * 12
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):

@@ -200,7 +200,7 @@ class TestBlockSparseEncoderEquivalence:
 
 class TestFfnStageDispatch:
     def test_auto_mode_keeps_tiny_inputs_dense(self):
-        """Below SPARSE_AUTO_FFN_MIN_TOKENS the auto stage stays dense (this
+        """Below DispatchThresholds().ffn_min_tokens the auto stage stays dense (this
         geometry has N_IN < 512), with unchanged numerics."""
         encoder = _make_encoder(seed=12)
         features, pos, reference = _inputs(seed=13)
@@ -217,9 +217,8 @@ class TestFfnStageDispatch:
         stage) under identical frozen-row semantics."""
         encoder = _make_encoder(seed=14)
         features, pos, reference = _inputs(seed=15)
-        pr3 = DEFAEncoderRunner(
-            encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"), enable_sparse_ffn=False
-        )
+        pr3 = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"))
+        pr3.enable_sparse_ffn = False
         full = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"))
         out_pr3 = pr3.forward(features, pos, reference, SHAPES)
         out_full = full.forward(features, pos, reference, SHAPES)
@@ -348,7 +347,7 @@ class TestQueryAddStage:
         assert compact and keep is not None
         # First block (no mask) always runs the plain add.
         assert on.query_stage_plan(None, N_IN, on.resolved_backend()) == (None, False)
-        # auto mode keeps tiny inputs dense (N_IN < SPARSE_AUTO_MIN_QUERIES).
+        # auto mode keeps tiny inputs dense (N_IN < DispatchThresholds().min_queries).
         auto = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="auto"))
         keep, compact = auto.query_stage_plan(mask, N_IN, auto.resolved_backend())
         assert keep is not None and not compact

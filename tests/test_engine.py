@@ -153,8 +153,8 @@ class TestParallelRunner:
     IDS = ["fig1b", "table1"]  # analytic experiments, fast enough for a test
 
     def test_parallel_matches_serial(self):
-        serial = run_experiments(self.IDS, verbose=False, jobs=1)
-        parallel = run_experiments(self.IDS, verbose=False, jobs=2)
+        serial = run_experiments(self.IDS, jobs=1)
+        parallel = run_experiments(self.IDS, jobs=2)
         assert set(serial) == set(parallel)
         for experiment_id in self.IDS:
             assert serial[experiment_id].headers == parallel[experiment_id].headers
@@ -175,7 +175,7 @@ class TestParallelRunner:
 
     def test_invalid_jobs(self):
         with pytest.raises(ValueError):
-            run_experiments(self.IDS, verbose=False, jobs=0)
+            run_experiments(self.IDS, jobs=0)
         with pytest.raises(ValueError):
             run_experiments_parallel(self.IDS, jobs=-1)
 

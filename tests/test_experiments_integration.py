@@ -47,13 +47,13 @@ class TestRegistry:
 
 class TestWorkloadRuns:
     def test_prepare_run_cached(self):
-        a = prepare_run("deformable_detr", scale="tiny", num_layers=1, seed=0)
-        b = prepare_run("deformable_detr", scale="tiny", num_layers=1, seed=0)
+        a = prepare_run("deformable_detr", scale="tiny", seed=0)
+        b = prepare_run("deformable_detr", scale="tiny", seed=0)
         assert a is b
         assert a.baseline_memory.shape == (a.spec.num_tokens, 256)
 
     def test_defa_run_cached(self):
-        run = prepare_run("deformable_detr", scale="tiny", num_layers=1, seed=0)
+        run = prepare_run("deformable_detr", scale="tiny", seed=0)
         config = DEFAConfig.paper_default()
         a = run_defa_cached(run, config, "deformable_detr", "tiny", seed=0)
         b = run_defa_cached(run, config, "deformable_detr", "tiny", seed=0)

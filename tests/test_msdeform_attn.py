@@ -56,14 +56,14 @@ class TestMSDeformAttn:
         assert out.shape == (query.shape[0], 32)
         assert np.all(np.isfinite(out))
 
-    def test_forward_detailed_intermediates(self, tiny_attn, tiny_shapes, tiny_inputs):
-        query, ref, value = tiny_inputs
-        detail = tiny_attn.forward_detailed(query, ref, value, tiny_shapes)
+    def test_intermediate_shapes(self, tiny_attn, tiny_shapes, tiny_inputs):
+        query, ref, _ = tiny_inputs
         n_q = query.shape[0]
-        assert detail.attention_weights.shape == (n_q, 4, 3, 2)
-        assert detail.sampling_locations.shape == (n_q, 4, 3, 2, 2)
-        assert detail.value.shape == (value.shape[0], 4, 8)
-        assert np.allclose(detail.output, tiny_attn(query, ref, value, tiny_shapes), atol=1e-5)
+        assert tiny_attn.attention_probabilities(query).shape == (n_q, 4, 3, 2)
+        offsets = tiny_attn.project_sampling_offsets(query)
+        assert offsets.shape == (n_q, 4, 3, 2, 2)
+        locations = tiny_attn.compute_sampling_locations(ref, offsets, tiny_shapes)
+        assert locations.shape == (n_q, 4, 3, 2, 2)
 
     def test_attention_logits_are_the_pre_softmax_probabilities(self, tiny_attn, tiny_inputs):
         query = tiny_inputs[0]
@@ -133,7 +133,8 @@ class TestMSDeformAttn:
 
 
 class TestKernelComposition:
-    """``forward_detailed`` is the MSGS kernel over the locations it returns."""
+    """``forward`` is the MSGS kernel over the locations the module's
+    projection helpers compute."""
 
     @pytest.fixture(scope="class")
     def attn(self):
@@ -146,10 +147,15 @@ class TestKernelComposition:
         n_in = total_pixels(tiny_shapes)
         x = rng.standard_normal(lead + (n_in, 64)).astype(np.float32)
         ref = make_reference_points(tiny_shapes)
-        out = attn.forward_detailed(x, ref, x, tiny_shapes)
-        trace = multi_scale_neighbors(tiny_shapes, out.sampling_locations)
-        heads = ms_deform_attn_from_trace(out.value, trace, out.attention_weights)
-        np.testing.assert_array_equal(attn.output_proj(heads), out.output)
+        out = attn(x, ref, x, tiny_shapes)
+        batched = x if batch else x[None]
+        value = attn.value_proj(batched).reshape(batched.shape[:-1] + (8, 8))
+        offsets = attn.project_sampling_offsets(batched)
+        locations = attn.compute_sampling_locations(ref, offsets, tiny_shapes)
+        trace = multi_scale_neighbors(tiny_shapes, locations)
+        heads = ms_deform_attn_from_trace(value, trace, attn.attention_probabilities(batched))
+        expected = attn.output_proj(heads)
+        np.testing.assert_array_equal(expected if batch else expected[0], out)
 
 
 class TestEncoder:

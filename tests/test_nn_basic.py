@@ -88,11 +88,6 @@ class TestModules:
         out = layer(np.ones((3, 8), np.float32))
         assert out.shape == (3, 4)
 
-    def test_linear_no_bias(self):
-        layer = Linear(8, 4, bias=False, rng=0)
-        assert layer.bias is None
-        assert layer(np.zeros((2, 8), np.float32)) == pytest.approx(np.zeros((2, 4)))
-
     def test_linear_wrong_input_dim(self):
         layer = Linear(8, 4, rng=0)
         with pytest.raises(ValueError):

@@ -1,31 +1,57 @@
-"""No ``src/`` definition exists only for the tests.
+"""No ``src/`` definition, parameter or field exists only for the tests.
 
-Every top-level function or class in ``src/repro`` and every non-dunder
-method of a top-level class must be named somewhere in the code that runs
-without the test suite: ``src/``, ``benchmarks/``, ``perfbench/`` or
-``examples/``.  A reference is a loaded name or attribute, or a string
-literal that is a whole identifier or dotted name (registries and ``getattr``
-lookups name code that way).  Import lines, ``__all__`` lists, docstrings,
-comments and identifiers inside prose strings such as error messages are not
-references: a re-export or a mention in prose keeps nothing alive.
+*Runtime code* is everything that runs without the test suite: ``src/``,
+``benchmarks/``, ``perfbench/`` and ``examples/``.  Four rules hold over it,
+each with an allowlist whose every entry gives the reason it stays.  An entry
+of :data:`ALLOWLIST`, :data:`PARAMETER_ALLOWLIST` or
+:data:`DATACLASS_FIELD_ALLOWLIST` that names nothing, or a name its rule no
+longer flags, fails too.
 
-The scan matches by name, one level deep: a definition called only from
-another definition still counts as called.  Anything the tests need beyond
-that lives in :data:`ALLOWLIST`, each entry with the reason it stays.
+Definitions.  Every top-level function or class in ``src/repro`` and every
+non-dunder method of a top-level class is named somewhere in runtime code.
+A reference is a loaded name or attribute, or a string literal that is a
+whole identifier or dotted name (registries and ``getattr`` lookups name code
+that way).  Import lines, ``__all__`` lists, docstrings, comments and
+identifiers inside prose strings such as error messages are not references:
+a re-export or a mention in prose keeps nothing alive.  The scan matches by
+name, one level deep: a definition called only from another definition still
+counts as called.  Keepers: :data:`ALLOWLIST`.
 
-Config fields get the same rule: every field of the classes in
-:data:`CONFIG_CLASSES` must be passed by keyword (``field=``) somewhere in
-that runtime code outside the class's own module, or be listed in
-:data:`FIELD_ALLOWLIST` with a reason.  A field that only the tests set is a
-knob nothing runs.
+Config fields.  Every field of the classes in :data:`CONFIG_CLASSES` is
+passed by keyword (``field=``) somewhere in runtime code outside the class's
+own module.  Keepers: :data:`FIELD_ALLOWLIST`.
+
+Parameters.  Every defaulted parameter of a top-level ``src/`` function,
+or of a method or ``__init__`` of a top-level class, is passed by some
+runtime call.  Calls are matched by callee name, as the definition rule
+matches references: ``f(...)`` and ``obj.f(...)`` call every ``f``, and
+``C(...)`` calls ``C.__init__``.  A parameter is passed by keyword
+(``name=``) or by position (a method's ``self`` / ``cls`` is not counted); a
+``*args`` covers every positional parameter from its position on and a
+``**kwargs`` every parameter.  A call that hands a function on as a
+positional argument (``run_once(benchmark, mod.f, scale=...)``,
+``pool.submit(f, x)``) also passes it the arguments after it and every
+keyword; a bare name counts as a function there only if the module binds it
+by ``def``, ``class`` or import.  The generated ``__init__`` of a dataclass is
+not covered: its fields fall under the next rule.  Keepers:
+:data:`PARAMETER_ALLOWLIST`.
+
+Dataclass fields.  Every field of a ``src/`` dataclass is read by runtime
+code.  A read is an attribute load (``obj.name``, not ``obj.name = ...`` or
+``obj.name += ...``) or a string literal that is exactly the identifier, as
+``getattr(obj, "name")`` reads it; ``__all__`` entries and docstrings are
+not reads.  A field written and never read is a result nobody looks at.
+Keepers: :data:`DATACLASS_FIELD_ALLOWLIST`.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNTIME_DIRS = ("src", "benchmarks", "perfbench", "examples")
@@ -69,34 +95,120 @@ CONFIG_CLASSES = (
 # Qualified field name -> why a field that no runtime code sets stays.
 FIELD_ALLOWLIST: dict[str, str] = {}
 
+_FAULT_WORKER = (
+    "test seam: scripts a fault on a worker other than worker 0; the fault "
+    "benchmarks run a single worker"
+)
+_CLI_ARGV = "CLI seam: tests pass the argument list the console passes through sys.argv"
+_PATH_FLAG = (
+    "which path the block took: tests pin the auto dispatch with it, and the "
+    "per-block ledger and batch records (ROADMAP items 2 and 7) will read it"
+)
+_SIMULATED_SPLIT = (
+    "the simulated compute / DRAM split of one block, which the per-block "
+    "ledger (ROADMAP item 7) will read"
+)
+
+# ``qualified.function(parameter)`` -> why a defaulted parameter that no
+# runtime call passes stays.
+PARAMETER_ALLOWLIST: dict[str, str] = {
+    "repro.engine.serving.ServingEngine.__init__(clock)": (
+        "test seam: a fake engine clock drives the deadline, backoff and "
+        "watchdog tests without real waits"
+    ),
+    "repro.engine.serving.ServingEngine.worker_stats(timeout)": (
+        "test seam: bounds the unresponsive-worker test at 0.2 s instead of the "
+        "5 s runtime bound"
+    ),
+    "repro.engine.faults.FaultPlan.with_crash(worker)": _FAULT_WORKER,
+    "repro.engine.faults.FaultPlan.with_hang(worker)": _FAULT_WORKER,
+    "repro.engine.faults.FaultPlan.with_raise(worker)": _FAULT_WORKER,
+    "repro.engine.faults.FaultPlan.with_crash(incarnation)": (
+        "test seam: scripts a crash in a restarted worker's life"
+    ),
+    "repro.engine.parallel.run_experiments_parallel(worker)": (
+        "test seam: a picklable worker that fails on chosen ids, so the "
+        "multi-failure report is tested; every registered experiment succeeds"
+    ),
+    "repro.experiments.runner.main(argv)": _CLI_ARGV,
+    "repro.kernels.calibration.main(argv)": _CLI_ARGV,
+    "repro.kernels.calibration.check_reference(path)": (
+        "test seam: the gate is shown to fail on a corrupt and on a drifted "
+        "profile, which the committed file never is"
+    ),
+    "repro.nn.grid_sample.ms_deform_attn_core(point_mask)": (
+        "the PAP-masked dense expected value the sparse kernels are compared with"
+    ),
+    "repro.nn.grid_sample.ms_deform_attn_core_reference(point_mask)": (
+        "the PAP mask of the loop oracle"
+    ),
+    "repro.core.sampling_stats.sampled_frequency_reference(point_mask)": (
+        "the PAP mask of the loop oracle"
+    ),
+}
+
+# ``qualified.Dataclass.field`` -> why a field that no runtime code reads stays.
+DATACLASS_FIELD_ALLOWLIST: dict[str, str] = {
+    "repro.core.pipeline.DEFALayerStats.sparse_projection": _PATH_FLAG,
+    "repro.core.pipeline.DEFALayerStats.sparse_gather": _PATH_FLAG,
+    "repro.core.pipeline.DEFALayerStats.sparse_query": _PATH_FLAG,
+    "repro.core.pipeline.DEFALayerStats.sparse_ffn": _PATH_FLAG,
+    "repro.hardware.simulator.LayerSimulationReport.compute_time_s": _SIMULATED_SPLIT,
+    "repro.hardware.simulator.LayerSimulationReport.dram_time_s": _SIMULATED_SPLIT,
+}
+
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _references(tree: ast.AST) -> set[str]:
-    names: set[str] = set()
-    prose: set[int] = set()  # docstrings and ``__all__`` entries
-    # ast.walk is breadth-first, so a statement is seen before its strings.
+def _prose_ids(tree: ast.AST) -> set[int]:
+    """``id`` of every docstring / bare-expression string and ``__all__`` entry."""
+    prose: set[int] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-        elif isinstance(node, ast.Constant):
-            if (
-                isinstance(node.value, str)
-                and id(node) not in prose
-                and DOTTED_NAME.fullmatch(node.value)
-            ):
-                names.update(node.value.split("."))
-        elif isinstance(node, ast.Expr):
+        if isinstance(node, ast.Expr):
             prose.add(id(node.value))
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             prose.update(id(n) for n in ast.walk(node.value))
+    return prose
+
+
+def _name_strings(tree: ast.AST) -> Iterable[str]:
+    """Every string literal outside prose that is a whole (dotted) identifier."""
+    prose = _prose_ids(tree)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in prose
+            and DOTTED_NAME.fullmatch(node.value)
+        ):
+            yield node.value
+
+
+def _references(tree: ast.AST) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    for value in _name_strings(tree):
+        names.update(value.split("."))
     return names
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Attribute loads and whole-identifier strings: what reads a field."""
+    reads = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    reads.update(value for value in _name_strings(tree) if value.isidentifier())
+    return reads
 
 
 def _definitions(tree: ast.Module, module: str):
@@ -111,6 +223,11 @@ def _definitions(tree: ast.Module, module: str):
                         yield f"{module}.{stmt.name}.{item.name}", item.name
 
 
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
 @lru_cache(maxsize=None)
 def _runtime_trees() -> dict[Path, ast.Module]:
     """The parsed syntax tree of every runtime file."""
@@ -122,16 +239,24 @@ def _runtime_trees() -> dict[Path, ast.Module]:
 
 
 @lru_cache(maxsize=None)
+def _src_trees() -> dict[str, ast.Module]:
+    """Module name -> syntax tree of every ``src/`` file."""
+    return {
+        _module_name(path): tree
+        for path, tree in _runtime_trees().items()
+        if path.is_relative_to(ROOT / "src")
+    }
+
+
+@lru_cache(maxsize=None)
 def _scan() -> tuple[set[str], dict[str, str]]:
     """Return (every referenced name, qualified name -> name of each definition)."""
     referenced: set[str] = set()
-    definitions: dict[str, str] = {}
-    for path, tree in _runtime_trees().items():
+    for tree in _runtime_trees().values():
         referenced |= _references(tree)
-        if path.is_relative_to(ROOT / "src"):
-            parts = path.relative_to(ROOT / "src").with_suffix("").parts
-            module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-            definitions.update(_definitions(tree, module))
+    definitions: dict[str, str] = {}
+    for module, tree in _src_trees().items():
+        definitions.update(_definitions(tree, module))
     return referenced, definitions
 
 
@@ -171,14 +296,18 @@ def _call_keywords() -> dict[Path, frozenset[str]]:
     }
 
 
-def _config_fields(module_file: Path, class_name: str) -> list[str]:
-    tree = _runtime_trees()[module_file]
-    (cls,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name)
+def _annotated_fields(cls: ast.ClassDef) -> list[str]:
     return [
         stmt.target.id
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     ]
+
+
+def _config_fields(module_file: Path, class_name: str) -> list[str]:
+    tree = _runtime_trees()[module_file]
+    (cls,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name)
+    return _annotated_fields(cls)
 
 
 def test_every_config_field_is_set_by_runtime_code():
@@ -199,3 +328,286 @@ def test_every_config_field_is_set_by_runtime_code():
         "config fields that no runtime code sets by keyword (delete them with "
         "their tests, or allowlist them with a reason):\n  " + "\n  ".join(unset)
     )
+
+
+# --- parameters and dataclass fields --------------------------------------
+
+
+def _decorator_names(node: ast.ClassDef | ast.FunctionDef) -> set[str]:
+    names = set()
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name):
+            names.add(target.id)
+        elif isinstance(target, ast.Attribute):
+            names.add(target.attr)
+    return names
+
+
+class _Signature(NamedTuple):
+    """The defaulted parameters of one callable and how calls reach them."""
+
+    callee: str  # the name a call uses: the function's, or the class's for __init__
+    positional: list[str]  # passable by position, self/cls dropped
+    defaulted: list[str]
+
+
+def _function_signature(func: ast.FunctionDef, callee: str, method: bool) -> _Signature:
+    args = func.args
+    positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    if method and "staticmethod" not in _decorator_names(func):
+        positional = positional[1:]
+    return _Signature(callee, positional, defaulted)
+
+
+def _signatures(src: Mapping[str, ast.Module]) -> dict[str, _Signature]:
+    """``qualified callable name`` -> its signature, for every ``src/`` callable."""
+    signatures: dict[str, _Signature] = {}
+    for module, tree in src.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                signatures[f"{module}.{stmt.name}"] = _function_signature(
+                    stmt, stmt.name, method=False
+                )
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    item.name == "__init__" or not _is_dunder(item.name)
+                ):
+                    callee = stmt.name if item.name == "__init__" else item.name
+                    signatures[f"{module}.{stmt.name}.{item.name}"] = _function_signature(
+                        item, callee, method=True
+                    )
+    return signatures
+
+
+def _callee_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _function_names(tree: ast.Module) -> set[str]:
+    """Names the module binds by ``def``, ``class`` or import."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def _calls(tree: ast.Module) -> Iterable[tuple[str, list[ast.expr], list[ast.keyword]]]:
+    """Yield ``(callee name, positional arguments, keywords)`` of every call.
+
+    ``f(...)`` and ``obj.f(...)`` call ``f``.  A call that hands a function on
+    as a positional argument, as ``run_once(benchmark, mod.f, x, scale=...)``,
+    ``functools.partial(f, ...)`` or ``pool.submit(f, ...)`` do, also calls
+    that function with the positional arguments after it and every keyword.
+    A bare name is handed on as a function only when the module binds it by
+    ``def``, ``class`` or import, so ``slice(start, stop)`` calls no ``start``.
+    """
+    functions = _function_names(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = _callee_name(node.func)
+        if callee is not None:
+            yield callee, node.args, node.keywords
+        for position, arg in enumerate(node.args):
+            if isinstance(arg, ast.Attribute) or (
+                isinstance(arg, ast.Name) and arg.id in functions
+            ):
+                yield _callee_name(arg), node.args[position + 1 :], node.keywords
+
+
+def _passed_parameters(
+    signatures: Mapping[str, _Signature], runtime: Iterable[ast.Module]
+) -> set[str]:
+    """``qualified(parameter)`` of every defaulted parameter some call passes."""
+    by_callee: dict[str, list[str]] = {}
+    for qualified, signature in signatures.items():
+        by_callee.setdefault(signature.callee, []).append(qualified)
+    passed: set[str] = set()
+    for tree in runtime:
+        for callee, args, call_keywords in _calls(tree):
+            keywords = {kw.arg for kw in call_keywords}
+            starred = next((i for i, a in enumerate(args) if isinstance(a, ast.Starred)), None)
+            for qualified in by_callee.get(callee, ()):
+                signature = signatures[qualified]
+                names = set(signature.positional[: len(args)]) | keywords
+                if starred is not None:
+                    names |= set(signature.positional[starred:])
+                if None in keywords:  # **kwargs
+                    names |= set(signature.defaulted)
+                passed.update(f"{qualified}({n})" for n in names & set(signature.defaulted))
+    return passed
+
+
+def unpassed_parameters(src: Mapping[str, ast.Module], runtime: Iterable[ast.Module]) -> set[str]:
+    """``qualified(parameter)`` of every defaulted parameter no runtime call passes."""
+    signatures = _signatures(src)
+    defaulted = {f"{q}({p})" for q, s in signatures.items() for p in s.defaulted}
+    return defaulted - _passed_parameters(signatures, runtime)
+
+
+def unread_fields(src: Mapping[str, ast.Module], runtime: Iterable[ast.Module]) -> set[str]:
+    """``qualified.Dataclass.field`` of every field no runtime code reads."""
+    fields = {
+        f"{module}.{stmt.name}.{field}": field
+        for module, tree in src.items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef) and "dataclass" in _decorator_names(stmt)
+        for field in _annotated_fields(stmt)
+    }
+    reads = set().union(*(_reads(tree) for tree in runtime))
+    return {q for q, name in fields.items() if name not in reads}
+
+
+def stale_entries(allowlist: Mapping[str, str], flagged: set[str]) -> list[str]:
+    """Allowlist entries that the rule does not flag: they name nothing, or a
+    name that runtime code now passes or reads."""
+    return sorted(q for q in allowlist if q not in flagged)
+
+
+@lru_cache(maxsize=None)
+def _unpassed() -> set[str]:
+    return unpassed_parameters(_src_trees(), _runtime_trees().values())
+
+
+@lru_cache(maxsize=None)
+def _unread() -> set[str]:
+    return unread_fields(_src_trees(), _runtime_trees().values())
+
+
+def test_every_defaulted_parameter_is_passed_by_runtime_code():
+    unpassed = sorted(_unpassed() - set(PARAMETER_ALLOWLIST))
+    assert not unpassed, (
+        "defaulted parameters that no runtime call passes (make them the constant "
+        "they always are, or allowlist them with a reason):\n  " + "\n  ".join(unpassed)
+    )
+
+
+def test_every_dataclass_field_is_read_by_runtime_code():
+    unread = sorted(_unread() - set(DATACLASS_FIELD_ALLOWLIST))
+    assert not unread, (
+        "dataclass fields that no runtime code reads (delete them with the code "
+        "that fills them, or allowlist them with a reason):\n  " + "\n  ".join(unread)
+    )
+
+
+def test_parameter_and_field_allowlists_have_no_stale_entries():
+    stale = stale_entries(PARAMETER_ALLOWLIST, _unpassed())
+    stale += stale_entries(DATACLASS_FIELD_ALLOWLIST, _unread())
+    assert not stale, (
+        "allowlist entries that name nothing, or a name runtime code now passes "
+        f"or reads: {stale}"
+    )
+
+
+# --- the rules on planted code --------------------------------------------
+
+PLANTED_SRC = '''
+from dataclasses import dataclass
+
+@dataclass
+class Report:
+    kept: int
+    unread: int
+
+def scale(x, factor=2.0, offset=0.0, *, bias=0.0):
+    return x
+
+class Model:
+    def __init__(self, width, depth=1):
+        self.width = width
+
+    def run(self, x, steps=1):
+        return x
+'''
+
+
+def _planted(caller: str) -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    src = {"pkg.mod": ast.parse(PLANTED_SRC)}
+    return src, [*src.values(), ast.parse(caller)]
+
+
+def _planted_unpassed(caller: str) -> set[str]:
+    return unpassed_parameters(*_planted(caller))
+
+
+def _planted_unread(caller: str) -> set[str]:
+    return unread_fields(*_planted(caller))
+
+
+def test_planted_field_that_nothing_reads_is_flagged():
+    writes_only = "r = Report(1, 2)\nr.unread = 3\nr.unread += 1\nprint(r.kept)\n"
+    assert _planted_unread(writes_only) == {"pkg.mod.Report.unread"}
+    assert _planted_unread("print(r.kept, r.unread)\n") == set()
+    assert _planted_unread('print(r.kept, getattr(r, "unread"))\n') == set()
+    assert _planted_unread('"""unread"""\n__all__ = ["unread"]\nprint(r.kept)\n') == {
+        "pkg.mod.Report.unread"
+    }
+
+
+PLANTED_PARAMETERS = {
+    "pkg.mod.scale(factor)",
+    "pkg.mod.scale(offset)",
+    "pkg.mod.scale(bias)",
+    "pkg.mod.Model.__init__(depth)",
+    "pkg.mod.Model.run(steps)",
+}
+
+
+def test_planted_parameter_that_no_call_passes_is_flagged():
+    assert _planted_unpassed("scale(1.0)\nModel(4).run(1)\n") == PLANTED_PARAMETERS
+    # By position (a method's self is not counted), by keyword, by *args / **kwargs.
+    assert _planted_unpassed("scale(1.0, 3.0)\nm = Model(4, 2)\nm.run(1, 5)\n") == {
+        "pkg.mod.scale(offset)",
+        "pkg.mod.scale(bias)",
+    }
+    assert _planted_unpassed("scale(1.0, offset=1.0, bias=1.0)\nModel(4, depth=2)\n") == {
+        "pkg.mod.scale(factor)",
+        "pkg.mod.Model.run(steps)",
+    }
+    assert _planted_unpassed("scale(*args)\nModel(**kwargs)\n") == {
+        "pkg.mod.scale(bias)",
+        "pkg.mod.Model.run(steps)",
+    }
+
+
+def test_planted_parameter_handed_on_through_a_helper_counts():
+    # run_once(benchmark, f, *args, **kwargs) passes f what follows it.
+    helper = (
+        "from pkg.mod import scale\n"
+        "run_once(benchmark, scale, 1.0, 2.0, bias=1.0)\n"
+        "pool.submit(Model(4).run, 1, 5)\n"
+    )
+    assert _planted_unpassed(helper) == {
+        "pkg.mod.scale(offset)",
+        "pkg.mod.Model.__init__(depth)",
+    }
+    # A bare name that the module binds by neither def nor import is a value.
+    assert _planted_unpassed("slice(scale, 1.0, 2.0, bias=1.0)\n") == PLANTED_PARAMETERS
+
+
+def test_stale_allowlist_entries_are_reported():
+    flagged = _planted_unpassed("scale(1.0, factor=3.0)\nModel(4)\n")
+    allowlist = {
+        "pkg.mod.scale(offset)": "still unpassed: a valid entry",
+        "pkg.mod.scale(factor)": "now passed by a runtime call",
+        "pkg.mod.scale(gone)": "names no parameter",
+    }
+    assert stale_entries(allowlist, flagged) == [
+        "pkg.mod.scale(factor)",
+        "pkg.mod.scale(gone)",
+    ]
+    flagged = _planted_unread("print(r.kept)\n")
+    allowlist = {"pkg.mod.Report.unread": "valid", "pkg.mod.Report.kept": "now read"}
+    assert stale_entries(allowlist, flagged) == ["pkg.mod.Report.kept"]

@@ -71,13 +71,14 @@ def _events(n: int = 24, seed: int = 3):
     )
 
 
-def _item(item_id, shapes, seed):
+def _item(item_id, shapes, seed, deadline_s=None):
     rng = np.random.default_rng(seed)
     n_in = sum(s.num_pixels for s in shapes)
     return WorkItem(
         item_id=item_id,
         features=rng.standard_normal((n_in, D_MODEL)).astype(np.float32),
         spatial_shapes=shapes,
+        deadline_s=deadline_s,
     )
 
 
@@ -270,7 +271,7 @@ class TestServedEquivalence:
             engine.shutdown()
         for served, expected in zip(result.outputs, reference):
             np.testing.assert_array_equal(served, expected)
-        assert engine.stats.num_completed == len(events)
+        assert len(engine.stats.latencies_s) == len(events)
         assert engine.stats.degraded_batches == engine.stats.num_batches
 
     def test_worker_bit_equal_and_all_primary(self):
@@ -542,8 +543,6 @@ class TestTrafficGenerator:
         with pytest.raises(ValueError):
             generate_traffic(4, process="weekly")
         with pytest.raises(ValueError):
-            generate_traffic(4, burst_factor=0.5)
-        with pytest.raises(ValueError):
             generate_traffic(4, class_mix=(("a", -1.0),))
         with pytest.raises(ValueError):
             generate_traffic(4, class_mix=())
@@ -641,7 +640,7 @@ class TestInjectedClock:
         )
         begin = time.monotonic()
         with pytest.raises(TimeoutError):
-            engine.start(wait_ready=True, timeout=5.0)
+            engine.start()
         assert time.monotonic() - begin < 2.0
 
 
@@ -825,13 +824,6 @@ class TestLifecycleConfigValidation:
                     deadline_s=bad,
                 )
 
-    def test_submit_deadline_must_be_positive(self):
-        engine = ServingEngine(
-            lambda: _recording_bank([]), ServingConfig(num_workers=0), clock=FakeClock()
-        )
-        with pytest.raises(ValueError, match="deadline_s"):
-            engine.submit(_item(0, SHAPES_A, 0), deadline_s=-1.0)
-
 
 class TestAdmissionControl:
     def _engine(self, **config_kwargs):
@@ -920,7 +912,7 @@ class TestDeadlines:
             ServingConfig(num_workers=0, max_batch_size=8, max_wait_s=100.0),
             clock=clock,
         )
-        future = engine.submit(_item(7, SHAPES_A, 0), deadline_s=1.0)
+        future = engine.submit(_item(7, SHAPES_A, 0, deadline_s=1.0))
         engine.poll()
         assert not future.done()
         clock.advance(1.0)
@@ -954,7 +946,7 @@ class TestDeadlines:
         clock = FakeClock()
         engine = _idle_engine(clock, max_wait_s=0.0)
         _stub_worker(engine._workers[0])
-        future = engine.submit(_item(0, SHAPES_A, 0), deadline_s=1.0)
+        future = engine.submit(_item(0, SHAPES_A, 0, deadline_s=1.0))
         engine.poll()
         assert engine._workers[0].busy is not None  # in flight on the worker
         clock.advance(100.0)
@@ -1113,7 +1105,7 @@ class TestLifecycleDiagnostics:
         with pytest.raises(
             TimeoutError, match=r"did not report ready.*ready=False"
         ):
-            engine.start(wait_ready=True, timeout=5.0)
+            engine.start()
 
     def test_shutdown_fails_batch_in_flight_on_worker(self):
         clock = FakeClock()

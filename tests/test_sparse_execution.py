@@ -446,10 +446,9 @@ class TestSparseModeAuto:
         mask = np.zeros(N_IN, dtype=bool)
         mask[: N_IN // 2] = True
         out = auto.forward_detailed(query, reference, features, SHAPES, fmap_mask=mask)
-        assert not out.stats.sparse_projection  # N_IN < SPARSE_AUTO_MIN_TOKENS
-        assert not out.stats.sparse_gather  # slots < SPARSE_AUTO_MIN_SLOTS
-        assert not out.stats.sparse_neighbors
-        assert not out.stats.sparse_query  # N_q < SPARSE_AUTO_MIN_QUERIES
+        assert not out.stats.sparse_projection  # N_IN < DispatchThresholds().min_tokens
+        assert not out.stats.sparse_gather  # slots < DispatchThresholds().min_slots
+        assert not out.stats.sparse_query  # N_q < DispatchThresholds().min_queries
 
 
 QP_FP32 = DEFAConfig(quant_bits=None, enable_query_pruning=True)
@@ -488,7 +487,7 @@ class TestQueryPruning:
             out_sparse.sampling_locations, out_dense.sampling_locations, atol=TOL
         )
         np.testing.assert_array_equal(out_sparse.fmap_mask_next, out_dense.fmap_mask_next)
-        assert out_sparse.stats.sparse_query and out_sparse.stats.sparse_neighbors
+        assert out_sparse.stats.sparse_query and out_sparse.stats.sparse_gather
         assert not out_dense.stats.sparse_query
         assert out_sparse.stats.points_kept == out_dense.stats.points_kept
 
@@ -577,7 +576,7 @@ class TestCompactTraceInPipeline:
         out_s = sparse.forward_detailed(query, reference, features, SHAPES)
         out_d = dense.forward_detailed(query, reference, features, SHAPES)
         assert isinstance(out_s.trace_executed, CompactSamplingTrace)
-        assert out_s.stats.sparse_neighbors
+        assert out_s.stats.sparse_gather
         assert isinstance(out_d.trace_executed, SamplingTrace)
         # The .trace property materializes the full trace on demand and it
         # matches the dense path's trace exactly (same locations).

@@ -8,7 +8,7 @@ from repro.nn.detection_head import PrototypeDetectionHead
 from repro.nn.models import MODEL_NAMES, build_encoder, get_model_config
 from repro.workloads.dataset import SyntheticDetectionDataset
 from repro.workloads.specs import SCALE_PRESETS, get_workload
-from repro.workloads.synthetic_images import SceneGenerator
+from repro.workloads.synthetic_images import NUM_CLASSES, SceneGenerator
 from repro.workloads.traces import synthetic_workload_input
 
 
@@ -119,21 +119,15 @@ class TestSyntheticScenes:
         assert scene.image.min() >= 0.0 and scene.image.max() <= 1.0
         assert scene.boxes.shape == (len(scene.labels), 4)
         assert np.all(scene.boxes[:, 2] > scene.boxes[:, 0])
-        assert np.all((scene.labels >= 0) & (scene.labels < generator.num_classes))
+        assert np.all((scene.labels >= 0) & (scene.labels < NUM_CLASSES))
 
     def test_batch_generation(self):
         generator = SceneGenerator(image_height=32, image_width=32, rng=0)
         scenes = generator.generate_batch(3)
         assert len(scenes) == 3
 
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            SceneGenerator(num_classes=0)
-        with pytest.raises(ValueError):
-            SceneGenerator(min_objects=5, max_objects=2)
-
     def test_objects_change_the_image(self):
-        generator = SceneGenerator(image_height=64, image_width=64, min_objects=3, rng=0)
+        generator = SceneGenerator(image_height=64, image_width=64, rng=0)
         scene = generator.generate()
         box = scene.boxes[0]
         cx = int((box[0] + box[2]) / 2 * 64)
@@ -152,7 +146,7 @@ class TestBackbone:
         assert len(pyramid.levels) == 2
 
     def test_feature_energy_concentrated_on_objects(self):
-        generator = SceneGenerator(image_height=64, image_width=64, min_objects=2, max_objects=3, rng=1)
+        generator = SceneGenerator(image_height=64, image_width=64, rng=1)
         scene = generator.generate()
         backbone = SyntheticFPNBackbone(d_model=32, strides=(8,), rng=0)
         level = backbone(scene.image).levels[0]
