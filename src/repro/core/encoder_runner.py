@@ -155,11 +155,14 @@ class DEFAEncoderRunner:
         runner's ``kernel_backend`` attribute stays settable, so a benchmark
         can flip one runner between backends).  ``"reference"`` reproduces
         the PR 4 execution exactly — no execution plans, per-block
-        allocation; ``"fused"`` runs the
-        bit-identical fused kernels *and* allocates every per-block
-        intermediate from a per-shape-signature :class:`ExecutionPlan`
-        (see :meth:`execution_plan`), reused across blocks and across
-        forwards of the same shape signature.
+        allocation, every block through :meth:`DEFAAttention.
+        forward_detailed`; ``"fused"`` (and ``"compiled"``) runs every block
+        through the planned :meth:`DEFAAttention.forward_kept_rows`: the
+        bit-identical fused kernels, with every per-block intermediate
+        allocated from a per-shape-signature :class:`ExecutionPlan` (see
+        :meth:`execution_plan`), reused across blocks and across forwards of
+        the same shape signature.  ``collect_details=True`` runs the
+        plan-less blocks on any backend.
 
         ``machine_profile`` is resolved once here and forwarded to every
         block.
@@ -288,10 +291,11 @@ class DEFAEncoderRunner:
         the same :func:`~repro.core.pipeline.use_sparse_rows` gate as the
         query-side projections inside the attention block, under the
         thresholds of the (resolved) ``backend`` the forward runs with.
+        ``fmap_mask`` is boolean: :meth:`forward` normalizes each block's
+        mask once.
         """
         if not self.config.enable_query_pruning or fmap_mask is None:
             return None, False
-        fmap_mask = normalize_mask(fmap_mask)  # boundary: accept int masks
         t = self.machine_profile.thresholds_for(backend.name)
         compact = use_sparse_rows(
             fmap_mask, queries_per_image, t.query_keep_max, t.min_queries, self.sparse_mode
@@ -306,30 +310,22 @@ class DEFAEncoderRunner:
         compact: bool,
         plan: ExecutionPlan | None,
     ) -> np.ndarray:
-        """``query = x + pos`` under the query-pruning mask (see
-        :meth:`query_stage_plan`).  ``x`` is ``(B, N, D)`` with ``pos``
+        """The full ``(B, N, D)`` query ``x + pos`` under the query-pruning
+        mask (see :meth:`query_stage_plan`), pruned rows zero.  ``pos`` is
         shared ``(N, D)``; with a ``plan`` the query lives in a reused arena
-        buffer.  A planned compact query never takes this route: it is built
-        as rows by :meth:`_query_rows`."""
-        if keep_mask is None:
-            if plan is not None:
-                query = plan.buffer("query", x.shape)
-                np.add(x, pos, out=query)
-                return query
-            return x + pos
-        if not compact:
-            if plan is not None:
-                query = plan.buffer("query", x.shape)
-                np.add(x, pos, out=query)
-            else:
-                query = x + pos
-            query[~keep_mask] = 0
+        buffer.  ``compact`` is plan-less only: a planned compact query is
+        built as rows by :meth:`_query_rows`."""
+        if compact:
+            kept = np.flatnonzero(keep_mask.reshape(-1))
+            query = np.zeros_like(x)
+            if kept.size:
+                query.reshape(-1, x.shape[-1])[kept] = (
+                    x.reshape(-1, x.shape[-1])[kept] + pos[kept % x.shape[1]]
+                )
             return query
-        flat_x = x.reshape(-1, x.shape[-1])
-        kept = np.flatnonzero(keep_mask.reshape(-1))
-        query = np.zeros_like(x)
-        if kept.size:
-            query.reshape(-1, x.shape[-1])[kept] = flat_x[kept] + pos[kept % x.shape[1]]
+        query = np.add(x, pos, out=None if plan is None else plan.buffer("query", x.shape))
+        if keep_mask is not None:
+            query[~keep_mask] = 0
         return query
 
     @staticmethod
@@ -355,11 +351,11 @@ class DEFAEncoderRunner:
         compact/masked-dense execution choice then follows the shared
         :func:`~repro.core.pipeline.use_sparse_rows` rule under this runner's
         ``sparse_mode`` and the (resolved) ``backend``'s thresholds, unless
-        :attr:`enable_sparse_ffn` pins it dense.
+        :attr:`enable_sparse_ffn` pins it dense.  ``fmap_mask`` is boolean,
+        as for :meth:`query_stage_plan`.
         """
         if not self.config.enable_query_pruning or fmap_mask is None:
             return None, False
-        fmap_mask = normalize_mask(fmap_mask)  # boundary: accept int masks
         t = self.machine_profile.thresholds_for(backend.name)
         compact = self.enable_sparse_ffn and use_sparse_rows(
             fmap_mask, tokens_per_image, t.ffn_keep_max, t.ffn_min_tokens, self.sparse_mode
@@ -416,7 +412,9 @@ class DEFAEncoderRunner:
         # plans run with (and look up thresholds for) this one backend.
         backend = self.resolved_backend()
         # collect_details hands the per-block outputs to the caller, so they
-        # must not live in arena buffers that the next block overwrites.
+        # must not live in arena buffers that the next block overwrites: a
+        # planned forward runs DEFAAttention.forward_kept_rows, a plan-less
+        # one forward_detailed.
         plan = (
             self.execution_plan(spatial_shapes, batch)
             if backend.fused and not collect_details
@@ -433,35 +431,40 @@ class DEFAEncoderRunner:
         ):
             if fmap_masks is not None:
                 fmap_mask = fmap_masks[index]
+            if fmap_mask is not None:
+                fmap_mask = normalize_mask(fmap_mask)  # boundary: accept int masks
+                if fmap_mask.shape != (batch, n_in):
+                    raise ValueError("fmap_mask must have shape (N_in,), or (B, N_in) for a batch")
             # Pre-attention query add, skipped for FWP-pruned pixels under
             # query pruning (their rows never act as queries).
             q_keep, q_compact = self.query_stage_plan(fmap_mask, n_in, backend)
-            if plan is not None and q_compact:
-                # Row-compact block: kept-query space from the query add to
-                # the FFN stage, which receives the output rows as they are.
-                if q_keep.shape != (batch, n_in):
-                    raise ValueError("fmap_mask must have shape (N_in,), or (B, N_in) for a batch")
-                kept = np.flatnonzero(q_keep.reshape(-1))
-                attn_out = defa_attn.forward_kept_rows(
-                    self._query_rows(x, pos, kept, plan),
-                    kept,
-                    reference_points,
-                    x,
-                    spatial_shapes,
-                    q_keep,
-                    backend,
-                    plan,
-                )
-            else:
-                query = self._build_query(x, pos, q_keep, q_compact, plan)
+            if plan is None:
                 attn_out = defa_attn.forward_detailed(
-                    query,
+                    self._build_query(x, pos, q_keep, q_compact, None),
                     reference_points,
                     x,
                     spatial_shapes,
                     fmap_mask=fmap_mask,
                     options=call_options,
-                    plan=plan,
+                )
+            else:
+                # A row-compact block stays in kept-query space from the
+                # query add to the FFN stage, which receives the output rows
+                # as they are; any other block runs every row, in place.
+                if q_compact:
+                    kept = np.flatnonzero(q_keep.reshape(-1))
+                    query = self._query_rows(x, pos, kept, plan)
+                else:
+                    kept, query = None, self._build_query(x, pos, q_keep, False, plan)
+                attn_out = defa_attn.forward_kept_rows(
+                    query,
+                    kept,
+                    reference_points,
+                    x,
+                    spatial_shapes,
+                    fmap_mask,
+                    backend,
+                    plan,
                 )
             # The inter-block stage prunes on the masks applied to *this*
             # block (the rows that did not act as queries), so it must run

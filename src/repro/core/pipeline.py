@@ -59,7 +59,7 @@ from repro.kernels import (
     resolve_backend,
     resolve_profile,
 )
-from repro.kernels.fused_ops import image_row_max_abs, max_abs, project_into
+from repro.kernels.fused_ops import image_row_max_abs, project_into
 from repro.core.pap import PAPResult, compute_point_mask, point_keep_mask
 from repro.core.range_narrowing import RangeNarrowing
 from repro.core.sampling_stats import sampled_frequency, sampled_frequency_compact
@@ -200,7 +200,8 @@ class DEFAAttentionOutput:
     """Result of one DEFA attention block."""
 
     output: np.ndarray
-    """Block output of shape ``(N_q, D)``."""
+    """Block output of shape ``(N_q, D)``; in a planned record under
+    row-compacted query pruning, the image's ``(K_q, D)`` kept query rows."""
 
     stats: DEFALayerStats
     """Pruning / FLOP statistics."""
@@ -210,7 +211,7 @@ class DEFAAttentionOutput:
 
     point_mask: np.ndarray | None
     """PAP keep-mask, shape ``(N_q, N_h, N_l, N_p)``; ``None`` in a planned
-    record (see :meth:`DEFAAttention.forward_detailed`)."""
+    record (one that :meth:`DEFAAttention.forward_kept_rows` returns)."""
 
     attention_weights: np.ndarray | None
     """Attention probabilities after PAP (pruned entries zeroed); ``None`` in
@@ -269,8 +270,9 @@ class DEFAAttentionBatchOutput:
 
     output: np.ndarray
     """Batched block output of shape ``(B, N_q, D)``; from
-    :meth:`DEFAAttention.forward_kept_rows`, the ``(K_q, D)`` kept query
-    rows, each record's ``output`` its image's slice of them."""
+    :meth:`DEFAAttention.forward_kept_rows` under row-compacted query
+    pruning, the ``(K_q, D)`` kept query rows.  Each record's ``output`` is
+    its image's slice of it."""
 
     images: list[DEFAAttentionOutput]
     """Per-image detailed outputs (views into the batched tensors)."""
@@ -299,10 +301,13 @@ class DEFAAttention:
         equivalence-tested to 1e-5; ``kernel_backend`` names the kernel
         backend for the compact-trace kernels (``None`` follows the process
         default — resolved per call, so :func:`repro.kernels.set_backend`
-        takes effect immediately; the backends are bit-identical,
-        ``"fused"`` additionally consumes the ``plan`` buffer arena passed
-        into :meth:`forward_detailed`); ``machine_profile`` is resolved once
-        here.
+        takes effect immediately; the backends are bit-identical);
+        ``machine_profile`` is resolved once here.
+
+    :meth:`forward_detailed` is the plan-less block (every detail record);
+    :meth:`forward_kept_rows` is the planned block the fused / compiled
+    encoder runner executes, in an :class:`~repro.kernels.ExecutionPlan`
+    arena.
 
     The block executes batch-first: a single ``(N_q, D)`` image runs as a
     ``B = 1`` batch through the same code as any ``(B, N_q, D)`` batch.
@@ -574,9 +579,16 @@ class DEFAAttention:
         spatial_shapes: list[LevelShape],
         fmap_mask: np.ndarray | None = None,
         options: ExecutionOptions | None = None,
-        plan: ExecutionPlan | None = None,
     ) -> DEFAAttentionOutput | DEFAAttentionBatchOutput:
-        """Run one DEFA attention block.
+        """Run one DEFA attention block without an execution plan.
+
+        This is the plan-less oracle and the details path: every record
+        carries its ``point_mask``, ``attention_weights``,
+        ``sampling_locations`` and ``pap``, and nothing returned aliases an
+        arena.  The reference runner, ``collect_details=True`` and the
+        detail consumers (the hardware simulator, the figures) run here; the
+        planned block of the fused / compiled runner is
+        :meth:`forward_kept_rows`, pinned bitwise against this one.
 
         Parameters
         ----------
@@ -606,24 +618,6 @@ class DEFAAttention:
             backends are bit-identical) — ``sparse_mode`` and
             ``machine_profile`` are fixed at construction, so a non-``None``
             value here is an error.
-        plan:
-            Optional :class:`~repro.kernels.ExecutionPlan` buffer arena.
-            When given (the encoder runner passes one per shape signature),
-            every large per-block intermediate — projections, the value
-            tensor, the compact trace, the gather/aggregate scratch and the
-            block output — lives in reused arena buffers, so steady-state
-            forwards allocate nothing large.  The returned arrays are then
-            only valid until the plan's next forward (the runner copies what
-            it keeps); callers that retain outputs must pass ``plan=None``.
-            Under row-compacted query pruning the planned block runs in
-            kept-query space (:meth:`forward_kept_rows`) and scatters only
-            its output rows back.  A planned record carries the output, the
-            stats, the FWP result and the executed trace, but no
-            ``point_mask``, ``attention_weights``, ``sampling_locations`` or
-            ``pap`` (all ``None``): the planned path never builds those
-            per-image grids, and the runner, the only planned caller, reads
-            none of them.  Detail consumers (the hardware simulator, the
-            figures) run plan-less, through ``collect_details=True``.
 
         A single ``(N_q, D)`` image runs as a ``B = 1`` batch (its mask, if
         any, as ``(1, N_in)``) and returns that batch's only per-image record,
@@ -649,8 +643,6 @@ class DEFAAttention:
                 fmap_mask = np.asarray(fmap_mask)[None]
         attn = self.attn
         backend = self._resolve_backend(options.kernel_backend)
-        if plan is not None and not backend.fused:
-            plan = None  # the reference backend runs exactly the PR 4 path
         if value_input.ndim != 3 or value_input.shape[0] != query.shape[0]:
             raise ValueError("value_input must be (B, N_in, D) with the query's batch size")
         batch, n_q = query.shape[0], query.shape[1]
@@ -678,12 +670,6 @@ class DEFAAttention:
             query_keep, n_q, backend=backend
         )
         kept_q = np.flatnonzero(query_keep.reshape(-1)) if sparse_query else None
-        if plan is not None and sparse_query:
-            result = self._forward_query_rows(
-                query, kept_q, reference_points, value_input, spatial_shapes,
-                fmap_mask, backend, plan,
-            )
-            return result.images[0] if single else result
 
         # Step 1: attention probabilities (batched) + PAP masks.  PAP is a
         # per-(query, head) operation, so folding the batch axis into the
@@ -693,57 +679,42 @@ class DEFAAttention:
         grid_shape = (batch * n_q, attn.num_heads, attn.num_levels, attn.num_points)
         with kernel_section("query_proj"):
             # Both query-side heads (the sampling offsets are used in step 2)
-            # read the same query rows; on the plan path they share one
-            # gather and one quantization.
+            # read the same query rows.
             heads = (self._attention_weights, self._sampling_offsets)
-            if plan is not None:
-                logits, offsets_proj = project_into(
-                    heads, query, plan, ("attn_logits", "offsets"), backend=backend
-                )
-            elif sparse_query:
+            if sparse_query:
                 logits, offsets_proj = (
                     self._project_rows_batched(head, query, kept_q) for head in heads
                 )
             else:
                 logits, offsets_proj = (self._project_batched(head, query) for head in heads)
             logits = logits.reshape(-1, attn.num_heads, attn.num_levels * attn.num_points)
-        paps: list[PAPResult] | None = None
-        if plan is not None:
-            probs = _softmax_inplace(logits, plan).reshape(grid_shape)
-            point_masks = self._planned_point_mask(probs, plan)
-            if query_keep is not None:
-                keep_rows = query_keep.reshape(-1, 1, 1, 1)
-                np.logical_and(point_masks, keep_rows, out=point_masks)
-            point_masks = point_masks.reshape((batch, n_q) + grid_shape[1:])
-            attn_weights = probs.reshape(point_masks.shape)
+        probs = softmax(logits, axis=-1).reshape(
+            logits.shape[0], attn.num_heads, attn.num_levels, attn.num_points
+        )
+        if self.config.enable_pap:
+            row_pap = compute_point_mask(probs, threshold=self.config.pap_threshold)
         else:
-            probs = softmax(logits, axis=-1).reshape(
-                logits.shape[0], attn.num_heads, attn.num_levels, attn.num_points
+            row_pap = PAPResult(
+                point_mask=np.ones_like(probs, dtype=bool),
+                attention_weights=probs,
+                threshold=0.0,
             )
-            if self.config.enable_pap:
-                row_pap = compute_point_mask(probs, threshold=self.config.pap_threshold)
-            else:
-                row_pap = PAPResult(
-                    point_mask=np.ones_like(probs, dtype=bool),
-                    attention_weights=probs,
-                    threshold=0.0,
-                )
-            pap_all = self._fold_query_mask(
-                row_pap,
-                grid_shape,
-                None if query_keep is None else query_keep.reshape(-1),
-                kept_q,
+        pap_all = self._fold_query_mask(
+            row_pap,
+            grid_shape,
+            None if query_keep is None else query_keep.reshape(-1),
+            kept_q,
+        )
+        point_masks = pap_all.point_mask.reshape((batch, n_q) + grid_shape[1:])
+        attn_weights = pap_all.attention_weights.reshape(point_masks.shape)
+        paps = [
+            PAPResult(
+                point_mask=point_masks[b],
+                attention_weights=attn_weights[b],
+                threshold=pap_all.threshold,
             )
-            point_masks = pap_all.point_mask.reshape((batch, n_q) + grid_shape[1:])
-            attn_weights = pap_all.attention_weights.reshape(point_masks.shape)
-            paps = [
-                PAPResult(
-                    point_mask=point_masks[b],
-                    attention_weights=attn_weights[b],
-                    threshold=pap_all.threshold,
-                )
-                for b in range(batch)
-            ]
+            for b in range(batch)
+        ]
 
         # Step 2: sampling offsets + range narrowing (batched clamp).
         offsets_shape = (batch, n_q) + grid_shape[1:] + (2,)
@@ -756,29 +727,18 @@ class DEFAAttention:
                 offsets = offsets_proj.reshape(offsets_shape)
                 if query_keep is not None:
                     # Dense path under query pruning: zero the pruned rows (in
-                    # place — the projection is a fresh array or a plan
-                    # buffer) so both paths record identical offsets.
+                    # place — the projection is a fresh array) so both paths
+                    # record identical offsets.
                     offsets *= query_keep[:, :, None, None, None, None]
         if self.range_narrowing is not None:
-            if plan is not None:
-                offsets = self.range_narrowing.clamp_offsets_inplace(offsets)
-            else:
-                offsets = self.range_narrowing.clamp_offsets(offsets)
-        if plan is not None:
-            # The offsets are dead once the locations exist: in place.
-            locations = attn.compute_sampling_locations(
-                reference_points, offsets, spatial_shapes, out=offsets
-            )
-        else:
-            locations = attn.compute_sampling_locations(
-                reference_points, offsets, spatial_shapes
-            )
+            offsets = self.range_narrowing.clamp_offsets(offsets)
+        locations = attn.compute_sampling_locations(reference_points, offsets, spatial_shapes)
 
         # Step 3: value projection with the per-image FWP masks (compacted
         # across the batch when the sparse path is active).
         with kernel_section("value_proj"):
             value, sparse_projection = self._project_values_batched(
-                value_input, fmap_mask, plan, backend=backend
+                value_input, fmap_mask, backend=backend
             )
 
         # Step 4: fused MSGS + aggregation over the whole batch, then
@@ -798,10 +758,10 @@ class DEFAAttention:
         if sparse_gather:
             with kernel_section("neighbors"):
                 trace = multi_scale_neighbors_sparse(
-                    spatial_shapes, locations, point_mask=effective_masks, plan=plan
+                    spatial_shapes, locations, point_mask=effective_masks
                 )
             head_outputs = ms_deform_attn_from_compact_trace(
-                value, trace, attn_weights, backend=backend, plan=plan
+                value, trace, attn_weights, backend=backend
             )
         else:
             with kernel_section("neighbors"):
@@ -815,22 +775,17 @@ class DEFAAttention:
         # pruning — pruned queries' rows equal the projection bias).
         with kernel_section("output_proj"):
             heads_in = head_outputs.reshape(batch, n_q, attn.d_model)
-            if plan is not None:
-                (output,) = project_into(
-                    (self._output_proj,), heads_in, plan, ("output",), backend=backend
+            if sparse_query:
+                output = np.zeros((batch * n_q, attn.d_model), dtype=FLOAT_DTYPE)
+                output += self._projection_bias(self._output_proj)
+                output[kept_q] = self._project_rows_batched(
+                    self._output_proj, heads_in, kept_q
                 )
-            elif sparse_query:
-                output = self._project_rows_batched(self._output_proj, heads_in, kept_q)
+                output = output.reshape(batch, n_q, attn.d_model)
             else:
                 output = self._project_batched(self._output_proj, heads_in)
-            if sparse_query:
-                out_flat = np.zeros((batch * n_q, attn.d_model), dtype=FLOAT_DTYPE)
-                out_flat += self._projection_bias(self._output_proj)
-                out_flat[kept_q] = output
-                output = out_flat.reshape(batch, n_q, attn.d_model)
 
         image_traces = trace.images()
-        planned = paps is None  # planned records carry no per-point grids
         images: list[DEFAAttentionOutput] = []
         for b in range(batch):
             stats = self._layer_stats(
@@ -848,96 +803,64 @@ class DEFAAttention:
                     output=output[b],
                     stats=stats,
                     fmap_mask_next=fwps[b].fmap_mask,
-                    point_mask=None if planned else point_masks[b],
-                    attention_weights=None if planned else attn_weights[b],
-                    sampling_locations=None if planned else locations[b],
+                    point_mask=point_masks[b],
+                    attention_weights=attn_weights[b],
+                    sampling_locations=locations[b],
                     trace_executed=image_traces[b],
                     fwp=fwps[b],
-                    pap=None if planned else paps[b],
+                    pap=paps[b],
                 )
             )
         if single:
             return images[0]
         return DEFAAttentionBatchOutput(output=output, images=images)
 
-    def _forward_query_rows(
-        self,
-        query: np.ndarray,
-        kept_q: np.ndarray,
-        reference_points: np.ndarray,
-        value_input: np.ndarray,
-        spatial_shapes: list[LevelShape],
-        fmap_mask: np.ndarray,
-        backend,
-        plan: ExecutionPlan,
-    ) -> DEFAAttentionBatchOutput:
-        """:meth:`forward_kept_rows` behind :meth:`forward_detailed`'s
-        full-grid contract: the kept rows are gathered from the full
-        ``(B, N_q, D)`` query (quantized with that query's per-image scales,
-        whatever its pruned rows hold), and the output rows are scattered
-        back, with the pruned queries' rows at the output-projection bias."""
-        d_model = self.attn.d_model
-        batch, n_q = query.shape[:2]
-        rows = plan.take("query", query.reshape(-1, d_model), kept_q)
-        row_max_abs = None
-        if self.config.quant_bits is not None:
-            row_max_abs = max_abs(query, axis=(1, 2))[kept_q // n_q][:, None]
-        result = self.forward_kept_rows(
-            rows, kept_q, reference_points, value_input, spatial_shapes,
-            fmap_mask, backend, plan, row_max_abs=row_max_abs,
-        )
-        output = plan.buffer("output", (batch * n_q, d_model))
-        output.fill(0)
-        output += self._projection_bias(self._output_proj)
-        output[kept_q] = result.output
-        output = output.reshape(batch, n_q, d_model)
-        for b, image in enumerate(result.images):
-            image.output = output[b]
-        return DEFAAttentionBatchOutput(output=output, images=result.images)
-
     def forward_kept_rows(
         self,
-        query_rows: np.ndarray,
-        kept_q: np.ndarray,
+        query: np.ndarray,
+        kept_q: np.ndarray | None,
         reference_points: np.ndarray,
         value_input: np.ndarray,
         spatial_shapes: list[LevelShape],
-        fmap_mask: np.ndarray,
+        fmap_mask: np.ndarray | None,
         backend,
         plan: ExecutionPlan,
-        row_max_abs: np.ndarray | None = None,
     ) -> DEFAAttentionBatchOutput:
-        """The planned block under row-compacted query pruning, in kept-query
-        space from the query rows to the output rows.
+        """The planned block: every fused / compiled encoder block runs here.
 
-        This is :meth:`forward_detailed` with a ``plan`` when its
-        ``sparse_query`` dispatch holds (the encoder runner checks it with the
-        same thresholds, :meth:`~repro.core.encoder_runner.DEFAEncoderRunner.
-        query_stage_plan`), minus the full ``(B * N_q)`` grids it would only
-        zero, scatter and gather again:
-
-        * ``query_rows`` ``(K_q, D)`` are the query rows of ``kept_q``, the
-          sorted flat indices of ``fmap_mask``'s kept pixels on the ``(B *
-          N_q)`` axis (``N_q = N_in``); ``backend`` is a resolved fused
-          backend.  Quantized projections scale each row by its image's
-          ``max|query|``: ``row_max_abs`` ``(K_q, 1)`` when given, otherwise
-          the max over the image's kept rows — equal when the pruned rows of
-          the query are zero, as the runner's are;
-        * the PAP mask, the probabilities, the offsets and the sampling
-          locations stay ``(K_q, N_h, N_l, N_p[, 2])`` arrays; the clamp and
-          the location math are elementwise;
-        * the compact trace is built from those rows
-          (:func:`~repro.nn.grid_sample.multi_scale_neighbors_rows`), with
-          ``kept`` in full point space as always; only a dense-gather
-          dispatch expands the rows into full grids for the dense kernel;
-        * ``output`` is ``(K_q, D)``: the output projection of the kept
-          rows, and each record's ``output`` is its image's slice of them.
-
-        Every value equals the full-grid planned path's bit for bit (the
+        It computes what :meth:`forward_detailed` computes, bit for bit (the
         same ufuncs on the same values in the same order, and matmuls over
-        the same row counts).  Records carry no ``point_mask``,
-        ``attention_weights``, ``sampling_locations`` or ``pap``, like every
-        planned record (see :meth:`forward_detailed`).
+        the same row counts), with every large intermediate in ``plan``'s
+        arena buffers.  The queries are the pixels (``N_q = N_in``, encoder
+        self-attention); ``value_input`` is the ``(B, N_in, D)`` batch,
+        ``fmap_mask`` its boolean ``(B, N_in)`` incoming FWP mask or
+        ``None`` (the caller normalizes and shape-checks it) and ``backend``
+        a resolved backend.  ``query`` comes in one of two forms:
+
+        * ``kept_q`` given (row-compacted query pruning): the sorted flat
+          indices of ``fmap_mask``'s kept pixels on the ``(B * N_q)`` axis,
+          and ``query`` their ``(K_q, D)`` rows.  The block stays in
+          kept-query space: the PAP mask, the probabilities, the offsets and
+          the sampling locations are ``(K_q, N_h, N_l, N_p[, 2])`` arrays,
+          the compact trace is built from those rows (``kept`` in full point
+          space as always), only a dense-gather dispatch expands them into
+          full grids, and ``output`` is the ``(K_q, D)`` output projection of
+          the kept rows.  Quantized projections scale each row by the
+          ``max|query|`` of its image's kept rows, which equals the full
+          query's when its pruned rows are zero, as the runner's are;
+        * ``kept_q=None``: every query row, ``query`` the full ``(B, N_q,
+          D)`` query and ``output`` ``(B, N_q, D)``.  Under query pruning
+          (``enable_query_pruning`` and a mask) this is the masked-dense
+          dispatch: the pruned rows' offsets are zeroed and the keep mask is
+          ANDed into the PAP mask.  Every array is a view of the full grid:
+          nothing is gathered or scattered.
+
+        Each record's ``output`` is its image's slice of ``output``.  The
+        returned arrays are arena buffers, valid until the plan's next
+        forward.  Records carry no ``point_mask``, ``attention_weights``,
+        ``sampling_locations`` or ``pap`` (all ``None``): the planned block
+        never builds those per-image grids, and the runner reads none of
+        them; detail consumers run :meth:`forward_detailed`.
         """
         attn = self.attn
         batch, n_in = value_input.shape[:2]
@@ -946,30 +869,44 @@ class DEFAAttention:
         n_q = n_in
         n_h, n_l, n_p = attn.num_heads, attn.num_levels, attn.num_points
         points_per_image = n_q * n_h * n_l * n_p
-        bounds = np.searchsorted(kept_q, np.arange(batch + 1, dtype=np.int64) * n_q)
+        image_starts = np.arange(batch + 1, dtype=np.int64) * n_q
         quantized = self.config.quant_bits is not None
-        if quantized and row_max_abs is None:
-            row_max_abs = image_row_max_abs(query_rows, bounds)
+        prune_queries = self.config.enable_query_pruning and fmap_mask is not None
+        if kept_q is None:
+            # Every row: project_into takes each image's scale from the
+            # (B, N_q, D) query, and the pruned queries are masked below.
+            bounds, rows_shape, row_max_abs = image_starts, (batch, n_q), None
+            query_keep = fmap_mask if prune_queries else None
+        else:
+            bounds = np.searchsorted(kept_q, image_starts)
+            rows_shape, query_keep = (kept_q.size,), None
+            row_max_abs = image_row_max_abs(query, bounds) if quantized else None
 
-        # Step 1: attention probabilities and PAP masks of the kept rows.
+        # Step 1: attention probabilities and PAP masks of the query rows.
         with kernel_section("query_proj"):
             heads = (self._attention_weights, self._sampling_offsets)
             logits, offsets = project_into(
-                heads, query_rows, plan, ("attn_logits", "offsets"),
+                heads, query, plan, ("attn_logits", "offsets"),
                 backend=backend, row_max_abs=row_max_abs,
             )
         probs = _softmax_inplace(logits.reshape(-1, n_h, n_l * n_p), plan)
         probs = probs.reshape(-1, n_h, n_l, n_p)
         point_mask = self._planned_point_mask(probs, plan)
+        if query_keep is not None:
+            np.logical_and(point_mask, query_keep.reshape(-1, 1, 1, 1), out=point_mask)
         slices = list(zip(bounds[:-1], bounds[1:]))  # each image's rows
         points_kept = [int(np.count_nonzero(point_mask[lo:hi])) for lo, hi in slices]
 
-        # Step 2: offsets, range narrowing and sampling locations.
-        offsets = offsets.reshape(probs.shape + (2,))
+        # Step 2: offsets, range narrowing and sampling locations, in place.
+        offsets = offsets.reshape(rows_shape + (n_h, n_l, n_p, 2))
+        if query_keep is not None:
+            offsets *= query_keep[:, :, None, None, None, None]
         if self.range_narrowing is not None:
             self.range_narrowing.clamp_offsets_inplace(offsets)
-        ref = np.asarray(reference_points, dtype=FLOAT_DTYPE)
-        ref_rows = ref.reshape(-1, n_l, 2)[kept_q if ref.ndim == 4 else kept_q % n_q]
+        ref_rows = reference_points
+        if kept_q is not None:
+            ref = np.asarray(reference_points, dtype=FLOAT_DTYPE)
+            ref_rows = ref.reshape(-1, n_l, 2)[kept_q if ref.ndim == 4 else kept_q % n_q]
         locations = attn.compute_sampling_locations(
             ref_rows, offsets, spatial_shapes, out=offsets
         )
@@ -981,13 +918,15 @@ class DEFAAttention:
             )
 
         # Step 4: MSGS + aggregation, then the FWP masks.
+        masked = self.config.enable_pap or prune_queries
         sparse_gather = sparse_gather_rule(
-            np.asarray(points_kept),
+            np.asarray(points_kept) if masked else None,
             points_per_image,
             points_per_image * 4,
             self.sparse_mode,
             self._thresholds(backend),
         )
+        grid = (batch, n_q, n_h, n_l, n_p)
         full_mask = None
         if sparse_gather:
             with kernel_section("neighbors"):
@@ -1001,14 +940,18 @@ class DEFAAttention:
         else:
             # The dense kernel reads full grids; a pruned query keeps no
             # point, so its zero rows contribute nothing.
-            grid = (batch, n_q, n_h, n_l, n_p)
-            full_mask = plan.zeros("fold.mask", grid, bool)
-            full_probs = plan.zeros("fold.weights", grid)
-            full_locations = plan.zeros("fold.locations", grid + (2,))
-            for full, rows in (
-                (full_mask, point_mask), (full_probs, probs), (full_locations, locations)
-            ):
-                full.reshape((batch * n_q,) + full.shape[2:])[kept_q] = rows
+            if kept_q is None:
+                full_mask = point_mask.reshape(grid)
+                full_probs = probs.reshape(grid)
+                full_locations = locations.reshape(grid + (2,))
+            else:
+                full_mask = plan.zeros("fold.mask", grid, bool)
+                full_probs = plan.zeros("fold.weights", grid)
+                full_locations = plan.zeros("fold.locations", grid + (2,))
+                for full, rows in (
+                    (full_mask, point_mask), (full_probs, probs), (full_locations, locations)
+                ):
+                    full.reshape((batch * n_q,) + full.shape[2:])[kept_q] = rows
             with kernel_section("neighbors"):
                 trace = multi_scale_neighbors(spatial_shapes, full_locations)
             head_outputs = ms_deform_attn_from_trace(
@@ -1016,26 +959,32 @@ class DEFAAttention:
             )
         fwps = self._fwp_masks(trace, sparse_gather, full_mask, spatial_shapes, batch)
 
-        # Step 5: output projection of the kept rows.
+        # Step 5: output projection of the query rows.
         with kernel_section("output_proj"):
-            heads_rows = plan.take(
-                "proj.rows", head_outputs.reshape(batch * n_q, attn.d_model), kept_q
-            )
+            if kept_q is None:
+                heads_in = head_outputs.reshape(batch, n_q, attn.d_model)
+                heads_max_abs = None
+            else:
+                heads_in = plan.take(
+                    "proj.rows", head_outputs.reshape(batch * n_q, attn.d_model), kept_q
+                )
+                heads_max_abs = image_row_max_abs(heads_in, bounds) if quantized else None
             (output,) = project_into(
-                (self._output_proj,), heads_rows, plan, ("output",), backend=backend,
-                row_max_abs=image_row_max_abs(heads_rows, bounds) if quantized else None,
+                (self._output_proj,), heads_in, plan, ("output",), backend=backend,
+                row_max_abs=heads_max_abs,
             )
 
         image_traces = trace.images()
+        output_rows = output.reshape(-1, attn.d_model)
         records = []
         for b, (lo, hi) in enumerate(slices):
             stats = self._layer_stats(
-                n_q, n_in, points_kept[b], fmap_mask[b], fwps[b],
-                sparse_projection, sparse_gather, True,
+                n_q, n_in, points_kept[b], None if fmap_mask is None else fmap_mask[b],
+                fwps[b], sparse_projection, sparse_gather, kept_q is not None,
             )
             records.append(
                 DEFAAttentionOutput(
-                    output=output[lo:hi],
+                    output=output_rows[lo:hi],
                     stats=stats,
                     fmap_mask_next=fwps[b].fmap_mask,
                     point_mask=None,

@@ -26,7 +26,7 @@ from repro.baselines.gpu import GPUCostModel, GPUSpec, RTX_3090TI
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
 from repro.core.pipeline import DEFAAttention
-from repro.kernels import COMPILED_AVAILABLE, ExecutionOptions, ExecutionPlan
+from repro.kernels import COMPILED_AVAILABLE, ExecutionOptions, ExecutionPlan, resolve_backend
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.msdeform_attn import MSDeformAttn
 from repro.nn.positional import make_reference_points, sine_positional_encoding
@@ -768,10 +768,11 @@ class KernelFusionReport:
     """Fused-vs-reference backend comparison of one sparse DEFA block.
 
     Every run executes the identical sparse path (same inputs, same masks,
-    same ``sparse_mode="sparse"``) and differs only in the kernel backend, so
-    ``max_abs_diff`` measures the backends' numerical agreement — which is
-    exactly 0 by construction (the fused backend performs the same float
-    operations in the same order).
+    same ``sparse_mode="sparse"``): the reference backend as the plan-less
+    block, the fused and compiled backends as the planned block the runner
+    executes.  ``max_abs_diff`` measures their numerical agreement on the
+    kept query rows — which is exactly 0 by construction (the planned block
+    performs the same float operations in the same order).
     """
 
     workload: str
@@ -814,32 +815,44 @@ def measure_kernel_fusion(
     The block setup is :func:`measure_sparse_speedup`'s (a first unmasked
     block produces a realistic FWP mask; the timed block receives it), but
     every timed run uses ``sparse_mode="sparse"`` and only the kernel backend
-    differs.  The fused (and compiled) runs thread their own
-    :class:`~repro.kernels.ExecutionPlan`, warmed before timing, so their
-    numbers reflect steady-state (warm-arena) execution.
+    differs.  The reference run is the plan-less
+    :meth:`~repro.core.pipeline.DEFAAttention.forward_detailed`; the fused
+    (and compiled) runs are the runner's planned block,
+    :meth:`~repro.core.pipeline.DEFAAttention.forward_kept_rows` on the kept
+    query rows, each in its own :class:`~repro.kernels.ExecutionPlan`
+    warmed before timing, so their numbers reflect steady-state (warm-arena)
+    execution.  The query's pruned rows are zero, as the runner's are, so
+    the INT12 scales of the kept rows equal the full query's.
     """
     config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
     defa, query, reference_points, features, fmap_mask = _masked_block(
         workload, config, "sparse", as_rng(rng)
     )
     shapes = workload.spatial_shapes
-    backends = ("reference", "fused") + (("compiled",) if COMPILED_AVAILABLE else ())
-    # One arena per backend: steady state per backend.
-    plans = {name: ExecutionPlan() if name != "reference" else None for name in backends}
+    query[~fmap_mask] = 0
+    kept = np.flatnonzero(fmap_mask)
+    backends = ("fused",) + (("compiled",) if COMPILED_AVAILABLE else ())
+    reference_options = ExecutionOptions(kernel_backend="reference")
 
-    def runner(backend: str):
-        options = ExecutionOptions(kernel_backend=backend)
-        return lambda: defa.forward_detailed(
-            query, reference_points, features, shapes,
-            fmap_mask=fmap_mask, options=options, plan=plans[backend],
+    def planned(name: str):
+        backend, plan = resolve_backend(name), ExecutionPlan()  # steady state per backend
+        return lambda: defa.forward_kept_rows(
+            plan.take("query", query, kept), kept, reference_points,
+            features[None], shapes, fmap_mask[None], backend, plan,
         )
 
-    variants = {name: runner(name) for name in backends}
+    variants = {
+        "reference": lambda: defa.forward_detailed(
+            query, reference_points, features, shapes,
+            fmap_mask=fmap_mask, options=reference_options,
+        )
+    }
+    variants.update((name, planned(name)) for name in backends)
     outputs = {name: run().output for name, run in variants.items()}  # warm-up
     return KernelFusionReport(
         workload=workload.name,
         timings=time_interleaved(variants, repeats),
-        max_abs_diff=_max_abs_diff(outputs["reference"], outputs["fused"]),
+        max_abs_diff=_max_abs_diff(outputs["reference"][kept], outputs["fused"]),
         compiled_max_abs_diff=(
             _max_abs_diff(outputs["fused"], outputs["compiled"])
             if COMPILED_AVAILABLE

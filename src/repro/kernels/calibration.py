@@ -491,13 +491,14 @@ def _sweep_point_gather(
 ) -> dict[int, dict[float, tuple[float, float]]]:
     """``{slots_per_image: {keep_ratio: (dense_s, sparse_s)}}`` for MSGS
     point gathering (dense trace + masked gather vs. compacted trace +
-    compact gather)."""
+    compact gather, as the planned block builds and runs them: the rows
+    trace builder over every query row and the backend's
+    ``compact_gather_aggregate``, both in one warm arena)."""
     from repro.kernels.plan import ExecutionPlan
     from repro.nn.grid_sample import (
-        ms_deform_attn_from_compact_trace,
         ms_deform_attn_from_trace,
         multi_scale_neighbors,
-        multi_scale_neighbors_sparse,
+        multi_scale_neighbors_rows,
     )
     from repro.utils.shapes import LevelShape
 
@@ -528,11 +529,12 @@ def _sweep_point_gather(
                 ms_deform_attn_from_trace(value, trace, weights, point_mask=mask)
 
             def sparse() -> None:
-                trace = multi_scale_neighbors_sparse(
-                    spatial_shapes, locations, point_mask=mask, plan=plan
+                trace, row_kept = multi_scale_neighbors_rows(
+                    spatial_shapes, locations, mask, None, 1, n_q, plan
                 )
-                ms_deform_attn_from_compact_trace(
-                    value, trace, weights, backend=backend, plan=plan
+                attn_flat = plan.take("msgs.attn", weights.reshape(-1), row_kept)
+                backend.compact_gather_aggregate(
+                    value.reshape(-1, d_head), trace, attn_flat, n_in, plan=plan
                 )
 
             sparse()  # warm the arena outside the timed region

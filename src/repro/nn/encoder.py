@@ -72,11 +72,13 @@ class DeformableEncoderLayer(Module):
         attn_output:
             Same-shape output of the attention block.  With a ``plan`` and a
             ``keep_mask`` it may instead be the attention output's kept rows
-            only, ``(K, D)`` in flat kept order — what the row-compact
-            attention block (:meth:`repro.core.pipeline.DEFAAttention.
-            forward_kept_rows`) produces.  The compact stage then adds them
-            as they are, with no gather; the masked-dense stage spreads them
-            over zero rows, whose results its mask discards.
+            only, ``(K, D)`` in flat kept order — what the planned attention
+            block (:meth:`repro.core.pipeline.DEFAAttention.
+            forward_kept_rows`) produces under row-compacted query pruning;
+            its other dispatches produce the same-shape output.  The compact
+            stage then adds the rows as they are, with no gather; the
+            masked-dense stage spreads them over zero rows, whose results
+            its mask discards.
         keep_mask:
             Optional boolean keep-mask over the rows (``(N,)``, or ``(B, N)``
             when batched).  Pruned rows skip the residual adds, ``norm1``, the

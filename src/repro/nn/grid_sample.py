@@ -757,7 +757,6 @@ def multi_scale_neighbors_sparse(
     spatial_shapes: list[LevelShape],
     sampling_locations: np.ndarray,
     point_mask: np.ndarray | None = None,
-    plan: ExecutionPlan | None = None,
 ) -> CompactSamplingTrace:
     """Compacted-trace variant of :func:`multi_scale_neighbors`.
 
@@ -771,13 +770,9 @@ def multi_scale_neighbors_sparse(
     per-image views.
 
     The per-point results are bit-identical to the dense trace restricted to
-    the kept points; construction cost scales with the keep ratio.  With a
-    ``plan`` every per-point array (levels, weights, validity, flat indices)
-    is built in place inside reused arena buffers — bit-identical to the
-    allocating path (same float expressions in the same order, with the
-    ``np.stack`` copies replaced by column stores).  The trace arrays then
-    *are* plan buffers: valid until the plan's next forward, per the
-    :class:`~repro.kernels.plan.ExecutionPlan` lifetime rules.
+    the kept points; construction cost scales with the keep ratio.  The
+    planned block builds the same trace in arena buffers with
+    :func:`multi_scale_neighbors_rows`.
     """
     sampling_locations, single = _batch_locations(spatial_shapes, sampling_locations)
     if point_mask is not None:
@@ -791,27 +786,22 @@ def multi_scale_neighbors_sparse(
     else:
         kept = np.flatnonzero(point_mask.reshape(-1))
 
-    if plan is not None:
-        lvl, weights, valid, safe_flat = _compact_trace_arrays_fused(
-            np.ascontiguousarray(sampling_locations).reshape(-1, 2), kept, n_p, spatial_shapes, plan
-        )
-    else:
-        widths = np.array([s.width for s in spatial_shapes], dtype=FLOAT_DTYPE)
-        heights = np.array([s.height for s in spatial_shapes], dtype=FLOAT_DTYPE)
-        hi = np.array([s.height for s in spatial_shapes], dtype=np.int64)
-        wi = np.array([s.width for s in spatial_shapes], dtype=np.int64)
-        starts = np.array(level_start_indices(spatial_shapes), dtype=np.int64)
-        lvl = (kept // n_p) % n_l
-        loc = np.ascontiguousarray(sampling_locations).reshape(total_points, 2)[kept]
-        # Identical float32 expressions as the dense trace path (via
-        # _neighbor_grid), so per-point results are bit-identical to the dense
-        # trace restricted to the kept points.
-        x = loc[:, 0] * widths[lvl] - 0.5
-        y = loc[:, 1] * heights[lvl] - 0.5
-        _, _, weights, valid, safe_flat = _neighbor_grid(
-            x, y, hi[lvl][:, None], wi[lvl][:, None], starts[lvl][:, None]
-        )
-        safe_flat[~valid] = -1  # freshly allocated: in-place scatter, no copy
+    widths = np.array([s.width for s in spatial_shapes], dtype=FLOAT_DTYPE)
+    heights = np.array([s.height for s in spatial_shapes], dtype=FLOAT_DTYPE)
+    hi = np.array([s.height for s in spatial_shapes], dtype=np.int64)
+    wi = np.array([s.width for s in spatial_shapes], dtype=np.int64)
+    starts = np.array(level_start_indices(spatial_shapes), dtype=np.int64)
+    lvl = (kept // n_p) % n_l
+    loc = np.ascontiguousarray(sampling_locations).reshape(total_points, 2)[kept]
+    # Identical float32 expressions as the dense trace path (via
+    # _neighbor_grid), so per-point results are bit-identical to the dense
+    # trace restricted to the kept points.
+    x = loc[:, 0] * widths[lvl] - 0.5
+    y = loc[:, 1] * heights[lvl] - 0.5
+    _, _, weights, valid, safe_flat = _neighbor_grid(
+        x, y, hi[lvl][:, None], wi[lvl][:, None], starts[lvl][:, None]
+    )
+    safe_flat[~valid] = -1  # freshly allocated: in-place scatter, no copy
     return CompactSamplingTrace(
         kept=kept,
         levels=lvl,
@@ -831,32 +821,38 @@ def multi_scale_neighbors_rows(
     spatial_shapes: list[LevelShape],
     row_locations: np.ndarray,
     row_mask: np.ndarray,
-    rows: np.ndarray,
+    rows: np.ndarray | None,
     batch_size: int,
     num_queries: int,
     plan: ExecutionPlan,
 ) -> tuple[CompactSamplingTrace, np.ndarray]:
-    """:func:`multi_scale_neighbors_sparse` from the kept query rows only.
+    """:func:`multi_scale_neighbors_sparse` from query rows, in arena buffers.
 
     ``row_locations`` ``(K_q, N_h, N_l, N_p, 2)`` and ``row_mask`` ``(K_q,
     N_h, N_l, N_p)`` hold the sampling locations and PAP mask of the query
     rows ``rows`` — sorted indices into the flat ``(B * N_q)`` query axis;
-    every query outside ``rows`` has no kept point.  Returns the trace and
-    ``row_kept``, the flat indices of the kept points into ``row_mask``.
-    The trace equals the one :func:`multi_scale_neighbors_sparse` builds
-    from the full ``(B, N_q, ...)`` grids bit for bit: its ``kept`` is in
-    full point space, ``rows[row_kept // P] * P + row_kept % P`` with ``P =
-    N_h * N_l * N_p``, in the same ascending order, and the per-point
-    arithmetic reads the same location values.
+    every query outside ``rows`` has no kept point.  ``rows=None`` means
+    every query row (``K_q = B * N_q``; any leading shape).  Returns the
+    trace and ``row_kept``, the flat indices of the kept points into
+    ``row_mask``.  The trace equals the one
+    :func:`multi_scale_neighbors_sparse` builds from the full ``(B, N_q,
+    ...)`` grids bit for bit: its ``kept`` is in full point space,
+    ``rows[row_kept // P] * P + row_kept % P`` with ``P = N_h * N_l * N_p``,
+    in the same ascending order, and the per-point arithmetic reads the same
+    location values.  The trace arrays are plan buffers: valid until the
+    plan's next forward, per the :class:`~repro.kernels.plan.ExecutionPlan`
+    lifetime rules.
     """
-    n_h, n_l, n_p = row_mask.shape[1:]
+    n_h, n_l, n_p = row_mask.shape[-3:]
     per_query = n_h * n_l * n_p
     flat_mask = row_mask.reshape(-1, per_query)
     row_kept = np.flatnonzero(flat_mask)
-    # Point i of compact row r sits at (rows[r] - r) * P past row_kept[i].
-    shift = (rows - np.arange(rows.size, dtype=np.int64)) * per_query
-    kept = np.repeat(shift, np.count_nonzero(flat_mask, axis=1))
-    kept += row_kept
+    kept = row_kept  # every query row: row space is point space
+    if rows is not None:
+        # Point i of compact row r sits at (rows[r] - r) * P past row_kept[i].
+        shift = (rows - np.arange(rows.size, dtype=np.int64)) * per_query
+        kept = np.repeat(shift, np.count_nonzero(flat_mask, axis=1))
+        kept += row_kept
     lvl, weights, valid, safe_flat = _compact_trace_arrays_fused(
         row_locations.reshape(-1, 2), row_kept, n_p, spatial_shapes, plan
     )
@@ -888,8 +884,8 @@ def _compact_trace_arrays_fused(
     ``loc_flat`` is the ``(points, 2)`` location table and ``kept`` the
     sorted rows of it to build; a row's level is ``(row // N_p) % N_l``, so
     the table may be the full point grid or whole query rows of it.
-    Bit-identical to the allocating branch of
-    :func:`multi_scale_neighbors_sparse`: every float expression matches
+    Bit-identical to :func:`multi_scale_neighbors_sparse`: every float
+    expression matches
     :func:`_neighbor_grid` (the int64 operand promotions included) and the
     stacks become column stores.  No ``(K, 4)`` row/column grids are built:
     validity comes from per-axis flags of the corner rows and columns, and
@@ -985,7 +981,6 @@ def ms_deform_attn_from_compact_trace(
     trace: CompactSamplingTrace,
     attention_weights: np.ndarray,
     backend=None,
-    plan: ExecutionPlan | None = None,
 ) -> np.ndarray:
     """MSGS + aggregation from a precomputed :class:`CompactSamplingTrace`.
 
@@ -1001,9 +996,7 @@ def ms_deform_attn_from_compact_trace(
     The gather + segment-sum implementation is selected by the kernel-backend
     registry (see :mod:`repro.kernels`): ``backend`` overrides the process
     default for this call, and the backends match each other bit for bit.
-    ``plan`` supplies the buffer arena of the fused backends (``None`` gives
-    the call a fresh one).  The returned array may be a plan buffer —
-    callers that retain it across forwards must copy.
+    Every call runs on a fresh arena, so the result is the caller's.
     """
     points_shape = (
         trace.batch_size,
@@ -1016,13 +1009,10 @@ def ms_deform_attn_from_compact_trace(
     attn_all = np.ascontiguousarray(
         _grid_arg("attention_weights", attention_weights, points_shape, False, FLOAT_DTYPE)
     ).reshape(-1)
-    if plan is not None:
-        attn_flat = plan.take("msgs.attn", attn_all, trace.kept)
-    else:
-        attn_flat = attn_all[trace.kept]
+    attn_flat = attn_all[trace.kept]
     batch, n_in, n_h, d_h = value.shape
     value_flat = np.ascontiguousarray(value).reshape(batch * n_in * n_h, d_h)
     output = resolve_backend(backend).compact_gather_aggregate(
-        value_flat, trace, attn_flat, n_in, plan=plan
+        value_flat, trace, attn_flat, n_in
     )
     return output.reshape(batch, trace.num_queries, n_h * d_h)

@@ -1,9 +1,11 @@
-"""The row-compact planned block and the rewrites that ride with it.
+"""The planned block and the rewrites that ride with it.
 
-Under row-compacted query pruning the planned (fused / compiled) runner keeps
-a block's query, sampling and output rows in kept-query space and scatters
-only once, into its residual-stream buffer.  It must equal the plan-less
-reference runner bit for bit: memory, generated FWP masks and every
+The planned (fused / compiled) runner runs every block through
+``DEFAAttention.forward_kept_rows``.  Under row-compacted query pruning it
+keeps a block's query, sampling and output rows in kept-query space and
+scatters only once, into its residual-stream buffer; any other block runs
+every row, the pruned ones masked.  It must equal the plan-less reference
+runner bit for bit: memory, generated FWP masks and every
 :class:`DEFALayerStats` field, for fp32 and INT12, single images and batches
 with uneven keeps.  The bitwise pins below check each rewritten expression
 against the one it replaced, on rows built to break a careless rewrite:
@@ -20,38 +22,42 @@ import pytest
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
 from repro.core.pap import point_keep_mask
-from repro.core.pipeline import _softmax_inplace
-from repro.kernels import COMPILED_AVAILABLE, ExecutionOptions, ExecutionPlan
+from repro.core.pipeline import DEFAAttention, _softmax_inplace
+from repro.kernels import COMPILED_AVAILABLE, ExecutionOptions, ExecutionPlan, resolve_backend
 from repro.kernels.backends import add_rows
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.grid_sample import multi_scale_neighbors_rows, multi_scale_neighbors_sparse
 from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.nn.tensor_utils import layer_norm, softmax
-from repro.utils.shapes import make_level_shapes
+from repro.utils.shapes import LevelShape, make_level_shapes
 
 FAST_BACKENDS = ("fused",) + (("compiled",) if COMPILED_AVAILABLE else ())
 SHAPES = make_level_shapes(96, 128, (4, 8, 16))
 N_IN = sum(s.num_pixels for s in SHAPES)
 NUM_LAYERS = 3
+SERVE_SHAPES = [LevelShape(8, 12), LevelShape(4, 6)]
+"""The perfbench ``serve_mixed`` workload's most frequent pyramid, 120
+tokens: below ``DispatchThresholds().min_queries``, so ``auto`` runs a
+masked block's queries masked-dense."""
 
 
-def _model(seed=0):
+def _model(seed=0, shapes=SHAPES, num_layers=NUM_LAYERS):
     encoder = DeformableEncoder(
-        num_layers=NUM_LAYERS,
+        num_layers=num_layers,
         d_model=64,
         num_heads=4,
-        num_levels=len(SHAPES),
+        num_levels=len(shapes),
         num_points=2,
         ffn_dim=128,
         rng=seed,
     )
-    pos = sine_positional_encoding(SHAPES, 64)
-    return encoder, pos, make_reference_points(SHAPES)
+    pos = sine_positional_encoding(shapes, 64)
+    return encoder, pos, make_reference_points(shapes)
 
 
-def _features(batch, seed=1):
+def _features(batch, seed=1, n_in=N_IN):
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((batch, N_IN, 64)).astype(np.float32)
+    return rng.standard_normal((batch, n_in, 64)).astype(np.float32)
 
 
 def _masks(keeps, seed=2):
@@ -74,14 +80,14 @@ def _assert_runs_equal(got, want):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
-def _run_pair(config, backend, features, fmap_masks=None, **runner_kw):
-    encoder, pos, reference = _model()
+def _run_pair(config, backend, features, fmap_masks=None, shapes=SHAPES, **runner_kw):
+    encoder, pos, reference = _model(shapes=shapes, num_layers=runner_kw.get("layers", NUM_LAYERS))
     runs = []
     for name in (backend, "reference"):
         options = ExecutionOptions(kernel_backend=name, **runner_kw.get("options", {}))
         runner = DEFAEncoderRunner(encoder, config, options)
         runner.enable_sparse_ffn = runner_kw.get("sparse_ffn", True)
-        runs.append(runner.forward(features, pos, reference, SHAPES, fmap_masks=fmap_masks))
+        runs.append(runner.forward(features, pos, reference, shapes, fmap_masks=fmap_masks))
     return runs
 
 
@@ -142,31 +148,52 @@ class TestCompactBlockEquivalence:
         _assert_runs_equal(got, want)
 
     @pytest.mark.parametrize("quant_bits", [None, 12])
-    def test_attention_block_with_plan_keeps_full_output(self, quant_bits):
-        """``forward_detailed`` with a plan runs the kept-rows block but keeps
-        its full-grid output contract, quantizing with the full query's
-        scales even where the pruned rows are not zero."""
-        from repro.core.pipeline import DEFAAttention
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_below_min_queries_equals_reference(self, quant_bits, batch):
+        """``serve_mixed``'s pyramid in ``auto``: the first block runs every
+        row with no mask, the masked second block every row under the
+        masked-dense query dispatch (the keep mask ANDed into PAP, pruned
+        offsets zeroed)."""
+        config = DEFAConfig(fwp_k=1.0, quant_bits=quant_bits, enable_query_pruning=True)
+        n_in = sum(s.num_pixels for s in SERVE_SHAPES)
+        got, want = _run_pair(
+            config, "fused", _features(batch, n_in=n_in), shapes=SERVE_SHAPES, layers=2
+        )
+        stats = got.images[0].layer_stats
+        assert [s.mask_applied for s in stats] == [False, True]
+        assert stats[1].pixels_kept < stats[1].pixels_total
+        assert not any(s.sparse_query for s in stats)
+        _assert_runs_equal(got, want)
 
+    @pytest.mark.parametrize("quant_bits", [None, 12])
+    @pytest.mark.parametrize("sparse_mode", ["sparse", "dense"])
+    def test_planned_block_equals_plan_less_block(self, quant_bits, sparse_mode):
+        """``forward_kept_rows`` on the runner's query (pruned rows zero)
+        equals ``forward_detailed``: on the kept rows under the compact
+        query dispatch, on every row under the masked-dense one."""
         encoder, pos, reference = _model()
         config = DEFAConfig(fwp_k=1.0, quant_bits=quant_bits, enable_query_pruning=True)
-        block = DEFAAttention(encoder.layers[0].self_attn, config, ExecutionOptions(sparse_mode="sparse"))
+        block = DEFAAttention(
+            encoder.layers[0].self_attn, config, ExecutionOptions(sparse_mode=sparse_mode)
+        )
         value = _features(2)
-        query = value + pos
         mask = _masks((0.3, 0.9))[0]
-        for b in range(2):  # the largest |query| of each image sits in a pruned row
-            query[b, np.flatnonzero(~mask[b])[0]] = 40.0
-        planned = block.forward_detailed(
-            query, reference, value, SHAPES, fmap_mask=mask,
-            options=ExecutionOptions(kernel_backend="fused"), plan=ExecutionPlan(),
+        query = value + pos
+        query[~mask] = 0
+        kept = np.flatnonzero(mask) if sparse_mode == "sparse" else None
+        planned = block.forward_kept_rows(
+            query if kept is None else query.reshape(-1, 64)[kept], kept, reference,
+            value, SHAPES, mask, resolve_backend("fused"), ExecutionPlan(),
         )
         plain = block.forward_detailed(
             query, reference, value, SHAPES, fmap_mask=mask,
             options=ExecutionOptions(kernel_backend="reference"),
         )
-        assert np.array_equal(planned.output.view(np.uint32), plain.output.view(np.uint32))
+        want = plain.output if kept is None else plain.output.reshape(-1, 64)[kept]
+        assert np.array_equal(planned.output.view(np.uint32), want.view(np.uint32))
         for a, b in zip(planned.images, plain.images):
             assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
+            assert a.stats.sparse_query == (kept is not None)
             assert a.point_mask is None and a.pap is None  # a planned record
             assert b.point_mask is not None
 

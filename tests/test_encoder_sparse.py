@@ -20,10 +20,13 @@ import pytest
 
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
+from repro.core.fwp import normalize_mask
+from repro.eval.profiler import measure_encoder_blockwise_equivalence
 from repro.kernels import ExecutionOptions
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.utils.shapes import LevelShape
+from repro.workloads.specs import get_workload
 
 TOL = 1e-5
 """Strict float32-path equivalence tolerance (unquantized configs)."""
@@ -353,6 +356,23 @@ class TestQueryAddStage:
         assert keep is not None and not compact
 
 
+class TestLockstepProbe:
+    """The ``run_all`` encoder equivalence probe at ``small``, where an fp32
+    config drifts far less than INT12 (at ``tiny`` both read about 0)."""
+
+    @pytest.mark.parametrize(
+        "quant_bits, tol", [(None, TOL), (12, ENCODER_QUANT_TOL)], ids=["fp32", "int12"]
+    )
+    def test_encoder_blockwise(self, quant_bits, tol):
+        drift = measure_encoder_blockwise_equivalence(
+            get_workload("deformable_detr", "small"),
+            config=DEFAConfig(fwp_k=1.0, quant_bits=quant_bits, enable_query_pruning=True),
+            num_layers=2,
+            rng=0,
+        )
+        assert drift <= tol
+
+
 class TestIntegerMaskNormalization:
     """Integer/uint8 masks are normalized to bool once at the boundary and
     must flow through the full encoder identically to boolean masks."""
@@ -365,19 +385,22 @@ class TestIntegerMaskNormalization:
         want = runner.forward(features, pos, reference, SHAPES)
 
         # The same loop (on the B=1 batch the runner executes), but every
-        # block boundary receives an integer mask.
+        # block boundary receives an integer mask: the attention block
+        # normalizes it itself, the stage plans get it normalized once, as
+        # the runner does.
         x = np.asarray(features, dtype=np.float32)[None]
         fmap_mask = None
         masks = []
         backend = runner.resolved_backend()
         for layer, defa in zip(runner.encoder.layers, runner.defa_layers):
             int_mask = None if fmap_mask is None else fmap_mask.astype(dtype)
-            q_keep, q_compact = runner.query_stage_plan(int_mask, x.shape[1], backend)
+            keep = normalize_mask(int_mask)
+            q_keep, q_compact = runner.query_stage_plan(keep, x.shape[1], backend)
             query = runner._build_query(x, pos, q_keep, q_compact, None)
             attn_out = defa.forward_detailed(
                 query, reference, x, SHAPES, fmap_mask=int_mask
             )
-            keep_mask, compact = runner.ffn_stage_plan(int_mask, x.shape[1], backend)
+            keep_mask, compact = runner.ffn_stage_plan(keep, x.shape[1], backend)
             x = layer.forward_ffn_stage(
                 x, attn_out.output, keep_mask=keep_mask, compact=compact
             )
@@ -388,9 +411,36 @@ class TestIntegerMaskNormalization:
         for got, ref_mask in zip(masks, want.fmap_masks):
             np.testing.assert_array_equal(got, ref_mask)
 
-    def test_normalize_mask_contract(self):
-        from repro.core.fwp import normalize_mask
+    @pytest.mark.parametrize("backend", ["fused", "reference"])
+    @pytest.mark.parametrize("sparse_mode", ["auto", "sparse"])
+    @pytest.mark.parametrize("query_pruning", [True, False])
+    def test_integer_fmap_masks_through_the_runner(self, query_pruning, sparse_mode, backend):
+        """Integer ``fmap_masks=``: the runner normalizes each block's mask
+        once, before the query add, the (planned or plan-less) block and
+        the FFN stage read it, so the run equals the boolean-mask run and
+        the plan-less reference run bit for bit."""
+        encoder = _make_encoder(seed=26)
+        features, pos, reference = _inputs(seed=27, batch=2)
+        config = DEFAConfig(enable_query_pruning=query_pruning)
 
+        def run(kernel_backend, masks):
+            options = ExecutionOptions(kernel_backend=kernel_backend, sparse_mode=sparse_mode)
+            runner = DEFAEncoderRunner(encoder, config, options)
+            return runner.forward(features, pos, reference, SHAPES, fmap_masks=masks)
+
+        generated = run("reference", None).images[0].fmap_masks
+        masks = [None] + [np.stack([m, m[::-1]]) for m in generated[:-1]]
+        assert not masks[1].all()
+        int_masks = [None if m is None else m.astype(np.uint8) * 3 for m in masks]
+        got = run(backend, int_masks)
+        for want in (run(backend, masks), run("reference", masks)):
+            assert np.array_equal(got.memory.view(np.uint32), want.memory.view(np.uint32))
+            for got_image, want_image in zip(got.images, want.images):
+                assert got_image.layer_stats == want_image.layer_stats
+                for a, b in zip(got_image.fmap_masks, want_image.fmap_masks):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_normalize_mask_contract(self):
         assert normalize_mask(None) is None
         boolean = np.array([True, False, True])
         assert normalize_mask(boolean) is boolean  # no copy for bool masks

@@ -45,6 +45,7 @@ from repro.nn.encoder import DeformableEncoder
 from repro.nn.modules import Linear
 from repro.nn.grid_sample import (
     ms_deform_attn_from_compact_trace,
+    multi_scale_neighbors_rows,
     multi_scale_neighbors_sparse,
 )
 from repro.nn.positional import make_reference_points, sine_positional_encoding
@@ -206,10 +207,12 @@ class TestFusedBitIdentity:
         np.testing.assert_array_equal(first, snapshot)
 
     def test_fused_trace_construction_bit_identical(self):
+        """The planned block's trace builder over every query row equals the
+        allocating compact trace."""
         _, locs, _, mask = _kernel_inputs(seed=3)
         ref = multi_scale_neighbors_sparse(SHAPES, locs, point_mask=mask)
-        fused = multi_scale_neighbors_sparse(
-            SHAPES, locs, point_mask=mask, plan=ExecutionPlan()
+        fused, _ = multi_scale_neighbors_rows(
+            SHAPES, locs, mask, None, 1, locs.shape[0], ExecutionPlan()
         )
         for field in ("kept", "levels", "flat_indices", "weights", "valid"):
             assert np.array_equal(getattr(ref, field), getattr(fused, field)), field
@@ -228,9 +231,9 @@ class TestFusedBitIdentity:
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_fused_trace_edge_cases_byte_equal(self, case):
-        """The planned trace (per-axis flags and one base per point) equals
-        the plan-less ``_neighbor_grid`` path byte for byte, 1x1 level
-        included, and every invalid corner reads -1."""
+        """The planned trace builder (per-axis flags and one base per point)
+        equals the plan-less ``_neighbor_grid`` path byte for byte, 1x1
+        level included, and every invalid corner reads -1."""
         points = np.array(self.EDGE_CASES[case], dtype=np.float32)  # (P, 2)
         n_l = len(self.EDGE_SHAPES)
         locs = np.broadcast_to(points[None, None, None], (2, 1, n_l) + points.shape)
@@ -239,8 +242,8 @@ class TestFusedBitIdentity:
         mask[0, 1, 0, 1, ::2] = False
         with np.errstate(invalid="ignore"):  # NaN/Inf floors cast to int64
             ref = multi_scale_neighbors_sparse(self.EDGE_SHAPES, locs, point_mask=mask)
-            fused = multi_scale_neighbors_sparse(
-                self.EDGE_SHAPES, locs, point_mask=mask, plan=ExecutionPlan()
+            fused, _ = multi_scale_neighbors_rows(
+                self.EDGE_SHAPES, locs, mask, None, 1, locs.shape[1], ExecutionPlan()
             )
         for field in ("levels", "weights", "valid", "flat_indices"):
             want, got = getattr(ref, field), getattr(fused, field)
@@ -885,7 +888,7 @@ class TestRankMajorSegmentSum:
     def test_block_with_segments_longer_than_the_rank_major_form(self, backend, planned):
         """A masked sparse DEFA block of 3 levels x 6 points (18 points a
         segment: the trace-order sum) equals the reference backend bit for
-        bit, with an execution plan and without one."""
+        bit, as the planned block and as the plan-less one."""
         from repro.core.pipeline import DEFAAttention
         from repro.nn.msdeform_attn import MSDeformAttn
 
@@ -900,16 +903,22 @@ class TestRankMajorSegmentSum:
             attn, DEFAConfig(fwp_k=1.0, pap_threshold=0.005), ExecutionOptions(sparse_mode="sparse")
         )
 
-        def run(kernel_backend, fmap_mask=None, plan=None):
+        def run(kernel_backend, fmap_mask=None):
             return defa.forward_detailed(
                 query, reference, features, shapes, fmap_mask=fmap_mask,
-                options=ExecutionOptions(kernel_backend=kernel_backend), plan=plan,
+                options=ExecutionOptions(kernel_backend=kernel_backend),
             )
 
         fmap_mask = np.stack([image.fmap_mask_next for image in run("reference").images])
         assert not fmap_mask.all()
         ref = run("reference", fmap_mask)
-        got = run(backend, fmap_mask, ExecutionPlan() if planned else None)
+        if planned:
+            got = defa.forward_kept_rows(
+                query, None, reference, features, shapes, fmap_mask,
+                resolve_backend(backend), ExecutionPlan(),
+            )
+        else:
+            got = run(backend, fmap_mask)
         assert all(image.stats.sparse_gather for image in got.images)
         assert np.array_equal(ref.output.view(np.uint32), got.output.view(np.uint32))
 

@@ -220,9 +220,12 @@ class TestWarmArenas:
 
 
 class TestLockstepEquivalence:
+    """At ``small``: at ``tiny`` the INT12 drift reads 0.0 too, so an fp32
+    probe that ran INT12 would pass."""
+
     def test_streaming_blockwise_fp32(self):
         drift = measure_streaming_blockwise_equivalence(
-            get_workload("deformable_detr", "tiny"),
+            get_workload("deformable_detr", "small"),
             config=DEFAConfig(fwp_k=1.0, quant_bits=None, enable_query_pruning=True),
             num_layers=2,
             num_frames=3,
@@ -232,7 +235,7 @@ class TestLockstepEquivalence:
 
     def test_streaming_blockwise_int12(self):
         drift = measure_streaming_blockwise_equivalence(
-            get_workload("deformable_detr", "tiny"), num_layers=2, num_frames=3, rng=0
+            get_workload("deformable_detr", "small"), num_layers=2, num_frames=3, rng=0
         )
         assert drift <= 2e-2
 
