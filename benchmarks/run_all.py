@@ -64,10 +64,7 @@ from repro.eval.profiler import (
 from repro.kernels import (
     COMPILED_AVAILABLE,
     KERNEL_BACKENDS,
-    get_active_profile,
     get_backend,
-    resolve_profile,
-    set_active_profile,
     set_backend,
 )
 from repro.kernels.compiled_backend import COMPILED_EQUIVALENCE_TOL
@@ -480,14 +477,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero if sparse/dense or batched/serial equivalence "
                              "drifts, with a per-probe summary")
-    parser.add_argument("--profile", default=None, metavar="PROFILE",
-                        help="dispatch profile every probe runs under: 'reference' or a "
-                             "path to a calibrated MachineProfile JSON (see "
-                             "repro.kernels.calibration; default: the process default — "
-                             "REPRO_MACHINE_PROFILE or the committed reference profile). "
-                             "A calibrated profile moves the dense/sparse crossovers, so "
-                             "--check only accepts 'reference' (the committed constants "
-                             "the equivalence baselines were recorded under)")
     args = parser.parse_args(argv)
 
     preset = SCALE_PRESETS[args.scale]
@@ -506,17 +495,10 @@ def main(argv: list[str] | None = None) -> int:
         selected = list(PROBE_RUNNERS)
     if args.backend is not None:
         set_backend(args.backend)
-    if args.profile is not None:
-        if args.check and args.profile != "reference":
-            parser.error(
-                "--check requires the deterministic committed constants; "
-                "combine it only with --profile reference"
-            )
-        set_active_profile(resolve_profile(args.profile))
 
     print(
         f"running benchmarks (scale={args.scale}, repeats={repeats}, "
-        f"backend={get_backend().name}, profile={get_active_profile().name}) ..."
+        f"backend={get_backend().name}) ..."
     )
     record = {
         "name": "run_all",
@@ -524,7 +506,6 @@ def main(argv: list[str] | None = None) -> int:
             "scale": args.scale,
             "repeats": repeats,
             "kernel_backend": get_backend().name,
-            "machine_profile": get_active_profile().name,
         },
         "benchmarks": [
             asdict(PROBE_RUNNERS[name](preset, repeats)) for name in selected

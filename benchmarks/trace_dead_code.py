@@ -82,12 +82,10 @@ def entry_points(out: Path) -> list[list[str]]:
         [py, "-m", "repro.experiments.runner", "--output-dir", str(out / "runner")],
         [py, "-m", "repro.experiments.runner", "fig1b", "table1", "--jobs", "2",
          "--output-dir", str(out / "jobs")],
-        [py, "-m", "repro.kernels", "--check-reference"],
-        [py, "-m", "repro.kernels", "--grid", "tiny", "--output", str(out / "host.json")],
         [py, run_all, "--repeats", "1", "--check", "--json", str(out / "all.json")],
         [py, run_all, "--only", "serving,serving_faults", "--check", "--json", str(out / "c.json")],
         [py, run_all, "--only", "kernel_fusion", "--backend", "reference",
-         "--profile", str(out / "host.json"), "--json", str(out / "ref.json")],
+         "--json", str(out / "ref.json")],
         [py, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks/bench_serving.py"],
     ]
 

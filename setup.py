@@ -60,10 +60,6 @@ setup(
     # `build_ext --inplace` drops the library next to repro/kernels/.
     package_dir={"": "src"},
     packages=find_packages("src"),
-    # The committed reference dispatch profile must travel with the wheel:
-    # it is the bit-deterministic default every host falls back to when no
-    # calibrated profile is installed (see repro/kernels/calibration.py).
-    package_data={"repro.kernels": ["profiles/*.json"]},
     ext_modules=[DEFA_KERNELS],
     cmdclass={"build_ext": OptionalBuildExt},
 )

@@ -31,9 +31,9 @@ class DEFAConfig:
     """Algorithm-level configuration of DEFA.
 
     The config says *what* is computed: every field can change the outputs.
-    *How* it executes — the dense/sparse path, the kernel backend and the
-    dispatch profile, none of which change the numerics of a chosen path —
-    lives in :class:`~repro.kernels.ExecutionOptions`.
+    *How* it executes — the dense/sparse path and the kernel backend,
+    neither of which changes the numerics of a chosen path — lives in
+    :class:`~repro.kernels.ExecutionOptions`.
 
     Parameters
     ----------

@@ -37,11 +37,11 @@ from repro.core.pipeline import (
     use_sparse_rows,
 )
 from repro.kernels import (
+    DISPATCH_THRESHOLDS,
     ExecutionOptions,
     ExecutionPlan,
     normalize_execution_options,
     resolve_backend,
-    resolve_profile,
 )
 from repro.kernels.plan import thread_plan
 from repro.nn.encoder import DeformableEncoder
@@ -147,8 +147,8 @@ class DEFAEncoderRunner:
         path.  The same switch governs the inter-block FFN/LayerNorm stage
         under query pruning (thresholds
         :attr:`~repro.kernels.DispatchThresholds.ffn_keep_max` /
-        :attr:`~repro.kernels.DispatchThresholds.ffn_min_tokens` in
-        ``"auto"``).
+        :attr:`~repro.kernels.DispatchThresholds.ffn_min_tokens` of
+        :data:`~repro.kernels.DISPATCH_THRESHOLDS` in ``"auto"``).
 
         ``kernel_backend`` is the kernel-backend specification (name,
         backend object, or ``None`` to follow the process default; the
@@ -163,9 +163,6 @@ class DEFAEncoderRunner:
         :meth:`execution_plan`), reused across blocks and across forwards of
         the same shape signature.  ``collect_details=True`` runs the
         plan-less blocks on any backend.
-
-        ``machine_profile`` is resolved once here and forwarded to every
-        block.
     """
 
     def __init__(
@@ -183,19 +180,10 @@ class DEFAEncoderRunner:
         cost profile of sparse attention with dense inter-block work under
         the *same* frozen-row semantics.  Numerics are unaffected."""
         self.kernel_backend = options.kernel_backend
-        self.machine_profile = resolve_profile(options.machine_profile)
-        """The host dispatch profile (PR 9) governing every ``auto``
-        crossover threshold of this runner — the blocks' row dispatch, the
-        inter-block query/FFN stages and the point-gather rule — resolved
-        once at construction (``None`` followed the process-default active
-        profile) and forwarded to every block."""
         # The plans this runner holds alive, by (thread id, key), least
         # recently used first (see execution_plan).
         self._plans: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
-        block_options = ExecutionOptions(
-            sparse_mode=options.sparse_mode or "auto",
-            machine_profile=self.machine_profile,
-        )
+        block_options = ExecutionOptions(sparse_mode=options.sparse_mode or "auto")
         self.defa_layers = [
             DEFAAttention(layer.self_attn, config, block_options)
             for layer in encoder.layers
@@ -266,17 +254,15 @@ class DEFAEncoderRunner:
         ``backend`` names the kernel backend the runner *actually* executes
         with right now — after registry fallback, so a worker that requested
         ``"compiled"`` on a host without the built extension reports
-        ``"fused"`` here.  ``profile`` names the active dispatch profile
-        (``"reference"`` unless a calibrated host profile was installed).
+        ``"fused"`` here.
         """
         return {
             "backend": self.resolved_backend().name,
-            "profile": self.machine_profile.name,
             **arena_counters(self._plans.values()),
         }
 
     def query_stage_plan(
-        self, fmap_mask: np.ndarray | None, queries_per_image: int, backend
+        self, fmap_mask: np.ndarray | None, queries_per_image: int
     ) -> tuple[np.ndarray | None, bool]:
         """``(keep_mask, compact)`` for the pre-attention ``query = x + pos`` add.
 
@@ -289,14 +275,13 @@ class DEFAEncoderRunner:
         equivalent to the PR 4 full add (every projection of a pruned row is
         already masked out downstream).  The compact/masked choice follows
         the same :func:`~repro.core.pipeline.use_sparse_rows` gate as the
-        query-side projections inside the attention block, under the
-        thresholds of the (resolved) ``backend`` the forward runs with.
+        query-side projections inside the attention block.
         ``fmap_mask`` is boolean: :meth:`forward` normalizes each block's
         mask once.
         """
         if not self.config.enable_query_pruning or fmap_mask is None:
             return None, False
-        t = self.machine_profile.thresholds_for(backend.name)
+        t = DISPATCH_THRESHOLDS
         compact = use_sparse_rows(
             fmap_mask, queries_per_image, t.query_keep_max, t.min_queries, self.sparse_mode
         )
@@ -340,7 +325,7 @@ class DEFAEncoderRunner:
         return rows
 
     def ffn_stage_plan(
-        self, fmap_mask: np.ndarray | None, tokens_per_image: int, backend
+        self, fmap_mask: np.ndarray | None, tokens_per_image: int
     ) -> tuple[np.ndarray | None, bool]:
         """``(keep_mask, compact)`` for the inter-block FFN/LayerNorm stage.
 
@@ -350,13 +335,12 @@ class DEFAEncoderRunner:
         incoming mask — the first block therefore always runs dense.  The
         compact/masked-dense execution choice then follows the shared
         :func:`~repro.core.pipeline.use_sparse_rows` rule under this runner's
-        ``sparse_mode`` and the (resolved) ``backend``'s thresholds, unless
-        :attr:`enable_sparse_ffn` pins it dense.  ``fmap_mask`` is boolean,
-        as for :meth:`query_stage_plan`.
+        ``sparse_mode``, unless :attr:`enable_sparse_ffn` pins it dense.
+        ``fmap_mask`` is boolean, as for :meth:`query_stage_plan`.
         """
         if not self.config.enable_query_pruning or fmap_mask is None:
             return None, False
-        t = self.machine_profile.thresholds_for(backend.name)
+        t = DISPATCH_THRESHOLDS
         compact = self.enable_sparse_ffn and use_sparse_rows(
             fmap_mask, tokens_per_image, t.ffn_keep_max, t.ffn_min_tokens, self.sparse_mode
         )
@@ -408,8 +392,7 @@ class DEFAEncoderRunner:
             )
         batch, n_in = x.shape[0], x.shape[1]
         pos = np.asarray(pos, dtype=FLOAT_DTYPE)
-        # Resolved once per forward: every block and both inter-block stage
-        # plans run with (and look up thresholds for) this one backend.
+        # Resolved once per forward: every block runs with this one backend.
         backend = self.resolved_backend()
         # collect_details hands the per-block outputs to the caller, so they
         # must not live in arena buffers that the next block overwrites: a
@@ -437,7 +420,7 @@ class DEFAEncoderRunner:
                     raise ValueError("fmap_mask must have shape (N_in,), or (B, N_in) for a batch")
             # Pre-attention query add, skipped for FWP-pruned pixels under
             # query pruning (their rows never act as queries).
-            q_keep, q_compact = self.query_stage_plan(fmap_mask, n_in, backend)
+            q_keep, q_compact = self.query_stage_plan(fmap_mask, n_in)
             if plan is None:
                 attn_out = defa_attn.forward_detailed(
                     self._build_query(x, pos, q_keep, q_compact, None),
@@ -469,7 +452,7 @@ class DEFAEncoderRunner:
             # The inter-block stage prunes on the masks applied to *this*
             # block (the rows that did not act as queries), so it must run
             # before the masks advance to the ones this block generated.
-            keep_mask, compact = self.ffn_stage_plan(fmap_mask, n_in, backend)
+            keep_mask, compact = self.ffn_stage_plan(fmap_mask, n_in)
             stream = None
             if plan is not None:
                 # One residual-stream buffer: block 0 writes it (a masked

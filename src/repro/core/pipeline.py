@@ -38,7 +38,7 @@ The block-sparse encoder (PR 4) carries the same mask through the
 and ``norm2`` of a pruned pixel are skipped as well — its row is frozen at
 the block input — with the row-compacted execution living in
 :meth:`repro.nn.encoder.DeformableEncoderLayer.forward_ffn_stage` and the
-dispatch thresholds in :class:`~repro.kernels.DispatchThresholds`
+dispatch thresholds in :data:`~repro.kernels.DISPATCH_THRESHOLDS`
 (``ffn_keep_max`` / ``ffn_min_tokens``) next to the others.
 """
 
@@ -52,12 +52,11 @@ from repro.core.config import DEFAConfig
 from repro.core.flops import FlopsBreakdown, msdeform_attn_flops
 from repro.core.fwp import FWPResult, compute_fmap_mask, normalize_mask
 from repro.kernels import (
-    DispatchThresholds,
+    DISPATCH_THRESHOLDS,
     ExecutionOptions,
     ExecutionPlan,
     normalize_execution_options,
     resolve_backend,
-    resolve_profile,
 )
 from repro.kernels.fused_ops import image_row_max_abs, project_into
 from repro.core.pap import PAPResult, compute_point_mask, point_keep_mask
@@ -100,11 +99,10 @@ def use_sparse_rows(
     alone make the same decision wherever possible.
 
     Boundary semantics (pinned by boundary-value tests; must match
-    :func:`~repro.nn.grid_sample.use_sparse_gather` so a calibrated profile
-    with equal crossover values cannot flip the path choice): the minimum
-    size compares with ``<`` — ``rows_per_image == min_rows`` is
-    sparse-eligible — and the keep ratio with ``<=`` — ``keep_fraction ==
-    keep_max`` goes sparse.
+    :func:`~repro.nn.grid_sample.use_sparse_gather`): the minimum size
+    compares with ``<`` — ``rows_per_image == min_rows`` is sparse-eligible
+    — and the keep ratio with ``<=`` — ``keep_fraction == keep_max`` goes
+    sparse.
     """
     if mask is None or sparse_mode == "dense":
         return False
@@ -301,8 +299,8 @@ class DEFAAttention:
         equivalence-tested to 1e-5; ``kernel_backend`` names the kernel
         backend for the compact-trace kernels (``None`` follows the process
         default — resolved per call, so :func:`repro.kernels.set_backend`
-        takes effect immediately; the backends are bit-identical);
-        ``machine_profile`` is resolved once here.
+        takes effect immediately; the backends are bit-identical).
+        ``auto`` compares with :data:`~repro.kernels.DISPATCH_THRESHOLDS`.
 
     :meth:`forward_detailed` is the plan-less block (every detail record);
     :meth:`forward_kept_rows` is the planned block the fused / compiled
@@ -324,11 +322,6 @@ class DEFAAttention:
         self.config = config
         self.sparse_mode = options.sparse_mode or "auto"
         self.kernel_backend = options.kernel_backend
-        self.machine_profile = resolve_profile(options.machine_profile)
-        """The host dispatch profile governing this block's ``auto``
-        thresholds, resolved once at construction (``None`` followed the
-        process-default active profile).  Per-backend overrides are looked
-        up per forward, after backend resolution."""
 
         self.range_narrowing: RangeNarrowing | None = None
         if config.enable_range_narrowing:
@@ -361,28 +354,20 @@ class DEFAAttention:
 
     # ------------------------------------------------------------ sparse path
 
-    def _thresholds(self, backend=None) -> DispatchThresholds:
-        """This block's dispatch thresholds under the given (resolved)
-        backend — the profile's per-backend override when one exists, the
-        machine-wide default otherwise (also when no backend context is
-        available)."""
-        name = backend.name if backend is not None else None
-        return self.machine_profile.thresholds_for(name)
-
     def _use_sparse_projection(
-        self, fmap_mask: np.ndarray | None, tokens_per_image: int, backend=None
+        self, fmap_mask: np.ndarray | None, tokens_per_image: int
     ) -> bool:
         """Whether the value projection runs on compacted (kept-pixel) rows."""
-        t = self._thresholds(backend)
+        t = DISPATCH_THRESHOLDS
         return use_sparse_rows(
             fmap_mask, tokens_per_image, t.pixel_keep_max, t.min_tokens, self.sparse_mode
         )
 
     def _use_sparse_query(
-        self, query_keep: np.ndarray | None, queries_per_image: int, backend=None
+        self, query_keep: np.ndarray | None, queries_per_image: int
     ) -> bool:
         """Whether the query-side projections run on compacted (kept-query) rows."""
-        t = self._thresholds(backend)
+        t = DISPATCH_THRESHOLDS
         return use_sparse_rows(
             query_keep, queries_per_image, t.query_keep_max, t.min_queries, self.sparse_mode
         )
@@ -541,7 +526,7 @@ class DEFAAttention:
         attn = self.attn
         batch, n_in = value_input.shape[0], value_input.shape[1]
         proj = self._value_proj
-        if not self._use_sparse_projection(fmap_mask, n_in, backend=backend):
+        if not self._use_sparse_projection(fmap_mask, n_in):
             if plan is not None:
                 value = project_into(
                     (proj,), value_input, plan, ("value_proj",), backend=backend
@@ -615,9 +600,8 @@ class DEFAAttention:
             Per-call :class:`~repro.kernels.ExecutionOptions`.  Only
             ``kernel_backend`` is meaningful per call (``None`` follows the
             block's construction options and then the process default; the
-            backends are bit-identical) — ``sparse_mode`` and
-            ``machine_profile`` are fixed at construction, so a non-``None``
-            value here is an error.
+            backends are bit-identical) — ``sparse_mode`` is fixed at
+            construction, so a non-``None`` value here is an error.
 
         A single ``(N_q, D)`` image runs as a ``B = 1`` batch (its mask, if
         any, as ``(1, N_in)``) and returns that batch's only per-image record,
@@ -628,12 +612,11 @@ class DEFAAttention:
         options = normalize_execution_options(
             options, owner="DEFAAttention.forward_detailed"
         )
-        for knob in ("sparse_mode", "machine_profile"):
-            if getattr(options, knob) is not None:
-                raise ValueError(
-                    f"{knob} is a per-block property fixed at construction; "
-                    "set it when constructing the DEFAAttention, not per call"
-                )
+        if options.sparse_mode is not None:
+            raise ValueError(
+                "sparse_mode is a per-block property fixed at construction; "
+                "set it when constructing the DEFAAttention, not per call"
+            )
         query = np.asarray(query, dtype=FLOAT_DTYPE)
         value_input = np.asarray(value_input, dtype=FLOAT_DTYPE)
         single = query.ndim == 2
@@ -666,9 +649,7 @@ class DEFAAttention:
             self.config.enable_query_pruning and fmap_mask is not None and n_q == n_in
         )
         query_keep = fmap_mask if prune_queries else None  # (B, N_q)
-        sparse_query = prune_queries and self._use_sparse_query(
-            query_keep, n_q, backend=backend
-        )
+        sparse_query = prune_queries and self._use_sparse_query(query_keep, n_q)
         kept_q = np.flatnonzero(query_keep.reshape(-1)) if sparse_query else None
 
         # Step 1: attention probabilities (batched) + PAP masks.  PAP is a
@@ -752,8 +733,9 @@ class DEFAAttention:
         sparse_gather = use_sparse_gather(
             effective_masks,
             point_masks[0].size * 4,  # per-image slots: keep batched == single
+            DISPATCH_THRESHOLDS.point_keep_max,
+            DISPATCH_THRESHOLDS.min_slots,
             self.sparse_mode,
-            thresholds=self._thresholds(backend),
         )
         if sparse_gather:
             with kernel_section("neighbors"):
@@ -923,8 +905,9 @@ class DEFAAttention:
             np.asarray(points_kept) if masked else None,
             points_per_image,
             points_per_image * 4,
+            DISPATCH_THRESHOLDS.point_keep_max,
+            DISPATCH_THRESHOLDS.min_slots,
             self.sparse_mode,
-            self._thresholds(backend),
         )
         grid = (batch, n_q, n_h, n_l, n_p)
         full_mask = None

@@ -127,12 +127,12 @@ def defa_forward_fn(runner) -> BatchForward:
 
     Runs the full DEFA algorithm (per-image FWP/PAP mask threading) on each
     batch and returns the batched encoder memory.  The adapter executes
-    exactly as the runner is configured — its ``sparse_mode``, kernel
-    backend and dispatch profile — so a different execution choice is a
-    different runner.  Under a planned backend the runner's
-    per-shape-signature :class:`~repro.kernels.ExecutionPlan` arenas are
-    reused across every work item this adapter dispatches, so a steady
-    stream of same-shape items executes with zero large allocations.
+    exactly as the runner is configured — its ``sparse_mode`` and kernel
+    backend — so a different execution choice is a different runner.  Under
+    a planned backend the runner's per-shape-signature
+    :class:`~repro.kernels.ExecutionPlan` arenas are reused across every
+    work item this adapter dispatches, so a steady stream of same-shape
+    items executes with zero large allocations.
     """
     return _with_positional_inputs(
         lambda *inputs: runner.forward(*inputs).memory, runner.encoder.d_model

@@ -60,7 +60,7 @@ from repro.core.encoder_runner import arena_counters
 from repro.engine.batching import BatchForward, ShapeKey, WorkItem, defa_forward_fn
 from repro.engine.faults import FaultInjectedError, FaultPlan, WorkerFaultState
 from repro.engine.streaming import StreamingConfig, StreamingEncoderSession
-from repro.kernels import ExecutionOptions, ExecutionPlan, MachineProfile
+from repro.kernels import ExecutionOptions, ExecutionPlan
 from repro.nn.tensor_utils import FLOAT_DTYPE
 
 __all__ = [
@@ -173,9 +173,7 @@ class StreamingClassServer:
         shared arena counts once."""
         merged: dict[str, int | str] = {}
         for session in self.sessions.values():
-            stats = session.plan_stats()
-            merged["backend"] = stats["backend"]
-            merged["profile"] = stats["profile"]
+            merged["backend"] = session.runner.resolved_backend().name
         merged.update(
             arena_counters(
                 plan
@@ -281,9 +279,9 @@ class ModelBankSpec:
     results being independent of which path ran a batch.  All classes share
     one encoder (one set of weights); each gets its own
     :class:`~repro.core.encoder_runner.DEFAEncoderRunner` so per-class
-    sparse-mode/quantization state never interferes.  The execution knobs
-    :attr:`kernel_backend` and :attr:`machine_profile` apply to every
-    runner and stream session of the bank.
+    sparse-mode/quantization state never interferes.  The execution knob
+    :attr:`kernel_backend` applies to every runner and stream session of the
+    bank.
     """
 
     num_layers: int = 2
@@ -309,15 +307,6 @@ class ModelBankSpec:
     ``"compiled"`` falls back to ``"fused"`` where the extension is not
     built; ``ServingEngine.worker_stats()`` reports what ran."""
 
-    machine_profile: "MachineProfile | str | None" = None
-    """Dispatch profile (PR 9) every runner of the bank is built with:
-    a :class:`~repro.kernels.MachineProfile` (frozen, picklable),
-    ``"reference"``, a path to a profile JSON — resolved *on the worker
-    host* at bank build, so each heterogeneous serving host can load its
-    own calibrated crossovers — or ``None`` to follow each worker's
-    process-default active profile (``REPRO_MACHINE_PROFILE``, else the
-    committed reference constants)."""
-
     fault_plan: FaultPlan | None = None
     """Deterministic fault script (PR 10), threaded to every worker
     process via the bank.  :class:`~repro.engine.faults.FaultPlan` is a
@@ -325,8 +314,8 @@ class ModelBankSpec:
     execute only inside workers; the parent's fallback bank ignores them."""
 
     def __post_init__(self) -> None:
-        # Reject a bad backend name or profile here, not in every worker.
-        ExecutionOptions(kernel_backend=self.kernel_backend, machine_profile=self.machine_profile)
+        # Reject a bad backend name here, not in every worker.
+        ExecutionOptions(kernel_backend=self.kernel_backend)
 
     def build(self) -> ModelBank:
         from repro.core.encoder_runner import DEFAEncoderRunner
@@ -341,9 +330,7 @@ class ModelBankSpec:
             ffn_dim=self.ffn_dim,
             rng=self.rng_seed,
         )
-        options = ExecutionOptions(
-            kernel_backend=self.kernel_backend, machine_profile=self.machine_profile
-        )
+        options = ExecutionOptions(kernel_backend=self.kernel_backend)
         forwards: dict[str, BatchForward] = {}
         runners: dict[str, object] = {}
         for name, config in self.classes:
@@ -354,8 +341,7 @@ class ModelBankSpec:
         for name, config, policy in self.streams:
             own = policy.options or ExecutionOptions()
             session_options = own.with_overrides(
-                kernel_backend=self.kernel_backend or own.kernel_backend,
-                machine_profile=self.machine_profile or own.machine_profile,
+                kernel_backend=self.kernel_backend or own.kernel_backend
             )
             policy = replace(policy, options=session_options)
             streaming[name] = StreamingClassServer(encoder, config, policy)

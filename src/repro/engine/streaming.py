@@ -96,7 +96,7 @@ class StreamingConfig:
         all rows (sessions still reuse arenas and the static fast path).
     options:
         :class:`~repro.kernels.ExecutionOptions` for the session's runner
-        (execution path, kernel backend, dispatch profile).
+        (execution path and kernel backend).
     """
 
     keyframe_interval: int = 8

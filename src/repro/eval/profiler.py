@@ -266,9 +266,7 @@ def _lockstep_drift(
             attn_out = runner.defa_layers[index].forward_detailed(
                 x + pos, reference_points, x, shapes, fmap_mask=fmap_mask
             )
-            keep_mask, compact = runner.ffn_stage_plan(
-                fmap_mask, x.shape[0], runner.resolved_backend()
-            )
+            keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0])
             out = layer.forward_ffn_stage(
                 x, attn_out.output, keep_mask=keep_mask, compact=compact
             )

@@ -8,7 +8,7 @@ the breakdown from the GPU cost model at the paper's input resolution.
 
 from __future__ import annotations
 
-from repro.baselines.gpu import GPUSpec, RTX_3090TI
+from repro.baselines.gpu import RTX_3090TI
 from repro.experiments.common import ExperimentResult, register_experiment
 from repro.eval.profiler import profile_gpu_latency_breakdown
 from repro.nn.models import MODEL_NAMES, get_model_config
@@ -16,7 +16,7 @@ from repro.workloads.specs import get_workload
 
 
 @register_experiment("fig1b")
-def run(scale: str = "paper", gpu: GPUSpec = RTX_3090TI) -> ExperimentResult:
+def run(scale: str = "paper") -> ExperimentResult:
     """Regenerate the Fig. 1(b) latency-breakdown series."""
     headers = [
         "model",
@@ -30,7 +30,7 @@ def run(scale: str = "paper", gpu: GPUSpec = RTX_3090TI) -> ExperimentResult:
     data = {}
     for name in MODEL_NAMES:
         spec = get_workload(name, scale)
-        breakdown = profile_gpu_latency_breakdown(spec, gpu)
+        breakdown = profile_gpu_latency_breakdown(spec, RTX_3090TI)
         published = get_model_config(name).published.msgs_latency_fraction
         rows.append(
             [
@@ -49,7 +49,7 @@ def run(scale: str = "paper", gpu: GPUSpec = RTX_3090TI) -> ExperimentResult:
         }
     return ExperimentResult(
         experiment_id="fig1b",
-        title=f"Fig. 1(b) - MSDeformAttn latency breakdown on {gpu.name}",
+        title=f"Fig. 1(b) - MSDeformAttn latency breakdown on {RTX_3090TI.name}",
         headers=headers,
         rows=rows,
         notes=[

@@ -49,14 +49,14 @@ PAPER_TECHNIQUE_DROPS = {
 
 
 @register_experiment("fig6a")
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
+def run(scale: str = "small") -> ExperimentResult:
     """Regenerate the Fig. 6(a) accuracy comparison (estimated AP)."""
     # Measure output fidelity of every configuration on every benchmark.
     errors: dict[str, dict[str, float]] = {name: {} for name in MODEL_NAMES}
     for name in MODEL_NAMES:
-        run_ctx = prepare_run(name, scale=scale, seed=seed)
+        run_ctx = prepare_run(name, scale=scale)
         for config_name, config in TECHNIQUE_CONFIGS.items():
-            result = run_defa_cached(run_ctx, config, name, scale, seed=seed, collect_details=False)
+            result = run_defa_cached(run_ctx, config, name, scale, collect_details=False)
             fidelity = compare_outputs(run_ctx.baseline_memory, result.memory)
             errors[name][config_name] = fidelity.relative_error
 

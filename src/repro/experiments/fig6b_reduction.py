@@ -17,12 +17,9 @@ from repro.nn.models import MODEL_NAMES, get_model_config
 
 
 @register_experiment("fig6b")
-def run(
-    scale: str = "small",
-    config: DEFAConfig | None = None,
-) -> ExperimentResult:
+def run(scale: str = "small") -> ExperimentResult:
     """Regenerate the Fig. 6(b) reduction ratios."""
-    config = config or DEFAConfig.paper_default()
+    config = DEFAConfig.paper_default()
     headers = [
         "model",
         "points % (ours)",

@@ -19,13 +19,10 @@ from repro.nn.models import MODEL_NAMES, get_model_config
 
 
 @register_experiment("fig7a")
-def run(
-    scale: str = "small",
-    config: DEFAConfig | None = None,
-) -> ExperimentResult:
+def run(scale: str = "small") -> ExperimentResult:
     """Regenerate the Fig. 7(a) throughput-boost series (16 SRAM banks)."""
     num_banks = 16
-    config = config or DEFAConfig.paper_default()
+    config = DEFAConfig.paper_default()
     headers = [
         "model",
         "boost (ours)",

@@ -40,12 +40,9 @@ def _msgs_memory_energy(simulator: DEFASimulator, workloads) -> tuple[float, flo
 
 
 @register_experiment("fig7b")
-def run(
-    scale: str = "small",
-    config: DEFAConfig | None = None,
-) -> ExperimentResult:
+def run(scale: str = "small") -> ExperimentResult:
     """Regenerate the Fig. 7(b) energy-saving bars."""
-    config = config or DEFAConfig.paper_default()
+    config = DEFAConfig.paper_default()
     hardware = HardwareConfig()
 
     # Use the averaged sampling statistics of the three benchmarks.

@@ -20,14 +20,11 @@ PAPER_TOTAL_AREA_MM2 = 2.63
 
 
 @register_experiment("fig8")
-def run(
-    model_name: str = "deformable_detr",
-    scale: str = "paper",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate the Fig. 8 area and energy breakdowns (16 % of the sampling
     points and 57 % of the fmap pixels kept)."""
     hardware = HardwareConfig()
-    spec = get_workload(model_name, scale)
+    spec = get_workload("deformable_detr", "paper")
 
     area = area_model(hardware)
     area_fracs = area.fractions()

@@ -31,10 +31,7 @@ GPU_TARGETS: tuple[tuple[GPUSpec, float], ...] = ((RTX_2080TI, 13.3), (RTX_3090T
 
 
 @register_experiment("fig9")
-def run(
-    measure_scale: str = "small",
-    project_scale: str = "paper",
-) -> ExperimentResult:
+def run(measure_scale: str = "small") -> ExperimentResult:
     """Regenerate the Fig. 9 speedup / energy-efficiency comparison."""
     config = DEFAConfig.paper_default()
     headers = [
@@ -61,7 +58,7 @@ def run(
         intra_conflict = float(np.mean([w.intra_conflict_factor for w in probe_workloads]))
 
         # ...and project it to the paper's input resolution.
-        project_spec = get_workload(name, project_scale)
+        project_spec = get_workload(name, "paper")
         published = get_model_config(name).published
         data[name] = {}
         for gpu, target_tops in GPU_TARGETS:
@@ -113,7 +110,7 @@ def run(
         headers=headers,
         rows=rows,
         notes=[
-            f"pruning ratios measured at scale={measure_scale!r}, projected to {project_scale!r}",
+            f"pruning ratios measured at scale={measure_scale!r}, projected to 'paper'",
             "EE gain = GPU energy / DEFA energy (incl. DRAM); our energy model yields larger "
             "gains than the paper's figures because the paper's EE accounting is not fully "
             "specified — see EXPERIMENTS.md.",

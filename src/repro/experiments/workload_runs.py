@@ -3,7 +3,7 @@
 Most experiments need the same expensive artefact: the paper's benchmark
 encoder executed on a synthetic workload, once as the FP32 unpruned baseline
 and once under a DEFA configuration (with per-layer traces and masks).  This
-module builds those runs and memoizes them per (model, scale, config, seed)
+module builds those runs and memoizes them per (model, scale, config)
 so that e.g. Fig. 6(b), Fig. 7(a) and Fig. 7(b) reuse one run instead of
 recomputing it.
 """
@@ -53,18 +53,14 @@ _RUN_CACHE: dict[tuple, AlgorithmRun] = {}
 _DEFA_CACHE: dict[tuple, DEFAEncoderResult] = {}
 
 
-def prepare_run(
-    model_name: str,
-    scale: str = "small",
-    seed: int = 0,
-) -> AlgorithmRun:
+def prepare_run(model_name: str, scale: str = "small") -> AlgorithmRun:
     """Build (or fetch from cache) the shared workload run for one model."""
-    key = (model_name, scale, seed)
+    key = (model_name, scale)
     if key in _RUN_CACHE:
         return _RUN_CACHE[key]
 
     spec = get_workload(model_name, scale)
-    feature_rng, encoder_rng, fit_rng = spawn_rngs(seed, 3)
+    feature_rng, encoder_rng, fit_rng = spawn_rngs(0, 3)
     features, layout = synthetic_workload_input(spec, rng=feature_rng)
     encoder = build_encoder(spec.model, rng=encoder_rng)
     pos = sine_positional_encoding(spec.spatial_shapes, spec.model.d_model)
@@ -97,11 +93,10 @@ def run_defa_cached(
     config: DEFAConfig,
     model_name: str,
     scale: str,
-    seed: int = 0,
     collect_details: bool = True,
 ) -> DEFAEncoderResult:
     """Memoized DEFA execution of a prepared run under one configuration."""
-    key = (model_name, scale, seed, tuple(sorted(config.__dict__.items())), collect_details)
+    key = (model_name, scale, tuple(sorted(config.__dict__.items())), collect_details)
     if key not in _DEFA_CACHE:
         _DEFA_CACHE[key] = run.run_defa(config, collect_details=collect_details)
     return _DEFA_CACHE[key]

@@ -18,17 +18,11 @@ Public surface:
   fake-quantize helpers used by the pipeline when a plan is active.
 * :class:`ExecutionOptions` / :func:`normalize_execution_options` — the one
   frozen object bundling the execution knobs (``sparse_mode``, kernel
-  backend, machine profile) threaded through the whole stack, and its
-  single normalization point (see :mod:`repro.kernels.options`).
-* :class:`MachineProfile` / :class:`DispatchThresholds` /
-  :func:`get_active_profile` / :func:`set_active_profile` /
-  :func:`resolve_profile` / :func:`calibrate` —
-  host-calibrated auto-dispatch profiles: the ``auto`` dispatch
-  crossover thresholds as versioned, schema-checked JSON data, with a sweep
-  harness to calibrate them per host and per backend, initialised from
-  ``REPRO_MACHINE_PROFILE`` (the committed reference profile when unset, so
-  dispatch stays bit-deterministic by default — see
-  :mod:`repro.kernels.calibration`).
+  backend) threaded through the whole stack, and its single normalization
+  point (see :mod:`repro.kernels.options`).
+* :class:`DispatchThresholds` / :data:`DISPATCH_THRESHOLDS` — the crossover
+  constants of the ``auto`` dense/sparse dispatch rules, one set for every
+  host and backend.
 """
 
 from repro.kernels.registry import (
@@ -39,39 +33,28 @@ from repro.kernels.registry import (
     set_backend,
     use_backend,
 )
-from repro.kernels.calibration import (
-    PROFILE_ENV,
-    CalibrationGrid,
+from repro.kernels.options import (
+    DISPATCH_THRESHOLDS,
     DispatchThresholds,
-    MachineProfile,
-    calibrate,
-    get_active_profile,
-    reference_profile,
+    ExecutionOptions,
+    normalize_execution_options,
     resolve_profile,
-    set_active_profile,
 )
-from repro.kernels.options import ExecutionOptions, normalize_execution_options
 from repro.kernels.plan import ExecutionPlan
 from repro.kernels.compiled_backend import COMPILED_AVAILABLE
 
 __all__ = [
     "COMPILED_AVAILABLE",
     "DEFAULT_BACKEND_ENV",
-    "PROFILE_ENV",
-    "CalibrationGrid",
+    "DISPATCH_THRESHOLDS",
     "DispatchThresholds",
     "ExecutionOptions",
     "ExecutionPlan",
     "KERNEL_BACKENDS",
-    "MachineProfile",
-    "calibrate",
-    "get_active_profile",
     "get_backend",
     "normalize_execution_options",
-    "reference_profile",
     "resolve_backend",
     "resolve_profile",
     "set_backend",
-    "set_active_profile",
     "use_backend",
 ]

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.calibration import DispatchThresholds, get_active_profile
 from repro.kernels.plan import ExecutionPlan, take_into
 from repro.kernels.registry import resolve_backend
 from repro.nn.tensor_utils import FLOAT_DTYPE
@@ -591,36 +590,34 @@ DEFAAttention`, the encoder runner and the engine adapters).
 * ``"sparse"`` — always run the compacted gather/scatter kernels whenever a
   mask is available (useful for tests and benchmarks).
 * ``"auto"`` — pick sparse per stage when the measured reduction ratio and
-  the problem size clear the :class:`~repro.kernels.DispatchThresholds` of the
-  active machine profile (dense wins at low reduction and on tiny inputs,
-  where compaction overhead dominates).
+  the problem size clear the :data:`~repro.kernels.DISPATCH_THRESHOLDS`
+  (dense wins at low reduction and on tiny inputs, where compaction overhead
+  dominates).
 """
 
 
 def use_sparse_gather(
     point_mask: np.ndarray | None,
     slots_per_image: int,
+    keep_max: float,
+    min_slots: int,
     sparse_mode: str,
-    thresholds: DispatchThresholds | None = None,
 ) -> bool:
     """Shared dispatch rule of the ``sparse_mode`` switch for point gathering.
 
     ``sparse_mode`` is one of ``"dense"``, ``"sparse"`` or ``"auto"``; the
-    auto rule compares the point keep-fraction against
-    ``thresholds.point_keep_max`` and requires at least
-    ``thresholds.min_slots`` *per-image* gather slots (``slots_per_image``
-    must not include the batch axis).  ``thresholds`` defaults to the active
-    :class:`~repro.kernels.MachineProfile`'s machine-wide thresholds — the
-    committed reference constants unless a calibrated profile was installed.
+    auto rule compares the point keep-fraction against ``keep_max`` and
+    requires at least ``min_slots`` *per-image* gather slots
+    (``slots_per_image`` must not include the batch axis).  The stack passes
+    :attr:`~repro.kernels.DispatchThresholds.point_keep_max` and
+    :attr:`~repro.kernels.DispatchThresholds.min_slots`.
 
-    Boundary semantics (pinned by the PR 9 boundary-value tests, shared with
-    :meth:`repro.core.pipeline.DEFAAttention` row dispatch): the minimum-size
+    Boundary semantics (pinned by the boundary-value tests, shared with
+    :func:`repro.core.pipeline.use_sparse_rows`): the minimum-size
     comparison is *strict* (``slots_per_image < min_slots`` rejects, so a
     problem exactly at ``min_slots`` is sparse-eligible) while the keep-ratio
-    comparison is *inclusive* (``keep_fraction <= point_keep_max`` accepts,
-    so a keep fraction exactly at the crossover goes sparse).  A calibrated
-    profile whose crossovers land exactly on a measured grid point therefore
-    dispatches deterministically.
+    comparison is *inclusive* (``keep_fraction <= keep_max`` accepts, so a
+    keep fraction exactly at the crossover goes sparse).
 
     The leading axis of ``point_mask`` is the image axis (a single image is
     a ``B = 1`` batch), and the keep-fraction test applies to the *maximum*
@@ -636,15 +633,18 @@ def use_sparse_gather(
     if point_mask is not None and sparse_mode == "auto":
         per_image = np.count_nonzero(point_mask.reshape(point_mask.shape[0], -1), axis=1)
         points = point_mask[0].size
-    return sparse_gather_rule(per_image, points, slots_per_image, sparse_mode, thresholds)
+    return sparse_gather_rule(
+        per_image, points, slots_per_image, keep_max, min_slots, sparse_mode
+    )
 
 
 def sparse_gather_rule(
     per_image_kept: np.ndarray | None,
     points_per_image: int,
     slots_per_image: int,
+    keep_max: float,
+    min_slots: int,
     sparse_mode: str,
-    thresholds: DispatchThresholds | None = None,
 ) -> bool:
     """:func:`use_sparse_gather` on the kept-point count of every image
     (``None``: no point mask) out of ``points_per_image``."""
@@ -654,12 +654,10 @@ def sparse_gather_rule(
         return False
     if sparse_mode == "sparse":
         return True
-    if thresholds is None:
-        thresholds = get_active_profile().thresholds_for(None)
-    if per_image_kept is None or slots_per_image < thresholds.min_slots:
+    if per_image_kept is None or slots_per_image < min_slots:
         return False
     keep_fraction = float(np.max(per_image_kept)) / max(points_per_image, 1)
-    return keep_fraction <= thresholds.point_keep_max
+    return keep_fraction <= keep_max
 
 
 @dataclass

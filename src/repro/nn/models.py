@@ -185,15 +185,7 @@ def get_model_config(name: str) -> ModelConfig:
 
 def build_encoder(
     config: ModelConfig,
-    attention_sharpness: float = 2.5,
-    offset_scale: float = 2.0,
     rng: np.random.Generator | int | None = None,
 ) -> DeformableEncoder:
     """Construct the deformable encoder of *config* with synthetic weights."""
-    rng = as_rng(rng)
-    return DeformableEncoder(
-        attention_sharpness=attention_sharpness,
-        offset_scale=offset_scale,
-        rng=rng,
-        **config.encoder_kwargs(),
-    )
+    return DeformableEncoder(rng=as_rng(rng), **config.encoder_kwargs())

@@ -22,7 +22,7 @@ from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
 from repro.core.fwp import normalize_mask
 from repro.eval.profiler import measure_encoder_blockwise_equivalence
-from repro.kernels import ExecutionOptions
+from repro.kernels import DISPATCH_THRESHOLDS, ExecutionOptions
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.positional import make_reference_points, sine_positional_encoding
 from repro.utils.shapes import LevelShape
@@ -280,13 +280,12 @@ class TestQueryAddStage:
         x = np.asarray(features, dtype=np.float32)
         fmap_mask = None
         masks = []
-        backend = runner.resolved_backend()
         for layer, defa in zip(runner.encoder.layers, runner.defa_layers):
             query = x + pos
             attn_out = defa.forward_detailed(
                 query, reference, x, SHAPES, fmap_mask=fmap_mask
             )
-            keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0], backend)
+            keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0])
             x = layer.forward_ffn_stage(
                 x, attn_out.output, keep_mask=keep_mask, compact=compact
             )
@@ -318,12 +317,11 @@ class TestQueryAddStage:
         assert 0 < mask_into_block2.sum() < N_IN
         block1_out = result.layer_outputs[0]
         # Reconstruct block 1's stage output (= block 2's input).
-        backend = runner.resolved_backend()
-        keep_mask, compact = runner.ffn_stage_plan(None, N_IN, backend)
+        keep_mask, compact = runner.ffn_stage_plan(None, N_IN)
         block2_input = encoder.layers[0].forward_ffn_stage(
             features, block1_out.output, keep_mask=keep_mask, compact=compact
         )
-        keep_mask, compact = runner.ffn_stage_plan(mask_into_block2, N_IN, backend)
+        keep_mask, compact = runner.ffn_stage_plan(mask_into_block2, N_IN)
         block2_out = encoder.layers[1].forward_ffn_stage(
             block2_input,
             result.layer_outputs[1].output,
@@ -343,17 +341,43 @@ class TestQueryAddStage:
         off = DEFAEncoderRunner(
             encoder, DEFAConfig(quant_bits=None), ExecutionOptions(sparse_mode="sparse")
         )
-        assert off.query_stage_plan(mask, N_IN, off.resolved_backend()) == (None, False)
+        assert off.query_stage_plan(mask, N_IN) == (None, False)
         # Query pruning + forced sparse => compact path.
         on = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="sparse"))
-        keep, compact = on.query_stage_plan(mask, N_IN, on.resolved_backend())
+        keep, compact = on.query_stage_plan(mask, N_IN)
         assert compact and keep is not None
         # First block (no mask) always runs the plain add.
-        assert on.query_stage_plan(None, N_IN, on.resolved_backend()) == (None, False)
-        # auto mode keeps tiny inputs dense (N_IN < DispatchThresholds().min_queries).
+        assert on.query_stage_plan(None, N_IN) == (None, False)
+        # auto mode keeps tiny inputs dense (N_IN < DISPATCH_THRESHOLDS.min_queries).
         auto = DEFAEncoderRunner(encoder, QP_FP32, ExecutionOptions(sparse_mode="auto"))
-        keep, compact = auto.query_stage_plan(mask, N_IN, auto.resolved_backend())
+        keep, compact = auto.query_stage_plan(mask, N_IN)
         assert keep is not None and not compact
+
+    def test_auto_stage_plans_follow_the_dispatch_constants(self):
+        """In ``auto`` both inter-block stage plans compare with
+        DISPATCH_THRESHOLDS: compact at or below the keep maximum from the
+        minimum size on, dense below the minimum or above the maximum."""
+        t = DISPATCH_THRESHOLDS
+        runner = DEFAEncoderRunner(
+            _make_encoder(seed=26), QP_FP32, ExecutionOptions(sparse_mode="auto")
+        )
+
+        def mask(rows: int, keep: float) -> np.ndarray:
+            m = np.zeros(rows, dtype=bool)
+            m[: int(rows * keep)] = True
+            return m
+
+        rows = 4 * max(t.min_queries, t.ffn_min_tokens)
+        assert runner.query_stage_plan(mask(rows, t.query_keep_max), rows)[1]
+        assert runner.ffn_stage_plan(mask(rows, t.ffn_keep_max), rows)[1]
+        above = mask(rows, t.query_keep_max + 1 / rows)
+        assert not runner.query_stage_plan(above, rows)[1]
+        above = mask(rows, t.ffn_keep_max + 1 / rows)
+        assert not runner.ffn_stage_plan(above, rows)[1]
+        small = t.min_queries - 1
+        assert not runner.query_stage_plan(mask(small, 0.25), small)[1]
+        small = t.ffn_min_tokens - 1
+        assert not runner.ffn_stage_plan(mask(small, 0.25), small)[1]
 
 
 class TestLockstepProbe:
@@ -391,16 +415,15 @@ class TestIntegerMaskNormalization:
         x = np.asarray(features, dtype=np.float32)[None]
         fmap_mask = None
         masks = []
-        backend = runner.resolved_backend()
         for layer, defa in zip(runner.encoder.layers, runner.defa_layers):
             int_mask = None if fmap_mask is None else fmap_mask.astype(dtype)
             keep = normalize_mask(int_mask)
-            q_keep, q_compact = runner.query_stage_plan(keep, x.shape[1], backend)
+            q_keep, q_compact = runner.query_stage_plan(keep, x.shape[1])
             query = runner._build_query(x, pos, q_keep, q_compact, None)
             attn_out = defa.forward_detailed(
                 query, reference, x, SHAPES, fmap_mask=int_mask
             )
-            keep_mask, compact = runner.ffn_stage_plan(keep, x.shape[1], backend)
+            keep_mask, compact = runner.ffn_stage_plan(keep, x.shape[1])
             x = layer.forward_ffn_stage(
                 x, attn_out.output, keep_mask=keep_mask, compact=compact
             )

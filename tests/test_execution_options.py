@@ -1,9 +1,9 @@
 """Tests for the one-object execution-knob surface.
 
-``ExecutionOptions`` bundles ``sparse_mode`` / ``kernel_backend`` /
-``machine_profile``; every surface takes it as ``options=`` only, normalized
-by ``normalize_execution_options`` (``None`` means defaults, anything else
-that is not an ``ExecutionOptions`` is a ``TypeError``).
+``ExecutionOptions`` bundles ``sparse_mode`` / ``kernel_backend``; every
+surface takes it as ``options=`` only, normalized by
+``normalize_execution_options`` (``None`` means defaults, anything else that
+is not an ``ExecutionOptions`` is a ``TypeError``).
 """
 
 from __future__ import annotations
@@ -42,31 +42,13 @@ class TestExecutionOptions:
         options = ExecutionOptions()
         assert options.sparse_mode is None
         assert options.kernel_backend is None
-        assert options.machine_profile is None
 
     def test_only_execution_knobs(self):
         """Each knob has one home: what is computed lives on DEFAConfig,
         detail collection on the forward calls."""
         names = [f.name for f in fields(ExecutionOptions)]
-        assert names == ["sparse_mode", "kernel_backend", "machine_profile"]
+        assert names == ["sparse_mode", "kernel_backend"]
         assert "kernel_backend" not in {f.name for f in fields(DEFAConfig)}
-
-    def test_machine_profile_accepts_profile_spec_only(self):
-        from repro.kernels import MachineProfile
-
-        assert ExecutionOptions(machine_profile="reference").machine_profile == "reference"
-        profile = MachineProfile(name="opts")
-        assert ExecutionOptions(machine_profile=profile).machine_profile is profile
-        with pytest.raises(TypeError, match="machine_profile"):
-            ExecutionOptions(machine_profile=42)
-
-    def test_machine_profile_picklable_inside_options(self):
-        import pickle
-
-        from repro.kernels import MachineProfile
-
-        options = ExecutionOptions(machine_profile=MachineProfile(name="travels"))
-        assert pickle.loads(pickle.dumps(options)) == options
 
     def test_invalid_sparse_mode_rejected(self):
         with pytest.raises(ValueError, match="sparse_mode"):

@@ -47,16 +47,16 @@ class TestRegistry:
 
 class TestWorkloadRuns:
     def test_prepare_run_cached(self):
-        a = prepare_run("deformable_detr", scale="tiny", seed=0)
-        b = prepare_run("deformable_detr", scale="tiny", seed=0)
+        a = prepare_run("deformable_detr", scale="tiny")
+        b = prepare_run("deformable_detr", scale="tiny")
         assert a is b
         assert a.baseline_memory.shape == (a.spec.num_tokens, 256)
 
     def test_defa_run_cached(self):
-        run = prepare_run("deformable_detr", scale="tiny", seed=0)
+        run = prepare_run("deformable_detr", scale="tiny")
         config = DEFAConfig.paper_default()
-        a = run_defa_cached(run, config, "deformable_detr", "tiny", seed=0)
-        b = run_defa_cached(run, config, "deformable_detr", "tiny", seed=0)
+        a = run_defa_cached(run, config, "deformable_detr", "tiny")
+        b = run_defa_cached(run, config, "deformable_detr", "tiny")
         assert a is b
 
 

@@ -23,9 +23,14 @@ own module.  Keepers: :data:`FIELD_ALLOWLIST`.
 
 Parameters.  Every defaulted parameter of a top-level ``src/`` function,
 or of a method or ``__init__`` of a top-level class, is passed by some
-runtime call.  Calls are matched by callee name, as the definition rule
-matches references: ``f(...)`` and ``obj.f(...)`` call every ``f``, and
-``C(...)`` calls ``C.__init__``.  A parameter is passed by keyword
+runtime call.  A call reaches the function its name is bound to: ``f(...)``
+calls the ``f`` its module imports or defines (a local closure ``run`` is
+no ``src/`` ``run``), and ``mod.f(...)``, with ``mod`` an imported module,
+calls that module's ``f`` (through a package's re-exports), so
+``np.f(...)`` or another script's ``run.run(...)`` passes nothing to
+``src/``.  Any other callee is matched by name, as the definition rule
+matches references: ``obj.f(...)`` and an unbound ``f(...)`` call every
+``f``, and ``C(...)`` calls ``C.__init__``.  A parameter is passed by keyword
 (``name=``) or by position (a method's ``self`` / ``cls`` is not counted); a
 ``*args`` covers every positional parameter from its position on and a
 ``**kwargs`` every parameter.  A call that hands a function on as a
@@ -131,11 +136,6 @@ PARAMETER_ALLOWLIST: dict[str, str] = {
         "multi-failure report is tested; every registered experiment succeeds"
     ),
     "repro.experiments.runner.main(argv)": _CLI_ARGV,
-    "repro.kernels.calibration.main(argv)": _CLI_ARGV,
-    "repro.kernels.calibration.check_reference(path)": (
-        "test seam: the gate is shown to fail on a corrupt and on a drifted "
-        "profile, which the committed file never is"
-    ),
     "repro.nn.grid_sample.ms_deform_attn_core(point_mask)": (
         "the PAP-masked dense expected value the sparse kernels are compared with"
     ),
@@ -224,7 +224,10 @@ def _definitions(tree: ast.Module, module: str):
 
 
 def _module_name(path: Path) -> str:
-    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    """``src/repro/core/pipeline.py`` is ``repro.core.pipeline``, and
+    ``perfbench/run.py`` is ``perfbench.run``."""
+    base = ROOT / "src" if path.is_relative_to(ROOT / "src") else ROOT
+    parts = path.relative_to(base).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -236,6 +239,12 @@ def _runtime_trees() -> dict[Path, ast.Module]:
         for top in RUNTIME_DIRS
         for path in sorted((ROOT / top).rglob("*.py"))
     }
+
+
+@lru_cache(maxsize=None)
+def _runtime_modules() -> dict[str, ast.Module]:
+    """Module name -> syntax tree of every runtime file."""
+    return {_module_name(path): tree for path, tree in _runtime_trees().items()}
 
 
 @lru_cache(maxsize=None)
@@ -384,27 +393,75 @@ def _signatures(src: Mapping[str, ast.Module]) -> dict[str, _Signature]:
     return signatures
 
 
-def _callee_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+class _Scope(NamedTuple):
+    """What the names of one runtime module are bound to."""
+
+    module: str  # the module's own name
+    modules: frozenset[str]  # every module name of the project
+    aliases: dict[str, str]  # name -> the module it is bound to
+    imported: dict[str, tuple[str, str]]  # name -> (module, name) it is imported from
+    defined: frozenset[str]  # names bound by def or class
 
 
-def _function_names(tree: ast.Module) -> set[str]:
-    """Names the module binds by ``def``, ``class`` or import."""
-    names: set[str] = set()
+def _scope(module: str, tree: ast.Module, modules: frozenset[str]) -> _Scope:
+    """The bindings of ``module``: ``import a.b as m`` binds ``m`` to module
+    ``a.b`` and ``import a.b`` binds ``a``; ``from a import b`` binds ``b``
+    to module ``a.b`` when that is a project module, else to ``a``'s ``b``."""
+    aliases: dict[str, str] = {}
+    imported: dict[str, tuple[str, str]] = {}
+    defined: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update((a.asname or a.name).split(".")[0] for a in node.names)
-    return names
+            defined.add(node.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                aliases[name] = alias.name if alias.asname else name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                if full in modules:
+                    aliases[alias.asname or alias.name] = full
+                else:
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+    return _Scope(module, modules, aliases, imported, frozenset(defined))
 
 
-def _calls(tree: ast.Module) -> Iterable[tuple[str, list[ast.expr], list[ast.keyword]]]:
-    """Yield ``(callee name, positional arguments, keywords)`` of every call.
+def _callee(node: ast.expr, scope: _Scope) -> tuple[str | None, str] | None:
+    """``(module, name)`` of the function a call expression names; the module
+    is ``None`` when the callee is matched by name alone.
+
+    A bare ``f`` is the ``f`` its module imports or defines (a closure named
+    ``run`` is no other module's ``run``); ``mod.f`` with ``mod`` an imported
+    module is that module's ``f``, and a dotted prefix outside the project's
+    packages (``np.random``) is taken for the module it looks like.  Any
+    other ``obj.f`` and an unbound ``f`` are matched by name.
+    """
+    if isinstance(node, ast.Name):
+        if node.id in scope.imported:
+            return scope.imported[node.id]
+        return (scope.module if node.id in scope.defined else None), node.id
+    if not isinstance(node, ast.Attribute):
+        return None
+    parts = []
+    value = node.value
+    while isinstance(value, ast.Attribute):
+        parts.append(value.attr)
+        value = value.value
+    if not isinstance(value, ast.Name) or value.id not in scope.aliases:
+        return None, node.attr
+    module = ".".join([scope.aliases[value.id], *reversed(parts)])
+    packages = {name.split(".")[0] for name in scope.modules}
+    if module in scope.modules or module.split(".")[0] not in packages:
+        return module, node.attr
+    return None, node.attr
+
+
+def _calls(
+    tree: ast.Module, scope: _Scope
+) -> Iterable[tuple[tuple[str | None, str], list[ast.expr], list[ast.keyword]]]:
+    """Yield ``((callee module, callee name), positional arguments,
+    keywords)`` of every call (see :func:`_callee`).
 
     ``f(...)`` and ``obj.f(...)`` call ``f``.  A call that hands a function on
     as a positional argument, as ``run_once(benchmark, mod.f, x, scale=...)``,
@@ -413,33 +470,52 @@ def _calls(tree: ast.Module) -> Iterable[tuple[str, list[ast.expr], list[ast.key
     A bare name is handed on as a function only when the module binds it by
     ``def``, ``class`` or import, so ``slice(start, stop)`` calls no ``start``.
     """
-    functions = _function_names(tree)
+    functions = scope.defined | scope.imported.keys() | scope.aliases.keys()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        callee = _callee_name(node.func)
+        callee = _callee(node.func, scope)
         if callee is not None:
             yield callee, node.args, node.keywords
         for position, arg in enumerate(node.args):
             if isinstance(arg, ast.Attribute) or (
                 isinstance(arg, ast.Name) and arg.id in functions
             ):
-                yield _callee_name(arg), node.args[position + 1 :], node.keywords
+                yield _callee(arg, scope), node.args[position + 1 :], node.keywords
+
+
+def _origin(src: Mapping[str, ast.Module], module: str, name: str) -> str:
+    """The module that defines ``name`` as ``module`` exports it, following
+    ``from x import name`` re-exports (``repro.kernels.resolve_backend`` is
+    ``repro.kernels.registry``'s)."""
+    tree = src.get(module)
+    for stmt in tree.body if tree is not None else ():
+        if isinstance(stmt, ast.ImportFrom) and stmt.module and any(
+            alias.name == name and alias.asname in (None, name) for alias in stmt.names
+        ):
+            return _origin(src, stmt.module, name)
+    return module
 
 
 def _passed_parameters(
-    signatures: Mapping[str, _Signature], runtime: Iterable[ast.Module]
+    src: Mapping[str, ast.Module], runtime: Mapping[str, ast.Module]
 ) -> set[str]:
     """``qualified(parameter)`` of every defaulted parameter some call passes."""
+    signatures = _signatures(src)
     by_callee: dict[str, list[str]] = {}
     for qualified, signature in signatures.items():
         by_callee.setdefault(signature.callee, []).append(qualified)
+    modules = frozenset(runtime) | frozenset(src)
     passed: set[str] = set()
-    for tree in runtime:
-        for callee, args, call_keywords in _calls(tree):
+    for name, tree in runtime.items():
+        for (module, callee), args, call_keywords in _calls(tree, _scope(name, tree, modules)):
             keywords = {kw.arg for kw in call_keywords}
             starred = next((i for i, a in enumerate(args) if isinstance(a, ast.Starred)), None)
-            for qualified in by_callee.get(callee, ()):
+            candidates = by_callee.get(callee, ())
+            if module is not None:
+                defined = f"{_origin(src, module, callee)}.{callee}"
+                candidates = [q for q in candidates if q in (defined, f"{defined}.__init__")]
+            for qualified in candidates:
                 signature = signatures[qualified]
                 names = set(signature.positional[: len(args)]) | keywords
                 if starred is not None:
@@ -450,11 +526,13 @@ def _passed_parameters(
     return passed
 
 
-def unpassed_parameters(src: Mapping[str, ast.Module], runtime: Iterable[ast.Module]) -> set[str]:
-    """``qualified(parameter)`` of every defaulted parameter no runtime call passes."""
-    signatures = _signatures(src)
-    defaulted = {f"{q}({p})" for q, s in signatures.items() for p in s.defaulted}
-    return defaulted - _passed_parameters(signatures, runtime)
+def unpassed_parameters(
+    src: Mapping[str, ast.Module], runtime: Mapping[str, ast.Module]
+) -> set[str]:
+    """``qualified(parameter)`` of every defaulted parameter no call in the
+    ``runtime`` modules (module name -> tree) passes."""
+    defaulted = {f"{q}({p})" for q, s in _signatures(src).items() for p in s.defaulted}
+    return defaulted - _passed_parameters(src, runtime)
 
 
 def unread_fields(src: Mapping[str, ast.Module], runtime: Iterable[ast.Module]) -> set[str]:
@@ -478,7 +556,7 @@ def stale_entries(allowlist: Mapping[str, str], flagged: set[str]) -> list[str]:
 
 @lru_cache(maxsize=None)
 def _unpassed() -> set[str]:
-    return unpassed_parameters(_src_trees(), _runtime_trees().values())
+    return unpassed_parameters(_src_trees(), _runtime_modules())
 
 
 @lru_cache(maxsize=None)
@@ -533,9 +611,17 @@ class Model:
 '''
 
 
-def _planted(caller: str) -> tuple[dict[str, ast.Module], list[ast.Module]]:
+PLANTED_SCRIPT = '''
+def run(args, seconds=1.0):
+    return args
+'''
+
+
+def _planted(caller: str) -> tuple[dict[str, ast.Module], dict[str, ast.Module]]:
+    """``pkg.mod`` is the planted ``src/`` module, ``pkg.cli`` a runtime
+    script beside it and ``caller`` the runtime code under test."""
     src = {"pkg.mod": ast.parse(PLANTED_SRC)}
-    return src, [*src.values(), ast.parse(caller)]
+    return src, {**src, "pkg.cli": ast.parse(PLANTED_SCRIPT), "caller": ast.parse(caller)}
 
 
 def _planted_unpassed(caller: str) -> set[str]:
@@ -543,7 +629,8 @@ def _planted_unpassed(caller: str) -> set[str]:
 
 
 def _planted_unread(caller: str) -> set[str]:
-    return unread_fields(*_planted(caller))
+    src, runtime = _planted(caller)
+    return unread_fields(src, runtime.values())
 
 
 def test_planted_field_that_nothing_reads_is_flagged():
@@ -595,6 +682,30 @@ def test_planted_parameter_handed_on_through_a_helper_counts():
     }
     # A bare name that the module binds by neither def nor import is a value.
     assert _planted_unpassed("slice(scale, 1.0, 2.0, bias=1.0)\n") == PLANTED_PARAMETERS
+
+
+def test_planted_call_reaches_only_the_function_its_name_is_bound_to():
+    # mod.f(...) with mod an imported module calls that module's f: numpy's
+    # scale and the script's run pass nothing to pkg.mod, and neither does a
+    # closure of the caller's own that is named like a pkg.mod method.
+    caller = (
+        "import numpy as np\n"
+        "from pkg import cli, mod\n"
+        "np.scale(1.0, 2.0, 3.0, bias=1.0)\n"
+        "cli.run(1, 5)\n"
+        "run_once(benchmark, np.Model, 4, depth=2)\n"
+        "def main():\n"
+        "    def run(x, steps):\n"
+        "        return x\n"
+        "    run(1, 5)\n"
+        "mod.scale(1.0, 2.0)\n"
+        "mod.Model(4, 2)\n"
+    )
+    assert _planted_unpassed(caller) == {
+        "pkg.mod.scale(offset)",
+        "pkg.mod.scale(bias)",
+        "pkg.mod.Model.run(steps)",
+    }
 
 
 def test_stale_allowlist_entries_are_reported():

@@ -449,8 +449,6 @@ class TestWorkerLifecycle:
             first = engine.worker_stats()[0]
             assert first is not None and first["fp32"]["plans"] >= 1
             assert first["fp32"]["backend"] == "fused"
-            # PR 9: the worker reports which dispatch profile it serves with.
-            assert first["fp32"]["profile"] == "reference"
             for i in range(4, 8):
                 engine.submit(_item(i, SHAPES_A, i), request_class="fp32")
             engine.flush()
@@ -549,7 +547,7 @@ class TestTrafficGenerator:
 
 
 # ---------------------------------------------------------------------------
-# PR 9: injected-clock regressions, backoff edges, machine-profile threading.
+# PR 9: injected-clock regressions, backoff edges, backend threading.
 
 
 class SteppingClock:
@@ -720,43 +718,8 @@ class TestBackoffEdges:
         assert engine.mode == "primary"  # the restarted slot keeps us primary
 
 
-class TestMachineProfileThreading:
-    """ModelBankSpec.machine_profile reaches every runner (PR 9)."""
-
-    def test_bank_runners_resolve_spec_profile(self):
-        from dataclasses import replace
-
-        from repro.kernels import DispatchThresholds, MachineProfile
-
-        custom = MachineProfile(
-            name="serving-host", thresholds=DispatchThresholds(min_tokens=7)
-        )
-        bank = replace(_spec(), machine_profile=custom).build()
-        for runner in bank.runners.values():
-            assert runner.machine_profile == custom
-        stats = bank.plan_stats()
-        assert stats and all(s["profile"] == "serving-host" for s in stats.values())
-
-    def test_bank_default_follows_active_profile(self):
-        from repro.kernels import reference_profile
-
-        bank = _spec().build()
-        for runner in bank.runners.values():
-            assert runner.machine_profile == reference_profile()
-        assert all(s["profile"] == "reference" for s in bank.plan_stats().values())
-
-    def test_stream_policies_inherit_spec_profile(self):
-        from dataclasses import replace
-
-        from repro.engine import StreamingConfig
-
-        spec = replace(
-            _spec(),
-            machine_profile="reference",
-            streams=(("vid", DEFAConfig(), StreamingConfig()),),
-        )
-        bank = spec.build()
-        assert bank.streaming["vid"].streaming.options.machine_profile == "reference"
+class TestBankBackendThreading:
+    """ModelBankSpec.kernel_backend reaches every runner and stream session."""
 
     def test_stream_policies_inherit_spec_backend(self):
         from dataclasses import replace
@@ -781,15 +744,24 @@ class TestMachineProfileThreading:
         with pytest.raises(ValueError, match="kernel_backend"):
             ModelBankSpec(kernel_backend="vulkan")
 
-    def test_spec_with_profile_is_picklable(self):
+    def test_spec_is_picklable(self):
+        """The spec travels to every worker: a pickled copy builds a bank
+        with the same backend and the same weights."""
         import pickle
         from dataclasses import replace
 
-        from repro.kernels import MachineProfile
-
-        spec = replace(_spec(), machine_profile=MachineProfile(name="pickled"))
+        spec = replace(_spec(), kernel_backend="reference")
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone.build().runners["fp32"].machine_profile.name == "pickled"
+        assert clone == spec
+        bank, cloned = spec.build(), clone.build()
+        assert all(r.resolved_backend().name == "reference" for r in cloned.runners.values())
+        features = np.random.default_rng(0).standard_normal(
+            (1, sum(s.num_pixels for s in SHAPES_A), D_MODEL)
+        ).astype(np.float32)
+        for name in bank.runners:
+            assert np.array_equal(
+                bank.forward(name, features, SHAPES_A), cloned.forward(name, features, SHAPES_A)
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,13 @@ import pytest
 
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
-from repro.core.pipeline import SPARSE_MODES, DEFAAttention
-from repro.kernels import COMPILED_AVAILABLE, ExecutionOptions
+from repro.core.pipeline import SPARSE_MODES, DEFAAttention, use_sparse_rows
+from repro.kernels import (
+    COMPILED_AVAILABLE,
+    DISPATCH_THRESHOLDS,
+    DispatchThresholds,
+    ExecutionOptions,
+)
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.grid_sample import (
     ms_deform_attn_core,
@@ -42,6 +47,9 @@ from repro.utils.shapes import LevelShape
 
 TOL = 1e-5
 """Strict float32-path equivalence tolerance (unquantized configs)."""
+
+GATHER = (DISPATCH_THRESHOLDS.point_keep_max, DISPATCH_THRESHOLDS.min_slots)
+"""The ``(keep_max, min_slots)`` the stack passes to the point-gather rule."""
 
 _BACKEND_PARAMS = ["reference", "fused"] + (
     ["compiled"] if COMPILED_AVAILABLE else []
@@ -173,14 +181,14 @@ class TestSparseKernels:
 
     def test_use_sparse_gather_dispatch(self):
         mask = np.zeros((1, 4, 2, 2, 2), dtype=bool)  # one image (B = 1)
-        assert use_sparse_gather(mask, 10**9, "sparse")
-        assert not use_sparse_gather(mask, 10**9, "dense")
-        assert not use_sparse_gather(None, 10**9, "auto")  # no mask -> dense
-        assert not use_sparse_gather(mask, 100, "auto")  # tiny input -> dense
-        assert use_sparse_gather(mask, 10**9, "auto")  # large + heavy pruning
-        assert not use_sparse_gather(np.ones_like(mask), 10**9, "auto")  # no pruning
+        assert use_sparse_gather(mask, 10**9, *GATHER, "sparse")
+        assert not use_sparse_gather(mask, 10**9, *GATHER, "dense")
+        assert not use_sparse_gather(None, 10**9, *GATHER, "auto")  # no mask -> dense
+        assert not use_sparse_gather(mask, 100, *GATHER, "auto")  # tiny input -> dense
+        assert use_sparse_gather(mask, 10**9, *GATHER, "auto")  # large + heavy pruning
+        assert not use_sparse_gather(np.ones_like(mask), 10**9, *GATHER, "auto")  # no pruning
         with pytest.raises(ValueError):
-            use_sparse_gather(mask, 100, "blocked")
+            use_sparse_gather(mask, 100, *GATHER, "blocked")
 
     def test_use_sparse_gather_uses_max_per_image_fraction(self):
         """A batch goes sparse only when every image alone would (batched
@@ -188,11 +196,97 @@ class TestSparseKernels:
         sparse_image = np.zeros((1, 4, 2, 2, 2), dtype=bool)  # keep 0%
         dense_image = np.ones((1, 4, 2, 2, 2), dtype=bool)  # keep 100%
         mixed = np.concatenate([sparse_image, dense_image])
-        assert use_sparse_gather(sparse_image, 10**9, "auto")
-        assert not use_sparse_gather(dense_image, 10**9, "auto")
+        assert use_sparse_gather(sparse_image, 10**9, *GATHER, "auto")
+        assert not use_sparse_gather(dense_image, 10**9, *GATHER, "auto")
         # One dense-leaning image forces the whole batch dense, even though
         # the aggregate keep fraction (0.5) is below the threshold.
-        assert not use_sparse_gather(mixed, 10**9, "auto")
+        assert not use_sparse_gather(mixed, 10**9, *GATHER, "auto")
+
+
+def _exact_keep_mask(size: int, kept: int) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[:kept] = True
+    return mask
+
+
+class TestDispatchThresholds:
+    def test_defaults_are_the_hand_tuned_constants(self):
+        """The dataclass defaults are the one home of the hand-tuned
+        constants, the stack reads them, and the committed values never
+        drift."""
+        t = DispatchThresholds()
+        assert t == DISPATCH_THRESHOLDS
+        assert t.pixel_keep_max == 0.85
+        assert t.min_tokens == 512
+        assert t.query_keep_max == 0.85
+        assert t.min_queries == 512
+        assert t.ffn_keep_max == 0.85
+        assert t.ffn_min_tokens == 512
+        assert t.point_keep_max == 0.70
+        assert t.min_slots == 32768
+
+
+class TestBoundarySemantics:
+    """Exact-threshold behavior (the path-choice-parity invariant): minimum
+    sizes compare ``<`` (exactly at the minimum is sparse-eligible), keep
+    ratios compare ``<=`` (exactly at the crossover goes sparse), and the
+    batched decision equals the single-image decision at the boundary."""
+
+    def test_min_rows_boundary_is_strict(self):
+        keep_max, min_rows = 0.5, 512
+        mask = _exact_keep_mask(min_rows, min_rows // 4)
+        assert use_sparse_rows(mask, min_rows, keep_max, min_rows, "auto")
+        small = _exact_keep_mask(min_rows - 1, (min_rows - 1) // 4)
+        assert not use_sparse_rows(small, min_rows - 1, keep_max, min_rows, "auto")
+
+    def test_keep_ratio_boundary_is_inclusive(self):
+        rows = 1024
+        # Exactly at the crossover: 0.5 keep with keep_max=0.5 goes sparse.
+        at = _exact_keep_mask(rows, rows // 2)
+        assert use_sparse_rows(at, rows, 0.5, 512, "auto")
+        above = _exact_keep_mask(rows, rows // 2 + 1)
+        assert not use_sparse_rows(above, rows, 0.5, 512, "auto")
+
+    def test_min_slots_boundary_is_strict(self):
+        mask = _exact_keep_mask(64, 16).reshape(1, 64, 1, 1, 1)
+        assert use_sparse_gather(mask, 256, 0.5, 256, "auto")
+        assert not use_sparse_gather(mask, 255, 0.5, 256, "auto")
+
+    def test_point_keep_boundary_is_inclusive(self):
+        at = _exact_keep_mask(64, 32).reshape(1, 64, 1, 1, 1)
+        assert use_sparse_gather(at, 256, 0.5, 1, "auto")
+        above = _exact_keep_mask(64, 33).reshape(1, 64, 1, 1, 1)
+        assert not use_sparse_gather(above, 256, 0.5, 1, "auto")
+
+    def test_batched_equals_single_at_exact_crossover(self):
+        """A threshold that lands exactly on a keep fraction cannot flip
+        batched-vs-single path choice: with every image exactly at the
+        crossover, batched (max per-image fraction) and single-image
+        dispatch agree — on both rules, sparse side and dense side of the
+        boundary."""
+        rows, keep_max = 1024, 0.5
+        single_at = _exact_keep_mask(rows, rows // 2)
+        batched_at = np.stack([single_at, single_at[::-1].copy()])
+        assert use_sparse_rows(
+            single_at, rows, keep_max, 512, "auto"
+        ) == use_sparse_rows(batched_at, rows, keep_max, 512, "auto")
+        assert use_sparse_rows(batched_at, rows, keep_max, 512, "auto")
+
+        point_single = single_at.reshape(1, rows, 1, 1, 1)
+        point_batched = batched_at.reshape(2, rows, 1, 1, 1)
+        assert use_sparse_gather(
+            point_single, rows * 4, keep_max, 1, "auto"
+        ) == use_sparse_gather(point_batched, rows * 4, keep_max, 1, "auto")
+
+        # One image just above the crossover drags the whole batch dense —
+        # exactly what each of its images alone would have decided is what
+        # the strictest image decides.
+        above = _exact_keep_mask(rows, rows // 2 + 1)
+        mixed = np.stack([single_at, above])
+        assert not use_sparse_rows(mixed, rows, keep_max, 512, "auto")
+        assert not use_sparse_gather(
+            mixed.reshape(2, rows, 1, 1, 1), rows * 4, keep_max, 1, "auto"
+        )
 
 
 class TestKernelShapeChecks:
@@ -446,9 +540,9 @@ class TestSparseModeAuto:
         mask = np.zeros(N_IN, dtype=bool)
         mask[: N_IN // 2] = True
         out = auto.forward_detailed(query, reference, features, SHAPES, fmap_mask=mask)
-        assert not out.stats.sparse_projection  # N_IN < DispatchThresholds().min_tokens
-        assert not out.stats.sparse_gather  # slots < DispatchThresholds().min_slots
-        assert not out.stats.sparse_query  # N_q < DispatchThresholds().min_queries
+        assert not out.stats.sparse_projection  # N_IN < DISPATCH_THRESHOLDS.min_tokens
+        assert not out.stats.sparse_gather  # slots < DISPATCH_THRESHOLDS.min_slots
+        assert not out.stats.sparse_query  # N_q < DISPATCH_THRESHOLDS.min_queries
 
 
 QP_FP32 = DEFAConfig(quant_bits=None, enable_query_pruning=True)
