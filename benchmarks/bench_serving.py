@@ -110,7 +110,6 @@ def serving_report(
 
 
 SERVING_COUNTERS = (
-    "mean_batch_size",
     "worker_deaths",
     "worker_restarts",
     "primary_batches",
@@ -122,7 +121,9 @@ SERVING_COUNTERS = (
     "watchdog_kills",
     "num_failed",
 )
-"""The request-lifecycle counters every serving record carries.  Their values
+"""The request-lifecycle counters every serving record carries, after its
+batch shape: ``mean_batch_size`` and the dispatch mix, one ``batches_<reason>``
+count per :data:`~repro.engine.serving.BATCH_REASONS` entry.  Their values
 depend on the scripted faults and on scheduler timing, so ``compare_bench``
 gates only their presence: a record that stops carrying one has lost
 fault-model coverage."""
@@ -148,7 +149,11 @@ def _serving_record(report, name: str, backend: str | None, config: dict) -> Pro
             "p99_ms": {"value": 1e3 * report.p99_s, "better": "lower"},
             "throughput_rps": {"value": report.throughput_rps, "better": "higher"},
         },
-        counters={key: getattr(report, key) for key in SERVING_COUNTERS},
+        counters={
+            "mean_batch_size": report.mean_batch_size,
+            **{f"batches_{reason}": n for reason, n in report.batches_by_reason.items()},
+            **{key: getattr(report, key) for key in SERVING_COUNTERS},
+        },
     )
     record.gate(name, report.max_abs_diff, SERVING_EQUIVALENCE_TOL)
     return record
@@ -226,10 +231,12 @@ def serving_faults_record(report, backend: str | None = None) -> ProbeRecord:
 
 
 def _print_report(label: str, report) -> None:
+    mix = " / ".join(f"{reason} {n}" for reason, n in report.batches_by_reason.items())
     print(
         f"{label}: p50 {1e3 * report.p50_s:.1f} ms, p99 {1e3 * report.p99_s:.1f} ms, "
         f"throughput {report.throughput_rps:.1f} req/s, overhead {report.overhead:.2f}x, "
-        f"batches {report.num_batches} (mean size {report.mean_batch_size:.2f}), "
+        f"batches {report.num_batches} (mean size {report.mean_batch_size:.2f}; "
+        f"{mix}), "
         f"deaths {report.worker_deaths}, degraded batches {report.degraded_batches}, "
         f"max |diff| {report.max_abs_diff:.2e}"
     )

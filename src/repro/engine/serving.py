@@ -9,9 +9,11 @@ engine into a *service*:
 
 * :class:`ServingEngine` — a scheduler that accepts a stream of
   :class:`~repro.engine.batching.WorkItem` requests, groups them by
-  ``(request class, shape signature)`` under a queueing policy (flush a group
-  when it reaches ``max_batch_size`` or its oldest request has waited
-  ``max_wait_s``), and fans the batches out to persistent worker processes.
+  ``(request class, shape signature)`` and fans the batches out to
+  persistent worker processes.  Dispatch is work-conserving: a group goes as
+  soon as it reaches ``max_batch_size``, and a worker that is free takes the
+  group holding the oldest waiting request at once, so ``max_wait_s`` (the
+  longest a partial group waits) binds only while every worker is busy.
 * Each worker owns a warm :class:`ModelBank` — one
   :class:`~repro.core.encoder_runner.DEFAEncoderRunner` per request class —
   for its whole lifetime, so the execution-plan arenas and positional caches
@@ -354,10 +356,14 @@ class ServingConfig:
 
     ``num_workers=0`` serves every batch in-process (no subprocesses at all
     — the permanent form of the degraded path, useful for tests and
-    single-core deployments).  ``max_wait_s`` bounds the queueing latency a
-    request can accumulate waiting for its shape group to fill: a group is
-    flushed as soon as it is full *or* its oldest request has waited this
-    long.
+    single-core deployments).  A group is dispatched as soon as it is full,
+    or at once to a worker that is alive, ready and free (the group holding
+    the oldest waiting request first).  ``max_wait_s`` therefore bounds the
+    queueing latency only while every worker is busy: a partial group whose
+    oldest request has waited this long becomes due and takes the next free
+    worker ahead of the groups that are not due.  The in-process paths
+    (``num_workers=0`` and degraded mode) have no worker to keep busy, so
+    there a partial group always waits out ``max_wait_s``.
 
     The PR 10 request-lifecycle knobs default to the pre-hardening
     behaviour: unbounded admission, no deadlines, no watchdog — each is an
@@ -439,6 +445,10 @@ class ServingConfig:
             raise ValueError("dispatch_timeout_s must be positive (or None)")
 
 
+BATCH_REASONS = ("full", "wait", "idle", "flush", "retry")
+"""Every :attr:`BatchRecord.reason`, in the order reports list them."""
+
+
 @dataclass(frozen=True)
 class BatchRecord:
     """Accounting of one dispatched batch (one entry per forward launched)."""
@@ -451,10 +461,12 @@ class BatchRecord:
     the in-process fallback — degraded mode or a ``num_workers=0`` engine)."""
 
     reason: str
-    """Why the group was flushed: ``"full"`` (reached ``max_batch_size``),
-    ``"wait"`` (oldest request hit ``max_wait_s``), ``"flush"`` (explicit
-    :meth:`ServingEngine.flush`) or ``"retry"`` (a requeued suspect request
-    redispatched in isolation — see :meth:`ServingEngine.poll`)."""
+    """Why the group was flushed, one of :data:`BATCH_REASONS`: ``"full"``
+    (reached ``max_batch_size``), ``"wait"`` (oldest request hit
+    ``max_wait_s``), ``"idle"`` (a free worker took the group before it was
+    due), ``"flush"`` (explicit :meth:`ServingEngine.flush`) or ``"retry"``
+    (a requeued suspect request redispatched in isolation — see
+    :meth:`ServingEngine.poll`)."""
 
     worker: int | None = None
     """Worker slot index for ``path="worker"`` batches."""
@@ -505,6 +517,15 @@ class ServingStats:
     @property
     def mean_batch_size(self) -> float:
         return float(np.mean(self.batch_sizes)) if self.batches else 0.0
+
+    @property
+    def batches_by_reason(self) -> dict[str, int]:
+        """Batch count per :attr:`BatchRecord.reason`, every reason of
+        :data:`BATCH_REASONS` present (zero when unused)."""
+        counts = dict.fromkeys(BATCH_REASONS, 0)
+        for batch in self.batches:
+            counts[batch.reason] += 1
+        return counts
 
     @property
     def primary_batches(self) -> int:
@@ -1242,7 +1263,7 @@ class ServingEngine:
                     pending.seq if pending.retries else None,
                 )
                 groups.setdefault(key, []).append(pending)
-            due = []
+            due, waiting = [], []
             for key, group in groups.items():
                 if key[3] is not None:
                     due.append((key, group, "retry"))
@@ -1250,10 +1271,14 @@ class ServingEngine:
                     reason = self._due_reason(group, now)
                     if reason is not None:
                         due.append((key, group, reason))
-            if not due:
-                return
+                    else:
+                        waiting.append((key, group, "idle"))
             progressed = False
-            for key, group, reason in due:
+            # Work conservation: a free worker never sits out max_wait_s.  The
+            # waiting groups follow every due group, in queue order (oldest
+            # request first), so under overload a full group still beats an
+            # older partial one.
+            for key, group, reason in due + waiting:
                 chunk = group[: self.config.max_batch_size]
                 stream_id = key[2]
                 if stream_id is not None:
@@ -1283,7 +1308,7 @@ class ServingEngine:
                                     )
                                 )
                         progressed = True
-                elif self.num_alive_workers == 0:
+                elif reason != "idle" and self.num_alive_workers == 0:
                     self._remove_pending(chunk)
                     self._run_inproc(key[:3], chunk, reason, now)
                     progressed = True
@@ -1291,6 +1316,8 @@ class ServingEngine:
                 # queueing: the batch dispatches as soon as one frees.
                 # Stream-affine batches additionally wait for their *routed*
                 # worker specifically, preserving per-stream frame order.
+                # An "idle" group only ever goes to a free worker: the
+                # in-process paths keep the max_wait_s rule.
             if not progressed:
                 return
 

@@ -881,6 +881,10 @@ class ServingLatencyReport:
     num_workers: int
     num_batches: int
     mean_batch_size: float
+    batches_by_reason: dict[str, int]
+    """Batch count per dispatch reason (every entry of
+    :data:`~repro.engine.serving.BATCH_REASONS`)."""
+
     p50_s: float
     p99_s: float
     """Submit-to-completion latency percentiles over all requests."""
@@ -1018,6 +1022,7 @@ def measure_serving_latency(
         num_workers=config.num_workers,
         num_batches=stats.num_batches,
         mean_batch_size=stats.mean_batch_size,
+        batches_by_reason=stats.batches_by_reason,
         p50_s=stats.latency_quantile(50),
         p99_s=stats.latency_quantile(99),
         elapsed_s=replay.elapsed_s,

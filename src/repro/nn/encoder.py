@@ -35,8 +35,6 @@ class DeformableEncoderLayer(Module):
         num_points: int = 4,
         ffn_dim: int = 1024,
         activation: str = "relu",
-        attention_sharpness: float = 2.5,
-        offset_scale: float = 2.0,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         rng = as_rng(rng)
@@ -46,8 +44,6 @@ class DeformableEncoderLayer(Module):
             num_heads=num_heads,
             num_levels=num_levels,
             num_points=num_points,
-            attention_sharpness=attention_sharpness,
-            offset_scale=offset_scale,
             rng=rng,
         )
         self.norm1 = LayerNorm(d_model)
@@ -236,8 +232,6 @@ class DeformableEncoder(Module):
         num_points: int = 4,
         ffn_dim: int = 1024,
         activation: str = "relu",
-        attention_sharpness: float = 2.5,
-        offset_scale: float = 2.0,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if num_layers <= 0:
@@ -253,8 +247,6 @@ class DeformableEncoder(Module):
                 num_points=num_points,
                 ffn_dim=ffn_dim,
                 activation=activation,
-                attention_sharpness=attention_sharpness,
-                offset_scale=offset_scale,
                 rng=rngs[i],
             )
             for i in range(num_layers)

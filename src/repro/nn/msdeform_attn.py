@@ -50,12 +50,6 @@ class MSDeformAttn(Module):
         Number of pyramid levels ``N_l``.
     num_points:
         Number of sampling points per level per head ``N_p``.
-    attention_sharpness:
-        Scale applied to the attention-weight head so that softmax outputs are
-        peaked; larger values concentrate probability mass on fewer points.
-    offset_scale:
-        Standard deviation (in pixels of the sampled level) of the
-        query-dependent part of the sampling offsets.
     rng:
         Seed or generator for the synthetic weight initialization.
     """
@@ -66,8 +60,6 @@ class MSDeformAttn(Module):
         num_heads: int = 8,
         num_levels: int = 4,
         num_points: int = 4,
-        attention_sharpness: float = 2.5,
-        offset_scale: float = 2.0,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if d_model % num_heads != 0:
@@ -78,8 +70,6 @@ class MSDeformAttn(Module):
         self.num_levels = num_levels
         self.num_points = num_points
         self.d_head = d_model // num_heads
-        self.attention_sharpness = float(attention_sharpness)
-        self.offset_scale = float(offset_scale)
 
         self.value_proj = Linear(d_model, d_model, rng=rng)
         self.output_proj = Linear(d_model, d_model, rng=rng)
@@ -98,16 +88,18 @@ class MSDeformAttn(Module):
         bias = np.tile(grid[:, None, None, :], (1, n_l, n_p, 1))
         bias = bias * (np.arange(n_p, dtype=FLOAT_DTYPE) + 1.0)[None, None, :, None]
         self.sampling_offsets.bias = bias.reshape(-1).astype(FLOAT_DTYPE)
-        # Query-dependent offset component with a controlled magnitude.
+        # Query-dependent offset component with a controlled magnitude: a
+        # standard deviation of about 2 pixels of the sampled level.
         self.sampling_offsets.weight = (
             rng.standard_normal(self.sampling_offsets.weight.shape)
-            * (self.offset_scale / np.sqrt(self.d_model))
+            * (2.0 / np.sqrt(self.d_model))
         ).astype(FLOAT_DTYPE)
         # Peaked attention logits: scale the random weights so that the logit
-        # standard deviation is roughly `attention_sharpness`.
+        # standard deviation is roughly 2.5 (larger concentrates the softmax
+        # mass on fewer points).
         self.attention_weights.weight = (
             rng.standard_normal(self.attention_weights.weight.shape)
-            * (self.attention_sharpness / np.sqrt(self.d_model))
+            * (2.5 / np.sqrt(self.d_model))
         ).astype(FLOAT_DTYPE)
         self.attention_weights.bias = (
             rng.standard_normal(self.attention_weights.bias.shape) * 0.5

@@ -156,6 +156,18 @@ class TestProbeRecordLayout:
         rc = compare_bench.main(["--baseline", str(baseline), "--current", str(baseline)])
         assert rc == 0
 
+    def test_committed_serving_baselines_fence_the_dispatch_mix(self):
+        """Both serving probes of the baseline track one batch count per
+        dispatch reason, so a record that drops one fails as lost coverage."""
+        from repro.engine.serving import BATCH_REASONS
+
+        baseline = BENCHMARKS_DIR / "baselines" / "BENCH_compact.json"
+        record = json.loads(baseline.read_text())
+        serving = {p["name"]: p["counters"] for p in record["benchmarks"]}
+        for name in ("serving", "serving_faults"):
+            mix = {key for key in serving[name] if key.startswith("batches_")}
+            assert mix == {f"batches_{reason}" for reason in BATCH_REASONS}
+
 
 class TestInterleavedTimer:
     def test_rounds_alternate_the_variants(self):

@@ -131,6 +131,7 @@ class TestServingStats:
         stats = ServingStats()
         assert stats.num_batches == 0
         assert stats.mean_batch_size == 0.0
+        assert set(stats.batches_by_reason.values()) == {0}
         assert stats.latency_quantile(50) == 0.0
 
     def test_batch_accounting_by_path(self):
@@ -147,6 +148,13 @@ class TestServingStats:
         assert stats.mean_batch_size == pytest.approx(8 / 3)
         assert stats.primary_batches == 2
         assert stats.degraded_batches == 1
+        assert stats.batches_by_reason == {
+            "full": 1,
+            "wait": 1,
+            "idle": 0,
+            "flush": 1,
+            "retry": 0,
+        }
 
     def test_latency_quantile(self):
         stats = ServingStats(latencies_s=[0.4, 0.1, 0.3, 0.2, 0.5])
@@ -435,24 +443,29 @@ class TestWorkerLifecycle:
             kernel_backend="fused",
         )
         engine = ServingEngine(
-            spec.build,
-            # A long max_wait keeps the pump thread from flushing a partial
-            # group mid-submission: each round must dispatch as exactly one
-            # batch of 4, so both rounds hit the same (shape, batch) plan and
-            # the arena footprint stays constant.
-            ServingConfig(num_workers=1, max_batch_size=4, max_wait_s=30.0),
+            spec.build, ServingConfig(num_workers=1, max_batch_size=4)
         ).start()
+
+        def submit_round(first_id: int) -> None:
+            # An idle worker takes a waiting request at once, so the pump
+            # must see each round whole: submitting under the engine lock (an
+            # RLock, which submit re-enters) makes every round dispatch as
+            # exactly one full batch of 4.  Both rounds then hit the same
+            # (shape, batch) plan and the arena footprint stays constant.
+            with engine._lock:
+                for i in range(first_id, first_id + 4):
+                    engine.submit(_item(i, SHAPES_A, i), request_class="fp32")
+
         try:
-            for i in range(4):
-                engine.submit(_item(i, SHAPES_A, i), request_class="fp32")
+            submit_round(0)
             engine.flush()
             first = engine.worker_stats()[0]
             assert first is not None and first["fp32"]["plans"] >= 1
             assert first["fp32"]["backend"] == "fused"
-            for i in range(4, 8):
-                engine.submit(_item(i, SHAPES_A, i), request_class="fp32")
+            submit_round(4)
             engine.flush()
             second = engine.worker_stats()[0]
+            assert [b.size for b in engine.stats.batches] == [4, 4]
             assert second["fp32"]["hits"] > first["fp32"]["hits"]
             assert second["fp32"]["bytes"] == first["fp32"]["bytes"]
         finally:
@@ -611,6 +624,178 @@ def _stub_worker(handle, ready=True, process_alive=True, busy=None) -> None:
 def _idle_engine(clock, **config_kwargs) -> ServingEngine:
     config = ServingConfig(**{"num_workers": 1, **config_kwargs})
     return ServingEngine(lambda: {"default": lambda f, s: f}, config, clock=clock)
+
+
+def _reply_ok(engine: ServingEngine, handle) -> None:
+    """Answer a stub worker's in-flight batch with an identity ``ok`` reply."""
+    batch = handle.busy
+    output = np.stack([p.item.features for p in batch.requests])
+    with engine._lock:
+        engine._handle_message(handle, engine._clock(), ("ok", batch.batch_id, output))
+
+
+class TestWorkConservingDispatch:
+    """A free worker takes the oldest waiting group at once (reason
+    ``"idle"``) instead of sitting out ``max_wait_s``; due groups keep
+    priority, and stream-affine groups still go only to their routed
+    worker.  ``max_wait_s`` is far away in every test, so no ``"wait"``
+    flush can hide the rule."""
+
+    def test_lone_request_goes_to_an_idle_worker_in_the_same_poll(self):
+        engine = _idle_engine(FakeClock(), max_wait_s=100.0)
+        handle = engine._workers[0]
+        _stub_worker(handle)
+        future = engine.submit(_item(0, SHAPES_A, 0))
+        engine.poll()
+        assert [(r.reason, r.path, r.size, r.worker) for r in engine.stats.batches] == [
+            ("idle", "worker", 1, 0)
+        ]
+        assert not engine._pending
+        _reply_ok(engine, handle)
+        assert future.done()
+
+    def test_requests_queue_while_the_worker_is_busy_then_go_as_one_batch(self):
+        engine = _idle_engine(FakeClock(), max_batch_size=8, max_wait_s=100.0)
+        handle = engine._workers[0]
+        _stub_worker(handle)
+        engine.submit(_item(0, SHAPES_A, 0))
+        engine.poll()  # the first request occupies the worker
+        futures = [engine.submit(_item(i, SHAPES_A, i)) for i in range(1, 4)]
+        engine.poll()
+        assert len(engine._pending) == 3  # busy worker: nothing more goes
+        assert engine.stats.num_batches == 1
+        _reply_ok(engine, handle)
+        engine.poll()
+        assert [(r.reason, r.size) for r in engine.stats.batches] == [
+            ("idle", 1),
+            ("idle", 3),
+        ]
+        _reply_ok(engine, handle)
+        assert all(f.done() for f in futures)
+
+    def test_one_free_worker_takes_a_full_group_before_an_older_partial_one(self):
+        engine = _idle_engine(FakeClock(), max_batch_size=2, max_wait_s=100.0)
+        handle = engine._workers[0]
+        _stub_worker(handle, ready=False)  # starting: nothing can go yet
+        engine.submit(_item(0, SHAPES_A, 0))  # the older, partial group
+        engine.submit(_item(1, SHAPES_B, 1))
+        engine.submit(_item(2, SHAPES_B, 2))  # B is now full
+        engine.poll()
+        assert engine.stats.num_batches == 0
+        handle.ready = True
+        engine.poll()
+        key_a, key_b = (_item(0, s, 0).shape_key for s in (SHAPES_A, SHAPES_B))
+        assert [(r.shape_key, r.reason, r.size) for r in engine.stats.batches] == [
+            (key_b, "full", 2)
+        ]
+        _reply_ok(engine, handle)
+        engine.poll()  # the partial group goes as soon as the worker frees
+        assert engine.stats.batches[-1].shape_key == key_a
+        assert engine.stats.batches[-1].reason == "idle"
+
+    def test_free_worker_takes_the_group_holding_the_oldest_request(self):
+        engine = _idle_engine(FakeClock(), max_batch_size=8, max_wait_s=100.0)
+        handle = engine._workers[0]
+        _stub_worker(handle, ready=False)  # starting: nothing can go yet
+        engine.submit(_item(0, SHAPES_B, 0))  # the oldest request
+        engine.submit(_item(1, SHAPES_A, 1))
+        engine.submit(_item(2, SHAPES_B, 2))
+        engine.poll()
+        assert engine.stats.num_batches == 0
+        handle.ready = True
+        engine.poll()
+        key_a, key_b = (_item(0, s, 0).shape_key for s in (SHAPES_A, SHAPES_B))
+        assert [(r.shape_key, r.reason, r.size) for r in engine.stats.batches] == [
+            (key_b, "idle", 2)
+        ]
+        _reply_ok(engine, handle)
+        engine.poll()
+        assert [(r.shape_key, r.reason, r.size) for r in engine.stats.batches[1:]] == [
+            (key_a, "idle", 1)
+        ]
+
+    def test_retry_group_takes_the_free_worker_before_an_older_idle_one(self):
+        engine = _idle_engine(FakeClock(), max_batch_size=8, max_wait_s=100.0)
+        handle = engine._workers[0]
+        _stub_worker(handle, ready=False)
+        engine.submit(_item(0, SHAPES_A, 0))  # older, not due
+        engine.submit(_item(1, SHAPES_B, 1))
+        engine._pending[1].retries = 1  # a suspect: its singleton group is due
+        handle.ready = True
+        engine.poll()
+        key_b = _item(1, SHAPES_B, 1).shape_key
+        assert [(r.shape_key, r.reason, r.size) for r in engine.stats.batches] == [
+            (key_b, "retry", 1)
+        ]
+        assert [p.item.item_id for p in engine._pending] == [0]
+
+    def test_group_that_fell_due_while_the_worker_started_records_wait(self):
+        clock = FakeClock()
+        engine = _idle_engine(clock, max_wait_s=1.0)
+        handle = engine._workers[0]
+        _stub_worker(handle, ready=False)
+        engine.submit(_item(0, SHAPES_A, 0))
+        clock.advance(1.0)
+        engine.poll()  # due, but the only alive worker is still starting
+        assert engine.stats.num_batches == 0
+        assert len(engine._pending) == 1
+        handle.ready = True
+        engine.poll()
+        assert [(r.reason, r.path) for r in engine.stats.batches] == [("wait", "worker")]
+
+    def test_stream_group_waits_for_its_routed_worker_while_another_is_idle(self):
+        engine = _idle_engine(FakeClock(), num_workers=2, max_wait_s=100.0)
+        first, second = engine._workers
+        _stub_worker(first)
+        _stub_worker(second)
+
+        def frame(index: int) -> WorkItem:
+            item = _item(index, SHAPES_A, index)
+            return WorkItem(
+                item_id=index,
+                features=item.features,
+                spatial_shapes=SHAPES_A,
+                stream_id="cam",
+                frame_index=index,
+            )
+
+        engine.submit(frame(0))
+        engine.poll()
+        assert first.busy is not None  # frame 0 routes the stream to worker 0
+        engine.submit(frame(1))
+        engine.submit(_item(9, SHAPES_B, 9))  # a stateless request
+        engine.poll()
+        # Worker 1 is idle, but only the stateless request may take it.
+        assert [(r.worker, r.reason, r.size) for r in engine.stats.batches] == [
+            (0, "idle", 1),
+            (1, "idle", 1),
+        ]
+        assert [p.item.frame_index for p in engine._pending] == [1]
+        _reply_ok(engine, second)
+        engine.poll()
+        assert len(engine._pending) == 1  # still waiting for worker 0
+        _reply_ok(engine, first)
+        engine.poll()
+        assert (engine.stats.batches[-1].worker, engine.stats.batches[-1].reason) == (
+            0,
+            "idle",
+        )
+        assert not engine._pending
+
+    def test_degraded_engine_keeps_the_max_wait_rule(self):
+        clock = FakeClock()
+        engine = _idle_engine(clock, max_wait_s=1.0, restart_backoff_s=50.0)
+        handle = engine._workers[0]
+        _stub_worker(handle)
+        with engine._lock:
+            engine._handle_death(handle, clock())
+        future = engine.submit(_item(0, SHAPES_A, 0))
+        engine.poll()
+        assert not future.done()  # the pump is the executor: no idle worker
+        clock.advance(1.0)
+        engine.poll()
+        assert [(r.reason, r.path) for r in engine.stats.batches] == [("wait", "inproc")]
+        assert future.done()
 
 
 class TestInjectedClock:

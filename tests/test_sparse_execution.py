@@ -179,6 +179,24 @@ class TestSparseKernels:
         zeroed[11, 1] = 0
         assert np.all(zeroed == 0)
 
+
+def _exact_keep_mask(size: int, kept: int) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[:kept] = True
+    return mask
+
+
+class _PureDispatchRule:
+    """Tests of the dispatch rules alone: they run no kernel, so they run
+    once instead of once per backend (this fixture shadows the module's
+    parametrized one)."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_backend(self):
+        yield None
+
+
+class TestDispatchThresholds(_PureDispatchRule):
     def test_use_sparse_gather_dispatch(self):
         mask = np.zeros((1, 4, 2, 2, 2), dtype=bool)  # one image (B = 1)
         assert use_sparse_gather(mask, 10**9, *GATHER, "sparse")
@@ -202,14 +220,6 @@ class TestSparseKernels:
         # the aggregate keep fraction (0.5) is below the threshold.
         assert not use_sparse_gather(mixed, 10**9, *GATHER, "auto")
 
-
-def _exact_keep_mask(size: int, kept: int) -> np.ndarray:
-    mask = np.zeros(size, dtype=bool)
-    mask[:kept] = True
-    return mask
-
-
-class TestDispatchThresholds:
     def test_defaults_are_the_hand_tuned_constants(self):
         """The dataclass defaults are the one home of the hand-tuned
         constants, the stack reads them, and the committed values never
@@ -226,7 +236,7 @@ class TestDispatchThresholds:
         assert t.min_slots == 32768
 
 
-class TestBoundarySemantics:
+class TestBoundarySemantics(_PureDispatchRule):
     """Exact-threshold behavior (the path-choice-parity invariant): minimum
     sizes compare ``<`` (exactly at the minimum is sparse-eligible), keep
     ratios compare ``<=`` (exactly at the crossover goes sparse), and the
